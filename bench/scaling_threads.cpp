@@ -4,7 +4,9 @@
  * time, throughput (MB/s of TSH input, packets/s) and speedup of
  * FCC compression and decompression at 1/2/4/8 threads on the
  * synthetic web trace, plus a byte-identity check between every
- * thread count (the pipeline's determinism contract).
+ * thread count (the pipeline's determinism contract) on the
+ * compressed and the reconstructed bytes; the bench exits non-zero
+ * when a row differs.
  *
  * Run: ./build/bench/scaling_threads [--smoke] [--json out.json]
  *
@@ -83,6 +85,7 @@ main(int argc, char **argv)
     const int reps = smoke ? 1 : 3;
     const uint32_t threadCounts[] = {1, 2, 4, 8};
 
+    bool allIdentical = true;
     std::vector<uint8_t> reference;
     double baseCompress = 0.0;
     std::printf("## compression\n");
@@ -99,19 +102,21 @@ main(int argc, char **argv)
             reference = bytes;
             baseCompress = sec;
         }
+        bool same = bytes == reference;
+        allIdentical = allIdentical && same;
         std::printf("%8u %10.3f %10.1f %12.0f %8.2fx %10s\n", t, sec,
                     tshMb / sec,
                     static_cast<double>(trace.size()) / sec,
-                    baseCompress / sec,
-                    bytes == reference ? "yes" : "NO!");
+                    baseCompress / sec, same ? "yes" : "NO!");
         metrics.add("fcc_compress_mbps_t" + std::to_string(t),
                     tshMb / sec);
     }
 
     double baseExpand = 0.0;
+    std::vector<uint8_t> referenceTsh;
     std::printf("\n## decompression\n");
-    std::printf("%8s %10s %10s %12s %9s\n", "threads", "time_s",
-                "MB/s", "packets/s", "speedup");
+    std::printf("%8s %10s %10s %12s %9s %10s\n", "threads", "time_s",
+                "MB/s", "packets/s", "speedup", "identical");
     for (uint32_t t : threadCounts) {
         fccc::FccConfig fcfg;
         fcfg.threads = t;
@@ -119,19 +124,24 @@ main(int argc, char **argv)
         trace::Trace restored;
         double sec = secondsOf(
             [&] { restored = codec.decompress(reference); }, reps);
-        if (t == 1)
+        std::vector<uint8_t> tsh = trace::writeTsh(restored);
+        if (t == 1) {
             baseExpand = sec;
-        std::printf("%8u %10.3f %10.1f %12.0f %8.2fx\n", t, sec,
+            referenceTsh = tsh;
+        }
+        bool same = tsh == referenceTsh;
+        allIdentical = allIdentical && same;
+        std::printf("%8u %10.3f %10.1f %12.0f %8.2fx %10s\n", t, sec,
                     tshMb / sec,
                     static_cast<double>(restored.size()) / sec,
-                    baseExpand / sec);
+                    baseExpand / sec, same ? "yes" : "NO!");
         metrics.add("fcc_decompress_mbps_t" + std::to_string(t),
                     tshMb / sec);
     }
 
     std::printf("\n# identical=yes on every row is the determinism "
                 "contract: thread count\n# changes wall time only, "
-                "never the compressed bytes.\n");
+                "never the compressed or reconstructed bytes.\n");
 
     if (!jsonPath.empty()) {
         if (!metrics.writeTo(jsonPath)) {
@@ -141,5 +151,5 @@ main(int argc, char **argv)
         }
         std::printf("# metrics written to %s\n", jsonPath.c_str());
     }
-    return 0;
+    return allIdentical ? 0 : 1;
 }

@@ -36,14 +36,6 @@ namespace fcc::codec::fcc {
 
 namespace {
 
-/** cfg.threads semantics: 0 = whatever the hardware offers. */
-unsigned
-resolveThreads(uint32_t requested)
-{
-    return requested != 0 ? requested
-                          : util::ThreadPool::hardwareThreads();
-}
-
 /**
  * RTT estimate of a short flow: the gap at the first direction
  * change (e.g. SYN -> SYN+ACK), the paper's acknowledgment
@@ -170,7 +162,7 @@ serializeDatasets(const Datasets &datasets, const FccConfig &cfg,
                                  breakdown);
         break;
       case ContainerFormat::Fcc3: {
-        unsigned threads = resolveThreads(cfg.threads);
+        unsigned threads = util::resolveThreads(cfg.threads);
         std::unique_ptr<util::ThreadPool> pool;
         if (threads > 1)
             pool = std::make_unique<util::ThreadPool>(threads);
@@ -221,7 +213,7 @@ deserializeAuto(std::span<const uint8_t> data, uint32_t threads,
     // pool is scoped here so it is gone before any expansion pool
     // spins up.
     std::unique_ptr<util::ThreadPool> pool;
-    unsigned workers = resolveThreads(threads);
+    unsigned workers = util::resolveThreads(threads);
     if (workers > 1 && data.size() >= 4 && data[3] == '3')
         pool = std::make_unique<util::ThreadPool>(workers);
     return deserialize(data, pool.get(), stat);
@@ -253,7 +245,7 @@ FccTraceCompressor::buildDatasets(const trace::Trace &trace,
                   "fcc: input trace must be time-ordered");
     stats = FccCompressStats{};
 
-    unsigned threads = resolveThreads(cfg_.threads);
+    unsigned threads = util::resolveThreads(cfg_.threads);
     std::unique_ptr<util::ThreadPool> pool;
     if (threads > 1)
         pool = std::make_unique<util::ThreadPool>(threads);
@@ -420,42 +412,26 @@ FccTraceCompressor::expand(const Datasets &d) const
     util::require(d.fidelity != Fidelity::Flow,
                   "fcc: flow-fidelity archives carry no per-packet "
                   "data to reconstruct");
-    std::vector<trace::PacketRecord> packets;
-    if (d.chunkSizes.empty()) {
-        // Legacy FCC1: one sequential RNG stream over all records.
-        util::Rng rng(cfg_.decompressSeed);
-        for (const auto &rec : d.timeSeq)
-            expandFlow(d, rec, rng, packets);
-    } else {
-        size_t chunks = d.chunkSizes.size();
-        std::vector<std::vector<trace::PacketRecord>> perChunk(
-            chunks);
-        auto expandOne = [&](size_t c) {
-            expandChunk(d, c, perChunk[c]);
-        };
-        unsigned threads = resolveThreads(cfg_.threads);
-        if (threads > 1 && chunks > 1) {
-            util::ThreadPool pool(threads);
-            pool.parallelFor(chunks, expandOne);
-        } else {
-            for (size_t c = 0; c < chunks; ++c)
-                expandOne(c);
-        }
-
-        size_t total = 0;
-        for (const auto &chunk : perChunk)
-            total += chunk.size();
-        packets.reserve(total);
-        for (auto &chunk : perChunk)
-            packets.insert(packets.end(), chunk.begin(), chunk.end());
-    }
     // Canonical total order (not a bare time sort): every expansion
     // path — in-memory, streaming flush, query merge — must emit
     // equal-timestamp packets identically for reconstruction to be
-    // byte-exact across containers and thread counts.
-    std::sort(packets.begin(), packets.end(),
-              trace::packetCanonicalLess);
-    return trace::Trace(std::move(packets));
+    // byte-exact across containers and thread counts. Each chunk is
+    // a sorted run built on the pool; one merge orders them all.
+    std::vector<std::vector<trace::PacketRecord>> runs;
+    if (d.chunkSizes.empty()) {
+        // Legacy FCC1: one sequential RNG stream over all records.
+        runs.resize(1);
+        util::Rng rng(cfg_.decompressSeed);
+        for (const auto &rec : d.timeSeq)
+            expandFlow(d, rec, rng, runs[0]);
+        trace::sortCanonical(runs[0]);
+    } else {
+        runs.resize(d.chunkSizes.size());
+        util::runJobs(cfg_.threads, runs.size(), [&](size_t c) {
+            expandChunk(d, c, runs[c]);
+        });
+    }
+    return trace::Trace(trace::mergeCanonicalRuns(std::move(runs)));
 }
 
 void
@@ -606,8 +582,23 @@ FccTraceCompressor::expandChunk(
     // index): chunks expand in any order — or in parallel — and
     // still produce the same packets.
     util::Rng rng(chunkRngSeed(cfg_.decompressSeed, chunk));
+    // Exact-size the run (a flow expands to one packet per S value):
+    // a batch of doubling-grown runs would otherwise hold up to
+    // twice its packets. Bad indices are left to expandFlow.
+    size_t packets = 0;
+    for (size_t i = begin; i < end; ++i) {
+        const TimeSeqRecord &rec = d.timeSeq[i];
+        if (rec.isLong && rec.templateIndex < d.longTemplates.size())
+            packets += d.longTemplates[rec.templateIndex].sValues.size();
+        else if (!rec.isLong &&
+                 rec.templateIndex < d.shortTemplates.size())
+            packets += d.shortTemplates[rec.templateIndex].values.size();
+    }
+    out.clear();
+    out.reserve(packets);
     for (size_t i = begin; i < end; ++i)
         expandFlow(d, d.timeSeq[i], rng, out);
+    trace::sortCanonical(out);
 }
 
 trace::Trace

@@ -214,9 +214,11 @@ class FccTraceCompressor : public TraceCompressor
      * workers, each chunk drawing from its own RNG stream seeded
      * from (decompressSeed, chunk index); unchunked datasets (FCC1,
      * or FCC3 with chunkRecords == 0) replay the legacy single
-     * sequential stream. Expansion depends only on the chunk
-     * layout, never on the container that carried it — equal
-     * layouts reconstruct identical packets.
+     * sequential stream. Each chunk is sorted by its own task and
+     * one k-way merge orders the runs (trace::mergeCanonicalRuns).
+     * Expansion depends only on the chunk layout, never on the
+     * container that carried it — equal layouts reconstruct
+     * identical packets.
      */
     trace::Trace expand(const Datasets &datasets) const;
 
@@ -234,10 +236,13 @@ class FccTraceCompressor : public TraceCompressor
 
     /**
      * Expand every record of chunk @p chunk (index into
-     * Datasets::chunkSizes) into @p out, drawing from the chunk's
-     * own RNG stream. Chunks may be expanded in any order or
-     * concurrently; expand() and the streaming decompressor share
-     * this so both reconstruct identical packets.
+     * Datasets::chunkSizes) into @p out, replacing its contents,
+     * drawing from the chunk's own RNG stream. The packets come out
+     * as one run in trace::packetCanonicalLess order, sorted by the
+     * calling thread, so the caller only merges runs
+     * (trace::mergeCanonicalRuns). Chunks may be expanded in any
+     * order or concurrently; expand() and the streaming
+     * decompressor share this so both reconstruct identical packets.
      */
     void expandChunk(const Datasets &datasets, size_t chunk,
                      std::vector<trace::PacketRecord> &out) const;

@@ -10,7 +10,6 @@
 #include "codec/fcc/session.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <queue>
 
 #include "trace/tsh.hpp"
@@ -370,38 +369,25 @@ DecompressSession::drainTo(trace::TraceSink &sink)
     // everything older than the next not-yet-expanded record's
     // timestamp is flushed to the output file, so peak memory stays
     // near the concurrently active flows (plus, for chunked layouts,
-    // one batch of chunks).
-    // Canonical total order: equal-timestamp packets must pop in a
-    // fixed order whatever the chunk batching (i.e. thread count).
-    auto later = [](const trace::PacketRecord &a,
-                    const trace::PacketRecord &b) {
-        return trace::packetCanonicalLess(b, a);
-    };
-    std::priority_queue<trace::PacketRecord,
-                        std::vector<trace::PacketRecord>,
-                        decltype(later)>
-        pendingQ(later);
-
-    std::vector<trace::PacketRecord> flushBatch;
-    auto flushOlderThan = [&](uint64_t limitNs) {
-        flushBatch.clear();
-        while (!pendingQ.empty() &&
-               pendingQ.top().timestampNs < limitNs) {
-            flushBatch.push_back(pendingQ.top());
-            pendingQ.pop();
-        }
-        if (flushBatch.empty())
+    // one batch of chunks). Output follows the canonical total
+    // order, so equal-timestamp packets leave in a fixed order
+    // whatever the chunk batching (i.e. thread count).
+    auto flush = [&](std::span<const trace::PacketRecord> packets) {
+        if (packets.empty())
             return;
-        sink.write(std::span<const trace::PacketRecord>(flushBatch));
-        archiveStats.packets += flushBatch.size();
+        sink.write(packets);
+        archiveStats.packets += packets.size();
     };
 
     if (!datasets_.chunkSizes.empty()) {
         // Chunked layout: expand a batch of chunks concurrently
-        // (per-chunk RNG streams), then flush everything older than
-        // the next unexpanded chunk's first record — records are
-        // globally time-sorted across chunks, so no later chunk can
-        // produce an older packet.
+        // (per-chunk RNG streams), each task leaving its chunk as a
+        // sorted run. One k-way merge of those runs and the carry
+        // (what earlier batches could not flush yet, still sorted)
+        // orders the buffer. Records are globally time-sorted
+        // across chunks, so no later chunk can produce a packet
+        // older than the next unexpanded chunk's first record:
+        // that prefix is flushed and the rest carried.
         size_t chunks = datasets_.chunkSizes.size();
         std::vector<size_t> offset(chunks + 1, 0);
         for (size_t c = 0; c < chunks; ++c)
@@ -409,39 +395,56 @@ DecompressSession::drainTo(trace::TraceSink &sink)
         util::require(offset[chunks] == datasets_.timeSeq.size(),
                       "fcc: chunk sizes disagree with time-seq");
 
-        unsigned threads = cfg_.threads != 0
-            ? cfg_.threads
-            : util::ThreadPool::hardwareThreads();
-        std::unique_ptr<util::ThreadPool> pool;
-        if (threads > 1 && chunks > 1)
-            pool = std::make_unique<util::ThreadPool>(threads);
         size_t batchChunks =
-            std::max<size_t>(1, size_t{threads} * 2);
-
-        std::vector<std::vector<trace::PacketRecord>> perChunk;
+            size_t{util::resolveThreads(cfg_.threads)} * 2;
+        std::vector<trace::PacketRecord> carry;
         for (size_t base = 0; base < chunks; base += batchChunks) {
             size_t end = std::min(chunks, base + batchChunks);
-            perChunk.assign(end - base, {});
-            auto expandOne = [&](size_t i) {
-                codec.expandChunk(datasets_, base + i, perChunk[i]);
-            };
-            if (pool)
-                pool->parallelFor(end - base, expandOne);
-            else
-                for (size_t i = 0; i < end - base; ++i)
-                    expandOne(i);
-            for (const auto &chunkPackets : perChunk)
-                for (const auto &pkt : chunkPackets)
-                    pendingQ.push(pkt);
+            std::vector<std::vector<trace::PacketRecord>> runs(
+                end - base + 1);
+            util::runJobs(cfg_.threads, end - base, [&](size_t i) {
+                codec.expandChunk(datasets_, base + i, runs[i]);
+            });
+            runs.back() = std::move(carry);
+            std::vector<trace::PacketRecord> merged =
+                trace::mergeCanonicalRuns(std::move(runs));
+
             uint64_t limitNs = end < chunks
                 ? datasets_.timeSeq[offset[end]].firstTimestampUs *
                       1000
                 : ~0ull;
-            flushOlderThan(limitNs);
+            auto cut = std::partition_point(
+                merged.begin(), merged.end(),
+                [limitNs](const trace::PacketRecord &pkt) {
+                    return pkt.timestampNs < limitNs;
+                });
+            flush(std::span<const trace::PacketRecord>(
+                merged.begin(), cut));
+            // A right-sized copy, so the batch buffer is freed now.
+            carry.assign(cut, merged.end());
         }
     } else {
-        // Legacy FCC1 (or unchunked FCC3): single sequential RNG
-        // stream over all records.
+        // Legacy FCC1 (or unchunked FCC3): the paper's literal
+        // per-record buffer over a single sequential RNG stream.
+        auto later = [](const trace::PacketRecord &a,
+                        const trace::PacketRecord &b) {
+            return trace::packetCanonicalLess(b, a);
+        };
+        std::priority_queue<trace::PacketRecord,
+                            std::vector<trace::PacketRecord>,
+                            decltype(later)>
+            pendingQ(later);
+        std::vector<trace::PacketRecord> flushBatch;
+        auto flushOlderThan = [&](uint64_t limitNs) {
+            flushBatch.clear();
+            while (!pendingQ.empty() &&
+                   pendingQ.top().timestampNs < limitNs) {
+                flushBatch.push_back(pendingQ.top());
+                pendingQ.pop();
+            }
+            flush(flushBatch);
+        };
+
         util::Rng rng(cfg_.decompressSeed);
         std::vector<trace::PacketRecord> flowPackets;
         for (const auto &rec : datasets_.timeSeq) {

@@ -208,8 +208,9 @@ class CompressSession
  * The matching decompression session: holds config and cumulative
  * stats while open()/drainTo() walk any number of archives. Each
  * archive reconstructs with the §4 bounded-memory flush — chunked
- * layouts expand their chunks concurrently (cfg.threads) between
- * flushes, bit-identically at any thread count.
+ * layouts expand and sort a batch of chunks concurrently
+ * (cfg.threads) and merge the sorted runs between flushes,
+ * bit-identically at any thread count.
  */
 class DecompressSession
 {
@@ -238,6 +239,17 @@ class DecompressSession
      * Reconstruct the open archive into @p sink (which is closed on
      * return) and release it. Returns the stats of *this* archive;
      * stats() accumulates across all drained archives.
+     *
+     * Packets leave in trace::packetCanonicalLess order, the order
+     * FccTraceCompressor::expand() produces. A chunked archive is
+     * drained in batches of 2 × threads chunks: each chunk expands
+     * and sorts on the pool, one k-way merge
+     * (trace::mergeCanonicalRuns) joins them with the carry from
+     * earlier batches, and one sink write takes every packet older
+     * than the next batch's first record. So the sink sees more
+     * than one write on a multi-batch archive, and memory holds one
+     * batch plus the carry. An unchunked archive keeps the paper's
+     * per-record buffer.
      *
      * @throws fcc::util::Error when no archive is open.
      */

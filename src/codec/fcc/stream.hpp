@@ -19,11 +19,14 @@
  * reconstructed packets is flushed to the output file whenever
  * packets are older than the next time-seq record's timestamp, so
  * output is produced as the compressed stream is scanned rather
- * than after a global sort. A chunked file (FCC2/FCC3) instead
- * expands its chunks concurrently (FccConfig::threads workers, one
- * RNG stream per chunk) between bounded-memory flushes and writes
- * the merged result. FCC3 additionally decodes its columns on the
- * pool before expansion begins.
+ * than after a global sort. A chunked file (FCC2/FCC3) keeps the
+ * same flush with a batch of chunks as the step: the chunks expand
+ * concurrently (FccConfig::threads workers, one RNG stream per
+ * chunk), each worker sorting its chunk into a canonical run; one
+ * k-way merge of those runs and the still-buffered carry orders the
+ * batch, and everything older than the next chunk's first record is
+ * written. FCC3 additionally decodes its columns on the pool before
+ * expansion begins. Output is byte-identical at any thread count.
  */
 
 #ifndef FCC_CODEC_FCC_STREAM_HPP

@@ -167,22 +167,6 @@ finishResult(const Accumulator &acc,
     out.stats.flowsAggregated = acc.flows;
 }
 
-void
-runJobs(uint32_t threadsCfg, size_t count,
-        const std::function<void(size_t)> &job)
-{
-    unsigned workers = threadsCfg != 0
-        ? threadsCfg
-        : util::ThreadPool::hardwareThreads();
-    if (workers > 1 && count > 1) {
-        util::ThreadPool pool(workers);
-        pool.parallelFor(count, job);
-    } else {
-        for (size_t i = 0; i < count; ++i)
-            job(i);
-    }
-}
-
 } // namespace
 
 AggregateResult
@@ -314,7 +298,7 @@ FccArchive::aggregate(const AggregateRequest &req) const
     };
 
     try {
-        runJobs(cfg_.threads, planned.size(), aggregateOne);
+        util::runJobs(cfg_.threads, planned.size(), aggregateOne);
     } catch (const std::bad_alloc &) {
         throw util::Error(
             "query: corrupt archive exhausts memory");

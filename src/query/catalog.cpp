@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <queue>
 
 #include "archive/catalog_file.hpp"
 #include "trace/trace.hpp"
@@ -107,52 +106,6 @@ prunable(const FccArchive &archive, const Expr &expr)
     return archive.plan(expr).empty();
 }
 
-/** K-way merge of per-archive canonical-sorted runs into @p sink. */
-void
-mergeRuns(std::vector<std::vector<trace::PacketRecord>> &runs,
-          trace::TraceSink &sink, CatalogQueryStats &stats)
-{
-    size_t total = 0;
-    for (const auto &run : runs)
-        total += run.size();
-    stats.packetsMatched = total;
-
-    std::vector<trace::PacketRecord> merged;
-    merged.reserve(total);
-
-    // Heap of (run, cursor); ties broken by run id so the merge is
-    // deterministic even for bit-identical packets in two archives.
-    struct Cursor
-    {
-        size_t run;
-        size_t idx;
-    };
-    auto greater = [&runs](const Cursor &a, const Cursor &b) {
-        const trace::PacketRecord &pa = runs[a.run][a.idx];
-        const trace::PacketRecord &pb = runs[b.run][b.idx];
-        if (trace::packetCanonicalLess(pa, pb))
-            return false;
-        if (trace::packetCanonicalLess(pb, pa))
-            return true;
-        return a.run > b.run;
-    };
-    std::priority_queue<Cursor, std::vector<Cursor>,
-                        decltype(greater)>
-        heap(greater);
-    for (size_t r = 0; r < runs.size(); ++r)
-        if (!runs[r].empty())
-            heap.push({r, 0});
-    while (!heap.empty()) {
-        Cursor c = heap.top();
-        heap.pop();
-        merged.push_back(runs[c.run][c.idx]);
-        if (c.idx + 1 < runs[c.run].size())
-            heap.push({c.run, c.idx + 1});
-    }
-    trace::Trace out(std::move(merged));
-    trace::writeAllPackets(sink, out);
-}
-
 } // namespace
 
 CatalogQueryStats
@@ -180,8 +133,11 @@ ArchiveCatalog::run(const Expr &expr, trace::TraceSink &sink,
         stats.flowsMatched += s.flowsMatched;
         runs.push_back(std::move(collect.packets));
     }
-    mergeRuns(runs, sink, stats);
-    sink.close();
+    // Each archive's result is a canonical-sorted run; a single run
+    // (one surviving archive) moves through without a copy.
+    trace::Trace out(trace::mergeCanonicalRuns(std::move(runs)));
+    stats.packetsMatched = out.size();
+    trace::writeAllPackets(sink, out);
     return stats;
 }
 

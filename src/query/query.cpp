@@ -37,10 +37,10 @@ struct ChunkResult
 
 /**
  * Expand @p records (one chunk, or the whole legacy stream) from
- * @p rngSeed, keeping only what @p expr admits. Every record is
- * expanded even when filtered out — the RNG stream must advance
- * exactly as a full decompression would, or the surviving flows
- * would reconstruct different bytes.
+ * @p rngSeed, keeping only what @p expr admits, as one run in
+ * canonical order. Every record is expanded even when filtered out
+ * — the RNG stream must advance exactly as a full decompression
+ * would, or the surviving flows would reconstruct different bytes.
  */
 void
 expandFiltered(const fccc::FccTraceCompressor &codec,
@@ -70,49 +70,27 @@ expandFiltered(const fccc::FccTraceCompressor &codec,
         if (emitted > 0)
             ++out.flows;
     }
+    // Each job leaves a sorted run; emitResults only merges.
+    trace::sortCanonical(out.packets);
 }
 
 /**
- * Run @p count chunk jobs, on a pool when @p threadsCfg allows
- * (FccConfig::threads semantics: 0 = all cores). Jobs write to
- * fixed slots, so results never depend on the thread count.
+ * Merge the per-chunk results — each sorted by its job — into
+ * canonical order and emit them through @p sink. The order matches
+ * the streaming decompressor's flush: ties must not depend on chunk
+ * order or thread count.
  */
-void
-runChunkJobs(uint32_t threadsCfg, size_t count,
-             const std::function<void(size_t)> &job)
-{
-    unsigned workers = threadsCfg != 0
-        ? threadsCfg
-        : util::ThreadPool::hardwareThreads();
-    if (workers > 1 && count > 1) {
-        util::ThreadPool pool(workers);
-        pool.parallelFor(count, job);
-    } else {
-        for (size_t i = 0; i < count; ++i)
-            job(i);
-    }
-}
-
-/** Merge per-chunk results, sort by time, and emit through @p sink. */
 void
 emitResults(std::vector<ChunkResult> &results,
             trace::TraceSink &sink, QueryStats &stats)
 {
-    size_t total = 0;
-    for (const ChunkResult &r : results)
-        total += r.packets.size();
-    std::vector<trace::PacketRecord> merged;
-    merged.reserve(total);
+    std::vector<std::vector<trace::PacketRecord>> runs;
+    runs.reserve(results.size());
     for (ChunkResult &r : results) {
         stats.flowsMatched += r.flows;
-        merged.insert(merged.end(), r.packets.begin(),
-                      r.packets.end());
+        runs.push_back(std::move(r.packets));
     }
-    // Canonical total order, matching the streaming decompressor's
-    // flush: ties must not depend on chunk order or thread count.
-    std::sort(merged.begin(), merged.end(),
-              trace::packetCanonicalLess);
-    trace::Trace out(std::move(merged));
+    trace::Trace out(trace::mergeCanonicalRuns(std::move(runs)));
     stats.packetsMatched = out.size();
     trace::writeAllPackets(sink, out);
 }
@@ -401,7 +379,7 @@ FccArchive::runIndexed(const Expr &expr,
                        fccc::chunkRngSeed(cfg_.decompressSeed, c),
                        expr, cfg_.serverPort, results[i]);
     };
-    runChunkJobs(cfg_.threads, planned.size(), decodeOne);
+    util::runJobs(cfg_.threads, planned.size(), decodeOne);
 
     emitResults(results, sink, stats);
     return stats;
@@ -450,7 +428,7 @@ FccArchive::runFullDecode(const Expr &expr,
                        fccc::chunkRngSeed(cfg_.decompressSeed, c),
                        expr, cfg_.serverPort, results[c]);
     };
-    runChunkJobs(cfg_.threads, chunks, expandOne);
+    util::runJobs(cfg_.threads, chunks, expandOne);
     emitResults(results, sink, stats);
     return stats;
 }

@@ -14,6 +14,8 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <vector>
 
 namespace fcc::trace {
 
@@ -87,10 +89,41 @@ struct PacketRecord
  * query subsystem's chunk merge) sort with this instead of a bare
  * timestamp comparison: equal-timestamp packets would otherwise be
  * emitted in an order that depends on batch boundaries — i.e. on the
- * thread count — breaking byte-exact reproducibility.
+ * thread count — breaking byte-exact reproducibility. Because every
+ * field is a key, packets that compare equal are bit-identical.
  */
-bool packetCanonicalLess(const PacketRecord &a,
-                         const PacketRecord &b);
+inline bool
+packetCanonicalLess(const PacketRecord &a, const PacketRecord &b)
+{
+    // Timestamps almost always differ: decide on them alone first.
+    if (a.timestampNs != b.timestampNs)
+        return a.timestampNs < b.timestampNs;
+    auto key = [](const PacketRecord &p) {
+        return std::tuple(p.srcIp, p.dstIp, p.srcPort, p.dstPort,
+                          p.protocol, p.tcpFlags, p.payloadBytes,
+                          p.seq, p.ack, p.window, p.ipId);
+    };
+    return key(a) < key(b);
+}
+
+/** Sort @p packets into packetCanonicalLess order. */
+void sortCanonical(std::vector<PacketRecord> &packets);
+
+/**
+ * Merge @p runs, each already in packetCanonicalLess order, into one
+ * run in that order: the result equals std::sort of the
+ * concatenation. The one ordering routine of every reconstruction
+ * path — the streaming flush, in-memory expansion, the query chunk
+ * merge and the catalog's cross-archive merge — so they cannot
+ * disagree on the order of equal-timestamp packets.
+ *
+ * The runs are consumed. A single non-empty run is moved through
+ * without a copy; otherwise a k-way merge over the run heads costs
+ * O(n log k). Ties need no run tie-break: equal packets are
+ * bit-identical, so either order gives the same bytes.
+ */
+std::vector<PacketRecord>
+mergeCanonicalRuns(std::vector<std::vector<PacketRecord>> runs);
 
 /** Render an IPv4 address in dotted-quad notation. */
 std::string formatIp(uint32_t addr);

@@ -160,4 +160,24 @@ ThreadPool::parallelFor(size_t count,
     wait();
 }
 
+unsigned
+resolveThreads(uint32_t requested)
+{
+    return requested != 0 ? requested : ThreadPool::hardwareThreads();
+}
+
+void
+runJobs(uint32_t threads, size_t count,
+        const std::function<void(size_t)> &body)
+{
+    unsigned workers = resolveThreads(threads);
+    if (workers > 1 && count > 1) {
+        ThreadPool pool(workers);
+        pool.parallelFor(count, body);
+    } else {
+        for (size_t i = 0; i < count; ++i)
+            body(i);
+    }
+}
+
 } // namespace fcc::util

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -92,6 +93,23 @@ class ThreadPool
     bool stopping_ = false;
     std::exception_ptr firstError_;
 };
+
+/**
+ * Worker count of a `threads` setting (FccConfig::threads
+ * semantics): 0 means hardwareThreads(), anything else is taken as
+ * given.
+ */
+unsigned resolveThreads(uint32_t requested);
+
+/**
+ * Run body(0) ... body(count - 1) on a pool of
+ * resolveThreads(@p threads) workers that lives for this call, or
+ * inline in index order when that is one worker or one job. Bodies
+ * must write to per-index slots, so the outcome does not depend on
+ * the thread count.
+ */
+void runJobs(uint32_t threads, size_t count,
+             const std::function<void(size_t)> &body);
 
 } // namespace fcc::util
 

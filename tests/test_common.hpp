@@ -16,8 +16,11 @@
 #include <cerrno>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
+
+#include "trace/packet.hpp"
 
 namespace fcc::test {
 
@@ -60,6 +63,27 @@ tempDir(const std::string &name)
     std::filesystem::remove_all(path);
     std::filesystem::create_directories(path);
     return path;
+}
+
+/**
+ * Field-wise equality of two packet sequences (so byte identity of
+ * what any sink writes), reporting the first difference. The
+ * canonical order keys on every field: neither-less means equal.
+ */
+inline ::testing::AssertionResult
+samePackets(const std::vector<trace::PacketRecord> &a,
+            const std::vector<trace::PacketRecord> &b)
+{
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure()
+            << "sizes differ: " << a.size() << " vs " << b.size();
+    for (size_t i = 0; i < a.size(); ++i)
+        if (trace::packetCanonicalLess(a[i], b[i]) ||
+            trace::packetCanonicalLess(b[i], a[i]))
+            return ::testing::AssertionFailure()
+                << "packet " << i << " differs: " << a[i].str()
+                << " vs " << b[i].str();
+    return ::testing::AssertionSuccess();
 }
 
 } // namespace fcc::test

@@ -1,7 +1,9 @@
 /**
  * @file
  * Streaming (file-to-file) FCC interface tests: equivalence with the
- * in-memory codec, the §4 incremental flush, and error paths.
+ * in-memory codec, the §4 incremental flush (the sorted-run drain,
+ * byte-identical to expand() and the golden references at any
+ * thread count), and error paths.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +13,9 @@
 #include <fstream>
 #include <iterator>
 
+#include "codec/fcc/datasets.hpp"
 #include "codec/fcc/fcc_codec.hpp"
+#include "codec/fcc/session.hpp"
 #include "codec/fcc/stream.hpp"
 #include "flow/flow_stats.hpp"
 #include "flow/flow_table.hpp"
@@ -376,4 +380,312 @@ TEST(Stream, UnorderedInputRejected)
                                          {}, kTsh),
                  util::Error);
     std::remove(path.c_str());
+}
+
+// ---- sorted-run drain: equivalence and incremental flush -----------------
+
+namespace {
+
+/** Records every write() separately, so tests see the flush steps. */
+class RecordingSink final : public trace::TraceSink
+{
+  public:
+    void
+    write(std::span<const trace::PacketRecord> batch) override
+    {
+        writes.emplace_back(batch.begin(), batch.end());
+    }
+    void close() override {}
+    uint64_t bytesWritten() const override
+    {
+        return all().size() * trace::tshRecordBytes;
+    }
+
+    std::vector<trace::PacketRecord>
+    all() const
+    {
+        std::vector<trace::PacketRecord> out;
+        for (const auto &w : writes)
+            out.insert(out.end(), w.begin(), w.end());
+        return out;
+    }
+
+    std::vector<std::vector<trace::PacketRecord>> writes;
+};
+
+void
+addPacket(std::vector<trace::PacketRecord> &out, uint64_t tUs,
+          uint32_t srcIp, uint16_t srcPort, uint32_t dstIp,
+          uint16_t dstPort, uint8_t flags, uint16_t payload = 0)
+{
+    trace::PacketRecord pkt;
+    pkt.timestampNs = tUs * 1000;
+    pkt.srcIp = srcIp;
+    pkt.srcPort = srcPort;
+    pkt.dstIp = dstIp;
+    pkt.dstPort = dstPort;
+    pkt.tcpFlags = flags;
+    pkt.payloadBytes = payload;
+    out.push_back(pkt);
+}
+
+/** SYN, SYN|ACK, ACK of one connection, starting at @p tUs. */
+void
+addHandshake(std::vector<trace::PacketRecord> &out, uint64_t tUs,
+             uint16_t clientPort)
+{
+    using namespace trace::tcp_flags;
+    const uint32_t client = 0x0a000001, server = 0xc0a80001;
+    addPacket(out, tUs, client, clientPort, server, 80, Syn);
+    addPacket(out, tUs + 300, server, 80, client, clientPort,
+              Syn | Ack);
+    addPacket(out, tUs + 600, client, clientPort, server, 80, Ack);
+}
+
+trace::Trace
+timeOrdered(std::vector<trace::PacketRecord> packets)
+{
+    trace::Trace tr(std::move(packets));
+    tr.sortByTime();
+    return tr;
+}
+
+/**
+ * Groups of ten identical connections starting in the same
+ * microsecond: with 4-record chunks every chunk boundary cuts a
+ * group, so equal-timestamp packets sit on both sides of it.
+ */
+trace::Trace
+tiedStartsTrace()
+{
+    std::vector<trace::PacketRecord> packets;
+    uint16_t port = 20000;
+    for (uint64_t group = 0; group < 5; ++group)
+        for (int i = 0; i < 10; ++i)
+            addHandshake(packets, 1000 + group * 5000, port++);
+    return timeOrdered(std::move(packets));
+}
+
+/**
+ * Two long transfers spanning the whole trace among 306
+ * handshakes: with 8-record chunks (39 of them, an odd count) the
+ * long flows expand in chunk 0 and their packets carry over every
+ * later batch.
+ */
+trace::Trace
+longCarryTrace()
+{
+    using namespace trace::tcp_flags;
+    std::vector<trace::PacketRecord> packets;
+    const uint32_t server = 0xc0a80002;
+    for (uint16_t f = 0; f < 2; ++f) {
+        uint32_t client = 0x0b000001 + f;
+        uint16_t port = static_cast<uint16_t>(40000 + f);
+        addPacket(packets, 10 + f, client, port, server, 80, Syn);
+        for (uint64_t i = 1; i < 150; ++i) {
+            uint64_t t = 10 + f + i * 20000;
+            if (i % 2)
+                addPacket(packets, t, server, 80, client, port, Ack,
+                          1000);
+            else
+                addPacket(packets, t, client, port, server, 80, Ack);
+        }
+    }
+    for (uint16_t i = 0; i < 306; ++i)
+        addHandshake(packets, 100 + i * 9700,
+                     static_cast<uint16_t>(1024 + i));
+    return timeOrdered(std::move(packets));
+}
+
+struct DrainFixture
+{
+    const char *name;
+    trace::Trace trace;
+    uint32_t chunkRecords;
+};
+
+std::vector<DrainFixture>
+drainFixtures()
+{
+    std::vector<DrainFixture> fixtures;
+    fixtures.push_back({"tied-starts", tiedStartsTrace(), 4});
+    fixtures.push_back({"long-carry", longCarryTrace(), 8});
+    fixtures.push_back({"web-odd-chunks", webTrace(37, 4.0), 21});
+    fixtures.push_back({"single-chunk", webTrace(38, 3.0), 1u << 20});
+    return fixtures;
+}
+
+/** FCC3 archive of @p fx written to a scratch file; returns path. */
+std::string
+writeFixtureArchive(const DrainFixture &fx, std::vector<uint8_t> &bytes)
+{
+    fccc::FccConfig cfg;
+    cfg.container = fccc::ContainerFormat::Fcc3;
+    cfg.chunkRecords = fx.chunkRecords;
+    cfg.threads = 1;
+    bytes = fccc::FccTraceCompressor(cfg).compress(fx.trace);
+    std::string path = tempPath(std::string(fx.name) + ".fcc");
+    writeBytes(path, bytes);
+    return path;
+}
+
+RecordingSink
+drain(const std::string &path, uint32_t threads)
+{
+    fccc::FccConfig cfg;
+    cfg.threads = threads;
+    fccc::DecompressSession session(cfg);
+    session.open(path);
+    RecordingSink sink;
+    session.drainTo(sink);
+    return sink;
+}
+
+} // namespace
+
+TEST(Stream, DrainFixturesHaveTheirShape)
+{
+    std::vector<DrainFixture> fixtures = drainFixtures();
+    for (const DrainFixture &fx : fixtures) {
+        SCOPED_TRACE(fx.name);
+        std::vector<uint8_t> bytes;
+        writeFixtureArchive(fx, bytes);
+        fccc::Datasets d = fccc::deserializeAuto(bytes, 1);
+        const auto &sizes = d.chunkSizes;
+        ASSERT_FALSE(sizes.empty());
+        std::string name = fx.name;
+        if (name == "single-chunk") {
+            EXPECT_EQ(sizes.size(), 1u);
+        } else {
+            // Odd: never a multiple of a 2*threads batch.
+            EXPECT_EQ(sizes.size() % 2, 1u) << sizes.size();
+        }
+        if (name == "tied-starts") {
+            // Some chunk boundary separates equal start times.
+            bool tieAtBoundary = false;
+            size_t at = 0;
+            for (size_t c = 0; c + 1 < sizes.size(); ++c) {
+                at += sizes[c];
+                tieAtBoundary |= d.timeSeq[at - 1].firstTimestampUs ==
+                                 d.timeSeq[at].firstTimestampUs;
+            }
+            EXPECT_TRUE(tieAtBoundary);
+        }
+        if (name == "long-carry") {
+            EXPECT_EQ(d.longTemplates.size(), 2u);
+            EXPECT_TRUE(d.timeSeq.front().isLong);
+        }
+    }
+}
+
+TEST(Stream, DrainMatchesExpandAtAnyThreadCount)
+{
+    for (const DrainFixture &fx : drainFixtures()) {
+        SCOPED_TRACE(fx.name);
+        std::vector<uint8_t> bytes;
+        std::string path = writeFixtureArchive(fx, bytes);
+        fccc::FccConfig refCfg;
+        refCfg.threads = 1;
+        std::vector<trace::PacketRecord> reference =
+            fccc::FccTraceCompressor(refCfg).decompress(bytes)
+                .packets();
+        ASSERT_EQ(reference.size(), fx.trace.size());
+        for (uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
+            SCOPED_TRACE(threads);
+            EXPECT_TRUE(fcc::test::samePackets(
+                drain(path, threads).all(), reference));
+            fccc::FccConfig cfg;
+            cfg.threads = threads;
+            EXPECT_TRUE(fcc::test::samePackets(
+                fccc::FccTraceCompressor(cfg).decompress(bytes)
+                    .packets(),
+                reference));
+        }
+        std::remove(path.c_str());
+    }
+}
+
+TEST(Stream, DrainFlushesEachBatchIncrementally)
+{
+    // Paper §4: output leaves batch by batch. Batch b covers chunks
+    // [2tb, 2t(b+1)) at t threads, and its flush is exactly the
+    // packets older than the next batch's first record that no
+    // earlier flush wrote — so the writes are the reference output
+    // cut at those limits.
+    std::vector<DrainFixture> fixtures = drainFixtures();
+    const DrainFixture &fx = fixtures[1];  // long-carry: 39 chunks
+    std::vector<uint8_t> bytes;
+    std::string path = writeFixtureArchive(fx, bytes);
+    fccc::Datasets d = fccc::deserializeAuto(bytes, 1);
+    std::vector<trace::PacketRecord> reference =
+        fccc::FccTraceCompressor(fccc::FccConfig{})
+            .decompress(bytes)
+            .packets();
+
+    for (uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(threads);
+        size_t batch = 2 * threads;
+        std::vector<std::vector<trace::PacketRecord>> expected;
+        size_t next = 0, record = 0;
+        for (size_t c = 0; c < d.chunkSizes.size(); ++c) {
+            record += d.chunkSizes[c];
+            bool batchEnds = (c + 1) % batch == 0 ||
+                             c + 1 == d.chunkSizes.size();
+            if (!batchEnds)
+                continue;
+            uint64_t limitNs = c + 1 < d.chunkSizes.size()
+                ? d.timeSeq[record].firstTimestampUs * 1000
+                : ~0ull;
+            size_t end = next;
+            while (end < reference.size() &&
+                   reference[end].timestampNs < limitNs)
+                ++end;
+            if (end > next)
+                expected.emplace_back(reference.begin() + next,
+                                      reference.begin() + end);
+            next = end;
+        }
+        ASSERT_EQ(next, reference.size());
+
+        RecordingSink sink = drain(path, threads);
+        EXPECT_GT(sink.writes.size(), 1u);
+        ASSERT_EQ(sink.writes.size(), expected.size());
+        for (size_t w = 0; w < expected.size(); ++w)
+            EXPECT_TRUE(
+                fcc::test::samePackets(sink.writes[w], expected[w]))
+                << "write " << w;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Stream, DrainMatchesGoldenReferences)
+{
+    struct Case
+    {
+        const char *archive;
+        const char *expected;
+    };
+    const Case cases[] = {
+        {"fcc1.fcc", "expected-fcc1.tsh"},
+        {"fcc2.fcc", "expected-chunked.tsh"},
+        {"fcc3-deflate-indexed.fcc", "expected-chunked.tsh"},
+        {"fcc3-range-lanes.fcc", "expected-chunked.tsh"},
+        {"fcc3-quantized-indexed.fcc", "expected-quantized.tsh"},
+        {"fcc3-header-indexed.fcc", "expected-header.tsh"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.archive);
+        std::string dir = FCC_GOLDEN_DIR;
+        std::ifstream in(dir + "/" + c.expected, std::ios::binary);
+        std::vector<uint8_t> expected(
+            (std::istreambuf_iterator<char>(in)),
+            std::istreambuf_iterator<char>());
+        ASSERT_FALSE(expected.empty());
+        for (uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
+            SCOPED_TRACE(threads);
+            trace::Trace out(
+                drain(dir + "/" + c.archive, threads).all());
+            EXPECT_EQ(trace::writeTsh(out), expected);
+        }
+    }
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
 
@@ -20,6 +21,7 @@
 #include "trace/tsh.hpp"
 #include "trace/web_gen.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 #include "test_common.hpp"
 
@@ -92,6 +94,116 @@ TEST(Packet, DerivedFields)
     EXPECT_EQ(pkt.timestampUs(), 1234567u);
     EXPECT_TRUE(pkt.hasSyn());
     EXPECT_FALSE(pkt.hasFin());
+}
+
+// ---- canonical run merge -------------------------------------------------
+
+namespace {
+
+/**
+ * Canonical-sorted runs of the given lengths drawn from a narrow
+ * key space, so equal timestamps — and fully equal packets — occur
+ * within and across runs.
+ */
+std::vector<std::vector<PacketRecord>>
+randomRuns(const std::vector<size_t> &lengths, uint64_t seed)
+{
+    util::Rng rng(seed);
+    std::vector<std::vector<PacketRecord>> runs;
+    for (size_t length : lengths) {
+        std::vector<PacketRecord> run(length);
+        for (PacketRecord &pkt : run) {
+            pkt.timestampNs = rng.uniformInt(0, 40) * 1000;
+            pkt.srcIp = static_cast<uint32_t>(rng.uniformInt(1, 3));
+            pkt.srcPort = static_cast<uint16_t>(rng.uniformInt(0, 2));
+            pkt.tcpFlags = static_cast<uint8_t>(rng.uniformInt(0, 1));
+            pkt.seq = static_cast<uint32_t>(rng.uniformInt(0, 2));
+            pkt.ipId = static_cast<uint16_t>(rng.uniformInt(0, 1));
+        }
+        sortCanonical(run);
+        runs.push_back(std::move(run));
+    }
+    return runs;
+}
+
+/** The reference: std::sort of the runs' concatenation. */
+std::vector<PacketRecord>
+sortedConcatenation(const std::vector<std::vector<PacketRecord>> &runs)
+{
+    std::vector<PacketRecord> all;
+    for (const auto &run : runs)
+        all.insert(all.end(), run.begin(), run.end());
+    std::sort(all.begin(), all.end(), packetCanonicalLess);
+    return all;
+}
+
+} // namespace
+
+TEST(CanonicalMerge, EmptyRuns)
+{
+    EXPECT_TRUE(mergeCanonicalRuns({}).empty());
+    EXPECT_TRUE(mergeCanonicalRuns({{}, {}, {}}).empty());
+}
+
+TEST(CanonicalMerge, SingleRunMovesThrough)
+{
+    auto runs = randomRuns({0, 300, 0}, 7);
+    std::vector<PacketRecord> expected = runs[1];
+    const PacketRecord *buffer = runs[1].data();
+    std::vector<PacketRecord> merged =
+        mergeCanonicalRuns(std::move(runs));
+    EXPECT_TRUE(fcc::test::samePackets(merged, expected));
+    EXPECT_EQ(merged.data(), buffer) << "single run was copied";
+}
+
+TEST(CanonicalMerge, UnequalLengthsEqualSortedConcatenation)
+{
+    const std::vector<std::vector<size_t>> shapes = {
+        {1, 1},
+        {0, 1, 7, 1000, 3, 250, 0, 64},
+        {500, 2},
+        {5, 5, 5, 5, 5, 5, 5, 5, 5},
+        {17, 0, 900, 33, 1, 1, 128, 60, 2, 0, 11, 300, 4, 9, 70, 3, 5},
+    };
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+        for (const auto &lengths : shapes) {
+            auto runs = randomRuns(lengths, seed);
+            std::vector<PacketRecord> expected =
+                sortedConcatenation(runs);
+            EXPECT_TRUE(fcc::test::samePackets(
+                mergeCanonicalRuns(std::move(runs)), expected))
+                << "seed " << seed << ", " << lengths.size()
+                << " runs";
+        }
+    }
+}
+
+TEST(CanonicalMerge, AllEqualKeys)
+{
+    PacketRecord pkt = samplePacket();
+    std::vector<std::vector<PacketRecord>> runs = {
+        std::vector<PacketRecord>(3, pkt),
+        std::vector<PacketRecord>(1, pkt),
+        {},
+        std::vector<PacketRecord>(40, pkt),
+    };
+    std::vector<PacketRecord> merged =
+        mergeCanonicalRuns(std::move(runs));
+    EXPECT_TRUE(fcc::test::samePackets(
+        merged, std::vector<PacketRecord>(44, pkt)));
+}
+
+TEST(CanonicalMerge, TimestampTiesOrderedByEveryField)
+{
+    // Equal timestamps: the later fields decide, whichever run
+    // holds which packet.
+    PacketRecord a = samplePacket(), b = samplePacket(),
+                 c = samplePacket();
+    b.ipId = a.ipId + 1;
+    c.srcIp = a.srcIp + 1;
+    std::vector<PacketRecord> merged =
+        mergeCanonicalRuns({{c}, {b}, {a}});
+    EXPECT_TRUE(fcc::test::samePackets(merged, {a, b, c}));
 }
 
 // ---- trace container -----------------------------------------------------
