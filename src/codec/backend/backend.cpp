@@ -63,7 +63,7 @@ entropyDecompress(std::span<const uint8_t> data,
         out.assign(data.begin(), data.end());
         break;
       case EntropyBackend::Deflate:
-        out = deflate::zlibDecompress(data);
+        out = deflate::zlibDecompress(data, rawSize);
         break;
       case EntropyBackend::Range:
         out = rangeDecompress(data, rawSize);

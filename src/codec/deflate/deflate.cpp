@@ -305,19 +305,29 @@ deflateCompress(std::span<const uint8_t> data, const Lz77Config &cfg)
 }
 
 std::vector<uint8_t>
-inflate(std::span<const uint8_t> data)
+inflate(std::span<const uint8_t> data, size_t sizeHint)
 {
-    // One-shot convenience over the resumable decoder — a single
-    // decoder implementation serves both the batch and streaming
-    // paths (and the zlib cross-validation tests cover both).
-    InflateStream stream(data);
-    std::vector<uint8_t> out;
-    uint8_t buf[1 << 16];
-    size_t n;
-    while ((n = stream.read(buf, sizeof(buf))) > 0)
-        out.insert(out.end(), buf, buf + n);
+    return InflateStream(data).readAll(sizeHint);
+}
+
+namespace {
+
+/**
+ * Inflate a container payload that must end exactly where the
+ * DEFLATE stream does (the checksum trailer follows it).
+ */
+std::vector<uint8_t>
+inflateExact(std::span<const uint8_t> payload, size_t sizeHint,
+             const char *trailingMessage)
+{
+    InflateStream stream(payload);
+    auto out = stream.readAll(sizeHint);
+    util::require(stream.compressedBytesConsumed() == payload.size(),
+                  trailingMessage);
     return out;
 }
+
+} // namespace
 
 std::vector<uint8_t>
 zlibCompress(std::span<const uint8_t> data, const Lz77Config &cfg)
@@ -336,7 +346,7 @@ zlibCompress(std::span<const uint8_t> data, const Lz77Config &cfg)
 }
 
 std::vector<uint8_t>
-zlibDecompress(std::span<const uint8_t> data)
+zlibDecompress(std::span<const uint8_t> data, size_t sizeHint)
 {
     util::require(data.size() >= 6, "zlib: stream too short");
     uint8_t cmf = data[0], flg = data[1];
@@ -344,7 +354,8 @@ zlibDecompress(std::span<const uint8_t> data)
     util::require((static_cast<unsigned>(cmf) * 256 + flg) % 31 == 0,
                   "zlib: bad header check");
     util::require(!(flg & 0x20), "zlib: preset dictionary unsupported");
-    auto body = inflate(data.subspan(2, data.size() - 6));
+    auto body = inflateExact(data.subspan(2, data.size() - 6), sizeHint,
+                             "zlib: data between stream and trailer");
     const uint8_t *t = data.data() + data.size() - 4;
     uint32_t expect = static_cast<uint32_t>(t[0]) << 24 |
                       static_cast<uint32_t>(t[1]) << 16 |
@@ -383,13 +394,14 @@ gzipDecompress(std::span<const uint8_t> data)
     size_t pos = gzipHeaderSize(data);
     util::require(data.size() >= pos + 8, "gzip: truncated member");
 
-    auto body = inflate(data.subspan(pos, data.size() - pos - 8));
     const uint8_t *t = data.data() + data.size() - 8;
     uint32_t crc = 0, isize = 0;
     for (int i = 0; i < 4; ++i) {
         crc |= static_cast<uint32_t>(t[i]) << (8 * i);
         isize |= static_cast<uint32_t>(t[4 + i]) << (8 * i);
     }
+    auto body = inflateExact(data.subspan(pos, data.size() - pos - 8),
+                             isize, "gzip: data between stream and trailer");
     util::require(util::Crc32::of(body) == crc,
                   "gzip: CRC-32 mismatch");
     util::require(static_cast<uint32_t>(body.size()) == isize,

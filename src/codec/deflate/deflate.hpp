@@ -26,17 +26,23 @@ std::vector<uint8_t>
 deflateCompress(std::span<const uint8_t> data, const Lz77Config &cfg = {});
 
 /**
- * Decompress a raw DEFLATE stream.
+ * Decompress a raw DEFLATE stream. @p sizeHint, when the caller
+ * knows the decoded size, lets the output be allocated once.
  * @throws fcc::util::Error on any malformed construct.
  */
-std::vector<uint8_t> inflate(std::span<const uint8_t> data);
+std::vector<uint8_t> inflate(std::span<const uint8_t> data,
+                             size_t sizeHint = 0);
 
 /** Wrap deflate in the 2-byte-header + Adler-32 zlib format. */
 std::vector<uint8_t>
 zlibCompress(std::span<const uint8_t> data, const Lz77Config &cfg = {});
 
-/** Unwrap a zlib stream, verifying the Adler-32 checksum. */
-std::vector<uint8_t> zlibDecompress(std::span<const uint8_t> data);
+/**
+ * Unwrap a zlib stream, verifying the Adler-32 checksum. @p sizeHint
+ * as for inflate().
+ */
+std::vector<uint8_t> zlibDecompress(std::span<const uint8_t> data,
+                                    size_t sizeHint = 0);
 
 /** Wrap deflate in the gzip member format (CRC-32 + length trailer). */
 std::vector<uint8_t>

@@ -2,7 +2,7 @@
  * @file
  * Package-merge (coin collector) construction of length-limited
  * optimal code lengths, canonical code assignment, and the
- * count-based canonical decoder used by the inflater.
+ * lookup-table decoder used by the inflater.
  */
 
 #include "codec/deflate/huffman.hpp"
@@ -123,57 +123,105 @@ canonicalCodes(std::span<const uint8_t> lengths)
     return codes;
 }
 
-HuffmanDecoder::HuffmanDecoder(std::span<const uint8_t> lengths,
-                               bool allowIncomplete)
+HuffmanDecoder::HuffmanDecoder(std::span<const uint8_t> lengths)
 {
+    uint16_t counts[maxCodeBits + 1] = {};
     for (uint8_t len : lengths) {
-        util::require(len <= maxBitsSupported,
+        util::require(len <= maxCodeBits,
                       "HuffmanDecoder: code length > 15");
-        ++counts_[len];
+        ++counts[len];
     }
-    counts_[0] = 0;
+    counts[0] = 0;
 
     // Kraft check: left = remaining code space after each length.
     int64_t left = 1;
-    for (int len = 1; len <= maxBitsSupported; ++len) {
+    int maxLen = 0;
+    for (int len = 1; len <= maxCodeBits; ++len) {
         left <<= 1;
-        left -= counts_[len];
+        left -= counts[len];
         util::require(left >= 0,
                       "HuffmanDecoder: over-subscribed code");
+        used_ += counts[len];
+        if (counts[len] > 0)
+            maxLen = len;
     }
-    size_t usedCount = 0;
-    for (int len = 1; len <= maxBitsSupported; ++len)
-        usedCount += counts_[len];
-    if (left > 0 && !(allowIncomplete || usedCount <= 1))
+    bool singleOneBit = used_ == 1 && counts[1] == 1;
+    if (left > 0 && !(used_ == 0 || singleOneBit))
         throw util::Error("HuffmanDecoder: incomplete code");
 
-    // Canonical symbol table: offset per length, then fill.
-    uint16_t offsets[maxBitsSupported + 2] = {};
-    for (int len = 1; len <= maxBitsSupported; ++len)
+    // Symbols in canonical order (by length, then symbol value).
+    uint16_t offsets[maxCodeBits + 2] = {};
+    for (int len = 1; len <= maxCodeBits; ++len)
         offsets[len + 1] =
-            static_cast<uint16_t>(offsets[len] + counts_[len]);
-    symbols_.resize(usedCount);
+            static_cast<uint16_t>(offsets[len] + counts[len]);
+    std::vector<uint16_t> sorted(used_);
     for (size_t sym = 0; sym < lengths.size(); ++sym)
         if (lengths[sym] > 0)
-            symbols_[offsets[lengths[sym]]++] =
+            sorted[offsets[lengths[sym]]++] =
                 static_cast<uint16_t>(sym);
+
+    tableBits_ = std::clamp(maxLen, 1, primaryBits);
+    primaryMask_ = (1u << tableBits_) - 1;
+    table_.assign(size_t{1} << tableBits_, 0);
+
+    // Canonical (MSB-first) codes, in canonical order.
+    std::vector<uint16_t> codes(used_);
+    uint32_t next = 0;
+    for (int len = 1, k = 0; len <= maxCodeBits; ++len, next <<= 1)
+        for (int c = 0; c < counts[len]; ++c)
+            codes[k++] = static_cast<uint16_t>(next++);
+    auto lengthOf = [&](size_t k) { return lengths[sorted[k]]; };
+    auto prefixOf = [&](size_t k) {
+        return codes[k] >> (lengthOf(k) - tableBits_);
+    };
+
+    // A code that fits the primary table fills every slot its bits
+    // prefix; a longer one lands in the subtable of its primary
+    // prefix. Canonical codes increase when left-aligned, so codes
+    // sharing a prefix are contiguous and the last is the longest:
+    // it sizes the subtable.
+    size_t subOffset = 0;
+    for (size_t k = 0; k < used_; ++k) {
+        int len = lengthOf(k);
+        uint32_t rev = 0;
+        for (int b = 0; b < len; ++b)
+            rev |= ((codes[k] >> b) & 1u) << (len - 1 - b);
+        uint32_t entry = static_cast<uint32_t>(sorted[k]) << 16 |
+                         static_cast<uint32_t>(len);
+        if (len <= tableBits_) {
+            for (uint32_t i = rev; i < table_.size(); i += 1u << len)
+                table_[i] = entry;
+            continue;
+        }
+        uint32_t prefix = rev & primaryMask_;
+        if (k == 0 || lengthOf(k - 1) <= tableBits_ ||
+            prefixOf(k - 1) != prefixOf(k)) {
+            size_t last = k;
+            while (last + 1 < used_ && prefixOf(last + 1) == prefixOf(k))
+                ++last;
+            uint32_t subBits = lengthOf(last) - tableBits_;
+            subOffset = table_.size();
+            FCC_ASSERT(subOffset <= 0xffff,
+                       "Huffman subtable offset overflow");
+            table_.resize(subOffset + (size_t{1} << subBits), 0);
+            table_[prefix] = static_cast<uint32_t>(subOffset) << 16 |
+                             subBits << 8 | subtableFlag;
+        }
+        uint32_t subSize = 1u << ((table_[prefix] >> 8) & 0xf);
+        for (uint32_t i = rev >> tableBits_; i < subSize;
+             i += 1u << (len - tableBits_))
+            table_[subOffset + i] = entry;
+    }
 }
 
 int
 HuffmanDecoder::decode(util::BitReader &bits) const
 {
-    // Bit-serial canonical decode (puff algorithm).
-    int code = 0, first = 0, index = 0;
-    for (int len = 1; len <= maxBitsSupported; ++len) {
-        code |= static_cast<int>(bits.get(1));
-        int count = counts_[len];
-        if (code - first < count)
-            return symbols_[index + (code - first)];
-        index += count;
-        first = (first + count) << 1;
-        code <<= 1;
-    }
-    throw util::Error("HuffmanDecoder: invalid code in stream");
+    Symbol s = lookup(bits.peek(maxCodeBits));
+    if (s.length == 0)
+        throw util::Error("HuffmanDecoder: invalid code in stream");
+    bits.consume(static_cast<int>(s.length));
+    return static_cast<int>(s.symbol);
 }
 
 } // namespace fcc::codec::deflate

@@ -2,7 +2,7 @@
  * @file
  * Canonical, length-limited Huffman coding as required by DEFLATE
  * (RFC 1951): optimal code-length construction via the package-merge
- * algorithm, canonical code assignment, and a count-based decoder.
+ * algorithm, canonical code assignment, and a table-driven decoder.
  */
 
 #ifndef FCC_CODEC_DEFLATE_HUFFMAN_HPP
@@ -37,22 +37,35 @@ std::vector<uint16_t>
 canonicalCodes(std::span<const uint8_t> lengths);
 
 /**
- * Canonical Huffman decoder over code lengths, bit-serial in the
- * style of Mark Adler's puff: O(code length) per symbol with no
- * tables beyond per-length counts.
+ * Table-driven canonical Huffman decoder. A primary table indexed by
+ * the next stream bits (primaryBits, or fewer for short codes) resolves
+ * every code that fits in it with one lookup; longer codes go through
+ * one second-level subtable per shared primary prefix.
  */
 class HuffmanDecoder
 {
   public:
+    /** Longest code DEFLATE allows. */
+    static constexpr int maxCodeBits = 15;
+    /** Upper bound on the primary table's index width. */
+    static constexpr int primaryBits = 10;
+
+    /** One decoded symbol; length 0 marks a pattern no code maps to. */
+    struct Symbol
+    {
+        unsigned symbol;
+        unsigned length;
+    };
+
     /**
      * Build from code lengths. Verifies the code is neither over-
-     * nor under-subscribed (incomplete codes are only tolerated when
-     * @p allowIncomplete — DEFLATE permits one unused distance code).
+     * nor under-subscribed; the only incomplete codes accepted are
+     * the empty code and a single one-bit code, as in zlib and puff
+     * (RFC 1951 §3.2.7 sends a lone distance code with one bit).
      *
      * @throws fcc::util::Error on an invalid code description.
      */
-    explicit HuffmanDecoder(std::span<const uint8_t> lengths,
-                            bool allowIncomplete = false);
+    explicit HuffmanDecoder(std::span<const uint8_t> lengths);
 
     /**
      * Decode one symbol from @p bits.
@@ -60,14 +73,38 @@ class HuffmanDecoder
      */
     int decode(util::BitReader &bits) const;
 
+    /**
+     * Look up the code at the front of @p bits (stream order, LSB
+     * first; at least maxCodeBits bits, zero padded past the end of
+     * the input). The caller checks the length against the bits it
+     * really holds and consumes them.
+     */
+    Symbol lookup(uint64_t bits) const
+    {
+        uint32_t e = table_[bits & primaryMask_];
+        if (e & subtableFlag) [[unlikely]] {
+            uint32_t subMask = (1u << ((e >> 8) & 0xf)) - 1;
+            e = table_[(e >> 16) +
+                       ((bits >> tableBits_) & subMask)];
+        }
+        return {e >> 16, e & lengthMask};
+    }
+
     /** Number of symbols with non-zero length. */
-    size_t usedSymbols() const { return symbols_.size(); }
+    size_t usedSymbols() const { return used_; }
 
   private:
-    static constexpr int maxBitsSupported = 15;
-    // counts_[l] = number of codes of length l.
-    uint16_t counts_[maxBitsSupported + 1] = {};
-    std::vector<uint16_t> symbols_;  // canonical order
+    // Entry layout: bits 0..4 code length (0 = invalid pattern);
+    // bit 5 subtable pointer, whose bits 8..11 are the subtable's
+    // index width and bits 16..31 its offset; otherwise bits 16..31
+    // are the symbol.
+    static constexpr uint32_t lengthMask = 0x1f;
+    static constexpr uint32_t subtableFlag = 0x20;
+
+    std::vector<uint32_t> table_;  // primary table, then subtables
+    int tableBits_ = 0;
+    uint32_t primaryMask_ = 0;
+    size_t used_ = 0;
 };
 
 } // namespace fcc::codec::deflate

@@ -1,8 +1,8 @@
 /**
  * @file
- * Resumable DEFLATE decoder (block state machine over a 32 KiB ring
- * that doubles as back-reference window and pending-output buffer)
- * and the streaming gzip member reader layered on top of it.
+ * Table-driven resumable DEFLATE decoder (64-bit bit buffer, lookup-
+ * table Huffman decode, linear output buffer with word-wise match
+ * copies) and the streaming gzip member reader layered on top of it.
  */
 
 #include "codec/deflate/inflate_stream.hpp"
@@ -11,154 +11,276 @@
 #include <cstring>
 
 #include "codec/deflate/rfc1951.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace fcc::codec::deflate {
 
 namespace {
 
+/** LZ77 window: the farthest a match reaches back. */
+constexpr size_t windowSize = size_t{1} << 15;
 /** Largest LZ77 match — the most one decoded symbol can emit. */
 constexpr size_t maxMatchRun = 258;
+/** Match copies move 8-byte words and may overshoot by up to 7. */
+constexpr size_t copySlack = 8;
+/** Free room the symbol loop needs before decoding one symbol. */
+constexpr size_t symbolRoom = maxMatchRun + copySlack;
+/** read()'s buffer: the window plus the output area it slides over. */
+constexpr size_t streamBufferSize = windowSize + (size_t{3} << 15);
+/** No DEFLATE stream expands by more than this (258 bytes/2 bits). */
+constexpr size_t maxExpansion = 1032;
+
+const HuffmanDecoder &
+fixedLitCode()
+{
+    static const HuffmanDecoder code(fixedLitLengths());
+    return code;
+}
+
+const HuffmanDecoder &
+fixedDistCode()
+{
+    static const HuffmanDecoder code(fixedDistLengths());
+    return code;
+}
+
+[[noreturn]] void
+throwTruncated()
+{
+    throw util::Error("inflate: truncated stream");
+}
 
 } // namespace
 
 // ---- InflateStream -------------------------------------------------
 
 InflateStream::InflateStream(std::span<const uint8_t> compressed)
-    : bits_(compressed), window_(windowSize)
+    : in_(compressed.data()), inLen_(compressed.size())
 {}
 
-void
-InflateStream::emit(uint8_t b)
+inline void
+InflateStream::refill()
 {
-    window_[windowFill_ & windowMask] = b;
-    ++windowFill_;
+    if (inLen_ - inPos_ >= 8) [[likely]] {
+        // Branch-free: load a whole word, count only the bytes that
+        // fit. The bits of the next byte that also landed are that
+        // byte's own bits, so the next refill ORs them in unchanged.
+        bitBuf_ |= util::loadLe64(in_ + inPos_) << bitCount_;
+        inPos_ += (63 - bitCount_) >> 3;
+        bitCount_ |= 56;
+    } else {
+        // Near the end: byte by byte, never past the input.
+        while (bitCount_ <= 56 && inPos_ < inLen_) {
+            bitBuf_ |= static_cast<uint64_t>(in_[inPos_++]) << bitCount_;
+            bitCount_ += 8;
+        }
+    }
+}
+
+inline uint32_t
+InflateStream::bits(unsigned n)
+{
+    if (bitCount_ < n) [[unlikely]] {
+        refill();
+        if (bitCount_ < n)
+            throwTruncated();
+    }
+    uint32_t v = static_cast<uint32_t>(bitBuf_ & ((uint64_t{1} << n) - 1));
+    bitBuf_ >>= n;
+    bitCount_ -= n;
+    return v;
+}
+
+inline unsigned
+InflateStream::symbol(const HuffmanDecoder &code)
+{
+    if (bitCount_ < HuffmanDecoder::maxCodeBits)
+        refill();
+    HuffmanDecoder::Symbol s = code.lookup(bitBuf_);
+    if (s.length == 0 || s.length > bitCount_) [[unlikely]] {
+        // Past the end of the input the lookup sees zero padding and
+        // may resolve to a code longer than the bits really there.
+        if (s.length == 0)
+            throw util::Error("inflate: invalid Huffman code");
+        throwTruncated();
+    }
+    bitBuf_ >>= s.length;
+    bitCount_ -= s.length;
+    return s.symbol;
 }
 
 void
-InflateStream::copyMatch(uint32_t dist, uint32_t len)
+InflateStream::readBlockHeader()
 {
-    util::require(dist <= windowFill_,
-                  "inflate: distance beyond output");
-    // Byte-serial on purpose: overlapping matches (dist < len) must
-    // see the bytes the copy itself produces.
-    for (uint32_t i = 0; i < len; ++i)
-        emit(window_[(windowFill_ - dist) & windowMask]);
+    finalBlock_ = bits(1) != 0;
+    uint32_t btype = bits(2);
+    util::require(btype != 3, "inflate: reserved block type");
+    inBlock_ = true;
+    storedBlock_ = btype == 0;
+    if (storedBlock_) {
+        // Skip to the byte boundary; bit counts and input positions
+        // are byte-aligned together.
+        unsigned drop = bitCount_ & 7;
+        bitBuf_ >>= drop;
+        bitCount_ -= drop;
+        uint32_t len = bits(16);
+        uint32_t nlen = bits(16);
+        util::require((len ^ nlen) == 0xffff,
+                      "inflate: stored block LEN/NLEN mismatch");
+        storedLeft_ = len;
+    } else if (btype == 1) {
+        lit_ = &fixedLitCode();
+        dist_ = &fixedDistCode();
+    } else {
+        readDynamicTables();
+    }
+}
+
+void
+InflateStream::readDynamicTables()
+{
+    uint32_t hlit = bits(5) + 257;
+    uint32_t hdist = bits(5) + 1;
+    uint32_t hclen = bits(4) + 4;
+    util::require(hlit <= 286 && hdist <= 30, "inflate: bad HLIT/HDIST");
+    uint8_t clcLens[19] = {};
+    for (uint32_t i = 0; i < hclen; ++i)
+        clcLens[clcOrder[i]] = static_cast<uint8_t>(bits(3));
+    HuffmanDecoder clc(clcLens);
+
+    uint8_t lens[286 + 30];
+    const uint32_t total = hlit + hdist;
+    uint32_t n = 0;
+    while (n < total) {
+        unsigned sym = symbol(clc);
+        if (sym < 16) {
+            lens[n++] = static_cast<uint8_t>(sym);
+            continue;
+        }
+        uint8_t value = 0;
+        uint32_t rep;
+        if (sym == 16) {
+            util::require(n > 0,
+                          "inflate: repeat with no previous length");
+            value = lens[n - 1];
+            rep = 3 + bits(2);
+        } else if (sym == 17) {
+            rep = 3 + bits(3);
+        } else {
+            rep = 11 + bits(7);
+        }
+        util::require(rep <= total - n, "inflate: code length overflow");
+        std::memset(lens + n, value, rep);
+        n += rep;
+    }
+    dynLit_.emplace(std::span<const uint8_t>(lens, hlit));
+    dynDist_.emplace(std::span<const uint8_t>(lens + hlit, hdist));
+    lit_ = &*dynLit_;
+    dist_ = &*dynDist_;
+}
+
+size_t
+InflateStream::copyStored(uint8_t *buf, size_t pos, size_t cap)
+{
+    // Whole bytes already in the bit buffer come first.
+    while (storedLeft_ > 0 && bitCount_ >= 8 && pos < cap) {
+        buf[pos++] = static_cast<uint8_t>(bitBuf_);
+        bitBuf_ >>= 8;
+        bitCount_ -= 8;
+        --storedLeft_;
+    }
+    if (storedLeft_ > 0 && bitCount_ == 0) {
+        // The rest straight from the input. Any bits left above the
+        // count belong to bytes copied here: drop them.
+        bitBuf_ = 0;
+        size_t take = std::min({static_cast<size_t>(storedLeft_),
+                                cap - pos, inLen_ - inPos_});
+        std::memcpy(buf + pos, in_ + inPos_, take);
+        pos += take;
+        inPos_ += take;
+        storedLeft_ -= static_cast<uint32_t>(take);
+        if (storedLeft_ > 0 && inPos_ == inLen_)
+            throwTruncated();
+    }
+    if (storedLeft_ == 0) {
+        inBlock_ = false;
+        done_ = finalBlock_;
+    }
+    return pos;
+}
+
+size_t
+InflateStream::decodeHuffman(uint8_t *buf, size_t pos, size_t cap)
+{
+    if (cap - pos < symbolRoom)
+        return pos;
+    const HuffmanDecoder &lit = *lit_;
+    const HuffmanDecoder &dist = *dist_;
+    uint8_t *out = buf + pos;
+    uint8_t *const limit = buf + (cap - symbolRoom);
+    while (out <= limit) {
+        // One refill covers a whole length/distance pair: 15 + 5 +
+        // 15 + 13 bits, within the 56 a refill guarantees mid-stream.
+        refill();
+        unsigned sym = symbol(lit);
+        if (sym < 256) {
+            *out++ = static_cast<uint8_t>(sym);
+            continue;
+        }
+        if (sym == endOfBlock) {
+            inBlock_ = false;
+            done_ = finalBlock_;
+            break;
+        }
+        util::require(sym <= 285, "inflate: bad length symbol");
+        unsigned li = sym - 257;
+        uint32_t len = lengthBase[li] + bits(lengthExtra[li]);
+        unsigned dsym = symbol(dist);
+        util::require(dsym < numDistCodes, "inflate: bad distance symbol");
+        uint32_t d = distBase[dsym] + bits(distExtra[dsym]);
+        util::require(d <= static_cast<size_t>(out - buf),
+                      "inflate: distance beyond output");
+
+        const uint8_t *src = out - d;
+        uint8_t *const end = out + len;
+        if (d >= 8) {
+            // Word copies never read bytes this match still writes.
+            do {
+                std::memcpy(out, src, 8);
+                out += 8;
+                src += 8;
+            } while (out < end);
+        } else {
+            // Overlapping: each byte may be one the copy produced.
+            do {
+                *out++ = *src++;
+            } while (out < end);
+        }
+        out = end;
+    }
+    return static_cast<size_t>(out - buf);
 }
 
 /**
- * Decode forward until the ring holds a comfortable amount of pending
- * output or the final block ends. The cap keeps undrained bytes from
- * being overwritten: pending never exceeds windowSize.
+ * Decode into @p buf from @p pos until the final block ends or fewer
+ * than symbolRoom bytes are free below @p cap. buf[0, pos) is the
+ * history back-references may reach into.
  */
-void
-InflateStream::decodeMore()
+size_t
+InflateStream::decode(uint8_t *buf, size_t pos, size_t cap)
 {
-    const size_t cap = windowSize - maxMatchRun;
-    while (!done_ && pendingSize() < cap) {
+    while (!done_) {
         if (!inBlock_) {
-            // Block header: final bit + type.
-            bool final = bits_.get(1) != 0;
-            uint32_t btype = bits_.get(2);
-            util::require(btype != 3, "inflate: reserved block type");
-            inBlock_ = true;
-            finalBlock_ = final;
-            storedBlock_ = btype == 0;
-            if (storedBlock_) {
-                bits_.alignToByte();
-                uint32_t len = bits_.byte();
-                len |= static_cast<uint32_t>(bits_.byte()) << 8;
-                uint32_t nlen = bits_.byte();
-                nlen |= static_cast<uint32_t>(bits_.byte()) << 8;
-                util::require((len ^ nlen) == 0xffff,
-                              "inflate: stored block LEN/NLEN "
-                              "mismatch");
-                storedLeft_ = len;
-            } else if (btype == 1) {
-                auto litLens = fixedLitLengths();
-                auto distLens = fixedDistLengths();
-                lit_ = std::make_unique<HuffmanDecoder>(litLens);
-                dist_ = std::make_unique<HuffmanDecoder>(
-                    distLens, /*allowIncomplete=*/true);
-            } else {
-                uint32_t hlit = bits_.get(5) + 257;
-                uint32_t hdist = bits_.get(5) + 1;
-                uint32_t hclen = bits_.get(4) + 4;
-                util::require(hlit <= 286 && hdist <= 30,
-                              "inflate: bad HLIT/HDIST");
-                std::vector<uint8_t> clcLens(19, 0);
-                for (uint32_t i = 0; i < hclen; ++i)
-                    clcLens[clcOrder[i]] =
-                        static_cast<uint8_t>(bits_.get(3));
-                HuffmanDecoder clc(clcLens);
-
-                std::vector<uint8_t> seq;
-                seq.reserve(hlit + hdist);
-                while (seq.size() < hlit + hdist) {
-                    int sym = clc.decode(bits_);
-                    if (sym < 16) {
-                        seq.push_back(static_cast<uint8_t>(sym));
-                    } else if (sym == 16) {
-                        util::require(!seq.empty(),
-                                      "inflate: repeat with no "
-                                      "previous length");
-                        uint32_t rep = 3 + bits_.get(2);
-                        uint8_t prev = seq.back();
-                        for (uint32_t r = 0; r < rep; ++r)
-                            seq.push_back(prev);
-                    } else if (sym == 17) {
-                        uint32_t rep = 3 + bits_.get(3);
-                        seq.insert(seq.end(), rep, 0);
-                    } else {
-                        uint32_t rep = 11 + bits_.get(7);
-                        seq.insert(seq.end(), rep, 0);
-                    }
-                }
-                util::require(seq.size() == hlit + hdist,
-                              "inflate: code length overflow");
-                lit_ = std::make_unique<HuffmanDecoder>(
-                    std::span<const uint8_t>(seq.data(), hlit));
-                dist_ = std::make_unique<HuffmanDecoder>(
-                    std::span<const uint8_t>(seq.data() + hlit,
-                                             hdist),
-                    /*allowIncomplete=*/true);
-            }
+            readBlockHeader();
             continue;
         }
-
-        if (storedBlock_) {
-            size_t room = windowSize - pendingSize();
-            size_t take = std::min<size_t>(storedLeft_, room);
-            for (size_t i = 0; i < take; ++i)
-                emit(bits_.byte());
-            storedLeft_ -= static_cast<uint32_t>(take);
-            if (storedLeft_ == 0) {
-                inBlock_ = false;
-                done_ = finalBlock_;
-            }
-            continue;
-        }
-
-        // Huffman-coded block: one symbol per iteration.
-        int sym = lit_->decode(bits_);
-        if (sym < 256) {
-            emit(static_cast<uint8_t>(sym));
-        } else if (sym == endOfBlock) {
-            inBlock_ = false;
-            lit_.reset();
-            dist_.reset();
-            done_ = finalBlock_;
-        } else {
-            util::require(sym <= 285, "inflate: bad length symbol");
-            int li = sym - 257;
-            uint32_t len = lengthBase[li] + bits_.get(lengthExtra[li]);
-            int dsym = dist_->decode(bits_);
-            util::require(dsym < numDistCodes,
-                          "inflate: bad distance symbol");
-            uint32_t d = distBase[dsym] + bits_.get(distExtra[dsym]);
-            copyMatch(d, len);
-        }
+        pos = storedBlock_ ? copyStored(buf, pos, cap)
+                           : decodeHuffman(buf, pos, cap);
+        if (inBlock_)
+            break;  // buffer full
     }
+    return pos;
 }
 
 size_t
@@ -166,25 +288,47 @@ InflateStream::read(uint8_t *out, size_t maxLen)
 {
     size_t total = 0;
     while (total < maxLen) {
-        if (pendingSize() == 0) {
+        if (drained_ == bufEnd_) {
             if (done_)
                 break;
-            decodeMore();
-            if (pendingSize() == 0)
-                break;  // done_ just became true with no output
+            if (buf_.empty()) {
+                buf_.resize(streamBufferSize);
+            } else if (bufEnd_ > windowSize) {
+                // Slide: keep the last 32 KiB as history.
+                std::memmove(buf_.data(),
+                             buf_.data() + bufEnd_ - windowSize,
+                             windowSize);
+                bufEnd_ = drained_ = windowSize;
+            }
+            bufEnd_ = decode(buf_.data(), bufEnd_, buf_.size());
+            continue;
         }
-        size_t n = std::min<size_t>(maxLen - total, pendingSize());
-        // The pending region may wrap the ring: copy in <= 2 pieces.
-        while (n > 0) {
-            size_t at = static_cast<size_t>(drained_) & windowMask;
-            size_t piece = std::min(n, windowSize - at);
-            std::memcpy(out + total, window_.data() + at, piece);
-            total += piece;
-            drained_ += piece;
-            n -= piece;
-        }
+        size_t n = std::min(maxLen - total, bufEnd_ - drained_);
+        std::memcpy(out + total, buf_.data() + drained_, n);
+        total += n;
+        drained_ += n;
     }
     return total;
+}
+
+std::vector<uint8_t>
+InflateStream::readAll(size_t sizeHint)
+{
+    // A corrupt size hint must not allocate beyond what the input can
+    // possibly expand to.
+    size_t bound = inLen_ * maxExpansion;
+    size_t want = sizeHint > 0 ? std::min(sizeHint, bound)
+                               : std::max<size_t>(4 * inLen_, 4096);
+    std::vector<uint8_t> out(want + symbolRoom);
+    size_t pos = 0;
+    for (;;) {
+        pos = decode(out.data(), pos, out.size());
+        if (done_)
+            break;
+        out.resize(2 * out.size());
+    }
+    out.resize(pos);
+    return out;
 }
 
 // ---- gzip framing --------------------------------------------------
@@ -197,6 +341,7 @@ gzipHeaderSize(std::span<const uint8_t> data)
                   "gzip: bad magic");
     util::require(data[2] == 8, "gzip: not deflate");
     uint8_t flg = data[3];
+    util::require((flg & 0xe0) == 0, "gzip: reserved flag bits set");
     size_t pos = 10;
     if (flg & 0x04) {  // FEXTRA
         util::require(data.size() >= pos + 2,

@@ -2,12 +2,14 @@
  * @file
  * Resumable DEFLATE decoding and the streaming gzip byte source.
  *
- * InflateStream is the library's single DEFLATE decoder: it walks the
- * block structure incrementally and hands the caller output in
- * caller-sized chunks, keeping only the 32 KiB back-reference window
- * (plus at most one match, 258 bytes) buffered. The one-shot
- * inflate() in deflate.hpp is a thin loop over it, so the existing
- * zlib cross-validation tests exercise this decoder too.
+ * InflateStream is the library's single DEFLATE decoder. It reads the
+ * compressed input through a 64-bit bit buffer, decodes Huffman codes
+ * with table lookups (HuffmanDecoder) and writes into a linear output
+ * buffer whose front holds the 32 KiB back-reference window. read()
+ * streams output in caller-sized pieces through an internal buffer
+ * that slides when full; readAll() decodes straight into one vector
+ * and backs the one-shot inflate() in deflate.hpp, so the zlib
+ * cross-validation tests exercise this decoder too.
  *
  * GzipInflateSource layers RFC 1952 member framing on top and plugs
  * into the trace I/O stack as a fcc::util::ByteSource decorator: a
@@ -21,11 +23,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "codec/deflate/huffman.hpp"
-#include "util/bitstream.hpp"
 #include "util/checksum.hpp"
 #include "util/io.hpp"
 
@@ -33,8 +35,9 @@ namespace fcc::codec::deflate {
 
 /**
  * Incremental DEFLATE (RFC 1951) decoder over a complete compressed
- * buffer. The compressed memory must outlive the stream; output is
- * produced on demand by read().
+ * buffer. The compressed memory must outlive the stream. Output comes
+ * either piecewise from read() or all at once from readAll(); one
+ * stream uses one of the two.
  */
 class InflateStream
 {
@@ -49,8 +52,15 @@ class InflateStream
      */
     size_t read(uint8_t *out, size_t maxLen);
 
+    /**
+     * Decode the whole stream into one vector. @p sizeHint, when the
+     * caller knows the decoded size, sizes the vector up front.
+     * @throws fcc::util::Error on any malformed construct.
+     */
+    std::vector<uint8_t> readAll(size_t sizeHint = 0);
+
     /** True once the final block has been consumed and drained. */
-    bool finished() const { return done_ && pendingSize() == 0; }
+    bool finished() const { return done_ && drained_ == bufEnd_; }
 
     /**
      * Bytes of compressed input consumed, rounded up to a whole byte
@@ -59,32 +69,43 @@ class InflateStream
      */
     size_t compressedBytesConsumed() const
     {
-        return (bits_.bitPosition() + 7) / 8;
+        return (inPos_ * 8 - bitCount_ + 7) / 8;
     }
 
   private:
-    size_t pendingSize() const { return windowFill_ - drained_; }
-    void decodeMore();
-    void emit(uint8_t b);
-    void copyMatch(uint32_t dist, uint32_t len);
+    size_t decode(uint8_t *buf, size_t pos, size_t cap);
+    size_t decodeHuffman(uint8_t *buf, size_t pos, size_t cap);
+    size_t copyStored(uint8_t *buf, size_t pos, size_t cap);
+    void readBlockHeader();
+    void readDynamicTables();
+    void refill();
+    uint32_t bits(unsigned n);
+    unsigned symbol(const HuffmanDecoder &code);
 
-    util::BitReader bits_;
+    // Compressed input and the 64-bit bit buffer over it. Bits at
+    // and above bitCount_ are zero or the next, not yet counted,
+    // input bits — never anything else.
+    const uint8_t *in_;
+    size_t inLen_;
+    size_t inPos_ = 0;
+    uint64_t bitBuf_ = 0;
+    unsigned bitCount_ = 0;
 
-    // 32 KiB ring: both the LZ77 back-reference window and the
-    // pending-output buffer (bytes decoded but not yet read()).
-    static constexpr size_t windowSize = 1u << 15;
-    static constexpr size_t windowMask = windowSize - 1;
-    std::vector<uint8_t> window_;
-    uint64_t windowFill_ = 0;  ///< total bytes decoded so far
-    uint64_t drained_ = 0;     ///< total bytes handed to read()
-
-    // Per-block state (valid while inBlock_).
+    // Block state.
     bool done_ = false;
     bool inBlock_ = false;
     bool finalBlock_ = false;
     bool storedBlock_ = false;
     uint32_t storedLeft_ = 0;
-    std::unique_ptr<HuffmanDecoder> lit_, dist_;
+    const HuffmanDecoder *lit_ = nullptr;
+    const HuffmanDecoder *dist_ = nullptr;
+    std::optional<HuffmanDecoder> dynLit_, dynDist_;
+
+    // read()'s output buffer: up to 32 KiB of history, then decoded
+    // bytes not yet handed out (drained_ .. bufEnd_).
+    std::vector<uint8_t> buf_;
+    size_t bufEnd_ = 0;
+    size_t drained_ = 0;
 };
 
 /**

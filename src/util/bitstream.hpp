@@ -73,9 +73,6 @@ class BitReader
     /** Read a raw byte; the stream must be byte-aligned. @throws Error */
     uint8_t byte();
 
-    /** Total bits consumed so far. */
-    size_t bitPosition() const { return pos_ * 8 - nbits_; }
-
     /** Bytes wholly or partially unread. */
     size_t remainingBytes() const { return len_ - pos_ + (nbits_ + 7) / 8; }
 

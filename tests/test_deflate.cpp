@@ -2,19 +2,28 @@
  * @file
  * DEFLATE / zlib / gzip codec tests: round trips over adversarial
  * inputs, cross-validation against system zlib in both directions,
- * container integrity checks, and corrupt-stream rejection.
+ * conformance of the inflater on zlib streams of every level,
+ * strategy and window size and on hand-built edge-case blocks,
+ * streaming reads, container integrity checks, and corrupt- and
+ * truncated-stream handling checked against zlib's verdicts.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "codec/deflate/deflate.hpp"
 #include "codec/deflate/huffman.hpp"
+#include "codec/deflate/inflate_stream.hpp"
 #include "codec/deflate/lz77.hpp"
+#include "codec/deflate/rfc1951.hpp"
+#include "util/bitstream.hpp"
 #include "util/error.hpp"
+#include "util/io.hpp"
 
 #if __has_include(<zlib.h>)
 #include <zlib.h>
@@ -195,11 +204,16 @@ TEST(Huffman, DecoderRejectsOversubscribed)
     EXPECT_THROW(fd::HuffmanDecoder d(lens), fcc::util::Error);
 }
 
-TEST(Huffman, DecoderRejectsIncompleteUnlessAllowed)
+TEST(Huffman, DecoderRejectsIncompleteExceptSingleOneBitCode)
 {
     std::vector<uint8_t> lens = {2, 2, 2};  // one slot missing
     EXPECT_THROW(fd::HuffmanDecoder d(lens), fcc::util::Error);
-    EXPECT_NO_THROW(fd::HuffmanDecoder d(lens, true));
+    std::vector<uint8_t> lone = {0, 2, 0};
+    EXPECT_THROW(fd::HuffmanDecoder d(lone), fcc::util::Error);
+    std::vector<uint8_t> oneBit = {0, 1, 0};
+    EXPECT_NO_THROW(fd::HuffmanDecoder d(oneBit));
+    std::vector<uint8_t> empty = {0, 0};
+    EXPECT_NO_THROW(fd::HuffmanDecoder d(empty));
 }
 
 TEST(Huffman, RoundTripThroughBitstream)
@@ -427,6 +441,569 @@ TEST(ZlibInterop, RandomBuffersBothDirections)
         theirs.resize(bound);
         EXPECT_EQ(fd::zlibDecompress(theirs), data)
             << "seed " << seed;
+    }
+}
+
+// ---- conformance against system zlib -----------------------------------
+
+namespace {
+
+enum class Wrap
+{
+    Raw,
+    Zlib,
+    Gzip
+};
+
+/** Compress with system zlib; windowBits 9..15. */
+std::vector<uint8_t>
+zlibDeflate(const std::vector<uint8_t> &data, int level, int strategy,
+            int windowBits, Wrap wrap)
+{
+    z_stream zs{};
+    int wb = wrap == Wrap::Raw    ? -windowBits
+             : wrap == Wrap::Gzip ? windowBits + 16
+                                  : windowBits;
+    EXPECT_EQ(::deflateInit2(&zs, level, Z_DEFLATED, wb, 8, strategy),
+              Z_OK);
+    std::vector<uint8_t> out(
+        ::deflateBound(&zs, static_cast<uLong>(data.size())) + 64);
+    zs.next_in = const_cast<Bytef *>(data.data());
+    zs.avail_in = static_cast<uInt>(data.size());
+    zs.next_out = out.data();
+    zs.avail_out = static_cast<uInt>(out.size());
+    EXPECT_EQ(::deflate(&zs, Z_FINISH), Z_STREAM_END);
+    out.resize(zs.total_out);
+    ::deflateEnd(&zs);
+    return out;
+}
+
+/**
+ * Decompress with system zlib. Accepts only a stream that ends
+ * exactly at the end of @p data — the same contract as ours.
+ */
+std::optional<std::vector<uint8_t>>
+zlibInflate(std::span<const uint8_t> data, Wrap wrap)
+{
+    z_stream zs{};
+    int wb = wrap == Wrap::Raw ? -15 : wrap == Wrap::Gzip ? 31 : 15;
+    if (::inflateInit2(&zs, wb) != Z_OK)
+        return std::nullopt;
+    std::vector<uint8_t> out;
+    uint8_t buf[1 << 14];
+    zs.next_in = const_cast<Bytef *>(data.data());
+    zs.avail_in = static_cast<uInt>(data.size());
+    int rc;
+    do {
+        zs.next_out = buf;
+        zs.avail_out = sizeof(buf);
+        rc = ::inflate(&zs, Z_NO_FLUSH);
+        out.insert(out.end(), buf, buf + (sizeof(buf) - zs.avail_out));
+    } while (rc == Z_OK);
+    bool ok = rc == Z_STREAM_END && zs.avail_in == 0;
+    ::inflateEnd(&zs);
+    if (!ok)
+        return std::nullopt;
+    return out;
+}
+
+/** Our decoder for @p wrap; nullopt when it throws util::Error. */
+std::optional<std::vector<uint8_t>>
+ourInflate(std::span<const uint8_t> data, Wrap wrap)
+{
+    try {
+        switch (wrap) {
+          case Wrap::Raw:
+            return fd::inflate(data);
+          case Wrap::Zlib:
+            return fd::zlibDecompress(data);
+          case Wrap::Gzip:
+            return fd::gzipDecompress(data);
+        }
+    } catch (const fcc::util::Error &) {
+    }
+    return std::nullopt;
+}
+
+/** Mixed corpus: text, small-alphabet noise, runs, raw noise. */
+std::vector<uint8_t>
+conformanceCorpus()
+{
+    auto out = repetitiveBytes(40000);
+    auto noisy = randomBytes(30000, 5, 6);
+    out.insert(out.end(), noisy.begin(), noisy.end());
+    out.insert(out.end(), 5000, 0);
+    auto raw = randomBytes(8000, 6);
+    out.insert(out.end(), raw.begin(), raw.end());
+    auto text = repetitiveBytes(20000);
+    out.insert(out.end(), text.begin(), text.end());
+    return out;
+}
+
+/**
+ * Final dynamic-Huffman block header for the given code lengths. All
+ * code lengths go out as 4-bit code-length literals (no repeats).
+ */
+void
+putDynamicHeader(fcc::util::BitWriter &w, const std::vector<uint8_t> &litLens,
+                 const std::vector<uint8_t> &distLens)
+{
+    w.put(1, 1);  // BFINAL
+    w.put(2, 2);  // BTYPE=10
+    w.put(static_cast<uint32_t>(litLens.size() - 257), 5);
+    w.put(static_cast<uint32_t>(distLens.size() - 1), 5);
+    w.put(19 - 4, 4);  // HCLEN
+    // Code-length code: symbols 0..15 at 4 bits each (complete).
+    std::vector<uint8_t> clcLens(19, 0);
+    for (int sym = 0; sym < 16; ++sym)
+        clcLens[sym] = 4;
+    auto clcCodes = fd::canonicalCodes(clcLens);
+    for (int i = 0; i < 19; ++i)
+        w.put(clcLens[fd::clcOrder[i]], 3);
+    for (uint8_t len : litLens)
+        w.putHuff(clcCodes[len], 4);
+    for (uint8_t len : distLens)
+        w.putHuff(clcCodes[len], 4);
+}
+
+/** Bit-level builder of fixed-Huffman DEFLATE blocks. */
+class FixedBlockWriter
+{
+  public:
+    FixedBlockWriter()
+        : litLens_(fd::fixedLitLengths()),
+          litCodes_(fd::canonicalCodes(litLens_)),
+          distCodes_(fd::canonicalCodes(fd::fixedDistLengths()))
+    {
+        out_.put(1, 1);  // BFINAL
+        out_.put(1, 2);  // BTYPE=01
+    }
+
+    void literal(uint8_t b)
+    {
+        out_.putHuff(litCodes_[b], litLens_[b]);
+        expect_.push_back(b);
+    }
+
+    void match(uint32_t len, uint32_t dist)
+    {
+        int li = 28;
+        while (fd::lengthBase[li] > len)
+            --li;
+        out_.putHuff(litCodes_[257 + li], litLens_[257 + li]);
+        out_.put(len - fd::lengthBase[li], fd::lengthExtra[li]);
+        int di = 29;
+        while (fd::distBase[di] > dist)
+            --di;
+        out_.putHuff(distCodes_[di], 5);
+        out_.put(dist - fd::distBase[di], fd::distExtra[di]);
+        for (uint32_t i = 0; i < len; ++i)
+            expect_.push_back(expect_[expect_.size() - dist]);
+    }
+
+    /** End the block; returns the stream and the bytes it encodes. */
+    std::pair<std::vector<uint8_t>, std::vector<uint8_t>> finish()
+    {
+        out_.putHuff(litCodes_[fd::endOfBlock],
+                     litLens_[fd::endOfBlock]);
+        return {out_.take(), expect_};
+    }
+
+  private:
+    std::vector<uint8_t> litLens_;
+    std::vector<uint16_t> litCodes_, distCodes_;
+    fcc::util::BitWriter out_;
+    std::vector<uint8_t> expect_;
+};
+
+/** Inflate from an exactly sized heap copy so ASan sees over-reads. */
+std::optional<std::vector<uint8_t>>
+inflateExactCopy(std::span<const uint8_t> data, Wrap wrap)
+{
+    std::unique_ptr<uint8_t[]> heap(new uint8_t[data.size()]);
+    std::copy(data.begin(), data.end(), heap.get());
+    return ourInflate({heap.get(), data.size()}, wrap);
+}
+
+} // namespace
+
+TEST(InflateConformance, ZlibLevelsStrategiesAndWindows)
+{
+    const auto data = conformanceCorpus();
+    const int levels[] = {0, 1, 6, 9};
+    const int strategies[] = {Z_DEFAULT_STRATEGY, Z_FIXED,
+                              Z_HUFFMAN_ONLY, Z_RLE};
+    for (int level : levels) {
+        for (int strategy : strategies) {
+            for (int wb = 9; wb <= 15; ++wb) {
+                auto raw = zlibDeflate(data, level, strategy, wb,
+                                       Wrap::Raw);
+                auto theirs = zlibInflate(raw, Wrap::Raw);
+                ASSERT_TRUE(theirs.has_value());
+                ASSERT_EQ(*theirs, data);
+                EXPECT_EQ(fd::inflate(raw), data)
+                    << "level " << level << " strategy " << strategy
+                    << " windowBits " << wb;
+                EXPECT_EQ(fd::zlibDecompress(zlibDeflate(
+                              data, level, strategy, wb, Wrap::Zlib)),
+                          data);
+            }
+        }
+    }
+}
+
+TEST(InflateConformance, GzipMembersFromZlib)
+{
+    const auto data = conformanceCorpus();
+    for (int level : {0, 1, 6, 9}) {
+        auto gz = zlibDeflate(data, level, Z_DEFAULT_STRATEGY, 15,
+                              Wrap::Gzip);
+        EXPECT_EQ(fd::gzipDecompress(gz), data) << "level " << level;
+    }
+}
+
+TEST(InflateConformance, FifteenBitLiteralCodeUsesSubtable)
+{
+    // Dynamic block whose literal/length code is 13 literals of
+    // lengths 1..13, a length symbol of 14 bits and two 15-bit codes
+    // (one literal, end-of-block): complete, and the deepest codes
+    // are longer than the decoder's primary table.
+    std::vector<uint8_t> litLens(258, 0);
+    for (int i = 0; i < 13; ++i)
+        litLens['A' + i] = static_cast<uint8_t>(i + 1);
+    litLens[257] = 14;  // match length 3
+    litLens['Z'] = 15;
+    litLens[fd::endOfBlock] = 15;
+    auto litCodes = fd::canonicalCodes(litLens);
+    ASSERT_GT(15, fd::HuffmanDecoder::primaryBits);
+
+    fcc::util::BitWriter w;
+    // One distance code (symbol 0, distance 1) of one bit.
+    putDynamicHeader(w, litLens, {1});
+
+    std::vector<uint8_t> expect;
+    for (int i = 0; i < 13; ++i) {
+        w.putHuff(litCodes['A' + i], litLens['A' + i]);
+        expect.push_back(static_cast<uint8_t>('A' + i));
+    }
+    w.putHuff(litCodes['Z'], 15);
+    expect.push_back('Z');
+    w.putHuff(litCodes[257], 14);  // length 3, no extra bits
+    w.putHuff(0, 1);               // distance code 0
+    expect.insert(expect.end(), 3, 'Z');
+    w.putHuff(litCodes['Z'], 15);
+    expect.push_back('Z');
+    w.putHuff(litCodes[fd::endOfBlock], 15);
+    auto stream = w.take();
+
+    auto theirs = zlibInflate(stream, Wrap::Raw);
+    ASSERT_TRUE(theirs.has_value());
+    EXPECT_EQ(*theirs, expect);
+    EXPECT_EQ(fd::inflate(stream), expect);
+
+    // The same code through the decoder's BitReader interface.
+    fd::HuffmanDecoder decoder(litLens);
+    fcc::util::BitWriter sw;
+    const int message[] = {'Z', 'A', fd::endOfBlock, 257, 'M', 'Z'};
+    for (int sym : message)
+        sw.putHuff(litCodes[sym], litLens[sym]);
+    auto bits = sw.take();
+    fcc::util::BitReader r(bits);
+    for (int sym : message)
+        EXPECT_EQ(decoder.decode(r), sym);
+}
+
+TEST(InflateConformance, OverlappingMatchesAndFarthestDistance)
+{
+    FixedBlockWriter fw;
+    auto noise = randomBytes(32768, 11);
+    for (uint8_t b : noise)
+        fw.literal(b);
+    fw.match(258, 32768);  // exactly the window
+    for (uint32_t dist = 1; dist <= 8; ++dist) {
+        fw.literal(static_cast<uint8_t>(0xa0 + dist));
+        fw.match(258, dist);  // source overlaps destination
+        fw.match(3, dist);
+    }
+    fw.match(258, 9);
+    fw.match(258, 32768);
+    auto [stream, expect] = fw.finish();
+
+    auto theirs = zlibInflate(stream, Wrap::Raw);
+    ASSERT_TRUE(theirs.has_value());
+    ASSERT_EQ(*theirs, expect);
+    EXPECT_EQ(fd::inflate(stream), expect);
+
+    fd::InflateStream chunked(stream);
+    std::vector<uint8_t> got;
+    uint8_t buf[333];
+    size_t n;
+    while ((n = chunked.read(buf, sizeof(buf))) > 0)
+        got.insert(got.end(), buf, buf + n);
+    EXPECT_EQ(got, expect);
+}
+
+TEST(InflateConformance, DistanceBeyondOutputRejected)
+{
+    FixedBlockWriter fw;
+    for (int i = 0; i < 10; ++i)
+        fw.literal('x');
+    fw.match(3, 10);  // fine: reaches the first byte
+    auto ok = fw.finish().first;
+    EXPECT_NO_THROW(fd::inflate(ok));
+
+    // Hand-encode distance 11 (one past the output) with the fixed
+    // code: symbol 6 (base 9, 2 extra bits) + extra 2.
+    fcc::util::BitWriter w;
+    auto lits = fd::canonicalCodes(fd::fixedLitLengths());
+    auto litLens = fd::fixedLitLengths();
+    w.put(1, 1);
+    w.put(1, 2);
+    for (int i = 0; i < 10; ++i)
+        w.putHuff(lits['x'], litLens['x']);
+    w.putHuff(lits[257], litLens[257]);  // length 3
+    w.putHuff(6, 5);
+    w.put(2, 2);
+    w.putHuff(lits[fd::endOfBlock], litLens[fd::endOfBlock]);
+    EXPECT_THROW(fd::inflate(w.take()), fcc::util::Error);
+}
+
+TEST(InflateConformance, FixedCodeReservedSymbolsRejected)
+{
+    auto litLens = fd::fixedLitLengths();
+    auto lits = fd::canonicalCodes(litLens);
+    for (int sym : {286, 287}) {
+        fcc::util::BitWriter w;
+        w.put(1, 1);
+        w.put(1, 2);
+        w.putHuff(lits['a'], litLens['a']);
+        w.putHuff(lits[sym], litLens[sym]);
+        w.put(0, 16);
+        EXPECT_THROW(fd::inflate(w.take()), fcc::util::Error) << sym;
+    }
+    for (int dsym : {30, 31}) {
+        fcc::util::BitWriter w;
+        w.put(1, 1);
+        w.put(1, 2);
+        w.putHuff(lits['a'], litLens['a']);
+        w.putHuff(lits[257], litLens[257]);
+        w.putHuff(static_cast<uint32_t>(dsym), 5);
+        w.put(0, 16);
+        EXPECT_THROW(fd::inflate(w.take()), fcc::util::Error) << dsym;
+    }
+}
+
+TEST(InflateConformance, IncompleteCodesFollowZlib)
+{
+    // Literal/length code: 'a' (1 bit), end-of-block and length 3
+    // (2 bits each). Only a single one-bit distance code may be
+    // incomplete; zlib and puff reject every other incomplete code.
+    std::vector<uint8_t> litLens(258, 0);
+    litLens['a'] = 1;
+    litLens[fd::endOfBlock] = 2;
+    litLens[257] = 2;
+    auto litCodes = fd::canonicalCodes(litLens);
+    struct Case
+    {
+        std::vector<uint8_t> distLens;
+        bool valid;
+    };
+    const Case cases[] = {
+        {{1}, true},      // single one-bit code
+        {{0}, true},      // no distance codes (literals only)
+        {{2}, false},     // single two-bit code
+        {{1, 2}, false},  // two codes, one slot unused
+        {{2, 2, 2}, false},
+    };
+    for (const auto &c : cases) {
+        fcc::util::BitWriter w;
+        putDynamicHeader(w, litLens, c.distLens);
+        w.putHuff(litCodes['a'], 1);
+        w.putHuff(litCodes[fd::endOfBlock], 2);
+        auto stream = w.take();
+        EXPECT_EQ(zlibInflate(stream, Wrap::Raw).has_value(), c.valid);
+        EXPECT_EQ(ourInflate(stream, Wrap::Raw).has_value(), c.valid)
+            << "distance code of " << c.distLens.size() << " lengths";
+    }
+}
+
+TEST(InflateConformance, ContainerChecksFollowZlib)
+{
+    const auto data = repetitiveBytes(5000);
+    // Reserved gzip flag bits (RFC 1952: must be rejected).
+    for (int bit = 5; bit < 8; ++bit) {
+        auto gz = fd::gzipCompress(data);
+        gz[3] |= static_cast<uint8_t>(1u << bit);
+        EXPECT_FALSE(zlibInflate(gz, Wrap::Gzip).has_value());
+        EXPECT_FALSE(ourInflate(gz, Wrap::Gzip).has_value()) << bit;
+    }
+    // A byte between the end of the DEFLATE stream and the trailer.
+    auto z = fd::zlibCompress(data);
+    z.insert(z.end() - 4, 0);
+    EXPECT_FALSE(zlibInflate(z, Wrap::Zlib).has_value());
+    EXPECT_FALSE(ourInflate(z, Wrap::Zlib).has_value());
+    auto gz = fd::gzipCompress(data);
+    gz.insert(gz.end() - 8, 0);
+    EXPECT_FALSE(zlibInflate(gz, Wrap::Gzip).has_value());
+    EXPECT_FALSE(ourInflate(gz, Wrap::Gzip).has_value());
+}
+
+// ---- streaming reads ------------------------------------------------------
+
+namespace {
+
+std::vector<uint8_t>
+drainGzip(const std::vector<uint8_t> &gz, size_t readSize)
+{
+    fd::GzipInflateSource src(
+        std::make_unique<fcc::util::BufferByteSource>(
+            std::span<const uint8_t>(gz)));
+    std::vector<uint8_t> out, buf(readSize);
+    size_t n;
+    while ((n = src.read(buf.data(), readSize)) > 0)
+        out.insert(out.end(), buf.begin(), buf.begin() + n);
+    return out;
+}
+
+} // namespace
+
+TEST(InflateStreaming, ReadSizesMatchOneShot)
+{
+    const auto data = conformanceCorpus();
+    std::vector<std::vector<uint8_t>> members = {
+        fd::gzipCompress(data),
+        zlibDeflate(data, 0, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip),
+        zlibDeflate(data, 1, Z_FIXED, 12, Wrap::Gzip),
+        zlibDeflate(data, 9, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip),
+    };
+    for (const auto &gz : members) {
+        auto oneShot = fd::gzipDecompress(gz);
+        ASSERT_EQ(oneShot, data);
+        for (size_t readSize : {1, 7, 4096, 65536})
+            EXPECT_EQ(drainGzip(gz, readSize), oneShot)
+                << "read size " << readSize;
+    }
+}
+
+TEST(InflateStreaming, ConcatenatedMembersSplitAcrossReads)
+{
+    auto a = conformanceCorpus();
+    auto b = randomBytes(70001, 3, 9);
+    std::vector<uint8_t> c = {'!'};
+    std::vector<std::vector<uint8_t>> parts = {
+        fd::gzipCompress(a),
+        zlibDeflate(b, 6, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip),
+        zlibDeflate(c, 0, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip),
+        fd::gzipCompress({}),
+        zlibDeflate(a, 9, Z_RLE, 15, Wrap::Gzip),
+    };
+    std::vector<uint8_t> gz, expect;
+    for (const auto &member : parts) {
+        gz.insert(gz.end(), member.begin(), member.end());
+        auto body = fd::gzipDecompress(member);
+        expect.insert(expect.end(), body.begin(), body.end());
+    }
+    for (size_t readSize : {1, 7, 4096, 65536})
+        EXPECT_EQ(drainGzip(gz, readSize), expect)
+            << "read size " << readSize;
+}
+
+// ---- robustness: truncation and bit flips vs zlib's verdict -------------
+
+namespace {
+
+struct MutationStream
+{
+    std::vector<uint8_t> bytes;
+    Wrap wrap;
+};
+
+std::vector<MutationStream>
+mutationStreams()
+{
+    auto data = repetitiveBytes(3000);
+    auto noise = randomBytes(2500, 17, 12);
+    data.insert(data.end(), noise.begin(), noise.end());
+    data.insert(data.end(), 300, 'z');
+    return {
+        {zlibDeflate(data, 6, Z_DEFAULT_STRATEGY, 15, Wrap::Zlib),
+         Wrap::Zlib},
+        {zlibDeflate(data, 1, Z_FIXED, 15, Wrap::Zlib), Wrap::Zlib},
+        {zlibDeflate(data, 0, Z_DEFAULT_STRATEGY, 15, Wrap::Zlib),
+         Wrap::Zlib},
+        {zlibDeflate(data, 9, Z_HUFFMAN_ONLY, 15, Wrap::Gzip),
+         Wrap::Gzip},
+        {fd::gzipCompress(data), Wrap::Gzip},
+        {fd::zlibCompress(data), Wrap::Zlib},
+    };
+}
+
+} // namespace
+
+TEST(InflateRobustness, EveryTruncationIsAnError)
+{
+    // Each prefix sits in an exactly sized heap block, so the input
+    // ends at every possible offset of a refill; under ASan any read
+    // past it fails the test.
+    auto streams = mutationStreams();
+    for (size_t i = 0, n = streams.size(); i < n; ++i) {
+        // The bare DEFLATE stream too: no checksum to fall back on.
+        if (streams[i].wrap == Wrap::Zlib) {
+            const auto &z = streams[i].bytes;
+            streams.push_back(
+                {std::vector<uint8_t>(z.begin() + 2, z.end() - 4),
+                 Wrap::Raw});
+        }
+    }
+    for (const auto &s : streams) {
+        ASSERT_TRUE(inflateExactCopy(s.bytes, s.wrap).has_value());
+        for (size_t len = 0; len < s.bytes.size(); ++len) {
+            std::span<const uint8_t> prefix(s.bytes.data(), len);
+            ASSERT_FALSE(zlibInflate(prefix, s.wrap).has_value());
+            EXPECT_FALSE(inflateExactCopy(prefix, s.wrap).has_value())
+                << "prefix " << len << " of " << s.bytes.size();
+        }
+    }
+}
+
+TEST(InflateRobustness, BitFlipsMatchZlibVerdict)
+{
+    auto streams = mutationStreams();
+    std::mt19937 rng(20051);
+    int accepted = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+        const auto &s = streams[trial % streams.size()];
+        auto bytes = s.bytes;
+        size_t bit = rng() % (8 * bytes.size());
+        bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        auto theirs = zlibInflate(bytes, s.wrap);
+        auto ours = inflateExactCopy(bytes, s.wrap);
+        ASSERT_EQ(ours.has_value(), theirs.has_value())
+            << "trial " << trial << " bit " << bit;
+        if (ours) {
+            EXPECT_EQ(*ours, *theirs) << "trial " << trial;
+            ++accepted;
+        }
+    }
+    // Header fields no checksum covers (gzip MTIME/XFL/OS) flip
+    // harmlessly; everything else must fail a check.
+    EXPECT_LT(accepted, 200);
+}
+
+TEST(InflateRobustness, LastByteMidRefill)
+{
+    // Streams of every length class mod 8 read from exactly sized
+    // heap blocks: the bit buffer's word loads must stop short of
+    // the end and finish byte by byte.
+    for (size_t n = 1; n <= 64; ++n) {
+        auto data = randomBytes(n * 37, static_cast<uint32_t>(n), 7);
+        for (int level : {0, 1, 9}) {
+            auto raw = zlibDeflate(data, level, Z_DEFAULT_STRATEGY, 15,
+                                   Wrap::Raw);
+            auto ours = inflateExactCopy(raw, Wrap::Raw);
+            ASSERT_TRUE(ours.has_value()) << n << " level " << level;
+            EXPECT_EQ(*ours, data);
+        }
     }
 }
 #endif  // FCC_HAVE_ZLIB
