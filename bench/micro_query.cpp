@@ -6,7 +6,10 @@
  * Compresses the trace once as an indexed archive, then compares a
  * full decompression against indexed queries (single-flow
  * extraction, a time window): chunks decoded, archive bytes read
- * and wall time, plus the index's size overhead.
+ * and wall time, plus the index's size overhead. A per-kind table
+ * then times the three query kinds of a server mix (server lookup,
+ * 1 s window, aggregate) over spread-out operands on the warm
+ * archive.
  *
  * Run: ./build/bench/micro_query [--smoke] [--json out.json]
  *
@@ -17,6 +20,7 @@
  * machine noise.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -264,6 +268,76 @@ main(int argc, char **argv)
                 static_cast<double>(
                     aggResult.stats.reconstructBytes) /
                     1e6);
+
+    // ---- per-kind latency ---------------------------------------
+    // The three query kinds a server mix sends, each repeated over
+    // spread-out operands on the warm archive (its shared region is
+    // decoded by the first query above and cached since): a server
+    // lookup, a 1 s window, an aggregate.
+    const size_t perKind = smoke ? 8 : 24;
+    uint64_t firstUs = d.timeSeq.front().firstTimestampUs;
+    uint64_t lastUs = d.timeSeq.back().firstTimestampUs;
+    auto medianMs = [](std::vector<double> ms) {
+        std::sort(ms.begin(), ms.end());
+        return ms.empty() ? 0.0 : ms[ms.size() / 2];
+    };
+    std::printf("\n%-14s %8s %9s %15s\n", "kind", "queries",
+                "p50 ms", "flows expanded");
+    {
+        std::vector<double> ms;
+        uint64_t expanded = 0;
+        for (size_t i = 0; i < perKind; ++i) {
+            query::Expr e = query::Expr::serverIs(
+                d.addresses[i * d.addresses.size() / perKind]);
+            query::NullTraceSink sink;
+            auto t0 = std::chrono::steady_clock::now();
+            expanded += archive.run(e, sink).flowsExpanded;
+            ms.push_back(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
+        }
+        std::printf("%-14s %8zu %9.3f %15llu\n", "server", perKind,
+                    medianMs(ms),
+                    static_cast<unsigned long long>(expanded));
+    }
+    {
+        std::vector<double> ms;
+        uint64_t expanded = 0;
+        for (size_t i = 0; i < perKind; ++i) {
+            uint64_t t = firstUs + (lastUs - firstUs) * i / perKind;
+            query::Expr e = query::Expr::timeWithin(t, t + 1'000'000);
+            query::NullTraceSink sink;
+            auto t0 = std::chrono::steady_clock::now();
+            expanded += archive.run(e, sink).flowsExpanded;
+            ms.push_back(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
+        }
+        std::printf("%-14s %8zu %9.3f %15llu\n", "window 1s",
+                    perKind, medianMs(ms),
+                    static_cast<unsigned long long>(expanded));
+    }
+    {
+        std::vector<double> ms;
+        for (size_t i = 0; i < perKind; ++i) {
+            query::AggregateRequest req;
+            if (i % 2 == 0) {
+                req.kind = query::AggregateKind::FlowCounts;
+                req.expr = query::Expr::minFlowPackets(51);
+            } else {
+                req.kind = query::AggregateKind::TopTalkers;
+                req.expr = query::Expr::serverIn(
+                    static_cast<uint32_t>(i * 256 / perKind) << 24, 8);
+            }
+            auto t0 = std::chrono::steady_clock::now();
+            archive.aggregate(req);
+            ms.push_back(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
+        }
+        std::printf("%-14s %8zu %9.3f %15s\n", "aggregate", perKind,
+                    medianMs(ms), "-");
+    }
 
     std::printf("\nindex overhead: %llu bytes (%.2f%% of "
                 "archive)\n",

@@ -220,6 +220,9 @@ main(int argc, char **argv)
                         stats.chunksDecoded),
                     static_cast<unsigned long long>(
                         stats.chunksTotal));
+        std::printf("flows expanded: %llu\n",
+                    static_cast<unsigned long long>(
+                        stats.flowsExpanded));
         std::printf("bytes read:     %llu / %llu (%.1f%%)\n",
                     static_cast<unsigned long long>(stats.bytesRead),
                     static_cast<unsigned long long>(stats.fileBytes),

@@ -27,6 +27,7 @@
 #define FCC_CODEC_FCC_FCC_CODEC_HPP
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -183,6 +184,52 @@ struct FccCompressStats
     }
 };
 
+/**
+ * The per-flow random draws of §4 — client address, client port and
+ * the synthesized TCP state — in the order expandFlow consumes them.
+ */
+struct FlowHeader
+{
+    uint32_t clientIp = 0;
+    uint16_t clientPort = 0;
+    uint32_t clientSeq = 0;
+    uint32_t serverSeq = 0;
+    uint16_t clientIpId = 0;
+    uint16_t serverIpId = 0;
+    uint16_t window = 0;
+};
+
+/** What expanding one template yields, known without expanding it. */
+struct TemplateFacts
+{
+    uint64_t packets = 0;    ///< flow length (one packet per S value)
+    uint64_t wireBytes = 0;  ///< Σ 40 B header + representative payload
+    /** Short templates: packets after the first spaced by the RTT
+     *  (the rest are spaced by FccConfig::defaultGapUs). */
+    uint64_t dependent = 0;
+    /** Long templates: Σ inter-packet times after the first packet,
+     *  saturating at UINT64_MAX. */
+    uint64_t iptSumUs = 0;
+};
+
+/** TemplateFacts of every template of one Datasets. */
+struct TemplateFactTable
+{
+    std::vector<TemplateFacts> shortFacts;
+    std::vector<TemplateFacts> longFacts;
+
+    /** Facts of template @p index of the long or short dataset.
+     *  @throws fcc::util::Error when the index is out of range. */
+    const TemplateFacts &of(bool isLong, uint64_t index) const;
+};
+
+/** Inclusive span of a flow's reconstructed timestamps. */
+struct FlowSpan
+{
+    uint64_t firstUs = 0;
+    uint64_t lastUs = 0;
+};
+
 /** The proposed flow-clustering trace compressor. */
 class FccTraceCompressor : public TraceCompressor
 {
@@ -235,6 +282,32 @@ class FccTraceCompressor : public TraceCompressor
                std::vector<trace::PacketRecord> &out) const;
 
     /**
+     * Draw one flow's FlowHeader from @p rng — every draw expandFlow
+     * makes. A reader that skips a flow calls this instead of
+     * expandFlow, so the next flow sees the same RNG state either
+     * way.
+     */
+    static FlowHeader drawFlowHeader(util::Rng &rng);
+
+    /**
+     * The facts of every template of @p datasets under this
+     * configuration (payload sizes). @throws fcc::util::Error on an
+     * undecodable S value or a long template whose IPT and S lengths
+     * differ.
+     */
+    TemplateFactTable templateFacts(const Datasets &datasets) const;
+
+    /**
+     * Exact timestamp span of the packets expandFlow produces for
+     * @p record, whose template has @p facts: every packet's
+     * timestampUs() lies in [firstUs, lastUs]. Empty when that cannot
+     * be promised: an empty flow, a span that overflows 64 bits, or a
+     * last timestamp whose nanosecond value wraps.
+     */
+    std::optional<FlowSpan> flowSpan(const TemplateFacts &facts,
+                                     const TimeSeqRecord &record) const;
+
+    /**
      * Expand every record of chunk @p chunk (index into
      * Datasets::chunkSizes) into @p out, replacing its contents,
      * drawing from the chunk's own RNG stream. The packets come out
@@ -250,6 +323,9 @@ class FccTraceCompressor : public TraceCompressor
     const FccConfig &config() const { return cfg_; }
 
   private:
+    /** Representative payload of a size class (§4). */
+    uint16_t payloadOf(flow::SizeClass size) const;
+
     FccConfig cfg_;
 };
 

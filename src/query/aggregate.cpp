@@ -14,7 +14,6 @@
 #include <new>
 
 #include "codec/fcc/datasets.hpp"
-#include "flow/characterize.hpp"
 #include "query/query.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
@@ -25,68 +24,6 @@ namespace fcc::query {
 namespace fccc = fcc::codec::fcc;
 
 namespace {
-
-/** Packet count and wire-byte total of one template. */
-struct TemplateStat
-{
-    uint64_t packets = 0;
-    uint64_t wireBytes = 0;
-};
-
-uint64_t
-payloadOf(flow::SizeClass cls, const fccc::FccConfig &cfg)
-{
-    switch (cls) {
-    case flow::SizeClass::Empty:
-        return 0;
-    case flow::SizeClass::Small:
-        return cfg.smallPayload;
-    case flow::SizeClass::Large:
-        return cfg.largePayload;
-    }
-    return 0;
-}
-
-TemplateStat
-statOf(const flow::Characterizer &chi,
-       const std::vector<uint16_t> &sValues,
-       const fccc::FccConfig &cfg)
-{
-    TemplateStat out;
-    out.packets = sValues.size();
-    for (uint16_t s : sValues)
-        out.wireBytes += 40 + payloadOf(chi.decode(s).size, cfg);
-    return out;
-}
-
-/** Per-template stats for both datasets — the whole point: a flow's
- *  weight is decided here once, never by expanding its packets. */
-struct TemplateTable
-{
-    std::vector<TemplateStat> shortStats;
-    std::vector<TemplateStat> longStats;
-
-    TemplateTable(const fccc::Datasets &d,
-                  const fccc::FccConfig &cfg)
-    {
-        flow::Characterizer chi(d.weights);
-        shortStats.reserve(d.shortTemplates.size());
-        for (const flow::SfVector &t : d.shortTemplates)
-            shortStats.push_back(statOf(chi, t.values, cfg));
-        longStats.reserve(d.longTemplates.size());
-        for (const fccc::LongTemplate &t : d.longTemplates)
-            longStats.push_back(statOf(chi, t.sValues, cfg));
-    }
-
-    const TemplateStat &
-    of(bool isLong, uint64_t index) const
-    {
-        const auto &v = isLong ? longStats : shortStats;
-        util::require(index < v.size(),
-                      "fcc: template index out of range");
-        return v[index];
-    }
-};
 
 /** One chunk's (or the fallback pass's) accumulation, keyed by
  *  address-table slot so merging needs no hashing. */
@@ -103,7 +40,7 @@ struct Accumulator
     }
 
     void
-    add(size_t addrIndex, const TemplateStat &t)
+    add(size_t addrIndex, const fccc::TemplateFacts &t)
     {
         ServerAggregate &row = byAddr[addrIndex];
         row.flows += 1;
@@ -192,7 +129,7 @@ FccArchive::aggregate(const AggregateRequest &req) const
             // Flow-fidelity archives already are aggregates: each
             // record carries its packet and payload totals.
             for (const fccc::FlowRecord &fl : d.flowRecords) {
-                TemplateStat t;
+                fccc::TemplateFacts t;
                 t.packets = fl.packets;
                 t.wireBytes =
                     fl.payloadBytes + 40 * uint64_t{fl.packets};
@@ -205,10 +142,11 @@ FccArchive::aggregate(const AggregateRequest &req) const
             finishResult(acc, d.addresses, out);
             return out;
         }
-        TemplateTable table(d, cfg_);
+        fccc::TemplateFactTable facts =
+            fccc::FccTraceCompressor(cfg_).templateFacts(d);
         for (const fccc::TimeSeqRecord &rec : d.timeSeq) {
-            const TemplateStat &t =
-                table.of(rec.isLong, rec.templateIndex);
+            const fccc::TemplateFacts &t =
+                facts.of(rec.isLong, rec.templateIndex);
             Expr::FlowView flow{d.addresses[rec.addressIndex],
                                 cfg_.serverPort, t.packets};
             if (flowMatches(req.expr, flow, rec.firstTimestampUs))
@@ -221,7 +159,8 @@ FccArchive::aggregate(const AggregateRequest &req) const
     // Indexed path. Flow-start pruning is gap-safe (see aggregate.hpp
     // header), so no defaultGapUs fallback here.
     out.stats.usedIndex = true;
-    SharedRegion region = decodeSharedRegion();
+    std::shared_ptr<const SharedRegion> regionPtr = sharedRegion();
+    const SharedRegion &region = *regionPtr;
     out.stats.chunksTotal = region.chunkLen.size();
 
     std::vector<size_t> planned = plan(req.expr);
@@ -232,7 +171,6 @@ FccArchive::aggregate(const AggregateRequest &req) const
 
     bool flowProfile =
         region.shared.fidelity == fccc::Fidelity::Flow;
-    TemplateTable table(region.shared, cfg_);
     bool needTime = req.expr.usesTime();
 
     std::vector<Accumulator> perChunk(
@@ -276,7 +214,7 @@ FccArchive::aggregate(const AggregateRequest &req) const
             util::require(
                 addr[r] < region.shared.addresses.size(),
                 "fcc: address index out of range");
-            TemplateStat t;
+            fccc::TemplateFacts t;
             if (flowProfile) {
                 util::require(tmpl[r] >= 1,
                               "fcc: empty flow record");
@@ -285,7 +223,7 @@ FccArchive::aggregate(const AggregateRequest &req) const
             } else {
                 util::require(isLong[r] <= 1,
                               "fcc: bad dataset identifier");
-                t = table.of(isLong[r] == 1, tmpl[r]);
+                t = region.facts.of(isLong[r] == 1, tmpl[r]);
             }
             Expr::FlowView flow{
                 region.shared.addresses[static_cast<size_t>(

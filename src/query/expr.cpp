@@ -23,6 +23,10 @@ namespace {
  *  giving up on pruning. */
 constexpr uint32_t cidrEnumerationBits = 24;
 
+/** Largest microsecond time a packet stores without wrapping (its
+ *  timestamp is kept in nanoseconds). */
+constexpr uint64_t maxExactUs = UINT64_MAX / 1000;
+
 uint32_t
 cidrMask(uint32_t prefixBits)
 {
@@ -346,6 +350,12 @@ Expr::flowMatchNode(const Node &n, const FlowView &f)
                    ? FlowMatch::Always
                    : FlowMatch::Never;
     case Kind::TimeWindow:
+        if (!f.spanKnown)
+            return FlowMatch::PerPacket;
+        if (f.lastUs < n.t0Us || f.firstUs > n.t1Us)
+            return FlowMatch::Never;
+        if (f.firstUs >= n.t0Us && f.lastUs <= n.t1Us)
+            return FlowMatch::Always;
         return FlowMatch::PerPacket;
     case Kind::MinFlowPackets:
         return f.packets >= n.minPackets ? FlowMatch::Always
@@ -451,6 +461,10 @@ Expr::planNode(const Node &n, const codec::fcc::ChunkSummary &chunk)
         // port is a config value the planner does not know.
         return {true, false};
     case Kind::TimeWindow:
+        // Past maxExactUs a reconstructed timestamp wraps in
+        // nanoseconds, so the packet times leave the chunk bounds.
+        if (chunk.maxEndUs > maxExactUs)
+            return {true, false};
         return {chunk.overlapsTime(n.t0Us, n.t1Us),
                 n.t0Us <= chunk.minFirstUs &&
                     chunk.maxEndUs <= n.t1Us};

@@ -160,6 +160,15 @@ class Expr
         uint32_t serverIp = 0;    ///< stored destination address
         uint16_t serverPort = 0;  ///< reconstruction server port
         uint64_t packets = 0;     ///< flow length (template size)
+        /**
+         * True when every packet timestamp of the flow is known to
+         * lie in [firstUs, lastUs] (codec::fcc::FccTraceCompressor::
+         * flowSpan). Only matchesFlow() reads the span; matches()
+         * takes the packet time it is given.
+         */
+        bool spanKnown = false;
+        uint64_t firstUs = 0;
+        uint64_t lastUs = 0;
     };
 
     /** Per-flow pre-evaluation with the packet timestamp unknown. */
@@ -171,9 +180,11 @@ class Expr
     };
 
     /**
-     * Evaluate with the time leaves undecided. Executors call this
-     * once per flow and only fall back to matches() per packet on
-     * PerPacket.
+     * Evaluate one flow before any packet time is known. A time leaf
+     * decides the flow when its span is known — Never when the span
+     * misses the window, Always when the window covers it — and is
+     * PerPacket otherwise. Executors call this once per flow and only
+     * fall back to matches() per packet on PerPacket.
      */
     FlowMatch matchesFlow(const FlowView &flow) const;
 

@@ -28,37 +28,53 @@ namespace {
 
 constexpr uint32_t magicFcc3 = 0x33434346u;  // "FCC3"
 
-/** Matching packets + flow count of one expanded record range. */
+/** Matching packets and flow counts of one expanded record range. */
 struct ChunkResult
 {
     std::vector<trace::PacketRecord> packets;
     uint64_t flows = 0;
+    uint64_t expanded = 0;
 };
 
 /**
  * Expand @p records (one chunk, or the whole legacy stream) from
  * @p rngSeed, keeping only what @p expr admits, as one run in
- * canonical order. Every record is expanded even when filtered out
- * — the RNG stream must advance exactly as a full decompression
- * would, or the surviving flows would reconstruct different bytes.
+ * canonical order. Each flow is judged before any packet exists —
+ * on its server, port, size and exact timestamp span — and a flow
+ * judged Never only draws its header: the RNG stream advances
+ * exactly as a full decompression's would, so the surviving flows
+ * reconstruct the same bytes.
  */
 void
 expandFiltered(const fccc::FccTraceCompressor &codec,
                const fccc::Datasets &shared,
+               const fccc::TemplateFactTable &facts,
                std::span<const fccc::TimeSeqRecord> records,
-               uint64_t rngSeed, const Expr &expr,
-               uint16_t serverPort, ChunkResult &out)
+               uint64_t rngSeed, const Expr &expr, ChunkResult &out)
 {
     util::Rng rng(rngSeed);
     std::vector<trace::PacketRecord> flowBuf;
     for (const fccc::TimeSeqRecord &rec : records) {
+        const fccc::TemplateFacts &tmpl =
+            facts.of(rec.isLong, rec.templateIndex);
+        util::require(rec.addressIndex < shared.addresses.size(),
+                      "fcc: time-seq address index out of range");
+        Expr::FlowView flow{shared.addresses[rec.addressIndex],
+                            codec.config().serverPort, tmpl.packets};
+        if (std::optional<fccc::FlowSpan> span =
+                codec.flowSpan(tmpl, rec)) {
+            flow.spanKnown = true;
+            flow.firstUs = span->firstUs;
+            flow.lastUs = span->lastUs;
+        }
+        Expr::FlowMatch verdict = expr.matchesFlow(flow);
+        if (verdict == Expr::FlowMatch::Never) {
+            fccc::FccTraceCompressor::drawFlowHeader(rng);
+            continue;
+        }
+        ++out.expanded;
         flowBuf.clear();
         codec.expandFlow(shared, rec, rng, flowBuf);
-        Expr::FlowView flow{shared.addresses[rec.addressIndex],
-                            serverPort, flowBuf.size()};
-        Expr::FlowMatch verdict = expr.matchesFlow(flow);
-        if (verdict == Expr::FlowMatch::Never)
-            continue;
         size_t emitted = 0;
         for (const trace::PacketRecord &pkt : flowBuf) {
             if (verdict == Expr::FlowMatch::PerPacket &&
@@ -88,6 +104,7 @@ emitResults(std::vector<ChunkResult> &results,
     runs.reserve(results.size());
     for (ChunkResult &r : results) {
         stats.flowsMatched += r.flows;
+        stats.flowsExpanded += r.expanded;
         runs.push_back(std::move(r.packets));
     }
     trace::Trace out(trace::mergeCanonicalRuns(std::move(runs)));
@@ -317,10 +334,37 @@ FccArchive::decodeSharedRegion() const
         fccc::assembleFcc3Columns(region.weights, columns);
     region.shared.fidelity = fidelity;
     region.shared.quantumUs = quantumUs;
+    region.facts =
+        fccc::FccTraceCompressor(cfg_).templateFacts(region.shared);
 
     util::require(index_->chunks.size() == region.chunkLen.size(),
                   "fcc index: chunk count disagrees with container");
     return region;
+}
+
+std::shared_ptr<const FccArchive::SharedRegion>
+FccArchive::sharedRegion() const
+{
+    std::lock_guard<std::mutex> lock(regionMutex_);
+    if (!region_) {
+        try {
+            region_ = std::make_shared<const SharedRegion>(
+                decodeSharedRegion());
+        } catch (const std::bad_alloc &) {
+            // A corrupt (cap-passing) count exhausted memory —
+            // report bad input, like the container parsers do.
+            throw util::Error("query: corrupt archive exhausts "
+                              "memory");
+        }
+    }
+    return region_;
+}
+
+bool
+FccArchive::sharedRegionCached() const
+{
+    std::lock_guard<std::mutex> lock(regionMutex_);
+    return region_ != nullptr;
 }
 
 const fccc::ChunkSummary &
@@ -346,18 +390,18 @@ FccArchive::runIndexed(const Expr &expr,
     stats.usedIndex = true;
     stats.fileBytes = bytes_.size();
 
-    SharedRegion region = decodeSharedRegion();
-    util::require(region.shared.fidelity != fccc::Fidelity::Flow,
+    std::shared_ptr<const SharedRegion> region = sharedRegion();
+    util::require(region->shared.fidelity != fccc::Fidelity::Flow,
                   "query: flow-fidelity archives carry no "
                   "per-packet data; use aggregate queries");
-    stats.chunksTotal = region.chunkLen.size();
+    stats.chunksTotal = region->chunkLen.size();
 
     std::vector<size_t> planned = plan(expr);
     stats.chunksDecoded = planned.size();
-    stats.bytesRead = region.sharedEnd + region.indexBytes;
+    stats.bytesRead = region->sharedEnd + region->indexBytes;
 
     for (size_t c : planned)
-        stats.bytesRead += checkedChunk(region, c).byteLength;
+        stats.bytesRead += checkedChunk(*region, c).byteLength;
 
     fccc::FccTraceCompressor codec(cfg_);
     std::vector<ChunkResult> results(planned.size());
@@ -373,11 +417,11 @@ FccArchive::runIndexed(const Expr &expr,
         util::require(cr.exhausted(),
                       "fcc index: chunk range has trailing bytes");
         std::vector<fccc::TimeSeqRecord> records =
-            buildChunkRecords(region.shared, cols,
-                              region.chunkLen[c]);
-        expandFiltered(codec, region.shared, records,
+            buildChunkRecords(region->shared, cols,
+                              region->chunkLen[c]);
+        expandFiltered(codec, region->shared, region->facts, records,
                        fccc::chunkRngSeed(cfg_.decompressSeed, c),
-                       expr, cfg_.serverPort, results[i]);
+                       expr, results[i]);
     };
     util::runJobs(cfg_.threads, planned.size(), decodeOne);
 
@@ -399,14 +443,15 @@ FccArchive::runFullDecode(const Expr &expr,
                   "query: flow-fidelity archives carry no "
                   "per-packet data; use aggregate queries");
     fccc::FccTraceCompressor codec(cfg_);
+    fccc::TemplateFactTable facts = codec.templateFacts(d);
 
     if (d.chunkSizes.empty()) {
         // Legacy layout: one sequential RNG stream over everything.
         stats.chunksTotal = 1;
         stats.chunksDecoded = 1;
         std::vector<ChunkResult> results(1);
-        expandFiltered(codec, d, d.timeSeq, cfg_.decompressSeed,
-                       expr, cfg_.serverPort, results[0]);
+        expandFiltered(codec, d, facts, d.timeSeq,
+                       cfg_.decompressSeed, expr, results[0]);
         emitResults(results, sink, stats);
         return stats;
     }
@@ -424,9 +469,9 @@ FccArchive::runFullDecode(const Expr &expr,
     auto expandOne = [&](size_t c) {
         std::span<const fccc::TimeSeqRecord> records(
             d.timeSeq.data() + offset[c], d.chunkSizes[c]);
-        expandFiltered(codec, d, records,
+        expandFiltered(codec, d, facts, records,
                        fccc::chunkRngSeed(cfg_.decompressSeed, c),
-                       expr, cfg_.serverPort, results[c]);
+                       expr, results[c]);
     };
     util::runJobs(cfg_.threads, chunks, expandOne);
     emitResults(results, sink, stats);

@@ -40,6 +40,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -118,6 +119,13 @@ struct QueryStats
      */
     uint64_t bytesRead = 0;
     uint64_t flowsMatched = 0;
+    /**
+     * Flows whose packets were synthesized: those the expression
+     * could not rule out from the flow's server, port, size and
+     * timestamp span alone. Every other flow of a decoded chunk only
+     * advances the RNG stream.
+     */
+    uint64_t flowsExpanded = 0;
     uint64_t packetsMatched = 0;
 };
 
@@ -149,9 +157,13 @@ class NullTraceSink final : public trace::TraceSink
  * the ones a full decompression would use for the reconstruction to
  * be bit-identical (the defaults always do).
  *
- * All query entry points are const and touch only immutable state,
- * so one archive may serve concurrent queries from many threads
- * (the fccserve layer relies on this).
+ * All query entry points are const, so one archive may serve
+ * concurrent queries from many threads (the fccserve layer relies
+ * on this). The one piece of mutable state is a lazy cache: the
+ * first indexed query or aggregate decodes the shared region
+ * (templates, addresses, chunk layout) once, under a mutex, and
+ * every later query reuses it. Opening an archive never decodes it,
+ * and a decode that throws caches nothing.
  */
 class FccArchive
 {
@@ -184,6 +196,10 @@ class FccArchive
 
     /** The reconstruction configuration queries run with. */
     const codec::fcc::FccConfig &config() const { return cfg_; }
+
+    /** True once a query or aggregate has decoded and cached the
+     *  shared region. */
+    bool sharedRegionCached() const;
 
     /**
      * Chunk ids the index cannot rule out for @p expr, in ascending
@@ -224,14 +240,16 @@ class FccArchive
     /**
      * Everything the indexed layout shares across chunks: the
      * decoded header region (weights, shared datasets, per-chunk
-     * record counts) plus the byte geometry selective readers
-     * account against. Built by decodeSharedRegion(), reused by the
-     * filter and aggregate executors.
+     * record counts), the facts of every template, and the byte
+     * geometry selective readers account against. Built once per
+     * archive by sharedRegion(), read by the filter and aggregate
+     * executors.
      */
     struct SharedRegion
     {
         flow::Weights weights;
         codec::fcc::Datasets shared;     ///< templates + addresses
+        codec::fcc::TemplateFactTable facts;
         std::vector<uint64_t> chunkLen;  ///< records per chunk
         size_t sharedEnd = 0;    ///< end of the shared frames
         size_t regionEnd = 0;    ///< end of the column-frame region
@@ -242,6 +260,9 @@ class FccArchive
      *  header, shared frames and the chunk layout against the
      *  index). Requires hasIndex(). */
     SharedRegion decodeSharedRegion() const;
+
+    /** The cached shared region, decoded on first use. */
+    std::shared_ptr<const SharedRegion> sharedRegion() const;
 
     /** Validate chunk @p c's byte range against the region bounds
      *  and return its summary. */
@@ -263,6 +284,9 @@ class FccArchive
     std::optional<codec::fcc::ArchiveIndex> index_;
     bool indexedLayout_ = false;
     bool indexCorrupt_ = false;
+
+    mutable std::mutex regionMutex_;
+    mutable std::shared_ptr<const SharedRegion> region_;
 };
 
 } // namespace fcc::query

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -46,6 +47,17 @@ scratchDir()
         return d;
     }();
     return dir;
+}
+
+/**
+ * True when FCC_TEST_SMOKE is set to a non-zero value: suites shrink
+ * their workloads (the TSan job sets it).
+ */
+inline bool
+smokeTests()
+{
+    const char *env = std::getenv("FCC_TEST_SMOKE");
+    return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
 /** A file path inside scratchDir(); nothing is created. */

@@ -16,13 +16,17 @@
 
 #include <bit>
 
+#include "codec/fcc/fcc_codec.hpp"
 #include "codec/fcc/index.hpp"
 #include "query/expr.hpp"
 #include "query/query.hpp"
 #include "trace/packet.hpp"
+#include "trace/web_gen.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
+
+#include "test_common.hpp"
 
 using namespace fcc;
 using query::Expr;
@@ -302,8 +306,12 @@ TEST(ExprEval, LeavesAndCombinators)
 
 TEST(ExprEval, FlowMatchShortcutAgreesWithFullEval)
 {
+    // Half the flows carry a known span, which lets time leaves
+    // decide whole flows; then every packet time inside
+    // [firstUs, lastUs] must agree with the verdict.
     util::Rng rng(0xF00D);
-    for (int i = 0; i < 300; ++i) {
+    size_t spanDecided = 0;
+    for (int i = 0; i < 2000; ++i) {
         Expr expr = randomExpr(rng, 3);
         FlowView flow;
         flow.serverIp = static_cast<uint32_t>(
@@ -311,15 +319,70 @@ TEST(ExprEval, FlowMatchShortcutAgreesWithFullEval)
         flow.serverPort =
             static_cast<uint16_t>(rng.uniformInt(0, 1100));
         flow.packets = rng.uniformInt(1, 120);
-        uint64_t us = rng.uniformInt(0, 60'000'000);
+        std::vector<uint64_t> times;
+        if (rng.uniformInt(0, 1) == 0) {
+            times.push_back(rng.uniformInt(0, 60'000'000));
+        } else {
+            flow.spanKnown = true;
+            flow.firstUs = rng.uniformInt(0, 60'000'000);
+            flow.lastUs =
+                flow.firstUs + (rng.uniformInt(0, 3) == 0
+                                    ? 0
+                                    : rng.uniformInt(0, 8'000'000));
+            times = {flow.firstUs, flow.lastUs};
+            for (int k = 0; k < 16; ++k)
+                times.push_back(
+                    rng.uniformInt(flow.firstUs, flow.lastUs));
+            FlowView unknown = flow;
+            unknown.spanKnown = false;
+            spanDecided +=
+                expr.matchesFlow(unknown) ==
+                    query::Expr::FlowMatch::PerPacket &&
+                expr.matchesFlow(flow) !=
+                    query::Expr::FlowMatch::PerPacket;
+        }
         query::Expr::FlowMatch verdict = expr.matchesFlow(flow);
-        bool full = expr.matches(flow, us);
-        if (verdict == query::Expr::FlowMatch::Always)
-            EXPECT_TRUE(full) << expr.str();
-        else if (verdict == query::Expr::FlowMatch::Never)
-            EXPECT_FALSE(full) << expr.str();
-        // PerPacket: either answer is consistent by definition.
+        for (uint64_t us : times) {
+            bool full = expr.matches(flow, us);
+            if (verdict == query::Expr::FlowMatch::Always) {
+                EXPECT_TRUE(full) << expr.str() << " at " << us;
+            } else if (verdict == query::Expr::FlowMatch::Never) {
+                EXPECT_FALSE(full) << expr.str() << " at " << us;
+            }
+            // PerPacket: either answer is consistent by definition.
+        }
     }
+    EXPECT_GT(spanDecided, 100u);  // the span did decide flows
+}
+
+TEST(ExprEval, TimeLeafVerdictsAtSpanEdges)
+{
+    Expr window = query::parseExpr("time within [1, 2]");
+    FlowView flow;
+    flow.packets = 3;
+    flow.spanKnown = true;
+    auto verdictFor = [&](uint64_t firstUs, uint64_t lastUs) {
+        flow.firstUs = firstUs;
+        flow.lastUs = lastUs;
+        return window.matchesFlow(flow);
+    };
+    using M = query::Expr::FlowMatch;
+    EXPECT_EQ(verdictFor(1'000'000, 2'000'000), M::Always);
+    EXPECT_EQ(verdictFor(1'500'000, 1'500'000), M::Always);
+    EXPECT_EQ(verdictFor(0, 999'999), M::Never);
+    EXPECT_EQ(verdictFor(2'000'001, 3'000'000), M::Never);
+    EXPECT_EQ(verdictFor(0, 1'000'000), M::PerPacket);
+    EXPECT_EQ(verdictFor(2'000'000, 2'000'001), M::PerPacket);
+    EXPECT_EQ(verdictFor(0, 5'000'000), M::PerPacket);
+    flow.spanKnown = false;
+    EXPECT_EQ(window.matchesFlow(flow), M::PerPacket);
+    // NOT flips a decided window verdict.
+    flow.spanKnown = true;
+    flow.firstUs = 1'200'000;
+    flow.lastUs = 1'800'000;
+    EXPECT_EQ(query::parseExpr("not time within [1, 2]")
+                  .matchesFlow(flow),
+              M::Never);
 }
 
 // ---- planning -------------------------------------------------------
@@ -357,6 +420,29 @@ TEST(ExprPlan, RandomExpressionsPlanSoundly)
     }
     EXPECT_GT(mayChecked, 50u);  // the test actually exercised both
     EXPECT_GT(mustChecked, 0u);
+}
+
+TEST(ExprPlan, TimeLeavesDoNotPruneChunksWhoseTimesWrap)
+{
+    // Past UINT64_MAX / 1000 µs a packet's nanosecond timestamp
+    // wraps, so its microsecond time leaves the chunk's bounds: a
+    // time leaf may neither skip such a chunk nor promise it.
+    codec::fcc::ChunkSummary chunk;
+    chunk.records = 1;
+    chunk.maxFlowPackets = 3;
+    chunk.minFirstUs = UINT64_MAX / 1000 - 10;
+    chunk.maxEndUs = UINT64_MAX / 1000 + 10;
+    for (const char *text : {"time within [0, 1]",
+                             "not time within [0, 1]"}) {
+        query::Expr::ChunkMatch m =
+            query::parseExpr(text).planChunk(chunk);
+        EXPECT_TRUE(m.may) << text;
+        EXPECT_FALSE(m.must) << text;
+    }
+    chunk.maxEndUs = UINT64_MAX / 1000;
+    EXPECT_FALSE(query::parseExpr("time within [0, 1]")
+                     .planChunk(chunk)
+                     .may);
 }
 
 TEST(ExprPlan, DeMorganEquivalentsPlanConsistently)
@@ -419,4 +505,143 @@ TEST(ExprPlan, PredicateAdapterLowersToSamePlanAndEval)
             EXPECT_EQ(viaExpr, direct) << expr.str();
         }
     }
+}
+
+// ---- verdict-first expansion ----------------------------------------
+
+TEST(FlowHeader, SkippingFlowsByHeaderDrawKeepsTheStream)
+{
+    // A query skips a flow by drawing only its header. Expanding
+    // flow k after k header draws must give exactly the packets a
+    // full expansion of flows 0..k gives for flow k.
+    trace::WebGenConfig gcfg;
+    gcfg.seed = 11;
+    gcfg.durationSec = 2.0;
+    gcfg.flowsPerSec = 60.0;
+    trace::WebTrafficGenerator gen(gcfg);
+    trace::Trace tr = gen.generate();
+    codec::fcc::FccConfig cfg;
+    cfg.threads = 1;
+    codec::fcc::FccTraceCompressor codec(cfg);
+    codec::fcc::FccCompressStats stats;
+    codec::fcc::Datasets d = codec.buildDatasets(tr, stats);
+    ASSERT_GT(d.timeSeq.size(), 40u);
+    ASSERT_FALSE(d.longTemplates.empty());
+
+    for (size_t k = 0; k < d.timeSeq.size(); k += 7) {
+        util::Rng full(1234);
+        std::vector<trace::PacketRecord> packets;
+        for (size_t i = 0; i <= k; ++i) {
+            packets.clear();
+            codec.expandFlow(d, d.timeSeq[i], full, packets);
+        }
+        util::Rng skip(1234);
+        for (size_t i = 0; i < k; ++i)
+            codec::fcc::FccTraceCompressor::drawFlowHeader(skip);
+        std::vector<trace::PacketRecord> alone;
+        codec.expandFlow(d, d.timeSeq[k], skip, alone);
+        ASSERT_TRUE(fcc::test::samePackets(alone, packets))
+            << "flow " << k;
+        // Both streams sit at the same state afterwards.
+        EXPECT_EQ(full.next(), skip.next()) << k;
+    }
+}
+
+TEST(FlowHeader, FlowSpanBoundsEveryExpandedPacket)
+{
+    trace::WebGenConfig gcfg;
+    gcfg.seed = 12;
+    gcfg.durationSec = 3.0;
+    gcfg.flowsPerSec = 60.0;
+    trace::WebTrafficGenerator gen(gcfg);
+    trace::Trace tr = gen.generate();
+    codec::fcc::FccConfig cfg;
+    cfg.threads = 1;
+    codec::fcc::FccTraceCompressor codec(cfg);
+    codec::fcc::FccCompressStats stats;
+    codec::fcc::Datasets d = codec.buildDatasets(tr, stats);
+    // A template whose first S value carries the dependence bit:
+    // the first packet has no predecessor, so no step is taken.
+    flow::Characterizer chi(d.weights);
+    d.shortTemplates.push_back(flow::SfVector{
+        {chi.encode({flow::FlagClass::Ack, true, flow::SizeClass::Small}),
+         chi.encode({flow::FlagClass::Ack, true, flow::SizeClass::Empty}),
+         chi.encode(
+             {flow::FlagClass::Ack, false, flow::SizeClass::Large})}});
+    codec::fcc::TimeSeqRecord odd = d.timeSeq.back();
+    odd.isLong = false;
+    odd.templateIndex =
+        static_cast<uint32_t>(d.shortTemplates.size() - 1);
+    odd.rttUs = 1000;
+    d.timeSeq.push_back(odd);
+    codec::fcc::TemplateFactTable facts = codec.templateFacts(d);
+
+    util::Rng rng(99);
+    std::vector<trace::PacketRecord> packets;
+    size_t longFlows = 0;
+    for (const codec::fcc::TimeSeqRecord &rec : d.timeSeq) {
+        packets.clear();
+        codec.expandFlow(d, rec, rng, packets);
+        const codec::fcc::TemplateFacts &f =
+            facts.of(rec.isLong, rec.templateIndex);
+        ASSERT_EQ(f.packets, packets.size());
+        uint64_t wire = 0;
+        for (const trace::PacketRecord &p : packets)
+            wire += 40 + p.payloadBytes;
+        EXPECT_EQ(f.wireBytes, wire);
+        auto span = codec.flowSpan(f, rec);
+        ASSERT_TRUE(span.has_value());
+        // The span is exact: its ends are the first and last packet.
+        EXPECT_EQ(span->firstUs, packets.front().timestampUs());
+        EXPECT_EQ(span->lastUs, packets.back().timestampUs());
+        for (const trace::PacketRecord &p : packets) {
+            EXPECT_GE(p.timestampUs(), span->firstUs);
+            EXPECT_LE(p.timestampUs(), span->lastUs);
+        }
+        longFlows += rec.isLong;
+    }
+    EXPECT_GT(longFlows, 0u);
+}
+
+TEST(FlowHeader, FlowSpanUnknownOnOverflowWrapOrEmptyFlow)
+{
+    codec::fcc::FccConfig cfg;
+    codec::fcc::FccTraceCompressor codec(cfg);
+    codec::fcc::TimeSeqRecord rec;
+    codec::fcc::TemplateFacts f;
+
+    // Empty flow: no packets, no span.
+    EXPECT_FALSE(codec.flowSpan(f, rec).has_value());
+
+    // Long flow: first + ΣIPT overflows 64 bits (a saturated sum too).
+    f.packets = 3;
+    rec.isLong = true;
+    rec.firstTimestampUs = 5;
+    f.iptSumUs = UINT64_MAX;
+    EXPECT_FALSE(codec.flowSpan(f, rec).has_value());
+    rec.firstTimestampUs = 0;
+    EXPECT_FALSE(codec.flowSpan(f, rec).has_value());  // wraps in ns
+
+    // Long flow ending exactly at the last representable µs.
+    f.iptSumUs = 7;
+    rec.firstTimestampUs = UINT64_MAX / 1000 - 7;
+    auto span = codec.flowSpan(f, rec);
+    ASSERT_TRUE(span.has_value());
+    EXPECT_EQ(span->lastUs, UINT64_MAX / 1000);
+    rec.firstTimestampUs += 1;  // one past: the ns timestamp wraps
+    EXPECT_FALSE(codec.flowSpan(f, rec).has_value());
+
+    // Short flow: dependent · RTT overflows, and the sum overflows.
+    rec.isLong = false;
+    rec.firstTimestampUs = 0;
+    rec.rttUs = UINT32_MAX;
+    f.packets = UINT64_MAX;
+    f.dependent = UINT64_MAX - 1;
+    EXPECT_FALSE(codec.flowSpan(f, rec).has_value());
+    f.packets = 4;
+    f.dependent = 2;
+    rec.rttUs = 1000;
+    span = codec.flowSpan(f, rec);
+    ASSERT_TRUE(span.has_value());
+    EXPECT_EQ(span->lastUs, 2 * 1000 + 1 * uint64_t{cfg.defaultGapUs});
 }

@@ -5,23 +5,32 @@
  * exactly like unindexed ones, queries must return exactly what a
  * full decode + filter would, a corrupt index must degrade to a
  * full decode or a clean Error (never wrong output), and the Bloom
- * fingerprints must hold their false-positive bound.
+ * fingerprints must hold their false-positive bound. Flows judged
+ * before expansion must leave every result byte-identical to
+ * expanding everything and filtering, and the per-archive cache of
+ * the shared region must be built once, race-free, and never from a
+ * failed decode.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <set>
+#include <thread>
 #include <tuple>
 
 #include "codec/fcc/datasets.hpp"
 #include "codec/fcc/fcc_codec.hpp"
 #include "codec/fcc/index.hpp"
 #include "codec/fcc/stream.hpp"
+#include "query/aggregate.hpp"
 #include "query/query.hpp"
+#include "trace/scenario_gen.hpp"
+#include "trace/trace.hpp"
 #include "trace/tsh.hpp"
 #include "trace/web_gen.hpp"
 #include "util/error.hpp"
@@ -49,6 +58,7 @@ webTrace(uint64_t seed, double seconds)
     return gen.generate();
 }
 
+using fcc::test::smokeTests;
 using fcc::test::tempPath;
 
 void
@@ -599,4 +609,494 @@ TEST(QueryIndex, PlanNeverDropsAMatchingChunk)
             }
         }
     }
+}
+
+// ---- verdict-first expansion and the shared-region cache ------------
+
+namespace {
+
+/** Every flow's packets, in time-seq order, expanded the way a full
+ *  decompression does (one RNG stream per chunk). */
+std::vector<std::vector<trace::PacketRecord>>
+expandEveryFlow(const fccc::Datasets &d, const fccc::FccConfig &cfg)
+{
+    fccc::FccTraceCompressor codec(cfg);
+    std::vector<std::vector<trace::PacketRecord>> flows;
+    flows.reserve(d.timeSeq.size());
+    size_t rec = 0;
+    for (size_t c = 0; c < d.chunkSizes.size(); ++c) {
+        util::Rng rng(fccc::chunkRngSeed(cfg.decompressSeed, c));
+        for (size_t i = 0; i < d.chunkSizes[c]; ++i, ++rec) {
+            flows.emplace_back();
+            codec.expandFlow(d, d.timeSeq[rec], rng, flows.back());
+        }
+    }
+    return flows;
+}
+
+/** The ground truth: expand everything, then keep the packets
+ *  @p expr admits, in canonical order. */
+std::vector<trace::PacketRecord>
+filterReference(const fccc::Datasets &d, const fccc::FccConfig &cfg,
+                const std::vector<std::vector<trace::PacketRecord>> &flows,
+                const query::Expr &expr)
+{
+    std::vector<trace::PacketRecord> out;
+    for (size_t i = 0; i < flows.size(); ++i) {
+        const fccc::TimeSeqRecord &rec = d.timeSeq[i];
+        query::Expr::FlowView view{d.addresses[rec.addressIndex],
+                                   cfg.serverPort, flows[i].size()};
+        for (const trace::PacketRecord &pkt : flows[i])
+            if (expr.matches(view, pkt.timestampUs()))
+                out.push_back(pkt);
+    }
+    trace::sortCanonical(out);
+    return out;
+}
+
+std::vector<trace::PacketRecord>
+runExpr(const query::FccArchive &archive, const query::Expr &expr,
+        bool forceFullDecode, query::QueryStats *stats = nullptr)
+{
+    trace::Trace out;
+    trace::CollectTraceSink sink(out);
+    query::QueryStats s = archive.run(expr, sink, forceFullDecode);
+    if (stats != nullptr)
+        *stats = s;
+    return out.packets();
+}
+
+/** A random AND/OR/NOT tree whose leaves hit the archive's data:
+ *  stored servers, prefixes of them, the reconstruction port, time
+ *  windows anchored on flow starts and ends, and flow sizes. */
+query::Expr
+randomDataExpr(util::Rng &rng, const fccc::Datasets &d,
+               const std::vector<std::vector<trace::PacketRecord>> &flows,
+               int depth)
+{
+    using query::Expr;
+    if (depth <= 0 || rng.uniformInt(0, 2) == 0) {
+        size_t i = static_cast<size_t>(
+            rng.uniformInt(0, d.timeSeq.size() - 1));
+        uint32_t ip = d.addresses[d.timeSeq[i].addressIndex];
+        switch (rng.uniformInt(0, 5)) {
+        case 0:
+            return Expr::serverIs(ip);
+        case 1:
+            return Expr::serverIn(
+                ip, static_cast<uint32_t>(rng.uniformInt(8, 32)));
+        case 2:
+            return rng.uniformInt(0, 1) ? Expr::portIs(80)
+                                        : Expr::portBetween(81, 443);
+        case 3:
+        case 4: {
+            // Anchor on a flow's first or last packet, then widen.
+            const auto &pkts = flows[i];
+            uint64_t a = rng.uniformInt(0, 1)
+                             ? pkts.front().timestampUs()
+                             : pkts.back().timestampUs();
+            uint64_t before = rng.uniformInt(0, 2) == 0
+                                  ? 0
+                                  : rng.uniformInt(0, 1'500'000);
+            uint64_t after = rng.uniformInt(0, 2) == 0
+                                 ? 0
+                                 : rng.uniformInt(0, 1'500'000);
+            return Expr::timeWithin(a > before ? a - before : 0,
+                                    a + after);
+        }
+        default:
+            return Expr::minFlowPackets(rng.uniformInt(1, 120));
+        }
+    }
+    switch (rng.uniformInt(0, 2)) {
+    case 0:
+        return Expr::andOf(randomDataExpr(rng, d, flows, depth - 1),
+                           randomDataExpr(rng, d, flows, depth - 1));
+    case 1:
+        return Expr::orOf(randomDataExpr(rng, d, flows, depth - 1),
+                          randomDataExpr(rng, d, flows, depth - 1));
+    default:
+        return Expr::notOf(randomDataExpr(rng, d, flows, depth - 1));
+    }
+}
+
+/** An indexed archive of one adversarial scenario. */
+struct ScenarioArchive
+{
+    std::string tshPath;
+    std::string fccPath;
+    fccc::FccConfig cfg;
+
+    explicit ScenarioArchive(trace::ScenarioKind kind)
+        : tshPath(tempPath(std::string("verdict_") +
+                           trace::scenarioName(kind) + ".tsh")),
+          fccPath(tempPath(std::string("verdict_") +
+                           trace::scenarioName(kind) + ".fcc"))
+    {
+        trace::ScenarioConfig scfg =
+            trace::scenarioDefaults(kind, 515);
+        scfg.durationSec = 4.0;
+        if (kind == trace::ScenarioKind::Elephants) {
+            scfg.flows = 40;
+            scfg.maxFlowLen = 600;
+        } else {
+            scfg.flows = 24;
+            scfg.incastRounds = 5;
+        }
+        trace::ScenarioGenerator gen(scfg);
+        trace::writeTshFile(gen.generate(), tshPath);
+        cfg.container = fccc::ContainerFormat::Fcc3;
+        cfg.chunkRecords = 8;
+        cfg.threads = 1;
+        cfg.index = true;
+        fccc::compressTraceFile(tshPath, fccPath, cfg);
+    }
+
+    ~ScenarioArchive()
+    {
+        std::remove(tshPath.c_str());
+        std::remove(fccPath.c_str());
+    }
+};
+
+/** Index of the first shared column frame's field-codec tag byte:
+ *  after the 11-byte header comes the frame's value-count varint. */
+size_t
+firstSharedCodecTag(const std::vector<uint8_t> &bytes)
+{
+    size_t pos = 11;
+    while (bytes.at(pos) & 0x80)
+        ++pos;
+    return pos + 1;
+}
+
+} // namespace
+
+TEST(QueryVerdict, RandomExprsMatchFullDecompressionPlusFilter)
+{
+    ScenarioArchive elephants(trace::ScenarioKind::Elephants);
+    ScenarioArchive incast(trace::ScenarioKind::Incast);
+    SeedArchive &seed = seedArchive();
+    fccc::FccConfig webCfg = seed.cfg;
+    webCfg.index = true;
+    struct Case
+    {
+        const char *name;
+        std::string path;
+        fccc::FccConfig cfg;
+    };
+    const Case cases[] = {{"web", seed.idxPath, webCfg},
+                          {"elephants", elephants.fccPath,
+                           elephants.cfg},
+                          {"incast", incast.fccPath, incast.cfg}};
+    const int exprs = smokeTests() ? 6 : 24;
+    util::Rng rng(0x0E7C);
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        std::vector<uint8_t> bytes = readBytes(c.path);
+        fccc::Datasets d = fccc::deserialize(bytes);
+        ASSERT_GT(d.chunkSizes.size(), 1u);
+        auto flows = expandEveryFlow(d, c.cfg);
+        // The reference itself: unfiltered, it is the decompression.
+        trace::Trace full =
+            fccc::FccTraceCompressor(c.cfg).decompress(bytes);
+        ASSERT_TRUE(fcc::test::samePackets(
+            filterReference(d, c.cfg, flows, query::Expr::matchAll()),
+            full.packets()));
+
+        for (int e = 0; e < exprs; ++e) {
+            query::Expr expr = randomDataExpr(rng, d, flows, 3);
+            SCOPED_TRACE(expr.str());
+            auto expected = filterReference(d, c.cfg, flows, expr);
+            for (uint32_t threads : {1u, 2u, 4u}) {
+                fccc::FccConfig cfg = c.cfg;
+                cfg.threads = threads;
+                query::FccArchive archive(c.path, cfg);
+                for (bool force : {false, true}) {
+                    query::QueryStats stats;
+                    auto got = runExpr(archive, expr, force, &stats);
+                    ASSERT_EQ(stats.usedIndex, !force);
+                    ASSERT_TRUE(fcc::test::samePackets(got, expected))
+                        << threads << " threads, force " << force;
+                    EXPECT_GE(stats.flowsExpanded, stats.flowsMatched);
+                }
+            }
+        }
+    }
+}
+
+TEST(QueryVerdict, WindowEdgesOnFlowFirstAndLastPacket)
+{
+    ScenarioArchive elephants(trace::ScenarioKind::Elephants);
+    SeedArchive &seed = seedArchive();
+    fccc::FccConfig webCfg = seed.cfg;
+    webCfg.index = true;
+    size_t insideLong = 0;
+    for (const auto &[path, cfg] :
+         {std::pair{seed.idxPath, webCfg},
+          std::pair{elephants.fccPath, elephants.cfg}}) {
+        fccc::Datasets d = fccc::deserialize(readBytes(path));
+        auto flows = expandEveryFlow(d, cfg);
+        query::FccArchive archive(path, cfg);
+        for (size_t i = 0; i < flows.size();
+             i += std::max<size_t>(1, flows.size() / 12)) {
+            uint64_t first = flows[i].front().timestampUs();
+            uint64_t last = flows[i].back().timestampUs();
+            std::vector<std::pair<uint64_t, uint64_t>> windows = {
+                {first, last}, {first, first}, {last, last},
+                {first, last + 1}, {first > 0 ? first - 1 : 0, first}};
+            if (last > first) {
+                // One edge a microsecond inside the flow.
+                windows.push_back({first, last - 1});
+                windows.push_back({first + 1, last});
+            }
+            if (d.timeSeq[i].isLong && last - first >= 2) {
+                // Strictly inside a long flow: the flow is neither
+                // disjoint nor covered, so it is judged per packet.
+                windows.push_back({first + 1, last - 1});
+                windows.push_back({first + (last - first) / 3,
+                                   first + (last - first) / 2});
+                ++insideLong;
+            }
+            for (auto [t0, t1] : windows) {
+                query::Expr expr = query::Expr::timeWithin(t0, t1);
+                SCOPED_TRACE(expr.str());
+                auto expected = filterReference(d, cfg, flows, expr);
+                ASSERT_FALSE(expected.empty());
+                ASSERT_TRUE(fcc::test::samePackets(
+                    runExpr(archive, expr, false), expected));
+                ASSERT_TRUE(fcc::test::samePackets(
+                    runExpr(archive, expr, true), expected));
+            }
+        }
+    }
+    EXPECT_GT(insideLong, 0u);
+}
+
+TEST(QueryVerdict, NearWrapTimestampsFallBackToPerPacket)
+{
+    // Timestamps near 2^64 / 1000 µs: some flows end past the last
+    // microsecond a nanosecond timestamp can hold, so their packet
+    // times wrap. Their span is unknown and they must be judged per
+    // packet — and the planner must not prune their chunks by time.
+    const uint64_t top = UINT64_MAX / 1000;
+    flow::Characterizer chi;
+    auto s = [&](flow::FlagClass flag, bool dependent,
+                 flow::SizeClass size) {
+        return chi.encode(flow::PacketClass{flag, dependent, size});
+    };
+    using F = flow::FlagClass;
+    using Z = flow::SizeClass;
+    fccc::Datasets d;
+    d.shortTemplates.push_back(flow::SfVector{
+        {s(F::Syn, false, Z::Empty), s(F::SynAck, true, Z::Empty),
+         s(F::Ack, true, Z::Small), s(F::Ack, false, Z::Large),
+         s(F::FinRst, false, Z::Empty)}});
+    fccc::LongTemplate lt;
+    for (int i = 0; i < 60; ++i) {
+        lt.sValues.push_back(s(F::Ack, i % 2 == 1, Z::Large));
+        lt.iptUs.push_back(i == 0 ? 0 : 50);
+    }
+    d.longTemplates.push_back(lt);
+    d.addresses = {0x0a000001u, 0x0a000002u};
+    auto rec = [](uint64_t first, bool isLong, uint32_t rtt,
+                  uint32_t addr) {
+        fccc::TimeSeqRecord r;
+        r.firstTimestampUs = first;
+        r.isLong = isLong;
+        r.rttUs = rtt;
+        r.addressIndex = addr;
+        return r;
+    };
+    d.timeSeq = {rec(top - 100'000, false, 100, 0),  // known span
+                 rec(top - 3000, true, 0, 1),        // ends at top-50
+                 rec(top - 1000, true, 0, 0),        // wraps
+                 rec(top - 700, false, 100, 1),      // wraps
+                 rec(top - 1, false, 100, 0)};       // wraps
+
+    fccc::FccConfig cfg;
+    cfg.container = fccc::ContainerFormat::Fcc3;
+    cfg.chunkRecords = 2;
+    cfg.threads = 1;
+    cfg.index = true;
+    fccc::SizeBreakdown sizes;
+    std::string path = tempPath("near_wrap.fcc");
+    std::vector<uint8_t> bytes = fccc::serializeDatasets(d, cfg, sizes);
+    writeBytes(path, bytes);
+    fccc::Datasets back = fccc::deserialize(bytes);
+    ASSERT_EQ(back.timeSeq, d.timeSeq);
+
+    fccc::FccTraceCompressor codec(cfg);
+    fccc::TemplateFactTable facts = codec.templateFacts(back);
+    size_t unknown = 0;
+    for (const fccc::TimeSeqRecord &r : back.timeSeq)
+        unknown += !codec
+                        .flowSpan(facts.of(r.isLong, r.templateIndex),
+                                  r)
+                        .has_value();
+    EXPECT_EQ(unknown, 3u);
+
+    auto flows = expandEveryFlow(back, cfg);
+    query::FccArchive archive(path, cfg);
+    ASSERT_TRUE(archive.hasIndex());
+    const query::Expr exprs[] = {
+        query::Expr::matchAll(),
+        query::Expr::timeWithin(0, 5000),  // the wrapped packets
+        query::Expr::timeWithin(top - 800, top),
+        query::Expr::timeWithin(top - 100'000, top - 99'200),
+        query::Expr::andOf(query::Expr::serverIs(0x0a000001u),
+                           query::Expr::timeWithin(0, top)),
+        query::Expr::notOf(query::Expr::timeWithin(top - 3000, top)),
+    };
+    for (const query::Expr &expr : exprs) {
+        SCOPED_TRACE(expr.str());
+        auto expected = filterReference(back, cfg, flows, expr);
+        ASSERT_TRUE(fcc::test::samePackets(
+            runExpr(archive, expr, false), expected));
+        ASSERT_TRUE(fcc::test::samePackets(
+            runExpr(archive, expr, true), expected));
+    }
+    EXPECT_FALSE(
+        filterReference(back, cfg, flows, exprs[1]).empty());
+    std::remove(path.c_str());
+}
+
+TEST(QueryVerdict, FlowsExpandedCountsOnlyFlowsThatCanMatch)
+{
+    SeedArchive &seed = seedArchive();
+    fccc::Datasets d = fccc::deserialize(readBytes(seed.idxPath));
+    auto flows = expandEveryFlow(d, seed.cfg);
+    query::FccArchive archive(seed.idxPath, seed.cfg);
+    std::vector<size_t> chunkOf;
+    for (size_t c = 0; c < d.chunkSizes.size(); ++c)
+        chunkOf.insert(chunkOf.end(), d.chunkSizes[c], c);
+
+    // server = X: exactly the records with X in the planned chunks.
+    for (size_t pick : {size_t{0}, d.addresses.size() / 2,
+                        d.addresses.size() - 1}) {
+        uint32_t ip = d.addresses[pick];
+        query::Expr expr = query::Expr::serverIs(ip);
+        std::vector<size_t> planned = archive.plan(expr);
+        std::set<size_t> plannedSet(planned.begin(), planned.end());
+        uint64_t withX = 0;
+        for (size_t i = 0; i < d.timeSeq.size(); ++i)
+            withX += plannedSet.count(chunkOf[i]) != 0 &&
+                     d.addresses[d.timeSeq[i].addressIndex] == ip;
+        query::QueryStats stats;
+        runExpr(archive, expr, false, &stats);
+        EXPECT_EQ(stats.flowsExpanded, withX);
+        EXPECT_EQ(stats.flowsMatched, withX);
+        EXPECT_LT(stats.flowsExpanded, d.timeSeq.size());
+    }
+
+    // time within: at most the flows whose span overlaps the window.
+    uint64_t t0 = d.timeSeq[d.timeSeq.size() / 3].firstTimestampUs;
+    for (uint64_t width : {uint64_t{1}, uint64_t{250'000},
+                           uint64_t{1'000'000}}) {
+        query::Expr expr = query::Expr::timeWithin(t0, t0 + width);
+        uint64_t overlapping = 0;
+        for (const auto &pkts : flows)
+            overlapping += pkts.front().timestampUs() <= t0 + width &&
+                           pkts.back().timestampUs() >= t0;
+        for (bool force : {false, true}) {
+            query::QueryStats stats;
+            runExpr(archive, expr, force, &stats);
+            EXPECT_LE(stats.flowsExpanded, overlapping) << width;
+            EXPECT_GE(stats.flowsExpanded, stats.flowsMatched);
+            EXPECT_GT(stats.flowsMatched, 0u);
+        }
+    }
+
+    // Match-all expands every flow of every chunk.
+    query::QueryStats all;
+    runExpr(archive, query::Expr::matchAll(), false, &all);
+    EXPECT_EQ(all.flowsExpanded, d.timeSeq.size());
+}
+
+TEST(SharedRegionCache, OpeningDoesNotDecodeAndQueriesShareOneDecode)
+{
+    SeedArchive &seed = seedArchive();
+    query::FccArchive archive(seed.idxPath, seed.cfg);
+    ASSERT_TRUE(archive.hasIndex());
+    EXPECT_FALSE(archive.sharedRegionCached());
+    archive.plan(query::Expr::serverIs(1));  // planning reads the index
+    EXPECT_FALSE(archive.sharedRegionCached());
+
+    query::AggregateRequest req;
+    req.expr = query::parseExpr("flow.packets >= 2");
+    query::AggregateResult first = archive.aggregate(req);
+    EXPECT_TRUE(archive.sharedRegionCached());
+    query::AggregateResult again = archive.aggregate(req);
+    EXPECT_EQ(query::renderAggregate(first, req),
+              query::renderAggregate(again, req));
+
+    // A fresh archive answers identically from its own first decode.
+    query::FccArchive fresh(seed.idxPath, seed.cfg);
+    query::Expr expr = query::parseExpr("server in 0.0.0.0/1");
+    auto cached = runExpr(archive, expr, false);
+    EXPECT_FALSE(fresh.sharedRegionCached());
+    EXPECT_TRUE(fcc::test::samePackets(runExpr(fresh, expr, false),
+                                       cached));
+    EXPECT_TRUE(fresh.sharedRegionCached());
+}
+
+TEST(SharedRegionCache, ConcurrentFirstQueriesAgree)
+{
+    SeedArchive &seed = seedArchive();
+    fccc::Datasets d = fccc::deserialize(readBytes(seed.idxPath));
+    uint64_t t0 = d.timeSeq[d.timeSeq.size() / 2].firstTimestampUs;
+    query::Expr expr = query::Expr::orOf(
+        query::Expr::serverIs(d.addresses.front()),
+        query::Expr::timeWithin(t0, t0 + 500'000));
+    fccc::FccConfig cfg = seed.cfg;
+    cfg.threads = 2;
+    std::vector<trace::PacketRecord> reference;
+    {
+        query::FccArchive solo(seed.idxPath, cfg);
+        reference = runExpr(solo, expr, false);
+    }
+    ASSERT_FALSE(reference.empty());
+
+    for (int round = 0; round < (smokeTests() ? 2 : 6); ++round) {
+        query::FccArchive archive(seed.idxPath, cfg);
+        constexpr int kThreads = 8;
+        std::vector<std::vector<trace::PacketRecord>> got(kThreads);
+        std::atomic<int> ready{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                ready.fetch_add(1);
+                while (ready.load() < kThreads)
+                    std::this_thread::yield();
+                got[t] = runExpr(archive, expr, false);
+            });
+        }
+        for (std::thread &th : threads)
+            th.join();
+        for (int t = 0; t < kThreads; ++t)
+            ASSERT_TRUE(fcc::test::samePackets(got[t], reference))
+                << "round " << round << " thread " << t;
+    }
+}
+
+TEST(SharedRegionCache, CorruptSharedFrameThrowsOnEveryQuery)
+{
+    SeedArchive &seed = seedArchive();
+    std::vector<uint8_t> bytes = readBytes(seed.idxPath);
+    bytes[firstSharedCodecTag(bytes)] = 0xff;  // no such field codec
+    std::string path = tempPath("corrupt_shared.fcc");
+    writeBytes(path, bytes);
+
+    query::FccArchive archive(path, seed.cfg);
+    ASSERT_TRUE(archive.hasIndex());  // the tail index is intact
+    query::Expr expr = query::Expr::matchAll();
+    trace::Trace out;
+    trace::CollectTraceSink sink(out);
+    EXPECT_THROW(archive.run(expr, sink), util::Error);
+    EXPECT_FALSE(archive.sharedRegionCached());
+    EXPECT_THROW(archive.run(expr, sink), util::Error);
+    query::AggregateRequest req;
+    EXPECT_THROW(archive.aggregate(req), util::Error);
+    EXPECT_FALSE(archive.sharedRegionCached());
+    std::remove(path.c_str());
 }

@@ -50,13 +50,7 @@ namespace {
 const trace::TraceFormatSpec kTsh =
     trace::parseTraceFormatSpec("tsh");
 
-bool
-smokeTests()
-{
-    const char *env = std::getenv("FCC_TEST_SMOKE");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
+using fcc::test::smokeTests;
 using fcc::test::tempPath;
 
 std::vector<uint8_t>
