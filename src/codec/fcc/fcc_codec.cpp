@@ -6,27 +6,21 @@
  * packets from templates + time-seq records on decompression.
  * Optionally DEFLATEs the serialized datasets.
  *
- * Compression runs as a sharded pipeline: connections are
- * partitioned by 5-tuple hash into flowTable.shards shards, each
- * shard assembles/characterizes/clusters independently (and
- * concurrently on cfg.threads workers), then a deterministic merge
- * reclusters the per-shard template centres in shard order, remaps
- * template indices and emits the time-seq dataset in canonical flow
- * order. Because the shard count and merge order are fixed by the
- * config — never by the thread count — compressed output is
- * byte-identical at any thread count.
+ * Compression is CompressSession's (session.hpp): compress(Trace)
+ * feeds the whole trace into a single-epoch session and seals it, so
+ * the in-memory, file and daemon entry points write the same bytes.
+ * Threads only parallelize FCC3 column encoding and chunked
+ * expansion, whose decompositions are fixed by the config, so output
+ * is byte-identical at any thread count.
  */
 
 #include "codec/fcc/fcc_codec.hpp"
 
-#include <algorithm>
 #include <memory>
-#include <tuple>
-#include <unordered_map>
 
 #include "codec/deflate/deflate.hpp"
 #include "codec/fcc/index.hpp"
-#include "flow/template_store.hpp"
+#include "codec/fcc/session.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -35,27 +29,6 @@
 namespace fcc::codec::fcc {
 
 namespace {
-
-/**
- * RTT estimate of a short flow: the gap at the first direction
- * change (e.g. SYN -> SYN+ACK), the paper's acknowledgment
- * dependence time. Zero when the flow never changes direction.
- */
-uint32_t
-estimateRttUs(const flow::AssembledFlow &flow,
-              const trace::Trace &trace)
-{
-    for (size_t i = 1; i < flow.size(); ++i) {
-        if (flow.fromClient[i] != flow.fromClient[i - 1]) {
-            uint64_t delta =
-                trace[flow.packetIndex[i]].timestampUs() -
-                trace[flow.packetIndex[i - 1]].timestampUs();
-            return static_cast<uint32_t>(
-                std::min<uint64_t>(delta, 0xffffffffu));
-        }
-    }
-    return 0;
-}
 
 /** Draw a random class B or C address (paper §4's source rule). */
 uint32_t
@@ -124,9 +97,6 @@ FccConfig::validate() const
                   "layout (chunkRecords > 0)");
     util::require(weights.decodable(),
                   "fcc: weights are not uniquely decodable");
-    util::require(flowTable.shards > 0,
-                  "fcc: the sharded pipeline needs at least one "
-                  "shard");
     switch (fidelity) {
       case Fidelity::Exact:
       case Fidelity::Quantized:
@@ -229,8 +199,6 @@ FccTraceCompressor::FccTraceCompressor(const FccConfig &cfg)
                   "fcc: weights produce S values above one byte");
     util::require(cfg_.shortLimit >= 1,
                   "fcc: short/long split must be >= 1 packet");
-    util::require(cfg_.flowTable.shards >= 1,
-                  "fcc: shard count must be >= 1");
     // 0 means auto; anything explicit must be sane (catches signed
     // garbage like --threads -1 wrapped through uint32_t).
     util::require(cfg_.threads <= 1024,
@@ -241,153 +209,18 @@ Datasets
 FccTraceCompressor::buildDatasets(const trace::Trace &trace,
                                   FccCompressStats &stats) const
 {
-    util::require(trace.isTimeOrdered(),
-                  "fcc: input trace must be time-ordered");
+    CompressSession session(cfg_);
+    session.feed(trace.packets());
+    Datasets d = session.sealDatasets();
+
     stats = FccCompressStats{};
-
-    unsigned threads = util::resolveThreads(cfg_.threads);
-    std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 1)
-        pool = std::make_unique<util::ThreadPool>(threads);
-
-    flow::FlowTable table(cfg_.flowTable);
-    auto shardFlows = table.assembleSharded(trace, pool.get());
-    size_t shards = shardFlows.size();
-
-    // Per-flow output of a shard, slim enough to merge cheaply.
-    struct ShardFlow
-    {
-        uint64_t firstNs = 0;
-        uint64_t firstUs = 0;
-        flow::FlowKey key;
-        uint32_t serverIp = 0;
-        uint32_t localTemplate = 0;  ///< shard-local index
-        uint32_t rttUs = 0;
-        bool isLong = false;
-    };
-    struct ShardOut
-    {
-        std::vector<ShardFlow> flows;
-        std::vector<flow::SfVector> shortTemplates;
-        std::vector<LongTemplate> longTemplates;
-    };
-    std::vector<ShardOut> shardOut(shards);
-
-    // Characterize + cluster each shard independently; results land
-    // in the shard's own slot, so the outcome does not depend on
-    // scheduling.
-    auto processShard = [&](size_t s) {
-        flow::Characterizer chi(cfg_.weights);
-        flow::TemplateStore store(cfg_.rule);
-        ShardOut &out = shardOut[s];
-        out.flows.reserve(shardFlows[s].size());
-        for (const auto &flow : shardFlows[s]) {
-            flow::SfVector sf = chi.characterize(flow, trace);
-            ShardFlow o;
-            o.firstNs = flow.firstTimestampNs;
-            o.firstUs =
-                trace[flow.packetIndex.front()].timestampUs();
-            o.key = flow.key;
-            o.serverIp = flow.serverIp;
-            if (flow.size() <= cfg_.shortLimit) {
-                o.localTemplate = store.findOrInsert(sf).index;
-                o.rttUs = estimateRttUs(flow, trace);
-            } else {
-                o.isLong = true;
-                LongTemplate tmpl;
-                tmpl.sValues = sf.values;
-                tmpl.iptUs.resize(flow.size());
-                tmpl.iptUs[0] = 0;
-                for (size_t i = 1; i < flow.size(); ++i)
-                    tmpl.iptUs[i] =
-                        trace[flow.packetIndex[i]].timestampUs() -
-                        trace[flow.packetIndex[i - 1]].timestampUs();
-                o.localTemplate = static_cast<uint32_t>(
-                    out.longTemplates.size());
-                out.longTemplates.push_back(std::move(tmpl));
-            }
-            out.flows.push_back(o);
-        }
-        out.shortTemplates = store.all();
-    };
-    if (pool)
-        pool->parallelFor(shards, processShard);
-    else
-        for (size_t s = 0; s < shards; ++s)
-            processShard(s);
-
-    // ---- Deterministic merge (sequential, cheap) ----
-    Datasets d;
-    d.weights = cfg_.weights;
-
-    // Recluster the shard cluster centres into one global store in
-    // shard order; remap[s][t] is shard s's template t globally.
-    flow::TemplateStore global(cfg_.rule);
-    std::vector<std::vector<uint32_t>> remap(shards);
-    for (size_t s = 0; s < shards; ++s) {
-        remap[s].reserve(shardOut[s].shortTemplates.size());
-        for (const auto &tmpl : shardOut[s].shortTemplates)
-            remap[s].push_back(global.findOrInsert(tmpl).index);
-    }
-
-    // Canonical global flow order (the same key assembleIndices
-    // sorted each shard by — the shared helper keeps the two from
-    // drifting apart). Each shard's list is already sorted, so a
-    // k-way merge over the shard heads recovers the global order
-    // without a full sort; the linear scan over the (small, fixed)
-    // shard count per emitted flow is cheaper than a heap here.
-    auto canonicalKey = [](const ShardFlow &f) {
-        return flow::canonicalFlowOrderKey(f.firstNs, f.key);
-    };
-    size_t totalFlows = 0;
-    for (const auto &out : shardOut)
-        totalFlows += out.flows.size();
-    std::vector<size_t> cursor(shards, 0);
-
-    std::unordered_map<uint32_t, uint32_t> addrIndex;
-    addrIndex.reserve(1024);
-    d.timeSeq.reserve(totalFlows);
-    for (size_t emitted = 0; emitted < totalFlows; ++emitted) {
-        size_t s = shards;  // shard holding the smallest head
-        for (size_t cand = 0; cand < shards; ++cand) {
-            if (cursor[cand] >= shardOut[cand].flows.size())
-                continue;
-            if (s == shards ||
-                canonicalKey(shardOut[cand].flows[cursor[cand]]) <
-                    canonicalKey(shardOut[s].flows[cursor[s]]))
-                s = cand;
-        }
-        ShardFlow &o = shardOut[s].flows[cursor[s]++];
-        TimeSeqRecord rec;
-        rec.firstTimestampUs = o.firstUs;
-
-        auto [it, isNewAddr] = addrIndex.try_emplace(
-            o.serverIp, static_cast<uint32_t>(d.addresses.size()));
-        if (isNewAddr)
-            d.addresses.push_back(o.serverIp);
-        rec.addressIndex = it->second;
-
-        ++stats.flows;
-        if (!o.isLong) {
-            ++stats.shortFlows;
-            rec.isLong = false;
-            rec.templateIndex = remap[s][o.localTemplate];
-            rec.rttUs = o.rttUs;
-        } else {
-            ++stats.longFlows;
-            rec.isLong = true;
-            rec.templateIndex =
-                static_cast<uint32_t>(d.longTemplates.size());
-            d.longTemplates.push_back(
-                std::move(shardOut[s].longTemplates[o.localTemplate]));
-        }
-        d.timeSeq.push_back(rec);
-    }
-
-    stats.shortTemplatesCreated = global.size();
+    stats.flows = d.timeSeq.size();
+    stats.longFlows = d.longTemplates.size();
+    stats.shortFlows = stats.flows - stats.longFlows;
+    // A cold store: every cluster was created by a flow that uses it.
+    stats.shortTemplatesCreated = d.shortTemplates.size();
     stats.shortTemplateHits =
         stats.shortFlows - stats.shortTemplatesCreated;
-    d.shortTemplates = global.all();
     return d;
 }
 

@@ -63,12 +63,13 @@ struct FccConfig
     flow::FlowTableConfig flowTable;
 
     /**
-     * Worker threads of the sharded pipeline; 0 means
-     * hardware_concurrency, 1 runs everything on the calling thread.
-     * Output is byte-identical for every value: the shard count
-     * (flowTable.shards) and the chunk size (chunkRecords) fix the
-     * work decomposition, threads only decide how much of it runs
-     * concurrently.
+     * Worker threads of FCC3 column encode/decode and of chunked
+     * expansion; 0 means hardware_concurrency, 1 runs everything on
+     * the calling thread. Flow assembly and clustering are the
+     * session's online pass and run on the calling thread. Output is
+     * byte-identical for every value: the container layout and the
+     * chunk size (chunkRecords) fix the work decomposition, threads
+     * only decide how much of it runs concurrently.
      */
     uint32_t threads = 0;
 
@@ -154,8 +155,8 @@ struct FccConfig
     /**
      * The single validation entry point: every constraint between
      * the knobs above (container/backend tags in range, the index
-     * needs the chunked fcc3 layout, decodable weights, a non-empty
-     * shard partition) checked in one place. Sessions validate on
+     * needs the chunked fcc3 layout, decodable weights, the tier's
+     * container) checked in one place. Sessions validate on
      * open, the tools validate right after flag parsing, and the
      * query catalog validates what it plans with — all through this
      * method, so a bad combination fails the same way everywhere.
@@ -245,12 +246,23 @@ class FccTraceCompressor : public TraceCompressor
     trace::Trace
     decompress(std::span<const uint8_t> data) const override;
 
-    /** compress() and additionally report cluster statistics. */
+    /**
+     * compress() and additionally report cluster statistics. Like
+     * compress(), this feeds @p trace into a single-epoch
+     * CompressSession and seals it: the bytes equal what
+     * compressTraceFile() or a session fed the same packets writes.
+     *
+     * @throws fcc::util::Error if @p trace is not time-ordered.
+     */
     std::vector<uint8_t>
     compressWithStats(const trace::Trace &trace,
                       FccCompressStats &stats) const;
 
-    /** Build the in-memory datasets without serializing. */
+    /**
+     * The datasets compress() serializes, unserialized: the closed
+     * epoch of a single-epoch CompressSession fed @p trace
+     * (CompressSession::sealDatasets()).
+     */
     Datasets
     buildDatasets(const trace::Trace &trace,
                   FccCompressStats &stats) const;

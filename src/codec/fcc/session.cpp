@@ -1,16 +1,19 @@
 /**
  * @file
- * Session-based compression/decompression: the open-ended epoch
- * machinery the one-shot wrappers of stream.cpp and the archiver
- * daemon (src/archive) both run on. The flow-closing rules are the
- * paper's §3 (graceful FIN/FIN/ACK, RST, idle timeout), the
- * reconstruction path the §4 bounded-memory flush.
+ * Session-based compression/decompression: the one compressor every
+ * entry point runs on (FccTraceCompressor::compress, the one-shot
+ * wrappers of stream.cpp, the archiver daemon of src/archive), and
+ * the §4 bounded-memory flush of the read side. The flow-closing
+ * rules are the paper's §3, shared with flow::FlowTable through
+ * flow::Connection.
  */
 
 #include "codec/fcc/session.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
+#include <tuple>
 
 #include "trace/tsh.hpp"
 #include "util/error.hpp"
@@ -26,13 +29,14 @@ namespace fcc::codec::fcc {
  */
 struct CompressSession::OpenFlow
 {
-    uint32_t clientIp = 0;
-    uint16_t clientPort = 0;
-    uint32_t serverIp = 0;
-    bool clientKnown = false;
+    explicit OpenFlow(const trace::PacketRecord &first)
+        : conn(first), firstNs(first.timestampNs)
+    {
+    }
+
+    flow::Connection conn;
+    uint64_t firstNs = 0;
     bool prevFromClient = true;
-    bool finFromClient = false;
-    bool finFromServer = false;
     uint32_t rttUs = 0;  ///< first direction-change gap
     std::vector<uint16_t> sValues;
     std::vector<uint64_t> packetUs;
@@ -68,33 +72,23 @@ CompressSession::feed(const trace::PacketRecord &pkt)
 
     flow::FlowKey key = flow::FlowKey::fromPacket(pkt);
     auto it = open_.find(key);
-    if (it != open_.end() && cfg_.flowTable.idleTimeoutNs > 0 &&
-        !it->second.packetUs.empty() &&
-        pkt.timestampNs - it->second.packetUs.back() * 1000 >
-            cfg_.flowTable.idleTimeoutNs) {
-        closeFlow(it->second);
+    if (it != open_.end() &&
+        it->second.conn.idleExpired(pkt.timestampNs,
+                                    cfg_.flowTable.idleTimeoutNs)) {
+        closeFlow(key, it->second);
         open_.erase(it);
         it = open_.end();
     }
     if (it == open_.end())
-        it = open_.emplace(key, OpenFlow{}).first;
+        it = open_.try_emplace(key, pkt).first;
     OpenFlow &flowState = it->second;
-
-    if (!flowState.clientKnown) {
-        bool synAck = pkt.hasSyn() && pkt.hasAck();
-        flowState.clientIp = synAck ? pkt.dstIp : pkt.srcIp;
-        flowState.clientPort = synAck ? pkt.dstPort : pkt.srcPort;
-        flowState.serverIp = synAck ? pkt.srcIp : pkt.dstIp;
-        flowState.clientKnown = true;
-    }
-    bool fromClient = pkt.srcIp == flowState.clientIp &&
-                      pkt.srcPort == flowState.clientPort;
+    flow::Connection::Step step = flowState.conn.observe(pkt);
 
     flow::PacketClass cls;
     cls.flag = flow::flagClass(pkt.tcpFlags);
     cls.size = flow::sizeClass(pkt.payloadBytes);
     cls.dependent = !flowState.sValues.empty() &&
-                    fromClient != flowState.prevFromClient;
+                    step.fromClient != flowState.prevFromClient;
     if (cls.dependent && flowState.rttUs == 0) {
         uint64_t gap = pkt.timestampUs() - flowState.packetUs.back();
         flowState.rttUs = static_cast<uint32_t>(
@@ -102,20 +96,11 @@ CompressSession::feed(const trace::PacketRecord &pkt)
     }
     flowState.sValues.push_back(chi_.encode(cls));
     flowState.packetUs.push_back(pkt.timestampUs());
-    flowState.prevFromClient = fromClient;
+    flowState.prevFromClient = step.fromClient;
 
-    if (pkt.hasFin()) {
-        if (fromClient)
-            flowState.finFromClient = true;
-        else
-            flowState.finFromServer = true;
-    }
-    bool gracefulDone = flowState.finFromClient &&
-                        flowState.finFromServer && !pkt.hasFin() &&
-                        pkt.hasAck();
-    if (pkt.hasRst() || gracefulDone) {
-        closeFlow(flowState);
-        open_.erase(key);
+    if (step.closed) {
+        closeFlow(key, flowState);
+        open_.erase(it);
     }
 }
 
@@ -142,19 +127,19 @@ CompressSession::rotateChunk()
 }
 
 void
-CompressSession::closeFlow(OpenFlow &flowState)
+CompressSession::closeFlow(const flow::FlowKey &key,
+                           OpenFlow &flowState)
 {
-    if (flowState.sValues.empty())
-        return;
     ++stats_.flows;
     TimeSeqRecord rec;
     rec.firstTimestampUs = flowState.packetUs.front();
+    recordOrder_.push_back({flowState.firstNs, key});
 
     auto [it, isNew] = addrIndex_.try_emplace(
-        flowState.serverIp,
+        flowState.conn.serverIp,
         static_cast<uint32_t>(datasets_.addresses.size()));
     if (isNew)
-        datasets_.addresses.push_back(flowState.serverIp);
+        datasets_.addresses.push_back(flowState.conn.serverIp);
     rec.addressIndex = it->second;
 
     if (flowState.sValues.size() <= cfg_.shortLimit) {
@@ -166,9 +151,7 @@ CompressSession::closeFlow(OpenFlow &flowState)
         // Compact to per-epoch template indices (first-use order) so
         // a sealed archive only carries the templates it references
         // — self-contained whatever earlier epochs left in the
-        // store. With a cold store this is the identity map, which
-        // is what keeps single-epoch output bit-identical to the
-        // historical one-shot path.
+        // store. With a cold store this is the identity map.
         auto [rit, isNewRef] = templateRemap_.try_emplace(
             match.index,
             static_cast<uint32_t>(templateOrder_.size()));
@@ -193,22 +176,56 @@ CompressSession::closeFlow(OpenFlow &flowState)
     datasets_.timeSeq.push_back(rec);
 }
 
-std::vector<uint8_t>
-CompressSession::seal(SealInfo *info)
+void
+CompressSession::closeEpoch()
 {
     util::require(!sealed_,
                   "fcc session: seal() on a sealed session");
     sealed_ = true;
 
-    for (auto &[key, flowState] : open_)
-        closeFlow(flowState);
-    open_.clear();
-    // Flows close out of order; the time-seq dataset is sorted by
-    // first-packet timestamp (one record per flow).
-    std::sort(datasets_.timeSeq.begin(), datasets_.timeSeq.end(),
-              [](const TimeSeqRecord &a, const TimeSeqRecord &b) {
-                  return a.firstTimestampUs < b.firstTimestampUs;
+    // Flows still open close in canonical order, not the map's
+    // unspecified one: close order picks the address-dictionary
+    // order, the template first-use order and the clustering order.
+    using OpenEntry = decltype(open_)::value_type;
+    std::vector<OpenEntry *> still;
+    still.reserve(open_.size());
+    for (OpenEntry &entry : open_)
+        still.push_back(&entry);
+    std::sort(still.begin(), still.end(),
+              [](const OpenEntry *a, const OpenEntry *b) {
+                  return flow::canonicalFlowOrderKey(a->second.firstNs,
+                                                     a->first) <
+                         flow::canonicalFlowOrderKey(b->second.firstNs,
+                                                     b->first);
               });
+    for (OpenEntry *entry : still)
+        closeFlow(entry->first, entry->second);
+    open_.clear();
+
+    // Flows close out of order; the time-seq dataset is in canonical
+    // flow order. Equal keys (a 5-tuple reused within one
+    // nanosecond) keep their close order.
+    size_t records = datasets_.timeSeq.size();
+    std::vector<uint32_t> order(records);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [this](uint32_t a, uint32_t b) {
+                  const RecordOrder &x = recordOrder_[a];
+                  const RecordOrder &y = recordOrder_[b];
+                  return std::tuple(flow::canonicalFlowOrderKey(
+                                        x.firstNs, x.key),
+                                    a) <
+                         std::tuple(flow::canonicalFlowOrderKey(
+                                        y.firstNs, y.key),
+                                    b);
+              });
+    std::vector<TimeSeqRecord> sorted;
+    sorted.reserve(records);
+    for (uint32_t i : order)
+        sorted.push_back(datasets_.timeSeq[i]);
+    datasets_.timeSeq = std::move(sorted);
+    recordOrder_.clear();
+
     datasets_.shortTemplates.clear();
     datasets_.shortTemplates.reserve(templateOrder_.size());
     for (uint32_t storeIndex : templateOrder_)
@@ -218,7 +235,6 @@ CompressSession::seal(SealInfo *info)
     // sorted by flow start, so "everything started by the cut" is a
     // prefix; the record-count policy still slices inside segments.
     if (!chunkCutsUs_.empty()) {
-        size_t records = datasets_.timeSeq.size();
         std::vector<uint32_t> layout;
         size_t begin = 0;
         auto emitSegment = [&](size_t end) {
@@ -244,10 +260,23 @@ CompressSession::seal(SealInfo *info)
         emitSegment(records);
         datasets_.chunkSizes = std::move(layout);
     }
+}
+
+Datasets
+CompressSession::sealDatasets()
+{
+    closeEpoch();
+    return std::move(datasets_);
+}
+
+std::vector<uint8_t>
+CompressSession::seal(SealInfo *info)
+{
+    closeEpoch();
 
     SizeBreakdown sizes;
-    // Container dispatch (FCC1/FCC2/FCC3) shared with the in-memory
-    // codec; FCC3 runs its per-column encode jobs on cfg.threads.
+    // Container dispatch (FCC1/FCC2/FCC3); FCC3 runs its per-column
+    // encode jobs on cfg.threads.
     std::vector<uint8_t> bytes =
         serializeDatasets(datasets_, cfg_, sizes);
 
@@ -294,9 +323,8 @@ CompressSession::resetEpoch()
 {
     datasets_ = Datasets{};
     datasets_.weights = cfg_.weights;
-    // A fresh map, not clear(): clear() keeps the grown bucket
-    // count, and seal()'s final sweep iterates this map — a re-armed
-    // epoch must walk it in exactly a fresh session's order.
+    recordOrder_.clear();
+    // A fresh map, not clear(): clear() keeps the grown bucket array.
     open_ = decltype(open_){};
     addrIndex_.clear();
     templateRemap_.clear();

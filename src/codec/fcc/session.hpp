@@ -1,16 +1,27 @@
 /**
  * @file
- * Session-based compression API: the open-ended form of the FCC
- * codec the continuous-capture archiver (src/archive, fccd) runs on.
+ * Session-based compression API: the FCC compressor itself. Every
+ * compression entry point runs on a CompressSession — the one-shot
+ * FccTraceCompressor::compress(Trace), the file wrappers of
+ * stream.hpp and the continuous-capture archiver (src/archive,
+ * fccd) — so the same packets give the same archive bytes whichever
+ * of them produced it, at any thread count.
  *
- * The one-shot entry points of stream.hpp compress exactly one
- * source into exactly one file. A CompressSession decouples the
- * three lifetimes that conflates: packets are feed() in whenever
- * they arrive, chunk boundaries are cut on demand (rotateChunk(),
+ * The session is the paper's online compressor (§3): packets are
+ * feed() in as they arrive and grouped by 5-tuple; when a
+ * connection's teardown completes (flow::Connection: RST, the ACK
+ * after both FINs, or an idle timeout) the flow is characterized,
+ * clustered against the template store and appended to the epoch's
+ * datasets. Chunk boundaries are cut on demand (rotateChunk(),
  * time-based, on top of the record-count slicing of
  * FccConfig::chunkRecords), and seal() closes the current *epoch*
  * into one self-contained archive — after which reArm() starts the
  * next epoch without rebuilding the session.
+ *
+ * Output depends only on the packets: flows still open at the end of
+ * an epoch close in canonical (first timestamp, 5-tuple) order, and
+ * the time-seq dataset is sorted by that same key
+ * (flow::canonicalFlowOrderKey).
  *
  * Template carry: the short-flow cluster store (flow::TemplateStore)
  * survives seal()/reArm() when SessionOptions::carryTemplates is
@@ -19,9 +30,8 @@
  * from nothing (the recluster warm-up a cold run pays). Sealed
  * archives stay self-contained either way: each epoch serializes
  * only the templates it referenced, renumbered in first-use order —
- * which is also why a single-epoch session is bit-identical to the
- * historical one-shot path, and why a carry-off session's epochs are
- * bit-identical to independent one-shot runs over the split input.
+ * which is why a carry-off session's epochs are bit-identical to
+ * independent one-shot runs over the split input.
  *
  * DecompressSession is the matching read side: one session holds the
  * config and cumulative stats while open()/drainTo() iterate over
@@ -78,9 +88,9 @@ struct SealInfo
  * starts the next epoch. Input must be time-ordered within an epoch;
  * reArm() resets the clock, so epochs may restart from zero.
  *
- * The one-shot wrappers of stream.hpp are thin shells over a
- * single-epoch session; anything they can produce, a session seals
- * byte-identically.
+ * FccTraceCompressor::compress() and the one-shot wrappers of
+ * stream.hpp are thin shells over a single-epoch session; anything
+ * they can produce, a session seals byte-identically.
  */
 class CompressSession
 {
@@ -127,6 +137,16 @@ class CompressSession
      * @throws fcc::util::Error when already sealed.
      */
     std::vector<uint8_t> seal(SealInfo *info = nullptr);
+
+    /**
+     * Close the epoch exactly as seal() does, but return the datasets
+     * seal() would serialize instead of their bytes. The session
+     * becomes sealed until reArm() and keeps no copy; stats() count
+     * no sealed archive.
+     *
+     * @throws fcc::util::Error when already sealed.
+     */
+    Datasets sealDatasets();
 
     /** seal() straight into a file (plain write — the crash-safe
      *  fsync/rename discipline lives in archive::ArchiveWriter). */
@@ -176,7 +196,15 @@ class CompressSession
   private:
     struct OpenFlow;
 
-    void closeFlow(OpenFlow &flowState);
+    /** Where a closed flow sorts in the time-seq dataset. */
+    struct RecordOrder
+    {
+        uint64_t firstNs = 0;
+        flow::FlowKey key;
+    };
+
+    void closeFlow(const flow::FlowKey &key, OpenFlow &flowState);
+    void closeEpoch();
     void resetEpoch();
 
     FccConfig cfg_;
@@ -186,6 +214,8 @@ class CompressSession
 
     // Per-epoch state, reset by reArm().
     Datasets datasets_;
+    /** Sort key of each datasets_.timeSeq record, parallel to it. */
+    std::vector<RecordOrder> recordOrder_;
     std::unordered_map<flow::FlowKey, OpenFlow> open_;
     std::unordered_map<uint32_t, uint32_t> addrIndex_;
     /** store index -> this epoch's compacted template index. */

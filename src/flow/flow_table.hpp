@@ -6,7 +6,10 @@
  * Mirrors the paper's compressor front end (§3): packets are grouped
  * by canonical 5-tuple; a connection is flushed when its teardown
  * completes (RST, or the ACK following FINs in both directions), when
- * it stays idle longer than a timeout, or at end of trace.
+ * it stays idle longer than a timeout, or at end of trace. The
+ * per-connection rules live in one place, Connection, which both
+ * FlowTable and the online compressor (codec::fcc::CompressSession)
+ * run, so analysis and compression split a trace into the same flows.
  */
 
 #ifndef FCC_FLOW_FLOW_TABLE_HPP
@@ -14,18 +17,84 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <tuple>
 #include <vector>
 
 #include "flow/flow_key.hpp"
 #include "trace/trace.hpp"
 
-namespace fcc::util {
-class ThreadPool;
-}
-
 namespace fcc::flow {
+
+/**
+ * The §3 rules of one open connection. The initiator is the sender
+ * of the first packet, unless that packet is a SYN+ACK (capture
+ * started mid-handshake), in which case the receiver initiated. The
+ * connection ends on RST, on the pure ACK after FINs in both
+ * directions, or — decided before the next packet is accounted — when
+ * it has been idle longer than the timeout.
+ */
+struct Connection
+{
+    uint32_t clientIp = 0;
+    uint32_t serverIp = 0;
+    uint16_t clientPort = 0;
+    uint16_t serverPort = 0;
+    uint64_t lastNs = 0;  ///< timestamp of the latest packet
+    bool finFromClient = false;
+    bool finFromServer = false;
+
+    /** Open a connection at its first packet (then observe() it). */
+    explicit Connection(const trace::PacketRecord &first)
+        : lastNs(first.timestampNs)
+    {
+        bool synAck = first.hasSyn() && first.hasAck();
+        clientIp = synAck ? first.dstIp : first.srcIp;
+        clientPort = synAck ? first.dstPort : first.srcPort;
+        serverIp = synAck ? first.srcIp : first.dstIp;
+        serverPort = synAck ? first.srcPort : first.dstPort;
+    }
+
+    /**
+     * True when a packet of the same 5-tuple at @p nowNs starts a new
+     * connection instead (ephemeral port reuse): the gap since the
+     * latest packet exceeds @p idleTimeoutNs, in whole nanoseconds.
+     * A timeout of 0 never expires.
+     */
+    bool
+    idleExpired(uint64_t nowNs, uint64_t idleTimeoutNs) const
+    {
+        return idleTimeoutNs > 0 && nowNs - lastNs > idleTimeoutNs;
+    }
+
+    /** What observe() learned from one packet. */
+    struct Step
+    {
+        bool fromClient = false;
+        bool closed = false;  ///< teardown complete: flush the flow
+    };
+
+    /** Account one packet of this connection, the first included. */
+    Step
+    observe(const trace::PacketRecord &pkt)
+    {
+        Step step;
+        step.fromClient =
+            pkt.srcIp == clientIp && pkt.srcPort == clientPort;
+        lastNs = pkt.timestampNs;
+        if (pkt.hasFin()) {
+            if (step.fromClient)
+                finFromClient = true;
+            else
+                finFromServer = true;
+        }
+        // RST ends the connection immediately; a pure ACK after FINs
+        // in both directions is the final ack of a graceful close.
+        bool gracefulDone = finFromClient && finFromServer &&
+                            !pkt.hasFin() && pkt.hasAck();
+        step.closed = pkt.hasRst() || gracefulDone;
+        return step;
+    }
+};
 
 /** One assembled bidirectional connection. */
 struct AssembledFlow
@@ -52,24 +121,12 @@ struct FlowTableConfig
 {
     /** Idle gap that closes a connection (0 disables). */
     uint64_t idleTimeoutNs = 60ull * 1000000000ull;
-    /** Drop single-packet groups (the paper's flows start at 2). */
-    bool dropSinglePacketFlows = false;
-    /**
-     * Shard count of the sharded pipeline. Connections are
-     * partitioned by 5-tuple hash, so every packet of a connection
-     * lands in one shard and shards assemble independently. The
-     * count is part of the output contract — it must NOT be derived
-     * from the thread count, or compressed output would change with
-     * the machine (see FccConfig::threads).
-     */
-    uint32_t shards = 16;
 };
 
 /**
  * Sort key of the deterministic flow order: first-packet timestamp,
- * ties broken by the canonical 5-tuple. Every code path that orders
- * flows (per-shard sort, cross-shard merge) must use this one key or
- * merged output would depend on the decomposition.
+ * ties broken by the canonical 5-tuple. FlowTable's output and the
+ * compressor's time-seq dataset are both in this order.
  */
 inline auto
 canonicalFlowOrderKey(uint64_t firstTimestampNs, const FlowKey &key)
@@ -84,8 +141,8 @@ bool canonicalFlowLess(const AssembledFlow &a, const AssembledFlow &b);
 /**
  * Assembles connections out of a packet trace.
  *
- * The input must be time-ordered; flows are returned ordered by their
- * first packet's timestamp, matching the paper's time-seq dataset
+ * The input must be time-ordered; flows are returned in
+ * canonicalFlowLess order, matching the paper's time-seq dataset
  * order.
  */
 class FlowTable
@@ -99,36 +156,6 @@ class FlowTable
      * @throws fcc::util::Error if @p trace is not time-ordered.
      */
     std::vector<AssembledFlow> assemble(const trace::Trace &trace) const;
-
-    /**
-     * Partition packet indices by 5-tuple hash into cfg.shards
-     * time-ordered lists. The result depends only on the trace and
-     * the shard count, never on @p pool (which merely parallelizes
-     * the scan); pass nullptr to run on the calling thread.
-     */
-    std::vector<std::vector<uint32_t>>
-    partition(const trace::Trace &trace, util::ThreadPool *pool) const;
-
-    /**
-     * Assemble the connections of one shard: @p indices must be a
-     * time-ordered packet-index list that is closed under flow
-     * membership (all packets of a 5-tuple or none — partition()
-     * guarantees this). Flows are returned in canonicalFlowLess
-     * order with dropSinglePacketFlows applied.
-     */
-    std::vector<AssembledFlow>
-    assembleIndices(const trace::Trace &trace,
-                    std::span<const uint32_t> indices) const;
-
-    /**
-     * partition() + per-shard assembleIndices(), shards run
-     * concurrently on @p pool (nullptr = sequential). Element s holds
-     * shard s's flows; the concatenation sorted by canonicalFlowLess
-     * equals assemble() up to tie order.
-     */
-    std::vector<std::vector<AssembledFlow>>
-    assembleSharded(const trace::Trace &trace,
-                    util::ThreadPool *pool) const;
 
   private:
     FlowTableConfig cfg_;

@@ -179,6 +179,9 @@ TEST(FlowTable, GracefulCloseEndsAfterFinalAck)
     t.add(mkPacket(2, 80, 1, 100, tf::Syn | tf::Ack, 0, 100));
     t.add(mkPacket(1, 100, 2, 80, tf::Ack, 0, 200));
     t.add(mkPacket(2, 80, 1, 100, tf::Fin | tf::Ack, 0, 300));
+    // An ACK after a FIN in one direction only: a half-close, the
+    // connection stays open.
+    t.add(mkPacket(1, 100, 2, 80, tf::Ack, 0, 350));
     t.add(mkPacket(1, 100, 2, 80, tf::Fin | tf::Ack, 0, 400));
     t.add(mkPacket(2, 80, 1, 100, tf::Ack, 0, 500));
     // New connection on the same tuple.
@@ -187,7 +190,7 @@ TEST(FlowTable, GracefulCloseEndsAfterFinalAck)
     FlowTable table;
     auto flows = table.assemble(t);
     ASSERT_EQ(flows.size(), 2u);
-    EXPECT_EQ(flows[0].size(), 6u);
+    EXPECT_EQ(flows[0].size(), 7u);
     EXPECT_EQ(flows[1].size(), 1u);
 }
 

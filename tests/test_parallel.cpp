@@ -2,8 +2,7 @@
  * @file
  * Parallel pipeline tests: thread-count determinism of compression
  * and decompression, FCC2 chunked container round trips, FCC1
- * backward compatibility, sharded flow assembly equivalence, and
- * thread pool basics.
+ * backward compatibility, and thread pool basics.
  */
 
 #include <gtest/gtest.h>
@@ -88,49 +87,6 @@ TEST(ThreadPool, ManySmallTasksBalance)
     std::atomic<uint64_t> sum{0};
     pool.parallelFor(1000, [&](size_t i) { sum.fetch_add(i); });
     EXPECT_EQ(sum.load(), 1000ull * 999 / 2);
-}
-
-TEST(Sharding, ShardedAssemblyMatchesSequential)
-{
-    trace::Trace tr = webTrace(41, 8.0);
-    flow::FlowTable table;
-    auto sequential = table.assemble(tr);
-
-    util::ThreadPool pool(4);
-    auto sharded = table.assembleSharded(tr, &pool);
-
-    std::vector<flow::AssembledFlow> merged;
-    for (auto &shard : sharded)
-        for (auto &f : shard)
-            merged.push_back(std::move(f));
-    std::sort(merged.begin(), merged.end(), flow::canonicalFlowLess);
-
-    ASSERT_EQ(merged.size(), sequential.size());
-    for (size_t i = 0; i < merged.size(); ++i) {
-        EXPECT_EQ(merged[i].key, sequential[i].key);
-        EXPECT_EQ(merged[i].packetIndex, sequential[i].packetIndex);
-        EXPECT_EQ(merged[i].fromClient, sequential[i].fromClient);
-        EXPECT_EQ(merged[i].clientIp, sequential[i].clientIp);
-        EXPECT_EQ(merged[i].serverIp, sequential[i].serverIp);
-    }
-}
-
-TEST(Sharding, PartitionIsThreadCountInvariant)
-{
-    trace::Trace tr = webTrace(42, 6.0);
-    flow::FlowTable table;
-    auto solo = table.partition(tr, nullptr);
-    util::ThreadPool pool(8);
-    auto pooled = table.partition(tr, &pool);
-    ASSERT_EQ(solo.size(), pooled.size());
-    for (size_t s = 0; s < solo.size(); ++s)
-        EXPECT_EQ(solo[s], pooled[s]) << "shard " << s;
-
-    // Every packet lands in exactly one shard.
-    size_t total = 0;
-    for (const auto &shard : solo)
-        total += shard.size();
-    EXPECT_EQ(total, tr.size());
 }
 
 TEST(Parallel, CompressedBytesIdenticalAcrossThreadCounts)

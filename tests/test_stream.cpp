@@ -1,7 +1,8 @@
 /**
  * @file
- * Streaming (file-to-file) FCC interface tests: equivalence with the
- * in-memory codec, the §4 incremental flush (the sorted-run drain,
+ * Streaming (file-to-file) FCC interface tests: one output contract
+ * (every compression entry point writes the same bytes), the
+ * session's ordering rules, the §4 incremental flush (the sorted-run drain,
  * byte-identical to expand() and the golden references at any
  * thread count), and error paths.
  */
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <span>
 
 #include "codec/fcc/datasets.hpp"
 #include "codec/fcc/fcc_codec.hpp"
@@ -19,6 +21,8 @@
 #include "codec/fcc/stream.hpp"
 #include "flow/flow_stats.hpp"
 #include "flow/flow_table.hpp"
+#include "trace/pcapng.hpp"
+#include "trace/scenario_gen.hpp"
 #include "trace/tsh.hpp"
 #include "trace/web_gen.hpp"
 #include "util/error.hpp"
@@ -41,6 +45,7 @@ webTrace(uint64_t seed, double seconds)
     return gen.generate();
 }
 
+using fcc::test::smokeTests;
 using fcc::test::tempPath;
 
 /** Explicit TSH spec: these fixtures move raw 44-byte records. */
@@ -106,24 +111,188 @@ TEST(Stream, CompressedFileDecodesLikeInMemory)
     std::remove(fccOut.c_str());
 }
 
-TEST(Stream, StreamingRatioMatchesInMemory)
+namespace {
+
+/** Read a whole file as bytes. */
+std::vector<uint8_t>
+readBytes(const std::string &path)
 {
-    trace::Trace original = webTrace(32, 6.0);
-    std::string tshIn = tempPath("ratio_in.tsh");
-    std::string fccOut = tempPath("ratio_out.fcc");
-    trace::writeTshFile(original, tshIn);
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                                std::istreambuf_iterator<char>());
+}
 
-    auto stats = fccc::compressTraceFile(tshIn, fccOut, {}, kTsh);
-    fccc::FccTraceCompressor codec;
-    size_t inMemory = codec.compress(original).size();
-    // Template indices can differ (flows close in a different order)
-    // but the sizes must be nearly identical.
-    EXPECT_NEAR(static_cast<double>(stats.outputBytes),
-                static_cast<double>(inMemory),
-                static_cast<double>(inMemory) * 0.02);
+/** Seal a fresh session fed @p tr in batches of @p batch packets. */
+std::vector<uint8_t>
+sessionBytes(const trace::Trace &tr, const fccc::FccConfig &cfg,
+             size_t batch)
+{
+    fccc::CompressSession session(cfg);
+    std::span<const trace::PacketRecord> all(tr.packets());
+    for (size_t i = 0; i < all.size(); i += batch)
+        session.feed(all.subspan(i, std::min(batch, all.size() - i)));
+    return session.seal();
+}
 
-    std::remove(tshIn.c_str());
-    std::remove(fccOut.c_str());
+/** The web mix and every adversarial scenario, test-sized. */
+std::vector<std::pair<std::string, trace::Trace>>
+contractTraces()
+{
+    std::vector<std::pair<std::string, trace::Trace>> out;
+    out.emplace_back("web", webTrace(34, smokeTests() ? 2.0 : 5.0));
+    for (trace::ScenarioKind kind : trace::allScenarios()) {
+        trace::ScenarioConfig cfg = trace::scenarioDefaults(kind, 2005);
+        cfg.flows = smokeTests() ? 40 : 240;
+        cfg.durationSec = 4.0;
+        trace::ScenarioGenerator gen(cfg);
+        out.emplace_back(trace::scenarioName(kind), gen.generate());
+    }
+    return out;
+}
+
+trace::PacketRecord
+tcpPacket(uint64_t ns, uint32_t src, uint16_t sport, uint32_t dst,
+          uint16_t dport, uint8_t flags)
+{
+    trace::PacketRecord pkt;
+    pkt.timestampNs = ns;
+    pkt.protocol = trace::ip_proto::Tcp;
+    pkt.srcIp = src;
+    pkt.srcPort = sport;
+    pkt.dstIp = dst;
+    pkt.dstPort = dport;
+    pkt.tcpFlags = flags;
+    return pkt;
+}
+
+} // namespace
+
+TEST(Stream, EveryEntryPointWritesTheSameBytes)
+{
+    // One output contract: compress(Trace), compressTraceFile and a
+    // session fed one packet at a time or in 4096-packet batches
+    // write identical archives, at any thread count. pcapng keeps
+    // full nanosecond timestamps, so the file path sees exactly the
+    // packets the in-memory paths see.
+    const fccc::ContainerFormat containers[] = {
+        fccc::ContainerFormat::Fcc1, fccc::ContainerFormat::Fcc2,
+        fccc::ContainerFormat::Fcc3};
+    for (const auto &[name, tr] : contractTraces()) {
+        SCOPED_TRACE(name);
+        ASSERT_FALSE(tr.empty());
+        std::string capture = tempPath("contract_in.pcapng");
+        std::string fccOut = tempPath("contract_out.fcc");
+        trace::writePcapngFile(tr, capture);
+        ASSERT_TRUE(fcc::test::samePackets(
+            trace::readPcapngFile(capture).packets(), tr.packets()));
+        size_t flows = flow::FlowTable().assemble(tr).size();
+
+        for (fccc::ContainerFormat container : containers) {
+            SCOPED_TRACE(fccc::containerFormatName(container));
+            fccc::FccConfig cfg;
+            cfg.container = container;
+            if (container == fccc::ContainerFormat::Fcc1)
+                cfg.chunkRecords = 0;
+            if (container == fccc::ContainerFormat::Fcc3) {
+                cfg.chunkRecords = 64;
+                cfg.index = true;
+            }
+            cfg.threads = 1;
+            std::vector<uint8_t> reference =
+                fccc::FccTraceCompressor(cfg).compress(tr);
+            EXPECT_EQ(fccc::deserializeAuto(reference, 1).timeSeq.size(),
+                      flows);
+
+            for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+                SCOPED_TRACE(threads);
+                cfg.threads = threads;
+                EXPECT_EQ(fccc::FccTraceCompressor(cfg).compress(tr),
+                          reference);
+                fccc::compressTraceFile(capture, fccOut, cfg);
+                EXPECT_EQ(readBytes(fccOut), reference);
+                EXPECT_EQ(sessionBytes(tr, cfg, 1), reference);
+                EXPECT_EQ(sessionBytes(tr, cfg, 4096), reference);
+            }
+        }
+        std::remove(capture.c_str());
+        std::remove(fccOut.c_str());
+    }
+}
+
+TEST(Stream, IdleTimeoutComparesWholeNanoseconds)
+{
+    // The second packet arrives exactly one timeout after a first
+    // packet at a non-whole microsecond: the gap does not exceed the
+    // timeout, so it is one flow. One nanosecond later it would not
+    // be.
+    fccc::FccConfig cfg;
+    cfg.flowTable.idleTimeoutNs = 1000000;
+    const uint32_t client = 0x0a000001, server = 0x0a000002;
+    using namespace trace::tcp_flags;
+    for (uint64_t extraNs : {0ull, 1ull}) {
+        SCOPED_TRACE(extraNs);
+        trace::Trace tr;
+        tr.add(tcpPacket(1000500, client, 40000, server, 80, Syn));
+        tr.add(tcpPacket(1000500 + cfg.flowTable.idleTimeoutNs +
+                              extraNs,
+                          client, 40000, server, 80, Ack));
+        size_t expected = extraNs == 0 ? 1 : 2;
+        EXPECT_EQ(flow::FlowTable(cfg.flowTable).assemble(tr).size(),
+                  expected);
+        fccc::CompressSession session(cfg);
+        session.feed(tr.packets());
+        EXPECT_EQ(fccc::deserializeAuto(session.seal(), 1).timeSeq.size(),
+                  expected);
+        EXPECT_EQ(fccc::deserializeAuto(
+                      fccc::FccTraceCompressor(cfg).compress(tr), 1)
+                      .timeSeq.size(),
+                  expected);
+    }
+}
+
+TEST(Stream, OpenFlowsSealInCanonicalOrder)
+{
+    // Many flows start within one microsecond and are all still open
+    // at seal(). Their records come out in (first ns, 5-tuple) order,
+    // and since they close in that order too, the address dictionary
+    // follows it. Each flow has its own server, so the address of a
+    // record names its flow.
+    std::vector<trace::PacketRecord> starts;
+    for (uint32_t i = 0; i < 96; ++i) {
+        // Nanosecond offsets repeat (ties broken by the 5-tuple) and
+        // do not follow the address order.
+        uint64_t ns = 7000000 + (i * 37) % 5;
+        starts.push_back(tcpPacket(ns, 0x0b000000 + i * 7919 % 1000,
+                                   static_cast<uint16_t>(20000 + i),
+                                   0x0c000000 + i, 80,
+                                   trace::tcp_flags::Syn));
+    }
+    std::vector<trace::PacketRecord> fed = starts;
+    std::stable_sort(fed.begin(), fed.end(),
+                     [](const trace::PacketRecord &a,
+                        const trace::PacketRecord &b) {
+                         return a.timestampNs < b.timestampNs;
+                     });
+    std::vector<trace::PacketRecord> expected = starts;
+    std::sort(expected.begin(), expected.end(),
+              [](const trace::PacketRecord &a,
+                 const trace::PacketRecord &b) {
+                  return flow::canonicalFlowOrderKey(
+                             a.timestampNs, flow::FlowKey::fromPacket(a)) <
+                         flow::canonicalFlowOrderKey(
+                             b.timestampNs, flow::FlowKey::fromPacket(b));
+              });
+
+    fccc::CompressSession session(fccc::FccConfig{});
+    session.feed(fed);
+    fccc::Datasets d = fccc::deserializeAuto(session.seal(), 1);
+    ASSERT_EQ(d.timeSeq.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(d.addresses[d.timeSeq[i].addressIndex],
+                  expected[i].dstIp)
+            << "record " << i;
+        EXPECT_EQ(d.addresses[i], expected[i].dstIp) << "address " << i;
+    }
 }
 
 TEST(Stream, DecompressMatchesBatchExactly)
