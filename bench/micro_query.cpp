@@ -141,7 +141,7 @@ main(int argc, char **argv)
                 "chunks dec/tot", "MB read", "% read", "ms",
                 "speedup");
 
-    query::Predicate all;
+    query::Expr all = query::Expr::matchAll();
     query::QueryStats fullStats;
     double fullSec = secondsOf(
         [&] {
@@ -152,8 +152,7 @@ main(int argc, char **argv)
         reps);
     printRow("full decode", fullStats, fullSec, fullSec);
 
-    query::Predicate flowPred;
-    flowPred.serverIp = rareIp;
+    query::Expr flowPred = query::Expr::serverIs(rareIp);
     query::QueryStats flowStats;
     double flowSec = secondsOf(
         [&] {
@@ -163,8 +162,8 @@ main(int argc, char **argv)
         reps);
     printRow("--flow", flowStats, flowSec, fullSec);
 
-    query::Predicate timePred;
-    timePred.timeUs = {midUs, midUs + 1'000'000};
+    query::Expr timePred =
+        query::Expr::timeWithin(midUs, midUs + 1'000'000);
     query::QueryStats timeStats;
     double timeSec = secondsOf(
         [&] {

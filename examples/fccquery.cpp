@@ -11,9 +11,9 @@
  *                        `server in 10.0.0.0/8 and time within
  *                        [0, 60] and not port = 443`
  *   --flow/--time/--min-packets
- *                        the legacy AND-only predicates; they lower
- *                        onto the same expression engine and keep
- *                        their exact semantics
+ *                        shorthand flags, each one expression leaf
+ *                        (server =, time within, flow.packets >=),
+ *                        ANDed together
  *
  * Aggregates (--agg) answer from the chunk index and the selected
  * columns without reconstructing packets at all.
@@ -45,8 +45,8 @@ using namespace fcc;
 
 namespace {
 
-/** Parse "T0:T1" in (float) seconds to inclusive microseconds. */
-std::pair<uint64_t, uint64_t>
+/** Parse "T0:T1" in (float) seconds into the inclusive window leaf. */
+query::Expr
 parseTimeWindow(const char *text)
 {
     const char *colon = std::strchr(text, ':');
@@ -60,8 +60,8 @@ parseTimeWindow(const char *text)
     util::require(*end == '\0', "--time: bad T1");
     util::require(t0 >= 0 && t1 >= t0,
                   "--time: window must be 0 <= T0 <= T1");
-    return {static_cast<uint64_t>(t0 * 1e6),
-            static_cast<uint64_t>(t1 * 1e6)};
+    return query::Expr::timeWithin(static_cast<uint64_t>(t0 * 1e6),
+                                   static_cast<uint64_t>(t1 * 1e6));
 }
 
 } // namespace
@@ -70,7 +70,8 @@ int
 main(int argc, char **argv)
 {
     codec::fcc::FccConfig cfg;
-    query::Predicate pred;
+    // The shorthand flags' leaves, ANDed in this order.
+    std::optional<query::Expr> serverLeaf, timeLeaf, packetsLeaf;
     std::optional<std::string> exprText;
     std::optional<query::AggregateKind> aggKind;
     uint32_t topK = 10;
@@ -87,27 +88,28 @@ main(int argc, char **argv)
               "composed query expression (docs/QUERY.md),\n"
               "e.g. 'server in 10.0.0.0/8 and time within\n"
               "[0, 60]'; exclusive with the legacy\n"
-              "predicate flags below",
+              "shorthand flags below",
               [&](const char *v) { exprText = v; });
     flags.add("--flow", "A.B.C.D",
               "flows with this server (destination)\n"
               "address — the 5-tuple component the lossy\n"
               "codec preserves",
               [&](const char *v) {
-                  pred.serverIp = trace::parseIp(v);
+                  serverLeaf =
+                      query::Expr::serverIs(trace::parseIp(v));
               });
     flags.add("--time", "T0:T1",
               "packets between T0 and T1 seconds\n"
               "(absolute trace time, floats)",
               [&](const char *v) {
-                  pred.timeUs = parseTimeWindow(v);
+                  timeLeaf = parseTimeWindow(v);
               });
     flags.add("--min-packets", "N",
               "flows of at least N packets",
               [&](const char *v) {
-                  pred.minFlowPackets = static_cast<uint32_t>(
-                      cli::parseUnsigned("--min-packets", v, 1,
-                                         UINT32_MAX));
+                  packetsLeaf = query::Expr::minFlowPackets(
+                      static_cast<uint32_t>(cli::parseUnsigned(
+                          "--min-packets", v, 1, UINT32_MAX)));
               });
     flags.add("--agg", "KIND",
               "aggregate query instead of extraction:\n"
@@ -151,7 +153,15 @@ main(int argc, char **argv)
         flags.printHelp(argv[0], stderr);
         return 2;
     }
-    if (exprText.has_value() && !pred.matchAll()) {
+    std::optional<query::Expr> shorthand;
+    for (std::optional<query::Expr> *leaf :
+         {&serverLeaf, &timeLeaf, &packetsLeaf})
+        if (leaf->has_value())
+            shorthand = shorthand ? query::Expr::andOf(
+                                        std::move(*shorthand),
+                                        std::move(**leaf))
+                                  : std::move(**leaf);
+    if (exprText.has_value() && shorthand.has_value()) {
         std::fprintf(stderr,
                      "error: --expr is exclusive with "
                      "--flow/--time/--min-packets\n");
@@ -164,7 +174,8 @@ main(int argc, char **argv)
         cfg.validate();
         query::Expr expr = exprText.has_value()
                                ? query::parseExpr(*exprText)
-                               : pred.toExpr();
+                               : shorthand.value_or(
+                                     query::Expr::matchAll());
 
         query::FccArchive archive(inPath, cfg);
         if (archive.indexCorrupt())

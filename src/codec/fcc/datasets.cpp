@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <new>
 
 #include "codec/fcc/index.hpp"
@@ -223,10 +224,39 @@ readRecord(util::ByteReader &r, const Datasets &d, uint64_t &prevUs)
 // FCC3: columnar container
 // ---------------------------------------------------------------------------
 
-// The column ids live in the header (Fcc3ColumnId) — the
-// random-access reader shares them; short aliases here.
-constexpr size_t columnCount = fcc3ColumnCount;
-using ColumnValues = Fcc3Columns;
+/**
+ * The fixed column set of the FCC3 container, in canonical order
+ * (docs/FORMAT.md §4). The column count is written to the file, so
+ * adding a column bumps the format observably instead of silently
+ * misparsing. In the indexed layout the five ts_* columns are
+ * framed per chunk (chunk_len precedes them on the wire).
+ */
+enum ColumnId : size_t
+{
+    ColShortLen = 0,   ///< short-template lengths
+    ColShortS,         ///< concatenated short-template S values
+    ColLongLen,        ///< long-template lengths
+    ColLongS,          ///< concatenated long-template S values
+    ColLongIpt,        ///< concatenated inter-packet times
+    ColAddr,           ///< unique server addresses
+    ColTsTime,         ///< per-flow first timestamps (absolute)
+    ColTsIsLong,       ///< per-flow S/L identifier
+    ColTsTemplate,     ///< per-flow template index
+    ColTsRtt,          ///< per-SHORT-flow RTT (one value per short)
+    ColTsAddr,         ///< per-flow address index
+    ColChunkLen,       ///< records per chunk (empty = unchunked)
+    columnCount
+};
+
+/** Decoded FCC3 columns, indexed by ColumnId. */
+using ColumnValues = std::array<std::vector<uint64_t>, columnCount>;
+
+/** The five time-seq columns (ts_time .. ts_addr), in wire order. */
+constexpr size_t tsColumnCount = ColTsAddr - ColTsTime + 1;
+using TsColumns = std::array<std::vector<uint64_t>, tsColumnCount>;
+
+/** Position of ts_rtt among the time-seq columns. */
+constexpr size_t tsRtt = ColTsRtt - ColTsTime;
 
 constexpr const char *columnNames[columnCount] = {
     "short_len", "short_s",     "long_len", "long_s",
@@ -445,18 +475,137 @@ runDecodeJobs(size_t count, util::ThreadPool *pool,
     }
 }
 
-} // namespace
+uint32_t
+take32(uint64_t v, const char *what)
+{
+    util::require(v <= 0xffffffffu, what);
+    return static_cast<uint32_t>(v);
+}
 
+/** One parsed (not yet decoded) FCC3 column frame. */
+struct ColumnFrame
+{
+    field::FieldCodec codec = field::FieldCodec::Plain;
+    backend::EntropyBackend backend = backend::EntropyBackend::Store;
+    uint64_t values = 0;
+    uint64_t encodedBytes = 0;   ///< pre-backend (field-coded) size
+    uint64_t storedBytes = 0;    ///< on-wire size incl. framing
+    /** Zero-copy view into the source buffer. */
+    std::span<const uint8_t> payload;
+};
+
+/**
+ * Parse one column frame at @p r's cursor (tag validation and
+ * corruption caps included; the payload stays a view into the
+ * reader's buffer).
+ */
+ColumnFrame
+readColumnFrame(util::ByteReader &r)
+{
+    ColumnFrame frame;
+    size_t mark = r.position();
+    frame.values = r.varint();
+    util::require(frame.values <= maxColumnValues,
+                  "fcc3: column too large");
+    uint8_t codecTag = r.u8();
+    util::require(codecTag < field::fieldCodecCount,
+                  "fcc3: bad field codec tag");
+    frame.codec = static_cast<field::FieldCodec>(codecTag);
+    uint8_t backendTag = r.u8();
+    util::require(backendTag < backend::entropyBackendCount,
+                  "fcc3: bad entropy backend tag");
+    frame.backend = static_cast<backend::EntropyBackend>(backendTag);
+    frame.encodedBytes = r.varint();
+    // No codec stores more than ~20 bytes per value (dict: one max
+    // varint each for entry and reference), so a wild encoded size
+    // is corruption, not data — reject it before the decompressor
+    // allocates for it.
+    util::require(frame.encodedBytes <= (frame.values + 1) * 20,
+                  "fcc3: encoded size out of range");
+    frame.payload = r.blobView();
+    frame.storedBytes = r.position() - mark;
+    return frame;
+}
+
+/** Entropy-decompress and field-decode @p frame to its values. */
+std::vector<uint64_t>
+decodeColumnFrame(const ColumnFrame &frame)
+{
+    std::vector<uint8_t> encoded = backend::entropyDecompress(
+        frame.payload, frame.backend,
+        static_cast<size_t>(frame.encodedBytes));
+    return field::decodeColumn(encoded, frame.codec,
+                               static_cast<size_t>(frame.values));
+}
+
+/**
+ * Fold one frame into a column's stat entry. Indexed archives store
+ * several frames per time-seq column (one per chunk): byte and
+ * value counts sum, the codec/backend tags record the first frame's
+ * choice. Shared by the serializer and the parser so the accounting
+ * rule cannot drift between them.
+ */
+void
+accumulateColumnStat(ColumnStat &s, field::FieldCodec codec,
+                     backend::EntropyBackend backend,
+                     uint64_t values, uint64_t encodedBytes,
+                     uint64_t storedBytes, bool first)
+{
+    if (first) {
+        s.codec = codec;
+        s.backend = backend;
+    }
+    s.values += values;
+    s.encodedBytes += encodedBytes;
+    s.storedBytes += storedBytes;
+}
+
+/**
+ * The frames one parse has read: per-column accounting, and the cap
+ * on their total value count.
+ */
+struct FrameLog
+{
+    std::array<ColumnStat, columnCount> stats;
+    uint64_t totalValues = 0;
+
+    FrameLog()
+    {
+        for (size_t c = 0; c < columnCount; ++c)
+            stats[c].name = columnNames[c];
+    }
+
+    /** Log @p frame of column @p col; @p first when it is the
+     *  column's first frame. */
+    void
+    add(size_t col, const ColumnFrame &frame, bool first = true)
+    {
+        totalValues += frame.values;
+        util::require(totalValues <= maxColumnValues,
+                      "fcc3: columns too large");
+        accumulateColumnStat(stats[col], frame.codec, frame.backend,
+                             frame.values, frame.encodedBytes,
+                             frame.storedBytes, first);
+    }
+};
+
+/**
+ * Templates and addresses from the six decoded shared columns,
+ * tagged with @p h's weights and fidelity tier. The flow tier
+ * carries no templates, so its template columns must be empty.
+ */
 Datasets
-assembleFcc3Columns(const flow::Weights &weights,
-                    Fcc3Columns &values)
+assembleShared(const Fcc3Header &h, ColumnValues &values)
 {
     Datasets d;
-    d.weights = weights;
-    auto take32 = [](uint64_t v, const char *what) {
-        util::require(v <= 0xffffffffu, what);
-        return static_cast<uint32_t>(v);
-    };
+    d.weights = h.weights;
+    d.fidelity = h.fidelity;
+    d.quantumUs = h.quantumUs;
+    if (h.fidelity == Fidelity::Flow)
+        for (size_t c = ColShortLen; c <= ColLongIpt; ++c)
+            util::require(values[c].empty(),
+                          "fcc3: flow profile forbids template "
+                          "columns");
 
     size_t cursor = 0;
     d.shortTemplates.reserve(values[ColShortLen].size());
@@ -504,159 +653,174 @@ assembleFcc3Columns(const flow::Weights &weights,
     for (uint64_t addr : values[ColAddr])
         d.addresses.push_back(
             take32(addr, "fcc3: address exceeds 32 bits"));
+    return d;
+}
 
-    size_t flows = values[ColTsTime].size();
-    util::require(values[ColTsIsLong].size() == flows &&
-                      values[ColTsTemplate].size() == flows &&
-                      values[ColTsAddr].size() == flows,
+/** The chunk_len column, validated, into Datasets::chunkSizes. */
+void
+assembleChunkSizes(const std::vector<uint64_t> &chunkLen, Datasets &d)
+{
+    d.chunkSizes.reserve(chunkLen.size());
+    for (uint64_t c : chunkLen) {
+        util::require(c >= 1, "fcc: empty chunk");
+        d.chunkSizes.push_back(
+            take32(c, "fcc3: chunk size exceeds 32 bits"));
+    }
+}
+
+/**
+ * Build @p records records from one run of time-seq columns — a
+ * chunk, or the whole unchunked dataset — against the shared
+ * datasets @p shared, with every per-record check of the format.
+ * @p cols[0] (ts_time) and @p cols[3] (ts_rtt) are empty when their
+ * frames were left undecoded; @p rttValues is the ts_rtt value count
+ * either way. In the flow tier the five columns carry the flow
+ * records' fields (FORMAT.md §4.5).
+ */
+void
+buildRecords(const Datasets &shared, const TsColumns &cols,
+             size_t records, uint64_t rttValues, Fcc3Chunk &out)
+{
+    const auto &[time, kind, tmpl, rtt, addr] = cols;
+    util::require(kind.size() == records && tmpl.size() == records &&
+                      addr.size() == records &&
+                      (time.empty() || time.size() == records),
                   "fcc3: time-seq column length mismatch");
-    size_t rttCursor = 0;
+    auto timeOf = [&](size_t i) { return time.empty() ? 0 : time[i]; };
+    if (records > 0) {
+        out.firstUs = timeOf(0);
+        out.lastUs = timeOf(records - 1);
+    }
     uint64_t prevUs = 0;
-    d.timeSeq.reserve(flows);
-    for (size_t i = 0; i < flows; ++i) {
+
+    if (shared.fidelity == Fidelity::Flow) {
+        util::require(rttValues == records,
+                      "fcc3: flow column length mismatch");
+        out.flowRecords.reserve(records);
+        for (size_t i = 0; i < records; ++i) {
+            FlowRecord fl;
+            fl.firstTimestampUs = timeOf(i);
+            util::require(fl.firstTimestampUs >= prevUs,
+                          "fcc: flow records not sorted");
+            prevUs = fl.firstTimestampUs;
+            fl.payloadBytes = kind[i];
+            fl.packets = take32(tmpl[i],
+                                "fcc3: packet count exceeds 32 bits");
+            util::require(fl.packets >= 1, "fcc: empty flow record");
+            fl.durationUs = rtt.empty() ? 0 : rtt[i];
+            fl.addressIndex = take32(
+                addr[i], "fcc3: address index exceeds 32 bits");
+            util::require(fl.addressIndex < shared.addresses.size(),
+                          "fcc: address index out of range");
+            out.flowRecords.push_back(fl);
+        }
+        return;
+    }
+
+    // Stored timestamps must sit on the advertised grid — a value
+    // off the grid means the container lies about its own
+    // quantization and downstream error bounds would be wrong.
+    if (shared.fidelity == Fidelity::Quantized)
+        util::require(field::isOnGrid(time, shared.quantumUs),
+                      "fcc3: timestamp off the quantized grid");
+    size_t shorts = 0;
+    out.timeSeq.reserve(records);
+    for (size_t i = 0; i < records; ++i) {
         TimeSeqRecord rec;
-        rec.firstTimestampUs = values[ColTsTime][i];
+        rec.firstTimestampUs = timeOf(i);
         util::require(rec.firstTimestampUs >= prevUs,
                       "fcc: time-seq records not sorted");
         prevUs = rec.firstTimestampUs;
-        uint64_t id = values[ColTsIsLong][i];
-        util::require(id <= 1, "fcc: bad dataset identifier");
-        rec.isLong = id == 1;
+        util::require(kind[i] <= 1, "fcc: bad dataset identifier");
+        rec.isLong = kind[i] == 1;
         rec.templateIndex = take32(
-            values[ColTsTemplate][i],
-            "fcc3: template index exceeds 32 bits");
-        size_t limit = rec.isLong ? d.longTemplates.size()
-                                  : d.shortTemplates.size();
+            tmpl[i], "fcc3: template index exceeds 32 bits");
+        size_t limit = rec.isLong ? shared.longTemplates.size()
+                                  : shared.shortTemplates.size();
         util::require(rec.templateIndex < limit,
                       "fcc: template index out of range");
         if (!rec.isLong) {
-            util::require(rttCursor < values[ColTsRtt].size(),
-                          "fcc3: ts_rtt column too short");
-            rec.rttUs =
-                take32(values[ColTsRtt][rttCursor++],
-                       "fcc3: RTT exceeds 32 bits");
+            if (!rtt.empty()) {
+                util::require(shorts < rtt.size(),
+                              "fcc3: ts_rtt column too short");
+                rec.rttUs = take32(rtt[shorts],
+                                   "fcc3: RTT exceeds 32 bits");
+            }
+            ++shorts;
         }
         rec.addressIndex = take32(
-            values[ColTsAddr][i],
-            "fcc3: address index exceeds 32 bits");
-        util::require(rec.addressIndex < d.addresses.size(),
+            addr[i], "fcc3: address index exceeds 32 bits");
+        util::require(rec.addressIndex < shared.addresses.size(),
                       "fcc: address index out of range");
-        d.timeSeq.push_back(rec);
+        out.timeSeq.push_back(rec);
     }
-    util::require(rttCursor == values[ColTsRtt].size(),
-                  "fcc3: ts_rtt column too long");
-
-    if (!values[ColChunkLen].empty()) {
-        uint64_t total = 0;
-        d.chunkSizes.reserve(values[ColChunkLen].size());
-        for (uint64_t c : values[ColChunkLen]) {
-            util::require(c >= 1, "fcc: empty chunk");
-            total += c;
-            d.chunkSizes.push_back(
-                take32(c, "fcc3: chunk size exceeds 32 bits"));
-        }
-        util::require(total == d.timeSeq.size(),
-                      "fcc: chunk sizes disagree with time-seq");
-    }
-
-    return d;
+    // In a chunk this is the RTT split: the column must break
+    // exactly at the chunk boundaries, or random access would hand
+    // later chunks the wrong RTTs while the concatenation still
+    // added up.
+    util::require(shorts == rttValues,
+                  "fcc3: ts_rtt column length mismatch");
 }
-
-Datasets
-assembleFlowColumns(const flow::Weights &weights,
-                    Fcc3Columns &values)
-{
-    Datasets d;
-    d.weights = weights;
-    d.fidelity = Fidelity::Flow;
-    auto take32 = [](uint64_t v, const char *what) {
-        util::require(v <= 0xffffffffu, what);
-        return static_cast<uint32_t>(v);
-    };
-
-    for (size_t c = ColShortLen; c <= ColLongIpt; ++c)
-        util::require(values[c].empty(),
-                      "fcc3: flow profile forbids template columns");
-
-    d.addresses.reserve(values[ColAddr].size());
-    for (uint64_t addr : values[ColAddr])
-        d.addresses.push_back(
-            take32(addr, "fcc3: address exceeds 32 bits"));
-
-    size_t flows = values[ColTsTime].size();
-    util::require(values[ColTsIsLong].size() == flows &&
-                      values[ColTsTemplate].size() == flows &&
-                      values[ColTsRtt].size() == flows &&
-                      values[ColTsAddr].size() == flows,
-                  "fcc3: flow column length mismatch");
-    uint64_t prevUs = 0;
-    d.flowRecords.reserve(flows);
-    for (size_t i = 0; i < flows; ++i) {
-        FlowRecord fl;
-        fl.firstTimestampUs = values[ColTsTime][i];
-        util::require(fl.firstTimestampUs >= prevUs,
-                      "fcc: flow records not sorted");
-        prevUs = fl.firstTimestampUs;
-        fl.payloadBytes = values[ColTsIsLong][i];
-        fl.packets = take32(values[ColTsTemplate][i],
-                            "fcc3: packet count exceeds 32 bits");
-        util::require(fl.packets >= 1, "fcc: empty flow record");
-        fl.durationUs = values[ColTsRtt][i];
-        fl.addressIndex = take32(
-            values[ColTsAddr][i],
-            "fcc3: address index exceeds 32 bits");
-        util::require(fl.addressIndex < d.addresses.size(),
-                      "fcc: address index out of range");
-        d.flowRecords.push_back(fl);
-    }
-
-    if (!values[ColChunkLen].empty()) {
-        uint64_t total = 0;
-        d.chunkSizes.reserve(values[ColChunkLen].size());
-        for (uint64_t c : values[ColChunkLen]) {
-            util::require(c >= 1, "fcc: empty chunk");
-            total += c;
-            d.chunkSizes.push_back(
-                take32(c, "fcc3: chunk size exceeds 32 bits"));
-        }
-        util::require(total == flows,
-                      "fcc: chunk sizes disagree with flow records");
-    }
-
-    return d;
-}
-
-namespace {
 
 /**
- * Fold one frame into a column's stat entry. Indexed archives store
- * several frames per time-seq column (one per chunk): byte and
- * value counts sum, the codec/backend tags record the first frame's
- * choice. Shared by the serializer and the parser so the accounting
- * rule cannot drift between them.
+ * Read one chunk's five frames at @p r's cursor, checking each
+ * value count against the chunk's @p records before anything is
+ * decoded: four columns hold one value per record, ts_rtt one per
+ * short flow — except in the flow tier, where that slot carries the
+ * per-flow duration (one value per record).
  */
-void
-accumulateColumnStat(ColumnStat &s, field::FieldCodec codec,
-                     backend::EntropyBackend backend,
-                     uint64_t values, uint64_t encodedBytes,
-                     uint64_t storedBytes, bool first)
+std::array<ColumnFrame, tsColumnCount>
+readChunkFrames(util::ByteReader &r, uint64_t records, bool flowTier)
 {
-    if (first) {
-        s.codec = codec;
-        s.backend = backend;
+    std::array<ColumnFrame, tsColumnCount> frames;
+    for (size_t k = 0; k < tsColumnCount; ++k) {
+        frames[k] = readColumnFrame(r);
+        bool perRecord = k != tsRtt || flowTier;
+        util::require(perRecord ? frames[k].values == records
+                                : frames[k].values <= records,
+                      "fcc3: chunk frame record mismatch");
     }
-    s.values += values;
-    s.encodedBytes += encodedBytes;
-    s.storedBytes += storedBytes;
+    return frames;
 }
 
-/** Guard against per-frame value counts overflowing the global cap. */
-void
-capTotalValues(uint64_t &total, const ColumnFrame &frame)
+/** The shared region, logging its frames into @p log. */
+Fcc3SharedRegion
+readSharedRegion(std::span<const uint8_t> data, const Fcc3Header &h,
+                 util::ThreadPool *pool, FrameLog &log)
 {
-    total += frame.values;
-    util::require(total <= maxColumnValues,
-                  "fcc3: columns too large");
+    util::require(h.indexed, "fcc3: not an indexed layout");
+    Fcc3SharedRegion region;
+    // The index block ends the file; the column frames occupy
+    // exactly the region before it.
+    uint64_t indexBytes = indexRegionBytes(data);
+    util::require(data.size() - indexBytes >= h.bytes,
+                  "fcc3: index block overlaps the header");
+    region.chunksEnd = data.size() - static_cast<size_t>(indexBytes);
+
+    // The shared frames, then the chunk layout.
+    util::ByteReader r(data.data(), region.chunksEnd);
+    r.skip(h.bytes);
+    std::array<ColumnFrame, ColAddr + 2> frames;
+    for (size_t i = 0; i < frames.size(); ++i) {
+        frames[i] = readColumnFrame(r);
+        log.add(i <= ColAddr ? i : ColChunkLen, frames[i]);
+    }
+    region.chunksBegin = r.position();
+
+    ColumnValues values;
+    runDecodeJobs(frames.size(), pool, [&](size_t i) {
+        values[i <= ColAddr ? i : ColChunkLen] =
+            decodeColumnFrame(frames[i]);
+    });
+    region.shared = assembleShared(h, values);
+    assembleChunkSizes(values[ColChunkLen], region.shared);
+    // Five frames of >= 5 bytes each per chunk: a chunk count the
+    // remaining bytes cannot possibly hold is corruption — reject it
+    // before anything is sized by it.
+    util::require(
+        region.shared.chunkSizes.size() <= r.remaining() / 25,
+        "fcc3: chunk count exceeds stream");
+    return region;
 }
 
 /**
@@ -667,189 +831,103 @@ Datasets
 deserializeColumnar(std::span<const uint8_t> data,
                     util::ThreadPool *pool, ContainerStat *stat)
 {
-    flow::Weights weights;
-    uint8_t colByte;
-    size_t headerBytes;
-    Fidelity fidelity = Fidelity::Exact;
-    uint64_t quantumUs = 0;
-    {
-        util::ByteReader h(data);
-        h.u32();  // magic, validated by the caller
-        weights.w1 = h.u16();
-        weights.w2 = h.u16();
-        weights.w3 = h.u16();
-        util::require(weights.decodable(),
-                      "fcc: stored weights are not decodable");
-        colByte = h.u8();
-        if ((colByte & fidelityProfileFlag) != 0) {
-            // Lossy profile header: tag byte + parameter varint.
-            // Exact files never carry the flag, so they stay
-            // byte-identical to pre-fidelity writers.
-            uint8_t tag = h.u8();
-            util::require(
-                tag >= static_cast<uint8_t>(Fidelity::Quantized) &&
-                    tag <= static_cast<uint8_t>(Fidelity::Flow),
-                "fcc3: unknown fidelity tag");
-            fidelity = static_cast<Fidelity>(tag);
-            quantumUs = h.varint();
-            if (fidelity == Fidelity::Quantized)
-                util::require(quantumUs >= 1,
-                              "fcc3: quantized grid must be >= 1 us");
-            else
-                util::require(quantumUs == 0,
-                              "fcc3: unexpected fidelity parameter");
-        }
-        headerBytes = h.position();
-    }
-    bool indexed = (colByte & indexedLayoutFlag) != 0;
-    util::require(
-        (colByte & ~(indexedLayoutFlag | fidelityProfileFlag)) ==
-            columnCount,
-        "fcc3: unexpected column count");
-    bool flowProfile = fidelity == Fidelity::Flow;
-
-    // An indexed layout ends with the index block; the column frames
-    // occupy exactly the region before it.
+    Fcc3Header h = *readFcc3Header(data);
+    FrameLog log;
+    Datasets d;
     uint64_t indexBytes = 0;
-    size_t regionEnd = data.size();
-    if (indexed) {
-        indexBytes = indexRegionBytes(data);
-        util::require(data.size() - indexBytes >= headerBytes,
-                      "fcc3: index block overlaps the header");
-        regionEnd = data.size() - static_cast<size_t>(indexBytes);
-    }
-    util::ByteReader r(data.data(), regionEnd);
-    r.skip(headerBytes);
-
-    ColumnValues values;
-    std::array<ColumnStat, columnCount> colStats;
-    for (size_t c = 0; c < columnCount; ++c)
-        colStats[c].name = columnNames[c];
-
-    auto recordStat = [&](size_t c, const ColumnFrame &frame,
-                          bool first) {
-        accumulateColumnStat(colStats[c], frame.codec, frame.backend,
-                             frame.values, frame.encodedBytes,
-                             frame.storedBytes, first);
-    };
-
-    uint64_t totalValues = 0;
-    if (!indexed) {
+    if (!h.indexed) {
+        util::ByteReader r(data);
+        r.skip(h.bytes);
         std::array<ColumnFrame, columnCount> frames;
         for (size_t c = 0; c < columnCount; ++c) {
             frames[c] = readColumnFrame(r);
-            capTotalValues(totalValues, frames[c]);
-            recordStat(c, frames[c], true);
+            log.add(c, frames[c]);
         }
         util::require(r.exhausted(), "fcc: trailing bytes");
+        ColumnValues values;
         runDecodeJobs(columnCount, pool, [&](size_t c) {
             values[c] = decodeColumnFrame(frames[c]);
         });
-    } else {
-        // Shared frames, then the chunk layout (decoded inline — it
-        // determines how many per-chunk frames follow), then five
-        // frames per chunk.
-        std::array<ColumnFrame, ColAddr + 1> sharedFrames;
-        for (size_t c = 0; c <= ColAddr; ++c) {
-            sharedFrames[c] = readColumnFrame(r);
-            capTotalValues(totalValues, sharedFrames[c]);
-            recordStat(c, sharedFrames[c], true);
-        }
-        ColumnFrame chunkLenFrame = readColumnFrame(r);
-        capTotalValues(totalValues, chunkLenFrame);
-        recordStat(ColChunkLen, chunkLenFrame, true);
-        runDecodeJobs(1, nullptr, [&](size_t) {
-            values[ColChunkLen] = decodeColumnFrame(chunkLenFrame);
-        });
 
-        size_t chunks = values[ColChunkLen].size();
-        // Five frames of >= 5 bytes each per chunk: a chunk count
-        // the remaining bytes cannot possibly hold is corruption —
-        // reject it before sizing the frame tables by it.
-        util::require(chunks <= r.remaining() / 25,
-                      "fcc3: chunk count exceeds stream");
-        std::vector<std::array<ColumnFrame, 5>> chunkFrames(chunks);
-        for (size_t c = 0; c < chunks; ++c) {
-            uint64_t records = values[ColChunkLen][c];
-            util::require(records >= 1, "fcc: empty chunk");
-            for (size_t k = 0; k < 5; ++k) {
-                ColumnFrame frame = readColumnFrame(r);
-                capTotalValues(totalValues, frame);
-                // Four of the five columns hold one value per
-                // record; ts_rtt (k == 3) holds one per short flow —
-                // except in the flow profile, where the slot carries
-                // the per-flow duration (one value per record).
-                util::require(
-                    (k == 3 && !flowProfile) ||
-                        frame.values == records,
-                    "fcc3: chunk frame record mismatch");
-                util::require(k != 3 || frame.values <= records,
-                              "fcc3: ts_rtt frame too long");
-                recordStat(ColTsTime + k, frame, c == 0);
-                chunkFrames[c][k] = frame;
-            }
+        d = assembleShared(h, values);
+        TsColumns ts;
+        for (size_t k = 0; k < tsColumnCount; ++k)
+            ts[k] = std::move(values[ColTsTime + k]);
+        Fcc3Chunk all;
+        buildRecords(d, ts, ts[0].size(), ts[tsRtt].size(), all);
+        d.timeSeq = std::move(all.timeSeq);
+        d.flowRecords = std::move(all.flowRecords);
+        assembleChunkSizes(values[ColChunkLen], d);
+        if (!d.chunkSizes.empty()) {
+            uint64_t total = 0;
+            for (uint32_t c : d.chunkSizes)
+                total += c;
+            util::require(total == ts[0].size(),
+                          "fcc: chunk sizes disagree with time-seq");
+        }
+    } else {
+        Fcc3SharedRegion region = readSharedRegion(data, h, pool, log);
+        indexBytes = data.size() - region.chunksEnd;
+
+        // Delimit the chunks by walking their frames once, then read
+        // each chunk — the same way a random-access reader does.
+        const std::vector<uint32_t> &sizes = region.shared.chunkSizes;
+        std::vector<std::span<const uint8_t>> ranges(sizes.size());
+        util::ByteReader r(data.data(), region.chunksEnd);
+        r.skip(region.chunksBegin);
+        for (size_t c = 0; c < sizes.size(); ++c) {
+            size_t begin = r.position();
+            std::array<ColumnFrame, tsColumnCount> frames =
+                readChunkFrames(r, sizes[c],
+                                h.fidelity == Fidelity::Flow);
+            for (size_t k = 0; k < tsColumnCount; ++k)
+                log.add(ColTsTime + k, frames[k], c == 0);
+            ranges[c] = data.subspan(begin, r.position() - begin);
         }
         util::require(r.exhausted(), "fcc: trailing bytes");
 
-        std::vector<std::array<std::vector<uint64_t>, 5>>
-            chunkValues(chunks);
-        runDecodeJobs(ColAddr + 1 + chunks * 5, pool, [&](size_t i) {
-            if (i <= ColAddr) {
-                values[i] = decodeColumnFrame(sharedFrames[i]);
-            } else {
-                size_t c = (i - (ColAddr + 1)) / 5;
-                size_t k = (i - (ColAddr + 1)) % 5;
-                chunkValues[c][k] =
-                    decodeColumnFrame(chunkFrames[c][k]);
-            }
+        std::vector<Fcc3Chunk> chunks(sizes.size());
+        runDecodeJobs(chunks.size(), pool, [&](size_t c) {
+            chunks[c] = readFcc3Chunk(ranges[c], region, c);
         });
-        for (size_t c = 0; c < chunks; ++c) {
-            // The RTT column must split exactly at the chunk
-            // boundaries, or random access would hand later chunks
-            // the wrong RTTs while the concatenation still added up.
-            // In the flow profile the slot is per-record, already
-            // enforced against the chunk length above.
-            if (!flowProfile) {
-                size_t shorts = 0;
-                for (uint64_t id : chunkValues[c][1])
-                    shorts += id == 0 ? 1 : 0;
-                util::require(chunkValues[c][3].size() == shorts,
-                              "fcc3: ts_rtt chunk frame mismatch");
-            }
-            for (size_t k = 0; k < 5; ++k) {
-                auto &dst = values[ColTsTime + k];
-                dst.insert(dst.end(), chunkValues[c][k].begin(),
-                           chunkValues[c][k].end());
-            }
+        d = std::move(region.shared);
+        size_t records = 0;
+        for (uint32_t n : d.chunkSizes)
+            records += n;
+        if (h.fidelity == Fidelity::Flow)
+            d.flowRecords.reserve(records);
+        else
+            d.timeSeq.reserve(records);
+        for (size_t c = 0; c < chunks.size(); ++c) {
+            if (c > 0)
+                requireChunkOrder(chunks[c - 1].lastUs,
+                                  chunks[c].firstUs);
+            d.timeSeq.insert(d.timeSeq.end(),
+                             chunks[c].timeSeq.begin(),
+                             chunks[c].timeSeq.end());
+            d.flowRecords.insert(d.flowRecords.end(),
+                                 chunks[c].flowRecords.begin(),
+                                 chunks[c].flowRecords.end());
+            // Free each chunk once copied: the reserved destination
+            // only becomes resident as it fills, so the records are
+            // resident about once, not twice.
+            chunks[c].timeSeq = {};
+            chunks[c].flowRecords = {};
         }
     }
 
-    Datasets d = flowProfile ? assembleFlowColumns(weights, values)
-                             : assembleFcc3Columns(weights, values);
-    d.fidelity = fidelity;
-    d.quantumUs = quantumUs;
-    if (fidelity == Fidelity::Quantized) {
-        // Stored timestamps must sit on the advertised grid — a
-        // value off the grid means the container lies about its own
-        // quantization and downstream error bounds would be wrong.
-        std::vector<uint64_t> times(d.timeSeq.size());
-        for (size_t i = 0; i < d.timeSeq.size(); ++i)
-            times[i] = d.timeSeq[i].firstTimestampUs;
-        util::require(field::isOnGrid(times, quantumUs),
-                      "fcc3: timestamp off the quantized grid");
-    }
     if (stat != nullptr) {
-        stat->fidelity = fidelity;
-        stat->quantumUs = quantumUs;
+        stat->fidelity = h.fidelity;
+        stat->quantumUs = h.quantumUs;
         stat->version = 3;
         stat->sizes = SizeBreakdown{};
-        stat->sizes.headerBytes = headerBytes;
+        stat->sizes.headerBytes = h.bytes;
         stat->sizes.indexBytes = indexBytes;
-        stat->hasIndex = indexed;
-        stat->columns.assign(colStats.begin(), colStats.end());
+        stat->hasIndex = h.indexed;
+        stat->columns.assign(log.stats.begin(), log.stats.end());
         for (size_t c = 0; c < columnCount; ++c)
             breakdownBucket(stat->sizes, c) +=
-                colStats[c].storedBytes;
+                log.stats[c].storedBytes;
     }
     return d;
 }
@@ -1147,42 +1225,179 @@ deserialize(std::span<const uint8_t> data)
     return deserialize(data, nullptr, nullptr);
 }
 
-ColumnFrame
-readColumnFrame(util::ByteReader &r)
+std::optional<Fcc3Header>
+readFcc3Header(std::span<const uint8_t> data)
 {
-    ColumnFrame frame;
-    size_t mark = r.position();
-    frame.values = r.varint();
-    util::require(frame.values <= maxColumnValues,
-                  "fcc3: column too large");
-    uint8_t codecTag = r.u8();
-    util::require(codecTag < field::fieldCodecCount,
-                  "fcc3: bad field codec tag");
-    frame.codec = static_cast<field::FieldCodec>(codecTag);
-    uint8_t backendTag = r.u8();
-    util::require(backendTag < backend::entropyBackendCount,
-                  "fcc3: bad entropy backend tag");
-    frame.backend = static_cast<backend::EntropyBackend>(backendTag);
-    frame.encodedBytes = r.varint();
-    // No codec stores more than ~20 bytes per value (dict: one max
-    // varint each for entry and reference), so a wild encoded size
-    // is corruption, not data — reject it before the decompressor
-    // allocates for it.
-    util::require(frame.encodedBytes <= (frame.values + 1) * 20,
-                  "fcc3: encoded size out of range");
-    frame.payload = r.blobView();
-    frame.storedBytes = r.position() - mark;
-    return frame;
+    util::ByteReader r(data);
+    if (data.size() < 4 || r.u32() != magicV3)
+        return std::nullopt;
+    Fcc3Header h;
+    h.weights.w1 = r.u16();
+    h.weights.w2 = r.u16();
+    h.weights.w3 = r.u16();
+    util::require(h.weights.decodable(),
+                  "fcc: stored weights are not decodable");
+    uint8_t colByte = r.u8();
+    util::require(
+        (colByte & ~(indexedLayoutFlag | fidelityProfileFlag)) ==
+            columnCount,
+        "fcc3: unexpected column count");
+    h.indexed = (colByte & indexedLayoutFlag) != 0;
+    if ((colByte & fidelityProfileFlag) != 0) {
+        // Lossy profile header: tag byte + parameter varint. Exact
+        // files never carry the flag, so they stay byte-identical to
+        // pre-fidelity writers.
+        uint8_t tag = r.u8();
+        util::require(
+            tag >= static_cast<uint8_t>(Fidelity::Quantized) &&
+                tag <= static_cast<uint8_t>(Fidelity::Flow),
+            "fcc3: unknown fidelity tag");
+        h.fidelity = static_cast<Fidelity>(tag);
+        h.quantumUs = r.varint();
+        if (h.fidelity == Fidelity::Quantized)
+            util::require(h.quantumUs >= 1,
+                          "fcc3: quantized grid must be >= 1 us");
+        else
+            util::require(h.quantumUs == 0,
+                          "fcc3: unexpected fidelity parameter");
+    }
+    h.bytes = r.position();
+    return h;
 }
 
-std::vector<uint64_t>
-decodeColumnFrame(const ColumnFrame &frame)
+Fcc3SharedRegion
+readFcc3SharedRegion(std::span<const uint8_t> data,
+                     const Fcc3Header &header)
 {
-    std::vector<uint8_t> encoded = backend::entropyDecompress(
-        frame.payload, frame.backend,
-        static_cast<size_t>(frame.encodedBytes));
-    return field::decodeColumn(encoded, frame.codec,
-                               static_cast<size_t>(frame.values));
+    FrameLog log;
+    return readSharedRegion(data, header, nullptr, log);
+}
+
+Fcc3Chunk
+readFcc3Chunk(std::span<const uint8_t> bytes,
+              const Fcc3SharedRegion &region, size_t chunk,
+              ChunkColumns decode)
+{
+    const Datasets &shared = region.shared;
+    util::require(chunk < shared.chunkSizes.size(),
+                  "fcc3: chunk out of range");
+    uint32_t records = shared.chunkSizes[chunk];
+    util::ByteReader r(bytes);
+    std::array<ColumnFrame, tsColumnCount> frames = readChunkFrames(
+        r, records, shared.fidelity == Fidelity::Flow);
+    util::require(r.exhausted(), "fcc3: chunk range has trailing bytes");
+
+    Fcc3Chunk out;
+    TsColumns cols;
+    for (size_t k = 0; k < tsColumnCount; ++k) {
+        if ((k == 0 && !decode.time) || (k == tsRtt && !decode.rtt))
+            continue;
+        cols[k] = decodeColumnFrame(frames[k]);
+        out.bytesDecoded += frames[k].storedBytes;
+    }
+    buildRecords(shared, cols, records, frames[tsRtt].values, out);
+    return out;
+}
+
+void
+requireChunkOrder(uint64_t earlierLastUs, uint64_t laterFirstUs)
+{
+    util::require(laterFirstUs >= earlierLastUs,
+                  "fcc: chunks not time-sorted");
+}
+
+const TemplateFacts &
+TemplateFactTable::of(bool isLong, uint64_t index) const
+{
+    const std::vector<TemplateFacts> &facts =
+        isLong ? longFacts : shortFacts;
+    util::require(index < facts.size(),
+                  "fcc: template index out of range");
+    return facts[index];
+}
+
+TemplateFactTable
+templateFacts(const Datasets &d, uint16_t smallPayload,
+              uint16_t largePayload)
+{
+    // Every packet of every template costs one S-value decode, but
+    // the values come from a one-byte alphabet: decode each once.
+    flow::Characterizer chi(d.weights);
+    struct SFacts
+    {
+        bool known = false;
+        bool dependent = false;
+        uint32_t wireBytes = 0;
+    };
+    std::array<SFacts, 256> bySValue{};
+    auto factsOfS = [&](uint16_t s) {
+        if (s < bySValue.size() && bySValue[s].known)
+            return bySValue[s];
+        flow::PacketClass cls = chi.decode(s);
+        SFacts f{true, cls.dependent,
+                 40u + representativePayload(cls.size, smallPayload,
+                                             largePayload)};
+        if (s < bySValue.size())
+            bySValue[s] = f;
+        return f;
+    };
+    auto factsOf = [&](const std::vector<uint16_t> &sValues) {
+        TemplateFacts f;
+        f.packets = sValues.size();
+        for (size_t i = 0; i < sValues.size(); ++i) {
+            SFacts sf = factsOfS(sValues[i]);
+            f.wireBytes += sf.wireBytes;
+            if (i > 0 && sf.dependent)
+                ++f.dependent;
+        }
+        return f;
+    };
+    TemplateFactTable table;
+    table.shortFacts.reserve(d.shortTemplates.size());
+    for (const flow::SfVector &t : d.shortTemplates)
+        table.shortFacts.push_back(factsOf(t.values));
+    table.longFacts.reserve(d.longTemplates.size());
+    for (const LongTemplate &t : d.longTemplates) {
+        util::require(t.iptUs.size() == t.sValues.size(),
+                      "fcc: long template IPT/S length mismatch");
+        TemplateFacts f = factsOf(t.sValues);
+        // The reconstruction adds iptUs[i] for i >= 1 only.
+        for (size_t i = 1; i < t.iptUs.size(); ++i)
+            if (__builtin_add_overflow(f.iptSumUs, t.iptUs[i],
+                                       &f.iptSumUs))
+                f.iptSumUs = UINT64_MAX;
+        table.longFacts.push_back(f);
+    }
+    return table;
+}
+
+std::optional<FlowSpan>
+flowSpan(const TemplateFacts &facts, const TimeSeqRecord &rec,
+         uint32_t gapUs)
+{
+    if (facts.packets == 0)
+        return std::nullopt;
+    // The same steps the reconstruction takes, with every overflow
+    // caught: its sums wrap, so past a wrap the packets no longer
+    // sit between the first and the last timestamp.
+    uint64_t stepsUs = facts.iptSumUs;
+    if (!rec.isLong) {
+        uint64_t rttPart, gapPart;
+        if (__builtin_mul_overflow(facts.dependent,
+                                   uint64_t{rec.rttUs}, &rttPart) ||
+            __builtin_mul_overflow(facts.packets - 1 - facts.dependent,
+                                   uint64_t{gapUs}, &gapPart) ||
+            __builtin_add_overflow(rttPart, gapPart, &stepsUs))
+            return std::nullopt;
+    }
+    FlowSpan span;
+    span.firstUs = rec.firstTimestampUs;
+    if (__builtin_add_overflow(span.firstUs, stepsUs, &span.lastUs))
+        return std::nullopt;
+    // A packet stores timestampUs * 1000 in nanoseconds.
+    if (span.lastUs > UINT64_MAX / 1000)
+        return std::nullopt;
+    return span;
 }
 
 } // namespace fcc::codec::fcc

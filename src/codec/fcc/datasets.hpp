@@ -31,8 +31,8 @@
 #ifndef FCC_CODEC_FCC_DATASETS_HPP
 #define FCC_CODEC_FCC_DATASETS_HPP
 
-#include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -43,7 +43,6 @@
 #include "flow/characterize.hpp"
 
 namespace fcc::util {
-class ByteReader;
 class ThreadPool;
 }
 
@@ -246,85 +245,168 @@ Datasets deserialize(std::span<const uint8_t> data,
 /** deserialize() without a thread pool. */
 Datasets deserialize(std::span<const uint8_t> data);
 
-// ---- FCC3 column frames ---------------------------------------------
+// ---- FCC3 reader ----------------------------------------------------
 //
-// The framing shared by the monolithic parser above and the
-// random-access reader (src/query), which decodes single chunks
-// straight off an mmap'd archive.
+// The one parser of the columnar container. deserialize() and the
+// random-access reader (src/query) both read FCC3 through these three
+// functions, so every check they make — framing, value counts, the
+// per-record checks, the fidelity tier's rules — exists once, and an
+// indexed query rejects exactly what a full decode rejects.
 
-/**
- * The fixed column set of the FCC3 container, in canonical order
- * (docs/FORMAT.md §4). The column count is written to the file, so
- * adding a column bumps the format observably instead of silently
- * misparsing. In the indexed layout the five ts_* columns are
- * framed per chunk (chunk_len precedes them on the wire).
- */
-enum Fcc3ColumnId : size_t
+/** What the fixed head of an FCC3 file declares. */
+struct Fcc3Header
 {
-    ColShortLen = 0,   ///< short-template lengths
-    ColShortS,         ///< concatenated short-template S values
-    ColLongLen,        ///< long-template lengths
-    ColLongS,          ///< concatenated long-template S values
-    ColLongIpt,        ///< concatenated inter-packet times
-    ColAddr,           ///< unique server addresses
-    ColTsTime,         ///< per-flow first timestamps (absolute)
-    ColTsIsLong,       ///< per-flow S/L identifier
-    ColTsTemplate,     ///< per-flow template index
-    ColTsRtt,          ///< per-SHORT-flow RTT (one value per short)
-    ColTsAddr,         ///< per-flow address index
-    ColChunkLen,       ///< records per chunk (empty = unchunked)
-    fcc3ColumnCount
-};
-
-/** Decoded FCC3 columns, indexed by Fcc3ColumnId. */
-using Fcc3Columns =
-    std::array<std::vector<uint64_t>, fcc3ColumnCount>;
-
-/**
- * Reassemble and validate Datasets from decoded FCC3 columns (the
- * inverse of the columnar decomposition); @p weights must already
- * be validated decodable. @throws fcc::util::Error on any
- * inconsistency between the columns.
- */
-Datasets assembleFcc3Columns(const flow::Weights &weights,
-                             Fcc3Columns &columns);
-
-/**
- * Reassemble and validate Datasets from decoded columns of a
- * flow-fidelity archive, whose time-seq column slots are repurposed
- * (FORMAT.md §4.5): ts_islong carries per-flow payload bytes,
- * ts_template per-flow packet counts, ts_rtt per-flow durations (one
- * value per flow); the five template columns must be empty. The
- * returned datasets have fidelity == Fidelity::Flow.
- * @throws fcc::util::Error on any inconsistency.
- */
-Datasets assembleFlowColumns(const flow::Weights &weights,
-                             Fcc3Columns &columns);
-
-/** One parsed (not yet decoded) FCC3 column frame. */
-struct ColumnFrame
-{
-    field::FieldCodec codec = field::FieldCodec::Plain;
-    backend::EntropyBackend backend = backend::EntropyBackend::Store;
-    uint64_t values = 0;
-    uint64_t encodedBytes = 0;   ///< pre-backend (field-coded) size
-    uint64_t storedBytes = 0;    ///< on-wire size incl. framing
-    /** Zero-copy view into the source buffer. */
-    std::span<const uint8_t> payload;
+    flow::Weights weights;
+    Fidelity fidelity = Fidelity::Exact;
+    uint64_t quantumUs = 0;  ///< Quantized tier only: the grid (us)
+    /** Chunk-framed time-seq columns and a trailing index block. */
+    bool indexed = false;
+    size_t bytes = 0;        ///< header size; the first frame follows
 };
 
 /**
- * Parse one column frame at @p r's cursor (tag validation and
- * corruption caps included; the payload stays a view into the
- * reader's buffer). @throws fcc::util::Error on malformed framing.
+ * Read the FCC3 header at the start of @p data: magic, weights,
+ * column byte, fidelity tag and parameter.
+ * @returns std::nullopt when @p data does not start with the FCC3
+ *          magic (another container, or the hybrid zlib wrapper).
+ * @throws fcc::util::Error on a malformed FCC3 header.
  */
-ColumnFrame readColumnFrame(util::ByteReader &r);
+std::optional<Fcc3Header> readFcc3Header(std::span<const uint8_t> data);
+
+/** The part of an indexed FCC3 file that every chunk depends on. */
+struct Fcc3SharedRegion
+{
+    /**
+     * Weights, fidelity tier, templates and addresses, with the
+     * chunk layout in chunkSizes; the time-seq dataset and the flow
+     * records stay empty — they live in the chunks.
+     */
+    Datasets shared;
+    size_t chunksBegin = 0;  ///< file offset of the first chunk frame
+    size_t chunksEnd = 0;    ///< file offset of the index block
+};
 
 /**
- * Entropy-decompress and field-decode @p frame back to its values.
+ * Read and decode the shared region of the indexed FCC3 file
+ * @p data, whose header is @p header (header.indexed must be set).
  * @throws fcc::util::Error on malformed input.
  */
-std::vector<uint64_t> decodeColumnFrame(const ColumnFrame &frame);
+Fcc3SharedRegion readFcc3SharedRegion(std::span<const uint8_t> data,
+                                      const Fcc3Header &header);
+
+/** The records of one chunk, read by readFcc3Chunk(). */
+struct Fcc3Chunk
+{
+    std::vector<TimeSeqRecord> timeSeq;   ///< per-packet tiers
+    std::vector<FlowRecord> flowRecords;  ///< Flow tier
+    uint64_t firstUs = 0;  ///< first record's timestamp
+    uint64_t lastUs = 0;   ///< last record's timestamp
+    /** Stored bytes of the frames that were decoded. */
+    uint64_t bytesDecoded = 0;
+};
+
+/**
+ * Which frames of a chunk readFcc3Chunk() decodes. A frame left out
+ * is still framed and its value count checked, but its payload is
+ * not decoded: the records then carry 0 in its field (timestamps,
+ * rttUs / durationUs), and the checks on that field are skipped —
+ * for readers that never use it.
+ */
+struct ChunkColumns
+{
+    bool time = true;  ///< ts_time
+    bool rtt = true;   ///< ts_rtt (the flow tier's durations)
+};
+
+/**
+ * Read chunk @p chunk of an indexed FCC3 file: @p bytes is exactly
+ * its five column frames, and @p region (its shared region) gives
+ * its record count. Every frame's value count is checked against
+ * that record count before anything is decoded; the records then
+ * pass the same per-record checks deserialize() applies —
+ * sortedness, dataset identifier, template and address range,
+ * 32-bit caps, the RTT split and the Quantized grid.
+ * @throws fcc::util::Error on malformed input.
+ */
+Fcc3Chunk readFcc3Chunk(std::span<const uint8_t> bytes,
+                        const Fcc3SharedRegion &region, size_t chunk,
+                        ChunkColumns decode = {});
+
+/**
+ * The time-seq dataset stays sorted across chunk boundaries: a
+ * reader holding two adjacent chunks checks the later one's first
+ * timestamp against the earlier one's last.
+ * @throws fcc::util::Error when @p laterFirstUs < @p earlierLastUs.
+ */
+void requireChunkOrder(uint64_t earlierLastUs, uint64_t laterFirstUs);
+
+// ---- §4 reconstruction facts ------------------------------------------
+
+/** Representative payload of a size class (§4). */
+inline uint16_t
+representativePayload(flow::SizeClass size, uint16_t smallPayload,
+                      uint16_t largePayload)
+{
+    if (size == flow::SizeClass::Small)
+        return smallPayload;
+    if (size == flow::SizeClass::Large)
+        return largePayload;
+    return 0;
+}
+
+/** What expanding one template yields, known without expanding it. */
+struct TemplateFacts
+{
+    uint64_t packets = 0;    ///< flow length (one packet per S value)
+    uint64_t wireBytes = 0;  ///< Σ 40 B header + representative payload
+    /** Short templates: packets after the first spaced by the RTT
+     *  (the rest are spaced by the reconstruction gap). */
+    uint64_t dependent = 0;
+    /** Long templates: Σ inter-packet times after the first packet,
+     *  saturating at UINT64_MAX. */
+    uint64_t iptSumUs = 0;
+};
+
+/** TemplateFacts of every template of one Datasets. */
+struct TemplateFactTable
+{
+    std::vector<TemplateFacts> shortFacts;
+    std::vector<TemplateFacts> longFacts;
+
+    /** Facts of template @p index of the long or short dataset.
+     *  @throws fcc::util::Error when the index is out of range. */
+    const TemplateFacts &of(bool isLong, uint64_t index) const;
+};
+
+/**
+ * The facts of every template of @p datasets when size classes 1
+ * and 2 reconstruct as @p smallPayload / @p largePayload bytes.
+ * @throws fcc::util::Error on a long template whose IPT and S
+ *         lengths differ.
+ */
+TemplateFactTable templateFacts(const Datasets &datasets,
+                                uint16_t smallPayload,
+                                uint16_t largePayload);
+
+/** Inclusive span of a flow's reconstructed timestamps. */
+struct FlowSpan
+{
+    uint64_t firstUs = 0;
+    uint64_t lastUs = 0;
+};
+
+/**
+ * The §4 timing rule: the exact timestamp span of the packets the
+ * reconstruction produces for @p record, whose template has
+ * @p facts, when non-dependent packets are spaced by @p gapUs —
+ * short flows end at first + dependent·rtt + others·gap, long flows
+ * at first + Σipt. Empty when that cannot be promised: an empty
+ * flow, a span that overflows 64 bits, or a last timestamp whose
+ * nanosecond value wraps. An unknown span never prunes.
+ */
+std::optional<FlowSpan> flowSpan(const TemplateFacts &facts,
+                                 const TimeSeqRecord &record,
+                                 uint32_t gapUs);
 
 } // namespace fcc::codec::fcc
 

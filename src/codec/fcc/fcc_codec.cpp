@@ -284,90 +284,6 @@ FccTraceCompressor::drawFlowHeader(util::Rng &rng)
     return h;
 }
 
-uint16_t
-FccTraceCompressor::payloadOf(flow::SizeClass size) const
-{
-    if (size == flow::SizeClass::Small)
-        return cfg_.smallPayload;
-    if (size == flow::SizeClass::Large)
-        return cfg_.largePayload;
-    return 0;
-}
-
-const TemplateFacts &
-TemplateFactTable::of(bool isLong, uint64_t index) const
-{
-    const std::vector<TemplateFacts> &facts =
-        isLong ? longFacts : shortFacts;
-    util::require(index < facts.size(),
-                  "fcc: template index out of range");
-    return facts[index];
-}
-
-TemplateFactTable
-FccTraceCompressor::templateFacts(const Datasets &d) const
-{
-    flow::Characterizer chi(d.weights);
-    auto factsOf = [&](const std::vector<uint16_t> &sValues) {
-        TemplateFacts f;
-        f.packets = sValues.size();
-        for (size_t i = 0; i < sValues.size(); ++i) {
-            flow::PacketClass cls = chi.decode(sValues[i]);
-            f.wireBytes += 40 + payloadOf(cls.size);
-            if (i > 0 && cls.dependent)
-                ++f.dependent;
-        }
-        return f;
-    };
-    TemplateFactTable table;
-    table.shortFacts.reserve(d.shortTemplates.size());
-    for (const flow::SfVector &t : d.shortTemplates)
-        table.shortFacts.push_back(factsOf(t.values));
-    table.longFacts.reserve(d.longTemplates.size());
-    for (const LongTemplate &t : d.longTemplates) {
-        util::require(t.iptUs.size() == t.sValues.size(),
-                      "fcc: long template IPT/S length mismatch");
-        TemplateFacts f = factsOf(t.sValues);
-        // expandFlow adds iptUs[i] for i >= 1 only.
-        for (size_t i = 1; i < t.iptUs.size(); ++i)
-            if (__builtin_add_overflow(f.iptSumUs, t.iptUs[i],
-                                       &f.iptSumUs))
-                f.iptSumUs = UINT64_MAX;
-        table.longFacts.push_back(f);
-    }
-    return table;
-}
-
-std::optional<FlowSpan>
-FccTraceCompressor::flowSpan(const TemplateFacts &facts,
-                             const TimeSeqRecord &rec) const
-{
-    if (facts.packets == 0)
-        return std::nullopt;
-    // The same steps expandFlow takes, with every overflow caught:
-    // expandFlow's sums wrap, so past a wrap the packets no longer
-    // sit between the first and the last timestamp.
-    uint64_t stepsUs = facts.iptSumUs;
-    if (!rec.isLong) {
-        uint64_t rttPart, gapPart;
-        if (__builtin_mul_overflow(facts.dependent,
-                                   uint64_t{rec.rttUs}, &rttPart) ||
-            __builtin_mul_overflow(facts.packets - 1 - facts.dependent,
-                                   uint64_t{cfg_.defaultGapUs},
-                                   &gapPart) ||
-            __builtin_add_overflow(rttPart, gapPart, &stepsUs))
-            return std::nullopt;
-    }
-    FlowSpan span;
-    span.firstUs = rec.firstTimestampUs;
-    if (__builtin_add_overflow(span.firstUs, stepsUs, &span.lastUs))
-        return std::nullopt;
-    // A packet stores timestampUs * 1000 in nanoseconds.
-    if (span.lastUs > UINT64_MAX / 1000)
-        return std::nullopt;
-    return span;
-}
-
 void
 FccTraceCompressor::expandFlow(const Datasets &d,
                                const TimeSeqRecord &rec,
@@ -421,8 +337,8 @@ FccTraceCompressor::expandFlow(const Datasets &d,
 
             // Timing: long flows replay exact inter-packet times;
             // short flows space dependent packets by the flow RTT
-            // and others by a small fixed gap (§4). flowSpan mirrors
-            // this rule.
+            // and others by a small fixed gap (§4). flowSpan()
+            // mirrors this rule.
             if (i > 0) {
                 if (rec.isLong)
                     t += (*iptUs)[i];
@@ -430,7 +346,8 @@ FccTraceCompressor::expandFlow(const Datasets &d,
                     t += cls.dependent ? rec.rttUs : cfg_.defaultGapUs;
             }
 
-            uint16_t payload = payloadOf(cls.size);
+            uint16_t payload = representativePayload(
+                cls.size, cfg_.smallPayload, cfg_.largePayload);
 
             uint8_t flags = 0;
             using namespace trace::tcp_flags;

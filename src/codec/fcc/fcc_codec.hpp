@@ -27,7 +27,6 @@
 #define FCC_CODEC_FCC_FCC_CODEC_HPP
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -200,37 +199,6 @@ struct FlowHeader
     uint16_t window = 0;
 };
 
-/** What expanding one template yields, known without expanding it. */
-struct TemplateFacts
-{
-    uint64_t packets = 0;    ///< flow length (one packet per S value)
-    uint64_t wireBytes = 0;  ///< Σ 40 B header + representative payload
-    /** Short templates: packets after the first spaced by the RTT
-     *  (the rest are spaced by FccConfig::defaultGapUs). */
-    uint64_t dependent = 0;
-    /** Long templates: Σ inter-packet times after the first packet,
-     *  saturating at UINT64_MAX. */
-    uint64_t iptSumUs = 0;
-};
-
-/** TemplateFacts of every template of one Datasets. */
-struct TemplateFactTable
-{
-    std::vector<TemplateFacts> shortFacts;
-    std::vector<TemplateFacts> longFacts;
-
-    /** Facts of template @p index of the long or short dataset.
-     *  @throws fcc::util::Error when the index is out of range. */
-    const TemplateFacts &of(bool isLong, uint64_t index) const;
-};
-
-/** Inclusive span of a flow's reconstructed timestamps. */
-struct FlowSpan
-{
-    uint64_t firstUs = 0;
-    uint64_t lastUs = 0;
-};
-
 /** The proposed flow-clustering trace compressor. */
 class FccTraceCompressor : public TraceCompressor
 {
@@ -302,24 +270,6 @@ class FccTraceCompressor : public TraceCompressor
     static FlowHeader drawFlowHeader(util::Rng &rng);
 
     /**
-     * The facts of every template of @p datasets under this
-     * configuration (payload sizes). @throws fcc::util::Error on an
-     * undecodable S value or a long template whose IPT and S lengths
-     * differ.
-     */
-    TemplateFactTable templateFacts(const Datasets &datasets) const;
-
-    /**
-     * Exact timestamp span of the packets expandFlow produces for
-     * @p record, whose template has @p facts: every packet's
-     * timestampUs() lies in [firstUs, lastUs]. Empty when that cannot
-     * be promised: an empty flow, a span that overflows 64 bits, or a
-     * last timestamp whose nanosecond value wraps.
-     */
-    std::optional<FlowSpan> flowSpan(const TemplateFacts &facts,
-                                     const TimeSeqRecord &record) const;
-
-    /**
      * Expand every record of chunk @p chunk (index into
      * Datasets::chunkSizes) into @p out, replacing its contents,
      * drawing from the chunk's own RNG stream. The packets come out
@@ -335,9 +285,6 @@ class FccTraceCompressor : public TraceCompressor
     const FccConfig &config() const { return cfg_; }
 
   private:
-    /** Representative payload of a size class (§4). */
-    uint16_t payloadOf(flow::SizeClass size) const;
-
     FccConfig cfg_;
 };
 

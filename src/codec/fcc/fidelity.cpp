@@ -139,57 +139,16 @@ dropFlagDetail(const Datasets &in)
 /**
  * Collapse every flow to one FlowRecord, using the reconstruction
  * rules for the derived fields: payload bytes from the size-class
- * representative sizes, duration from exact inter-packet times (long
- * flows) or dependent-RTT/fixed-gap spacing (short flows) — the same
- * arithmetic buildArchiveIndex() uses for its maxEndUs bound.
+ * representative sizes (templateFacts), duration from the §4 timing
+ * rule (flowSpan) — the rule buildArchiveIndex() bounds maxEndUs
+ * with. A flow whose span is unknown (it overflows) gets the
+ * saturated duration UINT64_MAX, which never prunes.
  */
 Datasets
 collapseToFlows(const Datasets &in, const FidelityParams &params)
 {
-    flow::Characterizer chi(in.weights);
-    auto payloadOf = [&](uint16_t s) -> uint64_t {
-        switch (chi.decode(s).size) {
-          case flow::SizeClass::Small:
-            return params.smallPayload;
-          case flow::SizeClass::Large:
-            return params.largePayload;
-          default:
-            return 0;
-        }
-    };
-
-    struct TemplateSummary
-    {
-        uint64_t payloadBytes = 0;
-        uint64_t dependentSteps = 0;
-        uint64_t otherSteps = 0;
-        uint64_t durationUs = 0;  ///< long templates: exact
-        uint32_t packets = 0;
-    };
-    std::vector<TemplateSummary> shortSum(in.shortTemplates.size());
-    for (size_t t = 0; t < in.shortTemplates.size(); ++t) {
-        const auto &values = in.shortTemplates[t].values;
-        shortSum[t].packets = static_cast<uint32_t>(values.size());
-        for (size_t i = 0; i < values.size(); ++i) {
-            shortSum[t].payloadBytes += payloadOf(values[i]);
-            if (i == 0)
-                continue;
-            if (chi.decode(values[i]).dependent)
-                ++shortSum[t].dependentSteps;
-            else
-                ++shortSum[t].otherSteps;
-        }
-    }
-    std::vector<TemplateSummary> longSum(in.longTemplates.size());
-    for (size_t t = 0; t < in.longTemplates.size(); ++t) {
-        const LongTemplate &tmpl = in.longTemplates[t];
-        longSum[t].packets =
-            static_cast<uint32_t>(tmpl.sValues.size());
-        for (uint16_t s : tmpl.sValues)
-            longSum[t].payloadBytes += payloadOf(s);
-        for (uint64_t ipt : tmpl.iptUs)
-            longSum[t].durationUs += ipt;
-    }
+    TemplateFactTable facts =
+        templateFacts(in, params.smallPayload, params.largePayload);
 
     Datasets out;
     out.weights = in.weights;
@@ -198,24 +157,16 @@ collapseToFlows(const Datasets &in, const FidelityParams &params)
     out.chunkSizes = in.chunkSizes;
     out.flowRecords.reserve(in.timeSeq.size());
     for (const TimeSeqRecord &rec : in.timeSeq) {
-        size_t limit = rec.isLong ? longSum.size()
-                                  : shortSum.size();
-        util::require(rec.templateIndex < limit,
-                      "fcc: template index out of range");
+        const TemplateFacts &f = facts.of(rec.isLong, rec.templateIndex);
         util::require(rec.addressIndex < in.addresses.size(),
                       "fcc: address index out of range");
-        const TemplateSummary &sum =
-            rec.isLong ? longSum[rec.templateIndex]
-                       : shortSum[rec.templateIndex];
+        std::optional<FlowSpan> span =
+            flowSpan(f, rec, params.defaultGapUs);
         FlowRecord fl;
         fl.firstTimestampUs = rec.firstTimestampUs;
-        fl.packets = sum.packets;
-        fl.payloadBytes = sum.payloadBytes;
-        fl.durationUs =
-            rec.isLong
-                ? sum.durationUs
-                : sum.dependentSteps * uint64_t{rec.rttUs} +
-                      sum.otherSteps * uint64_t{params.defaultGapUs};
+        fl.packets = static_cast<uint32_t>(f.packets);
+        fl.payloadBytes = f.wireBytes - 40 * f.packets;
+        fl.durationUs = span ? span->lastUs - span->firstUs : UINT64_MAX;
         fl.addressIndex = rec.addressIndex;
         out.flowRecords.push_back(fl);
     }

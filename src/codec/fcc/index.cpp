@@ -58,14 +58,6 @@ bloomInsert(std::vector<uint8_t> &bloom, uint32_t bits,
     }
 }
 
-/** Reconstruction-timing profile of one template (see §4). */
-struct TemplateSpan
-{
-    uint64_t dependentSteps = 0;  ///< steps spaced by the flow RTT
-    uint64_t otherSteps = 0;      ///< steps spaced by the fixed gap
-    uint64_t packets = 0;
-};
-
 } // namespace
 
 ServerFingerprint
@@ -144,9 +136,12 @@ buildArchiveIndex(const Datasets &d,
                 summary.packets += fl.packets;
                 summary.maxFlowPackets = std::max<uint64_t>(
                     summary.maxFlowPackets, fl.packets);
-                summary.maxEndUs = std::max(
-                    summary.maxEndUs,
-                    fl.firstTimestampUs + fl.durationUs);
+                // An unknown (saturated) duration never prunes.
+                uint64_t endUs;
+                if (__builtin_add_overflow(fl.firstTimestampUs,
+                                           fl.durationUs, &endUs))
+                    endUs = UINT64_MAX;
+                summary.maxEndUs = std::max(summary.maxEndUs, endUs);
                 util::require(fl.addressIndex < d.addresses.size(),
                               "fcc index: address index out of "
                               "range");
@@ -167,32 +162,10 @@ buildArchiveIndex(const Datasets &d,
         return index;
     }
 
-    // Per-template packet counts and timing step classes, so every
-    // record's reconstructed end timestamp is O(1): the §4 expansion
-    // spaces dependent packets by the flow RTT and all others by the
-    // fixed gap, and long flows replay their exact inter-packet
-    // times.
-    flow::Characterizer chi(d.weights);
-    std::vector<TemplateSpan> shortSpan(d.shortTemplates.size());
-    for (size_t t = 0; t < d.shortTemplates.size(); ++t) {
-        const auto &values = d.shortTemplates[t].values;
-        shortSpan[t].packets = values.size();
-        for (size_t i = 1; i < values.size(); ++i) {
-            if (chi.decode(values[i]).dependent)
-                ++shortSpan[t].dependentSteps;
-            else
-                ++shortSpan[t].otherSteps;
-        }
-    }
-    std::vector<uint64_t> longEndUs(d.longTemplates.size());
-    std::vector<uint64_t> longPackets(d.longTemplates.size());
-    for (size_t t = 0; t < d.longTemplates.size(); ++t) {
-        uint64_t sum = 0;
-        for (uint64_t ipt : d.longTemplates[t].iptUs)
-            sum += ipt;
-        longEndUs[t] = sum;
-        longPackets[t] = d.longTemplates[t].sValues.size();
-    }
+    // Per-template packet counts and timing facts, so every record's
+    // reconstructed end timestamp is O(1) under the §4 timing rule
+    // (flowSpan). Payload sizes do not enter the span.
+    TemplateFactTable facts = templateFacts(d, 0, 0);
 
     ArchiveIndex index;
     index.gapUs = options.gapUs;
@@ -211,27 +184,16 @@ buildArchiveIndex(const Datasets &d,
         servers.clear();
         for (size_t i = rec; i < rec + count; ++i) {
             const TimeSeqRecord &r = d.timeSeq[i];
-            uint64_t packets, endUs;
-            if (r.isLong) {
-                util::require(r.templateIndex < longEndUs.size(),
-                              "fcc index: template index out of "
-                              "range");
-                packets = longPackets[r.templateIndex];
-                endUs = r.firstTimestampUs + longEndUs[r.templateIndex];
-            } else {
-                util::require(r.templateIndex < shortSpan.size(),
-                              "fcc index: template index out of "
-                              "range");
-                const TemplateSpan &span = shortSpan[r.templateIndex];
-                packets = span.packets;
-                endUs = r.firstTimestampUs +
-                        span.dependentSteps * uint64_t{r.rttUs} +
-                        span.otherSteps * uint64_t{options.gapUs};
-            }
-            summary.packets += packets;
+            const TemplateFacts &f =
+                facts.of(r.isLong, r.templateIndex);
+            // An unknown span never prunes.
+            std::optional<FlowSpan> span =
+                flowSpan(f, r, options.gapUs);
+            summary.packets += f.packets;
             summary.maxFlowPackets =
-                std::max(summary.maxFlowPackets, packets);
-            summary.maxEndUs = std::max(summary.maxEndUs, endUs);
+                std::max(summary.maxFlowPackets, f.packets);
+            summary.maxEndUs = std::max(
+                summary.maxEndUs, span ? span->lastUs : UINT64_MAX);
             util::require(r.addressIndex < d.addresses.size(),
                           "fcc index: address index out of range");
             servers.push_back(d.addresses[r.addressIndex]);

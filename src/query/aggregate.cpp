@@ -8,14 +8,13 @@
 #include "query/aggregate.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <map>
 #include <new>
+#include <span>
 
 #include "codec/fcc/datasets.hpp"
 #include "query/query.hpp"
-#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -68,15 +67,44 @@ struct Accumulator
     }
 };
 
-/**
- * Evaluate @p expr for one flow with start-time semantics: the flow
- * "is at" its first timestamp.
- */
-bool
-flowMatches(const Expr &expr, const Expr::FlowView &flow,
-            uint64_t startUs)
+/** What a flow-tier record already carries: its packet and payload
+ *  totals. */
+fccc::TemplateFacts
+factsOf(const fccc::FlowRecord &fl)
 {
-    return expr.matches(flow, startUs);
+    fccc::TemplateFacts t;
+    t.packets = fl.packets;
+    t.wireBytes = fl.payloadBytes + 40 * uint64_t{fl.packets};
+    return t;
+}
+
+/**
+ * Fold the flows of @p timeSeq and @p flowRecords (one chunk, or a
+ * whole decoded archive) that @p expr admits into @p acc. Time
+ * leaves use start-time semantics: a flow "is at" its first
+ * timestamp.
+ */
+void
+accumulate(Accumulator &acc, const Expr &expr, uint16_t serverPort,
+           const fccc::Datasets &shared,
+           const fccc::TemplateFactTable &facts,
+           std::span<const fccc::TimeSeqRecord> timeSeq,
+           std::span<const fccc::FlowRecord> flowRecords)
+{
+    auto consider = [&](uint32_t addrIndex,
+                        const fccc::TemplateFacts &t,
+                        uint64_t startUs) {
+        Expr::FlowView flow{shared.addresses[addrIndex], serverPort,
+                            t.packets};
+        if (expr.matches(flow, startUs))
+            acc.add(addrIndex, t);
+    };
+    for (const fccc::TimeSeqRecord &rec : timeSeq)
+        consider(rec.addressIndex,
+                 facts.of(rec.isLong, rec.templateIndex),
+                 rec.firstTimestampUs);
+    for (const fccc::FlowRecord &fl : flowRecords)
+        consider(fl.addressIndex, factsOf(fl), fl.firstTimestampUs);
 }
 
 /** Compact an accumulator into the result model: rows sorted by
@@ -125,33 +153,10 @@ FccArchive::aggregate(const AggregateRequest &req) const
             d.chunkSizes.empty() ? 1 : d.chunkSizes.size();
         out.stats.chunksPlanned = out.stats.chunksTotal;
         Accumulator acc(d.addresses.size());
-        if (d.fidelity == fccc::Fidelity::Flow) {
-            // Flow-fidelity archives already are aggregates: each
-            // record carries its packet and payload totals.
-            for (const fccc::FlowRecord &fl : d.flowRecords) {
-                fccc::TemplateFacts t;
-                t.packets = fl.packets;
-                t.wireBytes =
-                    fl.payloadBytes + 40 * uint64_t{fl.packets};
-                Expr::FlowView flow{d.addresses[fl.addressIndex],
-                                    cfg_.serverPort, t.packets};
-                if (flowMatches(req.expr, flow,
-                                fl.firstTimestampUs))
-                    acc.add(fl.addressIndex, t);
-            }
-            finishResult(acc, d.addresses, out);
-            return out;
-        }
-        fccc::TemplateFactTable facts =
-            fccc::FccTraceCompressor(cfg_).templateFacts(d);
-        for (const fccc::TimeSeqRecord &rec : d.timeSeq) {
-            const fccc::TemplateFacts &t =
-                facts.of(rec.isLong, rec.templateIndex);
-            Expr::FlowView flow{d.addresses[rec.addressIndex],
-                                cfg_.serverPort, t.packets};
-            if (flowMatches(req.expr, flow, rec.firstTimestampUs))
-                acc.add(rec.addressIndex, t);
-        }
+        accumulate(acc, req.expr, cfg_.serverPort, d,
+                   fccc::templateFacts(d, cfg_.smallPayload,
+                                       cfg_.largePayload),
+                   d.timeSeq, d.flowRecords);
         finishResult(acc, d.addresses, out);
         return out;
     }
@@ -161,78 +166,39 @@ FccArchive::aggregate(const AggregateRequest &req) const
     out.stats.usedIndex = true;
     std::shared_ptr<const SharedRegion> regionPtr = sharedRegion();
     const SharedRegion &region = *regionPtr;
-    out.stats.chunksTotal = region.chunkLen.size();
+    const fccc::Datasets &shared = region.fcc3.shared;
+    out.stats.chunksTotal = shared.chunkSizes.size();
 
     std::vector<size_t> planned = plan(req.expr);
     out.stats.chunksPlanned = planned.size();
-    uint64_t baseBytes = region.sharedEnd + region.indexBytes;
-    out.stats.bytesTouched = baseBytes;
-    out.stats.reconstructBytes = baseBytes;
+    out.stats.bytesTouched = baseBytes(region);
+    out.stats.reconstructBytes = baseBytes(region);
+    std::vector<std::span<const uint8_t>> chunks;
+    chunks.reserve(planned.size());
+    for (size_t c : planned) {
+        chunks.push_back(chunkBytes(region, c));
+        out.stats.reconstructBytes += chunks.back().size();
+    }
 
-    bool flowProfile =
-        region.shared.fidelity == fccc::Fidelity::Flow;
-    bool needTime = req.expr.usesTime();
-
+    // Decode only the frames the aggregate reads: never ts_rtt (the
+    // RTT, or the flow tier's duration), and ts_time only when the
+    // expression tests time — or when the Quantized tier's grid, a
+    // promise about that column, must be verified.
+    fccc::ChunkColumns decode;
+    decode.time = req.expr.usesTime() ||
+                  shared.fidelity == fccc::Fidelity::Quantized;
+    decode.rtt = false;
     std::vector<Accumulator> perChunk(
-        planned.size(), Accumulator(region.shared.addresses.size()));
+        planned.size(), Accumulator(shared.addresses.size()));
     std::vector<uint64_t> touched(planned.size(), 0);
-
+    std::vector<std::pair<uint64_t, uint64_t>> spans(planned.size());
     auto aggregateOne = [&](size_t i) {
-        size_t c = planned[i];
-        const fccc::ChunkSummary &s = checkedChunk(region, c);
-        util::ByteReader cr(bytes_.data() + s.byteOffset,
-                            static_cast<size_t>(s.byteLength));
-        // Chunk frame order: time, is-long, template, rtt, addr —
-        // reinterpreted by the flow profile as time, payload-bytes,
-        // packets, duration, addr. Decode only what the aggregate
-        // needs; readColumnFrame alone just walks the framing
-        // (payload stays a view).
-        std::array<fccc::ColumnFrame, 5> frames;
-        for (size_t k = 0; k < 5; ++k)
-            frames[k] = fccc::readColumnFrame(cr);
-        util::require(cr.exhausted(),
-                      "fcc index: chunk range has trailing bytes");
-        std::vector<uint64_t> time, isLong, tmpl, addr;
-        if (needTime) {
-            time = fccc::decodeColumnFrame(frames[0]);
-            touched[i] += frames[0].storedBytes;
-        }
-        isLong = fccc::decodeColumnFrame(frames[1]);
-        tmpl = fccc::decodeColumnFrame(frames[2]);
-        addr = fccc::decodeColumnFrame(frames[4]);
-        touched[i] += frames[1].storedBytes +
-                      frames[2].storedBytes + frames[4].storedBytes;
-
-        uint64_t records = region.chunkLen[c];
-        util::require(isLong.size() == records &&
-                          tmpl.size() == records &&
-                          addr.size() == records &&
-                          (!needTime || time.size() == records),
-                      "fcc3: chunk frame record mismatch");
-        Accumulator &acc = perChunk[i];
-        for (size_t r = 0; r < records; ++r) {
-            util::require(
-                addr[r] < region.shared.addresses.size(),
-                "fcc: address index out of range");
-            fccc::TemplateFacts t;
-            if (flowProfile) {
-                util::require(tmpl[r] >= 1,
-                              "fcc: empty flow record");
-                t.packets = tmpl[r];
-                t.wireBytes = isLong[r] + 40 * tmpl[r];
-            } else {
-                util::require(isLong[r] <= 1,
-                              "fcc: bad dataset identifier");
-                t = region.facts.of(isLong[r] == 1, tmpl[r]);
-            }
-            Expr::FlowView flow{
-                region.shared.addresses[static_cast<size_t>(
-                    addr[r])],
-                cfg_.serverPort, t.packets};
-            uint64_t startUs = needTime ? time[r] : 0;
-            if (flowMatches(req.expr, flow, startUs))
-                acc.add(static_cast<size_t>(addr[r]), t);
-        }
+        fccc::Fcc3Chunk chunk = fccc::readFcc3Chunk(
+            chunks[i], region.fcc3, planned[i], decode);
+        touched[i] = chunk.bytesDecoded;
+        spans[i] = {chunk.firstUs, chunk.lastUs};
+        accumulate(perChunk[i], req.expr, cfg_.serverPort, shared,
+                   region.facts, chunk.timeSeq, chunk.flowRecords);
     };
 
     try {
@@ -241,15 +207,14 @@ FccArchive::aggregate(const AggregateRequest &req) const
         throw util::Error(
             "query: corrupt archive exhausts memory");
     }
+    requirePlannedOrder(planned, spans);
 
-    Accumulator total(region.shared.addresses.size());
+    Accumulator total(shared.addresses.size());
     for (size_t i = 0; i < planned.size(); ++i) {
         total.mergeFrom(perChunk[i]);
         out.stats.bytesTouched += touched[i];
-        out.stats.reconstructBytes +=
-            index_->chunks[planned[i]].byteLength;
     }
-    finishResult(total, region.shared.addresses, out);
+    finishResult(total, shared.addresses, out);
     return out;
 }
 

@@ -10,9 +10,11 @@
  * header is 40 B + payload. So per-server flow counts, byte
  * histograms and top-K talkers need only three of a chunk's five
  * column frames (flow kind, template id, server address — plus the
- * start-time column when the expression filters on time), never the
- * RNG expansion: no packets are reconstructed, the RTT column is
- * never decoded, and unplanned chunks are never touched.
+ * start-time column when the expression filters on time or the
+ * Quantized tier's grid must be verified), never the RNG expansion:
+ * no packets are reconstructed, the RTT column is never decoded, and
+ * unplanned chunks are never touched. The frames read pass the
+ * codec's own chunk checks (codec::fcc::readFcc3Chunk).
  *
  * Time semantics: aggregates weigh whole flows, so a `time within`
  * leaf selects flows *starting* inside the window (packet-granular

@@ -2,13 +2,12 @@
  * @file
  * Composable query expressions over FCC archives.
  *
- * PR 5's query::Predicate was a closed conjunction of three fixed
- * predicates. Expr replaces it with a small expression tree —
- * AND/OR/NOT over five leaf kinds — with a text grammar (parser and
- * canonical printer) and conservative per-chunk planning against the
- * index block's summaries, so arbitrary expressions still prune
- * chunks (Bloom fingerprints per server leaf, timestamp-bound
- * overlap per time leaf, interval union falling out of OR).
+ * A small expression tree — AND/OR/NOT over five leaf kinds — with
+ * a text grammar (parser and canonical printer) and conservative
+ * per-chunk planning against the index block's summaries, so
+ * arbitrary expressions still prune chunks (Bloom fingerprints per
+ * server leaf, timestamp-bound overlap per time leaf, interval union
+ * falling out of OR).
  *
  * Leaves and their semantics (cf. docs/QUERY.md):
  *
@@ -35,8 +34,8 @@
  *
  * A flow leaf has one value for every packet of a flow; a packet
  * matches the expression iff it evaluates true with the packet's
- * timestamp and its flow's attributes — which makes AND of leaves
- * coincide exactly with the legacy Predicate semantics.
+ * timestamp and its flow's attributes, so fccquery's --flow, --time
+ * and --min-packets flags are just leaves ANDed together.
  *
  * Construction validates ranges: an inverted time window, an
  * inverted port range, an empty/overlong CIDR or a zero flow-size

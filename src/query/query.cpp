@@ -10,12 +10,10 @@
 #include "query/query.hpp"
 
 #include <algorithm>
-#include <array>
 #include <new>
 
 #include "codec/fcc/datasets.hpp"
 #include "trace/trace.hpp"
-#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -25,8 +23,6 @@ namespace fcc::query {
 namespace fccc = fcc::codec::fcc;
 
 namespace {
-
-constexpr uint32_t magicFcc3 = 0x33434346u;  // "FCC3"
 
 /** Matching packets and flow counts of one expanded record range. */
 struct ChunkResult
@@ -43,7 +39,9 @@ struct ChunkResult
  * on its server, port, size and exact timestamp span — and a flow
  * judged Never only draws its header: the RNG stream advances
  * exactly as a full decompression's would, so the surviving flows
- * reconstruct the same bytes.
+ * reconstruct the same bytes. @p records come from a container
+ * parser, which has range-checked their template and address
+ * indices.
  */
 void
 expandFiltered(const fccc::FccTraceCompressor &codec,
@@ -57,12 +55,10 @@ expandFiltered(const fccc::FccTraceCompressor &codec,
     for (const fccc::TimeSeqRecord &rec : records) {
         const fccc::TemplateFacts &tmpl =
             facts.of(rec.isLong, rec.templateIndex);
-        util::require(rec.addressIndex < shared.addresses.size(),
-                      "fcc: time-seq address index out of range");
         Expr::FlowView flow{shared.addresses[rec.addressIndex],
                             codec.config().serverPort, tmpl.packets};
-        if (std::optional<fccc::FlowSpan> span =
-                codec.flowSpan(tmpl, rec)) {
+        if (std::optional<fccc::FlowSpan> span = fccc::flowSpan(
+                tmpl, rec, codec.config().defaultGapUs)) {
             flow.spanKnown = true;
             flow.firstUs = span->firstUs;
             flow.lastUs = span->lastUs;
@@ -112,87 +108,7 @@ emitResults(std::vector<ChunkResult> &results,
     trace::writeAllPackets(sink, out);
 }
 
-/**
- * Build and validate one chunk's time-seq records from its five
- * decoded columns — the chunk-local mirror of the global FCC3
- * reassembly, validated against the already-decoded shared
- * datasets.
- */
-std::vector<fccc::TimeSeqRecord>
-buildChunkRecords(const fccc::Datasets &shared,
-                  std::array<std::vector<uint64_t>, 5> &cols,
-                  uint64_t expectedRecords)
-{
-    auto take32 = [](uint64_t v, const char *what) {
-        util::require(v <= 0xffffffffu, what);
-        return static_cast<uint32_t>(v);
-    };
-    const auto &time = cols[0];
-    const auto &isLong = cols[1];
-    const auto &tmpl = cols[2];
-    const auto &rtt = cols[3];
-    const auto &addr = cols[4];
-    util::require(time.size() == expectedRecords &&
-                      isLong.size() == expectedRecords &&
-                      tmpl.size() == expectedRecords &&
-                      addr.size() == expectedRecords,
-                  "fcc3: chunk frame record mismatch");
-
-    std::vector<fccc::TimeSeqRecord> records;
-    records.reserve(time.size());
-    size_t rttCursor = 0;
-    uint64_t prevUs = 0;
-    for (size_t i = 0; i < time.size(); ++i) {
-        fccc::TimeSeqRecord rec;
-        rec.firstTimestampUs = time[i];
-        util::require(rec.firstTimestampUs >= prevUs,
-                      "fcc: time-seq records not sorted");
-        prevUs = rec.firstTimestampUs;
-        util::require(isLong[i] <= 1, "fcc: bad dataset identifier");
-        rec.isLong = isLong[i] == 1;
-        rec.templateIndex = take32(
-            tmpl[i], "fcc3: template index exceeds 32 bits");
-        size_t limit = rec.isLong ? shared.longTemplates.size()
-                                  : shared.shortTemplates.size();
-        util::require(rec.templateIndex < limit,
-                      "fcc: template index out of range");
-        if (!rec.isLong) {
-            util::require(rttCursor < rtt.size(),
-                          "fcc3: ts_rtt column too short");
-            rec.rttUs = take32(rtt[rttCursor++],
-                               "fcc3: RTT exceeds 32 bits");
-        }
-        rec.addressIndex = take32(
-            addr[i], "fcc3: address index exceeds 32 bits");
-        util::require(rec.addressIndex < shared.addresses.size(),
-                      "fcc: address index out of range");
-        records.push_back(rec);
-    }
-    util::require(rttCursor == rtt.size(),
-                  "fcc3: ts_rtt column too long");
-    return records;
-}
-
 } // namespace
-
-Expr
-Predicate::toExpr() const
-{
-    Expr e = Expr::matchAll();
-    bool any = false;
-    auto add = [&](Expr leaf) {
-        e = any ? Expr::andOf(std::move(e), std::move(leaf))
-                : std::move(leaf);
-        any = true;
-    };
-    if (serverIp)
-        add(Expr::serverIs(*serverIp));
-    if (timeUs)
-        add(Expr::timeWithin(timeUs->first, timeUs->second));
-    if (minFlowPackets >= 1)
-        add(Expr::minFlowPackets(minFlowPackets));
-    return e;
-}
 
 FccArchive::FccArchive(const std::string &path,
                        const codec::fcc::FccConfig &cfg)
@@ -203,17 +119,16 @@ FccArchive::FccArchive(const std::string &path,
 
     // Only the indexed FCC3 layout is seekable; everything else
     // (row containers, unindexed FCC3, the hybrid zlib wrapper)
-    // takes the full-decode path.
-    if (bytes_.size() >= 11) {
-        util::ByteReader r(bytes_);
-        if (r.u32() == magicFcc3) {
-            r.skip(6);  // weights
-            uint8_t colByte = r.u8();
-            indexedLayout_ =
-                (colByte & fccc::indexedLayoutFlag) != 0;
-        }
+    // takes the full-decode path — as does a malformed header, which
+    // the full decode then reports.
+    bool indexedLayout = false;
+    try {
+        std::optional<fccc::Fcc3Header> header =
+            fccc::readFcc3Header(bytes_);
+        indexedLayout = header && header->indexed;
+    } catch (const util::Error &) {
     }
-    if (indexedLayout_) {
+    if (indexedLayout) {
         try {
             index_ = fccc::readArchiveIndex(bytes_);
             if (!index_)
@@ -239,12 +154,6 @@ FccArchive::plan(const Expr &expr) const
     return out;
 }
 
-std::vector<size_t>
-FccArchive::plan(const Predicate &pred) const
-{
-    return plan(pred.toExpr());
-}
-
 QueryStats
 FccArchive::run(const Expr &expr, trace::TraceSink &sink,
                 bool forceFullDecode) const
@@ -268,76 +177,17 @@ FccArchive::run(const Expr &expr, trace::TraceSink &sink,
     return runFullDecode(expr, sink);
 }
 
-QueryStats
-FccArchive::run(const Predicate &pred, trace::TraceSink &sink,
-                bool forceFullDecode) const
-{
-    return run(pred.toExpr(), sink, forceFullDecode);
-}
-
 FccArchive::SharedRegion
 FccArchive::decodeSharedRegion() const
 {
     SharedRegion region;
-    region.indexBytes = fccc::indexRegionBytes(bytes_);
-    region.regionEnd =
-        bytes_.size() - static_cast<size_t>(region.indexBytes);
-
-    // Header + the shared dataset frames (templates, addresses) and
-    // the chunk layout — everything a selective decode needs besides
-    // the chunks themselves.
-    util::ByteReader r(bytes_.data(), region.regionEnd);
-    util::require(r.u32() == magicFcc3, "fcc: bad magic");
-    region.weights.w1 = r.u16();
-    region.weights.w2 = r.u16();
-    region.weights.w3 = r.u16();
-    util::require(region.weights.decodable(),
-                  "fcc: stored weights are not decodable");
-    uint8_t colByte = r.u8();
-    util::require(
-        (colByte & ~(fccc::indexedLayoutFlag |
-                     fccc::fidelityProfileFlag)) ==
-            fccc::fcc3ColumnCount,
-        "fcc3: unexpected column count");
-    fccc::Fidelity fidelity = fccc::Fidelity::Exact;
-    uint64_t quantumUs = 0;
-    if ((colByte & fccc::fidelityProfileFlag) != 0) {
-        uint8_t tag = r.u8();
-        util::require(
-            tag >= static_cast<uint8_t>(fccc::Fidelity::Quantized) &&
-                tag <= static_cast<uint8_t>(fccc::Fidelity::Flow),
-            "fcc3: unknown fidelity tag");
-        fidelity = static_cast<fccc::Fidelity>(tag);
-        quantumUs = r.varint();
-        if (fidelity == fccc::Fidelity::Quantized)
-            util::require(quantumUs >= 1,
-                          "fcc3: quantized grid must be >= 1 us");
-        else
-            util::require(quantumUs == 0,
-                          "fcc3: unexpected fidelity parameter");
-    }
-
-    std::array<fccc::ColumnFrame, fccc::ColAddr + 1> sharedFrames;
-    for (size_t c = 0; c <= fccc::ColAddr; ++c)
-        sharedFrames[c] = fccc::readColumnFrame(r);
-    fccc::ColumnFrame chunkLenFrame = fccc::readColumnFrame(r);
-    region.sharedEnd = r.position();
-
-    fccc::Fcc3Columns columns;
-    for (size_t c = 0; c <= fccc::ColAddr; ++c)
-        columns[c] = fccc::decodeColumnFrame(sharedFrames[c]);
-    region.chunkLen = fccc::decodeColumnFrame(chunkLenFrame);
-    // The flow profile's shared region carries no templates, so the
-    // standard assembly (which accepts empty template columns) works
-    // for every tier; the tag just rides along on the datasets.
-    region.shared =
-        fccc::assembleFcc3Columns(region.weights, columns);
-    region.shared.fidelity = fidelity;
-    region.shared.quantumUs = quantumUs;
-    region.facts =
-        fccc::FccTraceCompressor(cfg_).templateFacts(region.shared);
-
-    util::require(index_->chunks.size() == region.chunkLen.size(),
+    region.fcc3 = fccc::readFcc3SharedRegion(
+        bytes_, *fccc::readFcc3Header(bytes_));
+    region.facts = fccc::templateFacts(region.fcc3.shared,
+                                       cfg_.smallPayload,
+                                       cfg_.largePayload);
+    util::require(index_->chunks.size() ==
+                      region.fcc3.shared.chunkSizes.size(),
                   "fcc index: chunk count disagrees with container");
     return region;
 }
@@ -367,19 +217,38 @@ FccArchive::sharedRegionCached() const
     return region_ != nullptr;
 }
 
-const fccc::ChunkSummary &
-FccArchive::checkedChunk(const SharedRegion &region, size_t c) const
+std::span<const uint8_t>
+FccArchive::chunkBytes(const SharedRegion &region, size_t c) const
 {
     const fccc::ChunkSummary &s = index_->chunks[c];
-    util::require(s.records == region.chunkLen[c],
+    util::require(s.records == region.fcc3.shared.chunkSizes[c],
                   "fcc index: record count disagrees with "
                   "container");
-    util::require(s.byteOffset >= region.sharedEnd &&
-                      s.byteOffset <= region.regionEnd &&
+    util::require(s.byteOffset >= region.fcc3.chunksBegin &&
+                      s.byteOffset <= region.fcc3.chunksEnd &&
                       s.byteLength <=
-                          region.regionEnd - s.byteOffset,
+                          region.fcc3.chunksEnd - s.byteOffset,
                   "fcc index: chunk range out of bounds");
-    return s;
+    return bytes_.subspan(static_cast<size_t>(s.byteOffset),
+                          static_cast<size_t>(s.byteLength));
+}
+
+uint64_t
+FccArchive::baseBytes(const SharedRegion &region) const
+{
+    return region.fcc3.chunksBegin +
+           (bytes_.size() - region.fcc3.chunksEnd);
+}
+
+void
+FccArchive::requirePlannedOrder(
+    const std::vector<size_t> &planned,
+    const std::vector<std::pair<uint64_t, uint64_t>> &spans)
+{
+    for (size_t i = 1; i < planned.size(); ++i)
+        if (planned[i] == planned[i - 1] + 1)
+            fccc::requireChunkOrder(spans[i - 1].second,
+                                    spans[i].first);
 }
 
 QueryStats
@@ -391,39 +260,36 @@ FccArchive::runIndexed(const Expr &expr,
     stats.fileBytes = bytes_.size();
 
     std::shared_ptr<const SharedRegion> region = sharedRegion();
-    util::require(region->shared.fidelity != fccc::Fidelity::Flow,
+    const fccc::Datasets &shared = region->fcc3.shared;
+    util::require(shared.fidelity != fccc::Fidelity::Flow,
                   "query: flow-fidelity archives carry no "
                   "per-packet data; use aggregate queries");
-    stats.chunksTotal = region->chunkLen.size();
+    stats.chunksTotal = shared.chunkSizes.size();
 
     std::vector<size_t> planned = plan(expr);
     stats.chunksDecoded = planned.size();
-    stats.bytesRead = region->sharedEnd + region->indexBytes;
-
-    for (size_t c : planned)
-        stats.bytesRead += checkedChunk(*region, c).byteLength;
+    stats.bytesRead = baseBytes(*region);
+    std::vector<std::span<const uint8_t>> chunks;
+    chunks.reserve(planned.size());
+    for (size_t c : planned) {
+        chunks.push_back(chunkBytes(*region, c));
+        stats.bytesRead += chunks.back().size();
+    }
 
     fccc::FccTraceCompressor codec(cfg_);
     std::vector<ChunkResult> results(planned.size());
+    std::vector<std::pair<uint64_t, uint64_t>> spans(planned.size());
     auto decodeOne = [&](size_t i) {
-        size_t c = planned[i];
-        const fccc::ChunkSummary &s = index_->chunks[c];
-        util::ByteReader cr(bytes_.data() + s.byteOffset,
-                            static_cast<size_t>(s.byteLength));
-        std::array<std::vector<uint64_t>, 5> cols;
-        for (size_t k = 0; k < 5; ++k)
-            cols[k] =
-                fccc::decodeColumnFrame(fccc::readColumnFrame(cr));
-        util::require(cr.exhausted(),
-                      "fcc index: chunk range has trailing bytes");
-        std::vector<fccc::TimeSeqRecord> records =
-            buildChunkRecords(region->shared, cols,
-                              region->chunkLen[c]);
-        expandFiltered(codec, region->shared, region->facts, records,
-                       fccc::chunkRngSeed(cfg_.decompressSeed, c),
+        fccc::Fcc3Chunk chunk =
+            fccc::readFcc3Chunk(chunks[i], region->fcc3, planned[i]);
+        spans[i] = {chunk.firstUs, chunk.lastUs};
+        expandFiltered(codec, shared, region->facts, chunk.timeSeq,
+                       fccc::chunkRngSeed(cfg_.decompressSeed,
+                                          planned[i]),
                        expr, results[i]);
     };
     util::runJobs(cfg_.threads, planned.size(), decodeOne);
+    requirePlannedOrder(planned, spans);
 
     emitResults(results, sink, stats);
     return stats;
@@ -443,7 +309,8 @@ FccArchive::runFullDecode(const Expr &expr,
                   "query: flow-fidelity archives carry no "
                   "per-packet data; use aggregate queries");
     fccc::FccTraceCompressor codec(cfg_);
-    fccc::TemplateFactTable facts = codec.templateFacts(d);
+    fccc::TemplateFactTable facts = fccc::templateFacts(
+        d, cfg_.smallPayload, cfg_.largePayload);
 
     if (d.chunkSizes.empty()) {
         // Legacy layout: one sequential RNG stream over everything.

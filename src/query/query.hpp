@@ -25,14 +25,15 @@
  * Files without an index (FCC1, FCC2, unindexed FCC3, hybrid
  * deflate) and archives whose index block is corrupt fall back to a
  * full decode with the same filtering semantics — a query is never
- * wrong, only slower. See docs/QUERY.md.
+ * wrong, only slower. Both paths read FCC3 through the codec's one
+ * parser (codec/fcc/datasets.hpp: header, shared region, chunk), so
+ * an indexed query rejects exactly what a full decode rejects. See
+ * docs/QUERY.md.
  *
- * The pre-PR 7 query API — the closed conjunctive Predicate — is
- * kept as a thin adapter that lowers onto Expr; new code should
- * build Expr trees (or parse the text grammar) directly. Aggregate
- * queries over an archive (per-server flow counts, byte histograms,
- * top-K talkers, computed without reconstructing packets) live in
- * query/aggregate.hpp; multi-archive catalogs in query/catalog.hpp.
+ * Aggregate queries over an archive (per-server flow counts, byte
+ * histograms, top-K talkers, computed without reconstructing
+ * packets) live in query/aggregate.hpp; multi-archive catalogs in
+ * query/catalog.hpp.
  */
 
 #ifndef FCC_QUERY_QUERY_HPP
@@ -59,50 +60,6 @@ namespace fcc::query {
 
 struct AggregateRequest;
 struct AggregateResult;
-
-/**
- * Conjunctive flow/packet predicate — the closed query surface of
- * PR 5, retained as a compatibility adapter. Unset members match
- * everything; set members must all hold. Deprecated: new code
- * should compose a query::Expr (or parse the text grammar) instead;
- * every Predicate lowers losslessly via toExpr().
- */
-struct Predicate
-{
-    /**
-     * Flow predicate: the flow's stored destination (server)
-     * address — the 5-tuple component the lossy codec preserves
-     * (client address/port are synthesized at decode, §4). All
-     * packets of matching flows qualify.
-     */
-    std::optional<uint32_t> serverIp;
-
-    /**
-     * Packet predicate: inclusive reconstructed-timestamp window in
-     * microseconds; only packets inside it are emitted.
-     */
-    std::optional<std::pair<uint64_t, uint64_t>> timeUs;
-
-    /** Flow predicate: only flows of at least this many packets. */
-    uint32_t minFlowPackets = 0;
-
-    /** True when every flow and packet matches. */
-    bool
-    matchAll() const
-    {
-        return !serverIp && !timeUs && minFlowPackets <= 1;
-    }
-
-    /**
-     * Lower to the equivalent expression tree: the AND of one leaf
-     * per set member. Plan and execution semantics are identical to
-     * the legacy closed-predicate paths.
-     * @throws fcc::util::Error on an inverted time window
-     *         (timeUs->first > timeUs->second) — previously such a
-     *         predicate silently matched nothing.
-     */
-    Expr toExpr() const;
-};
 
 /** What one query run touched and produced. */
 struct QueryStats
@@ -210,9 +167,6 @@ class FccArchive
      */
     std::vector<size_t> plan(const Expr &expr) const;
 
-    /** Adapter: plan(pred.toExpr()). */
-    std::vector<size_t> plan(const Predicate &pred) const;
-
     /**
      * Run @p expr over the archive and write the matching packets,
      * globally time-sorted, to @p sink (closed before returning).
@@ -225,10 +179,6 @@ class FccArchive
     QueryStats run(const Expr &expr, trace::TraceSink &sink,
                    bool forceFullDecode = false) const;
 
-    /** Adapter: run(pred.toExpr(), ...). */
-    QueryStats run(const Predicate &pred, trace::TraceSink &sink,
-                   bool forceFullDecode = false) const;
-
     /**
      * Aggregate over the archive from index blocks and selected
      * column frames, without reconstructing packets. Declared here,
@@ -239,35 +189,42 @@ class FccArchive
   private:
     /**
      * Everything the indexed layout shares across chunks: the
-     * decoded header region (weights, shared datasets, per-chunk
-     * record counts), the facts of every template, and the byte
-     * geometry selective readers account against. Built once per
-     * archive by sharedRegion(), read by the filter and aggregate
-     * executors.
+     * codec's shared region (weights, tier, templates, addresses,
+     * chunk layout and frame bounds) and the facts of every
+     * template. Built once per archive by sharedRegion(), read by
+     * the filter and aggregate executors.
      */
     struct SharedRegion
     {
-        flow::Weights weights;
-        codec::fcc::Datasets shared;     ///< templates + addresses
+        codec::fcc::Fcc3SharedRegion fcc3;
         codec::fcc::TemplateFactTable facts;
-        std::vector<uint64_t> chunkLen;  ///< records per chunk
-        size_t sharedEnd = 0;    ///< end of the shared frames
-        size_t regionEnd = 0;    ///< end of the column-frame region
-        uint64_t indexBytes = 0; ///< index block + footer size
     };
 
-    /** Decode the shared region of an indexed archive (validates
-     *  header, shared frames and the chunk layout against the
-     *  index). Requires hasIndex(). */
+    /** Read the shared region of an indexed archive and check its
+     *  chunk layout against the index. Requires hasIndex(). */
     SharedRegion decodeSharedRegion() const;
 
     /** The cached shared region, decoded on first use. */
     std::shared_ptr<const SharedRegion> sharedRegion() const;
 
-    /** Validate chunk @p c's byte range against the region bounds
-     *  and return its summary. */
-    const codec::fcc::ChunkSummary &
-    checkedChunk(const SharedRegion &region, size_t c) const;
+    /** Chunk @p c's frames, once its index entry agrees with the
+     *  container (record count, byte range inside the frames). */
+    std::span<const uint8_t>
+    chunkBytes(const SharedRegion &region, size_t c) const;
+
+    /** Bytes every indexed run reads besides the chunks: header,
+     *  shared frames and the index block. */
+    uint64_t baseBytes(const SharedRegion &region) const;
+
+    /**
+     * Planned chunks that are neighbours in the file stay time-sorted
+     * across their boundary, as a full decode requires;
+     * @p spans[i] is the (first, last) timestamp of chunk
+     * @p planned[i]. Chunks the plan skipped are not checked.
+     */
+    static void requirePlannedOrder(
+        const std::vector<size_t> &planned,
+        const std::vector<std::pair<uint64_t, uint64_t>> &spans);
 
     QueryStats runIndexed(const Expr &expr,
                           trace::TraceSink &sink) const;
@@ -282,7 +239,6 @@ class FccArchive
     std::vector<uint8_t> owned_;        ///< stdio fallback buffer
     std::span<const uint8_t> bytes_;    ///< the whole archive
     std::optional<codec::fcc::ArchiveIndex> index_;
-    bool indexedLayout_ = false;
     bool indexCorrupt_ = false;
 
     mutable std::mutex regionMutex_;

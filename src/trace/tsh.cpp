@@ -143,6 +143,10 @@ writeTshFile(const Trace &trace, const std::string &path)
     FilePtr f(std::fopen(path.c_str(), "wb"));
     util::require(f != nullptr, "writeTshFile: cannot open output file");
     auto bytes = writeTsh(trace);
+    // An empty trace has no buffer to hand fwrite (data() may be
+    // null, which fwrite does not accept).
+    if (bytes.empty())
+        return;
     size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f.get());
     util::require(n == bytes.size(), "writeTshFile: short write");
 }

@@ -259,11 +259,6 @@ TEST(ExprGrammar, InvertedRangesThrowAtConstruction)
                  util::Error);
     EXPECT_THROW(query::parseExpr("port in [443, 80]"),
                  util::Error);
-
-    // The deprecated Predicate adapter validates on lowering too.
-    query::Predicate pred;
-    pred.timeUs = {{5'000'000, 4'000'000}};
-    EXPECT_THROW(pred.toExpr(), util::Error);
 }
 
 // ---- evaluation -----------------------------------------------------
@@ -474,39 +469,6 @@ TEST(ExprPlan, DeMorganEquivalentsPlanConsistently)
     }
 }
 
-TEST(ExprPlan, PredicateAdapterLowersToSamePlanAndEval)
-{
-    util::Rng rng(0xAB);
-    for (int round = 0; round < 100; ++round) {
-        query::Predicate pred;
-        if (rng.uniformInt(0, 1))
-            pred.serverIp = static_cast<uint32_t>(
-                0x0a000000u + rng.uniformInt(0, 2000));
-        if (rng.uniformInt(0, 1)) {
-            uint64_t t0 = rng.uniformInt(0, 50'000'000);
-            pred.timeUs = {{t0, rng.uniformInt(t0, 60'000'000)}};
-        }
-        if (rng.uniformInt(0, 1))
-            pred.minFlowPackets = static_cast<uint32_t>(
-                rng.uniformInt(1, 100));
-        Expr expr = pred.toExpr();
-
-        std::vector<std::pair<FlowView, uint64_t>> flows;
-        codec::fcc::ChunkSummary chunk = randomChunk(rng, flows);
-        for (const auto &[flow, startUs] : flows) {
-            bool viaExpr = expr.matches(flow, startUs);
-            bool direct =
-                (!pred.serverIp ||
-                 *pred.serverIp == flow.serverIp) &&
-                (!pred.timeUs ||
-                 (startUs >= pred.timeUs->first &&
-                  startUs <= pred.timeUs->second)) &&
-                flow.packets >= pred.minFlowPackets;
-            EXPECT_EQ(viaExpr, direct) << expr.str();
-        }
-    }
-}
-
 // ---- verdict-first expansion ----------------------------------------
 
 TEST(FlowHeader, SkippingFlowsByHeaderDrawKeepsTheStream)
@@ -574,7 +536,8 @@ TEST(FlowHeader, FlowSpanBoundsEveryExpandedPacket)
         static_cast<uint32_t>(d.shortTemplates.size() - 1);
     odd.rttUs = 1000;
     d.timeSeq.push_back(odd);
-    codec::fcc::TemplateFactTable facts = codec.templateFacts(d);
+    codec::fcc::TemplateFactTable facts = codec::fcc::templateFacts(
+        d, cfg.smallPayload, cfg.largePayload);
 
     util::Rng rng(99);
     std::vector<trace::PacketRecord> packets;
@@ -589,7 +552,7 @@ TEST(FlowHeader, FlowSpanBoundsEveryExpandedPacket)
         for (const trace::PacketRecord &p : packets)
             wire += 40 + p.payloadBytes;
         EXPECT_EQ(f.wireBytes, wire);
-        auto span = codec.flowSpan(f, rec);
+        auto span = codec::fcc::flowSpan(f, rec, cfg.defaultGapUs);
         ASSERT_TRUE(span.has_value());
         // The span is exact: its ends are the first and last packet.
         EXPECT_EQ(span->firstUs, packets.front().timestampUs());
@@ -606,30 +569,32 @@ TEST(FlowHeader, FlowSpanBoundsEveryExpandedPacket)
 TEST(FlowHeader, FlowSpanUnknownOnOverflowWrapOrEmptyFlow)
 {
     codec::fcc::FccConfig cfg;
-    codec::fcc::FccTraceCompressor codec(cfg);
     codec::fcc::TimeSeqRecord rec;
     codec::fcc::TemplateFacts f;
+    auto spanOf = [&] {
+        return codec::fcc::flowSpan(f, rec, cfg.defaultGapUs);
+    };
 
     // Empty flow: no packets, no span.
-    EXPECT_FALSE(codec.flowSpan(f, rec).has_value());
+    EXPECT_FALSE(spanOf().has_value());
 
     // Long flow: first + ΣIPT overflows 64 bits (a saturated sum too).
     f.packets = 3;
     rec.isLong = true;
     rec.firstTimestampUs = 5;
     f.iptSumUs = UINT64_MAX;
-    EXPECT_FALSE(codec.flowSpan(f, rec).has_value());
+    EXPECT_FALSE(spanOf().has_value());
     rec.firstTimestampUs = 0;
-    EXPECT_FALSE(codec.flowSpan(f, rec).has_value());  // wraps in ns
+    EXPECT_FALSE(spanOf().has_value());  // wraps in ns
 
     // Long flow ending exactly at the last representable µs.
     f.iptSumUs = 7;
     rec.firstTimestampUs = UINT64_MAX / 1000 - 7;
-    auto span = codec.flowSpan(f, rec);
+    auto span = spanOf();
     ASSERT_TRUE(span.has_value());
     EXPECT_EQ(span->lastUs, UINT64_MAX / 1000);
     rec.firstTimestampUs += 1;  // one past: the ns timestamp wraps
-    EXPECT_FALSE(codec.flowSpan(f, rec).has_value());
+    EXPECT_FALSE(spanOf().has_value());
 
     // Short flow: dependent · RTT overflows, and the sum overflows.
     rec.isLong = false;
@@ -637,11 +602,11 @@ TEST(FlowHeader, FlowSpanUnknownOnOverflowWrapOrEmptyFlow)
     rec.rttUs = UINT32_MAX;
     f.packets = UINT64_MAX;
     f.dependent = UINT64_MAX - 1;
-    EXPECT_FALSE(codec.flowSpan(f, rec).has_value());
+    EXPECT_FALSE(spanOf().has_value());
     f.packets = 4;
     f.dependent = 2;
     rec.rttUs = 1000;
-    span = codec.flowSpan(f, rec);
+    span = spanOf();
     ASSERT_TRUE(span.has_value());
     EXPECT_EQ(span->lastUs, 2 * 1000 + 1 * uint64_t{cfg.defaultGapUs});
 }

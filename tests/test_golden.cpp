@@ -18,8 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,8 @@
 #include "query/query.hpp"
 #include "trace/tsh.hpp"
 #include "util/error.hpp"
+
+#include "test_common.hpp"
 
 using namespace fcc;
 namespace fccc = fcc::codec::fcc;
@@ -173,6 +177,79 @@ TEST(Golden, FlowTierAggregatesMatchExactArchive)
         EXPECT_EQ(a.servers[i].wireBytes, b.servers[i].wireBytes);
     }
     EXPECT_EQ(a.histogram, b.histogram);
+}
+
+namespace {
+
+/** Packets of @p expr over @p archive, or nullopt when it throws. */
+std::optional<std::vector<trace::PacketRecord>>
+tryRun(const query::FccArchive &archive, const query::Expr &expr,
+       bool forceFullDecode)
+{
+    try {
+        trace::Trace out;
+        trace::CollectTraceSink sink(out);
+        archive.run(expr, sink, forceFullDecode);
+        return out.packets();
+    } catch (const util::Error &) {
+        return std::nullopt;
+    }
+}
+
+} // namespace
+
+TEST(Golden, IndexedAndFullDecodePathsAgree)
+{
+    // Both paths read FCC3 through the one parser, so every indexed
+    // archive answers through its chunk index exactly as through a
+    // full decode: matchAll and a server leaf (both throw on the flow
+    // tier, which has no packets), and the aggregate, whose
+    // full-decode twin runs on the same datasets written without an
+    // index.
+    for (const Golden &g : kGoldens) {
+        if (!g.hasIndex)
+            continue;
+        SCOPED_TRACE(g.name);
+        query::FccArchive archive(goldenPath(g.name));
+        ASSERT_TRUE(archive.hasIndex());
+        fccc::Datasets d = fccc::deserialize(loadBytes(g.name));
+        ASSERT_FALSE(d.addresses.empty());
+
+        const query::Expr exprs[] = {
+            query::Expr::matchAll(),
+            query::Expr::serverIs(d.addresses.front())};
+        for (const query::Expr &expr : exprs) {
+            SCOPED_TRACE(expr.str());
+            auto indexed = tryRun(archive, expr, false);
+            auto full = tryRun(archive, expr, true);
+            ASSERT_EQ(indexed.has_value(), full.has_value());
+            EXPECT_EQ(indexed.has_value(),
+                      g.fidelity != fccc::Fidelity::Flow);
+            if (indexed) {
+                EXPECT_TRUE(fcc::test::samePackets(*indexed, *full));
+            }
+        }
+
+        fccc::SizeBreakdown sizes;
+        std::vector<uint8_t> plainBytes = fccc::serializeColumnar(
+            d, 0, codec::backend::EntropyBackend::Store, sizes);
+        std::string plainPath =
+            fcc::test::tempPath(std::string("plain-") + g.name);
+        std::ofstream(plainPath, std::ios::binary)
+            .write(reinterpret_cast<const char *>(plainBytes.data()),
+                   static_cast<std::streamsize>(plainBytes.size()));
+        query::FccArchive plain(plainPath);
+        ASSERT_FALSE(plain.hasIndex());
+        query::AggregateRequest req;
+        query::AggregateResult a = archive.aggregate(req);
+        query::AggregateResult b = plain.aggregate(req);
+        EXPECT_TRUE(a.stats.usedIndex);
+        EXPECT_FALSE(b.stats.usedIndex);
+        EXPECT_EQ(query::renderAggregate(a, req),
+                  query::renderAggregate(b, req));
+        EXPECT_EQ(a.histogram, b.histogram);
+        std::remove(plainPath.c_str());
+    }
 }
 
 TEST(Golden, SourceTraceStillReadable)

@@ -19,12 +19,14 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <thread>
 #include <tuple>
 
 #include "codec/fcc/datasets.hpp"
 #include "codec/fcc/fcc_codec.hpp"
+#include "codec/fcc/fidelity.hpp"
 #include "codec/fcc/index.hpp"
 #include "codec/fcc/stream.hpp"
 #include "query/aggregate.hpp"
@@ -148,14 +150,14 @@ seedArchive()
 }
 
 std::vector<trace::PacketRecord>
-runQuery(const std::string &path, const query::Predicate &pred,
+runQuery(const std::string &path, const query::Expr &expr,
          const fccc::FccConfig &cfg, query::QueryStats *stats,
          bool forceFullDecode = false)
 {
     query::FccArchive archive(path, cfg);
     trace::Trace out;
     trace::CollectTraceSink sink(out);
-    query::QueryStats s = archive.run(pred, sink, forceFullDecode);
+    query::QueryStats s = archive.run(expr, sink, forceFullDecode);
     if (stats != nullptr)
         *stats = s;
     return out.packets();
@@ -321,8 +323,7 @@ TEST(QueryIndex, SingleFlowQueryTouchesStrictlyFewerChunksAndBytes)
     ASSERT_NE(rareIp, 0u) << "no single-chunk server in the seed "
                              "trace; shrink chunkRecords";
 
-    query::Predicate pred;
-    pred.serverIp = rareIp;
+    query::Expr pred = query::Expr::serverIs(rareIp);
     query::QueryStats stats;
     auto packets =
         runQuery(seed.idxPath, pred, seed.cfg, &stats);
@@ -346,8 +347,7 @@ TEST(QueryIndex, QueryMatchesFullDecodePlusFilter)
     // carries the server as destination, so the ground-truth filter
     // is a dstIp match.
     uint32_t ip = d.addresses[d.addresses.size() / 2];
-    query::Predicate flowPred;
-    flowPred.serverIp = ip;
+    query::Expr flowPred = query::Expr::serverIs(ip);
     std::vector<trace::PacketRecord> expected;
     for (const auto &pkt : full.packets())
         if (pkt.dstIp == ip)
@@ -364,8 +364,7 @@ TEST(QueryIndex, QueryMatchesFullDecodePlusFilter)
     // --time: a window in the middle of the trace.
     uint64_t t0 = d.timeSeq[d.timeSeq.size() / 3].firstTimestampUs;
     uint64_t t1 = t0 + 2'000'000;
-    query::Predicate timePred;
-    timePred.timeUs = {t0, t1};
+    query::Expr timePred = query::Expr::timeWithin(t0, t1);
     expected.clear();
     for (const auto &pkt : full.packets())
         if (pkt.timestampUs() >= t0 && pkt.timestampUs() <= t1)
@@ -379,8 +378,7 @@ TEST(QueryIndex, QueryMatchesFullDecodePlusFilter)
     // --min-packets: long flows only; equivalence against the
     // forced full-decode path (flow sizes are not derivable from
     // packets alone).
-    query::Predicate longPred;
-    longPred.minFlowPackets = 51;
+    query::Expr longPred = query::Expr::minFlowPackets(51);
     auto viaLong =
         runQuery(seed.idxPath, longPred, seed.cfg, nullptr);
     auto viaLongFull = runQuery(seed.idxPath, longPred, seed.cfg,
@@ -390,7 +388,7 @@ TEST(QueryIndex, QueryMatchesFullDecodePlusFilter)
                       "--min-packets vs full decode");
 
     // No predicate: the query is a full reconstruction.
-    query::Predicate all;
+    query::Expr all = query::Expr::matchAll();
     auto viaAll = runQuery(seed.idxPath, all, seed.cfg, nullptr);
     expectSamePackets(viaAll, full.packets(), "match-all");
 }
@@ -399,8 +397,7 @@ TEST(QueryIndex, QueryResultIndependentOfThreadCount)
 {
     SeedArchive &seed = seedArchive();
     fccc::Datasets d = fccc::deserialize(readBytes(seed.idxPath));
-    query::Predicate pred;
-    pred.serverIp = d.addresses.front();
+    query::Expr pred = query::Expr::serverIs(d.addresses.front());
 
     fccc::FccConfig cfg1 = seed.cfg;
     cfg1.threads = 1;
@@ -427,9 +424,8 @@ TEST(QueryIndex, LargerGapBypassesTimeWindowPruning)
     fccc::FccConfig wideGap = seed.cfg;
     wideGap.defaultGapUs = 5000;
 
-    query::Predicate pred;
     uint64_t t0 = d.timeSeq[d.timeSeq.size() / 2].firstTimestampUs;
-    pred.timeUs = {t0, t0 + 1'000'000};
+    query::Expr pred = query::Expr::timeWithin(t0, t0 + 1'000'000);
     query::QueryStats stats;
     auto got = runQuery(seed.idxPath, pred, wideGap, &stats);
     EXPECT_FALSE(stats.usedIndex);
@@ -439,8 +435,7 @@ TEST(QueryIndex, LargerGapBypassesTimeWindowPruning)
 
     // A non-time predicate keeps the indexed path even with the
     // wider gap (Bloom and flow-size pruning are gap-independent).
-    query::Predicate flowPred;
-    flowPred.serverIp = d.addresses.front();
+    query::Expr flowPred = query::Expr::serverIs(d.addresses.front());
     query::QueryStats flowStats;
     runQuery(seed.idxPath, flowPred, wideGap, &flowStats);
     EXPECT_TRUE(flowStats.usedIndex);
@@ -457,8 +452,7 @@ TEST(QueryIndex, UnindexedContainersFallBackToFullDecode)
     fccc::compressTraceFile(seed.tshPath, f2, cfg2);
 
     fccc::Datasets d = fccc::deserialize(readBytes(f2));
-    query::Predicate pred;
-    pred.serverIp = d.addresses[1];
+    query::Expr pred = query::Expr::serverIs(d.addresses[1]);
     query::QueryStats stats;
     auto viaF2 = runQuery(f2, pred, seed.cfg, &stats);
     EXPECT_FALSE(stats.usedIndex);
@@ -480,7 +474,7 @@ TEST(QueryIndex, CorruptOrTruncatedIndexDegradesSafely)
     uint64_t region = fccc::indexRegionBytes(good);
     ASSERT_GT(region, fccc::indexFooterBytes);
 
-    query::Predicate all;
+    query::Expr all = query::Expr::matchAll();
     auto reference =
         runQuery(seed.idxPath, all, seed.cfg, nullptr);
     ASSERT_EQ(reference.size(), seed.original.size());
@@ -571,7 +565,7 @@ TEST(QueryIndex, EmptyDatasetsRoundTripWithIndex)
 
     std::string path = tempPath("empty_idx.fcc");
     writeBytes(path, bytes);
-    query::Predicate all;
+    query::Expr all = query::Expr::matchAll();
     query::QueryStats stats;
     auto packets = runQuery(path, all, fccc::FccConfig{}, &stats);
     EXPECT_TRUE(stats.usedIndex);
@@ -598,8 +592,7 @@ TEST(QueryIndex, PlanNeverDropsAMatchingChunk)
         rec += d.chunkSizes[c];
     }
     for (uint32_t ip : d.addresses) {
-        query::Predicate pred;
-        pred.serverIp = ip;
+        query::Expr pred = query::Expr::serverIs(ip);
         auto planned = archive.plan(pred);
         std::set<size_t> plannedSet(planned.begin(), planned.end());
         for (size_t c = 0; c < serversOf.size(); ++c) {
@@ -926,13 +919,12 @@ TEST(QueryVerdict, NearWrapTimestampsFallBackToPerPacket)
     fccc::Datasets back = fccc::deserialize(bytes);
     ASSERT_EQ(back.timeSeq, d.timeSeq);
 
-    fccc::FccTraceCompressor codec(cfg);
-    fccc::TemplateFactTable facts = codec.templateFacts(back);
+    fccc::TemplateFactTable facts = fccc::templateFacts(
+        back, cfg.smallPayload, cfg.largePayload);
     size_t unknown = 0;
     for (const fccc::TimeSeqRecord &r : back.timeSeq)
-        unknown += !codec
-                        .flowSpan(facts.of(r.isLong, r.templateIndex),
-                                  r)
+        unknown += !fccc::flowSpan(facts.of(r.isLong, r.templateIndex),
+                                   r, cfg.defaultGapUs)
                         .has_value();
     EXPECT_EQ(unknown, 3u);
 
@@ -1099,4 +1091,151 @@ TEST(SharedRegionCache, CorruptSharedFrameThrowsOnEveryQuery)
     EXPECT_THROW(archive.aggregate(req), util::Error);
     EXPECT_FALSE(archive.sharedRegionCached());
     std::remove(path.c_str());
+}
+
+// ---- one FCC3 reader: indexed queries reject what a full decode does
+
+namespace {
+
+/** Packets of @p expr over @p archive, or nullopt when it throws. */
+std::optional<std::vector<trace::PacketRecord>>
+tryRun(const query::FccArchive &archive, const query::Expr &expr,
+       bool forceFullDecode)
+{
+    try {
+        return runExpr(archive, expr, forceFullDecode);
+    } catch (const util::Error &) {
+        return std::nullopt;
+    }
+}
+
+} // namespace
+
+TEST(OneReader, OffGridQuantizedArchiveRejectedByEveryPath)
+{
+    // An indexed Quantized archive (1000 us grid) with one timestamp
+    // moved 1 us off the grid. The full decode rejects it; the
+    // indexed query and the indexed aggregate read the same chunks
+    // through the same parser and must reject it too.
+    fccc::FccConfig cfg;
+    cfg.container = fccc::ContainerFormat::Fcc3;
+    cfg.chunkRecords = 64;
+    cfg.threads = 1;
+    cfg.index = true;
+    cfg.fidelity = fccc::Fidelity::Quantized;
+    cfg.quantumUs = 1000;
+    fccc::Datasets d = fccc::deserialize(
+        fccc::FccTraceCompressor(cfg).compress(webTrace(7, 4.0)));
+    ASSERT_EQ(d.fidelity, fccc::Fidelity::Quantized);
+    size_t moved = 0;
+    while (d.timeSeq[moved].firstTimestampUs ==
+           d.timeSeq[moved + 1].firstTimestampUs)
+        ++moved;
+    d.timeSeq[moved].firstTimestampUs += 1;  // still sorted
+
+    fccc::SizeBreakdown sizes;
+    fccc::IndexOptions options;
+    std::vector<uint8_t> bytes = fccc::serializeColumnar(
+        d, 0, cfg.backend, sizes, nullptr, nullptr, &options);
+    std::string path = tempPath("off_grid.fcc");
+    writeBytes(path, bytes);
+
+    EXPECT_THROW(fccc::deserializeAuto(bytes, 1), util::Error);
+    query::FccArchive archive(path, cfg);
+    ASSERT_TRUE(archive.hasIndex());
+    query::Expr all = query::Expr::matchAll();
+    EXPECT_FALSE(tryRun(archive, all, false).has_value());
+    EXPECT_FALSE(tryRun(archive, all, true).has_value());
+    EXPECT_THROW(archive.aggregate(query::AggregateRequest{}),
+                 util::Error);
+    std::remove(path.c_str());
+}
+
+TEST(OneReader, ColumnFrameFlipsFailOrMatchOnBothPaths)
+{
+    // Single-byte flips anywhere in the column frames of an indexed
+    // web archive: the indexed matchAll and the full decode must
+    // either both throw util::Error or emit identical packets.
+    fccc::FccConfig cfg;
+    cfg.container = fccc::ContainerFormat::Fcc3;
+    cfg.chunkRecords = 32;
+    cfg.threads = 1;
+    cfg.index = true;
+    std::vector<uint8_t> good =
+        fccc::FccTraceCompressor(cfg).compress(webTrace(17, 4.0));
+    size_t begin = fccc::readFcc3Header(good)->bytes;
+    size_t end = good.size() -
+                 static_cast<size_t>(fccc::indexRegionBytes(good));
+    ASSERT_LT(begin, end);
+
+    std::string path = tempPath("frame_flip.fcc");
+    util::Rng rng(0xF11B);
+    size_t threw = 0, matched = 0;
+    const size_t flips = smokeTests() ? 150 : 600;
+    for (size_t n = 0; n < flips; ++n) {
+        std::vector<uint8_t> mutant = good;
+        size_t at = rng.uniformInt(begin, end - 1);
+        mutant[at] ^= static_cast<uint8_t>(rng.uniformInt(1, 255));
+        writeBytes(path, mutant);
+        query::FccArchive archive(path, cfg);
+        ASSERT_TRUE(archive.hasIndex());
+        query::Expr all = query::Expr::matchAll();
+        auto indexed = tryRun(archive, all, false);
+        auto full = tryRun(archive, all, true);
+        ASSERT_EQ(indexed.has_value(), full.has_value())
+            << "byte " << at << ": the "
+            << (indexed ? "indexed" : "full-decode")
+            << " path accepted what the other rejected";
+        if (indexed) {
+            ASSERT_TRUE(fcc::test::samePackets(*indexed, *full))
+                << "byte " << at;
+            ++matched;
+        } else {
+            ++threw;
+        }
+    }
+    EXPECT_GT(threw, 0u);
+    EXPECT_GT(matched, 0u);
+    std::remove(path.c_str());
+}
+
+TEST(OneReader, IptSumOverflowNeverPrunes)
+{
+    // A long template whose inter-packet times sum past 2^64: the
+    // reconstruction wraps, so its span is unknown, and an unknown
+    // span never prunes — the index bound and the flow tier's
+    // duration saturate instead of wrapping back below the start.
+    fccc::Datasets d;
+    flow::Characterizer chi(d.weights);
+    uint16_t s = chi.encode(
+        {flow::FlagClass::Ack, false, flow::SizeClass::Empty});
+    d.longTemplates.push_back(
+        {{s, s, s}, {0, uint64_t{1} << 63, uint64_t{1} << 63}});
+    d.addresses = {0x0a000001u};
+    fccc::TimeSeqRecord rec;
+    rec.firstTimestampUs = 1000;
+    rec.isLong = true;
+    d.timeSeq = {rec};
+    d.chunkSizes = {1};
+
+    fccc::TemplateFactTable facts = fccc::templateFacts(d, 0, 0);
+    EXPECT_FALSE(
+        fccc::flowSpan(facts.of(true, 0), rec, 300).has_value());
+
+    std::vector<uint32_t> sizes = d.chunkSizes;
+    fccc::ArchiveIndex index =
+        fccc::buildArchiveIndex(d, sizes, fccc::IndexOptions{});
+    ASSERT_EQ(index.chunks.size(), 1u);
+    EXPECT_EQ(index.chunks[0].maxEndUs, UINT64_MAX);
+    EXPECT_TRUE(query::Expr::timeWithin(5000, 6000)
+                    .planChunk(index.chunks[0])
+                    .may);
+
+    fccc::Datasets flows =
+        fccc::applyFidelity(d, fccc::Fidelity::Flow, {});
+    ASSERT_EQ(flows.flowRecords.size(), 1u);
+    EXPECT_EQ(flows.flowRecords[0].durationUs, UINT64_MAX);
+    fccc::ArchiveIndex flowIndex =
+        fccc::buildArchiveIndex(flows, sizes, fccc::IndexOptions{});
+    EXPECT_EQ(flowIndex.chunks[0].maxEndUs, UINT64_MAX);
 }

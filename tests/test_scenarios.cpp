@@ -397,15 +397,16 @@ TEST(ScenarioRoundTrip, IndexedQueryMatchesFullDecode)
         trace::Trace full;
         {
             trace::CollectTraceSink sink(full);
-            auto stats = archive.run(query::Predicate{}, sink, true);
+            auto stats =
+                archive.run(query::Expr::matchAll(), sink, true);
             EXPECT_EQ(stats.packetsMatched, original.size());
         }
-        std::vector<query::Predicate> preds(1);
+        std::vector<query::Expr> preds;
+        preds.push_back(query::Expr::matchAll());
         uint64_t t0 = full.packets().front().timestampUs();
         uint64_t t1 = full.packets().back().timestampUs();
-        preds.push_back(query::Predicate{});
-        preds.back().timeUs = {t0 + (t1 - t0) / 4,
-                               t0 + (t1 - t0) / 2};
+        preds.push_back(query::Expr::timeWithin(t0 + (t1 - t0) / 4,
+                                                t0 + (t1 - t0) / 2));
         std::map<uint32_t, uint64_t> dstCounts;
         for (const auto &pkt : full.packets())
             ++dstCounts[pkt.dstIp];
@@ -416,10 +417,8 @@ TEST(ScenarioRoundTrip, IndexedQueryMatchesFullDecode)
                 topDst = ip;
                 topCount = count;
             }
-        preds.push_back(query::Predicate{});
-        preds.back().serverIp = topDst;
-        preds.push_back(query::Predicate{});
-        preds.back().minFlowPackets = 2;
+        preds.push_back(query::Expr::serverIs(topDst));
+        preds.push_back(query::Expr::minFlowPackets(2));
 
         for (size_t i = 0; i < preds.size(); ++i) {
             SCOPED_TRACE(i);

@@ -317,6 +317,16 @@ TEST(Tsh, FileRoundTrip)
     std::remove(path.c_str());
 }
 
+TEST(Tsh, EmptyFileRoundTrip)
+{
+    // Nothing to write: the file is created empty and reads back as
+    // an empty trace.
+    std::string path = fcc::test::tempPath("empty.tsh");
+    writeTshFile(Trace{}, path);
+    EXPECT_EQ(readTshFile(path).size(), 0u);
+    std::remove(path.c_str());
+}
+
 // ---- pcap format -----------------------------------------------------------
 
 TEST(Pcap, RoundTripPreservesHeaders)
