@@ -175,7 +175,7 @@ main(int argc, char **argv)
         std::remove(path.c_str());
     }
 
-    // --- mmap vs stdio vs readahead on the flat TSH container ---
+    // --- mmap vs stdio on the flat TSH container ---
     {
         std::string path = "io_throughput_tmp.stdio.tsh";
         auto sink = trace::openTraceSink(path);
@@ -184,29 +184,21 @@ main(int argc, char **argv)
         {
             const char *label;
             const char *metric;
-            int kind;  // 0 = mmap, 1 = stdio, 2 = readahead
+            bool mmap;  ///< openByteSource's default, else plain stdio
         };
         const SourceKind kinds[] = {
-            {"tsh (mmap)", "io_tsh_read_mmap_mbps", 0},
-            {"tsh (stdio)", "io_tsh_read_stdio_mbps", 1},
-            {"tsh (rahead)", "io_tsh_read_readahead_mbps", 2},
+            {"tsh (mmap)", "io_tsh_read_mmap_mbps", true},
+            {"tsh (stdio)", "io_tsh_read_stdio_mbps", false},
         };
         for (const SourceKind &k : kinds) {
-            if (k.kind == 2 && !util::ReadaheadByteSource::supported())
-                continue;
             ReadResult rd;
             double sec = secondsOf(
                 [&] {
                     rd = drain([&] {
-                        auto src =
-                            k.kind == 2
-                                ? std::unique_ptr<util::ByteSource>(
-                                      std::make_unique<
-                                          util::
-                                              ReadaheadByteSource>(
-                                          path))
-                                : util::openByteSource(path,
-                                                       k.kind == 0);
+                        std::unique_ptr<util::ByteSource> src =
+                            k.mmap ? util::openByteSource(path)
+                                   : std::make_unique<
+                                         util::FileByteSource>(path);
                         return std::make_unique<trace::TshSource>(
                             std::move(src));
                     });

@@ -55,20 +55,9 @@ main(int argc, char **argv)
         ++i;
     }
 
-    // Extension: hybrid mode deflates the serialized datasets.
     fcc::trace::WebTrafficGenerator gen(cfg);
     auto trace = gen.generate();
     double tshBytes = static_cast<double>(trace.size() * 44);
-    {
-        fcc::codec::fcc::FccConfig hybridCfg;
-        hybridCfg.deflateDatasets = true;
-        fcc::codec::fcc::FccTraceCompressor hybrid(hybridCfg);
-        double ratio =
-            static_cast<double>(hybrid.compress(trace).size()) /
-            tshBytes;
-        std::printf("%-10s %11.2f%% %12s %10s\n", "fcc+deflate",
-                    100.0 * ratio, "-", "(ours)");
-    }
 
     // Extension: the columnar FCC3 container, per-column codecs +
     // deflate backend.

@@ -5,7 +5,7 @@
  *
  * Usage:
  *   ./build/examples/compare_compressors [--threads N]
- *       [--container fcc1|fcc2|fcc3] [--backend store|deflate|range]
+ *       [--container fcc2|fcc3] [--backend store|deflate|range]
  *       [capture.file]
  *
  * The input format (TSH, pcap, pcapng, each optionally gzip'd) is
@@ -79,8 +79,8 @@ main(int argc, char **argv)
                                          UINT32_MAX));
               });
     flags.add("--container", "FMT",
-              "fcc1|fcc2|fcc3 wire container of the\n"
-              "\"fcc\" row (default fcc2)",
+              "fcc2|fcc3 wire container of the \"fcc\"\n"
+              "row (default fcc2)",
               [&](const char *v) {
                   fccCfg.container =
                       codec::fcc::parseContainerName(v);

@@ -17,11 +17,12 @@
  *   --threshold <pct>    similarity threshold (default 2.0, eq. 4)
  *   --cutoff <n>         short/long split (default 50)
  *   --threads <n>        pipeline workers (0 = all cores, default)
- *   --chunk-records <n>  time-seq records per chunk (default 4096;
- *                        the unit of parallel decode and random
- *                        access, 0 = unchunked)
- *   --container <fmt>    fcc1|fcc2|fcc3 (default fcc3, the columnar
- *                        container; decompression auto-detects)
+ *   --chunk-records <n>  time-seq records per chunk, >= 1 (default
+ *                        4096; the unit of parallel decode and
+ *                        random access)
+ *   --container <fmt>    fcc2|fcc3 (default fcc3, the columnar
+ *                        container; decompression auto-detects
+ *                        these and the legacy fcc1/hybrid files)
  *   --backend <name>     store|deflate|range — FCC3 per-column
  *                        entropy backend (default deflate)
  *   --index              compress: write a seekable archive (FCC3
@@ -281,8 +282,8 @@ main(int argc, char **argv)
 {
     codec::fcc::FccConfig cfg;
     // The tool writes the columnar container by default; the library
-    // default stays FCC2 (the paper's layout). --container fcc1|fcc2
-    // keeps the row formats fully writable.
+    // default stays FCC2 (the paper's row layout), which --container
+    // fcc2 selects.
     cfg.container = codec::fcc::ContainerFormat::Fcc3;
     trace::TraceFormatSpec inFormat, outFormat;
     bool showIndex = false;
@@ -320,18 +321,17 @@ main(int argc, char **argv)
                                          UINT32_MAX));
               });
     flags.add("--chunk-records", "N",
-              "time-seq records per chunk (default 4096;\n"
-              "the unit of parallel decode and of random\n"
-              "access — see --index; 0 = unchunked legacy\n"
-              "layout)",
+              "time-seq records per chunk, >= 1 (default\n"
+              "4096; the unit of parallel decode and of\n"
+              "random access — see --index)",
               [&](const char *v) {
                   cfg.chunkRecords = static_cast<uint32_t>(
-                      cli::parseUnsigned("--chunk-records", v, 0,
+                      cli::parseUnsigned("--chunk-records", v, 1,
                                          UINT32_MAX));
               });
     flags.add("--container", "FMT",
-              "fcc1|fcc2|fcc3 wire container (default\n"
-              "fcc3; decompression auto-detects all three)",
+              "fcc2|fcc3 wire container (default fcc3;\n"
+              "decompression also reads legacy fcc1)",
               [&](const char *v) {
                   cfg.container =
                       codec::fcc::parseContainerName(v);

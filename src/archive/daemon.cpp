@@ -86,13 +86,6 @@ Daemon::Daemon(const DaemonConfig &config) : config_(config)
     config_.codec.validate();
     util::require(!config_.outputDir.empty(),
                   "fccd: an output directory is required");
-    bool cutsChunks = config_.rotation.chunkRecords != 0 ||
-                      config_.rotation.chunkWallMs != 0;
-    util::require(!cutsChunks ||
-                      config_.codec.container ==
-                          codec::fcc::ContainerFormat::Fcc3,
-                  "fccd: chunk rotation needs the fcc3 container "
-                  "(rotateChunk() cuts column frames)");
 }
 
 DaemonReport

@@ -3,8 +3,8 @@
  * Wire formats of the four §3 datasets (short/long templates,
  * addresses, time-seq) behind three magic-tagged containers:
  *
- *  - FCC1 (legacy): one row-interleaved, delta-encoded varint
- *    stream;
+ *  - FCC1 (legacy, read here, no longer written): one
+ *    row-interleaved, delta-encoded varint stream;
  *  - FCC2 (chunked): the time-seq dataset framed into independently
  *    decodable chunks (record count + byte length prefix, per-chunk
  *    timestamp delta restart) so a reader can expand chunks on
@@ -111,19 +111,17 @@ writeRecord(util::ByteWriter &w, const TimeSeqRecord &rec,
     prevUs = rec.firstTimestampUs;
 }
 
+/** @p d's chunk layout is non-empty chunks covering every record. */
 void
-serializeInto(const Datasets &d, util::ByteWriter &w,
-              SizeBreakdown &sizes)
+requireLayout(const Datasets &d)
 {
-    writeShared(d, magicV1, w, sizes);
-
-    // time-seq: sorted by timestamp, so timestamps delta-encode.
-    size_t mark = w.size();
-    w.varint(d.timeSeq.size());
-    uint64_t prevUs = 0;
-    for (const auto &rec : d.timeSeq)
-        writeRecord(w, rec, prevUs);
-    sizes.timeSeqBytes = w.size() - mark;
+    uint64_t total = 0;
+    for (uint32_t c : d.chunkSizes) {
+        util::require(c >= 1, "fcc: empty chunk");
+        total += c;
+    }
+    util::require(total == d.records(),
+                  "fcc: chunk sizes disagree with the records");
 }
 
 /**
@@ -307,32 +305,13 @@ splitFlowColumns(const Datasets &d)
     return cols;
 }
 
-/** Decompose the datasets into the twelve FCC3 columns. */
+/**
+ * Decompose per-packet datasets into the twelve column slots, all
+ * but chunk_len.
+ */
 ColumnValues
-splitColumns(const Datasets &d, uint32_t recordsPerChunk)
+splitRecordColumns(const Datasets &d)
 {
-    if (d.fidelity == Fidelity::Flow) {
-        ColumnValues cols = splitFlowColumns(d);
-        size_t records = d.flowRecords.size();
-        if (!d.chunkSizes.empty()) {
-            uint64_t total = 0;
-            for (uint32_t c : d.chunkSizes) {
-                util::require(c >= 1, "fcc: empty chunk");
-                cols[ColChunkLen].push_back(c);
-                total += c;
-            }
-            util::require(total == records,
-                          "fcc: chunk sizes disagree with flow "
-                          "records");
-        } else if (recordsPerChunk > 0) {
-            for (size_t begin = 0; begin < records;
-                 begin += recordsPerChunk)
-                cols[ColChunkLen].push_back(std::min<size_t>(
-                    recordsPerChunk, records - begin));
-        }
-        return cols;
-    }
-
     util::require(d.flowRecords.empty(),
                   "fcc: flow records present outside the flow "
                   "fidelity tier");
@@ -379,23 +358,18 @@ splitColumns(const Datasets &d, uint32_t recordsPerChunk)
             cols[ColTsRtt].push_back(rec.rttUs);
         cols[ColTsAddr].push_back(rec.addressIndex);
     }
+    return cols;
+}
 
-    if (!d.chunkSizes.empty()) {
-        uint64_t total = 0;
-        for (uint32_t c : d.chunkSizes) {
-            util::require(c >= 1, "fcc: empty chunk");
-            cols[ColChunkLen].push_back(c);
-            total += c;
-        }
-        util::require(total == d.timeSeq.size(),
-                      "fcc: chunk sizes disagree with time-seq");
-    } else if (recordsPerChunk > 0) {
-        size_t records = d.timeSeq.size();
-        for (size_t begin = 0; begin < records;
-             begin += recordsPerChunk)
-            cols[ColChunkLen].push_back(std::min<size_t>(
-                recordsPerChunk, records - begin));
-    }
+/** Decompose the datasets into the twelve FCC3 columns. */
+ColumnValues
+splitColumns(const Datasets &d)
+{
+    ColumnValues cols = d.fidelity == Fidelity::Flow
+        ? splitFlowColumns(d)
+        : splitRecordColumns(d);
+    requireLayout(d);
+    cols[ColChunkLen].assign(d.chunkSizes.begin(), d.chunkSizes.end());
     return cols;
 }
 
@@ -935,49 +909,27 @@ deserializeColumnar(std::span<const uint8_t> data,
 } // namespace
 
 std::vector<uint8_t>
-serialize(const Datasets &datasets)
+serializeChunked(const Datasets &datasets, SizeBreakdown &breakdown)
 {
-    SizeBreakdown sizes;
-    return serialize(datasets, sizes);
-}
-
-std::vector<uint8_t>
-serialize(const Datasets &datasets, SizeBreakdown &breakdown)
-{
-    util::ByteWriter w;
-    breakdown = SizeBreakdown{};
-    serializeInto(datasets, w, breakdown);
-    return w.take();
-}
-
-std::vector<uint8_t>
-serializeChunked(const Datasets &datasets, uint32_t recordsPerChunk,
-                 SizeBreakdown &breakdown)
-{
-    if (recordsPerChunk == 0)
-        return serialize(datasets, breakdown);
-
     util::ByteWriter w;
     breakdown = SizeBreakdown{};
     writeShared(datasets, magicV2, w, breakdown);
+    requireLayout(datasets);
 
     size_t mark = w.size();
-    size_t records = datasets.timeSeq.size();
-    size_t chunks = (records + recordsPerChunk - 1) / recordsPerChunk;
-    w.varint(chunks);
-    for (size_t c = 0; c < chunks; ++c) {
-        size_t begin = c * recordsPerChunk;
-        size_t end = std::min(records,
-                              begin + size_t{recordsPerChunk});
+    w.varint(datasets.chunkSizes.size());
+    size_t begin = 0;
+    for (uint32_t records : datasets.chunkSizes) {
         // Each chunk restarts the timestamp delta so it decodes
         // without its predecessors.
         util::ByteWriter chunk;
         uint64_t prevUs = 0;
-        for (size_t i = begin; i < end; ++i)
+        for (size_t i = begin; i < begin + records; ++i)
             writeRecord(chunk, datasets.timeSeq[i], prevUs);
-        w.varint(end - begin);
+        w.varint(records);
         w.varint(chunk.size());
         w.bytes(chunk.data());
+        begin += records;
     }
     breakdown.timeSeqBytes = w.size() - mark;
     return w.take();
@@ -1001,13 +953,13 @@ writeFrame(util::ByteWriter &w, const EncodedColumn &col)
 } // namespace
 
 std::vector<uint8_t>
-serializeColumnar(const Datasets &datasets, uint32_t recordsPerChunk,
+serializeColumnar(const Datasets &datasets,
                   backend::EntropyBackend backend,
                   SizeBreakdown &breakdown, util::ThreadPool *pool,
                   std::vector<ColumnStat> *columns,
                   const IndexOptions *index)
 {
-    ColumnValues values = splitColumns(datasets, recordsPerChunk);
+    ColumnValues values = splitColumns(datasets);
     breakdown = SizeBreakdown{};
     if (columns != nullptr)
         columns->clear();
@@ -1064,15 +1016,8 @@ serializeColumnar(const Datasets &datasets, uint32_t recordsPerChunk,
     }
 
     // ---- indexed layout: chunk-framed time-seq + index block ----
-    util::require(!values[ColChunkLen].empty() ||
-                      datasets.timeSeq.empty(),
-                  "fcc3: the index requires a chunked time-seq "
-                  "layout (chunkRecords > 0)");
-    size_t chunks = values[ColChunkLen].size();
-    std::vector<uint32_t> chunkSizes;
-    chunkSizes.reserve(chunks);
-    for (uint64_t c : values[ColChunkLen])
-        chunkSizes.push_back(static_cast<uint32_t>(c));
+    const std::vector<uint32_t> &chunkSizes = datasets.chunkSizes;
+    size_t chunks = chunkSizes.size();
 
     // Record and RTT offsets of every chunk into the time-seq
     // columns (RTTs exist only for short flows; in the flow profile
@@ -1136,8 +1081,7 @@ serializeColumnar(const Datasets &datasets, uint32_t recordsPerChunk,
     accountFrame(ColChunkLen, sharedEnc[ColAddr + 1],
                  writeFrame(w, sharedEnc[ColAddr + 1]), true);
 
-    ArchiveIndex archiveIndex =
-        buildArchiveIndex(datasets, chunkSizes, *index);
+    ArchiveIndex archiveIndex = buildArchiveIndex(datasets, *index);
     FCC_ASSERT(archiveIndex.chunks.size() == chunks,
                "index chunk count drifted from the layout");
     for (size_t c = 0; c < chunks; ++c) {
@@ -1297,6 +1241,30 @@ readFcc3Chunk(std::span<const uint8_t> bytes,
     }
     buildRecords(shared, cols, records, frames[tsRtt].values, out);
     return out;
+}
+
+std::vector<uint32_t>
+chunkLayout(size_t records, uint32_t chunkRecords,
+            std::span<const size_t> segmentEnds)
+{
+    util::require(chunkRecords >= 1,
+                  "fcc: chunkRecords must be >= 1");
+    std::vector<uint32_t> layout;
+    size_t begin = 0;
+    auto slice = [&](size_t end) {
+        while (begin < end) {
+            size_t n = std::min<size_t>(chunkRecords, end - begin);
+            layout.push_back(static_cast<uint32_t>(n));
+            begin += n;
+        }
+    };
+    for (size_t end : segmentEnds) {
+        util::require(end >= begin && end <= records,
+                      "fcc: chunk cuts out of order");
+        slice(end);
+    }
+    slice(records);
+    return layout;
 }
 
 void

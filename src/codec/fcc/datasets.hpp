@@ -13,7 +13,7 @@
  *    (short flows only) and an index into the address dataset.
  *
  * Three containers carry them:
- *  - FCC1 (legacy): one row-interleaved varint stream;
+ *  - FCC1 (legacy, decode-only): one row-interleaved varint stream;
  *  - FCC2 (chunked): FCC1's encoding with the time-seq dataset
  *    framed into independently decodable chunks;
  *  - FCC3 (columnar): every dataset decomposed into typed columns,
@@ -101,12 +101,13 @@ struct Datasets
     std::vector<TimeSeqRecord> timeSeq;  ///< sorted by timestamp
 
     /**
-     * Chunk layout of the FCC2/FCC3 containers: element c is the
-     * number of consecutive timeSeq records in chunk c (summing to
-     * timeSeq.size()). Empty for the legacy FCC1 container. Chunks
-     * expand independently — each owns one RNG stream — which is
-     * what lets decompression run multi-threaded yet
-     * byte-deterministic.
+     * Chunk layout: element c is the number of consecutive records
+     * in chunk c (summing to records()). The compressing session
+     * fixes it (chunkLayout()) and every writer stores it as it is;
+     * it is empty only for datasets decoded from a legacy unchunked
+     * archive. Chunks expand independently — each owns one RNG
+     * stream — which is what lets decompression run multi-threaded
+     * yet byte-deterministic.
      */
     std::vector<uint32_t> chunkSizes;
 
@@ -121,7 +122,30 @@ struct Datasets
     /** Quantized tier only: the timestamp grid in microseconds. */
     uint64_t quantumUs = 0;
     std::vector<FlowRecord> flowRecords;  ///< Flow tier only
+
+    /** Records the chunk layout counts: flow records in the Flow
+     *  tier, time-seq records otherwise. */
+    size_t
+    records() const
+    {
+        return fidelity == Fidelity::Flow ? flowRecords.size()
+                                          : timeSeq.size();
+    }
 };
+
+/**
+ * The chunk layout of @p records records: the records split at each
+ * of @p segmentEnds (ascending record positions, at most
+ * @p records), then every segment sliced into chunks of
+ * @p chunkRecords records, its last chunk shorter. Empty segments
+ * give no chunk. The one place a layout is computed: the compressing
+ * session calls it with its time cuts, serializeDatasets() without,
+ * for datasets that arrive with no layout.
+ * @throws fcc::util::Error when @p chunkRecords is 0 or the segment
+ *         ends are out of order.
+ */
+std::vector<uint32_t> chunkLayout(size_t records, uint32_t chunkRecords,
+                                  std::span<const size_t> segmentEnds = {});
 
 /** Serialized size of each dataset, for the §5 accounting. */
 struct SizeBreakdown
@@ -183,23 +207,15 @@ struct ContainerStat
     uint64_t quantumUs = 0;
 };
 
-/** Serialize to the legacy (single-stream) FCC1 wire format. */
-std::vector<uint8_t> serialize(const Datasets &datasets);
-
-/** Serialize and report per-dataset sizes through @p breakdown. */
-std::vector<uint8_t> serialize(const Datasets &datasets,
-                               SizeBreakdown &breakdown);
-
 /**
  * Serialize to the chunked FCC2 wire format: the template and
  * address datasets are shared, the time-seq dataset is framed into
- * chunks of @p recordsPerChunk records (the last may be shorter),
- * each prefixed with its record count and byte length so a reader
- * can expand chunks in parallel. @p recordsPerChunk == 0 falls back
- * to FCC1.
+ * the chunks of datasets.chunkSizes, each prefixed with its record
+ * count and byte length so a reader can expand chunks in parallel.
+ * @throws fcc::util::Error when the layout does not cover the
+ *         time-seq dataset.
  */
 std::vector<uint8_t> serializeChunked(const Datasets &datasets,
-                                      uint32_t recordsPerChunk,
                                       SizeBreakdown &breakdown);
 
 /**
@@ -212,19 +228,16 @@ std::vector<uint8_t> serializeChunked(const Datasets &datasets,
  * encode jobs run on @p pool when given (results are byte-identical
  * with or without it). @p breakdown receives the on-wire
  * (post-backend) bytes per dataset; @p columns, when non-null, the
- * per-column accounting. The chunk layout is taken from
- * datasets.chunkSizes when present, else derived from
- * @p recordsPerChunk (0 keeps the time-seq dataset unchunked, which
- * expands on the legacy sequential path).
+ * per-column accounting. The chunk layout is datasets.chunkSizes,
+ * which must cover every record.
  *
  * With a non-null @p index the archive is written *seekable*: the
  * five time-seq columns are framed per chunk (each chunk an
  * independently decodable byte range) and a chunk/flow index block
- * (codec/fcc/index.hpp) is appended after the frames; the layout
- * requires a chunked time-seq dataset unless it is empty.
+ * (codec/fcc/index.hpp) is appended after the frames.
  */
 std::vector<uint8_t>
-serializeColumnar(const Datasets &datasets, uint32_t recordsPerChunk,
+serializeColumnar(const Datasets &datasets,
                   backend::EntropyBackend backend,
                   SizeBreakdown &breakdown,
                   util::ThreadPool *pool = nullptr,

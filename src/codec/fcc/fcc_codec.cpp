@@ -4,7 +4,6 @@
  * assemble flows, match short-flow SF vectors against the
  * template store, store long flows verbatim, then regenerate
  * packets from templates + time-seq records on decompression.
- * Optionally DEFLATEs the serialized datasets.
  *
  * Compression is CompressSession's (session.hpp): compress(Trace)
  * feeds the whole trace into a single-epoch session and seals it, so
@@ -53,8 +52,6 @@ const char *
 containerFormatName(ContainerFormat container)
 {
     switch (container) {
-      case ContainerFormat::Fcc1:
-        return "fcc1";
       case ContainerFormat::Fcc2:
         return "fcc2";
       case ContainerFormat::Fcc3:
@@ -66,8 +63,7 @@ containerFormatName(ContainerFormat container)
 ContainerFormat
 parseContainerName(const std::string &name)
 {
-    const ContainerFormat all[] = {ContainerFormat::Fcc1,
-                                   ContainerFormat::Fcc2,
+    const ContainerFormat all[] = {ContainerFormat::Fcc2,
                                    ContainerFormat::Fcc3};
     for (ContainerFormat container : all)
         if (name == containerFormatName(container))
@@ -79,7 +75,6 @@ void
 FccConfig::validate() const
 {
     switch (container) {
-      case ContainerFormat::Fcc1:
       case ContainerFormat::Fcc2:
       case ContainerFormat::Fcc3:
         break;
@@ -89,12 +84,12 @@ FccConfig::validate() const
     util::require(static_cast<uint8_t>(backend) <
                       backend::entropyBackendCount,
                   "fcc: bad entropy backend tag");
+    util::require(chunkRecords >= 1,
+                  "fcc: chunkRecords must be >= 1 (every written "
+                  "archive is chunked)");
     util::require(!index || container == ContainerFormat::Fcc3,
                   "fcc: the chunk/flow index requires the fcc3 "
                   "container");
-    util::require(!index || chunkRecords > 0,
-                  "fcc3: the index requires a chunked time-seq "
-                  "layout (chunkRecords > 0)");
     util::require(weights.decodable(),
                   "fcc: weights are not uniquely decodable");
     switch (fidelity) {
@@ -122,58 +117,50 @@ serializeDatasets(const Datasets &datasets, const FccConfig &cfg,
     if (columns != nullptr)
         columns->clear();
     cfg.validate();
-    std::vector<uint8_t> bytes;
-    switch (cfg.container) {
-      case ContainerFormat::Fcc1:
-        bytes = serialize(datasets, breakdown);
-        break;
-      case ContainerFormat::Fcc2:
-        bytes = serializeChunked(datasets, cfg.chunkRecords,
-                                 breakdown);
-        break;
-      case ContainerFormat::Fcc3: {
-        unsigned threads = util::resolveThreads(cfg.threads);
-        std::unique_ptr<util::ThreadPool> pool;
-        if (threads > 1)
-            pool = std::make_unique<util::ThreadPool>(threads);
-        IndexOptions indexOptions;
-        indexOptions.gapUs = cfg.defaultGapUs;
-        // Degrade to the configured tier just before serialization,
-        // so assembly, chunking, and the index all see the same
-        // (already-lossy) datasets.
-        if (cfg.fidelity != Fidelity::Exact) {
-            FidelityParams params;
-            params.quantumUs = cfg.quantumUs;
-            params.smallPayload = cfg.smallPayload;
-            params.largePayload = cfg.largePayload;
-            params.defaultGapUs = cfg.defaultGapUs;
-            Datasets degraded =
-                applyFidelity(datasets, cfg.fidelity, params);
-            return serializeColumnar(
-                degraded, cfg.chunkRecords, cfg.backend, breakdown,
-                pool.get(), columns,
-                cfg.index ? &indexOptions : nullptr);
-        }
-        // The per-column backends supersede the whole-blob squeeze.
-        return serializeColumnar(datasets, cfg.chunkRecords,
-                                 cfg.backend, breakdown, pool.get(),
-                                 columns,
-                                 cfg.index ? &indexOptions : nullptr);
-      }
-      default:
-        throw util::Error("fcc: bad container format");
+    // A session always fixes the layout; only datasets decoded from
+    // a legacy unchunked archive (or built by hand) arrive without
+    // one, and get the slicing a session without time cuts applies.
+    Datasets sliced;
+    const Datasets *d = &datasets;
+    if (datasets.chunkSizes.empty() && datasets.records() > 0) {
+        sliced = datasets;
+        sliced.chunkSizes =
+            chunkLayout(datasets.records(), cfg.chunkRecords);
+        d = &sliced;
     }
-    if (cfg.deflateDatasets)
-        bytes = deflate::zlibCompress(bytes);
-    return bytes;
+    if (cfg.container == ContainerFormat::Fcc2)
+        return serializeChunked(*d, breakdown);
+
+    unsigned threads = util::resolveThreads(cfg.threads);
+    std::unique_ptr<util::ThreadPool> pool;
+    if (threads > 1)
+        pool = std::make_unique<util::ThreadPool>(threads);
+    IndexOptions indexOptions;
+    indexOptions.gapUs = cfg.defaultGapUs;
+    const IndexOptions *index = cfg.index ? &indexOptions : nullptr;
+    // Degrade to the configured tier just before serialization, so
+    // the columns and the index see the same (already-lossy)
+    // datasets; the tier keeps the layout.
+    if (cfg.fidelity != Fidelity::Exact) {
+        FidelityParams params;
+        params.quantumUs = cfg.quantumUs;
+        params.smallPayload = cfg.smallPayload;
+        params.largePayload = cfg.largePayload;
+        params.defaultGapUs = cfg.defaultGapUs;
+        return serializeColumnar(applyFidelity(*d, cfg.fidelity, params),
+                                 cfg.backend, breakdown, pool.get(),
+                                 columns, index);
+    }
+    return serializeColumnar(*d, cfg.backend, breakdown, pool.get(),
+                             columns, index);
 }
 
 Datasets
 deserializeAuto(std::span<const uint8_t> data, uint32_t threads,
                 ContainerStat *stat)
 {
-    // The hybrid container wraps a row stream in zlib: CMF 0x78;
-    // the plain formats start with 'F' of "FCC".
+    // The legacy hybrid container wraps a row stream in zlib: CMF
+    // 0x78; the plain formats start with 'F' of "FCC".
     std::vector<uint8_t> inflated;
     if (!data.empty() && data[0] == 0x78) {
         inflated = deflate::zlibDecompress(data);
@@ -252,7 +239,8 @@ FccTraceCompressor::expand(const Datasets &d) const
     // a sorted run built on the pool; one merge orders them all.
     std::vector<std::vector<trace::PacketRecord>> runs;
     if (d.chunkSizes.empty()) {
-        // Legacy FCC1: one sequential RNG stream over all records.
+        // A legacy unchunked archive: one sequential RNG stream over
+        // all records.
         runs.resize(1);
         util::Rng rng(cfg_.decompressSeed);
         for (const auto &rec : d.timeSeq)

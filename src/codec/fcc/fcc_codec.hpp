@@ -38,16 +38,18 @@
 
 namespace fcc::codec::fcc {
 
-/** Which wire container compress() writes (decompression always
- *  auto-detects all three by magic). */
+/**
+ * Which wire container compress() writes. Decompression auto-detects
+ * every container by magic, including the legacy FCC1 stream, which
+ * is no longer written (FORMAT.md §7).
+ */
 enum class ContainerFormat : uint8_t
 {
-    Fcc1 = 1,  ///< legacy single-stream
     Fcc2 = 2,  ///< chunked time-seq (default; the paper's layout)
     Fcc3 = 3,  ///< columnar, per-column field codecs + backends
 };
 
-/** "fcc1" / "fcc2" / "fcc3". */
+/** "fcc2" / "fcc3". */
 const char *containerFormatName(ContainerFormat container);
 
 /** Parse a name accepted by containerFormatName(). @throws Error */
@@ -73,26 +75,28 @@ struct FccConfig
     uint32_t threads = 0;
 
     /**
-     * Time-seq records per FCC2/FCC3 chunk. Chunks are the unit of
-     * parallel decompression (each owns an RNG stream); 0 leaves the
-     * time-seq dataset unchunked — under FCC2 that degrades to the
-     * legacy FCC1 container, under FCC3 the records expand on the
-     * sequential single-RNG path.
+     * Most time-seq records per chunk (>= 1). Chunks are the unit of
+     * parallel decompression (each owns an RNG stream). The session
+     * that closes an epoch fixes the chunk layout once: its time cuts
+     * (CompressSession::rotateChunk) first, then this record-count
+     * slicing inside each segment (chunkLayout()). Every container
+     * writes that layout as it is.
      */
     uint32_t chunkRecords = 4096;
 
     /**
-     * Wire container compress() writes. The library default stays
-     * FCC2 so the §5 accounting benches keep measuring the paper's
-     * layout; fcctool defaults to FCC3 (see --container).
+     * Wire container compress() writes; both carry any chunk layout.
+     * The library default stays FCC2 so the §5 accounting benches
+     * keep measuring the paper's row layout; fcctool defaults to FCC3
+     * (see --container).
      */
     ContainerFormat container = ContainerFormat::Fcc2;
 
     /**
      * Entropy backend of the FCC3 columnar container, applied per
      * column after the field codec (with automatic per-column Store
-     * fallback when it does not pay). Ignored by FCC1/FCC2, which
-     * only know whole-blob hybrid deflate (deflateDatasets).
+     * fallback when it does not pay). Ignored by FCC2, whose rows are
+     * stored as plain varints.
      */
     backend::EntropyBackend backend =
         backend::EntropyBackend::Deflate;
@@ -101,8 +105,7 @@ struct FccConfig
      * Write a *seekable* archive: FCC3 with chunk-framed time-seq
      * columns and the chunk/flow index block (codec/fcc/index.hpp)
      * the random-access query subsystem (src/query) plans against.
-     * Requires container == Fcc3 and a chunked layout
-     * (chunkRecords > 0); costs a few percent of file size.
+     * Requires container == Fcc3; costs a few percent of file size.
      * Decompression auto-detects it either way.
      */
     bool index = false;
@@ -116,16 +119,6 @@ struct FccConfig
      * not what the paper's decompressor does).
      */
     bool directionAwareAddresses = false;
-
-    /**
-     * Hybrid mode (extension, FCC1/FCC2 only): run the serialized
-     * datasets through the built-in zlib/deflate as one blob. The
-     * template datasets are highly repetitive, so this roughly
-     * halves the compressed size again; decompress() auto-detects
-     * the wrapper. FCC3 ignores it — its per-column backends
-     * supersede the whole-blob squeeze.
-     */
-    bool deflateDatasets = false;
 
     /**
      * Fidelity tier of the written archive (docs/FIDELITY.md). The
@@ -153,9 +146,9 @@ struct FccConfig
 
     /**
      * The single validation entry point: every constraint between
-     * the knobs above (container/backend tags in range, the index
-     * needs the chunked fcc3 layout, decodable weights, the tier's
-     * container) checked in one place. Sessions validate on
+     * the knobs above (container/backend tags in range, at least one
+     * record per chunk, the index needs fcc3, decodable weights, the
+     * tier's container) checked in one place. Sessions validate on
      * open, the tools validate right after flag parsing, and the
      * query catalog validates what it plans with — all through this
      * method, so a bad combination fails the same way everywhere.
@@ -237,10 +230,10 @@ class FccTraceCompressor : public TraceCompressor
 
     /**
      * Expand in-memory datasets into a reconstructed trace. Chunked
-     * datasets (FCC2/FCC3) expand one chunk per task on cfg.threads
-     * workers, each chunk drawing from its own RNG stream seeded
-     * from (decompressSeed, chunk index); unchunked datasets (FCC1,
-     * or FCC3 with chunkRecords == 0) replay the legacy single
+     * datasets expand one chunk per task on cfg.threads workers,
+     * each chunk drawing from its own RNG stream seeded from
+     * (decompressSeed, chunk index); datasets decoded from a legacy
+     * unchunked archive (FCC1, unchunked FCC3) replay the single
      * sequential stream. Each chunk is sorted by its own task and
      * one k-way merge orders the runs (trace::mergeCanonicalRuns).
      * Expansion depends only on the chunk layout, never on the
@@ -290,15 +283,16 @@ class FccTraceCompressor : public TraceCompressor
 
 /**
  * Serialize @p datasets into the container cfg.container selects,
- * honouring cfg.chunkRecords, cfg.backend, cfg.threads (FCC3
- * column jobs run on a pool when threads allow; output is
- * byte-identical at any thread count) and cfg.deflateDatasets (the
- * whole-blob zlib wrapper of the row containers — FCC3 skips it,
- * its per-column backends supersede the blob squeeze). Both the
- * in-memory and the streaming compressor write through this one
- * entry point. @p breakdown reports the serialized (pre-wrapper)
- * sizes; @p columns, when non-null, receives the FCC3 per-column
- * accounting (cleared for FCC1/FCC2).
+ * honouring cfg.backend, cfg.fidelity, cfg.index and cfg.threads
+ * (FCC3 column jobs run on a pool when threads allow; output is
+ * byte-identical at any thread count). The chunk layout is
+ * datasets.chunkSizes; datasets that arrive without one (decoded
+ * from a legacy unchunked archive, or built by hand) are sliced by
+ * cfg.chunkRecords first, as a session without time cuts would have
+ * sliced them. Every compression entry point writes through here.
+ * @p breakdown reports the serialized sizes; @p columns, when
+ * non-null, receives the FCC3 per-column accounting (cleared for
+ * FCC2).
  */
 std::vector<uint8_t>
 serializeDatasets(const Datasets &datasets, const FccConfig &cfg,
@@ -306,7 +300,7 @@ serializeDatasets(const Datasets &datasets, const FccConfig &cfg,
                   std::vector<ColumnStat> *columns = nullptr);
 
 /**
- * Decode any FCC artifact: unwraps the optional whole-blob zlib
+ * Decode any FCC artifact: unwraps the legacy whole-blob zlib
  * hybrid wrapper, auto-detects the container by magic, and runs
  * FCC3 column decode jobs on up to @p threads workers (0 = all
  * cores; the row formats parse sequentially either way). The

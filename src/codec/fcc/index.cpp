@@ -108,95 +108,64 @@ ChunkSummary::mayContain(const ServerFingerprint &fp) const
 }
 
 ArchiveIndex
-buildArchiveIndex(const Datasets &d,
-                  std::span<const uint32_t> chunkSizes,
-                  const IndexOptions &options)
+buildArchiveIndex(const Datasets &d, const IndexOptions &options)
 {
-    // Flow-fidelity archives carry their packet counts and timing
-    // bounds directly in the flow records; the summary math below
-    // would have no templates to consult.
-    if (d.fidelity == Fidelity::Flow) {
-        ArchiveIndex index;
-        index.gapUs = options.gapUs;
-        index.chunks.reserve(chunkSizes.size());
-        size_t rec = 0;
-        std::vector<uint32_t> servers;
-        for (uint32_t count : chunkSizes) {
-            util::require(count >= 1, "fcc index: empty chunk");
-            util::require(rec + count <= d.flowRecords.size(),
-                          "fcc index: chunk sizes disagree with "
-                          "flow records");
-            ChunkSummary summary;
-            summary.records = count;
-            summary.minFirstUs =
-                d.flowRecords[rec].firstTimestampUs;
-            servers.clear();
-            for (size_t i = rec; i < rec + count; ++i) {
-                const FlowRecord &fl = d.flowRecords[i];
-                summary.packets += fl.packets;
-                summary.maxFlowPackets = std::max<uint64_t>(
-                    summary.maxFlowPackets, fl.packets);
-                // An unknown (saturated) duration never prunes.
-                uint64_t endUs;
-                if (__builtin_add_overflow(fl.firstTimestampUs,
-                                           fl.durationUs, &endUs))
-                    endUs = UINT64_MAX;
-                summary.maxEndUs = std::max(summary.maxEndUs, endUs);
-                util::require(fl.addressIndex < d.addresses.size(),
-                              "fcc index: address index out of "
-                              "range");
-                servers.push_back(d.addresses[fl.addressIndex]);
-            }
-            std::sort(servers.begin(), servers.end());
-            servers.erase(
-                std::unique(servers.begin(), servers.end()),
-                servers.end());
-            summary.bloomBits = bloomSizeBits(servers.size());
-            summary.bloom = bloomBuild(servers, summary.bloomBits);
-            index.chunks.push_back(std::move(summary));
-            rec += count;
-        }
-        util::require(rec == d.flowRecords.size(),
-                      "fcc index: chunk sizes disagree with flow "
-                      "records");
-        return index;
-    }
-
     // Per-template packet counts and timing facts, so every record's
     // reconstructed end timestamp is O(1) under the §4 timing rule
-    // (flowSpan). Payload sizes do not enter the span.
+    // (flowSpan). Payload sizes do not enter the span. Flow-tier
+    // records carry their packet counts and durations themselves.
+    bool flowTier = d.fidelity == Fidelity::Flow;
     TemplateFactTable facts = templateFacts(d, 0, 0);
+    struct RecordFacts
+    {
+        uint64_t firstUs = 0;
+        uint64_t endUs = 0;  ///< UINT64_MAX when unknown: never prunes
+        uint64_t packets = 0;
+        uint32_t addressIndex = 0;
+    };
+    auto factsOf = [&](size_t i) {
+        if (flowTier) {
+            const FlowRecord &fl = d.flowRecords[i];
+            uint64_t endUs;
+            if (__builtin_add_overflow(fl.firstTimestampUs,
+                                       fl.durationUs, &endUs))
+                endUs = UINT64_MAX;
+            return RecordFacts{fl.firstTimestampUs, endUs, fl.packets,
+                               fl.addressIndex};
+        }
+        const TimeSeqRecord &r = d.timeSeq[i];
+        const TemplateFacts &f = facts.of(r.isLong, r.templateIndex);
+        std::optional<FlowSpan> span = flowSpan(f, r, options.gapUs);
+        return RecordFacts{r.firstTimestampUs,
+                           span ? span->lastUs : UINT64_MAX, f.packets,
+                           r.addressIndex};
+    };
 
     ArchiveIndex index;
     index.gapUs = options.gapUs;
-    index.chunks.reserve(chunkSizes.size());
-
+    index.chunks.reserve(d.chunkSizes.size());
+    size_t records = d.records();
     size_t rec = 0;
     std::vector<uint32_t> servers;  // distinct servers of one chunk
-    for (uint32_t count : chunkSizes) {
+    for (uint32_t count : d.chunkSizes) {
         util::require(count >= 1, "fcc index: empty chunk");
-        util::require(rec + count <= d.timeSeq.size(),
-                      "fcc index: chunk sizes disagree with time-seq");
+        util::require(rec + count <= records,
+                      "fcc index: chunk sizes disagree with the "
+                      "records");
         ChunkSummary summary;
         summary.records = count;
-        summary.minFirstUs = d.timeSeq[rec].firstTimestampUs;
-
         servers.clear();
         for (size_t i = rec; i < rec + count; ++i) {
-            const TimeSeqRecord &r = d.timeSeq[i];
-            const TemplateFacts &f =
-                facts.of(r.isLong, r.templateIndex);
-            // An unknown span never prunes.
-            std::optional<FlowSpan> span =
-                flowSpan(f, r, options.gapUs);
+            RecordFacts f = factsOf(i);
+            if (i == rec)
+                summary.minFirstUs = f.firstUs;
             summary.packets += f.packets;
             summary.maxFlowPackets =
                 std::max(summary.maxFlowPackets, f.packets);
-            summary.maxEndUs = std::max(
-                summary.maxEndUs, span ? span->lastUs : UINT64_MAX);
-            util::require(r.addressIndex < d.addresses.size(),
+            summary.maxEndUs = std::max(summary.maxEndUs, f.endUs);
+            util::require(f.addressIndex < d.addresses.size(),
                           "fcc index: address index out of range");
-            servers.push_back(d.addresses[r.addressIndex]);
+            servers.push_back(d.addresses[f.addressIndex]);
         }
         std::sort(servers.begin(), servers.end());
         servers.erase(std::unique(servers.begin(), servers.end()),
@@ -208,8 +177,8 @@ buildArchiveIndex(const Datasets &d,
         index.chunks.push_back(std::move(summary));
         rec += count;
     }
-    util::require(rec == d.timeSeq.size(),
-                  "fcc index: chunk sizes disagree with time-seq");
+    util::require(rec == records,
+                  "fcc index: chunk sizes disagree with the records");
     return index;
 }
 

@@ -154,13 +154,12 @@ struct ArchiveIndex
 
 /**
  * Build the per-chunk summaries (everything except the byte ranges,
- * which only the serializer knows) for @p datasets laid out as
- * @p chunkSizes consecutive time-seq record runs.
+ * which only the serializer knows) for @p datasets, one per chunk
+ * of datasets.chunkSizes.
  * @throws fcc::util::Error when the chunk layout or a template is
  *         inconsistent with the datasets.
  */
 ArchiveIndex buildArchiveIndex(const Datasets &datasets,
-                               std::span<const uint32_t> chunkSizes,
                                const IndexOptions &options);
 
 /**

@@ -116,9 +116,6 @@ CompressSession::rotateChunk()
 {
     util::require(!sealed_,
                   "fcc session: rotateChunk() on a sealed session");
-    util::require(cfg_.container == ContainerFormat::Fcc3,
-                  "fcc session: time-based chunk rotation requires "
-                  "the fcc3 container");
     if (!sawPacket_)
         return;  // nothing fed yet: no position to cut at
     uint64_t cutUs = lastNs_ / 1000;
@@ -231,35 +228,22 @@ CompressSession::closeEpoch()
     for (uint32_t storeIndex : templateOrder_)
         datasets_.shortTemplates.push_back(store_.at(storeIndex));
 
-    // Explicit time-based chunk cuts (rotateChunk): records are now
-    // sorted by flow start, so "everything started by the cut" is a
-    // prefix; the record-count policy still slices inside segments.
-    if (!chunkCutsUs_.empty()) {
-        std::vector<uint32_t> layout;
-        size_t begin = 0;
-        auto emitSegment = [&](size_t end) {
-            size_t step = cfg_.chunkRecords > 0
-                ? cfg_.chunkRecords
-                : end - begin;
-            while (begin < end) {
-                size_t n = std::min(step, end - begin);
-                layout.push_back(static_cast<uint32_t>(n));
-                begin += n;
-            }
-        };
-        for (uint64_t cutUs : chunkCutsUs_) {
-            auto it = std::upper_bound(
-                datasets_.timeSeq.begin() + begin,
-                datasets_.timeSeq.end(), cutUs,
-                [](uint64_t t, const TimeSeqRecord &r) {
-                    return t < r.firstTimestampUs;
-                });
-            emitSegment(static_cast<size_t>(
-                it - datasets_.timeSeq.begin()));
-        }
-        emitSegment(records);
-        datasets_.chunkSizes = std::move(layout);
-    }
+    // The one place the chunk layout is chosen, for any container:
+    // the time cuts (rotateChunk) first — records are now sorted by
+    // flow start, so "everything started by the cut" is a prefix —
+    // then the record-count slicing inside each segment.
+    std::vector<size_t> cutEnds;
+    cutEnds.reserve(chunkCutsUs_.size());
+    for (uint64_t cutUs : chunkCutsUs_)
+        cutEnds.push_back(static_cast<size_t>(
+            std::upper_bound(datasets_.timeSeq.begin(),
+                             datasets_.timeSeq.end(), cutUs,
+                             [](uint64_t t, const TimeSeqRecord &r) {
+                                 return t < r.firstTimestampUs;
+                             }) -
+            datasets_.timeSeq.begin()));
+    datasets_.chunkSizes =
+        chunkLayout(records, cfg_.chunkRecords, cutEnds);
 }
 
 Datasets
@@ -275,19 +259,13 @@ CompressSession::seal(SealInfo *info)
     closeEpoch();
 
     SizeBreakdown sizes;
-    // Container dispatch (FCC1/FCC2/FCC3); FCC3 runs its per-column
+    // Container dispatch (FCC2/FCC3); FCC3 runs its per-column
     // encode jobs on cfg.threads.
     std::vector<uint8_t> bytes =
         serializeDatasets(datasets_, cfg_, sizes);
 
     uint64_t records = datasets_.timeSeq.size();
-    uint64_t chunks = 0;
-    if (!datasets_.chunkSizes.empty())
-        chunks = datasets_.chunkSizes.size();
-    else if (cfg_.container != ContainerFormat::Fcc1 &&
-             cfg_.chunkRecords > 0)
-        chunks = (records + cfg_.chunkRecords - 1) /
-                 cfg_.chunkRecords;
+    uint64_t chunks = datasets_.chunkSizes.size();
 
     stats_.outputBytes += bytes.size();
     stats_.chunksSealed += chunks;
@@ -452,8 +430,9 @@ DecompressSession::drainTo(trace::TraceSink &sink)
             carry.assign(cut, merged.end());
         }
     } else {
-        // Legacy FCC1 (or unchunked FCC3): the paper's literal
-        // per-record buffer over a single sequential RNG stream.
+        // A legacy unchunked archive (FCC1, unchunked FCC3): the
+        // paper's literal per-record buffer over a single sequential
+        // RNG stream.
         auto later = [](const trace::PacketRecord &a,
                         const trace::PacketRecord &b) {
             return trace::packetCanonicalLess(b, a);

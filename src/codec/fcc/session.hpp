@@ -14,7 +14,9 @@
  * clustered against the template store and appended to the epoch's
  * datasets. Chunk boundaries are cut on demand (rotateChunk(),
  * time-based, on top of the record-count slicing of
- * FccConfig::chunkRecords), and seal() closes the current *epoch*
+ * FccConfig::chunkRecords) — closing an epoch is the one place a
+ * chunk layout is chosen, whatever the container — and seal()
+ * closes the current *epoch*
  * into one self-contained archive — after which reArm() starts the
  * next epoch without rebuilding the session.
  *
@@ -121,11 +123,10 @@ class CompressSession
      * timestamp seals into earlier chunks than any flow starting
      * after it. The archiver calls this on its wall/trace-time chunk
      * policy; record-count slicing (FccConfig::chunkRecords) still
-     * applies within the cut segments. FCC3 layouts only — the row
-     * containers know only the fixed record-count slicing.
+     * applies within the cut segments. Both containers store the
+     * resulting layout.
      *
-     * @throws fcc::util::Error when the session is sealed or the
-     *         container is not FCC3.
+     * @throws fcc::util::Error when the session is sealed.
      */
     void rotateChunk();
 
@@ -140,7 +141,8 @@ class CompressSession
 
     /**
      * Close the epoch exactly as seal() does, but return the datasets
-     * seal() would serialize instead of their bytes. The session
+     * seal() would serialize — chunk layout included — instead of
+     * their bytes. The session
      * becomes sealed until reArm() and keeps no copy; stats() count
      * no sealed archive.
      *
@@ -278,8 +280,8 @@ class DecompressSession
      * earlier batches, and one sink write takes every packet older
      * than the next batch's first record. So the sink sees more
      * than one write on a multi-batch archive, and memory holds one
-     * batch plus the carry. An unchunked archive keeps the paper's
-     * per-record buffer.
+     * batch plus the carry. A legacy unchunked archive keeps the
+     * paper's per-record buffer.
      *
      * @throws fcc::util::Error when no archive is open.
      */

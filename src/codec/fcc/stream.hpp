@@ -13,8 +13,9 @@
  * worth of state at a time — memory is bounded by open flows plus
  * the template/time-seq datasets, not by the packet count).
  *
- * Decompression of an unchunked file (FCC1, or FCC3 written with
- * chunkRecords == 0) implements the paper's §4 algorithm literally:
+ * Decompression of a legacy unchunked file (FCC1, or FCC3 written
+ * with chunkRecords == 0 before every archive was chunked)
+ * implements the paper's §4 algorithm literally:
  * a time-ordered buffer ("linked list" in the paper) of
  * reconstructed packets is flushed to the output file whenever
  * packets are older than the next time-seq record's timestamp, so

@@ -163,125 +163,6 @@ MmapByteSource::contiguous() const
 
 #endif // FCC_HAVE_MMAP
 
-// ---- ReadaheadByteSource -------------------------------------------
-
-// posix_fadvise is POSIX.1-2001 but absent on macOS; gate on the
-// advice macro so the class degrades to plain pread windows there.
-#if FCC_HAVE_MMAP && defined(POSIX_FADV_SEQUENTIAL)
-#define FCC_HAVE_FADVISE 1
-#else
-#define FCC_HAVE_FADVISE 0
-#endif
-
-bool
-ReadaheadByteSource::supported()
-{
-    return FCC_HAVE_MMAP != 0;
-}
-
-#if FCC_HAVE_MMAP
-
-ReadaheadByteSource::ReadaheadByteSource(const std::string &path,
-                                         size_t windowBytes)
-    : window_(std::max<size_t>(windowBytes, 1u << 16))
-{
-    fd_ = ::open(path.c_str(), O_RDONLY);
-    require(fd_ >= 0, "cannot open file: " + path);
-    struct stat st;
-    if (::fstat(fd_, &st) != 0) {
-        ::close(fd_);
-        fd_ = -1;
-        throw Error("cannot stat file: " + path);
-    }
-    size_ = static_cast<size_t>(st.st_size);
-#if FCC_HAVE_FADVISE
-    ::posix_fadvise(fd_, 0, 0, POSIX_FADV_SEQUENTIAL);
-    ::posix_fadvise(fd_, 0,
-                    static_cast<off_t>(std::min(window_, size_)),
-                    POSIX_FADV_WILLNEED);
-#endif
-    buf_.resize(std::min(window_, std::max<size_t>(size_, 1)));
-}
-
-ReadaheadByteSource::~ReadaheadByteSource()
-{
-    if (fd_ >= 0)
-        ::close(fd_);
-}
-
-void
-ReadaheadByteSource::refill()
-{
-    bufPos_ = 0;
-    bufLen_ = 0;
-    if (nextOff_ >= size_)
-        return;
-    size_t want = std::min(window_, size_ - nextOff_);
-    size_t got = 0;
-    while (got < want) {
-        ssize_t n = ::pread(fd_, buf_.data() + got, want - got,
-                            static_cast<off_t>(nextOff_ + got));
-        require(n >= 0, "file read error");
-        if (n == 0)
-            break;  // file shrank underneath us
-        got += static_cast<size_t>(n);
-    }
-    bufLen_ = got;
-#if FCC_HAVE_FADVISE
-    // Kick off the next window while the caller chews on this one,
-    // and drop the one just finished.
-    if (nextOff_ + got < size_)
-        ::posix_fadvise(
-            fd_, static_cast<off_t>(nextOff_ + got),
-            static_cast<off_t>(
-                std::min(window_, size_ - nextOff_ - got)),
-            POSIX_FADV_WILLNEED);
-    if (nextOff_ > 0)
-        ::posix_fadvise(fd_, 0, static_cast<off_t>(nextOff_),
-                        POSIX_FADV_DONTNEED);
-#endif
-    nextOff_ += got;
-}
-
-size_t
-ReadaheadByteSource::read(uint8_t *out, size_t maxLen)
-{
-    if (bufPos_ == bufLen_) {
-        refill();
-        if (bufLen_ == 0)
-            return 0;
-    }
-    size_t n = std::min(maxLen, bufLen_ - bufPos_);
-    std::memcpy(out, buf_.data() + bufPos_, n);
-    bufPos_ += n;
-    return n;
-}
-
-#else // !FCC_HAVE_MMAP
-
-ReadaheadByteSource::ReadaheadByteSource(const std::string &path,
-                                         size_t windowBytes)
-{
-    (void)path;
-    (void)windowBytes;
-    throw Error("readahead reads are not supported on this platform");
-}
-
-ReadaheadByteSource::~ReadaheadByteSource() = default;
-
-void
-ReadaheadByteSource::refill()
-{
-}
-
-size_t
-ReadaheadByteSource::read(uint8_t *, size_t)
-{
-    return 0;
-}
-
-#endif // FCC_HAVE_MMAP
-
 // ---- GeneratorByteSource -------------------------------------------
 
 size_t
@@ -347,32 +228,10 @@ FileByteSink::close()
 
 // ---- factory -------------------------------------------------------
 
-namespace {
-
-/** FCC_READAHEAD=1 routes file opens through ReadaheadByteSource. */
-bool
-readaheadRequested()
-{
-    static const bool on = [] {
-        const char *v = std::getenv("FCC_READAHEAD");
-        return v != nullptr && *v != '\0' && *v != '0';
-    }();
-    return on;
-}
-
-} // namespace
-
 std::unique_ptr<ByteSource>
-openByteSource(const std::string &path, bool preferMmap)
+openByteSource(const std::string &path)
 {
-    if (readaheadRequested() && ReadaheadByteSource::supported()) {
-        try {
-            return std::make_unique<ReadaheadByteSource>(path);
-        } catch (const Error &) {
-            // Fall through to the default paths.
-        }
-    }
-    if (preferMmap && MmapByteSource::supported()) {
+    if (MmapByteSource::supported()) {
         try {
             return std::make_unique<MmapByteSource>(path);
         } catch (const Error &) {

@@ -146,47 +146,6 @@ class MmapByteSource : public ByteSource
 };
 
 /**
- * Positioned-read file source with explicit kernel readahead — the
- * cold-cache scan path.
- *
- * Reads pread()-sized windows into a private buffer and, before
- * consuming window N, advises the kernel (posix_fadvise WILLNEED)
- * to start fetching window N+1 — so disk latency overlaps the
- * caller's decode work instead of serializing with it. Consumed
- * windows are advised DONTNEED, bounding the page-cache footprint
- * the same way MmapByteSource bounds RSS. Selected by
- * openByteSource() when FCC_READAHEAD=1.
- */
-class ReadaheadByteSource : public ByteSource
-{
-  public:
-    /** True when this platform has pread + posix_fadvise. */
-    static bool supported();
-
-    /** @throws fcc::util::Error when the file cannot be opened. */
-    explicit ReadaheadByteSource(const std::string &path,
-                                 size_t windowBytes = 4u << 20);
-    ~ReadaheadByteSource() override;
-
-    ReadaheadByteSource(const ReadaheadByteSource &) = delete;
-    ReadaheadByteSource &
-    operator=(const ReadaheadByteSource &) = delete;
-
-    size_t read(uint8_t *out, size_t maxLen) override;
-
-  private:
-    void refill();
-
-    int fd_ = -1;
-    size_t size_ = 0;     ///< file size
-    size_t nextOff_ = 0;  ///< file offset of the next window
-    size_t window_ = 0;
-    std::vector<uint8_t> buf_;
-    size_t bufPos_ = 0;
-    size_t bufLen_ = 0;
-};
-
-/**
  * Adapter that pulls bytes from a callback — used to synthesize
  * arbitrarily large logical streams (bounded-memory tests, load
  * generators) without touching the disk. The callback fills up to
@@ -283,12 +242,11 @@ class VectorByteSink : public ByteSink
 
 /**
  * Open @p path for streaming reads: memory-mapped when the platform
- * allows (and @p preferMmap is set), buffered stdio otherwise.
+ * allows, buffered stdio otherwise.
  *
  * @throws fcc::util::Error when the file cannot be opened.
  */
-std::unique_ptr<ByteSource>
-openByteSource(const std::string &path, bool preferMmap = true);
+std::unique_ptr<ByteSource> openByteSource(const std::string &path);
 
 /**
  * The whole remaining stream of @p src as one span: zero-copy via

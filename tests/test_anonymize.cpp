@@ -197,39 +197,45 @@ TEST(Anonymize, RandomSanitizationDoesNot)
               memsim::meanAccesses(s1) * 0.7);
 }
 
-// ---- hybrid deflate-datasets mode -----------------------------------------
+// ---- deflate on top of the datasets ------------------------------------
+//
+// The whole-blob zlib hybrid of the row containers is no longer
+// written; FCC3 with the deflate backend is its successor, and
+// Golden.ArchivesDecodeByteExact pins the hybrid reader.
 
 TEST(FccHybrid, CompressesFurtherAndRoundTrips)
 {
     trace::Trace original = webTrace(76, 8.0);
 
     codec::fcc::FccTraceCompressor plain;
-    codec::fcc::FccConfig hybridCfg;
-    hybridCfg.deflateDatasets = true;
-    codec::fcc::FccTraceCompressor hybrid(hybridCfg);
+    codec::fcc::FccConfig deflateCfg;
+    deflateCfg.container = codec::fcc::ContainerFormat::Fcc3;
+    deflateCfg.backend = codec::backend::EntropyBackend::Deflate;
+    codec::fcc::FccTraceCompressor deflated(deflateCfg);
 
     auto plainBytes = plain.compress(original);
-    auto hybridBytes = hybrid.compress(original);
-    EXPECT_LT(hybridBytes.size(), plainBytes.size());
+    auto deflatedBytes = deflated.compress(original);
+    EXPECT_LT(deflatedBytes.size(), plainBytes.size());
 
     // Either codec instance decodes either container.
-    trace::Trace a = plain.decompress(hybridBytes);
-    trace::Trace b = hybrid.decompress(plainBytes);
+    trace::Trace a = plain.decompress(deflatedBytes);
+    trace::Trace b = deflated.decompress(plainBytes);
     EXPECT_EQ(a.size(), original.size());
     EXPECT_EQ(b.size(), original.size());
-    // Same datasets underneath: identical reconstructions.
-    EXPECT_EQ(trace::writeTsh(a),
-              trace::writeTsh(plain.decompress(plainBytes)));
+    // Same datasets and chunk layout underneath: identical
+    // reconstructions.
+    EXPECT_EQ(trace::writeTsh(a), trace::writeTsh(b));
 }
 
 TEST(FccHybrid, RatioBelowThreePercent)
 {
     trace::Trace original = webTrace(77, 12.0);
     codec::fcc::FccConfig cfg;
-    cfg.deflateDatasets = true;
-    codec::fcc::FccTraceCompressor hybrid(cfg);
+    cfg.container = codec::fcc::ContainerFormat::Fcc3;
+    cfg.backend = codec::backend::EntropyBackend::Deflate;
+    codec::fcc::FccTraceCompressor fcc3(cfg);
     double ratio =
-        static_cast<double>(hybrid.compress(original).size()) /
+        static_cast<double>(fcc3.compress(original).size()) /
         static_cast<double>(original.size() *
                             trace::tshRecordBytes);
     EXPECT_LT(ratio, 0.03);

@@ -447,8 +447,10 @@ TEST(Fcc, DatasetSerializationRoundTrip)
     fccc::FccTraceCompressor codec;
     fccc::FccCompressStats stats;
     fccc::Datasets d = codec.buildDatasets(t, stats);
-    auto bytes = fccc::serialize(d);
+    fccc::SizeBreakdown sizes;
+    auto bytes = fccc::serializeChunked(d, sizes);
     fccc::Datasets back = fccc::deserialize(bytes);
+    EXPECT_EQ(back.chunkSizes, d.chunkSizes);
     EXPECT_EQ(back.shortTemplates.size(), d.shortTemplates.size());
     EXPECT_EQ(back.longTemplates.size(), d.longTemplates.size());
     EXPECT_EQ(back.addresses, d.addresses);

@@ -337,28 +337,30 @@ TEST(ColumnarFuzz, RandomDatasetsRoundTripAllContainersAllBackends)
     util::Rng rng(20050713);
     for (int iter = 0; iter < 40; ++iter) {
         fccc::Datasets d = randomDatasets(rng);
-        uint32_t chunkRecords = static_cast<uint32_t>(
-            rng.uniformInt(0, 3) * rng.uniformInt(1, 64));
+        // A random layout: up to three time cuts, then record-count
+        // slicing inside each segment.
+        uint32_t chunkRecords =
+            static_cast<uint32_t>(rng.uniformInt(1, 64));
+        std::vector<size_t> cuts(rng.uniformInt(0, 3));
+        for (size_t &cut : cuts)
+            cut = rng.uniformInt(0, d.timeSeq.size());
+        std::sort(cuts.begin(), cuts.end());
+        d.chunkSizes =
+            fccc::chunkLayout(d.timeSeq.size(), chunkRecords, cuts);
         fccc::SizeBreakdown sizes;
 
-        // FCC1.
-        auto v1 = fccc::serialize(d, sizes);
-        fccc::Datasets d1 = fccc::deserialize(v1);
-        expectSameDatasets(d, d1);
-        EXPECT_TRUE(d1.chunkSizes.empty());
-
-        // FCC2 (chunkRecords == 0 degrades to FCC1 by contract).
-        auto v2 = fccc::serializeChunked(d, chunkRecords, sizes);
+        // FCC2.
+        auto v2 = fccc::serializeChunked(d, sizes);
         fccc::Datasets d2 = fccc::deserialize(v2);
         expectSameDatasets(d, d2);
+        EXPECT_EQ(d2.chunkSizes, d.chunkSizes);
 
         // FCC3 under every backend.
         for (backend::EntropyBackend b : allBackends) {
-            auto v3 = fccc::serializeColumnar(d, chunkRecords, b,
-                                              sizes);
+            auto v3 = fccc::serializeColumnar(d, b, sizes);
             fccc::Datasets d3 = fccc::deserialize(v3);
             expectSameDatasets(d, d3);
-            EXPECT_EQ(d3.chunkSizes, d2.chunkSizes)
+            EXPECT_EQ(d3.chunkSizes, d.chunkSizes)
                 << backendName(b);
             // The breakdown accounts for every stored byte.
             EXPECT_EQ(sizes.total(), v3.size()) << backendName(b);
@@ -370,10 +372,11 @@ TEST(ColumnarFuzz, ColumnStatsDescribeTheWireBytes)
 {
     util::Rng rng(77);
     fccc::Datasets d = randomDatasets(rng);
+    d.chunkSizes = fccc::chunkLayout(d.timeSeq.size(), 64);
     fccc::SizeBreakdown sizes;
     std::vector<fccc::ColumnStat> columns;
     auto bytes = fccc::serializeColumnar(
-        d, 64, backend::EntropyBackend::Deflate, sizes, nullptr,
+        d, backend::EntropyBackend::Deflate, sizes, nullptr,
         &columns);
     ASSERT_EQ(columns.size(), 12u);
 
@@ -401,11 +404,12 @@ TEST(ColumnarFuzz, PoolAndPoolFreeBytesIdentical)
     util::ThreadPool pool(4);
     for (int iter = 0; iter < 8; ++iter) {
         fccc::Datasets d = randomDatasets(rng);
+        d.chunkSizes = fccc::chunkLayout(d.timeSeq.size(), 16);
         fccc::SizeBreakdown sizes;
         auto solo = fccc::serializeColumnar(
-            d, 16, backend::EntropyBackend::Deflate, sizes);
+            d, backend::EntropyBackend::Deflate, sizes);
         auto pooled = fccc::serializeColumnar(
-            d, 16, backend::EntropyBackend::Deflate, sizes, &pool);
+            d, backend::EntropyBackend::Deflate, sizes, &pool);
         EXPECT_EQ(solo, pooled);
         expectSameDatasets(fccc::deserialize(solo),
                            fccc::deserialize(pooled, &pool));
@@ -416,9 +420,10 @@ TEST(ColumnarFuzz, CorruptAndTruncatedContainersThrowCleanly)
 {
     util::Rng rng(0xbad);
     fccc::Datasets d = randomDatasets(rng);
+    d.chunkSizes = fccc::chunkLayout(d.timeSeq.size(), 32);
     fccc::SizeBreakdown sizes;
     auto bytes = fccc::serializeColumnar(
-        d, 32, backend::EntropyBackend::Deflate, sizes);
+        d, backend::EntropyBackend::Deflate, sizes);
 
     // Every proper prefix must be rejected, never crash.
     for (size_t len = 0; len < bytes.size();

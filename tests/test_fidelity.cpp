@@ -351,7 +351,7 @@ TEST(Fidelity, OffGridArchiveIsRejected)
     d.quantumUs = 1'000'000;
     fccc::SizeBreakdown breakdown;
     std::vector<uint8_t> forged = fccc::serializeColumnar(
-        d, 64, codec::backend::EntropyBackend::Store, breakdown);
+        d, codec::backend::EntropyBackend::Store, breakdown);
     expectError([&] { fccc::deserializeAuto(forged, 1); },
                 "off the quantized grid");
 }

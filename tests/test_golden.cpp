@@ -9,11 +9,16 @@
  * format deliberately: regenerate the corpus with golden_gen and
  * commit it together with a docs/FORMAT.md entry.
  *
- * Reference traces: FCC1 is the unchunked expansion; FCC2 and every
- * exact FCC3 variant share expected-chunked.tsh (chunk layout, not
- * container or backend, decides the expanded bytes); the quantized
- * and header tiers have their own documented reconstructions; the
- * flow tier has none and must say so cleanly.
+ * Reference traces: the unchunked layouts (FCC1, unchunked FCC3, and
+ * the zlib-wrapped hybrid of FCC1) share expected-fcc1.tsh; FCC2 and
+ * every chunked exact FCC3 variant share expected-chunked.tsh (chunk
+ * layout, not container or backend, decides the expanded bytes); the
+ * quantized and header tiers have their own documented
+ * reconstructions; the flow tier has none and must say so cleanly.
+ *
+ * FCC1, the hybrid wrapper and unchunked FCC3 are no longer written:
+ * these committed files (and the hybrid cells built from them) are
+ * what keeps their readers honest.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "codec/deflate/deflate.hpp"
 #include "codec/fcc/datasets.hpp"
 #include "codec/fcc/fcc_codec.hpp"
 #include "query/aggregate.hpp"
@@ -76,6 +82,8 @@ struct Golden
 const Golden kGoldens[] = {
     {"fcc1.fcc", 1, false, fccc::Fidelity::Exact, 0,
      "expected-fcc1.tsh"},
+    {"fcc3-unchunked.fcc", 3, false, fccc::Fidelity::Exact, 0,
+     "expected-fcc1.tsh"},
     {"fcc2.fcc", 2, false, fccc::Fidelity::Exact, 0,
      "expected-chunked.tsh"},
     {"fcc3-store.fcc", 3, false, fccc::Fidelity::Exact, 0,
@@ -116,6 +124,22 @@ TEST(Golden, ArchivesDecodeByteExact)
         fccc::FccTraceCompressor codec{{}};
         trace::Trace decoded = codec.decompress(archive);
         EXPECT_EQ(trace::writeTsh(decoded), expected);
+    }
+
+    // The whole-blob zlib hybrid wrapped a row container; every
+    // reader still unwraps it before detecting the container.
+    const std::pair<const char *, const char *> hybrids[] = {
+        {"fcc1.fcc", "expected-fcc1.tsh"},
+        {"fcc2.fcc", "expected-chunked.tsh"},
+    };
+    for (const auto &[name, expected] : hybrids) {
+        SCOPED_TRACE(std::string("zlib(") + name + ")");
+        std::vector<uint8_t> wrapped =
+            codec::deflate::zlibCompress(loadBytes(name));
+        ASSERT_EQ(wrapped[0], 0x78);
+        fccc::FccTraceCompressor codec{{}};
+        EXPECT_EQ(trace::writeTsh(codec.decompress(wrapped)),
+                  loadBytes(expected));
     }
 }
 
@@ -232,7 +256,7 @@ TEST(Golden, IndexedAndFullDecodePathsAgree)
 
         fccc::SizeBreakdown sizes;
         std::vector<uint8_t> plainBytes = fccc::serializeColumnar(
-            d, 0, codec::backend::EntropyBackend::Store, sizes);
+            d, codec::backend::EntropyBackend::Store, sizes);
         std::string plainPath =
             fcc::test::tempPath(std::string("plain-") + g.name);
         std::ofstream(plainPath, std::ios::binary)

@@ -172,7 +172,9 @@ TEST(TraceIo, TshSourceMatchesBatchReader)
     trace::writeTshFile(original, path);
 
     for (bool mmapped : {true, false}) {
-        trace::TshSource src(util::openByteSource(path, mmapped));
+        trace::TshSource src(
+            mmapped ? util::openByteSource(path)
+                    : std::make_unique<util::FileByteSource>(path));
         trace::Trace streamed = trace::readAllPackets(src);
         EXPECT_TRUE(sameHeaders(original, streamed));
         EXPECT_EQ(src.bytesConsumed(),

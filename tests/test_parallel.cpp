@@ -10,8 +10,10 @@
 #include <algorithm>
 #include <atomic>
 #include <fstream>
+#include <iterator>
 #include <tuple>
 
+#include "codec/deflate/deflate.hpp"
 #include "codec/fcc/datasets.hpp"
 #include "codec/fcc/fcc_codec.hpp"
 #include "codec/fcc/stream.hpp"
@@ -42,6 +44,17 @@ webTrace(uint64_t seed, double seconds, double flowsPerSec = 80.0)
     cfg.flowsPerSec = flowsPerSec;
     trace::WebTrafficGenerator gen(cfg);
     return gen.generate();
+}
+
+/** A committed file of the golden corpus (tests/golden). */
+std::vector<uint8_t>
+goldenBytes(const char *name)
+{
+    std::ifstream in(std::string(FCC_GOLDEN_DIR) + "/" + name,
+                     std::ios::binary);
+    EXPECT_TRUE(in.good()) << name;
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
 }
 
 std::vector<uint8_t>
@@ -172,25 +185,34 @@ TEST(Parallel, ChunkSizeDoesNotChangeRecordContent)
 
 TEST(Parallel, LegacyV1ContainerStillDecompresses)
 {
-    trace::Trace tr = webTrace(17, 6.0);
-    fccc::FccTraceCompressor codec;
-    fccc::FccCompressStats stats;
-    auto datasets = codec.buildDatasets(tr, stats);
-
-    // Force the legacy writer; the decoder must auto-detect it and
-    // take the sequential single-RNG path.
-    auto v1 = fccc::serialize(datasets);
-    auto decoded = fccc::deserialize(v1);
+    // FCC1 is no longer written; the committed golden archive pins
+    // its reader. The decoder auto-detects it, leaves the layout
+    // empty and takes the sequential single-RNG path at any thread
+    // count.
+    std::vector<uint8_t> v1 = goldenBytes("fcc1.fcc");
+    fccc::Datasets decoded = fccc::deserialize(v1);
     EXPECT_TRUE(decoded.chunkSizes.empty());
+    ASSERT_GT(decoded.timeSeq.size(), 16u);
+    std::vector<uint8_t> expected = goldenBytes("expected-fcc1.tsh");
+    for (uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        fccc::FccConfig cfg;
+        cfg.threads = threads;
+        EXPECT_EQ(trace::writeTsh(
+                      fccc::FccTraceCompressor(cfg).decompress(v1)),
+                  expected);
+    }
 
-    trace::Trace restored = codec.decompress(v1);
-    EXPECT_EQ(restored.size(), tr.size());
-
-    // A config with chunkRecords == 0 writes FCC1 end to end.
-    fccc::FccConfig v1cfg;
-    v1cfg.chunkRecords = 0;
-    auto bytes = fccc::FccTraceCompressor(v1cfg).compress(tr);
-    EXPECT_EQ(bytes, v1);
+    // Written again, the layout-less datasets get the record-count
+    // slicing a session would have chosen.
+    fccc::FccConfig cfg;
+    cfg.chunkRecords = 16;
+    fccc::SizeBreakdown sizes;
+    fccc::Datasets again = fccc::deserialize(
+        fccc::serializeDatasets(decoded, cfg, sizes));
+    EXPECT_EQ(again.chunkSizes,
+              fccc::chunkLayout(decoded.timeSeq.size(), 16));
+    EXPECT_EQ(again.timeSeq, decoded.timeSeq);
 }
 
 TEST(Parallel, StreamingChunkedDecompressMatchesInMemory)
@@ -245,11 +267,16 @@ TEST(Parallel, StreamingChunkedDecompressMatchesInMemory)
 
 TEST(Parallel, HybridDeflateContainerRoundTrips)
 {
+    // The whole-blob zlib hybrid is no longer written, but every
+    // reader still unwraps it: a wrapped archive decodes exactly as
+    // the archive it wraps.
     trace::Trace tr = webTrace(19, 5.0);
-    fccc::FccConfig cfg;
-    cfg.deflateDatasets = true;
-    fccc::FccTraceCompressor codec(cfg);
+    fccc::FccTraceCompressor codec;
     auto bytes = codec.compress(tr);
-    trace::Trace restored = codec.decompress(bytes);
+    auto wrapped = codec::deflate::zlibCompress(bytes);
+    ASSERT_EQ(wrapped[0], 0x78);  // zlib CMF
+    trace::Trace restored = codec.decompress(wrapped);
     EXPECT_EQ(restored.size(), tr.size());
+    EXPECT_EQ(trace::writeTsh(restored),
+              trace::writeTsh(codec.decompress(bytes)));
 }

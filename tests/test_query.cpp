@@ -549,7 +549,7 @@ TEST(QueryIndex, EmptyDatasetsRoundTripWithIndex)
     fccc::SizeBreakdown sizes;
     fccc::IndexOptions options;
     auto bytes = fccc::serializeColumnar(
-        empty, 4096, codec::backend::EntropyBackend::Deflate, sizes,
+        empty, codec::backend::EntropyBackend::Deflate, sizes,
         nullptr, nullptr, &options);
     EXPECT_GT(sizes.indexBytes, 0u);
 
@@ -1136,7 +1136,7 @@ TEST(OneReader, OffGridQuantizedArchiveRejectedByEveryPath)
     fccc::SizeBreakdown sizes;
     fccc::IndexOptions options;
     std::vector<uint8_t> bytes = fccc::serializeColumnar(
-        d, 0, cfg.backend, sizes, nullptr, nullptr, &options);
+        d, cfg.backend, sizes, nullptr, nullptr, &options);
     std::string path = tempPath("off_grid.fcc");
     writeBytes(path, bytes);
 
@@ -1222,9 +1222,8 @@ TEST(OneReader, IptSumOverflowNeverPrunes)
     EXPECT_FALSE(
         fccc::flowSpan(facts.of(true, 0), rec, 300).has_value());
 
-    std::vector<uint32_t> sizes = d.chunkSizes;
     fccc::ArchiveIndex index =
-        fccc::buildArchiveIndex(d, sizes, fccc::IndexOptions{});
+        fccc::buildArchiveIndex(d, fccc::IndexOptions{});
     ASSERT_EQ(index.chunks.size(), 1u);
     EXPECT_EQ(index.chunks[0].maxEndUs, UINT64_MAX);
     EXPECT_TRUE(query::Expr::timeWithin(5000, 6000)
@@ -1236,6 +1235,6 @@ TEST(OneReader, IptSumOverflowNeverPrunes)
     ASSERT_EQ(flows.flowRecords.size(), 1u);
     EXPECT_EQ(flows.flowRecords[0].durationUs, UINT64_MAX);
     fccc::ArchiveIndex flowIndex =
-        fccc::buildArchiveIndex(flows, sizes, fccc::IndexOptions{});
+        fccc::buildArchiveIndex(flows, fccc::IndexOptions{});
     EXPECT_EQ(flowIndex.chunks[0].maxEndUs, UINT64_MAX);
 }

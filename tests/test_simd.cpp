@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -30,11 +29,8 @@
 #include "util/bytes.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
-#include "util/io.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
-
-#include "test_common.hpp"
 
 using namespace fcc;
 namespace fccc = fcc::codec::fcc;
@@ -482,43 +478,4 @@ TEST(SimdThreads, RangeLanesArchiveBytesThreadInvariant)
             }
         }
     }
-}
-
-// ---------------------------------------------------------------
-// Readahead byte source
-// ---------------------------------------------------------------
-
-TEST(SimdReadahead, MatchesWholeFileRead)
-{
-    if (!util::ReadaheadByteSource::supported())
-        GTEST_SKIP() << "posix_fadvise unavailable on this platform";
-
-    const std::string path =
-        fcc::test::tempPath("simd_readahead.bin");
-    util::Rng rng(0xFEED5EED);
-    std::vector<uint8_t> content(300000);
-    for (auto &b : content)
-        b = static_cast<uint8_t>(rng.uniformInt(0, 255));
-    {
-        std::ofstream out(path, std::ios::binary);
-        out.write(reinterpret_cast<const char *>(content.data()),
-                  static_cast<std::streamsize>(content.size()));
-    }
-
-    // A small window forces several refills; ragged read sizes hit
-    // the copy-across-window boundaries.
-    util::ReadaheadByteSource src(path, 64 * 1024);
-    std::vector<uint8_t> got;
-    std::vector<uint8_t> chunk(1 << 14);
-    uint64_t step = 1;
-    for (;;) {
-        size_t want = (step = step * 5 + 1) % chunk.size() + 1;
-        size_t n = src.read(chunk.data(), want);
-        if (n == 0)
-            break;
-        got.insert(got.end(), chunk.begin(),
-                   chunk.begin() + static_cast<long>(n));
-    }
-    EXPECT_EQ(got, content);
-    std::remove(path.c_str());
 }

@@ -15,6 +15,7 @@
 #include <iterator>
 #include <span>
 
+#include "codec/deflate/deflate.hpp"
 #include "codec/fcc/datasets.hpp"
 #include "codec/fcc/fcc_codec.hpp"
 #include "codec/fcc/session.hpp"
@@ -175,8 +176,7 @@ TEST(Stream, EveryEntryPointWritesTheSameBytes)
     // full nanosecond timestamps, so the file path sees exactly the
     // packets the in-memory paths see.
     const fccc::ContainerFormat containers[] = {
-        fccc::ContainerFormat::Fcc1, fccc::ContainerFormat::Fcc2,
-        fccc::ContainerFormat::Fcc3};
+        fccc::ContainerFormat::Fcc2, fccc::ContainerFormat::Fcc3};
     for (const auto &[name, tr] : contractTraces()) {
         SCOPED_TRACE(name);
         ASSERT_FALSE(tr.empty());
@@ -191,8 +191,6 @@ TEST(Stream, EveryEntryPointWritesTheSameBytes)
             SCOPED_TRACE(fccc::containerFormatName(container));
             fccc::FccConfig cfg;
             cfg.container = container;
-            if (container == fccc::ContainerFormat::Fcc1)
-                cfg.chunkRecords = 0;
             if (container == fccc::ContainerFormat::Fcc3) {
                 cfg.chunkRecords = 64;
                 cfg.index = true;
@@ -362,12 +360,14 @@ TEST(Stream, FullFileRoundTrip)
 
 TEST(Stream, CrossContainerMatrixDecodesIdentically)
 {
-    // One trace, compressed as FCC1, FCC2 and FCC3, must decompress
-    // to the identical TSH bytes. Expansion is driven by the chunk
-    // layout (one RNG stream per chunk, or the sequential legacy
-    // stream when unchunked), so equal layouts mean equal bytes:
-    // unchunked, all three containers agree; chunked, FCC2 and FCC3
-    // agree.
+    // One trace, compressed as FCC2 and FCC3, must decompress to the
+    // identical TSH bytes: expansion is driven by the chunk layout
+    // (one RNG stream per chunk), never by the container. The legacy
+    // unchunked layouts are no longer written; their shared
+    // sequential-stream expansion is pinned by the golden corpus
+    // (Golden.ArchivesDecodeByteExact: fcc1.fcc, fcc3-unchunked.fcc
+    // and the zlib-wrapped fcc1.fcc all decode to
+    // expected-fcc1.tsh).
     trace::Trace original = webTrace(35, 5.0);
     std::string tshIn = tempPath("matrix_in.tsh");
     trace::writeTshFile(original, tshIn);
@@ -392,19 +392,99 @@ TEST(Stream, CrossContainerMatrixDecodesIdentically)
         return bytes;
     };
 
-    // Unchunked: all three containers, one sequential RNG stream.
-    auto v1 = compressAs(fccc::ContainerFormat::Fcc1, 0, "mx1");
-    auto v2 = compressAs(fccc::ContainerFormat::Fcc2, 0, "mx2");
-    auto v3 = compressAs(fccc::ContainerFormat::Fcc3, 0, "mx3");
-    EXPECT_EQ(v1, v2);
-    EXPECT_EQ(v1, v3);
-
-    // Chunked: FCC2 and FCC3 share the chunk layout and RNG streams.
-    auto c2 = compressAs(fccc::ContainerFormat::Fcc2, 256, "mc2");
-    auto c3 = compressAs(fccc::ContainerFormat::Fcc3, 256, "mc3");
-    EXPECT_EQ(c2, c3);
+    for (uint32_t chunkRecords : {256u, 100000u}) {
+        SCOPED_TRACE(chunkRecords);
+        auto c2 = compressAs(fccc::ContainerFormat::Fcc2,
+                             chunkRecords, "mc2");
+        auto c3 = compressAs(fccc::ContainerFormat::Fcc3,
+                             chunkRecords, "mc3");
+        EXPECT_EQ(c2, c3);
+    }
 
     std::remove(tshIn.c_str());
+}
+
+TEST(Stream, ConfigRejectsUnchunkedLayout)
+{
+    // Every written archive is chunked: a zero chunk size is not a
+    // layout, and every entry point refuses it the same way.
+    fccc::FccConfig cfg;
+    cfg.chunkRecords = 0;
+    EXPECT_THROW(cfg.validate(), util::Error);
+    EXPECT_THROW(fccc::CompressSession{cfg}, util::Error);
+    EXPECT_THROW(fccc::FccTraceCompressor(cfg).compress(webTrace(3, 1.0)),
+                 util::Error);
+    EXPECT_THROW(fccc::chunkLayout(10, 0), util::Error);
+}
+
+TEST(Stream, RotatedLayoutIsContainerIndependent)
+{
+    // The session fixes the chunk layout once, time cuts included,
+    // and both containers store it as it is: the same datasets
+    // written as FCC2 and as FCC3 decode to the same layout and
+    // reconstruct the same packets.
+    trace::Trace tr = webTrace(38, 4.0);
+    const std::vector<trace::PacketRecord> &packets = tr.packets();
+    fccc::FccConfig cfg;
+    cfg.chunkRecords = 64;
+    cfg.threads = 1;
+    auto feedWithCut = [&](fccc::CompressSession &session) {
+        session.feed(std::span(packets).first(packets.size() / 3));
+        session.rotateChunk();
+        session.feed(std::span(packets).subspan(packets.size() / 3));
+    };
+
+    fccc::CompressSession cut(cfg);
+    feedWithCut(cut);
+    fccc::Datasets d = cut.sealDatasets();
+    // The cut shows: some chunk before the last is short.
+    ASSERT_GT(d.chunkSizes.size(), 2u);
+    EXPECT_TRUE(std::any_of(d.chunkSizes.begin(),
+                            d.chunkSizes.end() - 1,
+                            [](uint32_t n) { return n < 64; }));
+
+    std::vector<uint8_t> reference;
+    for (fccc::ContainerFormat container :
+         {fccc::ContainerFormat::Fcc2, fccc::ContainerFormat::Fcc3}) {
+        SCOPED_TRACE(fccc::containerFormatName(container));
+        fccc::FccConfig c = cfg;
+        c.container = container;
+        fccc::SizeBreakdown sizes;
+        std::vector<uint8_t> bytes =
+            fccc::serializeDatasets(d, c, sizes);
+        EXPECT_EQ(fccc::deserialize(bytes).chunkSizes, d.chunkSizes);
+        // A session of either container seals the same bytes.
+        fccc::CompressSession session(c);
+        feedWithCut(session);
+        EXPECT_EQ(session.seal(), bytes);
+        std::vector<uint8_t> tsh =
+            trace::writeTsh(fccc::FccTraceCompressor(c).decompress(bytes));
+        if (reference.empty())
+            reference = tsh;
+        EXPECT_EQ(tsh, reference);
+    }
+}
+
+TEST(Stream, ExpandOfBuiltDatasetsMatchesDecompress)
+{
+    // buildDatasets returns the layout compress() writes, so
+    // expanding the datasets reconstructs what decompressing the
+    // archive does.
+    trace::Trace tr = webTrace(39, 4.0);
+    for (fccc::ContainerFormat container :
+         {fccc::ContainerFormat::Fcc2, fccc::ContainerFormat::Fcc3}) {
+        SCOPED_TRACE(fccc::containerFormatName(container));
+        fccc::FccConfig cfg;
+        cfg.container = container;
+        cfg.chunkRecords = 64;
+        fccc::FccTraceCompressor codec(cfg);
+        fccc::FccCompressStats stats;
+        fccc::Datasets d = codec.buildDatasets(tr, stats);
+        EXPECT_EQ(d.chunkSizes,
+                  fccc::chunkLayout(d.timeSeq.size(), 64));
+        EXPECT_EQ(trace::writeTsh(codec.expand(d)),
+                  trace::writeTsh(codec.decompress(codec.compress(tr))));
+    }
 }
 
 TEST(Stream, Fcc3DeflateNoLargerThanFcc2)
@@ -472,37 +552,37 @@ TEST(Stream, Fcc3ByteIdenticalAcrossThreadCounts)
 
 TEST(Stream, HybridDeflateRoundTripsViaStreaming)
 {
-    // The whole-blob hybrid deflate must work file-to-file in both
-    // directions: streaming compression writes the zlib wrapper
-    // (same single serializeDatasets entry point as the in-memory
-    // codec) and streaming decompression unwraps it before
-    // container detection.
+    // The whole-blob zlib hybrid is no longer written, but streaming
+    // decompression still unwraps it before container detection: a
+    // wrapped archive drains to the bytes of the archive it wraps.
     trace::Trace original = webTrace(37, 4.0);
     std::string tshIn = tempPath("hybrid_in.tsh");
     trace::writeTshFile(original, tshIn);
 
     fccc::FccConfig cfg;
-    cfg.deflateDatasets = true;
+    std::string fccPlain = tempPath("hybrid_plain.fcc");
     std::string fccMid = tempPath("hybrid.fcc");
+    std::string tshPlain = tempPath("hybrid_plain.tsh");
     std::string tshOut = tempPath("hybrid.tsh");
-    auto cstats = fccc::compressTraceFile(tshIn, fccMid, cfg);
-
-    std::ifstream in(fccMid, std::ios::binary);
-    std::vector<uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
+    fccc::compressTraceFile(tshIn, fccPlain, cfg);
+    std::vector<uint8_t> bytes =
+        codec::deflate::zlibCompress(readBytes(fccPlain));
     ASSERT_FALSE(bytes.empty());
     EXPECT_EQ(bytes[0], 0x78);  // zlib CMF
-    EXPECT_EQ(cstats.outputBytes, bytes.size());
+    std::ofstream(fccMid, std::ios::binary)
+        .write(reinterpret_cast<const char *>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
 
+    fccc::decompressTraceFile(fccPlain, tshPlain, cfg, kTsh);
     auto stats =
         fccc::decompressTraceFile(fccMid, tshOut, cfg, kTsh);
     EXPECT_EQ(stats.packets, original.size());
     EXPECT_EQ(stats.inputBytes, bytes.size());
+    EXPECT_EQ(readBytes(tshOut), readBytes(tshPlain));
 
-    std::remove(tshIn.c_str());
-    std::remove(fccMid.c_str());
-    std::remove(tshOut.c_str());
+    for (const std::string &path :
+         {tshIn, fccPlain, fccMid, tshPlain, tshOut})
+        std::remove(path.c_str());
 }
 
 TEST(Stream, MissingInputFileThrows)
@@ -836,6 +916,7 @@ TEST(Stream, DrainMatchesGoldenReferences)
     };
     const Case cases[] = {
         {"fcc1.fcc", "expected-fcc1.tsh"},
+        {"fcc3-unchunked.fcc", "expected-fcc1.tsh"},
         {"fcc2.fcc", "expected-chunked.tsh"},
         {"fcc3-deflate-indexed.fcc", "expected-chunked.tsh"},
         {"fcc3-range-lanes.fcc", "expected-chunked.tsh"},

@@ -9,12 +9,16 @@
  * Writes, from one deterministic synthetic trace:
  *  - source.tsh: the input trace (provenance; the goldens are
  *    self-contained, the test never re-compresses it),
- *  - one archive per container/backend/layout/fidelity cell,
- *  - the expected decompression references: expected-fcc1.tsh (the
- *    unchunked expansion), expected-chunked.tsh (every chunked
- *    container — FCC2 and all FCC3 variants decode identically),
- *    expected-quantized.tsh and expected-header.tsh (the lossy
- *    tiers' documented reconstructions).
+ *  - one archive per writable container/backend/layout/fidelity
+ *    cell,
+ *  - the expected decompression references: expected-chunked.tsh
+ *    (every chunked container — FCC2 and all FCC3 variants decode
+ *    identically), expected-quantized.tsh and expected-header.tsh
+ *    (the lossy tiers' documented reconstructions).
+ *
+ * The layouts that are no longer written — fcc1.fcc, the unchunked
+ * fcc3-unchunked.fcc and their reference expected-fcc1.tsh — stay
+ * committed as they are; this tool cannot regenerate them.
  *
  * Run this ONLY when the wire format intentionally changes, and
  * commit the regenerated corpus together with the format bump —
@@ -80,8 +84,6 @@ main(int argc, char **argv)
 
     using Backend = codec::backend::EntropyBackend;
     const Spec specs[] = {
-        {"fcc1.fcc", fccc::ContainerFormat::Fcc1, Backend::Deflate,
-         false, fccc::Fidelity::Exact},
         {"fcc2.fcc", fccc::ContainerFormat::Fcc2, Backend::Deflate,
          false, fccc::Fidelity::Exact},
         {"fcc3-store.fcc", fccc::ContainerFormat::Fcc3,
@@ -112,10 +114,9 @@ main(int argc, char **argv)
     try {
         trace::writeTshFile(original, dir + "/source.tsh");
 
-        // Decode references, filled in as the matching archives are
-        // produced; chunkedRef is cross-checked against every
-        // chunked exact cell.
-        std::vector<uint8_t> fcc1Ref, chunkedRef;
+        // The decode reference of the exact cells, written by the
+        // first and cross-checked against every other.
+        std::vector<uint8_t> chunkedRef;
 
         for (const Spec &spec : specs) {
             fccc::FccConfig cfg;
@@ -124,8 +125,6 @@ main(int argc, char **argv)
             cfg.index = spec.index;
             cfg.fidelity = spec.fidelity;
             cfg.chunkRecords = 64;
-            if (spec.container == fccc::ContainerFormat::Fcc1)
-                cfg.chunkRecords = 0;
             cfg.validate();
 
             fccc::FccTraceCompressor codec(cfg);
@@ -153,23 +152,15 @@ main(int argc, char **argv)
                 writeBytes(dir + "/" + refName, tsh);
                 break;
               default:
-                if (spec.container ==
-                    fccc::ContainerFormat::Fcc1) {
-                    refName = "expected-fcc1.tsh";
-                    fcc1Ref = tsh;
+                refName = "expected-chunked.tsh";
+                if (chunkedRef.empty()) {
+                    chunkedRef = tsh;
                     writeBytes(dir + "/" + refName, tsh);
-                } else {
-                    refName = "expected-chunked.tsh";
-                    if (chunkedRef.empty()) {
-                        chunkedRef = tsh;
-                        writeBytes(dir + "/" + refName, tsh);
-                    }
-                    util::require(
-                        tsh == chunkedRef,
-                        std::string(spec.name) +
-                            ": chunked decode diverges from "
-                            "expected-chunked.tsh");
                 }
+                util::require(tsh == chunkedRef,
+                              std::string(spec.name) +
+                                  ": chunked decode diverges from "
+                                  "expected-chunked.tsh");
                 break;
             }
             std::printf("%-28s %6zu bytes  -> %s\n", spec.name,
