@@ -5,8 +5,7 @@
  * format (TSH, pcap, pcapng, gzip'd TSH and pcapng), plus the mmap
  * vs buffered-stdio read comparison for the flat formats.
  *
- * Run: ./build/bench/io_throughput [--smoke] [--scalar]
- *                                  [--json out.json]
+ * Run: ./build/bench/io_throughput [--smoke] [--json out.json]
  *
  * Read throughput is measured over *container* bytes consumed (for
  * the gzip formats that is the decompressed stream, the honest unit
@@ -16,7 +15,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -79,11 +77,6 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
-        else if (std::strcmp(argv[i], "--scalar") == 0)
-            // Same effect as FCC_FORCE_SCALAR=1: every Auto
-            // dispatch below resolves to the scalar path. Must run
-            // before the first dispatch caches the env.
-            ::setenv("FCC_FORCE_SCALAR", "1", 1);
         else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
             jsonPath = argv[++i];
     }

@@ -5,13 +5,10 @@
  * ratio for every field-codec × entropy-backend cell, measured on
  * the real columns of the seed-2005 synthetic web trace.
  *
- * Run: ./build/bench/micro_columns [--smoke] [--scalar]
- *                                  [--json out.json]
+ * Run: ./build/bench/micro_columns [--smoke] [--json out.json]
  *
- * Every codec row reports the scalar reference path next to the
- * dispatched (SWAR/interleaved) path, and the bench fails if their
- * output bytes ever differ. --scalar (or FCC_FORCE_SCALAR=1) makes
- * the dispatched column run the scalar path too — the CI A/B cell.
+ * Every cell is round-trip verified: the bench fails if a decode
+ * does not return the encoded column or backend input.
  *
  * The JSON output feeds the CI perf-regression gate; see
  * scripts/perf_check.py and bench/perf_baseline.json.
@@ -26,11 +23,9 @@
 
 #include "bench_common.hpp"
 #include "codec/backend/backend.hpp"
-#include "codec/backend/range_coder.hpp"
 #include "codec/fcc/fcc_codec.hpp"
 #include "codec/field/field_codec.hpp"
 #include "trace/web_gen.hpp"
-#include "util/simd.hpp"
 
 using namespace fcc;
 namespace fccc = fcc::codec::fcc;
@@ -106,14 +101,9 @@ main(int argc, char **argv)
 {
     bool smoke = bench::smokeMode();
     std::string jsonPath;
-    // Auto already honors FCC_FORCE_SCALAR; --scalar is the explicit
-    // command-line spelling of the same thing.
-    util::Dispatch disp = util::Dispatch::Auto;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
-        else if (std::strcmp(argv[i], "--scalar") == 0)
-            disp = util::Dispatch::Scalar;
         else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
             jsonPath = argv[++i];
     }
@@ -142,53 +132,27 @@ main(int argc, char **argv)
     const field::FieldCodec codecs[] = {
         field::FieldCodec::Plain, field::FieldCodec::ZigzagDelta,
         field::FieldCodec::Dict, field::FieldCodec::Rle};
-    std::printf("## field codecs (raw MB = 8 B/value; "
-                "scl = scalar, dsp = dispatched)\n");
-    std::printf("%-12s %8s %-8s %9s %9s %9s %9s %8s %6s\n", "column",
-                "values", "codec", "enc-scl", "enc-dsp", "dec-scl",
-                "dec-dsp", "bytes", "ratio");
+    std::printf("## field codecs (raw MB = 8 B/value)\n");
+    std::printf("%-12s %8s %-8s %9s %9s %8s %6s\n", "column",
+                "values", "codec", "enc MB/s", "dec MB/s", "bytes",
+                "ratio");
     for (const auto &col : columns) {
         double rawMb =
             static_cast<double>(col.values.size() * 8) / 1e6;
         field::FieldCodec chosen = field::chooseCodec(col.values);
         for (field::FieldCodec fc : codecs) {
-            std::vector<uint8_t> scalarBytes;
-            double encSclSec = secondsOf(
-                [&] {
-                    scalarBytes = field::encodeColumn(
-                        col.values, fc, util::Dispatch::Scalar);
-                },
-                reps);
             std::vector<uint8_t> encoded;
             double encSec = secondsOf(
-                [&] {
-                    encoded =
-                        field::encodeColumn(col.values, fc, disp);
-                },
-                reps);
-            if (encoded != scalarBytes) {
-                std::fprintf(stderr,
-                             "dispatch MISMATCH (encode): %s/%s\n",
-                             col.name, field::fieldCodecName(fc));
-                return 1;
-            }
-            std::vector<uint64_t> scalarDecoded;
-            double decSclSec = secondsOf(
-                [&] {
-                    scalarDecoded = field::decodeColumn(
-                        encoded, fc, col.values.size(),
-                        util::Dispatch::Scalar);
-                },
+                [&] { encoded = field::encodeColumn(col.values, fc); },
                 reps);
             std::vector<uint64_t> decoded;
             double decSec = secondsOf(
                 [&] {
-                    decoded = field::decodeColumn(
-                        encoded, fc, col.values.size(), disp);
+                    decoded = field::decodeColumn(encoded, fc,
+                                                  col.values.size());
                 },
                 reps);
-            if (decoded != col.values ||
-                scalarDecoded != col.values) {
+            if (decoded != col.values) {
                 std::fprintf(stderr, "round-trip MISMATCH: %s/%s\n",
                              col.name, field::fieldCodecName(fc));
                 return 1;
@@ -196,13 +160,10 @@ main(int argc, char **argv)
             double rawBytes =
                 static_cast<double>(col.values.size() * 8);
             std::printf(
-                "%-12s %8zu %-8s%s %8.1f %9.1f %9.1f %9.1f %8zu "
-                "%5.1f%%\n",
+                "%-12s %8zu %-8s%s %8.1f %9.1f %8zu %5.1f%%\n",
                 col.name, col.values.size(),
                 field::fieldCodecName(fc), fc == chosen ? "*" : " ",
-                encSclSec > 0 ? rawMb / encSclSec : 0.0,
                 encSec > 0 ? rawMb / encSec : 0.0,
-                decSclSec > 0 ? rawMb / decSclSec : 0.0,
                 decSec > 0 ? rawMb / decSec : 0.0, encoded.size(),
                 rawBytes > 0 ? 100.0 *
                                    static_cast<double>(
@@ -223,15 +184,12 @@ main(int argc, char **argv)
                 static_cast<double>(col.values.size() * 8) / 1e6;
             std::vector<uint8_t> encoded;
             double encSec = secondsOf(
-                [&] {
-                    encoded =
-                        field::encodeColumn(col.values, fc, disp);
-                },
+                [&] { encoded = field::encodeColumn(col.values, fc); },
                 reps);
             double decSec = secondsOf(
                 [&] {
                     field::decodeColumn(encoded, fc,
-                                        col.values.size(), disp);
+                                        col.values.size());
                 },
                 reps);
             metrics.add(std::string(metric) + "_enc_mbps",
@@ -262,34 +220,15 @@ main(int argc, char **argv)
                                            field::FieldCodec::Plain);
         double inMb = static_cast<double>(encoded.size()) / 1e6;
         for (backend::EntropyBackend b : backends) {
-            // The lanes backend takes an explicit dispatch so the
-            // --scalar run exercises its reference path; all other
-            // backends have a single implementation.
-            bool lanes = b == backend::EntropyBackend::RangeLanes;
             std::vector<uint8_t> packed;
             double encSec = secondsOf(
-                [&] {
-                    packed = lanes ? backend::rangeCompressLanes(
-                                         encoded, disp)
-                                   : backend::entropyCompress(
-                                         encoded, b);
-                },
+                [&] { packed = backend::entropyCompress(encoded, b); },
                 reps);
-            if (lanes &&
-                packed != backend::rangeCompressLanes(
-                              encoded, util::Dispatch::Scalar)) {
-                std::fprintf(stderr,
-                             "dispatch MISMATCH: range-lanes\n");
-                return 1;
-            }
             std::vector<uint8_t> unpacked;
             double decSec = secondsOf(
                 [&] {
-                    unpacked =
-                        lanes ? backend::rangeDecompressLanes(
-                                    packed, encoded.size(), disp)
-                              : backend::entropyDecompress(
-                                    packed, b, encoded.size());
+                    unpacked = backend::entropyDecompress(
+                        packed, b, encoded.size());
                 },
                 reps);
             if (unpacked != encoded) {

@@ -12,10 +12,11 @@
  *             match finding, so it wins on short, high-entropy-byte
  *             columns where DEFLATE's headers and match machinery
  *             only add overhead;
- *  - RangeLanes: the same coder split into independent interleaved
- *             lanes (rangeCompressLanes) — trades a little ratio on
- *             large columns for markedly higher single-core coding
- *             speed. Opt-in: "range" columns keep tag 2.
+ *  - RangeLanes: the same coder split into independent lanes
+ *             (rangeCompressLanes), each a "range" stream of its
+ *             slice, so a decoder may interleave them — trades a
+ *             little ratio on large columns. Opt-in: "range"
+ *             columns keep tag 2.
  *
  * The one-byte tag stored next to each column makes every column
  * self-describing, so a single file can mix backends (the encoder

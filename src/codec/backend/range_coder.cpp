@@ -9,7 +9,6 @@
 
 #include "codec/backend/range_coder.hpp"
 
-#include "util/bitstream.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 
@@ -42,6 +41,11 @@ struct ByteModel
     }
 };
 
+/**
+ * Encoder with the bit I/O inlined (an out-of-line call per bit
+ * dwarfs the coding work). Bits go LSB-first within each byte and
+ * the final partial byte is zero-padded.
+ */
 class Encoder
 {
   public:
@@ -98,19 +102,34 @@ class Encoder
         // the final interval; the decoder zero-pads past the end.
         ++pending_;
         emit(low_ >= kQuarter ? 1 : 0);
-        return bits_.take();
+        if (nbits_ > 0)
+            buf_.push_back(static_cast<uint8_t>(bitbuf_));
+        return std::move(buf_);
     }
 
   private:
     void
     emit(int bit)
     {
-        bits_.put(static_cast<uint32_t>(bit), 1);
+        putBit(static_cast<uint32_t>(bit));
         for (; pending_ > 0; --pending_)
-            bits_.put(static_cast<uint32_t>(bit ^ 1), 1);
+            putBit(static_cast<uint32_t>(bit ^ 1));
     }
 
-    util::BitWriter bits_;
+    void
+    putBit(uint32_t bit)
+    {
+        bitbuf_ |= bit << nbits_;
+        if (++nbits_ == 8) {
+            buf_.push_back(static_cast<uint8_t>(bitbuf_));
+            bitbuf_ = 0;
+            nbits_ = 0;
+        }
+    }
+
+    std::vector<uint8_t> buf_;
+    uint32_t bitbuf_ = 0;
+    int nbits_ = 0;
     uint32_t low_ = 0;
     uint32_t high_ = kTop;
     uint64_t pending_ = 0;
@@ -119,8 +138,7 @@ class Encoder
 class Decoder
 {
   public:
-    explicit Decoder(std::span<const uint8_t> data)
-        : bits_(data), bitsLeft_(data.size() * 8)
+    explicit Decoder(std::span<const uint8_t> data) : data_(data)
     {
         for (int i = 0; i < 32; ++i)
             value_ = (value_ << 1) | nextBit();
@@ -180,192 +198,23 @@ class Decoder
     {
         // The encoder's flush leaves up to 32 conceptual zero bits
         // unwritten; reads past the physical end supply them.
-        if (bitsLeft_ == 0)
-            return 0;
-        --bitsLeft_;
-        uint32_t bit = bits_.peek(1);
-        bits_.consume(1);
+        if (nbits_ == 0) {
+            cur_ = pos_ < data_.size() ? data_[pos_++] : 0;
+            nbits_ = 8;
+        }
+        uint32_t bit = cur_ & 1;
+        cur_ >>= 1;
+        --nbits_;
         return bit;
     }
 
-    util::BitReader bits_;
-    size_t bitsLeft_;
+    std::span<const uint8_t> data_;
+    size_t pos_ = 0;
+    uint32_t cur_ = 0;
+    int nbits_ = 0;
     uint32_t value_ = 0;
     uint32_t low_ = 0;
     uint32_t high_ = kTop;
-};
-
-/**
- * Inline-everything lane coder for the interleaved (Accel) paths.
- *
- * Same arithmetic as Encoder/Decoder above, but with the bit I/O
- * inlined (util::BitWriter/BitReader live in another TU, and an
- * out-of-line call per bit dwarfs the coding work). Bit order and
- * flush semantics match BitWriter exactly — LSB-first within each
- * byte, zero-padded final partial byte, reads past the physical end
- * supply zero bits — so the streams are byte-identical.
- */
-struct LaneEncoder
-{
-    std::vector<uint8_t> buf;
-    uint32_t bitbuf = 0;
-    int nbits = 0;
-    uint32_t low = 0;
-    uint32_t high = kTop;
-    uint64_t pending = 0;
-
-    void
-    putBit(uint32_t bit)
-    {
-        bitbuf |= bit << nbits;
-        if (++nbits == 8) {
-            buf.push_back(static_cast<uint8_t>(bitbuf));
-            bitbuf = 0;
-            nbits = 0;
-        }
-    }
-
-    void
-    emit(int bit)
-    {
-        putBit(static_cast<uint32_t>(bit));
-        for (; pending > 0; --pending)
-            putBit(static_cast<uint32_t>(bit ^ 1));
-    }
-
-    void
-    encodeBit(uint16_t &prob, int bit)
-    {
-        uint32_t mid =
-            low + static_cast<uint32_t>(
-                      (static_cast<uint64_t>(high - low) * prob) >>
-                      kProbBits);
-        if (bit == 0) {
-            high = mid;
-            prob += (kProbOne - prob) >> kAdaptShift;
-        } else {
-            low = mid + 1;
-            prob -= prob >> kAdaptShift;
-        }
-        for (;;) {
-            if (high < kHalf) {
-                emit(0);
-            } else if (low >= kHalf) {
-                emit(1);
-                low -= kHalf;
-                high -= kHalf;
-            } else if (low >= kQuarter && high < kThreeQuarters) {
-                ++pending;
-                low -= kQuarter;
-                high -= kQuarter;
-            } else {
-                break;
-            }
-            low <<= 1;
-            high = (high << 1) | 1;
-        }
-    }
-
-    void
-    encodeByte(ByteModel &model, uint8_t byte)
-    {
-        uint32_t ctx = 1;
-        for (int i = 7; i >= 0; --i) {
-            int bit = (byte >> i) & 1;
-            encodeBit(model.p[ctx], bit);
-            ctx = (ctx << 1) | static_cast<uint32_t>(bit);
-        }
-    }
-
-    std::vector<uint8_t>
-    finish()
-    {
-        ++pending;
-        emit(low >= kQuarter ? 1 : 0);
-        if (nbits > 0)
-            buf.push_back(static_cast<uint8_t>(bitbuf));
-        return std::move(buf);
-    }
-};
-
-struct LaneDecoder
-{
-    const uint8_t *data = nullptr;
-    size_t len = 0;
-    size_t pos = 0;
-    uint32_t cur = 0;
-    int nbits = 0;
-    uint32_t value = 0;
-    uint32_t low = 0;
-    uint32_t high = kTop;
-
-    explicit LaneDecoder(std::span<const uint8_t> stream)
-        : data(stream.data()), len(stream.size())
-    {
-        for (int i = 0; i < 32; ++i)
-            value = (value << 1) | nextBit();
-    }
-
-    uint32_t
-    nextBit()
-    {
-        if (nbits == 0) {
-            cur = pos < len ? data[pos++] : 0;
-            nbits = 8;
-        }
-        uint32_t bit = cur & 1;
-        cur >>= 1;
-        --nbits;
-        return bit;
-    }
-
-    int
-    decodeBit(uint16_t &prob)
-    {
-        uint32_t mid =
-            low + static_cast<uint32_t>(
-                      (static_cast<uint64_t>(high - low) * prob) >>
-                      kProbBits);
-        int bit;
-        if (value <= mid) {
-            bit = 0;
-            high = mid;
-            prob += (kProbOne - prob) >> kAdaptShift;
-        } else {
-            bit = 1;
-            low = mid + 1;
-            prob -= prob >> kAdaptShift;
-        }
-        for (;;) {
-            if (high < kHalf) {
-                // nothing to subtract
-            } else if (low >= kHalf) {
-                low -= kHalf;
-                high -= kHalf;
-                value -= kHalf;
-            } else if (low >= kQuarter && high < kThreeQuarters) {
-                low -= kQuarter;
-                high -= kQuarter;
-                value -= kQuarter;
-            } else {
-                break;
-            }
-            low <<= 1;
-            high = (high << 1) | 1;
-            value = (value << 1) | nextBit();
-        }
-        return bit;
-    }
-
-    uint8_t
-    decodeByte(ByteModel &model)
-    {
-        uint32_t ctx = 1;
-        for (int i = 0; i < 8; ++i)
-            ctx = (ctx << 1) |
-                  static_cast<uint32_t>(decodeBit(model.p[ctx]));
-        return static_cast<uint8_t>(ctx & 0xff);
-    }
 };
 
 } // namespace
@@ -403,9 +252,9 @@ size_t
 rangeLaneCount(size_t rawSize)
 {
     // Below ~4 KiB the per-lane model restart costs more ratio than
-    // the ILP is worth; above 1 MiB there is enough work to keep
-    // eight chains busy. Thresholds are part of the encoder policy
-    // only — the payload carries its lane count.
+    // independent lanes are worth; above 1 MiB there is enough work
+    // for eight. Thresholds are part of the encoder policy only —
+    // the payload carries its lane count.
     if (rawSize < 4096)
         return 1;
     if (rawSize < (size_t{1} << 20))
@@ -414,41 +263,21 @@ rangeLaneCount(size_t rawSize)
 }
 
 std::vector<uint8_t>
-rangeCompressLanes(std::span<const uint8_t> data, util::Dispatch d)
+rangeCompressLanes(std::span<const uint8_t> data)
 {
     if (data.empty())
         return {};
+    // Lane l holds q + (l < r) bytes: contiguous, near-equal slices,
+    // each one rangeCompress() stream with its own model.
     const size_t lanes = rangeLaneCount(data.size());
     const size_t q = data.size() / lanes;
     const size_t r = data.size() % lanes;
-    size_t off[rangeMaxLanes + 1];
-    off[0] = 0;
-    for (size_t l = 0; l < lanes; ++l)
-        off[l + 1] = off[l] + q + (l < r ? 1 : 0);
-
     std::vector<uint8_t> streams[rangeMaxLanes];
-    if (!util::useAccel(d)) {
-        for (size_t l = 0; l < lanes; ++l)
-            streams[l] = rangeCompress(
-                data.subspan(off[l], off[l + 1] - off[l]));
-    } else {
-        // Interleaved: the lanes advance one byte at a time, so their
-        // (serially dependent) coding chains are adjacent independent
-        // work for the out-of-order window. Per-lane state and bit
-        // order are exactly those of the scalar coder — identical
-        // streams. Lane l holds q + (l < r) bytes, so every lane is
-        // active for i < q and the first r lanes carry one more.
-        ByteModel models[rangeMaxLanes];
-        LaneEncoder encs[rangeMaxLanes];
-        for (size_t l = 0; l < lanes; ++l)
-            encs[l].buf.reserve(off[l + 1] - off[l] + 16);
-        for (size_t i = 0; i < q; ++i)
-            for (size_t l = 0; l < lanes; ++l)
-                encs[l].encodeByte(models[l], data[off[l] + i]);
-        for (size_t l = 0; l < r; ++l)
-            encs[l].encodeByte(models[l], data[off[l] + q]);
-        for (size_t l = 0; l < lanes; ++l)
-            streams[l] = encs[l].finish();
+    size_t off = 0;
+    for (size_t l = 0; l < lanes; ++l) {
+        const size_t len = q + (l < r ? 1 : 0);
+        streams[l] = rangeCompress(data.subspan(off, len));
+        off += len;
     }
 
     util::ByteWriter w;
@@ -461,8 +290,7 @@ rangeCompressLanes(std::span<const uint8_t> data, util::Dispatch d)
 }
 
 std::vector<uint8_t>
-rangeDecompressLanes(std::span<const uint8_t> data, size_t rawSize,
-                     util::Dispatch d)
+rangeDecompressLanes(std::span<const uint8_t> data, size_t rawSize)
 {
     std::vector<uint8_t> out;
     if (rawSize == 0) {
@@ -488,45 +316,16 @@ rangeDecompressLanes(std::span<const uint8_t> data, size_t rawSize,
     }
     laneSpan[lanes - 1] = data.subspan(pos);
 
+    // Lanes decode one after another; rangeDecompress() rejects a
+    // non-empty stream for an empty lane.
     const size_t q = rawSize / lanes;
     const size_t r = rawSize % lanes;
-    size_t laneRaw[rangeMaxLanes];
-    size_t rawOff[rangeMaxLanes + 1];
-    rawOff[0] = 0;
+    out.reserve(rawSize);
     for (size_t l = 0; l < lanes; ++l) {
-        laneRaw[l] = q + (l < r ? 1 : 0);
-        rawOff[l + 1] = rawOff[l] + laneRaw[l];
-        // An empty lane must carry an empty stream, in either
-        // dispatch — the same rule rangeDecompress() enforces.
-        if (laneRaw[l] == 0)
-            util::require(
-                laneSpan[l].empty(),
-                "range: trailing bytes after empty stream");
+        std::vector<uint8_t> lane =
+            rangeDecompress(laneSpan[l], q + (l < r ? 1 : 0));
+        out.insert(out.end(), lane.begin(), lane.end());
     }
-
-    if (!util::useAccel(d)) {
-        out.reserve(rawSize);
-        for (size_t l = 0; l < lanes; ++l) {
-            std::vector<uint8_t> lane =
-                rangeDecompress(laneSpan[l], laneRaw[l]);
-            out.insert(out.end(), lane.begin(), lane.end());
-        }
-        return out;
-    }
-
-    // Interleaved mirror of the encoder above: one byte per lane per
-    // round, all lanes active for i < q, first r lanes one more.
-    out.resize(rawSize);
-    std::vector<LaneDecoder> decs;
-    decs.reserve(lanes);
-    ByteModel models[rangeMaxLanes];
-    for (size_t l = 0; l < lanes; ++l)
-        decs.emplace_back(laneSpan[l]);
-    for (size_t i = 0; i < q; ++i)
-        for (size_t l = 0; l < lanes; ++l)
-            out[rawOff[l] + i] = decs[l].decodeByte(models[l]);
-    for (size_t l = 0; l < r; ++l)
-        out[rawOff[l] + q] = decs[l].decodeByte(models[l]);
     return out;
 }
 

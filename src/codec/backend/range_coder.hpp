@@ -1,6 +1,6 @@
 /**
  * @file
- * Adaptive order-0 binary range coder over util/bitstream.
+ * Adaptive order-0 binary range coder.
  *
  * The classic Witten–Neal–Cleary arithmetic coder with 32-bit
  * low/high registers and E3 underflow counting, driven by a bit-tree
@@ -23,8 +23,6 @@
 #include <span>
 #include <vector>
 
-#include "util/simd.hpp"
-
 namespace fcc::codec::backend {
 
 /** Compress @p data with the adaptive order-0 range coder. */
@@ -42,9 +40,9 @@ constexpr uint8_t rangeMaxLanes = 8;
 
 /**
  * Deterministic lane count for a block of @p rawSize bytes: derived
- * from the size alone (never thread count or dispatch), so the wire
+ * from the size alone (never the thread count), so the wire
  * bytes are reproducible everywhere. Small blocks stay single-lane —
- * splitting them would cost ratio without buying ILP.
+ * splitting them would cost ratio for no independent work.
  */
 size_t rangeLaneCount(size_t rawSize);
 
@@ -53,17 +51,12 @@ size_t rangeLaneCount(size_t rawSize);
  * "range-lanes" entropy backend, tag 3).
  *
  * The block is split into rangeLaneCount() contiguous, near-equal
- * slices; each lane runs its own adaptive model and coder, so a
- * single core can keep several dependency chains in flight. Payload:
- * one lane-count byte, varint byte lengths of all lanes but the
- * last, then the concatenated lane streams.
- *
- * Dispatch selects interleaved (Accel) vs lane-at-a-time (Scalar)
- * execution; both produce identical bytes.
+ * slices; each lane is the rangeCompress() stream of its slice, with
+ * its own adaptive model. Payload: one lane-count byte, varint byte
+ * lengths of all lanes but the last, then the concatenated lane
+ * streams.
  */
-std::vector<uint8_t> rangeCompressLanes(std::span<const uint8_t> data,
-                                        util::Dispatch d =
-                                            util::Dispatch::Auto);
+std::vector<uint8_t> rangeCompressLanes(std::span<const uint8_t> data);
 
 /**
  * Decompress a rangeCompressLanes() payload of exactly @p rawSize
@@ -71,9 +64,8 @@ std::vector<uint8_t> rangeCompressLanes(std::span<const uint8_t> data,
  * with a different lane policy still decode.
  * @throws fcc::util::Error on a malformed header or truncated lane.
  */
-std::vector<uint8_t>
-rangeDecompressLanes(std::span<const uint8_t> data, size_t rawSize,
-                     util::Dispatch d = util::Dispatch::Auto);
+std::vector<uint8_t> rangeDecompressLanes(std::span<const uint8_t> data,
+                                          size_t rawSize);
 
 } // namespace fcc::codec::backend
 

@@ -67,30 +67,18 @@ serverFingerprint(uint32_t serverIp)
 }
 
 std::vector<uint8_t>
-bloomBuild(std::span<const uint32_t> servers, uint32_t bits,
-           util::Dispatch d)
+bloomBuild(std::span<const uint32_t> servers, uint32_t bits)
 {
     std::vector<uint8_t> bloom(size_t{bits} / 8, 0);
-    if (!util::useAccel(d)) {
-        for (uint32_t ip : servers)
-            bloomInsert(bloom, bits, serverFingerprint(ip));
-        return bloom;
-    }
     // Hash the batch first: the mix64 loop is branch-free and
     // auto-vectorizes; only the (scattered, cheap) bit sets stay
-    // serial. Same OR-set of bits as the scalar path.
+    // serial.
     std::vector<ServerFingerprint> fps(servers.size());
     for (size_t i = 0; i < servers.size(); ++i)
         fps[i] = serverFingerprint(servers[i]);
     for (const ServerFingerprint &fp : fps)
         bloomInsert(bloom, bits, fp);
     return bloom;
-}
-
-bool
-ChunkSummary::mayContainServer(uint32_t serverIp) const
-{
-    return mayContain(serverFingerprint(serverIp));
 }
 
 bool
@@ -287,6 +275,11 @@ readArchiveIndex(std::span<const uint8_t> file)
                       "fcc index: inconsistent packet counts");
         util::require(c.minFirstUs <= c.maxEndUs,
                       "fcc index: inverted time range");
+        // Check the payload holds the filter before sizing by it: a
+        // tiny corrupt index must not make the reader allocate 2^27
+        // bytes first.
+        util::require(bits / 8 <= r.remaining(),
+                      "fcc index: Bloom filter size exceeds payload");
         c.bloomBits = static_cast<uint32_t>(bits);
         c.bloom.resize(static_cast<size_t>(bits / 8));
         r.bytes(c.bloom.data(), c.bloom.size());

@@ -28,8 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "util/simd.hpp"
-
 namespace fcc::codec::fcc {
 
 struct Datasets;
@@ -72,14 +70,11 @@ ServerFingerprint serverFingerprint(uint32_t serverIp);
 
 /**
  * Build a Bloom filter of @p bits bits (power of two, >= 64) over
- * @p servers. The dispatched path hashes the whole batch before
- * touching the filter (the hash loop auto-vectorizes); the scalar
- * path interleaves hash and insert per server. Identical filters.
+ * @p servers. Hashes the whole batch before touching the filter (the
+ * hash loop auto-vectorizes).
  */
 std::vector<uint8_t> bloomBuild(std::span<const uint32_t> servers,
-                                uint32_t bits,
-                                util::Dispatch d =
-                                    util::Dispatch::Auto);
+                                uint32_t bits);
 
 /** Tuning knobs the serializer needs to build summaries. */
 struct IndexOptions
@@ -115,16 +110,11 @@ struct ChunkSummary
     std::vector<uint8_t> bloom;  ///< bloomBits/8 filter bytes
 
     /**
-     * May any flow of this chunk have @p serverIp as its stored
-     * destination address? False positives at the configured Bloom
-     * rate (~1 %); never false negatives.
-     */
-    bool mayContainServer(uint32_t serverIp) const;
-
-    /**
-     * mayContainServer() with the hashing already paid — the form
-     * query planners use when testing one address against many
-     * chunks.
+     * May any flow of this chunk have the server of @p fp (see
+     * serverFingerprint()) as its stored destination address? False
+     * positives at the configured Bloom rate (~1 %); never false
+     * negatives. Fingerprinting once lets a planner test one address
+     * against many chunks.
      */
     bool mayContain(const ServerFingerprint &fp) const;
 

@@ -149,27 +149,17 @@ chooseCodec(std::span<const uint64_t> values)
 }
 
 std::vector<uint8_t>
-encodeColumn(std::span<const uint64_t> values, FieldCodec codec,
-             util::Dispatch d)
+encodeColumn(std::span<const uint64_t> values, FieldCodec codec)
 {
     util::ByteWriter w;
     switch (codec) {
       case FieldCodec::Plain: {
         std::vector<uint8_t> out;
-        util::varintEncodeBatch(values, out, d);
+        util::varintEncodeBatch(values, out);
         return out;
       }
 
       case FieldCodec::ZigzagDelta: {
-        if (!util::useAccel(d)) {
-            uint64_t prev = 0;
-            for (uint64_t v : values) {
-                w.varint(
-                    zigzagEncode(static_cast<int64_t>(v - prev)));
-                prev = v;
-            }
-            break;
-        }
         // Delta+zigzag is vectorizable arithmetic; materialize the
         // mapped values once, then batch-encode the varints.
         std::vector<uint64_t> mapped(values.size());
@@ -180,7 +170,7 @@ encodeColumn(std::span<const uint64_t> values, FieldCodec codec,
             prev = values[i];
         }
         std::vector<uint8_t> out;
-        util::varintEncodeBatch(mapped, out, d);
+        util::varintEncodeBatch(mapped, out);
         return out;
       }
 
@@ -198,9 +188,9 @@ encodeColumn(std::span<const uint64_t> values, FieldCodec codec,
         }
         std::vector<uint8_t> out;
         const uint64_t dictCount = dict.size();
-        util::varintEncodeBatch({&dictCount, 1}, out, d);
-        util::varintEncodeBatch(dict, out, d);
-        util::varintEncodeBatch(refs, out, d);
+        util::varintEncodeBatch({&dictCount, 1}, out);
+        util::varintEncodeBatch(dict, out);
+        util::varintEncodeBatch(refs, out);
         return out;
       }
 
@@ -226,7 +216,7 @@ encodeColumn(std::span<const uint64_t> values, FieldCodec codec,
 
 std::vector<uint64_t>
 decodeColumn(std::span<const uint8_t> data, FieldCodec codec,
-             size_t count, util::Dispatch d)
+             size_t count)
 {
     util::ByteReader r(data);
     std::vector<uint64_t> values;
@@ -235,25 +225,16 @@ decodeColumn(std::span<const uint8_t> data, FieldCodec codec,
       case FieldCodec::Plain: {
         values.resize(count);
         size_t consumed = util::varintDecodeBatch(
-            data.data(), data.size(), values.data(), count, d);
+            data.data(), data.size(), values.data(), count);
         util::require(consumed == data.size(),
                       "field: trailing bytes after column");
         return values;
       }
 
       case FieldCodec::ZigzagDelta: {
-        if (!util::useAccel(d)) {
-            uint64_t prev = 0;
-            for (size_t i = 0; i < count; ++i) {
-                prev +=
-                    static_cast<uint64_t>(zigzagDecode(r.varint()));
-                values.push_back(prev);
-            }
-            break;
-        }
         values.resize(count);
         size_t consumed = util::varintDecodeBatch(
-            data.data(), data.size(), values.data(), count, d);
+            data.data(), data.size(), values.data(), count);
         util::require(consumed == data.size(),
                       "field: trailing bytes after column");
         // Prefix sum stays serial — each element depends on the
@@ -272,37 +253,24 @@ decodeColumn(std::span<const uint8_t> data, FieldCodec codec,
         // dictionary is never larger than the column.
         util::require(dictCount <= count,
                       "field: dictionary larger than column");
-        if (util::useAccel(d)) {
-            std::vector<uint64_t> dict(dictCount);
-            size_t pos = r.position();
-            pos += util::varintDecodeBatch(
-                data.data() + pos, data.size() - pos, dict.data(),
-                dictCount, d);
-            std::vector<uint64_t> refs(count);
-            pos += util::varintDecodeBatch(
-                data.data() + pos, data.size() - pos, refs.data(),
-                count, d);
-            util::require(pos == data.size(),
-                          "field: trailing bytes after column");
-            values.resize(count);
-            for (size_t i = 0; i < count; ++i) {
-                util::require(refs[i] < dictCount,
-                              "field: dictionary index out of range");
-                values[i] = dict[refs[i]];
-            }
-            return values;
-        }
-        std::vector<uint64_t> dict;
-        dict.reserve(dictCount);
-        for (uint64_t i = 0; i < dictCount; ++i)
-            dict.push_back(r.varint());
+        std::vector<uint64_t> dict(dictCount);
+        size_t pos = r.position();
+        pos += util::varintDecodeBatch(data.data() + pos,
+                                       data.size() - pos,
+                                       dict.data(), dictCount);
+        std::vector<uint64_t> refs(count);
+        pos += util::varintDecodeBatch(data.data() + pos,
+                                       data.size() - pos,
+                                       refs.data(), count);
+        util::require(pos == data.size(),
+                      "field: trailing bytes after column");
+        values.resize(count);
         for (size_t i = 0; i < count; ++i) {
-            uint64_t ref = r.varint();
-            util::require(ref < dictCount,
+            util::require(refs[i] < dictCount,
                           "field: dictionary index out of range");
-            values.push_back(dict[ref]);
+            values[i] = dict[refs[i]];
         }
-        break;
+        return values;
       }
 
       case FieldCodec::Rle: {

@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "util/simd.hpp"
 
 namespace fcc::codec::field {
 
@@ -95,27 +94,19 @@ bool isOnGrid(std::span<const uint64_t> values, uint64_t quantum);
 FieldCodec chooseCodec(std::span<const uint64_t> values);
 
 /**
- * Encode @p values under @p codec.
- *
- * The dispatch selects between the scalar reference loops and the
- * SWAR batch paths (varint batches for plain/zigzag/dict); both emit
- * identical bytes — the wire format does not depend on the dispatch.
+ * Encode @p values under @p codec. Plain, zigzag and dict run on the
+ * batch varint paths (util::varintEncodeBatch).
  */
 std::vector<uint8_t> encodeColumn(std::span<const uint64_t> values,
-                                  FieldCodec codec,
-                                  util::Dispatch d =
-                                      util::Dispatch::Auto);
+                                  FieldCodec codec);
 
 /**
  * Decode exactly @p count values from @p data; the whole buffer must
  * be consumed. @throws fcc::util::Error on malformed input (trailing
- * bytes, out-of-range dictionary index, run overflow, ...). Scalar
- * and SWAR dispatches accept and reject exactly the same inputs.
+ * bytes, out-of-range dictionary index, run overflow, ...).
  */
 std::vector<uint64_t> decodeColumn(std::span<const uint8_t> data,
-                                   FieldCodec codec, size_t count,
-                                   util::Dispatch d =
-                                       util::Dispatch::Auto);
+                                   FieldCodec codec, size_t count);
 
 } // namespace fcc::codec::field
 

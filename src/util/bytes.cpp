@@ -99,19 +99,8 @@ varintLenSum(std::span<const uint64_t> values)
 
 void
 varintEncodeBatch(std::span<const uint64_t> values,
-                  std::vector<uint8_t> &out, Dispatch d)
+                  std::vector<uint8_t> &out)
 {
-    if (!useAccel(d)) {
-        for (uint64_t v : values) {
-            while (v >= 0x80) {
-                out.push_back(static_cast<uint8_t>(v) | 0x80);
-                v >>= 7;
-            }
-            out.push_back(static_cast<uint8_t>(v));
-        }
-        return;
-    }
-
     // Block-wise: grow the output once per block to its worst case
     // (10 bytes/value), write through a raw pointer, then trim. The
     // eight-value fast path covers the dominant case of the FCC3
@@ -160,15 +149,8 @@ varintEncodeBatch(std::span<const uint64_t> values,
 
 size_t
 varintDecodeBatch(const uint8_t *data, size_t len, uint64_t *out,
-                  size_t count, Dispatch d)
+                  size_t count)
 {
-    if (!useAccel(d)) {
-        ByteReader r(data, len);
-        for (size_t i = 0; i < count; ++i)
-            out[i] = r.varint();
-        return r.position();
-    }
-
     const uint8_t *p = data;
     const uint8_t *end = data + len;
     size_t i = 0;

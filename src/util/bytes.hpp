@@ -19,8 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "util/simd.hpp"
-
 namespace fcc::util {
 
 // Unaligned scalar load/store and byte-swap primitives shared by
@@ -145,16 +143,13 @@ varintLen(uint64_t v)
 uint64_t varintLenSum(std::span<const uint64_t> values);
 
 /**
- * Append the LEB128 varints of @p values to @p out.
- *
- * Dispatch::Auto/Accel runs the SWAR batch path — eight values per
- * iteration when they all fit one byte, unrolled pointer writes
- * otherwise; Dispatch::Scalar runs the reference loop. Both emit the
- * identical (canonical shortest-form) byte stream.
+ * Append the LEB128 varints of @p values to @p out: the same
+ * (canonical shortest-form) bytes as ByteWriter::varint() per value.
+ * SWAR batch path — eight values per iteration when they all fit one
+ * byte, unrolled pointer writes otherwise.
  */
 void varintEncodeBatch(std::span<const uint64_t> values,
-                       std::vector<uint8_t> &out,
-                       Dispatch d = Dispatch::Auto);
+                       std::vector<uint8_t> &out);
 
 /**
  * Decode exactly @p count LEB128 varints from @p data into @p out
@@ -162,12 +157,11 @@ void varintEncodeBatch(std::span<const uint64_t> values,
  *
  * @returns bytes consumed.
  * @throws fcc::util::Error on truncation, an encoding longer than 10
- *         bytes, or 64-bit overflow — the same inputs the scalar
- *         ByteReader::varint() rejects.
+ *         bytes, or 64-bit overflow — the same inputs, with the same
+ *         messages, that ByteReader::varint() rejects.
  */
 size_t varintDecodeBatch(const uint8_t *data, size_t len,
-                         uint64_t *out, size_t count,
-                         Dispatch d = Dispatch::Auto);
+                         uint64_t *out, size_t count);
 
 /** Growable little-endian binary output buffer. */
 class ByteWriter

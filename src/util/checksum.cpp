@@ -1,8 +1,8 @@
 /**
  * @file
- * Table-driven CRC-32 (gzip polynomial; one-table byte loop plus a
- * slice-by-8 variant that folds a 64-bit word per step) and Adler-32
- * with the standard deferred-modulo batch size (NMAX = 5552).
+ * Table-driven CRC-32 (gzip polynomial, slice-by-8: a 64-bit word
+ * per step, the one-table byte loop for the tail) and Adler-32 with
+ * the standard deferred-modulo batch size (NMAX = 5552).
  */
 
 #include "util/checksum.hpp"
@@ -79,16 +79,13 @@ constexpr uint32_t adlerBase = 65521;
 void
 Crc32::update(std::span<const uint8_t> data)
 {
-    if (useAccel(dispatch_))
-        state_ = crcSlice8(state_, data.data(), data.size());
-    else
-        state_ = crcBytes(state_, data.data(), data.size());
+    state_ = crcSlice8(state_, data.data(), data.size());
 }
 
 uint32_t
-Crc32::of(std::span<const uint8_t> data, Dispatch d)
+Crc32::of(std::span<const uint8_t> data)
 {
-    Crc32 crc(d);
+    Crc32 crc;
     crc.update(data);
     return crc.value();
 }

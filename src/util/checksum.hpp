@@ -10,23 +10,17 @@
 #include <cstdint>
 #include <span>
 
-#include "util/simd.hpp"
-
 namespace fcc::util {
 
 /**
  * Incremental CRC-32 with the gzip polynomial (0xEDB88320,
- * reflected). Equivalent to zlib's crc32().
- *
- * The dispatched path folds eight bytes per step (slice-by-8); the
- * scalar path is the classic one-table byte loop. Both compute the
- * same function — the checksum never depends on the dispatch or on
- * how the input is chunked across update() calls.
+ * reflected). Equivalent to zlib's crc32(), folding eight bytes per
+ * step (slice-by-8); the checksum never depends on how the input is
+ * chunked across update() calls.
  */
 class Crc32
 {
   public:
-    explicit Crc32(Dispatch d = Dispatch::Auto) : dispatch_(d) {}
 
     /** Fold @p data into the running checksum. */
     void update(std::span<const uint8_t> data);
@@ -34,12 +28,10 @@ class Crc32
     uint32_t value() const { return ~state_; }
 
     /** One-shot convenience. */
-    static uint32_t of(std::span<const uint8_t> data,
-                       Dispatch d = Dispatch::Auto);
+    static uint32_t of(std::span<const uint8_t> data);
 
   private:
     uint32_t state_ = 0xffffffffu;
-    Dispatch dispatch_ = Dispatch::Auto;
 };
 
 /** Incremental Adler-32 (RFC 1950). Equivalent to zlib's adler32(). */

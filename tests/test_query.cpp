@@ -243,8 +243,8 @@ TEST(QueryIndex, ArchiveIndexSummariesAreConsistent)
                 : d.shortTemplates[r.templateIndex].size();
             packets += n;
             maxFlow = std::max(maxFlow, n);
-            EXPECT_TRUE(s.mayContainServer(
-                d.addresses[r.addressIndex]))
+            EXPECT_TRUE(s.mayContain(fccc::serverFingerprint(
+                d.addresses[r.addressIndex])))
                 << "false negative in chunk " << c;
             EXPECT_GE(s.maxEndUs, r.firstTimestampUs);
         }
@@ -274,7 +274,8 @@ TEST(QueryIndex, BloomFalsePositiveRateBounded)
             continue;
         for (const fccc::ChunkSummary &s : index->chunks) {
             ++probes;
-            positives += s.mayContainServer(ip) ? 1 : 0;
+            positives +=
+                s.mayContain(fccc::serverFingerprint(ip)) ? 1 : 0;
         }
     }
     ASSERT_GT(probes, 1000u);
@@ -526,6 +527,31 @@ TEST(QueryIndex, CorruptOrTruncatedIndexDegradesSafely)
         checkMutant(mutant, "payload flip");
     }
     std::remove(path.c_str());
+}
+
+TEST(QueryIndex, OversizedBloomRejectedBeforeAllocating)
+{
+    // A well-formed, CRC-valid index whose one chunk claims a 2^30-bit
+    // (128 MiB) filter but carries 15 filter bytes. The reader must
+    // reject the size against the payload before sizing by it.
+    fccc::ChunkSummary c;
+    c.records = 1;
+    c.packets = 1;
+    c.maxFlowPackets = 1;
+    c.bloomBits = uint32_t{1} << 30;
+    c.bloom.assign(15, 0xff);
+    fccc::ArchiveIndex index;
+    index.chunks.push_back(c);
+    std::vector<uint8_t> bytes = fccc::serializeArchiveIndex(index);
+    EXPECT_LT(bytes.size(), 64u);
+    try {
+        fccc::readArchiveIndex(bytes);
+        FAIL() << "an index with an oversized Bloom filter parsed";
+    } catch (const util::Error &e) {
+        EXPECT_NE(std::string(e.what()).find("Bloom filter size"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(QueryIndex, IndexRequiresChunkedFcc3)

@@ -1,23 +1,21 @@
 /**
  * @file
- * Differential fuzz suite for the scalar/accelerated dispatch pairs
- * (util/simd.hpp): every SWAR or interleaved hot path must produce
- * bytes identical to its scalar reference — varint batches, the
- * zigzag-delta column codec, the lane-split range coder, slice-by-8
- * CRC-32 and batched Bloom build/probe — across random, boundary
- * (u64-max, maximum-length varints) and adversarial-scenario inputs,
- * including malformed streams (both paths must reject identically)
- * and the full compressor at 1/2/4/8 worker threads.
- *
- * Explicit Dispatch::Scalar / Dispatch::Accel bypass the
- * FCC_FORCE_SCALAR environment override, so the comparisons below
- * exercise both implementations even in the CI scalar cell.
+ * The byte-level hot paths against independent references: varint
+ * batches against ByteWriter/ByteReader, the column codecs against
+ * varints written one at a time, CRC-32 against zlib's crc32(), each
+ * range-coder lane against rangeCompress() of its slice, plus
+ * known-answer constants for the range coder's bytes and the Bloom
+ * build's no-false-negative guarantee — across random, boundary
+ * (u64-max, maximum-length varints) and malformed inputs, and the
+ * full compressor at 1/2/4/8 worker threads.
  */
 
 #include <gtest/gtest.h>
+#include <zlib.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,7 +28,6 @@
 #include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 using namespace fcc;
 namespace fccc = fcc::codec::fcc;
@@ -38,9 +35,6 @@ namespace field = fcc::codec::field;
 namespace backend = fcc::codec::backend;
 
 namespace {
-
-constexpr util::Dispatch kScalar = util::Dispatch::Scalar;
-constexpr util::Dispatch kAccel = util::Dispatch::Accel;
 
 /** A value whose varint length is drawn uniformly from 1..10. */
 uint64_t
@@ -61,48 +55,135 @@ referenceVarint(const std::vector<uint64_t> &values)
     return w.take();
 }
 
-/** What decoding @p data as @p count varints does, per dispatch. */
+/** "ok:<consumed>,<values>" or "error:<message>" of one decode. */
+template <typename Decode>
 std::string
-decodeOutcome(const std::vector<uint8_t> &data, size_t count,
-              util::Dispatch d)
+outcome(size_t count, Decode decode)
 {
     std::vector<uint64_t> out(count);
     try {
-        size_t used = util::varintDecodeBatch(data.data(),
-                                              data.size(),
-                                              out.data(), count, d);
-        std::string s = "ok:" + std::to_string(used);
+        size_t used = decode(out.data());
+        std::string s("ok:");
+        s.append(std::to_string(used));
         for (uint64_t v : out)
-            s += "," + std::to_string(v);
+            s.append(",").append(std::to_string(v));
         return s;
     } catch (const util::Error &e) {
         return std::string("error:") + e.what();
     }
 }
 
-void
-expectBatchIdentity(const std::vector<uint64_t> &values)
+/** What varintDecodeBatch does with @p data. */
+std::string
+batchOutcome(const std::vector<uint8_t> &data, size_t count)
 {
-    std::vector<uint8_t> scalar;
-    std::vector<uint8_t> accel;
-    util::varintEncodeBatch(values, scalar, kScalar);
-    util::varintEncodeBatch(values, accel, kAccel);
-    ASSERT_EQ(scalar, accel);
-    EXPECT_EQ(scalar, referenceVarint(values));
-    EXPECT_EQ(scalar.size(), util::varintLenSum(values));
+    return outcome(count, [&](uint64_t *out) {
+        return util::varintDecodeBatch(data.data(), data.size(), out,
+                                       count);
+    });
+}
 
-    std::vector<uint64_t> outScalar(values.size());
-    std::vector<uint64_t> outAccel(values.size());
-    size_t usedScalar = util::varintDecodeBatch(
-        scalar.data(), scalar.size(), outScalar.data(),
-        values.size(), kScalar);
-    size_t usedAccel = util::varintDecodeBatch(
-        scalar.data(), scalar.size(), outAccel.data(), values.size(),
-        kAccel);
-    EXPECT_EQ(usedScalar, scalar.size());
-    EXPECT_EQ(usedAccel, scalar.size());
-    EXPECT_EQ(outScalar, values);
-    EXPECT_EQ(outAccel, values);
+/** What @p count ByteReader::varint() calls do with @p data. */
+std::string
+readerOutcome(const std::vector<uint8_t> &data, size_t count)
+{
+    return outcome(count, [&](uint64_t *out) {
+        util::ByteReader r(data);
+        for (size_t i = 0; i < count; ++i)
+            out[i] = r.varint();
+        return r.position();
+    });
+}
+
+void
+expectBatchMatchesReference(const std::vector<uint64_t> &values)
+{
+    std::vector<uint8_t> encoded;
+    util::varintEncodeBatch(values, encoded);
+    ASSERT_EQ(encoded, referenceVarint(values));
+    EXPECT_EQ(encoded.size(), util::varintLenSum(values));
+
+    // Appends after existing bytes, never over them.
+    std::vector<uint8_t> appended{0xaa};
+    util::varintEncodeBatch(values, appended);
+    ASSERT_EQ(appended.size(), encoded.size() + 1);
+    EXPECT_EQ(appended[0], 0xaa);
+    EXPECT_TRUE(std::equal(encoded.begin(), encoded.end(),
+                           appended.begin() + 1));
+
+    std::vector<uint64_t> decoded(values.size());
+    size_t used = util::varintDecodeBatch(
+        encoded.data(), encoded.size(), decoded.data(), values.size());
+    EXPECT_EQ(used, encoded.size());
+    EXPECT_EQ(decoded, values);
+}
+
+/**
+ * Field-codec bytes built one varint at a time, straight from the
+ * FORMAT.md §4.2 codec table.
+ */
+std::vector<uint8_t>
+referenceColumn(const std::vector<uint64_t> &values,
+                field::FieldCodec codec)
+{
+    util::ByteWriter w;
+    switch (codec) {
+      case field::FieldCodec::Plain:
+        for (uint64_t v : values)
+            w.varint(v);
+        break;
+      case field::FieldCodec::ZigzagDelta: {
+        uint64_t prev = 0;
+        for (uint64_t v : values) {
+            int64_t d = static_cast<int64_t>(v - prev);
+            w.varint((static_cast<uint64_t>(d) << 1) ^
+                     static_cast<uint64_t>(d >> 63));
+            prev = v;
+        }
+        break;
+      }
+      case field::FieldCodec::Dict: {
+        std::vector<uint64_t> dict;
+        std::vector<uint64_t> refs;
+        for (uint64_t v : values) {
+            size_t k = 0;
+            while (k < dict.size() && dict[k] != v)
+                ++k;
+            if (k == dict.size())
+                dict.push_back(v);
+            refs.push_back(k);
+        }
+        w.varint(dict.size());
+        for (uint64_t v : dict)
+            w.varint(v);
+        for (uint64_t k : refs)
+            w.varint(k);
+        break;
+      }
+      case field::FieldCodec::Rle:
+        ADD_FAILURE() << "no reference for rle";
+        break;
+    }
+    return w.take();
+}
+
+/** Seeded, skewed bytes: the coder's model has something to learn. */
+std::vector<uint8_t>
+skewedBytes(size_t size, uint64_t seed)
+{
+    util::Rng rng(seed);
+    std::vector<uint8_t> data(size);
+    for (auto &b : data)
+        b = static_cast<uint8_t>(rng.uniformInt(0, 255) >>
+                                 rng.uniformInt(0, 7));
+    return data;
+}
+
+uint32_t
+zlibCrc(std::span<const uint8_t> s)
+{
+    return static_cast<uint32_t>(
+        crc32(0L, s.data(), static_cast<uInt>(s.size())));
 }
 
 } // namespace
@@ -113,23 +194,28 @@ expectBatchIdentity(const std::vector<uint64_t> &values)
 
 TEST(SimdVarint, BoundaryValues)
 {
-    expectBatchIdentity({});
-    expectBatchIdentity({0});
-    expectBatchIdentity({0x7f});
-    expectBatchIdentity({0x80});
-    expectBatchIdentity({0x3fff, 0x4000});
-    expectBatchIdentity({UINT64_MAX});
-    expectBatchIdentity({uint64_t{1} << 63});
+    expectBatchMatchesReference({});
+    expectBatchMatchesReference({0});
+    expectBatchMatchesReference({0x7f});
+    expectBatchMatchesReference({0x80});
+    expectBatchMatchesReference({0x3fff, 0x4000});
+    expectBatchMatchesReference({UINT64_MAX});
+    expectBatchMatchesReference({uint64_t{1} << 63});
     // Long runs of single-byte values hit the 8-at-a-time SWAR
     // paths; the +3 tail exercises the cleanup loop.
     std::vector<uint64_t> small(67, 0x42);
-    expectBatchIdentity(small);
+    expectBatchMatchesReference(small);
     // Max-length varints back to back, and mixed with tiny ones at
     // every alignment within the 8-value window.
     std::vector<uint64_t> mixed;
     for (size_t i = 0; i < 64; ++i)
         mixed.push_back(i % 9 == 0 ? UINT64_MAX : i % 7);
-    expectBatchIdentity(mixed);
+    expectBatchMatchesReference(mixed);
+    // More than one 4096-value encode block.
+    std::vector<uint64_t> blocks;
+    for (size_t i = 0; i < 9000; ++i)
+        blocks.push_back(i % 1000 == 999 ? UINT64_MAX : i % 100);
+    expectBatchMatchesReference(blocks);
 }
 
 TEST(SimdVarint, RandomFuzz)
@@ -146,15 +232,16 @@ TEST(SimdVarint, RandomFuzz)
             else
                 values.push_back(rng.uniformInt(0, 0x7f));
         }
-        expectBatchIdentity(values);
+        expectBatchMatchesReference(values);
     }
 }
 
 TEST(SimdVarint, MalformedRejectionParity)
 {
-    // Both dispatches must agree on accept/reject AND on the error
-    // text and decoded values — including reads that end right at
-    // the buffer edge, where the SWAR fast path must bail out.
+    // The batch decoder and ByteReader::varint() must agree on
+    // accept/reject, on the error text and on the decoded values —
+    // including reads that end right at the buffer edge, where the
+    // SWAR fast path must bail out.
     std::vector<std::pair<std::vector<uint8_t>, size_t>> cases;
     cases.push_back({{}, 1});              // empty, want one value
     cases.push_back({{0x80}, 1});          // truncated continuation
@@ -169,7 +256,7 @@ TEST(SimdVarint, MalformedRejectionParity)
         {{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
           0x02},
          1});
-    // Exactly u64-max: valid, must decode on both paths.
+    // Exactly u64-max: valid, must decode on both.
     cases.push_back(
         {{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
           0x01},
@@ -197,8 +284,8 @@ TEST(SimdVarint, MalformedRejectionParity)
     }
 
     for (const auto &[data, count] : cases)
-        EXPECT_EQ(decodeOutcome(data, count, kScalar),
-                  decodeOutcome(data, count, kAccel))
+        EXPECT_EQ(batchOutcome(data, count),
+                  readerOutcome(data, count))
             << "input size " << data.size() << " count " << count;
 }
 
@@ -206,7 +293,7 @@ TEST(SimdVarint, MalformedRejectionParity)
 // Field codecs (zigzag-delta, plain, dict through the batch paths)
 // ---------------------------------------------------------------
 
-TEST(SimdFieldCodec, DispatchIdentity)
+TEST(SimdFieldCodec, MatchesOneVarintAtATimeReference)
 {
     util::Rng rng(0x2005);
     const field::FieldCodec codecs[] = {field::FieldCodec::Plain,
@@ -229,40 +316,71 @@ TEST(SimdFieldCodec, DispatchIdentity)
             values.push_back(walk);
         }
         for (field::FieldCodec fc : codecs) {
-            auto scalar = field::encodeColumn(values, fc, kScalar);
-            auto accel = field::encodeColumn(values, fc, kAccel);
-            ASSERT_EQ(scalar, accel) << field::fieldCodecName(fc);
-            EXPECT_EQ(field::decodeColumn(scalar, fc, values.size(),
-                                          kScalar),
-                      values);
-            EXPECT_EQ(field::decodeColumn(scalar, fc, values.size(),
-                                          kAccel),
-                      values);
+            auto encoded = field::encodeColumn(values, fc);
+            ASSERT_EQ(encoded, referenceColumn(values, fc))
+                << field::fieldCodecName(fc);
+            EXPECT_EQ(field::encodedSize(values, fc), encoded.size())
+                << field::fieldCodecName(fc);
+            EXPECT_EQ(field::decodeColumn(encoded, fc, values.size()),
+                      values)
+                << field::fieldCodecName(fc);
         }
     }
 }
 
-TEST(SimdFieldCodec, TrailingBytesRejectedBothPaths)
+TEST(SimdFieldCodec, TrailingBytesRejected)
 {
-    std::vector<uint64_t> values{1, 2, 3};
-    auto encoded =
-        field::encodeColumn(values, field::FieldCodec::Plain);
-    encoded.push_back(0x00);
-    EXPECT_THROW(field::decodeColumn(encoded,
-                                     field::FieldCodec::Plain,
-                                     values.size(), kScalar),
-                 util::Error);
-    EXPECT_THROW(field::decodeColumn(encoded,
-                                     field::FieldCodec::Plain,
-                                     values.size(), kAccel),
-                 util::Error);
+    std::vector<uint64_t> values{1, 2, 3, 2};
+    for (field::FieldCodec fc :
+         {field::FieldCodec::Plain, field::FieldCodec::ZigzagDelta,
+          field::FieldCodec::Dict}) {
+        auto encoded = field::encodeColumn(values, fc);
+        encoded.push_back(0x00);
+        EXPECT_THROW(field::decodeColumn(encoded, fc, values.size()),
+                     util::Error)
+            << field::fieldCodecName(fc);
+    }
 }
 
 // ---------------------------------------------------------------
-// Lane-split range coder
+// Range coder and its lane split
 // ---------------------------------------------------------------
 
-TEST(SimdRangeLanes, RoundTripAllSizes)
+TEST(SimdRangeLanes, KnownAnswerBytes)
+{
+    // Size and CRC-32 of both range payloads, recorded from the
+    // two-coder implementation this one replaced (BitWriter-based
+    // tag 2, interleaved tag 3). Sizes cross every rangeLaneCount()
+    // threshold: 1 lane, 4 lanes, 8 lanes.
+    struct Answer
+    {
+        size_t size;
+        size_t serialBytes;
+        uint32_t serialCrc;
+        size_t lanesBytes;
+        uint32_t lanesCrc;
+    };
+    const Answer answers[] = {
+        {1, 2, 0x9454EB98u, 3, 0x2B0E4A42u},
+        {4095, 3090, 0x1238C29Fu, 3091, 0x7D249479u},
+        {4096, 3049, 0x1EDFC0C4u, 3074, 0xD3B1666Cu},
+        {100000, 74692, 0xC24D127Bu, 74705, 0x39132E34u},
+        {1048577, 785049, 0x111DB433u, 785072, 0xE55E4DC5u},
+    };
+    for (const Answer &a : answers) {
+        std::vector<uint8_t> data = skewedBytes(a.size, 0x4B41 + a.size);
+        auto serial = backend::rangeCompress(data);
+        auto lanes = backend::rangeCompressLanes(data);
+        EXPECT_EQ(serial.size(), a.serialBytes) << "size " << a.size;
+        EXPECT_EQ(util::Crc32::of(serial), a.serialCrc)
+            << "size " << a.size;
+        EXPECT_EQ(lanes.size(), a.lanesBytes) << "size " << a.size;
+        EXPECT_EQ(util::Crc32::of(lanes), a.lanesCrc)
+            << "size " << a.size;
+    }
+}
+
+TEST(SimdRangeLanes, EachLaneIsTheSerialStreamOfItsSlice)
 {
     util::Rng rng(0xA1B2C3);
     // Sizes straddle every lane-count threshold of
@@ -275,18 +393,39 @@ TEST(SimdRangeLanes, RoundTripAllSizes)
         for (auto &b : data)
             b = static_cast<uint8_t>(rng.uniformInt(0, 255));
 
-        auto scalar = backend::rangeCompressLanes(data, kScalar);
-        auto accel = backend::rangeCompressLanes(data, kAccel);
-        ASSERT_EQ(scalar, accel) << "size " << size;
+        auto packed = backend::rangeCompressLanes(data);
+        EXPECT_EQ(backend::rangeDecompressLanes(packed, size), data)
+            << "size " << size;
+        if (size == 0) {
+            EXPECT_TRUE(packed.empty());
+            continue;
+        }
 
-        EXPECT_EQ(backend::rangeDecompressLanes(scalar, size,
-                                                kScalar),
-                  data)
-            << "size " << size;
-        EXPECT_EQ(backend::rangeDecompressLanes(scalar, size,
-                                                kAccel),
-                  data)
-            << "size " << size;
+        // Parse the FORMAT.md §4.2 payload by hand and re-derive
+        // every lane from the serial coder.
+        util::ByteReader r(packed);
+        const size_t lanes = r.u8();
+        ASSERT_EQ(lanes, backend::rangeLaneCount(size));
+        std::vector<size_t> laneBytes;
+        for (size_t l = 0; l + 1 < lanes; ++l)
+            laneBytes.push_back(r.varint());
+        size_t pos = r.position();
+        size_t off = 0;
+        for (size_t l = 0; l < lanes; ++l) {
+            size_t len = size / lanes + (l < size % lanes ? 1 : 0);
+            auto expect = backend::rangeCompress(
+                std::span<const uint8_t>(data).subspan(off, len));
+            size_t coded =
+                l + 1 < lanes ? laneBytes[l] : packed.size() - pos;
+            ASSERT_EQ(coded, expect.size())
+                << "size " << size << " lane " << l;
+            EXPECT_TRUE(std::equal(expect.begin(), expect.end(),
+                                   packed.begin() +
+                                       static_cast<ptrdiff_t>(pos)))
+                << "size " << size << " lane " << l;
+            pos += coded;
+            off += len;
+        }
     }
 }
 
@@ -307,38 +446,41 @@ TEST(SimdRangeLanes, MalformedPayloadsRejected)
 {
     std::vector<uint8_t> data(8192, 0x11);
     auto packed = backend::rangeCompressLanes(data);
-    for (util::Dispatch d : {kScalar, kAccel}) {
-        // Bad lane counts.
-        for (uint8_t laneByte : {uint8_t{0}, uint8_t{9},
-                                 uint8_t{200}}) {
-            auto bad = packed;
-            bad[0] = laneByte;
-            EXPECT_THROW(backend::rangeDecompressLanes(
-                             bad, data.size(), d),
-                         util::Error);
-        }
-        // Truncated header / lane-length table.
-        EXPECT_THROW(backend::rangeDecompressLanes({}, data.size(),
-                                                   d),
+    // Bad lane counts.
+    for (uint8_t laneByte : {uint8_t{0}, uint8_t{9}, uint8_t{200}}) {
+        auto bad = packed;
+        bad[0] = laneByte;
+        EXPECT_THROW(backend::rangeDecompressLanes(bad, data.size()),
                      util::Error);
-        std::vector<uint8_t> onlyCount{4};
-        EXPECT_THROW(backend::rangeDecompressLanes(
-                         onlyCount, data.size(), d),
+    }
+    // Truncated header / lane-length table.
+    EXPECT_THROW(backend::rangeDecompressLanes({}, data.size()),
+                 util::Error);
+    std::vector<uint8_t> onlyCount{4};
+    EXPECT_THROW(backend::rangeDecompressLanes(onlyCount, data.size()),
+                 util::Error);
+    // Lane length pointing past the payload.
+    {
+        util::ByteWriter w;
+        w.u8(2);
+        w.varint(1000);  // lane 0 claims 1000 bytes...
+        w.u8(0x00);      // ...but only one byte follows
+        auto bad = w.take();
+        EXPECT_THROW(backend::rangeDecompressLanes(bad, data.size()),
                      util::Error);
-        // Lane length pointing past the payload.
-        {
-            util::ByteWriter w;
-            w.u8(2);
-            w.varint(1000);  // lane 0 claims 1000 bytes...
-            w.u8(0x00);      // ...but only one byte follows
-            auto bad = w.take();
-            EXPECT_THROW(backend::rangeDecompressLanes(
-                             bad, data.size(), d),
-                         util::Error);
-        }
-        // Non-empty payload for an empty stream.
-        std::vector<uint8_t> stray{1, 2, 3};
-        EXPECT_THROW(backend::rangeDecompressLanes(stray, 0, d),
+    }
+    // Non-empty payload for an empty stream, and for an empty lane
+    // (3 raw bytes over 4 lanes leave lane 3 empty).
+    std::vector<uint8_t> stray{1, 2, 3};
+    EXPECT_THROW(backend::rangeDecompressLanes(stray, 0), util::Error);
+    {
+        util::ByteWriter w;
+        w.u8(4);
+        for (int l = 0; l < 3; ++l)
+            w.varint(0);
+        w.u8(0x00);  // lane 3 covers no raw byte but has a stream
+        auto bad = w.take();
+        EXPECT_THROW(backend::rangeDecompressLanes(bad, 3),
                      util::Error);
     }
 }
@@ -347,47 +489,44 @@ TEST(SimdRangeLanes, MalformedPayloadsRejected)
 // CRC-32
 // ---------------------------------------------------------------
 
-TEST(SimdCrc32, KnownVectorBothPaths)
+TEST(SimdCrc32, KnownVector)
 {
     const char *check = "123456789";
     std::span<const uint8_t> bytes(
         reinterpret_cast<const uint8_t *>(check), 9);
-    EXPECT_EQ(util::Crc32::of(bytes, kScalar), 0xCBF43926u);
-    EXPECT_EQ(util::Crc32::of(bytes, kAccel), 0xCBF43926u);
+    EXPECT_EQ(util::Crc32::of(bytes), 0xCBF43926u);
 }
 
-TEST(SimdCrc32, ScalarSlice8IdentityAndChunking)
+TEST(SimdCrc32, MatchesZlibAcrossLengthsOffsetsAndChunking)
 {
     util::Rng rng(0xC4C32);
     std::vector<uint8_t> buf(100000);
     for (auto &b : buf)
         b = static_cast<uint8_t>(rng.uniformInt(0, 255));
 
-    for (size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
-                       size_t{9}, size_t{63}, size_t{8191},
-                       buf.size()}) {
+    std::vector<size_t> lens{0, 1, 7, 8, 9, 63, 8191, buf.size() - 7};
+    for (int i = 0; i < 40; ++i)
+        lens.push_back(
+            static_cast<size_t>(rng.uniformInt(0, buf.size() - 8)));
+    for (size_t len : lens) {
         // Unaligned starts stress the slice-by-8 word loads.
-        for (size_t off : {size_t{0}, size_t{1}, size_t{5}}) {
-            if (off + len > buf.size())
-                continue;
+        for (size_t off = 0; off < 8; ++off) {
             std::span<const uint8_t> s(buf.data() + off, len);
-            uint32_t scalar = util::Crc32::of(s, kScalar);
-            uint32_t accel = util::Crc32::of(s, kAccel);
-            EXPECT_EQ(scalar, accel)
+            const uint32_t want = zlibCrc(s);
+            EXPECT_EQ(util::Crc32::of(s), want)
                 << "len " << len << " off " << off;
 
             // Feeding the same bytes in ragged chunks must not
-            // change the digest on either path.
-            util::Crc32 chunked(kAccel);
+            // change the digest.
+            util::Crc32 chunked;
             size_t pos = 0;
-            uint64_t step = 1;
             while (pos < len) {
                 size_t take = std::min<size_t>(
-                    len - pos, (step = step * 7 + 3) % 97 + 1);
+                    len - pos, rng.uniformInt(0, 97));
                 chunked.update(s.subspan(pos, take));
                 pos += take;
             }
-            EXPECT_EQ(chunked.value(), scalar)
+            EXPECT_EQ(chunked.value(), want)
                 << "len " << len << " off " << off;
         }
     }
@@ -397,7 +536,7 @@ TEST(SimdCrc32, ScalarSlice8IdentityAndChunking)
 // Bloom filter build/probe
 // ---------------------------------------------------------------
 
-TEST(SimdBloom, BuildIdentityAndNoFalseNegatives)
+TEST(SimdBloom, NoFalseNegatives)
 {
     util::Rng rng(0xB100);
     for (int round = 0; round < 20; ++round) {
@@ -412,27 +551,13 @@ TEST(SimdBloom, BuildIdentityAndNoFalseNegatives)
         while (bits < servers.size() * fccc::bloomBitsPerServer)
             bits *= 2;
 
-        auto scalar = fccc::bloomBuild(servers, bits, kScalar);
-        auto accel = fccc::bloomBuild(servers, bits, kAccel);
-        ASSERT_EQ(scalar, accel) << "n " << n;
-
         fccc::ChunkSummary summary;
         summary.bloomBits = bits;
-        summary.bloom = scalar;
-        for (uint32_t ip : servers) {
-            // No false negatives, and the precomputed-fingerprint
-            // probe must agree with the hash-on-the-spot one.
-            EXPECT_TRUE(summary.mayContainServer(ip));
+        summary.bloom = fccc::bloomBuild(servers, bits);
+        ASSERT_EQ(summary.bloom.size(), bits / 8);
+        for (uint32_t ip : servers)
             EXPECT_TRUE(
                 summary.mayContain(fccc::serverFingerprint(ip)));
-        }
-        for (int probe = 0; probe < 100; ++probe) {
-            uint32_t ip =
-                static_cast<uint32_t>(rng.uniformInt(0, UINT32_MAX));
-            EXPECT_EQ(summary.mayContainServer(ip),
-                      summary.mayContain(
-                          fccc::serverFingerprint(ip)));
-        }
     }
 }
 
