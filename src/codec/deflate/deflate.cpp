@@ -23,35 +23,46 @@ namespace fcc::codec::deflate {
 
 namespace {
 
+/** Length code index (0..28) of every match length 0..258. */
+constexpr std::array<uint8_t, maxMatch + 1> lengthCodeTable = [] {
+    std::array<uint8_t, maxMatch + 1> table{};
+    for (int i = 0; i < 29; ++i)
+        for (size_t len = lengthBase[i]; len <= maxMatch; ++len)
+            table[len] = static_cast<uint8_t>(i);
+    return table;
+}();
+
+/**
+ * Distance code (0..29) by distance - 1: entries 0..255 hold
+ * distances 1..256, entries 256..511 distances 257..32768 in steps
+ * of 128 (codes from 16 up have at least 7 extra bits), as zlib's
+ * _dist_code.
+ */
+constexpr std::array<uint8_t, 512> distCodeTable = [] {
+    std::array<uint8_t, 512> table{};
+    for (int i = 0; i < 30; ++i) {
+        for (uint32_t d = distBase[i] - 1u; d < 256; ++d)
+            table[d] = static_cast<uint8_t>(i);
+        for (uint32_t d = std::max(distBase[i] - 1u, 256u); d < windowSize;
+             d += 128)
+            table[256 + (d >> 7)] = static_cast<uint8_t>(i);
+    }
+    return table;
+}();
+
 /** Map a match length (3..258) to its length code index (0..28). */
-int
+inline int
 lengthCodeIndex(uint16_t len)
 {
-    FCC_ASSERT(len >= minMatch && len <= maxMatch,
-               "match length out of range");
-    int lo = 0;
-    for (int i = 28; i >= 0; --i) {
-        if (len >= lengthBase[i]) {
-            lo = i;
-            break;
-        }
-    }
-    return lo;
+    return lengthCodeTable[len];
 }
 
 /** Map a distance (1..32768) to its distance code (0..29). */
-int
+inline int
 distCodeIndex(uint16_t dist)
 {
-    FCC_ASSERT(dist >= 1, "distance out of range");
-    int lo = 0;
-    for (int i = 29; i >= 0; --i) {
-        if (dist >= distBase[i]) {
-            lo = i;
-            break;
-        }
-    }
-    return lo;
+    uint32_t d = dist - 1u;
+    return distCodeTable[d < 256 ? d : 256 + (d >> 7)];
 }
 
 // ---- encoder --------------------------------------------------------
@@ -107,12 +118,26 @@ rleCodeLengths(std::span<const uint8_t> lens)
     return items;
 }
 
-/** Everything needed to emit one block under a code pair. */
+/**
+ * Everything needed to emit one block under a code pair; the codes
+ * are stored bit-reversed, ready for BitWriter::put().
+ */
 struct BlockCodes
 {
     std::vector<uint8_t> litLens, distLens;
     std::vector<uint16_t> litCodes, distCodes;
 };
+
+/** Canonical codes of @p lengths, each reversed to stream order. */
+std::vector<uint16_t>
+streamCodes(std::span<const uint8_t> lengths)
+{
+    std::vector<uint16_t> codes = canonicalCodes(lengths);
+    for (size_t sym = 0; sym < codes.size(); ++sym)
+        codes[sym] = static_cast<uint16_t>(
+            util::reverseBits(codes[sym], lengths[sym]));
+    return codes;
+}
 
 /** Bit cost of the token payload under the given lengths. */
 uint64_t
@@ -132,7 +157,11 @@ payloadCost(std::span<const uint64_t> litFreq,
     return bits;
 }
 
-/** Emit the token payload plus end-of-block. */
+/**
+ * Emit the token payload plus end-of-block. A code and its extra
+ * bits go out in one put(): at most 15 + 5 bits for a length, 15 + 13
+ * for a distance.
+ */
 void
 emitTokens(util::BitWriter &out,
            std::span<const Lz77Token> tokens,
@@ -140,20 +169,23 @@ emitTokens(util::BitWriter &out,
 {
     for (const auto &tok : tokens) {
         if (tok.isLiteral()) {
-            out.putHuff(codes.litCodes[tok.length],
-                        codes.litLens[tok.length]);
+            out.put(codes.litCodes[tok.length],
+                    codes.litLens[tok.length]);
         } else {
             int li = lengthCodeIndex(tok.length);
             int sym = 257 + li;
-            out.putHuff(codes.litCodes[sym], codes.litLens[sym]);
-            out.put(tok.length - lengthBase[li], lengthExtra[li]);
+            out.put(codes.litCodes[sym] |
+                        static_cast<uint32_t>(tok.length - lengthBase[li])
+                            << codes.litLens[sym],
+                    codes.litLens[sym] + lengthExtra[li]);
             int di = distCodeIndex(tok.distance);
-            out.putHuff(codes.distCodes[di], codes.distLens[di]);
-            out.put(tok.distance - distBase[di], distExtra[di]);
+            out.put(codes.distCodes[di] |
+                        static_cast<uint32_t>(tok.distance - distBase[di])
+                            << codes.distLens[di],
+                    codes.distLens[di] + distExtra[di]);
         }
     }
-    out.putHuff(codes.litCodes[endOfBlock],
-                codes.litLens[endOfBlock]);
+    out.put(codes.litCodes[endOfBlock], codes.litLens[endOfBlock]);
 }
 
 /** One encoder block: tokens plus the raw bytes they cover. */
@@ -199,7 +231,7 @@ emitBlock(util::BitWriter &out, std::span<const Lz77Token> tokens,
         ++clcFreq[item.symbol];
     auto clcLens = buildCodeLengths(clcFreq, 7);
     clcLens.resize(19);
-    auto clcCodes = canonicalCodes(clcLens);
+    auto clcCodes = streamCodes(clcLens);
 
     int hclen = 19;
     while (hclen > 4 && clcLens[clcOrder[hclen - 1]] == 0)
@@ -241,8 +273,8 @@ emitBlock(util::BitWriter &out, std::span<const Lz77Token> tokens,
     }
     if (fixedCost <= dynCost) {
         out.put(1, 2);  // BTYPE=01
-        fixed.litCodes = canonicalCodes(fixed.litLens);
-        fixed.distCodes = canonicalCodes(fixed.distLens);
+        fixed.litCodes = streamCodes(fixed.litLens);
+        fixed.distCodes = streamCodes(fixed.distLens);
         emitTokens(out, tokens, fixed);
         return;
     }
@@ -253,12 +285,13 @@ emitBlock(util::BitWriter &out, std::span<const Lz77Token> tokens,
     for (int i = 0; i < hclen; ++i)
         out.put(clcLens[clcOrder[i]], 3);
     for (const auto &item : rle) {
-        out.putHuff(clcCodes[item.symbol], clcLens[item.symbol]);
-        if (item.extraBits > 0)
-            out.put(item.extra, item.extraBits);
+        out.put(clcCodes[item.symbol] |
+                    static_cast<uint32_t>(item.extra)
+                        << clcLens[item.symbol],
+                clcLens[item.symbol] + item.extraBits);
     }
-    dyn.litCodes = canonicalCodes(dyn.litLens);
-    dyn.distCodes = canonicalCodes(dyn.distLens);
+    dyn.litCodes = streamCodes(dyn.litLens);
+    dyn.distCodes = streamCodes(dyn.distLens);
     emitTokens(out, tokens, dyn);
 }
 

@@ -16,15 +16,20 @@ namespace fcc::codec::deflate {
 
 namespace {
 
-/** One package-merge item: a weight plus the leaves it contains. */
-struct Package
+/**
+ * One package-merge item: a weight plus either one leaf (a symbol)
+ * or a package of two consecutive items of the level below.
+ */
+struct Item
 {
     uint64_t weight = 0;
-    std::vector<uint16_t> leaves;
+    int32_t symbol = 0;  ///< leaf symbol, or isPackage
+
+    static constexpr int32_t isPackage = -1;
 };
 
 bool
-packageLess(const Package &a, const Package &b)
+itemLess(const Item &a, const Item &b)
 {
     return a.weight < b.weight;
 }
@@ -56,40 +61,44 @@ buildCodeLengths(std::span<const uint64_t> freqs, int maxBits)
     // plus pairs packaged from the level below. Selecting the
     // 2*(n-1) cheapest items of the top list yields, per leaf, its
     // optimal depth count = code length.
-    std::vector<Package> leafItems;
+    std::vector<Item> leafItems;
     leafItems.reserve(used.size());
     for (uint16_t sym : used)
-        leafItems.push_back(Package{freqs[sym], {sym}});
-    std::sort(leafItems.begin(), leafItems.end(), packageLess);
+        leafItems.push_back(Item{freqs[sym], sym});
+    std::sort(leafItems.begin(), leafItems.end(), itemLess);
 
-    std::vector<Package> below;  // list for the previous level
-    for (int level = 0; level < maxBits; ++level) {
-        std::vector<Package> merged;
-        merged.reserve(leafItems.size() + below.size() / 2);
-        // Package pairs from the level below.
-        std::vector<Package> pairs;
-        for (size_t i = 0; i + 1 < below.size(); i += 2) {
-            Package pkg;
-            pkg.weight = below[i].weight + below[i + 1].weight;
-            pkg.leaves = below[i].leaves;
-            pkg.leaves.insert(pkg.leaves.end(),
-                              below[i + 1].leaves.begin(),
-                              below[i + 1].leaves.end());
-            pairs.push_back(std::move(pkg));
-        }
-        std::merge(leafItems.begin(), leafItems.end(),
-                   std::make_move_iterator(pairs.begin()),
-                   std::make_move_iterator(pairs.end()),
-                   std::back_inserter(merged), packageLess);
-        below = std::move(merged);
+    std::vector<std::vector<Item>> levels(maxBits);
+    levels[0] = leafItems;
+    std::vector<Item> pairs;
+    for (int level = 1; level < maxBits; ++level) {
+        const std::vector<Item> &below = levels[level - 1];
+        pairs.clear();
+        for (size_t i = 0; i + 1 < below.size(); i += 2)
+            pairs.push_back(Item{below[i].weight + below[i + 1].weight,
+                                 Item::isPackage});
+        std::vector<Item> &merged = levels[level];
+        merged.reserve(leafItems.size() + pairs.size());
+        std::merge(leafItems.begin(), leafItems.end(), pairs.begin(),
+                   pairs.end(), std::back_inserter(merged), itemLess);
     }
 
+    // A package among a level's first k items stands for the next
+    // two items of the level below, in order: the first p packages
+    // of a level cover exactly the first 2p items below it.
     size_t take = 2 * (used.size() - 1);
-    FCC_ASSERT(below.size() >= take,
+    FCC_ASSERT(levels.back().size() >= take,
                "package-merge produced too few items");
-    for (size_t i = 0; i < take; ++i)
-        for (uint16_t sym : below[i].leaves)
-            ++lengths[sym];
+    for (int level = maxBits - 1; level >= 0; --level) {
+        size_t packages = 0;
+        for (size_t i = 0; i < take; ++i) {
+            const Item &item = levels[level][i];
+            if (item.symbol == Item::isPackage)
+                ++packages;
+            else
+                ++lengths[item.symbol];
+        }
+        take = 2 * packages;
+    }
 
     return lengths;
 }
@@ -183,9 +192,7 @@ HuffmanDecoder::HuffmanDecoder(std::span<const uint8_t> lengths)
     size_t subOffset = 0;
     for (size_t k = 0; k < used_; ++k) {
         int len = lengthOf(k);
-        uint32_t rev = 0;
-        for (int b = 0; b < len; ++b)
-            rev |= ((codes[k] >> b) & 1u) << (len - 1 - b);
+        uint32_t rev = util::reverseBits(codes[k], len);
         uint32_t entry = static_cast<uint32_t>(sorted[k]) << 16 |
                          static_cast<uint32_t>(len);
         if (len <= tableBits_) {

@@ -8,6 +8,8 @@
 #include "codec/deflate/lz77.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 namespace fcc::codec::deflate {
 
@@ -26,29 +28,53 @@ hash3(const uint8_t *p)
     return (v * 2654435761u) >> (32 - hashBits);
 }
 
-/** Longest common prefix length of a and b, up to limit. */
+/**
+ * Longest common prefix length of a and b, up to limit, compared
+ * eight bytes at a time.
+ */
 inline size_t
 matchLength(const uint8_t *a, const uint8_t *b, size_t limit)
 {
     size_t len = 0;
+    for (; len + 8 <= limit; len += 8) {
+        uint64_t x, y;
+        std::memcpy(&x, a + len, 8);
+        std::memcpy(&y, b + len, 8);
+        if (uint64_t diff = x ^ y) {
+            int sameBits = std::endian::native == std::endian::little
+                ? std::countr_zero(diff)
+                : std::countl_zero(diff);
+            return len + static_cast<size_t>(sameBits / 8);
+        }
+    }
     while (len < limit && a[len] == b[len])
         ++len;
     return len;
 }
 
-/** Hash-chain index over input positions. */
+/**
+ * Hash-chain index over input positions. The chain links live in a
+ * ring of at most one window (zlib's prev[] under w_mask): the link
+ * of position p sits in slot p % windowSize until position
+ * p + windowSize overwrites it. The walk reads a link only for a
+ * candidate still inside the window of a position not yet indexed,
+ * so the slot it reads was never overwritten. Inputs shorter than a
+ * window get a ring just large enough for them.
+ */
 class Chains
 {
   public:
     explicit Chains(size_t size)
-        : head_(hashSize, empty), prev_(size, empty)
+        : head_(hashSize, empty),
+          prev_(std::min(windowSize, std::bit_ceil(size)), empty),
+          mask_(prev_.size() - 1)
     {}
 
     void
     insert(const uint8_t *base, size_t pos)
     {
         uint32_t h = hash3(base + pos);
-        prev_[pos] = head_[h];
+        prev_[pos & mask_] = head_[h];
         head_[h] = static_cast<int64_t>(pos);
     }
 
@@ -84,7 +110,7 @@ class Chains
                         break;
                 }
             }
-            candidate = prev_[cpos];
+            candidate = prev_[cpos & mask_];
         }
         if (bestLen < minMatch)
             return 0;
@@ -96,6 +122,7 @@ class Chains
     static constexpr int64_t empty = -1;
     std::vector<int64_t> head_;
     std::vector<int64_t> prev_;
+    size_t mask_;
 };
 
 } // namespace

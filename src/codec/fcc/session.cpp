@@ -34,6 +34,18 @@ struct CompressSession::OpenFlow
     {
     }
 
+    /** Start over as a new flow at @p first, keeping the buffers. */
+    void
+    restart(const trace::PacketRecord &first)
+    {
+        conn = flow::Connection(first);
+        firstNs = first.timestampNs;
+        prevFromClient = true;
+        rttUs = 0;
+        sValues.clear();
+        packetUs.clear();
+    }
+
     flow::Connection conn;
     uint64_t firstNs = 0;
     bool prevFromClient = true;
@@ -41,6 +53,112 @@ struct CompressSession::OpenFlow
     std::vector<uint16_t> sValues;
     std::vector<uint64_t> packetUs;
 };
+
+namespace {
+
+/** templateRemap_ entry of a store template not referenced yet. */
+constexpr uint32_t unmappedTemplate = ~0u;
+
+/** Index slots a fresh OpenFlows starts with. */
+constexpr size_t initialOpenSlots = 1024;
+
+} // namespace
+
+CompressSession::OpenFlows::OpenFlows()
+{
+    clear();
+}
+
+size_t
+CompressSession::OpenFlows::find(const flow::FlowKey &key) const
+{
+    size_t mask = slots_.size() - 1;
+    size_t i = home(key);
+    while (slots_[i].flow != emptySlot && !(slots_[i].key == key))
+        i = (i + 1) & mask;
+    return i;
+}
+
+CompressSession::OpenFlow *
+CompressSession::OpenFlows::at(size_t slot)
+{
+    if (slots_[slot].flow == emptySlot)
+        return nullptr;
+    return &pool_[slots_[slot].flow];
+}
+
+size_t
+CompressSession::OpenFlows::start(size_t slot, const flow::FlowKey &key,
+                                  const trace::PacketRecord &first)
+{
+    if ((size_ + 1) * 2 > slots_.size()) {
+        grow();
+        slot = find(key);
+    }
+    uint32_t flow;
+    if (freeFlows_.empty()) {
+        flow = static_cast<uint32_t>(pool_.size());
+        pool_.emplace_back(first);
+    } else {
+        flow = freeFlows_.back();
+        freeFlows_.pop_back();
+        pool_[flow].restart(first);
+    }
+    slots_[slot] = Slot{key, flow};
+    ++size_;
+    return slot;
+}
+
+void
+CompressSession::OpenFlows::erase(size_t slot)
+{
+    freeFlows_.push_back(slots_[slot].flow);
+    --size_;
+    // Backward shift: pull each later entry of the probe run into
+    // the hole unless the hole lies before its home slot, so every
+    // run stays gap-free and no tombstone is needed.
+    size_t mask = slots_.size() - 1;
+    size_t hole = slot;
+    for (size_t i = (hole + 1) & mask; slots_[i].flow != emptySlot;
+         i = (i + 1) & mask) {
+        size_t fromHome = (i - home(slots_[i].key)) & mask;
+        if (fromHome >= ((i - hole) & mask)) {
+            slots_[hole] = slots_[i];
+            hole = i;
+        }
+    }
+    slots_[hole].flow = emptySlot;
+}
+
+void
+CompressSession::OpenFlows::grow()
+{
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.size() * 2, Slot{});
+    for (const Slot &entry : old)
+        if (entry.flow != emptySlot)
+            slots_[find(entry.key)] = entry;
+}
+
+std::vector<std::pair<flow::FlowKey, CompressSession::OpenFlow *>>
+CompressSession::OpenFlows::entries()
+{
+    std::vector<std::pair<flow::FlowKey, OpenFlow *>> out;
+    out.reserve(size_);
+    for (const Slot &entry : slots_)
+        if (entry.flow != emptySlot)
+            out.emplace_back(entry.key, &pool_[entry.flow]);
+    return out;
+}
+
+void
+CompressSession::OpenFlows::clear()
+{
+    slots_ = std::vector<Slot>(initialOpenSlots);
+    pool_ = {};
+    freeFlows_ = {};
+    size_ = 0;
+}
 
 CompressSession::CompressSession(const FccConfig &cfg,
                                  const SessionOptions &options)
@@ -71,17 +189,19 @@ CompressSession::feed(const trace::PacketRecord &pkt)
     ++stats_.packets;
 
     flow::FlowKey key = flow::FlowKey::fromPacket(pkt);
-    auto it = open_.find(key);
-    if (it != open_.end() &&
-        it->second.conn.idleExpired(pkt.timestampNs,
-                                    cfg_.flowTable.idleTimeoutNs)) {
-        closeFlow(key, it->second);
-        open_.erase(it);
-        it = open_.end();
+    size_t slot = open_.find(key);
+    OpenFlow *open = open_.at(slot);
+    if (open == nullptr) {
+        slot = open_.start(slot, key, pkt);
+        open = open_.at(slot);
+    } else if (open->conn.idleExpired(pkt.timestampNs,
+                                      cfg_.flowTable.idleTimeoutNs)) {
+        // Port reuse after the idle timeout: the old flow closes and
+        // the new one starts in its place.
+        closeFlow(key, *open);
+        open->restart(pkt);
     }
-    if (it == open_.end())
-        it = open_.try_emplace(key, pkt).first;
-    OpenFlow &flowState = it->second;
+    OpenFlow &flowState = *open;
     flow::Connection::Step step = flowState.conn.observe(pkt);
 
     flow::PacketClass cls;
@@ -100,7 +220,7 @@ CompressSession::feed(const trace::PacketRecord &pkt)
 
     if (step.closed) {
         closeFlow(key, flowState);
-        open_.erase(it);
+        open_.erase(slot);
     }
 }
 
@@ -140,22 +260,27 @@ CompressSession::closeFlow(const flow::FlowKey &key,
     rec.addressIndex = it->second;
 
     if (flowState.sValues.size() <= cfg_.shortLimit) {
+        // The store copies what it keeps, so the values buffer goes
+        // back to the flow for the next flow its slot serves.
         flow::SfVector sf;
-        sf.values = std::move(flowState.sValues);
+        sf.values.swap(flowState.sValues);
         flow::TemplateMatch match = store_.findOrInsert(sf);
+        flowState.sValues.swap(sf.values);
         if (match.isNew)
             ++templatesNew_;
         // Compact to per-epoch template indices (first-use order) so
         // a sealed archive only carries the templates it references
         // — self-contained whatever earlier epochs left in the
         // store. With a cold store this is the identity map.
-        auto [rit, isNewRef] = templateRemap_.try_emplace(
-            match.index,
-            static_cast<uint32_t>(templateOrder_.size()));
-        if (isNewRef)
+        if (templateRemap_.size() <= match.index)
+            templateRemap_.resize(store_.size(), unmappedTemplate);
+        uint32_t &epochIndex = templateRemap_[match.index];
+        if (epochIndex == unmappedTemplate) {
+            epochIndex = static_cast<uint32_t>(templateOrder_.size());
             templateOrder_.push_back(match.index);
+        }
         rec.isLong = false;
-        rec.templateIndex = rit->second;
+        rec.templateIndex = epochIndex;
         rec.rttUs = flowState.rttUs;
     } else {
         LongTemplate tmpl;
@@ -165,6 +290,8 @@ CompressSession::closeFlow(const flow::FlowKey &key,
         for (size_t i = 1; i < flowState.packetUs.size(); ++i)
             tmpl.iptUs[i] =
                 flowState.packetUs[i] - flowState.packetUs[i - 1];
+        // A long flow's timestamps are not kept for the next flow.
+        flowState.packetUs = {};
         rec.isLong = true;
         rec.templateIndex =
             static_cast<uint32_t>(datasets_.longTemplates.size());
@@ -180,23 +307,19 @@ CompressSession::closeEpoch()
                   "fcc session: seal() on a sealed session");
     sealed_ = true;
 
-    // Flows still open close in canonical order, not the map's
+    // Flows still open close in canonical order, not the index's
     // unspecified one: close order picks the address-dictionary
     // order, the template first-use order and the clustering order.
-    using OpenEntry = decltype(open_)::value_type;
-    std::vector<OpenEntry *> still;
-    still.reserve(open_.size());
-    for (OpenEntry &entry : open_)
-        still.push_back(&entry);
+    auto still = open_.entries();
     std::sort(still.begin(), still.end(),
-              [](const OpenEntry *a, const OpenEntry *b) {
-                  return flow::canonicalFlowOrderKey(a->second.firstNs,
-                                                     a->first) <
-                         flow::canonicalFlowOrderKey(b->second.firstNs,
-                                                     b->first);
+              [](const auto &a, const auto &b) {
+                  return flow::canonicalFlowOrderKey(a.second->firstNs,
+                                                     a.first) <
+                         flow::canonicalFlowOrderKey(b.second->firstNs,
+                                                     b.first);
               });
-    for (OpenEntry *entry : still)
-        closeFlow(entry->first, entry->second);
+    for (auto &[key, flowState] : still)
+        closeFlow(key, *flowState);
     open_.clear();
 
     // Flows close out of order; the time-seq dataset is in canonical
@@ -302,8 +425,7 @@ CompressSession::resetEpoch()
     datasets_ = Datasets{};
     datasets_.weights = cfg_.weights;
     recordOrder_.clear();
-    // A fresh map, not clear(): clear() keeps the grown bucket array.
-    open_ = decltype(open_){};
+    open_.clear();
     addrIndex_.clear();
     templateRemap_.clear();
     templateOrder_.clear();

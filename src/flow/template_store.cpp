@@ -20,16 +20,15 @@ TemplateStore::TemplateStore(const SimilarityRule &rule)
 std::optional<TemplateMatch>
 TemplateStore::find(const SfVector &sf) const
 {
-    uint64_t dSim = rule_.threshold(sf.size());
-    auto bucket = byLength_.find(sf.size());
-    if (bucket == byLength_.end())
+    if (sf.size() >= byLength_.size())
         return std::nullopt;
+    uint64_t dSim = rule_.threshold(sf.size());
 
     // Pick the closest qualifying template, not merely the first:
     // assigning each flow to its nearest cluster centre keeps the
     // clusters tight and the reconstruction error minimal.
     std::optional<TemplateMatch> best;
-    for (uint32_t idx : bucket->second) {
+    for (uint32_t idx : byLength_[sf.size()]) {
         uint64_t d = sfDistance(templates_[idx], sf, dSim);
         if (d < dSim && (!best || d < best->distance)) {
             best = TemplateMatch{idx, false, d};
@@ -58,6 +57,8 @@ TemplateStore::insert(const SfVector &sf)
     util::require(!sf.values.empty(),
                   "TemplateStore: empty SF vector");
     uint32_t index = static_cast<uint32_t>(templates_.size());
+    if (sf.size() >= byLength_.size())
+        byLength_.resize(sf.size() + 1);
     byLength_[sf.size()].push_back(index);
     templates_.push_back(sf);
     populations_.push_back(0);

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "flow/characterize.hpp"
@@ -75,8 +74,8 @@ class TemplateStore
     SimilarityRule rule_;
     std::vector<SfVector> templates_;
     std::vector<uint64_t> populations_;
-    /** flow length -> indices of templates with that length. */
-    std::unordered_map<size_t, std::vector<uint32_t>> byLength_;
+    /** byLength_[n]: indices of the templates of length n. */
+    std::vector<std::vector<uint32_t>> byLength_;
 };
 
 } // namespace fcc::flow

@@ -3,7 +3,9 @@
  * LSB-first bit streams as used by the DEFLATE wire format (RFC 1951).
  *
  * Bits are packed into bytes starting at the least significant bit;
- * Huffman codes are written most-significant-bit-first via putHuff().
+ * Huffman codes are written most-significant-bit-first via putHuff(),
+ * or pre-reversed once per code table (reverseBits()) and written
+ * with put().
  */
 
 #ifndef FCC_UTIL_BITSTREAM_HPP
@@ -16,11 +18,24 @@
 
 namespace fcc::util {
 
-/** LSB-first bit writer producing a byte vector. */
+/** The low @p nbits bits of @p code in reverse order. */
+inline uint32_t
+reverseBits(uint32_t code, int nbits)
+{
+    uint32_t rev = 0;
+    for (int i = 0; i < nbits; ++i)
+        rev |= ((code >> i) & 1u) << (nbits - 1 - i);
+    return rev;
+}
+
+/**
+ * LSB-first bit writer producing a byte vector. Bits gather in a
+ * 64-bit buffer that is appended eight bytes at a time.
+ */
 class BitWriter
 {
   public:
-    /** Append the low @p nbits bits of @p value, LSB first. */
+    /** Append the low @p nbits (0..32) bits of @p value, LSB first. */
     void put(uint32_t value, int nbits);
 
     /**
@@ -36,18 +51,13 @@ class BitWriter
     /** Append a raw byte; the stream must be byte-aligned. */
     void byte(uint8_t v);
 
-    /** Number of complete bytes produced so far. */
-    size_t byteSize() const { return buf_.size(); }
-    /** True when no partial byte is pending. */
-    bool aligned() const { return nbits_ == 0; }
-
     /** Flush any partial byte and move the buffer out. */
     std::vector<uint8_t> take();
 
   private:
     std::vector<uint8_t> buf_;
-    uint32_t bitbuf_ = 0;
-    int nbits_ = 0;
+    uint64_t bitbuf_ = 0;
+    int nbits_ = 0;  ///< pending bits in bitbuf_, always < 64
 };
 
 /** LSB-first bit reader over an immutable byte buffer. */

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <random>
@@ -21,9 +22,13 @@
 #include "codec/deflate/inflate_stream.hpp"
 #include "codec/deflate/lz77.hpp"
 #include "codec/deflate/rfc1951.hpp"
+#include "trace/tsh.hpp"
+#include "trace/web_gen.hpp"
 #include "util/bitstream.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/io.hpp"
+#include "util/rng.hpp"
 
 #if __has_include(<zlib.h>)
 #include <zlib.h>
@@ -231,6 +236,35 @@ TEST(Huffman, RoundTripThroughBitstream)
     fcc::util::BitReader r(bits);
     for (int sym : message)
         EXPECT_EQ(decoder.decode(r), sym);
+}
+
+TEST(Huffman, TiedWeightsKeepTheirLengths)
+{
+    // Package-merge breaks ties by the order std::sort and
+    // std::merge leave equal weights in, so the lengths below pin
+    // that order, not just optimality. Recorded from the encoder
+    // that built each package as a copied vector of its leaves.
+    std::vector<uint64_t> small = {3, 1, 1, 0, 3, 1, 1, 3, 0, 1,
+                                   1, 3, 1, 1, 0, 1, 3, 1, 1};
+    const std::vector<uint8_t> smallLens = {3, 5, 5, 0, 3, 5, 5, 3, 0, 5,
+                                           5, 3, 5, 5, 0, 5, 3, 5, 4};
+    EXPECT_EQ(fd::buildCodeLengths(small, 7), smallLens);
+
+    // The literal/length alphabet with four weights and gaps, at
+    // the limit the encoder uses (15) and a binding one (9).
+    std::vector<uint64_t> wide(fd::numLitCodes);
+    for (size_t sym = 0; sym < wide.size(); ++sym)
+        wide[sym] = sym % 11 == 0  ? 0
+                    : sym % 5 == 0 ? 4096
+                                   : 1 + sym % 3;
+    auto crcOf = [](const std::vector<uint8_t> &lens) {
+        return fcc::util::Crc32::of(lens);
+    };
+    auto wide15 = fd::buildCodeLengths(wide, 15);
+    auto wide9 = fd::buildCodeLengths(wide, 9);
+    EXPECT_GT(*std::max_element(wide15.begin(), wide15.end()), 9);
+    EXPECT_EQ(crcOf(wide15), 0x001A3B12u);
+    EXPECT_EQ(crcOf(wide9), 0xB839153Eu);
 }
 
 // ---- deflate round trips ----------------------------------------------
@@ -1004,6 +1038,93 @@ TEST(InflateRobustness, LastByteMidRefill)
             ASSERT_TRUE(ours.has_value()) << n << " level " << level;
             EXPECT_EQ(*ours, data);
         }
+    }
+}
+
+TEST(Deflate, EncoderKnownAnswerBytes)
+{
+    // Size and CRC-32 of the encoder's raw, zlib and gzip output,
+    // recorded from the encoder before its per-block code tables,
+    // 64-bit bit buffer and one-window chain ring. A failure here is
+    // an output change, not a speed regression. System zlib must
+    // inflate every stream back to its input.
+    fcc::util::Rng rng(0x5EED);
+    auto randomOf = [&rng](size_t n) {
+        std::vector<uint8_t> out(n);
+        for (auto &b : out)
+            b = static_cast<uint8_t>(rng.next());
+        return out;
+    };
+
+    std::vector<uint8_t> incompressible = randomOf(100000);
+    std::vector<uint8_t> window = randomOf(fd::windowSize);
+    std::vector<uint8_t> repeated;
+    for (int copy = 0; copy < 3; ++copy)
+        repeated.insert(repeated.end(), window.begin(), window.end());
+
+    std::vector<uint8_t> manyTokens(256 * 1024);
+    for (auto &b : manyTokens)
+        b = static_cast<uint8_t>("acgt"[rng.next() & 3]);
+
+    fcc::trace::WebGenConfig web;
+    web.seed = 20;
+    web.durationSec = 4.0;
+    std::vector<uint8_t> tsh = fcc::trace::writeTsh(
+        fcc::trace::WebTrafficGenerator(web).generate());
+    ASSERT_GE(tsh.size(), 200000u);
+    tsh.resize(200000);
+
+    struct Answer
+    {
+        const char *name;
+        std::vector<uint8_t> data;
+        size_t deflateBytes;
+        uint32_t deflateCrc;
+        size_t zlibBytes;
+        uint32_t zlibCrc;
+        size_t gzipBytes;
+        uint32_t gzipCrc;
+    };
+    const Answer answers[] = {
+        {"empty", {},
+         5, 0x4564CC52u, 11, 0xBA2D22A8u, 23, 0xA5E050F2u},
+        {"one byte", {0x5a},
+         3, 0x20174FF1u, 9, 0x8ED482F3u, 21, 0xAC10EA51u},
+        {"100 KB incompressible", incompressible,
+         100020, 0xDF2AD07Bu, 100026, 0x9A1AAEB3u, 100038, 0xCDA265ADu},
+        {"1 MB of zeros", std::vector<uint8_t>(1 << 20, 0),
+         1032, 0xB5189D96u, 1038, 0x8A36AC4Cu, 1050, 0xDCC16017u},
+        {"32 KiB random, three times", repeated,
+         33367, 0xCE97C6DEu, 33373, 0xE0C48FF8u, 33385, 0x8075D6BBu},
+        {"over 32768 tokens", manyTokens,
+         77090, 0x37780F02u, 77096, 0xB2A36058u, 77108, 0x0283F0BBu},
+        {"web TSH slice", tsh,
+         91726, 0x6784B8E2u, 91732, 0x3C594DB6u, 91744, 0x1956DFF4u},
+    };
+
+    // The inputs reach the edges they are named for: a match at
+    // distance 32768 (the ring's edge) and more than one block.
+    auto farthest = fd::lz77Tokenize(repeated);
+    EXPECT_TRUE(std::any_of(farthest.begin(), farthest.end(),
+                            [](const fd::Lz77Token &t) {
+                                return t.distance == fd::windowSize;
+                            }));
+    EXPECT_GT(fd::lz77Tokenize(manyTokens).size(), 32768u);
+
+    for (const Answer &a : answers) {
+        SCOPED_TRACE(a.name);
+        auto raw = fd::deflateCompress(a.data);
+        auto zlib = fd::zlibCompress(a.data);
+        auto gzip = fd::gzipCompress(a.data);
+        EXPECT_EQ(raw.size(), a.deflateBytes);
+        EXPECT_EQ(fcc::util::Crc32::of(raw), a.deflateCrc);
+        EXPECT_EQ(zlib.size(), a.zlibBytes);
+        EXPECT_EQ(fcc::util::Crc32::of(zlib), a.zlibCrc);
+        EXPECT_EQ(gzip.size(), a.gzipBytes);
+        EXPECT_EQ(fcc::util::Crc32::of(gzip), a.gzipCrc);
+        EXPECT_EQ(zlibInflate(raw, Wrap::Raw), a.data);
+        EXPECT_EQ(zlibInflate(zlib, Wrap::Zlib), a.data);
+        EXPECT_EQ(zlibInflate(gzip, Wrap::Gzip), a.data);
     }
 }
 #endif  // FCC_HAVE_ZLIB

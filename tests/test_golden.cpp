@@ -4,10 +4,12 @@
  * tests/golden/ (one per container/backend/layout/fidelity cell,
  * produced by tools/golden_gen.cpp) must keep decoding to the
  * committed byte-exact references with the committed metadata.
- * This is the tripwire for accidental wire-format changes — if a
- * case here fails, either revert the encoding change or bump the
- * format deliberately: regenerate the corpus with golden_gen and
- * commit it together with a docs/FORMAT.md entry.
+ * This is the readers' tripwire — if a case here fails, either
+ * revert the decoding change or bump the format deliberately:
+ * regenerate the corpus with golden_gen and commit it together with
+ * a docs/FORMAT.md entry. Nothing here re-encodes, so it does not
+ * pin the writers; Stream.WriterKnownAnswerBytes (test_stream.cpp)
+ * does.
  *
  * Reference traces: the unchunked layouts (FCC1, unchunked FCC3, and
  * the zlib-wrapped hybrid of FCC1) share expected-fcc1.tsh; FCC2 and

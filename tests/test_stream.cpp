@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <span>
+#include <string>
 
 #include "codec/deflate/deflate.hpp"
 #include "codec/fcc/datasets.hpp"
@@ -26,6 +27,7 @@
 #include "trace/scenario_gen.hpp"
 #include "trace/tsh.hpp"
 #include "trace/web_gen.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 
 #include "test_common.hpp"
@@ -290,6 +292,185 @@ TEST(Stream, OpenFlowsSealInCanonicalOrder)
                   expected[i].dstIp)
             << "record " << i;
         EXPECT_EQ(d.addresses[i], expected[i].dstIp) << "address " << i;
+    }
+}
+
+TEST(Stream, WriterKnownAnswerBytes)
+{
+    // The golden corpus (tests/golden) pins the readers; this pins
+    // the writers. Size and CRC-32 of compress(Trace) over one seeded
+    // web trace in every writable cell, recorded from the writer
+    // before the open-addressing flow table and the table-driven
+    // deflate encoder. A failure is an output change: record it in
+    // FORMAT.md, or mend the writer.
+    using Backend = codec::backend::EntropyBackend;
+    struct Answer
+    {
+        const char *name;
+        fccc::ContainerFormat container;
+        Backend backend;
+        bool index;
+        fccc::Fidelity fidelity;
+        size_t bytes;
+        uint32_t crc;
+    };
+    const auto fcc2 = fccc::ContainerFormat::Fcc2;
+    const auto fcc3 = fccc::ContainerFormat::Fcc3;
+    const auto exact = fccc::Fidelity::Exact;
+    const Answer answers[] = {
+        {"fcc2", fcc2, Backend::Deflate, false, exact,
+         17894, 0xD54ED082u},
+        {"store", fcc3, Backend::Store, false, exact,
+         17428, 0x6E7C14CCu},
+        {"store indexed", fcc3, Backend::Store, true, exact,
+         18959, 0x7AA91940u},
+        {"deflate", fcc3, Backend::Deflate, false, exact,
+         12598, 0x568C21C7u},
+        {"deflate indexed", fcc3, Backend::Deflate, true, exact,
+         14900, 0xA2F1AD95u},
+        {"range", fcc3, Backend::Range, false, exact,
+         12658, 0x0E0654DFu},
+        {"range indexed", fcc3, Backend::Range, true, exact,
+         14599, 0xEAA7CDC5u},
+        {"range-lanes", fcc3, Backend::RangeLanes, false, exact,
+         12697, 0xDD049C2Du},
+        {"range-lanes indexed", fcc3, Backend::RangeLanes, true, exact,
+         14688, 0xD964DEA5u},
+        {"quantized", fcc3, Backend::Deflate, false,
+         fccc::Fidelity::Quantized, 11724, 0x99F38B66u},
+        {"header", fcc3, Backend::Deflate, false,
+         fccc::Fidelity::Header, 12587, 0x0D7F0238u},
+        {"flow", fcc3, Backend::Deflate, false,
+         fccc::Fidelity::Flow, 7553, 0x515330D9u},
+    };
+    trace::Trace tr = webTrace(41, 10.0);
+    for (const Answer &a : answers) {
+        for (uint32_t threads : {1u, 4u}) {
+            SCOPED_TRACE(std::string(a.name) + " at " +
+                         std::to_string(threads) + " threads");
+            fccc::FccConfig cfg;
+            cfg.container = a.container;
+            cfg.backend = a.backend;
+            cfg.index = a.index;
+            cfg.fidelity = a.fidelity;
+            cfg.chunkRecords = 64;  // span several chunks
+            cfg.threads = threads;
+            std::vector<uint8_t> bytes =
+                fccc::FccTraceCompressor(cfg).compress(tr);
+            EXPECT_EQ(bytes.size(), a.bytes);
+            EXPECT_EQ(util::Crc32::of(bytes), a.crc);
+        }
+    }
+}
+
+namespace {
+
+/**
+ * A trace that churns the session's flow table. It opens 120,000
+ * flows before any closes, so the table grows several times; every
+ * fifth flow starts with the server's SYN+ACK. The flows then close
+ * in a stride order (RST or the graceful FIN, FIN, ACK), so deletes
+ * land inside probe runs; every 997th flow turns long first, and
+ * every tenth stays open for the end-of-epoch sweep. Last, one
+ * 5-tuple left open comes back after @p idleTimeoutNs with an RST:
+ * that one packet closes the idle flow and the flow it starts.
+ * @p variant shifts the payload sizes, and so the flows' clusters.
+ */
+trace::Trace
+churnTrace(uint64_t idleTimeoutNs, uint32_t variant)
+{
+    constexpr uint32_t flows = 120000;
+    constexpr uint32_t reopened = 4242;
+    using namespace trace::tcp_flags;
+    trace::Trace tr;
+    uint64_t ns = 1000;
+    auto add = [&](uint32_t i, bool fromClient, uint8_t flags,
+                   uint16_t payload) {
+        uint32_t client = 0x0a000000 + i;
+        uint32_t server = 0xc0a80000 + i % 251;
+        auto port = static_cast<uint16_t>(1024 + i % 60000);
+        trace::PacketRecord pkt =
+            fromClient ? tcpPacket(ns, client, port, server, 80, flags)
+                       : tcpPacket(ns, server, 80, client, port, flags);
+        pkt.payloadBytes = payload;
+        tr.add(pkt);
+        ns += 1000;
+    };
+    for (uint32_t i = 0; i < flows; ++i) {
+        if (i % 5 == 0)
+            add(i, false, Syn | Ack, 0);
+        else
+            add(i, true, Syn, 0);
+    }
+    for (uint32_t k = 0; k < flows; ++k) {
+        uint32_t i = static_cast<uint32_t>(uint64_t{k} * 7919 % flows);
+        if (i % 10 == 3 || i == reopened)
+            continue;
+        add(i, false, Ack,
+            static_cast<uint16_t>(100 + (i + 300 * variant) % 1200));
+        if (i % 997 == 0)
+            for (int j = 0; j < 60; ++j)
+                add(i, j % 2 == 0, Ack, 1460);
+        if (i % 2 == 0) {
+            add(i, true, Rst, 0);
+        } else {
+            add(i, true, Fin | Ack, 0);
+            add(i, false, Fin | Ack, 0);
+            add(i, true, Ack, 0);
+        }
+    }
+    ns += idleTimeoutNs;
+    add(reopened, true, Rst, 0);
+    return tr;
+}
+
+} // namespace
+
+TEST(Stream, FlowTableChurnKnownAnswer)
+{
+    // Two epochs of the churn trace per session, the second with
+    // shifted payloads, with template carry on and off. Size and
+    // CRC-32 of each sealed archive were recorded from the session's
+    // node-based flow map, so any change in close order or
+    // clustering shows.
+    fccc::FccConfig cfg;
+    cfg.container = fccc::ContainerFormat::Fcc3;
+    cfg.index = true;
+    cfg.threads = 1;
+    cfg.flowTable.idleTimeoutNs = 1000000000;
+    const trace::Trace epochs[] = {
+        churnTrace(cfg.flowTable.idleTimeoutNs, 0),
+        churnTrace(cfg.flowTable.idleTimeoutNs, 1)};
+
+    struct Sealed
+    {
+        size_t bytes;
+        uint32_t crc;
+    };
+    const Sealed first = {275424, 0xFFD93537u};
+    const Sealed secondCarried = {275435, 0xC2285FE0u};
+    const Sealed secondCold = {275435, 0x7478D7B0u};
+    for (bool carry : {true, false}) {
+        SCOPED_TRACE(carry ? "carry on" : "carry off");
+        fccc::SessionOptions options;
+        options.carryTemplates = carry;
+        fccc::CompressSession session(cfg, options);
+        std::vector<Sealed> sealed;
+        for (int epoch = 0; epoch < 2; ++epoch) {
+            if (epoch > 0)
+                session.reArm();
+            session.feed(epochs[epoch].packets());
+            fccc::SealInfo info;
+            std::vector<uint8_t> bytes = session.seal(&info);
+            // Every flow once, and the reopened 5-tuple twice.
+            EXPECT_EQ(info.records, 120001u);
+            sealed.push_back({bytes.size(), util::Crc32::of(bytes)});
+        }
+        const Sealed &second = carry ? secondCarried : secondCold;
+        EXPECT_EQ(sealed[0].bytes, first.bytes);
+        EXPECT_EQ(sealed[0].crc, first.crc);
+        EXPECT_EQ(sealed[1].bytes, second.bytes);
+        EXPECT_EQ(sealed[1].crc, second.crc);
     }
 }
 

@@ -1,8 +1,11 @@
 /**
  * @file
  * golden_gen — (re)generate the golden-archive corpus under
- * tests/golden/ that tests/test_golden.cpp pins the wire formats
- * against.
+ * tests/golden/ that tests/test_golden.cpp pins the readers
+ * against. The corpus does not pin the writers: test_golden only
+ * decodes, so a writer whose bytes change still passes it. The
+ * writers' bytes are pinned by Stream.WriterKnownAnswerBytes
+ * (tests/test_stream.cpp).
  *
  *   golden_gen <golden-dir>
  *
