@@ -512,10 +512,10 @@ DecompressSession::drainTo(trace::TraceSink &sink)
         // (per-chunk RNG streams), each task leaving its chunk as a
         // sorted run. One k-way merge of those runs and the carry
         // (what earlier batches could not flush yet, still sorted)
-        // orders the buffer. Records are globally time-sorted
-        // across chunks, so no later chunk can produce a packet
-        // older than the next unexpanded chunk's first record:
-        // that prefix is flushed and the rest carried.
+        // writes straight into the sink. Records are globally
+        // time-sorted across chunks, so no later chunk can produce
+        // a packet older than the next unexpanded chunk's first
+        // record: that prefix is flushed and the rest carried.
         size_t chunks = datasets_.chunkSizes.size();
         std::vector<size_t> offset(chunks + 1, 0);
         for (size_t c = 0; c < chunks; ++c)
@@ -534,22 +534,14 @@ DecompressSession::drainTo(trace::TraceSink &sink)
                 codec.expandChunk(datasets_, base + i, runs[i]);
             });
             runs.back() = std::move(carry);
-            std::vector<trace::PacketRecord> merged =
-                trace::mergeCanonicalRuns(std::move(runs));
+            carry = {};
 
             uint64_t limitNs = end < chunks
                 ? datasets_.timeSeq[offset[end]].firstTimestampUs *
                       1000
                 : ~0ull;
-            auto cut = std::partition_point(
-                merged.begin(), merged.end(),
-                [limitNs](const trace::PacketRecord &pkt) {
-                    return pkt.timestampNs < limitNs;
-                });
-            flush(std::span<const trace::PacketRecord>(
-                merged.begin(), cut));
-            // A right-sized copy, so the batch buffer is freed now.
-            carry.assign(cut, merged.end());
+            trace::mergeCanonicalRuns(std::move(runs), limitNs, flush,
+                                      carry);
         }
     } else {
         // A legacy unchunked archive (FCC1, unchunked FCC3): the

@@ -335,10 +335,13 @@ class DecompressSession
      * drained in batches of 2 × threads chunks: each chunk expands
      * and sorts on the pool, one k-way merge
      * (trace::mergeCanonicalRuns) joins them with the carry from
-     * earlier batches, and one sink write takes every packet older
-     * than the next batch's first record. So the sink sees more
-     * than one write on a multi-batch archive, and memory holds one
-     * batch plus the carry. A legacy unchunked archive keeps the
+     * earlier batches and writes every packet older than the next
+     * batch's first record straight into the sink, in blocks of
+     * trace::canonicalMergeBlock packets (a batch with one
+     * non-empty run writes a span of it); the rest becomes the new
+     * carry. So the sink sees more than one write on a multi-batch
+     * archive, and memory holds one batch plus the carry, never a
+     * merged copy of it. A legacy unchunked archive keeps the
      * paper's per-record buffer.
      *
      * @throws fcc::util::Error when no archive is open.

@@ -7,10 +7,12 @@
 
 #include "codec/field/field_codec.hpp"
 
-#include <unordered_map>
+#include <algorithm>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace fcc::codec::field {
 
@@ -39,19 +41,73 @@ zigzagDeltaSize(std::span<const uint64_t> values)
     return bytes;
 }
 
+/**
+ * A column's dictionary in first-occurrence order, indexed by a flat
+ * open-addressing table: slots hold entry positions (linear probing
+ * on the mixed value), and the table doubles before it is half full.
+ * Dict's size probe and its encoder both build one.
+ */
+class FirstOccurrenceDict
+{
+  public:
+    /** Position of @p v in the dictionary, appending it if new. */
+    uint32_t
+    indexOf(uint64_t v)
+    {
+        if (2 * (entries_.size() + 1) > slots_.size())
+            grow();
+        size_t i = home(v);
+        while (slots_[i] != emptySlot) {
+            if (entries_[slots_[i]] == v)
+                return slots_[i];
+            i = (i + 1) & (slots_.size() - 1);
+        }
+        util::require(entries_.size() < emptySlot,
+                      "field: too many distinct values for a dict");
+        slots_[i] = static_cast<uint32_t>(entries_.size());
+        entries_.push_back(v);
+        return slots_[i];
+    }
+
+    const std::vector<uint64_t> &entries() const { return entries_; }
+
+  private:
+    static constexpr uint32_t emptySlot = ~0u;
+
+    size_t home(uint64_t v) const
+    {
+        return static_cast<size_t>(util::mix64(v)) & (slots_.size() - 1);
+    }
+
+    void
+    grow()
+    {
+        slots_.assign(std::max<size_t>(64, 2 * slots_.size()), emptySlot);
+        for (size_t e = 0; e < entries_.size(); ++e) {
+            size_t i = home(entries_[e]);
+            while (slots_[i] != emptySlot)
+                i = (i + 1) & (slots_.size() - 1);
+            slots_[i] = static_cast<uint32_t>(e);
+        }
+    }
+
+    std::vector<uint32_t> slots_;  ///< power-of-two size
+    std::vector<uint64_t> entries_;
+};
+
 uint64_t
 dictSize(std::span<const uint64_t> values)
 {
-    std::unordered_map<uint64_t, uint64_t> index;
-    index.reserve(values.size());
+    FirstOccurrenceDict dict;
     uint64_t bytes = 0;
     for (uint64_t v : values) {
-        auto [it, isNew] = index.try_emplace(v, index.size());
-        if (isNew)
+        size_t known = dict.entries().size();
+        uint32_t index = dict.indexOf(v);
+        if (index == known)
             bytes += varintLen(v);
-        bytes += varintLen(it->second);
+        bytes += varintLen(index);
     }
-    return bytes + varintLen(index.size());
+    return bytes + varintLen(dict.entries().size());
 }
 
 uint64_t
@@ -175,21 +231,15 @@ encodeColumn(std::span<const uint64_t> values, FieldCodec codec)
       }
 
       case FieldCodec::Dict: {
-        std::unordered_map<uint64_t, uint64_t> index;
-        index.reserve(values.size());
-        std::vector<uint64_t> dict;
+        FirstOccurrenceDict dict;
         std::vector<uint64_t> refs;
         refs.reserve(values.size());
-        for (uint64_t v : values) {
-            auto [it, isNew] = index.try_emplace(v, dict.size());
-            if (isNew)
-                dict.push_back(v);
-            refs.push_back(it->second);
-        }
+        for (uint64_t v : values)
+            refs.push_back(dict.indexOf(v));
         std::vector<uint8_t> out;
-        const uint64_t dictCount = dict.size();
+        const uint64_t dictCount = dict.entries().size();
         util::varintEncodeBatch({&dictCount, 1}, out);
-        util::varintEncodeBatch(dict, out);
+        util::varintEncodeBatch(dict.entries(), out);
         util::varintEncodeBatch(refs, out);
         return out;
       }

@@ -8,28 +8,148 @@
 #include "trace/packet.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "util/error.hpp"
 
 namespace fcc::trace {
 
+namespace {
+
+// A function object, so std::sort inlines the comparison.
+constexpr auto canonicalLess = [](const PacketRecord &a,
+                                  const PacketRecord &b) {
+    return packetCanonicalLess(a, b);
+};
+
+// Inside the recursion: buckets below this size take std::sort,
+// and those of at most insertionMaxPackets an insertion sort.
+constexpr size_t radixMinBucket = 256;
+constexpr size_t insertionMaxPackets = 32;
+
+void
+insertionSort(PacketRecord *first, PacketRecord *last)
+{
+    for (PacketRecord *i = first + 1; i < last; ++i) {
+        if (!canonicalLess(*i, i[-1]))
+            continue;
+        PacketRecord v = *i;
+        PacketRecord *j = i;
+        do {
+            *j = j[-1];
+            --j;
+        } while (j > first && canonicalLess(v, j[-1]));
+        *j = v;
+    }
+}
+
+/**
+ * Sort [first, last) whose keys (timestampNs - base) agree above bit
+ * @p bits: an in-place MSD ("American flag") radix sort on 8-bit
+ * digits of the key, top digit first. The key is monotone in the
+ * timestamp, and once its bits are used up a bucket holds a single
+ * timestamp, which the comparator's tie-breakers finish.
+ */
+void
+radixSortBucket(PacketRecord *first, PacketRecord *last, uint64_t base,
+                unsigned bits)
+{
+    size_t n = static_cast<size_t>(last - first);
+    while (n >= radixMinBucket && bits > 0) {
+        unsigned width = std::min(bits, 8u);
+        unsigned shift = bits - width;
+        uint64_t mask = (uint64_t{1} << width) - 1;
+        auto digit = [base, shift, mask](const PacketRecord &p) {
+            return static_cast<unsigned>(
+                ((p.timestampNs - base) >> shift) & mask);
+        };
+        bits = shift;
+
+        size_t count[256] = {};
+        for (const PacketRecord *p = first; p < last; ++p)
+            ++count[digit(*p)];
+        // One bucket holds everything: descend without a pass.
+        if (count[digit(*first)] == n)
+            continue;
+
+        size_t head[256], end[256];
+        size_t at = 0;
+        for (unsigned b = 0; b <= mask; ++b) {
+            head[b] = at;
+            at += count[b];
+            end[b] = at;
+        }
+        // Cycle leader: each out-of-place record is swapped straight
+        // into the next free slot of its bucket.
+        for (unsigned b = 0; b <= mask; ++b) {
+            while (head[b] < end[b]) {
+                PacketRecord v = first[head[b]];
+                unsigned d = digit(v);
+                while (d != b) {
+                    std::swap(v, first[head[d]++]);
+                    d = digit(v);
+                }
+                first[head[b]++] = v;
+            }
+        }
+
+        PacketRecord *bucket = first;
+        for (unsigned b = 0; b <= mask; ++b) {
+            if (count[b] > 1)
+                radixSortBucket(bucket, bucket + count[b], base, bits);
+            bucket += count[b];
+        }
+        return;
+    }
+    if (n <= insertionMaxPackets)
+        insertionSort(first, last);
+    else
+        std::sort(first, last, canonicalLess);
+}
+
+} // namespace
+
 void
 sortCanonical(std::vector<PacketRecord> &packets)
 {
-    std::sort(packets.begin(), packets.end(),
-              [](const PacketRecord &a, const PacketRecord &b) {
-                  return packetCanonicalLess(a, b);
-              });
+    if (packets.size() < canonicalRadixMinPackets) {
+        std::sort(packets.begin(), packets.end(), canonicalLess);
+        return;
+    }
+    auto [lo, hi] = std::minmax_element(
+        packets.begin(), packets.end(),
+        [](const PacketRecord &a, const PacketRecord &b) {
+            return a.timestampNs < b.timestampNs;
+        });
+    uint64_t base = lo->timestampNs;
+    unsigned bits =
+        static_cast<unsigned>(std::bit_width(hi->timestampNs - base));
+    radixSortBucket(packets.data(), packets.data() + packets.size(),
+                    base, bits);
 }
 
-std::vector<PacketRecord>
-mergeCanonicalRuns(std::vector<std::vector<PacketRecord>> runs)
+void
+mergeCanonicalRuns(std::vector<std::vector<PacketRecord>> runs,
+                   uint64_t limitNs, const PacketSpanSink &emit,
+                   std::vector<PacketRecord> &rest)
 {
     struct Head
     {
         const PacketRecord *next;
         const PacketRecord *end;
+    };
+    auto below = [limitNs](const PacketRecord &pkt) {
+        return pkt.timestampNs < limitNs;
+    };
+    // A stretch of one run goes out as it is, one block at a time.
+    auto emitSpan = [&emit](const PacketRecord *p, const PacketRecord *end) {
+        while (p != end) {
+            size_t take = std::min(static_cast<size_t>(end - p),
+                                   canonicalMergeBlock);
+            emit({p, take});
+            p += take;
+        }
     };
     std::vector<Head> heap;
     size_t total = 0;
@@ -42,9 +162,22 @@ mergeCanonicalRuns(std::vector<std::vector<PacketRecord>> runs)
         total += runs[r].size();
         lastRun = r;
     }
-    if (heap.size() <= 1)
-        return heap.empty() ? std::vector<PacketRecord>{}
-                            : std::move(runs[lastRun]);
+    if (heap.empty())
+        return;
+    if (heap.size() == 1) {
+        // One run: its prefix goes out without a copy, and the whole
+        // run moves to an empty rest.
+        std::vector<PacketRecord> &run = runs[lastRun];
+        const PacketRecord *begin = run.data();
+        const PacketRecord *cut = std::partition_point(
+            begin, begin + run.size(), below);
+        emitSpan(begin, cut);
+        if (cut == begin && rest.empty())
+            rest = std::move(run);
+        else
+            rest.insert(rest.end(), cut, begin + run.size());
+        return;
+    }
 
     // Binary min-heap of run heads. The top is replaced and sifted
     // down once per packet: two comparisons while one run stays
@@ -71,18 +204,65 @@ mergeCanonicalRuns(std::vector<std::vector<PacketRecord>> runs)
     };
     for (size_t i = n / 2; i-- > 0;)
         siftDown(i);
-
-    std::vector<PacketRecord> merged;
-    merged.reserve(total);
-    while (n > 1) {
+    auto pop = [&] {
         Head &top = heap[0];
-        merged.push_back(*top.next++);
+        const PacketRecord &pkt = *top.next++;
         if (top.next == top.end)
             heap[0] = heap[--n];
         siftDown(0);
+        return pkt;
+    };
+
+    // Below the limit: merge into a fixed block, written out each
+    // time it fills. The merge is in order, so the first packet at
+    // or past the limit ends this phase.
+    std::vector<PacketRecord> block;
+    if (below(*heap[0].next))
+        block.reserve(std::min(total, canonicalMergeBlock));
+    while (n > 1 && below(*heap[0].next)) {
+        block.push_back(pop());
+        if (block.size() == canonicalMergeBlock) {
+            emit(block);
+            block.clear();
+        }
     }
-    // The last run left: its tail is already in order.
-    merged.insert(merged.end(), heap[0].next, heap[0].end);
+    if (n == 1) {
+        // The last run left is already in order: top the block up
+        // from its prefix, then write the rest of that prefix
+        // without a copy.
+        const PacketRecord *next = heap[0].next;
+        const PacketRecord *cut =
+            std::partition_point(next, heap[0].end, below);
+        if (!block.empty()) {
+            size_t take = std::min(static_cast<size_t>(cut - next),
+                                   canonicalMergeBlock - block.size());
+            block.insert(block.end(), next, next + take);
+            next += take;
+            emit(block);
+        }
+        emitSpan(next, cut);
+        heap[0].next = cut;
+    } else if (!block.empty()) {
+        emit(block);
+    }
+
+    // At or past the limit: the rest, still in order, to @p rest.
+    size_t remaining = 0;
+    for (size_t i = 0; i < n; ++i)
+        remaining += static_cast<size_t>(heap[i].end - heap[i].next);
+    rest.reserve(rest.size() + remaining);
+    while (n > 1)
+        rest.push_back(pop());
+    rest.insert(rest.end(), heap[0].next, heap[0].end);
+}
+
+std::vector<PacketRecord>
+mergeCanonicalRuns(std::vector<std::vector<PacketRecord>> runs)
+{
+    // A limit of 0 emits nothing: every packet lands in the result.
+    std::vector<PacketRecord> merged;
+    mergeCanonicalRuns(std::move(runs), 0,
+                       [](std::span<const PacketRecord>) {}, merged);
     return merged;
 }
 

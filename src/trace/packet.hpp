@@ -12,7 +12,10 @@
 #ifndef FCC_TRACE_PACKET_HPP
 #define FCC_TRACE_PACKET_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -106,21 +109,65 @@ packetCanonicalLess(const PacketRecord &a, const PacketRecord &b)
     return key(a) < key(b);
 }
 
-/** Sort @p packets into packetCanonicalLess order. */
-void sortCanonical(std::vector<PacketRecord> &packets);
+/**
+ * sortCanonical's smallest input for the radix sort. Smaller ones,
+ * such as a filtered query chunk, are few yet span most of the
+ * timestamp key, so radix passes would not pay for themselves.
+ */
+inline constexpr size_t canonicalRadixMinPackets = 4096;
 
 /**
- * Merge @p runs, each already in packetCanonicalLess order, into one
- * run in that order: the result equals std::sort of the
- * concatenation. The one ordering routine of every reconstruction
- * path — the streaming flush, in-memory expansion, the query chunk
- * merge and the catalog's cross-archive merge — so they cannot
- * disagree on the order of equal-timestamp packets.
+ * Sort @p packets into packetCanonicalLess order, in place. The only
+ * extra memory is a few count arrays on the stack.
  *
- * The runs are consumed. A single non-empty run is moved through
- * without a copy; otherwise a k-way merge over the run heads costs
- * O(n log k). Ties need no run tie-break: equal packets are
- * bit-identical, so either order gives the same bytes.
+ * An input of canonicalRadixMinPackets or more (an expanded chunk)
+ * takes an in-place MSD ("American flag") radix sort on 8-bit
+ * digits of timestampNs minus the minimum: the key is monotone in
+ * the timestamp, so its buckets come out in timestamp order. Buckets
+ * of at most 32 packets finish with an insertion sort, those under
+ * 256 with std::sort, and so does a bucket whose key bits are used
+ * up (one timestamp, ordered by the tie-breakers). A smaller input
+ * takes std::sort. The result is the comparator's order either way:
+ * packetCanonicalLess is a total order and packets that compare
+ * equal are bit-identical.
+ */
+void sortCanonical(std::vector<PacketRecord> &packets);
+
+/** Receives merged packets in order, one block per call. */
+using PacketSpanSink = std::function<void(std::span<const PacketRecord>)>;
+
+/** Most packets the streaming merge passes per PacketSpanSink call. */
+inline constexpr size_t canonicalMergeBlock = 4096;
+
+/**
+ * Merge @p runs, each already in packetCanonicalLess order, in that
+ * order: the merged packets with timestampNs below @p limitNs go to
+ * @p emit, the rest are appended, still in order, to @p rest. The
+ * one ordering routine of every reconstruction path — the streaming
+ * flush (which emits straight into its sink), in-memory expansion,
+ * the query chunk merge and the catalog's cross-archive merge — so
+ * they cannot disagree on the order of equal-timestamp packets.
+ *
+ * The runs are consumed and no copy of the whole merge is built:
+ * each @p emit call gets at most canonicalMergeBlock packets. Below
+ * the limit, a k-way merge over the run heads (O(n log k)) fills a
+ * block that is emitted each time it fills; once one run is left,
+ * its prefix tops the block up and the remainder is emitted as
+ * spans of that run, without a copy. A single non-empty run emits
+ * its prefix the same way and moves whole into an empty @p rest
+ * when nothing is below the limit.
+ * Ties need no run tie-break: equal packets are bit-identical, so
+ * either order gives the same bytes.
+ */
+void mergeCanonicalRuns(std::vector<std::vector<PacketRecord>> runs,
+                        uint64_t limitNs, const PacketSpanSink &emit,
+                        std::vector<PacketRecord> &rest);
+
+/**
+ * Merge @p runs into one run in packetCanonicalLess order: the
+ * result equals std::sort of the concatenation. The streaming form
+ * with nothing emitted, so a single non-empty run is moved through
+ * without a copy.
  */
 std::vector<PacketRecord>
 mergeCanonicalRuns(std::vector<std::vector<PacketRecord>> runs);

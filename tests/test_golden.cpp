@@ -158,11 +158,13 @@ TEST(Golden, ContainerMetadata)
         EXPECT_EQ(stat.hasIndex, g.hasIndex);
         EXPECT_EQ(stat.fidelity, g.fidelity);
         EXPECT_EQ(stat.quantumUs, g.quantumUs);
-        if (g.version == 3)
+        if (g.version == 3) {
             EXPECT_FALSE(stat.columns.empty());
+        }
         EXPECT_EQ(d.fidelity, g.fidelity);
-        if (g.fidelity == fccc::Fidelity::Flow)
+        if (g.fidelity == fccc::Fidelity::Flow) {
             EXPECT_FALSE(d.flowRecords.empty());
+        }
     }
 }
 

@@ -25,6 +25,7 @@
 #include "flow/flow_table.hpp"
 #include "trace/pcapng.hpp"
 #include "trace/scenario_gen.hpp"
+#include "trace/source.hpp"
 #include "trace/tsh.hpp"
 #include "trace/web_gen.hpp"
 #include "util/checksum.hpp"
@@ -927,6 +928,33 @@ longCarryTrace()
     return timeOrdered(std::move(packets));
 }
 
+/**
+ * Twenty long transfers of 2048 packets, one after another: with
+ * one record per chunk every batch of 2 × threads chunks flushes a
+ * multiple of trace::canonicalMergeBlock packets.
+ */
+trace::Trace
+blockEdgeTrace()
+{
+    using namespace trace::tcp_flags;
+    std::vector<trace::PacketRecord> packets;
+    const uint32_t client = 0x0c000001, server = 0xc0a80003;
+    for (uint16_t f = 0; f < 20; ++f) {
+        uint16_t port = static_cast<uint16_t>(30000 + f);
+        uint64_t start = 1000 + uint64_t{f} * 10000;
+        addPacket(packets, start, client, port, server, 80, Syn);
+        for (uint64_t i = 1; i < trace::canonicalMergeBlock / 2; ++i) {
+            if (i % 2)
+                addPacket(packets, start + 3 * i, server, 80, client,
+                          port, Ack, 1000);
+            else
+                addPacket(packets, start + 3 * i, client, port, server,
+                          80, Ack);
+        }
+    }
+    return timeOrdered(std::move(packets));
+}
+
 struct DrainFixture
 {
     const char *name;
@@ -1086,6 +1114,113 @@ TEST(Stream, DrainFlushesEachBatchIncrementally)
                 << "write " << w;
     }
     std::remove(path.c_str());
+}
+
+namespace {
+
+/**
+ * Packets each batch of a drain at @p threads flushes: the
+ * reference output cut at the next batch's first record.
+ */
+std::vector<size_t>
+batchFlushSizes(const fccc::Datasets &d,
+                const std::vector<trace::PacketRecord> &reference,
+                uint32_t threads)
+{
+    std::vector<size_t> sizes;
+    size_t batch = 2 * threads, next = 0, record = 0;
+    for (size_t c = 0; c < d.chunkSizes.size(); ++c) {
+        record += d.chunkSizes[c];
+        if ((c + 1) % batch != 0 && c + 1 != d.chunkSizes.size())
+            continue;
+        uint64_t limitNs = c + 1 < d.chunkSizes.size()
+            ? d.timeSeq[record].firstTimestampUs * 1000
+            : ~0ull;
+        size_t end = next;
+        while (end < reference.size() &&
+               reference[end].timestampNs < limitNs)
+            ++end;
+        sizes.push_back(end - next);
+        next = end;
+    }
+    return sizes;
+}
+
+} // namespace
+
+TEST(Stream, DrainIntoTshMatchesExpandAcrossBlockEdges)
+{
+    // The drain merges each batch straight into the sink in blocks
+    // of trace::canonicalMergeBlock. Its TSH bytes must equal those
+    // of expand() where a batch's flush ends exactly on a block
+    // edge (block-edge), where the carry into the last batch is not
+    // empty (long-carry) and where one chunk is written as a span
+    // of its own run (single-chunk).
+    std::vector<DrainFixture> fixtures;
+    fixtures.push_back({"block-edge", blockEdgeTrace(), 1});
+    for (DrainFixture &fx : drainFixtures())
+        if (std::string(fx.name) != "tied-starts" &&
+            std::string(fx.name) != "web-odd-chunks")
+            fixtures.push_back(std::move(fx));
+
+    for (const DrainFixture &fx : fixtures) {
+        SCOPED_TRACE(fx.name);
+        std::vector<uint8_t> bytes;
+        std::string path = writeFixtureArchive(fx, bytes);
+        fccc::Datasets d = fccc::deserializeAuto(bytes, 1);
+        std::vector<trace::PacketRecord> reference =
+            fccc::FccTraceCompressor(fccc::FccConfig{})
+                .expand(d)
+                .packets();
+        std::vector<uint8_t> expected =
+            trace::writeTsh(trace::Trace(reference));
+        std::string name = fx.name;
+        for (uint32_t threads : {1u, 2u, 4u}) {
+            SCOPED_TRACE(threads);
+            std::vector<size_t> flushes =
+                batchFlushSizes(d, reference, threads);
+            if (name == "block-edge") {
+                ASSERT_GT(flushes.size(), 1u);
+                for (size_t size : flushes) {
+                    EXPECT_GT(size, 0u);
+                    EXPECT_EQ(size % trace::canonicalMergeBlock, 0u)
+                        << size;
+                }
+            } else if (name == "long-carry") {
+                // The long flows of chunk 0 outlast the last batch's
+                // first record, so their tail is still carried.
+                size_t lastBase =
+                    (d.chunkSizes.size() - 1) / (2 * threads) *
+                    (2 * threads);
+                size_t record = 0;
+                for (size_t c = 0; c < lastBase; ++c)
+                    record += d.chunkSizes[c];
+                ASSERT_GT(lastBase, 0u);
+                const fccc::TimeSeqRecord &first = d.timeSeq.front();
+                ASSERT_TRUE(first.isLong);
+                // expandFlow adds iptUs[i] for every i > 0.
+                const std::vector<uint64_t> &ipt =
+                    d.longTemplates[first.templateIndex].iptUs;
+                uint64_t lastUs = first.firstTimestampUs;
+                for (size_t i = 1; i < ipt.size(); ++i)
+                    lastUs += ipt[i];
+                EXPECT_GT(lastUs, d.timeSeq[record].firstTimestampUs);
+            } else {
+                ASSERT_EQ(d.chunkSizes.size(), 1u);
+            }
+
+            fccc::FccConfig cfg;
+            cfg.threads = threads;
+            fccc::DecompressSession session(cfg);
+            session.open(path);
+            auto out = std::make_unique<util::VectorByteSink>();
+            util::VectorByteSink *written = out.get();
+            trace::TshSink sink(std::move(out));
+            session.drainTo(sink);
+            EXPECT_TRUE(written->take() == expected);
+        }
+        std::remove(path.c_str());
+    }
 }
 
 TEST(Stream, DrainMatchesGoldenReferences)

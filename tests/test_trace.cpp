@@ -206,6 +206,171 @@ TEST(CanonicalMerge, TimestampTiesOrderedByEveryField)
     EXPECT_TRUE(fcc::test::samePackets(merged, {a, b, c}));
 }
 
+namespace {
+
+/**
+ * @p n packets stamped by @p stamp, with header fields from narrow
+ * ranges so timestamp ties — and fully equal packets — occur.
+ */
+template <class Stamp>
+std::vector<PacketRecord>
+stampedPackets(size_t n, uint64_t seed, Stamp stamp)
+{
+    util::Rng rng(seed);
+    std::vector<PacketRecord> packets(n);
+    for (PacketRecord &pkt : packets) {
+        pkt.timestampNs = stamp(rng);
+        pkt.srcIp = static_cast<uint32_t>(rng.uniformInt(1, 3));
+        pkt.srcPort = static_cast<uint16_t>(rng.uniformInt(0, 2));
+        pkt.tcpFlags = static_cast<uint8_t>(rng.uniformInt(0, 1));
+        pkt.seq = static_cast<uint32_t>(rng.uniformInt(0, 2));
+        pkt.ipId = static_cast<uint16_t>(rng.uniformInt(0, 1));
+    }
+    return packets;
+}
+
+/** sortCanonical agrees with std::sort under the comparator. */
+::testing::AssertionResult
+sortsLikeComparisonSort(std::vector<PacketRecord> packets)
+{
+    std::vector<PacketRecord> expected = packets;
+    std::sort(expected.begin(), expected.end(), packetCanonicalLess);
+    sortCanonical(packets);
+    return fcc::test::samePackets(packets, expected);
+}
+
+} // namespace
+
+TEST(Trace, SortCanonicalMatchesComparisonSort)
+{
+    // Every field is a key, so agreeing packet by packet under
+    // samePackets means the two outputs match field for field.
+    const size_t cutoff = canonicalRadixMinPackets;
+    const uint64_t minuteNs = 60'000'000'000ull;
+    auto wholeUs = [&](util::Rng &rng) {
+        return rng.uniformInt(0, minuteNs / 1000) * 1000;
+    };
+    for (size_t n : {size_t{0}, size_t{1}, cutoff - 1, cutoff,
+                     cutoff + 1, size_t{200'000}}) {
+        SCOPED_TRACE(n);
+        EXPECT_TRUE(sortsLikeComparisonSort(stampedPackets(n, n, wholeUs)));
+    }
+
+    const size_t n = 3 * cutoff + 7;
+    EXPECT_TRUE(sortsLikeComparisonSort(stampedPackets(
+        n, 1, [](util::Rng &) { return uint64_t{1'234'567}; })))
+        << "all timestamps equal";
+
+    // Five timestamps, every other field equal but ipId: the radix
+    // uses its key bits up and the comparator's last field decides.
+    const uint64_t few[] = {0, 7, 1000, uint64_t{1} << 40,
+                            (uint64_t{1} << 40) + 1};
+    std::vector<PacketRecord> ties = stampedPackets(
+        n, 2, [&](util::Rng &rng) { return few[rng.uniformInt(0, 4)]; });
+    util::Rng idRng(3);
+    for (PacketRecord &pkt : ties) {
+        pkt.srcIp = 1;
+        pkt.srcPort = 0;
+        pkt.tcpFlags = 0;
+        pkt.seq = 0;
+        pkt.ipId = static_cast<uint16_t>(idRng.next());
+    }
+    EXPECT_TRUE(sortsLikeComparisonSort(ties)) << "ipId ties";
+
+    std::vector<PacketRecord> full = stampedPackets(
+        n, 4, [](util::Rng &rng) { return rng.next(); });
+    full[0].timestampNs = 0;
+    full[1].timestampNs = UINT64_MAX;
+    full[2].timestampNs = UINT64_MAX;
+    EXPECT_TRUE(sortsLikeComparisonSort(full)) << "0 .. UINT64_MAX";
+
+    EXPECT_TRUE(sortsLikeComparisonSort(stampedPackets(
+        n, 5, [&](util::Rng &rng) {
+            return rng.uniformInt(0, minuteNs) | 1;
+        })))
+        << "timestamps off the microsecond grid";
+
+    // Web's long-flow tail: nearly everything in 3 % of the span.
+    EXPECT_TRUE(sortsLikeComparisonSort(stampedPackets(
+        50'000, 6, [&](util::Rng &rng) {
+            return rng.uniformInt(0, 99) < 97
+                ? rng.uniformInt(0, minuteNs * 3 / 100)
+                : rng.uniformInt(0, minuteNs);
+        })))
+        << "skewed span";
+}
+
+TEST(CanonicalMerge, StreamingFormSplitsAtTheLimit)
+{
+    // Two interleaved runs with timestamps 0, 1, 2, ... µs: exactly
+    // `limit` packets lie below a limit of `limit` µs, so the limits
+    // put the block edge at, just before and just after a multiple
+    // of canonicalMergeBlock; the last one leaves one run to drain
+    // without the heap.
+    const size_t block = canonicalMergeBlock;
+    const size_t half = block + 100;
+    for (size_t limit : {size_t{0}, size_t{1}, block - 1, block,
+                         block + 1, 2 * block, 2 * half - 50}) {
+        SCOPED_TRACE(limit);
+        std::vector<std::vector<PacketRecord>> runs(2);
+        for (size_t i = 0; i < 2 * half; ++i) {
+            PacketRecord pkt = samplePacket();
+            pkt.timestampNs = i * 1000;
+            runs[i < 2 * half - 100 ? i % 2 : 1].push_back(pkt);
+        }
+        std::vector<PacketRecord> expected = sortedConcatenation(runs);
+
+        std::vector<PacketRecord> emitted, rest;
+        std::vector<size_t> calls;
+        mergeCanonicalRuns(
+            std::move(runs), limit * 1000,
+            [&](std::span<const PacketRecord> packets) {
+                calls.push_back(packets.size());
+                emitted.insert(emitted.end(), packets.begin(),
+                               packets.end());
+            },
+            rest);
+        ASSERT_EQ(emitted.size(), limit);
+        for (size_t size : calls) {
+            EXPECT_GT(size, 0u);
+            EXPECT_LE(size, block);
+        }
+        if (limit % block == 0) {
+            EXPECT_EQ(calls.size(), limit / block);
+        }
+        emitted.insert(emitted.end(), rest.begin(), rest.end());
+        EXPECT_TRUE(fcc::test::samePackets(emitted, expected));
+    }
+}
+
+TEST(CanonicalMerge, StreamingSingleRunEmitsWithoutCopy)
+{
+    auto runs = randomRuns({0, 3 * canonicalMergeBlock + 5, 0}, 9);
+    std::vector<PacketRecord> expected = runs[1];
+    const PacketRecord *buffer = runs[1].data();
+    uint64_t limitNs = expected[expected.size() / 2].timestampNs;
+    size_t below = static_cast<size_t>(std::partition_point(
+        expected.begin(), expected.end(),
+        [&](const PacketRecord &p) { return p.timestampNs < limitNs; }) -
+        expected.begin());
+
+    std::vector<PacketRecord> emitted, rest;
+    mergeCanonicalRuns(std::move(runs), limitNs,
+                       [&](std::span<const PacketRecord> packets) {
+                           EXPECT_EQ(packets.data(),
+                                     buffer + emitted.size())
+                               << "span was copied";
+                           emitted.insert(emitted.end(),
+                                          packets.begin(),
+                                          packets.end());
+                       },
+                       rest);
+    EXPECT_EQ(emitted.size(), below);
+    EXPECT_EQ(rest.size(), expected.size() - below);
+    emitted.insert(emitted.end(), rest.begin(), rest.end());
+    EXPECT_TRUE(fcc::test::samePackets(emitted, expected));
+}
+
 // ---- trace container -----------------------------------------------------
 
 TEST(TraceContainer, SortAndOrderCheck)
