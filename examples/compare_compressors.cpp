@@ -5,7 +5,8 @@
  *
  * Usage:
  *   ./build/examples/compare_compressors [--threads N]
- *       [--container fcc2|fcc3] [--backend store|deflate|range]
+ *       [--container fcc2|fcc3]
+ *       [--backend store|deflate|range|range-lanes]
  *       [capture.file]
  *
  * The input format (TSH, pcap, pcapng, each optionally gzip'd) is
@@ -86,8 +87,9 @@ main(int argc, char **argv)
                       codec::fcc::parseContainerName(v);
               });
     flags.add("--backend", "NAME",
-              "store|deflate|range — FCC3 per-column\n"
-              "entropy backend (default deflate)",
+              "store|deflate|range|range-lanes — FCC3\n"
+              "per-column entropy backend (default\n"
+              "deflate)",
               [&](const char *v) {
                   fccCfg.backend =
                       codec::backend::parseBackendName(v);

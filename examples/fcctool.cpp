@@ -23,8 +23,9 @@
  *   --container <fmt>    fcc2|fcc3 (default fcc3, the columnar
  *                        container; decompression auto-detects
  *                        these and the legacy fcc1/hybrid files)
- *   --backend <name>     store|deflate|range — FCC3 per-column
- *                        entropy backend (default deflate)
+ *   --backend <name>     store|deflate|range|range-lanes — FCC3
+ *                        per-column entropy backend (default
+ *                        deflate)
  *   --index              compress: write a seekable archive (FCC3
  *                        chunk/flow index for fccquery);
  *                        info: also print the per-chunk index table
@@ -337,8 +338,9 @@ main(int argc, char **argv)
                       codec::fcc::parseContainerName(v);
               });
     flags.add("--backend", "NAME",
-              "store|deflate|range — FCC3 per-column\n"
-              "entropy backend (default deflate)",
+              "store|deflate|range|range-lanes — FCC3\n"
+              "per-column entropy backend (default\n"
+              "deflate)",
               [&](const char *v) {
                   cfg.backend =
                       codec::backend::parseBackendName(v);

@@ -15,6 +15,7 @@
 
 #include "codec/fcc/fcc_codec.hpp"
 
+#include <algorithm>
 #include <memory>
 
 #include "codec/deflate/deflate.hpp"
@@ -40,12 +41,63 @@ drawClassBOrC(util::Rng &rng)
            static_cast<uint32_t>(rng.uniformInt(0, 0x1fffffff));
 }
 
+void
+requirePacketFidelity(const Datasets &d)
+{
+    util::require(d.fidelity != Fidelity::Flow,
+                  "fcc: flow-fidelity archives carry no per-packet "
+                  "data to reconstruct");
+}
+
+/**
+ * Packets @p records expand to (one per S value). Bad template
+ * indices count nothing here; expandFlow rejects them.
+ */
+size_t
+expandedPackets(const Datasets &d,
+                std::span<const TimeSeqRecord> records)
+{
+    size_t packets = 0;
+    for (const TimeSeqRecord &rec : records) {
+        if (rec.isLong && rec.templateIndex < d.longTemplates.size())
+            packets += d.longTemplates[rec.templateIndex].sValues.size();
+        else if (!rec.isLong &&
+                 rec.templateIndex < d.shortTemplates.size())
+            packets += d.shortTemplates[rec.templateIndex].values.size();
+    }
+    return packets;
+}
+
+/** True when no reconstructed timestamp passes UINT64_MAX ns. */
+bool
+spansKnown(const Datasets &d, uint32_t gapUs)
+{
+    TemplateFactTable facts = templateFacts(d, 0, 0);
+    for (const TimeSeqRecord &rec : d.timeSeq)
+        if (!flowSpan(facts.of(rec.isLong, rec.templateIndex), rec,
+                      gapUs))
+            return false;
+    return true;
+}
+
 } // namespace
 
 uint64_t
 chunkRngSeed(uint64_t decompressSeed, size_t chunk)
 {
     return util::hashCombine(decompressSeed, chunk);
+}
+
+ChunkStreams::ChunkStreams(const Datasets &d, uint64_t decompressSeed)
+    : timeSeq(d.timeSeq), offsets(1, 0), decompressSeed(decompressSeed),
+      legacy(d.chunkSizes.empty())
+{
+    if (legacy)
+        offsets.push_back(d.timeSeq.size());
+    for (uint32_t records : d.chunkSizes)
+        offsets.push_back(offsets.back() + records);
+    util::require(offsets.back() == d.timeSeq.size(),
+                  "fcc: chunk sizes disagree with time-seq");
 }
 
 const char *
@@ -229,30 +281,43 @@ FccTraceCompressor::compress(const trace::Trace &trace) const
 trace::Trace
 FccTraceCompressor::expand(const Datasets &d) const
 {
-    util::require(d.fidelity != Fidelity::Flow,
-                  "fcc: flow-fidelity archives carry no per-packet "
-                  "data to reconstruct");
-    // Canonical total order (not a bare time sort): every expansion
-    // path — in-memory, streaming flush, query merge — must emit
-    // equal-timestamp packets identically for reconstruction to be
-    // byte-exact across containers and thread counts. Each chunk is
-    // a sorted run built on the pool; one merge orders them all.
-    std::vector<std::vector<trace::PacketRecord>> runs;
-    if (d.chunkSizes.empty()) {
-        // A legacy unchunked archive: one sequential RNG stream over
-        // all records.
-        runs.resize(1);
-        util::Rng rng(cfg_.decompressSeed);
-        for (const auto &rec : d.timeSeq)
-            expandFlow(d, rec, rng, runs[0]);
-        trace::sortCanonical(runs[0]);
-    } else {
-        runs.resize(d.chunkSizes.size());
-        util::runJobs(cfg_.threads, runs.size(), [&](size_t c) {
-            expandChunk(d, c, runs[c]);
+    std::vector<trace::PacketRecord> packets;
+    packets.reserve(expandedPackets(d, d.timeSeq));
+    expandInto(d, [&packets](std::span<const trace::PacketRecord> block) {
+        packets.insert(packets.end(), block.begin(), block.end());
+    });
+    return trace::Trace(std::move(packets));
+}
+
+void
+FccTraceCompressor::expandInto(const Datasets &d,
+                               const trace::PacketSpanSink &emit) const
+{
+    requirePacketFidelity(d);
+    ChunkStreams chunks(d, cfg_.decompressSeed);
+    size_t batchChunks = size_t{util::resolveThreads(cfg_.threads)} * 2;
+    bool flushEarly =
+        chunks.size() > batchChunks && spansKnown(d, cfg_.defaultGapUs);
+    std::vector<trace::PacketRecord> carry;
+    for (size_t base = 0; base < chunks.size(); base += batchChunks) {
+        size_t end = std::min(chunks.size(), base + batchChunks);
+        std::vector<std::vector<trace::PacketRecord>> runs(
+            end - base + 1);
+        util::runJobs(cfg_.threads, end - base, [&](size_t i) {
+            expandChunk(d, chunks, base + i, runs[i]);
         });
+        runs.back() = std::move(carry);
+        carry = {};
+        // Once no record is left, everything goes: a reconstructed
+        // timestamp is a multiple of 1000 modulo 2^64, never ~0.
+        size_t next = chunks.offsets[end];
+        uint64_t limitNs = ~0ull;
+        if (next < d.timeSeq.size())
+            limitNs = flushEarly
+                ? d.timeSeq[next].firstTimestampUs * 1000
+                : 0;
+        trace::mergeCanonicalRuns(std::move(runs), limitNs, emit, carry);
     }
-    return trace::Trace(trace::mergeCanonicalRuns(std::move(runs)));
 }
 
 FlowHeader
@@ -395,41 +460,19 @@ FccTraceCompressor::expandFlow(const Datasets &d,
 
 void
 FccTraceCompressor::expandChunk(
-    const Datasets &d, size_t chunk,
+    const Datasets &d, const ChunkStreams &chunks, size_t chunk,
     std::vector<trace::PacketRecord> &out) const
 {
-    util::require(d.fidelity != Fidelity::Flow,
-                  "fcc: flow-fidelity archives carry no per-packet "
-                  "data to reconstruct");
-    util::require(chunk < d.chunkSizes.size(),
-                  "fcc: chunk index out of range");
-    size_t begin = 0;
-    for (size_t c = 0; c < chunk; ++c)
-        begin += d.chunkSizes[c];
-    size_t end = begin + d.chunkSizes[chunk];
-    util::require(end <= d.timeSeq.size(),
-                  "fcc: chunk sizes disagree with time-seq");
-
-    // One RNG stream per chunk, seeded from (decompressSeed, chunk
-    // index): chunks expand in any order — or in parallel — and
-    // still produce the same packets.
-    util::Rng rng(chunkRngSeed(cfg_.decompressSeed, chunk));
-    // Exact-size the run (a flow expands to one packet per S value):
-    // a batch of doubling-grown runs would otherwise hold up to
-    // twice its packets. Bad indices are left to expandFlow.
-    size_t packets = 0;
-    for (size_t i = begin; i < end; ++i) {
-        const TimeSeqRecord &rec = d.timeSeq[i];
-        if (rec.isLong && rec.templateIndex < d.longTemplates.size())
-            packets += d.longTemplates[rec.templateIndex].sValues.size();
-        else if (!rec.isLong &&
-                 rec.templateIndex < d.shortTemplates.size())
-            packets += d.shortTemplates[rec.templateIndex].values.size();
-    }
+    requirePacketFidelity(d);
+    util::require(chunk < chunks.size(), "fcc: chunk index out of range");
+    std::span<const TimeSeqRecord> records = chunks.records(chunk);
+    util::Rng rng(chunks.seed(chunk));
+    // Exact-size the run: a batch of doubling-grown runs would
+    // otherwise hold up to twice its packets.
     out.clear();
-    out.reserve(packets);
-    for (size_t i = begin; i < end; ++i)
-        expandFlow(d, d.timeSeq[i], rng, out);
+    out.reserve(expandedPackets(d, records));
+    for (const TimeSeqRecord &rec : records)
+        expandFlow(d, rec, rng, out);
     trace::sortCanonical(out);
 }
 

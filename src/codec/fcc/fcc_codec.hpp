@@ -192,6 +192,51 @@ struct FlowHeader
     uint16_t window = 0;
 };
 
+/**
+ * RNG stream seed of chunk @p chunk under @p decompressSeed — part
+ * of the reconstruction contract: the reconstruction loop and the
+ * random-access reader (src/query) must draw a chunk's packets from
+ * the same stream to reconstruct the same bytes, whichever subset of
+ * chunks they expand.
+ */
+uint64_t chunkRngSeed(uint64_t decompressSeed, size_t chunk);
+
+/**
+ * The reconstruction units of a Datasets, the one owner of the rule
+ * that splits and seeds them (FORMAT.md §6): chunk c covers the
+ * time-seq records [offsets[c], offsets[c + 1]) and draws from the
+ * RNG stream seed(c) = chunkRngSeed(decompressSeed, c). A legacy
+ * unchunked layout (FCC1, unchunked FCC3: no chunkSizes) is one
+ * chunk over every record seeded with decompressSeed itself — the
+ * single sequential stream those archives were written against.
+ * Views the datasets, which must outlive it.
+ */
+struct ChunkStreams
+{
+    /** @throws fcc::util::Error when the chunk sizes disagree with
+     *  the time-seq dataset. */
+    ChunkStreams(const Datasets &datasets, uint64_t decompressSeed);
+
+    size_t size() const { return offsets.size() - 1; }
+
+    std::span<const TimeSeqRecord>
+    records(size_t c) const
+    {
+        return timeSeq.subspan(offsets[c], offsets[c + 1] - offsets[c]);
+    }
+
+    uint64_t
+    seed(size_t c) const
+    {
+        return legacy ? decompressSeed : chunkRngSeed(decompressSeed, c);
+    }
+
+    std::span<const TimeSeqRecord> timeSeq;
+    std::vector<size_t> offsets;  ///< size() + 1 record offsets
+    uint64_t decompressSeed;
+    bool legacy;
+};
+
 /** The proposed flow-clustering trace compressor. */
 class FccTraceCompressor : public TraceCompressor
 {
@@ -229,25 +274,41 @@ class FccTraceCompressor : public TraceCompressor
                   FccCompressStats &stats) const;
 
     /**
-     * Expand in-memory datasets into a reconstructed trace. Chunked
-     * datasets expand one chunk per task on cfg.threads workers,
-     * each chunk drawing from its own RNG stream seeded from
-     * (decompressSeed, chunk index); datasets decoded from a legacy
-     * unchunked archive (FCC1, unchunked FCC3) replay the single
-     * sequential stream. Each chunk is sorted by its own task and
-     * one k-way merge orders the runs (trace::mergeCanonicalRuns).
-     * Expansion depends only on the chunk layout, never on the
-     * container that carried it — equal layouts reconstruct
-     * identical packets.
+     * Expand in-memory datasets into a reconstructed trace:
+     * expandInto() appending to one vector reserved to the exact
+     * packet count, so memory holds the output plus one batch of
+     * chunks and the carry. Expansion depends only on the chunk
+     * layout, never on the container that carried it — equal
+     * layouts reconstruct identical packets.
      */
     trace::Trace expand(const Datasets &datasets) const;
 
     /**
+     * The one reconstruction loop, behind expand(), decompress() and
+     * DecompressSession::drainTo: every packet of @p datasets goes to
+     * @p emit in trace::packetCanonicalLess order, in blocks of at
+     * most trace::canonicalMergeBlock. Batches of 2 × threads chunks
+     * expand on the pool, each into a sorted run (expandChunk); one
+     * streaming merge (trace::mergeCanonicalRuns) joins them with the
+     * carry of earlier batches, emits what is older than the next
+     * batch's first record and carries the rest. Records are
+     * time-sorted, so no later chunk can produce an older packet —
+     * unless a reconstructed timestamp passes UINT64_MAX ns (some
+     * record's flowSpan() is unknown): then nothing leaves before the
+     * last batch. The bytes never depend on the thread count.
+     *
+     * @throws fcc::util::Error on flow-fidelity datasets (no
+     *         per-packet data) or a malformed layout.
+     */
+    void expandInto(const Datasets &datasets,
+                    const trace::PacketSpanSink &emit) const;
+
+    /**
      * Expand one time-seq record into its flow's packets, appended
      * to @p out in flow order (not globally time-sorted). @p rng
-     * supplies the §4 random source address / client port; expand()
-     * and the streaming decompressor share this so both produce the
-     * same packets for the same seed.
+     * supplies the §4 random source address / client port;
+     * expandChunk and the query's filtered expansion share this so
+     * both produce the same packets for the same seed.
      */
     void
     expandFlow(const Datasets &datasets, const TimeSeqRecord &record,
@@ -263,16 +324,15 @@ class FccTraceCompressor : public TraceCompressor
     static FlowHeader drawFlowHeader(util::Rng &rng);
 
     /**
-     * Expand every record of chunk @p chunk (index into
-     * Datasets::chunkSizes) into @p out, replacing its contents,
-     * drawing from the chunk's own RNG stream. The packets come out
-     * as one run in trace::packetCanonicalLess order, sorted by the
-     * calling thread, so the caller only merges runs
-     * (trace::mergeCanonicalRuns). Chunks may be expanded in any
-     * order or concurrently; expand() and the streaming
-     * decompressor share this so both reconstruct identical packets.
+     * Expand every record of chunk @p chunk of @p chunks (the layout
+     * of @p datasets) into @p out, replacing its contents, drawing
+     * from the chunk's own RNG stream. The packets come out as one
+     * run in trace::packetCanonicalLess order, sorted by the calling
+     * thread, so the caller only merges runs. Chunks may be expanded
+     * in any order or concurrently.
      */
-    void expandChunk(const Datasets &datasets, size_t chunk,
+    void expandChunk(const Datasets &datasets,
+                     const ChunkStreams &chunks, size_t chunk,
                      std::vector<trace::PacketRecord> &out) const;
 
     const FccConfig &config() const { return cfg_; }
@@ -310,15 +370,6 @@ serializeDatasets(const Datasets &datasets, const FccConfig &cfg,
 Datasets deserializeAuto(std::span<const uint8_t> data,
                          uint32_t threads,
                          ContainerStat *stat = nullptr);
-
-/**
- * RNG stream seed of chunk @p chunk under @p decompressSeed — part
- * of the reconstruction contract: expand(), the streaming
- * decompressor and the random-access reader (src/query) must draw a
- * chunk's packets from the same stream to reconstruct the same
- * bytes, whichever subset of chunks they expand.
- */
-uint64_t chunkRngSeed(uint64_t decompressSeed, size_t chunk);
 
 } // namespace fcc::codec::fcc
 

@@ -12,13 +12,11 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
 #include <tuple>
 
 #include "trace/tsh.hpp"
 #include "util/error.hpp"
 #include "util/io.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fcc::codec::fcc {
 
@@ -483,100 +481,16 @@ StreamStats
 DecompressSession::drainTo(trace::TraceSink &sink)
 {
     util::require(open_, "fcc session: no archive open");
-    util::require(datasets_.fidelity != Fidelity::Flow,
-                  "fcc: flow-fidelity archives carry no per-packet "
-                  "data to reconstruct");
-
-    FccTraceCompressor codec(cfg_);
-
     StreamStats archiveStats;
     archiveStats.inputBytes = archiveBytes_;
     archiveStats.flows = datasets_.timeSeq.size();
-
-    // Paper §4: reconstructed packets wait in a time-ordered buffer;
-    // everything older than the next not-yet-expanded record's
-    // timestamp is flushed to the output file, so peak memory stays
-    // near the concurrently active flows (plus, for chunked layouts,
-    // one batch of chunks). Output follows the canonical total
-    // order, so equal-timestamp packets leave in a fixed order
-    // whatever the chunk batching (i.e. thread count).
-    auto flush = [&](std::span<const trace::PacketRecord> packets) {
-        if (packets.empty())
-            return;
-        sink.write(packets);
-        archiveStats.packets += packets.size();
-    };
-
-    if (!datasets_.chunkSizes.empty()) {
-        // Chunked layout: expand a batch of chunks concurrently
-        // (per-chunk RNG streams), each task leaving its chunk as a
-        // sorted run. One k-way merge of those runs and the carry
-        // (what earlier batches could not flush yet, still sorted)
-        // writes straight into the sink. Records are globally
-        // time-sorted across chunks, so no later chunk can produce
-        // a packet older than the next unexpanded chunk's first
-        // record: that prefix is flushed and the rest carried.
-        size_t chunks = datasets_.chunkSizes.size();
-        std::vector<size_t> offset(chunks + 1, 0);
-        for (size_t c = 0; c < chunks; ++c)
-            offset[c + 1] = offset[c] + datasets_.chunkSizes[c];
-        util::require(offset[chunks] == datasets_.timeSeq.size(),
-                      "fcc: chunk sizes disagree with time-seq");
-
-        size_t batchChunks =
-            size_t{util::resolveThreads(cfg_.threads)} * 2;
-        std::vector<trace::PacketRecord> carry;
-        for (size_t base = 0; base < chunks; base += batchChunks) {
-            size_t end = std::min(chunks, base + batchChunks);
-            std::vector<std::vector<trace::PacketRecord>> runs(
-                end - base + 1);
-            util::runJobs(cfg_.threads, end - base, [&](size_t i) {
-                codec.expandChunk(datasets_, base + i, runs[i]);
-            });
-            runs.back() = std::move(carry);
-            carry = {};
-
-            uint64_t limitNs = end < chunks
-                ? datasets_.timeSeq[offset[end]].firstTimestampUs *
-                      1000
-                : ~0ull;
-            trace::mergeCanonicalRuns(std::move(runs), limitNs, flush,
-                                      carry);
-        }
-    } else {
-        // A legacy unchunked archive (FCC1, unchunked FCC3): the
-        // paper's literal per-record buffer over a single sequential
-        // RNG stream.
-        auto later = [](const trace::PacketRecord &a,
-                        const trace::PacketRecord &b) {
-            return trace::packetCanonicalLess(b, a);
-        };
-        std::priority_queue<trace::PacketRecord,
-                            std::vector<trace::PacketRecord>,
-                            decltype(later)>
-            pendingQ(later);
-        std::vector<trace::PacketRecord> flushBatch;
-        auto flushOlderThan = [&](uint64_t limitNs) {
-            flushBatch.clear();
-            while (!pendingQ.empty() &&
-                   pendingQ.top().timestampNs < limitNs) {
-                flushBatch.push_back(pendingQ.top());
-                pendingQ.pop();
-            }
-            flush(flushBatch);
-        };
-
-        util::Rng rng(cfg_.decompressSeed);
-        std::vector<trace::PacketRecord> flowPackets;
-        for (const auto &rec : datasets_.timeSeq) {
-            flushOlderThan(rec.firstTimestampUs * 1000);
-            flowPackets.clear();
-            codec.expandFlow(datasets_, rec, rng, flowPackets);
-            for (const auto &pkt : flowPackets)
-                pendingQ.push(pkt);
-        }
-        flushOlderThan(~0ull);
-    }
+    // Paper §4: reconstructed packets wait in a time-ordered buffer
+    // and leave once no later record can precede them (expandInto).
+    FccTraceCompressor(cfg_).expandInto(
+        datasets_, [&](std::span<const trace::PacketRecord> packets) {
+            sink.write(packets);
+            archiveStats.packets += packets.size();
+        });
     sink.close();
     archiveStats.outputBytes = sink.bytesWritten();
 

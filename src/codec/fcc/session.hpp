@@ -297,10 +297,10 @@ class CompressSession
 /**
  * The matching decompression session: holds config and cumulative
  * stats while open()/drainTo() walk any number of archives. Each
- * archive reconstructs with the §4 bounded-memory flush — chunked
- * layouts expand and sort a batch of chunks concurrently
- * (cfg.threads) and merge the sorted runs between flushes,
- * bit-identically at any thread count.
+ * archive reconstructs with the §4 bounded-memory flush
+ * (FccTraceCompressor::expandInto): a batch of chunks expands and
+ * sorts concurrently (cfg.threads) and the sorted runs merge
+ * between flushes, bit-identically at any thread count.
  */
 class DecompressSession
 {
@@ -330,21 +330,15 @@ class DecompressSession
      * return) and release it. Returns the stats of *this* archive;
      * stats() accumulates across all drained archives.
      *
-     * Packets leave in trace::packetCanonicalLess order, the order
-     * FccTraceCompressor::expand() produces. A chunked archive is
-     * drained in batches of 2 × threads chunks: each chunk expands
-     * and sorts on the pool, one k-way merge
-     * (trace::mergeCanonicalRuns) joins them with the carry from
-     * earlier batches and writes every packet older than the next
-     * batch's first record straight into the sink, in blocks of
-     * trace::canonicalMergeBlock packets (a batch with one
-     * non-empty run writes a span of it); the rest becomes the new
-     * carry. So the sink sees more than one write on a multi-batch
-     * archive, and memory holds one batch plus the carry, never a
-     * merged copy of it. A legacy unchunked archive keeps the
-     * paper's per-record buffer.
+     * Packets leave through FccTraceCompressor::expandInto, the
+     * one reconstruction loop: the sink gets one write per block a
+     * batch flushes, and memory holds one batch of chunks plus the
+     * carry. A legacy unchunked archive (FCC1, unchunked FCC3) is one
+     * chunk, so its drain holds the whole reconstructed archive
+     * before the first write; those files are no longer written.
      *
-     * @throws fcc::util::Error when no archive is open.
+     * @throws fcc::util::Error when no archive is open, or on a
+     *         flow-fidelity archive (no per-packet data).
      */
     StreamStats drainTo(trace::TraceSink &sink);
 

@@ -2,7 +2,7 @@
  * @file
  * Catalog execution: open a directory of archives, prune whole
  * archives by their chunk plans, run survivors, k-way merge the
- * sorted per-archive results. See catalog.hpp.
+ * sorted chunk runs of every survivor at once. See catalog.hpp.
  */
 
 #include "query/catalog.hpp"
@@ -11,7 +11,6 @@
 #include <filesystem>
 
 #include "archive/catalog_file.hpp"
-#include "trace/trace.hpp"
 #include "util/error.hpp"
 
 namespace fcc::query {
@@ -69,24 +68,6 @@ ArchiveCatalog::fromCatalogFile(const std::string &directory,
 
 namespace {
 
-/** Collects a run's packets for the cross-archive merge. */
-class VectorSink final : public trace::TraceSink
-{
-  public:
-    void
-    write(std::span<const trace::PacketRecord> batch) override
-    {
-        packets.insert(packets.end(), batch.begin(), batch.end());
-    }
-    void close() override {}
-    uint64_t bytesWritten() const override
-    {
-        return packets.size() * trace::tshRecordBytes;
-    }
-
-    std::vector<trace::PacketRecord> packets;
-};
-
 /**
  * Archive-level pruning decision: an indexed archive with an empty
  * chunk plan cannot contribute a packet — unless the query uses
@@ -115,8 +96,7 @@ ArchiveCatalog::run(const Expr &expr, trace::TraceSink &sink,
     CatalogQueryStats stats;
     stats.archives = archives_.size();
 
-    std::vector<std::vector<trace::PacketRecord>> runs;
-    runs.reserve(archives_.size());
+    FccArchive::Runs runs;
     for (const auto &archive : archives_) {
         stats.fileBytes += archive->fileBytes();
         if (!forceFullDecode && prunable(*archive, expr)) {
@@ -124,20 +104,17 @@ ArchiveCatalog::run(const Expr &expr, trace::TraceSink &sink,
             stats.chunksTotal += archive->index().chunks.size();
             continue;
         }
-        VectorSink collect;
         QueryStats s =
-            archive->run(expr, collect, forceFullDecode);
+            archive->collectRuns(expr, forceFullDecode, runs);
         stats.chunksTotal += s.chunksTotal;
         stats.chunksDecoded += s.chunksDecoded;
         stats.bytesRead += s.bytesRead;
         stats.flowsMatched += s.flowsMatched;
-        runs.push_back(std::move(collect.packets));
     }
-    // Each archive's result is a canonical-sorted run; a single run
-    // (one surviving archive) moves through without a copy.
-    trace::Trace out(trace::mergeCanonicalRuns(std::move(runs)));
-    stats.packetsMatched = out.size();
-    trace::writeAllPackets(sink, out);
+    // Every surviving archive's chunk runs, merged once straight
+    // into the sink: a single run is written as spans of itself.
+    stats.packetsMatched =
+        FccArchive::mergeRunsInto(std::move(runs), sink);
     return stats;
 }
 

@@ -9,8 +9,8 @@
  * archives whose chunk plan is empty for a query expression
  * (time-partition pruning falls out of the per-chunk timestamp
  * bounds), runs the survivors' chunk-level plans, and k-way merges
- * the per-archive results into one packetCanonicalLess-ordered
- * stream. Results are bit-identical to concatenating per-archive
+ * the sorted chunk runs of every survivor, once, into one
+ * packetCanonicalLess-ordered stream. Results are bit-identical to concatenating per-archive
  * full-decode-then-filter runs and re-sorting — independent of
  * archive order, thread count, or how many archives were pruned.
  *

@@ -13,7 +13,6 @@
 #include <new>
 
 #include "codec/fcc/datasets.hpp"
-#include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -87,25 +86,19 @@ expandFiltered(const fccc::FccTraceCompressor &codec,
 }
 
 /**
- * Merge the per-chunk results — each sorted by its job — into
- * canonical order and emit them through @p sink. The order matches
- * the streaming decompressor's flush: ties must not depend on chunk
- * order or thread count.
+ * Move the per-chunk results — each sorted by its job — to @p runs
+ * and count their flows into @p stats.
  */
 void
-emitResults(std::vector<ChunkResult> &results,
-            trace::TraceSink &sink, QueryStats &stats)
+appendRuns(std::vector<ChunkResult> &results,
+           std::vector<std::vector<trace::PacketRecord>> &runs,
+           QueryStats &stats)
 {
-    std::vector<std::vector<trace::PacketRecord>> runs;
-    runs.reserve(results.size());
     for (ChunkResult &r : results) {
         stats.flowsMatched += r.flows;
         stats.flowsExpanded += r.expanded;
         runs.push_back(std::move(r.packets));
     }
-    trace::Trace out(trace::mergeCanonicalRuns(std::move(runs)));
-    stats.packetsMatched = out.size();
-    trace::writeAllPackets(sink, out);
 }
 
 } // namespace
@@ -158,6 +151,16 @@ QueryStats
 FccArchive::run(const Expr &expr, trace::TraceSink &sink,
                 bool forceFullDecode) const
 {
+    Runs runs;
+    QueryStats stats = collectRuns(expr, forceFullDecode, runs);
+    stats.packetsMatched = mergeRunsInto(std::move(runs), sink);
+    return stats;
+}
+
+QueryStats
+FccArchive::collectRuns(const Expr &expr, bool forceFullDecode,
+                        Runs &runs) const
+{
     // The index's maxEndUs bounds assume the gap it was written
     // with; a *larger* reconstruction gap pushes packets past them,
     // so time-window pruning would silently drop matches — take the
@@ -166,7 +169,7 @@ FccArchive::run(const Expr &expr, trace::TraceSink &sink,
                      cfg_.defaultGapUs > index_->gapUs;
     if (hasIndex() && !forceFullDecode && !gapUnsafe) {
         try {
-            return runIndexed(expr, sink);
+            return runIndexed(expr, runs);
         } catch (const std::bad_alloc &) {
             // A corrupt (cap-passing) count exhausted memory —
             // report bad input, like the container parsers do.
@@ -174,7 +177,25 @@ FccArchive::run(const Expr &expr, trace::TraceSink &sink,
                               "memory");
         }
     }
-    return runFullDecode(expr, sink);
+    return runFullDecode(expr, runs);
+}
+
+uint64_t
+FccArchive::mergeRunsInto(Runs runs, trace::TraceSink &sink)
+{
+    // The reconstruction loop's order, whatever the chunk order or
+    // thread count. A limit of ~0 emits every packet.
+    uint64_t packets = 0;
+    std::vector<trace::PacketRecord> rest;
+    trace::mergeCanonicalRuns(
+        std::move(runs), ~0ull,
+        [&](std::span<const trace::PacketRecord> block) {
+            sink.write(block);
+            packets += block.size();
+        },
+        rest);
+    sink.close();
+    return packets;
 }
 
 FccArchive::SharedRegion
@@ -252,8 +273,7 @@ FccArchive::requirePlannedOrder(
 }
 
 QueryStats
-FccArchive::runIndexed(const Expr &expr,
-                       trace::TraceSink &sink) const
+FccArchive::runIndexed(const Expr &expr, Runs &runs) const
 {
     QueryStats stats;
     stats.usedIndex = true;
@@ -291,13 +311,12 @@ FccArchive::runIndexed(const Expr &expr,
     util::runJobs(cfg_.threads, planned.size(), decodeOne);
     requirePlannedOrder(planned, spans);
 
-    emitResults(results, sink, stats);
+    appendRuns(results, runs, stats);
     return stats;
 }
 
 QueryStats
-FccArchive::runFullDecode(const Expr &expr,
-                          trace::TraceSink &sink) const
+FccArchive::runFullDecode(const Expr &expr, Runs &runs) const
 {
     QueryStats stats;
     stats.usedIndex = false;
@@ -312,36 +331,15 @@ FccArchive::runFullDecode(const Expr &expr,
     fccc::TemplateFactTable facts = fccc::templateFacts(
         d, cfg_.smallPayload, cfg_.largePayload);
 
-    if (d.chunkSizes.empty()) {
-        // Legacy layout: one sequential RNG stream over everything.
-        stats.chunksTotal = 1;
-        stats.chunksDecoded = 1;
-        std::vector<ChunkResult> results(1);
-        expandFiltered(codec, d, facts, d.timeSeq,
-                       cfg_.decompressSeed, expr, results[0]);
-        emitResults(results, sink, stats);
-        return stats;
-    }
-
-    size_t chunks = d.chunkSizes.size();
-    stats.chunksTotal = chunks;
-    stats.chunksDecoded = chunks;
-    std::vector<size_t> offset(chunks + 1, 0);
-    for (size_t c = 0; c < chunks; ++c)
-        offset[c + 1] = offset[c] + d.chunkSizes[c];
-    util::require(offset[chunks] == d.timeSeq.size(),
-                  "fcc: chunk sizes disagree with time-seq");
-
-    std::vector<ChunkResult> results(chunks);
-    auto expandOne = [&](size_t c) {
-        std::span<const fccc::TimeSeqRecord> records(
-            d.timeSeq.data() + offset[c], d.chunkSizes[c]);
-        expandFiltered(codec, d, facts, records,
-                       fccc::chunkRngSeed(cfg_.decompressSeed, c),
-                       expr, results[c]);
-    };
-    util::runJobs(cfg_.threads, chunks, expandOne);
-    emitResults(results, sink, stats);
+    fccc::ChunkStreams chunks(d, cfg_.decompressSeed);
+    stats.chunksTotal = chunks.size();
+    stats.chunksDecoded = chunks.size();
+    std::vector<ChunkResult> results(chunks.size());
+    util::runJobs(cfg_.threads, chunks.size(), [&](size_t c) {
+        expandFiltered(codec, d, facts, chunks.records(c),
+                       chunks.seed(c), expr, results[c]);
+    });
+    appendRuns(results, runs, stats);
     return stats;
 }
 

@@ -226,12 +226,26 @@ class FccArchive
         const std::vector<size_t> &planned,
         const std::vector<std::pair<uint64_t, uint64_t>> &spans);
 
-    QueryStats runIndexed(const Expr &expr,
-                          trace::TraceSink &sink) const;
-    QueryStats runFullDecode(const Expr &expr,
-                             trace::TraceSink &sink) const;
+    /** Canonical-sorted packet runs, one per decoded chunk. */
+    using Runs = std::vector<std::vector<trace::PacketRecord>>;
+
+    /**
+     * The packets run() writes, as runs appended to @p runs, unmerged;
+     * the stats lack packetsMatched, which the merge counts. run()
+     * merges one archive's runs, ArchiveCatalog::run every surviving
+     * archive's at once.
+     */
+    QueryStats collectRuns(const Expr &expr, bool forceFullDecode,
+                           Runs &runs) const;
+
+    /** Merge @p runs into @p sink, close it, return the packets. */
+    static uint64_t mergeRunsInto(Runs runs, trace::TraceSink &sink);
+
+    QueryStats runIndexed(const Expr &expr, Runs &runs) const;
+    QueryStats runFullDecode(const Expr &expr, Runs &runs) const;
 
     friend struct AggregateExecutor;
+    friend class ArchiveCatalog;
 
     std::string path_;
     codec::fcc::FccConfig cfg_;

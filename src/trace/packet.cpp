@@ -256,16 +256,6 @@ mergeCanonicalRuns(std::vector<std::vector<PacketRecord>> runs,
     rest.insert(rest.end(), heap[0].next, heap[0].end);
 }
 
-std::vector<PacketRecord>
-mergeCanonicalRuns(std::vector<std::vector<PacketRecord>> runs)
-{
-    // A limit of 0 emits nothing: every packet lands in the result.
-    std::vector<PacketRecord> merged;
-    mergeCanonicalRuns(std::move(runs), 0,
-                       [](std::span<const PacketRecord>) {}, merged);
-    return merged;
-}
-
 std::string
 formatIp(uint32_t addr)
 {

@@ -143,10 +143,13 @@ inline constexpr size_t canonicalMergeBlock = 4096;
  * Merge @p runs, each already in packetCanonicalLess order, in that
  * order: the merged packets with timestampNs below @p limitNs go to
  * @p emit, the rest are appended, still in order, to @p rest. The
- * one ordering routine of every reconstruction path — the streaming
- * flush (which emits straight into its sink), in-memory expansion,
- * the query chunk merge and the catalog's cross-archive merge — so
- * they cannot disagree on the order of equal-timestamp packets.
+ * one ordering routine of every reconstruction path — the
+ * reconstruction loop (FccTraceCompressor::expandInto, behind
+ * expand() and the streaming drain) and the query merge of chunk
+ * runs (one archive's, or a catalog's across archives) — so they
+ * cannot disagree on the order of equal-timestamp packets. A limit
+ * of 0 emits nothing and leaves the whole merge in @p rest; a limit
+ * of ~0 emits every packet a reconstruction can produce.
  *
  * The runs are consumed and no copy of the whole merge is built:
  * each @p emit call gets at most canonicalMergeBlock packets. Below
@@ -162,15 +165,6 @@ inline constexpr size_t canonicalMergeBlock = 4096;
 void mergeCanonicalRuns(std::vector<std::vector<PacketRecord>> runs,
                         uint64_t limitNs, const PacketSpanSink &emit,
                         std::vector<PacketRecord> &rest);
-
-/**
- * Merge @p runs into one run in packetCanonicalLess order: the
- * result equals std::sort of the concatenation. The streaming form
- * with nothing emitted, so a single non-empty run is moved through
- * without a copy.
- */
-std::vector<PacketRecord>
-mergeCanonicalRuns(std::vector<std::vector<PacketRecord>> runs);
 
 /** Render an IPv4 address in dotted-quad notation. */
 std::string formatIp(uint32_t addr);

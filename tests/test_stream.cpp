@@ -30,6 +30,7 @@
 #include "trace/web_gen.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 #include "test_common.hpp"
 
@@ -960,6 +961,13 @@ struct DrainFixture
     const char *name;
     trace::Trace trace;
     uint32_t chunkRecords;
+    /**
+     * Cut the records into six chunks and shift them so the middle
+     * one starts at UINT64_MAX / 1000 µs: the reconstructed
+     * timestamps of later packets pass UINT64_MAX ns and wrap, so the
+     * next record's start is no monotone flush limit.
+     */
+    bool wrapped = false;
 };
 
 std::vector<DrainFixture>
@@ -981,10 +989,49 @@ writeFixtureArchive(const DrainFixture &fx, std::vector<uint8_t> &bytes)
     cfg.container = fccc::ContainerFormat::Fcc3;
     cfg.chunkRecords = fx.chunkRecords;
     cfg.threads = 1;
-    bytes = fccc::FccTraceCompressor(cfg).compress(fx.trace);
+    fccc::FccCompressStats stats;
+    fccc::Datasets d =
+        fccc::FccTraceCompressor(cfg).buildDatasets(fx.trace, stats);
+    if (fx.wrapped) {
+        d.chunkSizes = fccc::chunkLayout(
+            d.records(), static_cast<uint32_t>((d.records() + 5) / 6));
+        uint64_t shift = UINT64_MAX / 1000 -
+                         d.timeSeq[d.records() / 2].firstTimestampUs;
+        for (fccc::TimeSeqRecord &rec : d.timeSeq)
+            rec.firstTimestampUs += shift;
+    }
+    bytes = fccc::serializeDatasets(d, cfg, stats.sizes);
     std::string path = tempPath(std::string(fx.name) + ".fcc");
     writeBytes(path, bytes);
     return path;
+}
+
+/**
+ * The independent reconstruction reference: every chunk's
+ * expandChunk run — or, for a legacy unchunked layout, the single
+ * stream seeded decompressSeed — concatenated and ordered by
+ * std::sort. No merge, no batching, no flush limit.
+ */
+std::vector<trace::PacketRecord>
+sortedReference(const fccc::Datasets &d)
+{
+    fccc::FccConfig cfg;
+    fccc::FccTraceCompressor codec(cfg);
+    std::vector<trace::PacketRecord> all;
+    if (d.chunkSizes.empty()) {
+        util::Rng rng(cfg.decompressSeed);
+        for (const fccc::TimeSeqRecord &rec : d.timeSeq)
+            codec.expandFlow(d, rec, rng, all);
+    } else {
+        fccc::ChunkStreams chunks(d, cfg.decompressSeed);
+        std::vector<trace::PacketRecord> run;
+        for (size_t c = 0; c < chunks.size(); ++c) {
+            codec.expandChunk(d, chunks, c, run);
+            all.insert(all.end(), run.begin(), run.end());
+        }
+    }
+    std::sort(all.begin(), all.end(), trace::packetCanonicalLess);
+    return all;
 }
 
 RecordingSink
@@ -1151,13 +1198,16 @@ batchFlushSizes(const fccc::Datasets &d,
 TEST(Stream, DrainIntoTshMatchesExpandAcrossBlockEdges)
 {
     // The drain merges each batch straight into the sink in blocks
-    // of trace::canonicalMergeBlock. Its TSH bytes must equal those
-    // of expand() where a batch's flush ends exactly on a block
-    // edge (block-edge), where the carry into the last batch is not
-    // empty (long-carry) and where one chunk is written as a span
-    // of its own run (single-chunk).
+    // of trace::canonicalMergeBlock. Its TSH bytes, and expand()'s,
+    // must equal those of the independent reference where a batch's
+    // flush ends exactly on a block edge (block-edge), where the
+    // carry into the last batch is not empty (long-carry), where one
+    // chunk is written as a span of its own run (single-chunk) and
+    // where reconstructed timestamps wrap past UINT64_MAX ns
+    // (wrapped).
     std::vector<DrainFixture> fixtures;
     fixtures.push_back({"block-edge", blockEdgeTrace(), 1});
+    fixtures.push_back({"wrapped", webTrace(37, 4.0), 1u << 20, true});
     for (DrainFixture &fx : drainFixtures())
         if (std::string(fx.name) != "tied-starts" &&
             std::string(fx.name) != "web-odd-chunks")
@@ -1168,18 +1218,19 @@ TEST(Stream, DrainIntoTshMatchesExpandAcrossBlockEdges)
         std::vector<uint8_t> bytes;
         std::string path = writeFixtureArchive(fx, bytes);
         fccc::Datasets d = fccc::deserializeAuto(bytes, 1);
-        std::vector<trace::PacketRecord> reference =
-            fccc::FccTraceCompressor(fccc::FccConfig{})
-                .expand(d)
-                .packets();
+        std::vector<trace::PacketRecord> reference = sortedReference(d);
         std::vector<uint8_t> expected =
             trace::writeTsh(trace::Trace(reference));
         std::string name = fx.name;
-        for (uint32_t threads : {1u, 2u, 4u}) {
+        for (uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
             SCOPED_TRACE(threads);
             std::vector<size_t> flushes =
                 batchFlushSizes(d, reference, threads);
-            if (name == "block-edge") {
+            if (name == "wrapped") {
+                ASSERT_EQ(d.chunkSizes.size(), 6u);
+                EXPECT_GT(d.timeSeq.back().firstTimestampUs,
+                          UINT64_MAX / 1000);
+            } else if (name == "block-edge") {
                 ASSERT_GT(flushes.size(), 1u);
                 for (size_t size : flushes) {
                     EXPECT_GT(size, 0u);
@@ -1218,6 +1269,9 @@ TEST(Stream, DrainIntoTshMatchesExpandAcrossBlockEdges)
             trace::TshSink sink(std::move(out));
             session.drainTo(sink);
             EXPECT_TRUE(written->take() == expected);
+            EXPECT_TRUE(trace::writeTsh(
+                            fccc::FccTraceCompressor(cfg).expand(d)) ==
+                        expected);
         }
         std::remove(path.c_str());
     }
@@ -1247,10 +1301,18 @@ TEST(Stream, DrainMatchesGoldenReferences)
             (std::istreambuf_iterator<char>(in)),
             std::istreambuf_iterator<char>());
         ASSERT_FALSE(expected.empty());
+        std::ifstream archive(dir + "/" + c.archive, std::ios::binary);
+        std::vector<uint8_t> bytes(
+            (std::istreambuf_iterator<char>(archive)),
+            std::istreambuf_iterator<char>());
+        std::vector<trace::PacketRecord> reference =
+            sortedReference(fccc::deserializeAuto(bytes, 1));
+        EXPECT_EQ(trace::writeTsh(trace::Trace(reference)), expected);
         for (uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
             SCOPED_TRACE(threads);
             trace::Trace out(
                 drain(dir + "/" + c.archive, threads).all());
+            EXPECT_TRUE(fcc::test::samePackets(out.packets(), reference));
             EXPECT_EQ(trace::writeTsh(out), expected);
         }
     }

@@ -137,12 +137,29 @@ sortedConcatenation(const std::vector<std::vector<PacketRecord>> &runs)
     return all;
 }
 
+/**
+ * The whole merge of @p runs: the streaming form with limit 0, which
+ * emits nothing and leaves every packet in its rest.
+ */
+std::vector<PacketRecord>
+mergeAll(std::vector<std::vector<PacketRecord>> runs)
+{
+    std::vector<PacketRecord> merged;
+    mergeCanonicalRuns(
+        std::move(runs), 0,
+        [](std::span<const PacketRecord>) {
+            ADD_FAILURE() << "emitted below a limit of 0";
+        },
+        merged);
+    return merged;
+}
+
 } // namespace
 
 TEST(CanonicalMerge, EmptyRuns)
 {
-    EXPECT_TRUE(mergeCanonicalRuns({}).empty());
-    EXPECT_TRUE(mergeCanonicalRuns({{}, {}, {}}).empty());
+    EXPECT_TRUE(mergeAll({}).empty());
+    EXPECT_TRUE(mergeAll({{}, {}, {}}).empty());
 }
 
 TEST(CanonicalMerge, SingleRunMovesThrough)
@@ -151,7 +168,7 @@ TEST(CanonicalMerge, SingleRunMovesThrough)
     std::vector<PacketRecord> expected = runs[1];
     const PacketRecord *buffer = runs[1].data();
     std::vector<PacketRecord> merged =
-        mergeCanonicalRuns(std::move(runs));
+        mergeAll(std::move(runs));
     EXPECT_TRUE(fcc::test::samePackets(merged, expected));
     EXPECT_EQ(merged.data(), buffer) << "single run was copied";
 }
@@ -171,7 +188,7 @@ TEST(CanonicalMerge, UnequalLengthsEqualSortedConcatenation)
             std::vector<PacketRecord> expected =
                 sortedConcatenation(runs);
             EXPECT_TRUE(fcc::test::samePackets(
-                mergeCanonicalRuns(std::move(runs)), expected))
+                mergeAll(std::move(runs)), expected))
                 << "seed " << seed << ", " << lengths.size()
                 << " runs";
         }
@@ -188,7 +205,7 @@ TEST(CanonicalMerge, AllEqualKeys)
         std::vector<PacketRecord>(40, pkt),
     };
     std::vector<PacketRecord> merged =
-        mergeCanonicalRuns(std::move(runs));
+        mergeAll(std::move(runs));
     EXPECT_TRUE(fcc::test::samePackets(
         merged, std::vector<PacketRecord>(44, pkt)));
 }
@@ -202,7 +219,7 @@ TEST(CanonicalMerge, TimestampTiesOrderedByEveryField)
     b.ipId = a.ipId + 1;
     c.srcIp = a.srcIp + 1;
     std::vector<PacketRecord> merged =
-        mergeCanonicalRuns({{c}, {b}, {a}});
+        mergeAll({{c}, {b}, {a}});
     EXPECT_TRUE(fcc::test::samePackets(merged, {a, b, c}));
 }
 

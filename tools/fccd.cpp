@@ -135,8 +135,9 @@ main(int argc, char **argv)
                           "--chunk-records", v, 1, UINT32_MAX));
               });
     flags.add("--backend", "NAME",
-              "store|deflate|range — FCC3 per-column\n"
-              "entropy backend (default deflate)",
+              "store|deflate|range|range-lanes — FCC3\n"
+              "per-column entropy backend (default\n"
+              "deflate)",
               [&](const char *v) {
                   config.codec.backend =
                       codec::backend::parseBackendName(v);
