@@ -9,7 +9,9 @@
  * session pass on the calling thread (and the library-default FCC2
  * container serializes serially), so its rows show what extra
  * threads cost, not a speedup; decompression expands chunks in
- * parallel.
+ * parallel. A last table decompresses an elephants-scenario archive
+ * of one chunk of long flows, which expands across the pool from 2
+ * threads up (FccTraceCompressor::expandInto).
  *
  * Run: ./build/bench/scaling_threads [--smoke] [--json out.json]
  *
@@ -26,6 +28,7 @@
 
 #include "bench_common.hpp"
 #include "codec/fcc/fcc_codec.hpp"
+#include "trace/scenario_gen.hpp"
 #include "trace/tsh.hpp"
 #include "trace/web_gen.hpp"
 #include "util/thread_pool.hpp"
@@ -141,6 +144,51 @@ main(int argc, char **argv)
                     baseExpand / sec, same ? "yes" : "NO!");
         metrics.add("fcc_decompress_mbps_t" + std::to_string(t),
                     tshMb / sec);
+    }
+
+    // One chunk (1,500 records or fewer, under chunkRecords) of at
+    // least trace::canonicalRadixMinPackets packets: the shape of
+    // perfbench's elephants-gz archive, at its size outside smoke
+    // mode.
+    trace::ScenarioConfig ecfg =
+        trace::scenarioDefaults(trace::ScenarioKind::Elephants, 2005);
+    ecfg.flows = smoke ? 300 : 1500;
+    ecfg.durationSec = smoke ? 10.0 : 60.0;
+    trace::Trace elephants = trace::ScenarioGenerator(ecfg).generate();
+    double elephantsMb = static_cast<double>(elephants.size() *
+                                             trace::tshRecordBytes) /
+                         1e6;
+    std::vector<uint8_t> oneChunk =
+        fccc::FccTraceCompressor().compress(elephants);
+    double baseSingle = 0.0;
+    std::vector<uint8_t> singleTsh;
+    std::printf("\n## single-chunk decompression (elephants, %zu "
+                "packets, %.1f MB as TSH)\n",
+                elephants.size(), elephantsMb);
+    std::printf("%8s %10s %10s %12s %9s %10s\n", "threads", "time_s",
+                "MB/s", "packets/s", "speedup", "identical");
+    for (uint32_t t : threadCounts) {
+        fccc::FccConfig fcfg;
+        fcfg.threads = t;
+        fccc::FccTraceCompressor codec(fcfg);
+        trace::Trace restored;
+        double sec = secondsOf(
+            [&] { restored = codec.decompress(oneChunk); }, reps);
+        std::vector<uint8_t> tsh = trace::writeTsh(restored);
+        if (t == 1) {
+            baseSingle = sec;
+            singleTsh = tsh;
+        }
+        bool same = tsh == singleTsh;
+        allIdentical = allIdentical && same;
+        std::printf("%8u %10.3f %10.1f %12.0f %8.2fx %10s\n", t, sec,
+                    elephantsMb / sec,
+                    static_cast<double>(restored.size()) / sec,
+                    baseSingle / sec, same ? "yes" : "NO!");
+        if (t == 1 || t == 4)
+            metrics.add("fcc_decompress_single_chunk_mbps_t" +
+                            std::to_string(t),
+                        elephantsMb / sec);
     }
 
     std::printf("\n# identical=yes on every row is the determinism "

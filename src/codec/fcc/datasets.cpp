@@ -1288,36 +1288,31 @@ TemplateFactTable
 templateFacts(const Datasets &d, uint16_t smallPayload,
               uint16_t largePayload)
 {
-    // Every packet of every template costs one S-value decode, but
-    // the values come from a one-byte alphabet: decode each once.
+    // What each S value adds, decoded once: its wire bytes (0 where
+    // the value does not decode) and its dependence bit.
     flow::Characterizer chi(d.weights);
-    struct SFacts
-    {
-        bool known = false;
-        bool dependent = false;
-        uint32_t wireBytes = 0;
-    };
-    std::array<SFacts, 256> bySValue{};
-    auto factsOfS = [&](uint16_t s) {
-        if (s < bySValue.size() && bySValue[s].known)
-            return bySValue[s];
-        flow::PacketClass cls = chi.decode(s);
-        SFacts f{true, cls.dependent,
-                 40u + representativePayload(cls.size, smallPayload,
-                                             largePayload)};
-        if (s < bySValue.size())
-            bySValue[s] = f;
-        return f;
-    };
+    std::vector<uint32_t> wire(size_t{chi.maxValue()} + 1, 0);
+    std::vector<uint8_t> dependent(wire.size(), 0);
+    for (size_t s = 0; s < wire.size(); ++s) {
+        if (std::optional<flow::PacketClass> cls =
+                chi.tryDecode(static_cast<uint16_t>(s))) {
+            wire[s] = 40u + representativePayload(cls->size, smallPayload,
+                                                  largePayload);
+            dependent[s] = cls->dependent;
+        }
+    }
     auto factsOf = [&](const std::vector<uint16_t> &sValues) {
         TemplateFacts f;
         f.packets = sValues.size();
-        for (size_t i = 0; i < sValues.size(); ++i) {
-            SFacts sf = factsOfS(sValues[i]);
-            f.wireBytes += sf.wireBytes;
-            if (i > 0 && sf.dependent)
-                ++f.dependent;
+        for (uint16_t s : sValues) {
+            util::require(s < wire.size() && wire[s] != 0,
+                          "Characterizer: invalid S value");
+            f.wireBytes += wire[s];
+            f.dependent += dependent[s];
         }
+        // The first packet has no predecessor to depend on.
+        if (!sValues.empty())
+            f.dependent -= dependent[sValues[0]];
         return f;
     };
     TemplateFactTable table;
@@ -1329,11 +1324,15 @@ templateFacts(const Datasets &d, uint16_t smallPayload,
         util::require(t.iptUs.size() == t.sValues.size(),
                       "fcc: long template IPT/S length mismatch");
         TemplateFacts f = factsOf(t.sValues);
-        // The reconstruction adds iptUs[i] for i >= 1 only.
-        for (size_t i = 1; i < t.iptUs.size(); ++i)
-            if (__builtin_add_overflow(f.iptSumUs, t.iptUs[i],
-                                       &f.iptSumUs))
-                f.iptSumUs = UINT64_MAX;
+        // The reconstruction adds iptUs[i] for i >= 1 only. A wrapped
+        // sum ends below the addend that wrapped it.
+        bool wrapped = false;
+        for (size_t i = 1; i < t.iptUs.size(); ++i) {
+            f.iptSumUs += t.iptUs[i];
+            wrapped |= f.iptSumUs < t.iptUs[i];
+        }
+        if (wrapped)
+            f.iptSumUs = UINT64_MAX;
         table.longFacts.push_back(f);
     }
     return table;

@@ -16,7 +16,11 @@
 #include "codec/fcc/fcc_codec.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "codec/deflate/deflate.hpp"
 #include "codec/fcc/index.hpp"
@@ -68,16 +72,357 @@ expandedPackets(const Datasets &d,
     return packets;
 }
 
-/** True when no reconstructed timestamp passes UINT64_MAX ns. */
-bool
-spansKnown(const Datasets &d, uint32_t gapUs)
+/**
+ * The §4 timing rule, packet by packet: visit(i, cls, tUs) for every
+ * packet i of @p rec's flow, in flow order. Long flows replay exact
+ * inter-packet times; short flows space dependent packets by the
+ * flow RTT and the others by @p gapUs. expandFlow and the split
+ * expansion's count walk both take each packet's time from here;
+ * flowSpan() is the same rule in closed form.
+ */
+template <class Visit>
+void
+walkFlow(const Datasets &d, const flow::ClassTable &classes,
+         const TimeSeqRecord &rec, uint32_t gapUs, Visit &&visit)
 {
-    TemplateFactTable facts = templateFacts(d, 0, 0);
-    for (const TimeSeqRecord &rec : d.timeSeq)
-        if (!flowSpan(facts.of(rec.isLong, rec.templateIndex), rec,
-                      gapUs))
+    util::require(rec.templateIndex <
+                      (rec.isLong ? d.longTemplates.size()
+                                  : d.shortTemplates.size()),
+                  "fcc: time-seq template index out of range");
+    const std::vector<uint16_t> &sValues =
+        rec.isLong ? d.longTemplates[rec.templateIndex].sValues
+                   : d.shortTemplates[rec.templateIndex].values;
+    const uint64_t *iptUs = nullptr;
+    if (rec.isLong) {
+        const std::vector<uint64_t> &ipt =
+            d.longTemplates[rec.templateIndex].iptUs;
+        util::require(ipt.size() == sValues.size(),
+                      "fcc: long template IPT/S length mismatch");
+        iptUs = ipt.data();
+    }
+    uint64_t t = rec.firstTimestampUs;
+    for (size_t i = 0; i < sValues.size(); ++i) {
+        const flow::PacketClass &cls = classes[sValues[i]];
+        if (i > 0)
+            t += iptUs ? iptUs[i]
+                       : (cls.dependent ? rec.rttUs : uint64_t{gapUs});
+        visit(i, cls, t);
+    }
+}
+
+/**
+ * The packets of @p rec's flow (§4), each passed to emit(pkt) in flow
+ * order: FccTraceCompressor::expandFlow appends them to a vector, the
+ * split expansion writes each straight to its slot.
+ */
+template <class Emit>
+void
+emitFlow(const FccConfig &cfg, const Datasets &d,
+         const flow::ClassTable &classes, const TimeSeqRecord &rec,
+         util::Rng &rng, Emit &&emit)
+{
+    util::require(rec.addressIndex < d.addresses.size(),
+                  "fcc: time-seq address index out of range");
+    // Paper §4: server address from the address dataset, server
+    // port 80; the client side is the flow's random header.
+    uint32_t serverIp = d.addresses[rec.addressIndex];
+    FlowHeader h = FccTraceCompressor::drawFlowHeader(rng);
+    uint32_t cSeq = h.clientSeq;
+    uint32_t sSeq = h.serverSeq;
+    uint16_t cIpId = h.clientIpId;
+    uint16_t sIpId = h.serverIpId;
+    bool fromClient = true;
+    walkFlow(d, classes, rec, cfg.defaultGapUs,
+             [&](size_t i, const flow::PacketClass &cls, uint64_t t) {
+        // Direction chain: the dependence bit says whether the
+        // direction flipped; the first packet's direction comes from
+        // its flag class.
+        if (i == 0)
+            fromClient = cls.flag != flow::FlagClass::SynAck;
+        else if (cls.dependent)
+            fromClient = !fromClient;
+
+        uint16_t payload = representativePayload(
+            cls.size, cfg.smallPayload, cfg.largePayload);
+
+        uint8_t flags = 0;
+        using namespace trace::tcp_flags;
+        switch (cls.flag) {
+          case flow::FlagClass::Syn:
+            flags = Syn;
+            break;
+          case flow::FlagClass::SynAck:
+            flags = Syn | Ack;
+            break;
+          case flow::FlagClass::Ack:
+            flags = payload > 0 ? (Ack | Psh) : Ack;
+            break;
+          case flow::FlagClass::FinRst:
+            flags = Fin | Ack;
+            break;
+        }
+
+        trace::PacketRecord pkt;
+        pkt.timestampNs = t * 1000ull;
+        pkt.protocol = trace::ip_proto::Tcp;
+        pkt.tcpFlags = flags;
+        pkt.payloadBytes = payload;
+        pkt.window = h.window;
+        // §4 addressing: every packet of the flow carries the stored
+        // destination and the flow's random source (the
+        // direction-aware variant swaps them for s->c packets).
+        bool addrAsClient = fromClient || !cfg.directionAwareAddresses;
+        if (addrAsClient) {
+            pkt.srcIp = h.clientIp;
+            pkt.dstIp = serverIp;
+            pkt.srcPort = h.clientPort;
+            pkt.dstPort = cfg.serverPort;
+            pkt.seq = cSeq;
+            pkt.ack = (flags & Ack) ? sSeq : 0;
+            pkt.ipId = cIpId++;
+            cSeq += payload;
+            if (flags & (Syn | Fin))
+                ++cSeq;
+        } else {
+            pkt.srcIp = serverIp;
+            pkt.dstIp = h.clientIp;
+            pkt.srcPort = cfg.serverPort;
+            pkt.dstPort = h.clientPort;
+            pkt.seq = sSeq;
+            pkt.ack = (flags & Ack) ? cSeq : 0;
+            pkt.ipId = sIpId++;
+            sSeq += payload;
+            if (flags & (Syn | Fin))
+                ++sSeq;
+        }
+        emit(pkt);
+    });
+}
+
+/**
+ * Cut items 0 .. weights.size() - 1 into at most @p parts
+ * contiguous ranges of about equal total weight; returns the cut
+ * points, from 0 to weights.size().
+ */
+std::vector<size_t>
+balancedCuts(std::span<const size_t> weights, size_t parts)
+{
+    size_t total = 0;
+    for (size_t w : weights)
+        total += w;
+    std::vector<size_t> cuts(1, 0);
+    size_t acc = 0;
+    for (size_t i = 0; i + 1 < weights.size(); ++i) {
+        acc += weights[i];
+        if (cuts.size() < parts && acc * parts >= total * cuts.size())
+            cuts.push_back(i + 1);
+    }
+    cuts.push_back(weights.size());
+    return cuts;
+}
+
+/**
+ * What one reconstruction decodes once and every chunk shares: the
+ * chunk layout, the S-value class table, the template facts and the
+ * pool, which starts on first use and is joined when the
+ * reconstruction ends.
+ */
+struct Expansion
+{
+    Expansion(const FccTraceCompressor &codec, const Datasets &d)
+        : codec(codec), d(d), chunks(d, codec.config().decompressSeed),
+          classes(d.weights), facts(templateFacts(d, 0, 0)),
+          threads(util::resolveThreads(codec.config().threads))
+    {}
+
+    /** body(0) ... body(count - 1) on the pool, or inline in index
+     *  order when one worker or one job. */
+    void
+    run(size_t count, const std::function<void(size_t)> &body)
+    {
+        if (threads > 1 && count > 1) {
+            if (!pool)
+                pool.emplace(threads);
+            pool->parallelFor(count, body);
+        } else {
+            for (size_t i = 0; i < count; ++i)
+                body(i);
+        }
+    }
+
+    /** True when no reconstructed timestamp passes UINT64_MAX ns. */
+    bool
+    spansKnown() const
+    {
+        for (const TimeSeqRecord &rec : d.timeSeq)
+            if (!flowSpan(facts.of(rec.isLong, rec.templateIndex), rec,
+                          codec.config().defaultGapUs))
+                return false;
+        return true;
+    }
+
+    const FccTraceCompressor &codec;
+    const Datasets &d;
+    ChunkStreams chunks;
+    flow::ClassTable classes;
+    TemplateFactTable facts;
+    unsigned threads;
+    std::optional<util::ThreadPool> pool;
+};
+
+/**
+ * Chunk @p c split across the pool, written into @p out as one run
+ * in trace::packetCanonicalLess order; false, leaving @p out
+ * untouched, when the chunk takes one range instead: fewer than
+ * trace::canonicalRadixMinPackets packets, a record whose flowSpan()
+ * is unknown, or records too uneven to cut.
+ *
+ * Records are cut into about 2 × threads ranges of equal packet
+ * counts, and one serial pass over drawFlowHeader saves the RNG
+ * state at each range start, so every range expands exactly the
+ * packets the serial pass would. The top 8 bits of
+ * timestampNs - (chunk's first ns) pick each packet's bucket: each
+ * range counts its packets per bucket with walkFlow, which fixes
+ * every (bucket, range) pair's slots in one exact-size buffer; each
+ * range then expands flow by flow and writes every packet to its
+ * slot; buckets are disjoint in time, so sorting each one in place
+ * (trace::sortCanonicalBucket) leaves the buffer sorted.
+ */
+bool
+expandSplit(Expansion &x, size_t c, std::vector<trace::PacketRecord> &out)
+{
+    const Datasets &d = x.d;
+    const uint32_t gapUs = x.codec.config().defaultGapUs;
+    std::span<const TimeSeqRecord> records = x.chunks.records(c);
+
+    // Plan: each record's packets and the chunk's exact time span.
+    std::vector<size_t> packets(records.size());
+    size_t total = 0;
+    uint64_t firstUs = UINT64_MAX, lastUs = 0;
+    for (size_t r = 0; r < records.size(); ++r) {
+        const TimeSeqRecord &rec = records[r];
+        const TemplateFacts &f = x.facts.of(rec.isLong, rec.templateIndex);
+        std::optional<FlowSpan> span = flowSpan(f, rec, gapUs);
+        if (!span)
             return false;
+        packets[r] = f.packets;
+        total += f.packets;
+        firstUs = std::min(firstUs, span->firstUs);
+        lastUs = std::max(lastUs, span->lastUs);
+    }
+    if (total < trace::canonicalRadixMinPackets)
+        return false;
+    std::vector<size_t> cuts = balancedCuts(packets, size_t{x.threads} * 2);
+    size_t ranges = cuts.size() - 1;
+    if (ranges < 2)
+        return false;
+    std::vector<util::Rng> rngs;
+    util::Rng rng(x.chunks.seed(c));
+    for (size_t g = 0; g < ranges; ++g) {
+        rngs.push_back(rng);
+        for (size_t r = cuts[g]; r < cuts[g + 1]; ++r)
+            FccTraceCompressor::drawFlowHeader(rng);
+    }
+
+    const uint64_t baseNs = firstUs * 1000;
+    const unsigned bits =
+        static_cast<unsigned>(std::bit_width(lastUs * 1000 - baseNs));
+    const unsigned width = std::min(bits, 8u);
+    const unsigned shift = bits - width;
+    const size_t buckets = size_t{1} << width;
+    auto bucketOf = [&](uint64_t ns) {
+        size_t b = static_cast<size_t>((ns - baseNs) >> shift);
+        util::require(b < buckets,
+                      "fcc: packet outside its chunk's time span");
+        return b;
+    };
+
+    // Count: packets per (range, bucket), from timestamps alone.
+    // Row g of slot belongs to range g; row `ranges` is filled below.
+    std::vector<size_t> slot((ranges + 1) * buckets, 0);
+    x.run(ranges, [&](size_t g) {
+        size_t *count = &slot[g * buckets];
+        for (size_t r = cuts[g]; r < cuts[g + 1]; ++r)
+            walkFlow(d, x.classes, records[r], gapUs,
+                     [&](size_t, const flow::PacketClass &, uint64_t t) {
+                         ++count[bucketOf(t * 1000)];
+                     });
+    });
+    // Bucket-major prefix sums: each (range, bucket) pair's first
+    // slot, its last one just before the next row's. Row `ranges`
+    // holds where each bucket ends.
+    size_t at = 0;
+    for (size_t b = 0; b < buckets; ++b) {
+        for (size_t g = 0; g < ranges; ++g)
+            at += std::exchange(slot[g * buckets + b], at);
+        slot[ranges * buckets + b] = at;
+    }
+    util::require(at == total, "fcc: chunk packet count mismatch");
+
+    // Expand + scatter: each range's packets straight to their slots.
+    out.assign(total, trace::PacketRecord{});
+    x.run(ranges, [&](size_t g) {
+        std::vector<size_t> cursor(&slot[g * buckets],
+                                   &slot[(g + 1) * buckets]);
+        const size_t *end = &slot[(g + 1) * buckets];
+        util::Rng flowRng = rngs[g];
+        for (size_t r = cuts[g]; r < cuts[g + 1]; ++r)
+            emitFlow(x.codec.config(), d, x.classes, records[r], flowRng,
+                     [&](const trace::PacketRecord &pkt) {
+                size_t b = bucketOf(pkt.timestampNs);
+                util::require(cursor[b] < end[b],
+                              "fcc: bucket overflow in split expansion");
+                out[cursor[b]++] = pkt;
+            });
+        for (size_t b = 0; b < buckets; ++b)
+            util::require(cursor[b] == end[b],
+                          "fcc: bucket underflow in split expansion");
+    });
+
+    // Finish: sort every bucket on its remaining key bits.
+    std::vector<size_t> bucketSizes(buckets);
+    for (size_t b = 0; b < buckets; ++b)
+        bucketSizes[b] = slot[ranges * buckets + b] - slot[b];
+    std::vector<size_t> groups =
+        balancedCuts(bucketSizes, size_t{x.threads} * 2);
+    x.run(groups.size() - 1, [&](size_t g) {
+        for (size_t b = groups[g]; b < groups[g + 1]; ++b)
+            trace::sortCanonicalBucket(
+                std::span(out).subspan(slot[b], bucketSizes[b]), baseNs,
+                shift);
+    });
     return true;
+}
+
+/**
+ * Expand every record of chunk @p c into @p out, replacing its
+ * contents, as one run in trace::packetCanonicalLess order, drawing
+ * from the chunk's own RNG stream. With @p split, a chunk that can
+ * be cut into ranges runs on the whole pool (expandSplit); any other
+ * chunk takes one range: expandFlow over its records on the calling
+ * thread, then trace::sortCanonical. Both produce the packets of the
+ * same serial RNG pass and both leave them fully sorted, and sorted
+ * packets under a total order whose equal elements are
+ * bit-identical are unique: so the run is the same whichever path
+ * built it, and the split (which depends on the thread count) never
+ * shows in the bytes. Chunks may be expanded in any order or
+ * concurrently.
+ */
+void
+expandChunk(Expansion &x, size_t c, bool split,
+            std::vector<trace::PacketRecord> &out)
+{
+    if (split && expandSplit(x, c, out))
+        return;
+    std::span<const TimeSeqRecord> records = x.chunks.records(c);
+    util::Rng rng(x.chunks.seed(c));
+    // Exact-size the run: a batch of doubling-grown runs would
+    // otherwise hold up to twice its packets.
+    out.clear();
+    out.reserve(expandedPackets(x.d, records));
+    for (const TimeSeqRecord &rec : records)
+        x.codec.expandFlow(x.d, x.classes, rec, rng, out);
+    trace::sortCanonical(out);
 }
 
 } // namespace
@@ -294,18 +639,25 @@ FccTraceCompressor::expandInto(const Datasets &d,
                                const trace::PacketSpanSink &emit) const
 {
     requirePacketFidelity(d);
-    ChunkStreams chunks(d, cfg_.decompressSeed);
-    size_t batchChunks = size_t{util::resolveThreads(cfg_.threads)} * 2;
-    bool flushEarly =
-        chunks.size() > batchChunks && spansKnown(d, cfg_.defaultGapUs);
+    Expansion x(*this, d);
+    const ChunkStreams &chunks = x.chunks;
+    size_t batchChunks = size_t{x.threads} * 2;
+    bool flushEarly = chunks.size() > batchChunks && x.spansKnown();
     std::vector<trace::PacketRecord> carry;
     for (size_t base = 0; base < chunks.size(); base += batchChunks) {
         size_t end = std::min(chunks.size(), base + batchChunks);
         std::vector<std::vector<trace::PacketRecord>> runs(
             end - base + 1);
-        util::runJobs(cfg_.threads, end - base, [&](size_t i) {
-            expandChunk(d, chunks, base + i, runs[i]);
-        });
+        if (end - base < x.threads) {
+            // Fewer chunks than threads: each chunk in turn on the
+            // whole pool.
+            for (size_t i = 0; i < end - base; ++i)
+                expandChunk(x, base + i, true, runs[i]);
+        } else {
+            x.run(end - base, [&](size_t i) {
+                expandChunk(x, base + i, false, runs[i]);
+            });
+        }
         runs.back() = std::move(carry);
         carry = {};
         // Once no record is left, everything goes: a reconstructed
@@ -339,141 +691,13 @@ FccTraceCompressor::drawFlowHeader(util::Rng &rng)
 
 void
 FccTraceCompressor::expandFlow(const Datasets &d,
+                               const flow::ClassTable &classes,
                                const TimeSeqRecord &rec,
                                util::Rng &rng,
                                std::vector<trace::PacketRecord> &out) const
 {
-    flow::Characterizer chi(d.weights);
-    {
-        util::require(rec.templateIndex <
-                          (rec.isLong ? d.longTemplates.size()
-                                      : d.shortTemplates.size()),
-                      "fcc: time-seq template index out of range");
-        util::require(rec.addressIndex < d.addresses.size(),
-                      "fcc: time-seq address index out of range");
-        const std::vector<uint16_t> *sValues;
-        const std::vector<uint64_t> *iptUs = nullptr;
-        if (rec.isLong) {
-            const LongTemplate &tmpl =
-                d.longTemplates[rec.templateIndex];
-            sValues = &tmpl.sValues;
-            iptUs = &tmpl.iptUs;
-        } else {
-            sValues = &d.shortTemplates[rec.templateIndex].values;
-        }
-
-        // Paper §4: server address from the address dataset, server
-        // port 80; the client side is the flow's random header.
-        uint32_t serverIp = d.addresses[rec.addressIndex];
-        FlowHeader h = drawFlowHeader(rng);
-        uint32_t clientIp = h.clientIp;
-        uint16_t clientPort = h.clientPort;
-        uint32_t cSeq = h.clientSeq;
-        uint32_t sSeq = h.serverSeq;
-        uint16_t cIpId = h.clientIpId;
-        uint16_t sIpId = h.serverIpId;
-        uint16_t window = h.window;
-
-        uint64_t t = rec.firstTimestampUs;
-        bool fromClient = true;
-        for (size_t i = 0; i < sValues->size(); ++i) {
-            flow::PacketClass cls = chi.decode((*sValues)[i]);
-
-            // Direction chain: the dependence bit says whether the
-            // direction flipped; the first packet's direction comes
-            // from its flag class.
-            if (i == 0) {
-                fromClient = cls.flag != flow::FlagClass::SynAck;
-            } else if (cls.dependent) {
-                fromClient = !fromClient;
-            }
-
-            // Timing: long flows replay exact inter-packet times;
-            // short flows space dependent packets by the flow RTT
-            // and others by a small fixed gap (§4). flowSpan()
-            // mirrors this rule.
-            if (i > 0) {
-                if (rec.isLong)
-                    t += (*iptUs)[i];
-                else
-                    t += cls.dependent ? rec.rttUs : cfg_.defaultGapUs;
-            }
-
-            uint16_t payload = representativePayload(
-                cls.size, cfg_.smallPayload, cfg_.largePayload);
-
-            uint8_t flags = 0;
-            using namespace trace::tcp_flags;
-            switch (cls.flag) {
-              case flow::FlagClass::Syn:
-                flags = Syn;
-                break;
-              case flow::FlagClass::SynAck:
-                flags = Syn | Ack;
-                break;
-              case flow::FlagClass::Ack:
-                flags = payload > 0 ? (Ack | Psh) : Ack;
-                break;
-              case flow::FlagClass::FinRst:
-                flags = Fin | Ack;
-                break;
-            }
-
-            trace::PacketRecord pkt;
-            pkt.timestampNs = t * 1000ull;
-            pkt.protocol = trace::ip_proto::Tcp;
-            pkt.tcpFlags = flags;
-            pkt.payloadBytes = payload;
-            pkt.window = window;
-            // §4 addressing: every packet of the flow carries the
-            // stored destination and the flow's random source (the
-            // direction-aware variant swaps them for s->c packets).
-            bool addrAsClient =
-                fromClient || !cfg_.directionAwareAddresses;
-            if (addrAsClient) {
-                pkt.srcIp = clientIp;
-                pkt.dstIp = serverIp;
-                pkt.srcPort = clientPort;
-                pkt.dstPort = cfg_.serverPort;
-                pkt.seq = cSeq;
-                pkt.ack = (flags & Ack) ? sSeq : 0;
-                pkt.ipId = cIpId++;
-                cSeq += payload;
-                if (flags & (Syn | Fin))
-                    ++cSeq;
-            } else {
-                pkt.srcIp = serverIp;
-                pkt.dstIp = clientIp;
-                pkt.srcPort = cfg_.serverPort;
-                pkt.dstPort = clientPort;
-                pkt.seq = sSeq;
-                pkt.ack = (flags & Ack) ? cSeq : 0;
-                pkt.ipId = sIpId++;
-                sSeq += payload;
-                if (flags & (Syn | Fin))
-                    ++sSeq;
-            }
-            out.push_back(pkt);
-        }
-    }
-}
-
-void
-FccTraceCompressor::expandChunk(
-    const Datasets &d, const ChunkStreams &chunks, size_t chunk,
-    std::vector<trace::PacketRecord> &out) const
-{
-    requirePacketFidelity(d);
-    util::require(chunk < chunks.size(), "fcc: chunk index out of range");
-    std::span<const TimeSeqRecord> records = chunks.records(chunk);
-    util::Rng rng(chunks.seed(chunk));
-    // Exact-size the run: a batch of doubling-grown runs would
-    // otherwise hold up to twice its packets.
-    out.clear();
-    out.reserve(expandedPackets(d, records));
-    for (const TimeSeqRecord &rec : records)
-        expandFlow(d, rec, rng, out);
-    trace::sortCanonical(out);
+    emitFlow(cfg_, d, classes, rec, rng,
+             [&out](const trace::PacketRecord &pkt) { out.push_back(pkt); });
 }
 
 trace::Trace

@@ -288,14 +288,26 @@ class FccTraceCompressor : public TraceCompressor
      * DecompressSession::drainTo: every packet of @p datasets goes to
      * @p emit in trace::packetCanonicalLess order, in blocks of at
      * most trace::canonicalMergeBlock. Batches of 2 × threads chunks
-     * expand on the pool, each into a sorted run (expandChunk); one
-     * streaming merge (trace::mergeCanonicalRuns) joins them with the
-     * carry of earlier batches, emits what is older than the next
-     * batch's first record and carries the rest. Records are
-     * time-sorted, so no later chunk can produce an older packet —
-     * unless a reconstructed timestamp passes UINT64_MAX ns (some
-     * record's flowSpan() is unknown): then nothing leaves before the
-     * last batch. The bytes never depend on the thread count.
+     * expand on one pool that lives for the call, each chunk into a
+     * sorted run; one streaming merge (trace::mergeCanonicalRuns)
+     * joins them with the carry of earlier batches, emits what is
+     * older than the next batch's first record and carries the rest.
+     * Records are time-sorted, so no later chunk can produce an older
+     * packet — unless a reconstructed timestamp passes UINT64_MAX ns
+     * (some record's flowSpan() is unknown): then nothing leaves
+     * before the last batch.
+     *
+     * A batch of at least as many chunks as threads expands one chunk
+     * per job. A batch of fewer (a one-chunk archive at 2 threads or
+     * more) expands each chunk in turn across the whole pool: its
+     * records are cut into ranges of equal packet counts, each packet
+     * goes straight to a slot of one exact-size buffer chosen by the
+     * top 8 bits of its timestamp, and every such time bucket is then
+     * sorted in place. A chunk of fewer than
+     * trace::canonicalRadixMinPackets packets, or with a record whose
+     * flowSpan() is unknown, is not split. Either way a chunk's run is
+     * its packets of the same serial RNG pass, fully sorted under a
+     * total order, so the bytes never depend on the thread count.
      *
      * @throws fcc::util::Error on flow-fidelity datasets (no
      *         per-packet data) or a malformed layout.
@@ -305,14 +317,20 @@ class FccTraceCompressor : public TraceCompressor
 
     /**
      * Expand one time-seq record into its flow's packets, appended
-     * to @p out in flow order (not globally time-sorted). @p rng
-     * supplies the §4 random source address / client port;
-     * expandChunk and the query's filtered expansion share this so
-     * both produce the same packets for the same seed.
+     * to @p out in flow order (not globally time-sorted). @p classes
+     * decodes the S values (flow::ClassTable of datasets.weights,
+     * built once per reconstruction); @p rng supplies the §4 random
+     * source address / client port. The reconstruction loop and the
+     * query's filtered expansion share this, so both produce the
+     * same packets for the same seed.
+     *
+     * @throws fcc::util::Error on an out-of-range template or
+     *         address index, or an S value that does not decode.
      */
     void
-    expandFlow(const Datasets &datasets, const TimeSeqRecord &record,
-               util::Rng &rng,
+    expandFlow(const Datasets &datasets,
+               const flow::ClassTable &classes,
+               const TimeSeqRecord &record, util::Rng &rng,
                std::vector<trace::PacketRecord> &out) const;
 
     /**
@@ -322,18 +340,6 @@ class FccTraceCompressor : public TraceCompressor
      * way.
      */
     static FlowHeader drawFlowHeader(util::Rng &rng);
-
-    /**
-     * Expand every record of chunk @p chunk of @p chunks (the layout
-     * of @p datasets) into @p out, replacing its contents, drawing
-     * from the chunk's own RNG stream. The packets come out as one
-     * run in trace::packetCanonicalLess order, sorted by the calling
-     * thread, so the caller only merges runs. Chunks may be expanded
-     * in any order or concurrently.
-     */
-    void expandChunk(const Datasets &datasets,
-                     const ChunkStreams &chunks, size_t chunk,
-                     std::vector<trace::PacketRecord> &out) const;
 
     const FccConfig &config() const { return cfg_; }
 

@@ -68,23 +68,42 @@ Characterizer::encode(const PacketClass &cls) const
 PacketClass
 Characterizer::decode(uint16_t sValue) const
 {
-    util::require(sValue <= maxValue(),
-                  "Characterizer: S value out of range");
-    PacketClass cls;
-    uint16_t rest = sValue;
-    uint16_t f1 = static_cast<uint16_t>(rest / weights_.w1);
-    util::require(f1 <= f1Max, "Characterizer: invalid f1 in S value");
-    rest = static_cast<uint16_t>(rest % weights_.w1);
+    std::optional<PacketClass> cls = tryDecode(sValue);
+    util::require(cls.has_value(), "Characterizer: invalid S value");
+    return *cls;
+}
+
+std::optional<PacketClass>
+Characterizer::tryDecode(uint16_t sValue) const
+{
+    if (sValue > maxValue())
+        return std::nullopt;
+    uint16_t f1 = static_cast<uint16_t>(sValue / weights_.w1);
+    uint16_t rest = static_cast<uint16_t>(sValue % weights_.w1);
     uint16_t f2 = static_cast<uint16_t>(rest / weights_.w2);
-    util::require(f2 <= f2Max, "Characterizer: invalid f2 in S value");
     rest = static_cast<uint16_t>(rest % weights_.w2);
-    util::require(rest % weights_.w3 == 0 &&
-                      rest / weights_.w3 <= f3Max,
-                  "Characterizer: invalid f3 in S value");
+    if (f1 > f1Max || f2 > f2Max || rest % weights_.w3 != 0 ||
+        rest / weights_.w3 > f3Max)
+        return std::nullopt;
+    PacketClass cls;
     cls.flag = static_cast<FlagClass>(f1);
     cls.dependent = f2 == 0;
     cls.size = static_cast<SizeClass>(rest / weights_.w3);
     return cls;
+}
+
+ClassTable::ClassTable(const Weights &weights)
+{
+    Characterizer chi(weights);
+    classes_.resize(size_t{chi.maxValue()} + 1);
+    for (size_t s = 0; s < classes_.size(); ++s)
+        classes_[s] = chi.tryDecode(static_cast<uint16_t>(s));
+}
+
+void
+ClassTable::invalid()
+{
+    throw util::Error("Characterizer: invalid S value");
 }
 
 PacketClass

@@ -16,6 +16,7 @@
 #define FCC_FLOW_CHARACTERIZE_HPP
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "flow/flow_table.hpp"
@@ -103,6 +104,10 @@ class Characterizer
     /** Recover (f1, f2, f3) from an S value. @throws Error */
     PacketClass decode(uint16_t sValue) const;
 
+    /** decode() without the throw: empty when @p sValue does not
+     *  decode under these weights. */
+    std::optional<PacketClass> tryDecode(uint16_t sValue) const;
+
     /** Classify packet @p i of @p flow within @p trace. */
     PacketClass
     classify(const AssembledFlow &flow, const trace::Trace &trace,
@@ -120,6 +125,33 @@ class Characterizer
 
   private:
     Weights weights_;
+};
+
+/**
+ * Every S value's decode under one weight configuration, done once:
+ * the reconstruction looks each packet's class up instead of paying
+ * decode()'s range check and three divisions per packet.
+ */
+class ClassTable
+{
+  public:
+    /** @throws fcc::util::Error if @p weights is not decodable. */
+    explicit ClassTable(const Weights &weights);
+
+    /** Characterizer::decode(@p sValue).
+     *  @throws fcc::util::Error when it does not decode. */
+    const PacketClass &
+    operator[](uint16_t sValue) const
+    {
+        if (sValue >= classes_.size() || !classes_[sValue])
+            invalid();
+        return *classes_[sValue];
+    }
+
+  private:
+    [[noreturn]] static void invalid();
+
+    std::vector<std::optional<PacketClass>> classes_;  ///< maxValue()+1
 };
 
 /**

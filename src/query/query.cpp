@@ -50,6 +50,7 @@ expandFiltered(const fccc::FccTraceCompressor &codec,
                uint64_t rngSeed, const Expr &expr, ChunkResult &out)
 {
     util::Rng rng(rngSeed);
+    flow::ClassTable classes(shared.weights);
     std::vector<trace::PacketRecord> flowBuf;
     for (const fccc::TimeSeqRecord &rec : records) {
         const fccc::TemplateFacts &tmpl =
@@ -69,7 +70,7 @@ expandFiltered(const fccc::FccTraceCompressor &codec,
         }
         ++out.expanded;
         flowBuf.clear();
-        codec.expandFlow(shared, rec, rng, flowBuf);
+        codec.expandFlow(shared, classes, rec, rng, flowBuf);
         size_t emitted = 0;
         for (const trace::PacketRecord &pkt : flowBuf) {
             if (verdict == Expr::FlowMatch::PerPacket &&

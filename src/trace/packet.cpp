@@ -123,10 +123,18 @@ sortCanonical(std::vector<PacketRecord> &packets)
             return a.timestampNs < b.timestampNs;
         });
     uint64_t base = lo->timestampNs;
-    unsigned bits =
-        static_cast<unsigned>(std::bit_width(hi->timestampNs - base));
-    radixSortBucket(packets.data(), packets.data() + packets.size(),
-                    base, bits);
+    sortCanonicalBucket(
+        packets, base,
+        static_cast<unsigned>(std::bit_width(hi->timestampNs - base)));
+}
+
+void
+sortCanonicalBucket(std::span<PacketRecord> packets, uint64_t base,
+                    unsigned bits)
+{
+    if (packets.size() > 1)
+        radixSortBucket(packets.data(), packets.data() + packets.size(),
+                        base, bits);
 }
 
 void

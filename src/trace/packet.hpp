@@ -133,6 +133,17 @@ inline constexpr size_t canonicalRadixMinPackets = 4096;
  */
 void sortCanonical(std::vector<PacketRecord> &packets);
 
+/**
+ * One bucket of sortCanonical's radix recursion, finished in place:
+ * sort @p packets, whose keys timestampNs - @p base all agree above
+ * bit @p bits, into packetCanonicalLess order. sortCanonical is this
+ * call over the whole input (base its minimum timestamp, bits the
+ * key's width); a caller that has already placed packets by their
+ * top key bits finishes each bucket with it.
+ */
+void sortCanonicalBucket(std::span<PacketRecord> packets, uint64_t base,
+                         unsigned bits);
+
 /** Receives merged packets in order, one block per call. */
 using PacketSpanSink = std::function<void(std::span<const PacketRecord>)>;
 

@@ -490,18 +490,19 @@ TEST(FlowHeader, SkippingFlowsByHeaderDrawKeepsTheStream)
     ASSERT_GT(d.timeSeq.size(), 40u);
     ASSERT_FALSE(d.longTemplates.empty());
 
+    flow::ClassTable classes(d.weights);
     for (size_t k = 0; k < d.timeSeq.size(); k += 7) {
         util::Rng full(1234);
         std::vector<trace::PacketRecord> packets;
         for (size_t i = 0; i <= k; ++i) {
             packets.clear();
-            codec.expandFlow(d, d.timeSeq[i], full, packets);
+            codec.expandFlow(d, classes, d.timeSeq[i], full, packets);
         }
         util::Rng skip(1234);
         for (size_t i = 0; i < k; ++i)
             codec::fcc::FccTraceCompressor::drawFlowHeader(skip);
         std::vector<trace::PacketRecord> alone;
-        codec.expandFlow(d, d.timeSeq[k], skip, alone);
+        codec.expandFlow(d, classes, d.timeSeq[k], skip, alone);
         ASSERT_TRUE(fcc::test::samePackets(alone, packets))
             << "flow " << k;
         // Both streams sit at the same state afterwards.
@@ -540,11 +541,12 @@ TEST(FlowHeader, FlowSpanBoundsEveryExpandedPacket)
         d, cfg.smallPayload, cfg.largePayload);
 
     util::Rng rng(99);
+    flow::ClassTable classes(d.weights);
     std::vector<trace::PacketRecord> packets;
     size_t longFlows = 0;
     for (const codec::fcc::TimeSeqRecord &rec : d.timeSeq) {
         packets.clear();
-        codec.expandFlow(d, rec, rng, packets);
+        codec.expandFlow(d, classes, rec, rng, packets);
         const codec::fcc::TemplateFacts &f =
             facts.of(rec.isLong, rec.templateIndex);
         ASSERT_EQ(f.packets, packets.size());

@@ -642,12 +642,14 @@ expandEveryFlow(const fccc::Datasets &d, const fccc::FccConfig &cfg)
     fccc::FccTraceCompressor codec(cfg);
     std::vector<std::vector<trace::PacketRecord>> flows;
     flows.reserve(d.timeSeq.size());
+    flow::ClassTable classes(d.weights);
     size_t rec = 0;
     for (size_t c = 0; c < d.chunkSizes.size(); ++c) {
         util::Rng rng(fccc::chunkRngSeed(cfg.decompressSeed, c));
         for (size_t i = 0; i < d.chunkSizes[c]; ++i, ++rec) {
             flows.emplace_back();
-            codec.expandFlow(d, d.timeSeq[rec], rng, flows.back());
+            codec.expandFlow(d, classes, d.timeSeq[rec], rng,
+                             flows.back());
         }
     }
     return flows;

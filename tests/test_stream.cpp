@@ -956,18 +956,34 @@ blockEdgeTrace()
     return timeOrdered(std::move(packets));
 }
 
+/**
+ * Sixty flows of the elephants scenario, three of them long
+ * transfers: about 10k packets, enough for one chunk to be split
+ * across the pool (trace::canonicalRadixMinPackets and up).
+ */
+trace::Trace
+elephantsTrace()
+{
+    trace::ScenarioConfig cfg =
+        trace::scenarioDefaults(trace::ScenarioKind::Elephants, 2005);
+    cfg.flows = 60;
+    cfg.durationSec = 4.0;
+    return trace::ScenarioGenerator(cfg).generate();
+}
+
 struct DrainFixture
 {
     const char *name;
     trace::Trace trace;
     uint32_t chunkRecords;
     /**
-     * Cut the records into six chunks and shift them so the middle
-     * one starts at UINT64_MAX / 1000 µs: the reconstructed
-     * timestamps of later packets pass UINT64_MAX ns and wrap, so the
-     * next record's start is no monotone flush limit.
+     * When non-zero, cut the records into this many chunks and shift
+     * them so the middle record starts at UINT64_MAX / 1000 µs: the
+     * reconstructed timestamps of later packets pass UINT64_MAX ns
+     * and wrap, so the next record's start is no monotone flush
+     * limit and no chunk holding them can be split by time.
      */
-    bool wrapped = false;
+    size_t wrappedChunks = 0;
 };
 
 std::vector<DrainFixture>
@@ -992,9 +1008,10 @@ writeFixtureArchive(const DrainFixture &fx, std::vector<uint8_t> &bytes)
     fccc::FccCompressStats stats;
     fccc::Datasets d =
         fccc::FccTraceCompressor(cfg).buildDatasets(fx.trace, stats);
-    if (fx.wrapped) {
+    if (fx.wrappedChunks > 0) {
+        size_t n = fx.wrappedChunks;
         d.chunkSizes = fccc::chunkLayout(
-            d.records(), static_cast<uint32_t>((d.records() + 5) / 6));
+            d.records(), static_cast<uint32_t>((d.records() + n - 1) / n));
         uint64_t shift = UINT64_MAX / 1000 -
                          d.timeSeq[d.records() / 2].firstTimestampUs;
         for (fccc::TimeSeqRecord &rec : d.timeSeq)
@@ -1007,28 +1024,24 @@ writeFixtureArchive(const DrainFixture &fx, std::vector<uint8_t> &bytes)
 }
 
 /**
- * The independent reconstruction reference: every chunk's
- * expandChunk run — or, for a legacy unchunked layout, the single
- * stream seeded decompressSeed — concatenated and ordered by
- * std::sort. No merge, no batching, no flush limit.
+ * The independent reconstruction reference: expandFlow over every
+ * chunk's records from the chunk's own RNG stream (ChunkStreams:
+ * a legacy unchunked layout is one chunk seeded decompressSeed),
+ * concatenated and ordered by std::sort. No split, no radix sort, no
+ * merge, no batching, no flush limit.
  */
 std::vector<trace::PacketRecord>
 sortedReference(const fccc::Datasets &d)
 {
     fccc::FccConfig cfg;
     fccc::FccTraceCompressor codec(cfg);
+    flow::ClassTable classes(d.weights);
+    fccc::ChunkStreams chunks(d, cfg.decompressSeed);
     std::vector<trace::PacketRecord> all;
-    if (d.chunkSizes.empty()) {
-        util::Rng rng(cfg.decompressSeed);
-        for (const fccc::TimeSeqRecord &rec : d.timeSeq)
-            codec.expandFlow(d, rec, rng, all);
-    } else {
-        fccc::ChunkStreams chunks(d, cfg.decompressSeed);
-        std::vector<trace::PacketRecord> run;
-        for (size_t c = 0; c < chunks.size(); ++c) {
-            codec.expandChunk(d, chunks, c, run);
-            all.insert(all.end(), run.begin(), run.end());
-        }
+    for (size_t c = 0; c < chunks.size(); ++c) {
+        util::Rng rng(chunks.seed(c));
+        for (const fccc::TimeSeqRecord &rec : chunks.records(c))
+            codec.expandFlow(d, classes, rec, rng, all);
     }
     std::sort(all.begin(), all.end(), trace::packetCanonicalLess);
     return all;
@@ -1198,16 +1211,23 @@ batchFlushSizes(const fccc::Datasets &d,
 TEST(Stream, DrainIntoTshMatchesExpandAcrossBlockEdges)
 {
     // The drain merges each batch straight into the sink in blocks
-    // of trace::canonicalMergeBlock. Its TSH bytes, and expand()'s,
-    // must equal those of the independent reference where a batch's
-    // flush ends exactly on a block edge (block-edge), where the
-    // carry into the last batch is not empty (long-carry), where one
-    // chunk is written as a span of its own run (single-chunk) and
-    // where reconstructed timestamps wrap past UINT64_MAX ns
-    // (wrapped).
+    // of trace::canonicalMergeBlock. Its TSH bytes, expand()'s and
+    // decompress()'s must equal those of the independent reference
+    // where a batch's flush ends exactly on a block edge
+    // (block-edge), where the carry into the last batch is not empty
+    // (long-carry), where one chunk is written as a span of its own
+    // run (single-chunk), where one chunk of long flows is split
+    // across the pool from 2 threads up (elephants-single-chunk) and
+    // where reconstructed timestamps wrap past UINT64_MAX ns, across
+    // chunks (wrapped) or inside the one chunk, which then is not
+    // split (wrapped-single-chunk).
     std::vector<DrainFixture> fixtures;
     fixtures.push_back({"block-edge", blockEdgeTrace(), 1});
-    fixtures.push_back({"wrapped", webTrace(37, 4.0), 1u << 20, true});
+    fixtures.push_back({"wrapped", webTrace(37, 4.0), 1u << 20, 6});
+    fixtures.push_back(
+        {"elephants-single-chunk", elephantsTrace(), 1u << 20});
+    fixtures.push_back(
+        {"wrapped-single-chunk", elephantsTrace(), 1u << 20, 1});
     for (DrainFixture &fx : drainFixtures())
         if (std::string(fx.name) != "tied-starts" &&
             std::string(fx.name) != "web-odd-chunks")
@@ -1226,8 +1246,8 @@ TEST(Stream, DrainIntoTshMatchesExpandAcrossBlockEdges)
             SCOPED_TRACE(threads);
             std::vector<size_t> flushes =
                 batchFlushSizes(d, reference, threads);
-            if (name == "wrapped") {
-                ASSERT_EQ(d.chunkSizes.size(), 6u);
+            if (fx.wrappedChunks > 0) {
+                ASSERT_EQ(d.chunkSizes.size(), fx.wrappedChunks);
                 EXPECT_GT(d.timeSeq.back().firstTimestampUs,
                           UINT64_MAX / 1000);
             } else if (name == "block-edge") {
@@ -1259,6 +1279,12 @@ TEST(Stream, DrainIntoTshMatchesExpandAcrossBlockEdges)
             } else {
                 ASSERT_EQ(d.chunkSizes.size(), 1u);
             }
+            if (name.find("elephants") != std::string::npos ||
+                name == "wrapped-single-chunk") {
+                EXPECT_GE(reference.size(),
+                          trace::canonicalRadixMinPackets);
+                EXPECT_GE(d.longTemplates.size(), 2u);
+            }
 
             fccc::FccConfig cfg;
             cfg.threads = threads;
@@ -1269,11 +1295,46 @@ TEST(Stream, DrainIntoTshMatchesExpandAcrossBlockEdges)
             trace::TshSink sink(std::move(out));
             session.drainTo(sink);
             EXPECT_TRUE(written->take() == expected);
-            EXPECT_TRUE(trace::writeTsh(
-                            fccc::FccTraceCompressor(cfg).expand(d)) ==
+            fccc::FccTraceCompressor codec(cfg);
+            EXPECT_TRUE(trace::writeTsh(codec.expand(d)) == expected);
+            EXPECT_TRUE(trace::writeTsh(codec.decompress(bytes)) ==
                         expected);
         }
         std::remove(path.c_str());
+    }
+}
+
+TEST(Stream, SplitExpansionRejectsCorruptDatasets)
+{
+    // One chunk of long flows, expanded across a 4-thread pool: a
+    // record naming a template that does not exist, or a long
+    // template with an S value that does not decode, ends in
+    // util::Error, as on one thread.
+    fccc::FccConfig cfg;
+    cfg.threads = 1;
+    cfg.chunkRecords = 1u << 20;
+    fccc::FccCompressStats stats;
+    fccc::Datasets good =
+        fccc::FccTraceCompressor(cfg).buildDatasets(elephantsTrace(),
+                                                    stats);
+    ASSERT_EQ(good.chunkSizes.size(), 1u);
+    ASSERT_FALSE(good.longTemplates.empty());
+
+    fccc::Datasets badIndex = good;
+    badIndex.timeSeq.back().templateIndex = static_cast<uint32_t>(
+        badIndex.shortTemplates.size() + badIndex.longTemplates.size());
+    fccc::Datasets badS = good;
+    std::vector<uint16_t> &sValues = badS.longTemplates.back().sValues;
+    sValues[sValues.size() / 2] = 3;  // f3 = 3: no such size class
+    EXPECT_THROW(flow::Characterizer(badS.weights).decode(3), util::Error);
+
+    for (uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        cfg.threads = threads;
+        fccc::FccTraceCompressor codec(cfg);
+        EXPECT_NO_THROW(codec.expand(good));
+        EXPECT_THROW(codec.expand(badIndex), util::Error);
+        EXPECT_THROW(codec.expand(badS), util::Error);
     }
 }
 

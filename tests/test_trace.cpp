@@ -317,6 +317,27 @@ TEST(Trace, SortCanonicalMatchesComparisonSort)
         << "skewed span";
 }
 
+TEST(Trace, SortCanonicalBucketFinishesOneBucket)
+{
+    // Keys timestampNs - base that agree above bit 20, as in one top
+    // bucket of a split chunk: the bucket finish alone must give the
+    // comparator's order, radix recursion (4096 and more packets),
+    // std::sort and insertion sort alike.
+    const uint64_t base = 5'000'000'000ull;
+    const uint64_t bucket = base + (uint64_t{37} << 20);
+    for (size_t n : {size_t{2}, size_t{200}, size_t{20'000}}) {
+        SCOPED_TRACE(n);
+        std::vector<PacketRecord> packets =
+            stampedPackets(n, n, [&](util::Rng &rng) {
+                return bucket + rng.uniformInt(0, (uint64_t{1} << 20) - 1);
+            });
+        std::vector<PacketRecord> expected = packets;
+        std::sort(expected.begin(), expected.end(), packetCanonicalLess);
+        sortCanonicalBucket(packets, base, 20);
+        EXPECT_TRUE(fcc::test::samePackets(packets, expected));
+    }
+}
+
 TEST(CanonicalMerge, StreamingFormSplitsAtTheLimit)
 {
     // Two interleaved runs with timestamps 0, 1, 2, ... µs: exactly
