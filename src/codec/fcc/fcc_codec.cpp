@@ -16,6 +16,7 @@
 #include "codec/fcc/fcc_codec.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <functional>
 #include <memory>
@@ -76,8 +77,8 @@ expandedPackets(const Datasets &d,
  * The §4 timing rule, packet by packet: visit(i, cls, tUs) for every
  * packet i of @p rec's flow, in flow order. Long flows replay exact
  * inter-packet times; short flows space dependent packets by the
- * flow RTT and the others by @p gapUs. expandFlow and the split
- * expansion's count walk both take each packet's time from here;
+ * flow RTT and the others by @p gapUs. expandFlow and the chunk
+ * expander's count step both take each packet's time from here;
  * flowSpan() is the same rule in closed form.
  */
 template <class Visit>
@@ -113,7 +114,7 @@ walkFlow(const Datasets &d, const flow::ClassTable &classes,
 /**
  * The packets of @p rec's flow (§4), each passed to emit(pkt) in flow
  * order: FccTraceCompressor::expandFlow appends them to a vector, the
- * split expansion writes each straight to its slot.
+ * chunk expander writes each straight to its slot.
  */
 template <class Emit>
 void
@@ -221,6 +222,20 @@ balancedCuts(std::span<const size_t> weights, size_t parts)
     return cuts;
 }
 
+/** body(0) ... body(count - 1) on @p pool, or inline in index order
+ *  without one. */
+void
+runOn(util::ThreadPool *pool, size_t count,
+      const std::function<void(size_t)> &body)
+{
+    if (pool) {
+        pool->parallelFor(count, body);
+    } else {
+        for (size_t i = 0; i < count; ++i)
+            body(i);
+    }
+}
+
 /**
  * What one reconstruction decodes once and every chunk shares: the
  * chunk layout, the S-value class table, the template facts and the
@@ -235,19 +250,22 @@ struct Expansion
           threads(util::resolveThreads(codec.config().threads))
     {}
 
-    /** body(0) ... body(count - 1) on the pool, or inline in index
-     *  order when one worker or one job. */
-    void
-    run(size_t count, const std::function<void(size_t)> &body)
+    /** The pool, started on first use. */
+    util::ThreadPool &
+    workers()
     {
-        if (threads > 1 && count > 1) {
-            if (!pool)
-                pool.emplace(threads);
-            pool->parallelFor(count, body);
-        } else {
-            for (size_t i = 0; i < count; ++i)
-                body(i);
-        }
+        if (!pool)
+            pool.emplace(threads);
+        return *pool;
+    }
+
+    /** Chunk @p c into @p out, across @p pool when given. */
+    void
+    expand(size_t c, util::ThreadPool *pool,
+           std::vector<trace::PacketRecord> &out) const
+    {
+        codec.expandChunk(d, classes, facts, chunks.records(c),
+                          chunks.seed(c), out, nullptr, pool);
     }
 
     /** True when no reconstructed timestamp passes UINT64_MAX ns. */
@@ -269,161 +287,6 @@ struct Expansion
     unsigned threads;
     std::optional<util::ThreadPool> pool;
 };
-
-/**
- * Chunk @p c split across the pool, written into @p out as one run
- * in trace::packetCanonicalLess order; false, leaving @p out
- * untouched, when the chunk takes one range instead: fewer than
- * trace::canonicalRadixMinPackets packets, a record whose flowSpan()
- * is unknown, or records too uneven to cut.
- *
- * Records are cut into about 2 × threads ranges of equal packet
- * counts, and one serial pass over drawFlowHeader saves the RNG
- * state at each range start, so every range expands exactly the
- * packets the serial pass would. The top 8 bits of
- * timestampNs - (chunk's first ns) pick each packet's bucket: each
- * range counts its packets per bucket with walkFlow, which fixes
- * every (bucket, range) pair's slots in one exact-size buffer; each
- * range then expands flow by flow and writes every packet to its
- * slot; buckets are disjoint in time, so sorting each one in place
- * (trace::sortCanonicalBucket) leaves the buffer sorted.
- */
-bool
-expandSplit(Expansion &x, size_t c, std::vector<trace::PacketRecord> &out)
-{
-    const Datasets &d = x.d;
-    const uint32_t gapUs = x.codec.config().defaultGapUs;
-    std::span<const TimeSeqRecord> records = x.chunks.records(c);
-
-    // Plan: each record's packets and the chunk's exact time span.
-    std::vector<size_t> packets(records.size());
-    size_t total = 0;
-    uint64_t firstUs = UINT64_MAX, lastUs = 0;
-    for (size_t r = 0; r < records.size(); ++r) {
-        const TimeSeqRecord &rec = records[r];
-        const TemplateFacts &f = x.facts.of(rec.isLong, rec.templateIndex);
-        std::optional<FlowSpan> span = flowSpan(f, rec, gapUs);
-        if (!span)
-            return false;
-        packets[r] = f.packets;
-        total += f.packets;
-        firstUs = std::min(firstUs, span->firstUs);
-        lastUs = std::max(lastUs, span->lastUs);
-    }
-    if (total < trace::canonicalRadixMinPackets)
-        return false;
-    std::vector<size_t> cuts = balancedCuts(packets, size_t{x.threads} * 2);
-    size_t ranges = cuts.size() - 1;
-    if (ranges < 2)
-        return false;
-    std::vector<util::Rng> rngs;
-    util::Rng rng(x.chunks.seed(c));
-    for (size_t g = 0; g < ranges; ++g) {
-        rngs.push_back(rng);
-        for (size_t r = cuts[g]; r < cuts[g + 1]; ++r)
-            FccTraceCompressor::drawFlowHeader(rng);
-    }
-
-    const uint64_t baseNs = firstUs * 1000;
-    const unsigned bits =
-        static_cast<unsigned>(std::bit_width(lastUs * 1000 - baseNs));
-    const unsigned width = std::min(bits, 8u);
-    const unsigned shift = bits - width;
-    const size_t buckets = size_t{1} << width;
-    auto bucketOf = [&](uint64_t ns) {
-        size_t b = static_cast<size_t>((ns - baseNs) >> shift);
-        util::require(b < buckets,
-                      "fcc: packet outside its chunk's time span");
-        return b;
-    };
-
-    // Count: packets per (range, bucket), from timestamps alone.
-    // Row g of slot belongs to range g; row `ranges` is filled below.
-    std::vector<size_t> slot((ranges + 1) * buckets, 0);
-    x.run(ranges, [&](size_t g) {
-        size_t *count = &slot[g * buckets];
-        for (size_t r = cuts[g]; r < cuts[g + 1]; ++r)
-            walkFlow(d, x.classes, records[r], gapUs,
-                     [&](size_t, const flow::PacketClass &, uint64_t t) {
-                         ++count[bucketOf(t * 1000)];
-                     });
-    });
-    // Bucket-major prefix sums: each (range, bucket) pair's first
-    // slot, its last one just before the next row's. Row `ranges`
-    // holds where each bucket ends.
-    size_t at = 0;
-    for (size_t b = 0; b < buckets; ++b) {
-        for (size_t g = 0; g < ranges; ++g)
-            at += std::exchange(slot[g * buckets + b], at);
-        slot[ranges * buckets + b] = at;
-    }
-    util::require(at == total, "fcc: chunk packet count mismatch");
-
-    // Expand + scatter: each range's packets straight to their slots.
-    out.assign(total, trace::PacketRecord{});
-    x.run(ranges, [&](size_t g) {
-        std::vector<size_t> cursor(&slot[g * buckets],
-                                   &slot[(g + 1) * buckets]);
-        const size_t *end = &slot[(g + 1) * buckets];
-        util::Rng flowRng = rngs[g];
-        for (size_t r = cuts[g]; r < cuts[g + 1]; ++r)
-            emitFlow(x.codec.config(), d, x.classes, records[r], flowRng,
-                     [&](const trace::PacketRecord &pkt) {
-                size_t b = bucketOf(pkt.timestampNs);
-                util::require(cursor[b] < end[b],
-                              "fcc: bucket overflow in split expansion");
-                out[cursor[b]++] = pkt;
-            });
-        for (size_t b = 0; b < buckets; ++b)
-            util::require(cursor[b] == end[b],
-                          "fcc: bucket underflow in split expansion");
-    });
-
-    // Finish: sort every bucket on its remaining key bits.
-    std::vector<size_t> bucketSizes(buckets);
-    for (size_t b = 0; b < buckets; ++b)
-        bucketSizes[b] = slot[ranges * buckets + b] - slot[b];
-    std::vector<size_t> groups =
-        balancedCuts(bucketSizes, size_t{x.threads} * 2);
-    x.run(groups.size() - 1, [&](size_t g) {
-        for (size_t b = groups[g]; b < groups[g + 1]; ++b)
-            trace::sortCanonicalBucket(
-                std::span(out).subspan(slot[b], bucketSizes[b]), baseNs,
-                shift);
-    });
-    return true;
-}
-
-/**
- * Expand every record of chunk @p c into @p out, replacing its
- * contents, as one run in trace::packetCanonicalLess order, drawing
- * from the chunk's own RNG stream. With @p split, a chunk that can
- * be cut into ranges runs on the whole pool (expandSplit); any other
- * chunk takes one range: expandFlow over its records on the calling
- * thread, then trace::sortCanonical. Both produce the packets of the
- * same serial RNG pass and both leave them fully sorted, and sorted
- * packets under a total order whose equal elements are
- * bit-identical are unique: so the run is the same whichever path
- * built it, and the split (which depends on the thread count) never
- * shows in the bytes. Chunks may be expanded in any order or
- * concurrently.
- */
-void
-expandChunk(Expansion &x, size_t c, bool split,
-            std::vector<trace::PacketRecord> &out)
-{
-    if (split && expandSplit(x, c, out))
-        return;
-    std::span<const TimeSeqRecord> records = x.chunks.records(c);
-    util::Rng rng(x.chunks.seed(c));
-    // Exact-size the run: a batch of doubling-grown runs would
-    // otherwise hold up to twice its packets.
-    out.clear();
-    out.reserve(expandedPackets(x.d, records));
-    for (const TimeSeqRecord &rec : records)
-        x.codec.expandFlow(x.d, x.classes, rec, rng, out);
-    trace::sortCanonical(out);
-}
 
 } // namespace
 
@@ -649,14 +512,17 @@ FccTraceCompressor::expandInto(const Datasets &d,
         std::vector<std::vector<trace::PacketRecord>> runs(
             end - base + 1);
         if (end - base < x.threads) {
-            // Fewer chunks than threads: each chunk in turn on the
-            // whole pool.
-            for (size_t i = 0; i < end - base; ++i)
-                expandChunk(x, base + i, true, runs[i]);
+            // Fewer chunks than threads: each chunk in turn, across
+            // the whole pool from canonicalRadixMinPackets packets.
+            for (size_t i = 0; i < end - base; ++i) {
+                bool big = expandedPackets(d, chunks.records(base + i)) >=
+                           trace::canonicalRadixMinPackets;
+                x.expand(base + i, big ? &x.workers() : nullptr, runs[i]);
+            }
         } else {
-            x.run(end - base, [&](size_t i) {
-                expandChunk(x, base + i, false, runs[i]);
-            });
+            // One chunk per job, each expanded inline in its job.
+            runOn(x.threads > 1 ? &x.workers() : nullptr, end - base,
+                  [&](size_t i) { x.expand(base + i, nullptr, runs[i]); });
         }
         runs.back() = std::move(carry);
         carry = {};
@@ -687,6 +553,163 @@ FccTraceCompressor::drawFlowHeader(util::Rng &rng)
     h.serverIpId = static_cast<uint16_t>(rng.next());
     h.window = static_cast<uint16_t>(rng.uniformInt(16, 255) << 8);
     return h;
+}
+
+/*
+ * Records are cut into up to `parts` ranges of about equal packet
+ * counts, and one serial pass over drawFlowHeader saves the RNG state
+ * at each range start, so every range expands exactly the packets the
+ * serial pass would. Count: each range counts its kept packets per
+ * bucket with walkFlow, which fixes every (bucket, range) pair's
+ * slots. Write: each range expands flow by flow, each kept packet to
+ * its slot. Sort: buckets are disjoint in time, so sorting each one
+ * in place leaves the buffer sorted.
+ */
+ChunkCounts
+FccTraceCompressor::expandChunk(const Datasets &d,
+                                const flow::ClassTable &classes,
+                                const TemplateFactTable &facts,
+                                std::span<const TimeSeqRecord> records,
+                                uint64_t rngSeed,
+                                std::vector<trace::PacketRecord> &out,
+                                const ChunkFilter *filter,
+                                util::ThreadPool *pool) const
+{
+    util::require(!filter || filter->verdicts.size() == records.size(),
+                  "fcc: chunk filter and records disagree");
+    const uint32_t gapUs = cfg_.defaultGapUs;
+    // One job per range or bucket group: `parts` of each, at most.
+    const size_t parts = pool ? size_t{pool->size()} * 2 : 1;
+    auto verdict = [filter](size_t r) {
+        return filter ? filter->verdicts[r] : RecordFilter::All;
+    };
+    auto kept = [filter](RecordFilter v, size_t r, uint64_t us) {
+        return v != RecordFilter::PerPacket || filter->keep(r, us);
+    };
+
+    // Plan: each expanded record's packets and the time span of all.
+    ChunkCounts flows;
+    std::vector<size_t> packets(records.size(), 0);
+    bool spansKnown = true;
+    uint64_t firstUs = UINT64_MAX, lastUs = 0;
+    for (size_t r = 0; r < records.size(); ++r) {
+        if (verdict(r) == RecordFilter::Skip)
+            continue;
+        const TimeSeqRecord &rec = records[r];
+        const TemplateFacts &f = facts.of(rec.isLong, rec.templateIndex);
+        ++flows.flowsExpanded;
+        packets[r] = f.packets;
+        std::optional<FlowSpan> span = flowSpan(f, rec, gapUs);
+        spansKnown = spansKnown && span;
+        if (span) {
+            firstUs = std::min(firstUs, span->firstUs);
+            lastUs = std::max(lastUs, span->lastUs);
+        }
+    }
+    std::vector<size_t> cuts = balancedCuts(packets, parts);
+    const size_t ranges = cuts.size() - 1;
+    std::vector<util::Rng> rngs(1, util::Rng(rngSeed));
+    for (size_t g = 1; g < ranges; ++g) {
+        rngs.push_back(rngs.back());
+        for (size_t r = cuts[g - 1]; r < cuts[g]; ++r)
+            FccTraceCompressor::drawFlowHeader(rngs.back());
+    }
+
+    // The top 8 bits of timestampNs - baseNs pick a packet's bucket.
+    // With a span unknown (a timestamp wraps past UINT64_MAX ns) the
+    // key is the whole timestamp, as packetCanonicalLess compares it,
+    // and so it is when no packet gives a span.
+    uint64_t baseNs = 0;
+    unsigned bits = 64;
+    if (spansKnown && firstUs <= lastUs) {
+        baseNs = firstUs * 1000;
+        bits = static_cast<unsigned>(std::bit_width(lastUs * 1000 - baseNs));
+    }
+    const unsigned width = std::min(bits, 8u);
+    const unsigned shift = bits - width;
+    const size_t buckets = size_t{1} << width;
+    auto bucketOf = [&](uint64_t ns) {
+        size_t b = static_cast<size_t>((ns - baseNs) >> shift);
+        util::require(b < buckets,
+                      "fcc: packet outside its chunk's time span");
+        return b;
+    };
+
+    // Count: row g of slot belongs to range g; row `ranges` is filled
+    // below.
+    std::vector<size_t> slot((ranges + 1) * buckets, 0);
+    std::atomic<uint64_t> matched{0};
+    runOn(pool, ranges, [&](size_t g) {
+        size_t *count = &slot[g * buckets];
+        uint64_t rangeMatched = 0;
+        for (size_t r = cuts[g]; r < cuts[g + 1]; ++r) {
+            RecordFilter v = verdict(r);
+            if (v == RecordFilter::Skip)
+                continue;
+            bool any = false;
+            walkFlow(d, classes, records[r], gapUs,
+                     [&](size_t, const flow::PacketClass &, uint64_t t) {
+                uint64_t ns = t * 1000;
+                if (kept(v, r, ns / 1000)) {
+                    ++count[bucketOf(ns)];
+                    any = true;
+                }
+            });
+            rangeMatched += any;
+        }
+        matched += rangeMatched;
+    });
+    flows.flowsMatched = matched;
+    // Bucket-major prefix sums: each (range, bucket) pair's first
+    // slot, its last one just before the next row's. Row `ranges`
+    // holds where each bucket ends.
+    size_t at = 0;
+    for (size_t b = 0; b < buckets; ++b) {
+        for (size_t g = 0; g < ranges; ++g)
+            at += std::exchange(slot[g * buckets + b], at);
+        slot[ranges * buckets + b] = at;
+    }
+
+    // Write: each range's kept packets straight to their slots.
+    out.assign(at, trace::PacketRecord{});
+    runOn(pool, ranges, [&](size_t g) {
+        std::vector<size_t> cursor(&slot[g * buckets],
+                                   &slot[(g + 1) * buckets]);
+        const size_t *end = &slot[(g + 1) * buckets];
+        util::Rng rng = rngs[g];
+        for (size_t r = cuts[g]; r < cuts[g + 1]; ++r) {
+            RecordFilter v = verdict(r);
+            if (v == RecordFilter::Skip) {
+                FccTraceCompressor::drawFlowHeader(rng);
+                continue;
+            }
+            emitFlow(cfg_, d, classes, records[r], rng,
+                     [&](const trace::PacketRecord &pkt) {
+                if (!kept(v, r, pkt.timestampUs()))
+                    return;
+                size_t b = bucketOf(pkt.timestampNs);
+                util::require(cursor[b] < end[b],
+                              "fcc: bucket overflow in chunk expansion");
+                out[cursor[b]++] = pkt;
+            });
+        }
+        for (size_t b = 0; b < buckets; ++b)
+            util::require(cursor[b] == end[b],
+                          "fcc: bucket underflow in chunk expansion");
+    });
+
+    // Sort: every bucket on its remaining key bits.
+    std::vector<size_t> bucketSizes(buckets);
+    for (size_t b = 0; b < buckets; ++b)
+        bucketSizes[b] = slot[ranges * buckets + b] - slot[b];
+    std::vector<size_t> groups = balancedCuts(bucketSizes, parts);
+    runOn(pool, groups.size() - 1, [&](size_t g) {
+        for (size_t b = groups[g]; b < groups[g + 1]; ++b)
+            trace::sortCanonicalBucket(
+                std::span(out).subspan(slot[b], bucketSizes[b]), baseNs,
+                shift);
+    });
+    return flows;
 }
 
 void

@@ -27,6 +27,7 @@
 #define FCC_CODEC_FCC_FCC_CODEC_HPP
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -237,6 +238,28 @@ struct ChunkStreams
     bool legacy;
 };
 
+/**
+ * What expandChunk() keeps of one record's flow. Skip only draws the
+ * flow's FlowHeader, so the RNG stream advances as in a full
+ * expansion.
+ */
+enum class RecordFilter : uint8_t { Skip, All, PerPacket };
+
+/** expandChunk()'s filter: a verdict per record and, for PerPacket
+ *  records, keep(record index, packet timestampUs()). */
+struct ChunkFilter
+{
+    std::span<const RecordFilter> verdicts;
+    std::function<bool(size_t, uint64_t)> keep;
+};
+
+/** Flows of one expandChunk(): not skipped, and with a packet kept. */
+struct ChunkCounts
+{
+    uint64_t flowsExpanded = 0;
+    uint64_t flowsMatched = 0;
+};
+
 /** The proposed flow-clustering trace compressor. */
 class FccTraceCompressor : public TraceCompressor
 {
@@ -297,17 +320,15 @@ class FccTraceCompressor : public TraceCompressor
      * (some record's flowSpan() is unknown): then nothing leaves
      * before the last batch.
      *
-     * A batch of at least as many chunks as threads expands one chunk
-     * per job. A batch of fewer (a one-chunk archive at 2 threads or
-     * more) expands each chunk in turn across the whole pool: its
-     * records are cut into ranges of equal packet counts, each packet
-     * goes straight to a slot of one exact-size buffer chosen by the
-     * top 8 bits of its timestamp, and every such time bucket is then
-     * sorted in place. A chunk of fewer than
-     * trace::canonicalRadixMinPackets packets, or with a record whose
-     * flowSpan() is unknown, is not split. Either way a chunk's run is
-     * its packets of the same serial RNG pass, fully sorted under a
-     * total order, so the bytes never depend on the thread count.
+     * Every chunk takes expandChunk()'s three steps. A batch of at
+     * least as many chunks as threads expands one chunk per job; a
+     * batch of fewer (a one-chunk archive at 2 threads or more)
+     * expands each chunk in turn across the whole pool, its records
+     * cut into 2 × threads ranges of equal packet counts, when it
+     * holds trace::canonicalRadixMinPackets packets or more. A
+     * chunk's run is its packets of the same serial RNG pass, fully
+     * sorted under a total order, so the bytes never depend on the
+     * thread count.
      *
      * @throws fcc::util::Error on flow-fidelity datasets (no
      *         per-packet data) or a malformed layout.
@@ -316,13 +337,38 @@ class FccTraceCompressor : public TraceCompressor
                     const trace::PacketSpanSink &emit) const;
 
     /**
+     * The one chunk expander, behind expandInto() and the query:
+     * @p records (one chunk) drawn from the RNG stream @p rngSeed,
+     * as one run in trace::packetCanonicalLess order that replaces
+     * @p out. Each packet is counted into a bucket by the top 8 bits
+     * of its time since the chunk's first packet (of its absolute
+     * time when a record's flowSpan() is unknown), written straight
+     * to its slot of one exact-size buffer, and each bucket is
+     * sorted in place. @p classes and @p facts are
+     * ClassTable(datasets.weights) and templateFacts(). Without
+     * @p pool every step runs on the calling thread; with it, as up
+     * to 2 × pool->size() jobs (records cut into ranges of about
+     * equal packet counts). A job of @p pool must not pass it: its
+     * parallelFor would wait on itself.
+     *
+     * @throws fcc::util::Error as expandFlow().
+     */
+    ChunkCounts
+    expandChunk(const Datasets &datasets,
+                const flow::ClassTable &classes,
+                const TemplateFactTable &facts,
+                std::span<const TimeSeqRecord> records, uint64_t rngSeed,
+                std::vector<trace::PacketRecord> &out,
+                const ChunkFilter *filter = nullptr,
+                util::ThreadPool *pool = nullptr) const;
+
+    /**
      * Expand one time-seq record into its flow's packets, appended
      * to @p out in flow order (not globally time-sorted). @p classes
      * decodes the S values (flow::ClassTable of datasets.weights,
      * built once per reconstruction); @p rng supplies the §4 random
-     * source address / client port. The reconstruction loop and the
-     * query's filtered expansion share this, so both produce the
-     * same packets for the same seed.
+     * source address / client port. expandChunk() emits these same
+     * packets; tests use this as its reference.
      *
      * @throws fcc::util::Error on an out-of-range template or
      *         address index, or an S value that does not decode.

@@ -175,24 +175,6 @@ class CompressSession
      *  session sees decoded records, not container bytes). */
     void addInputBytes(uint64_t bytes) { stats_.inputBytes += bytes; }
 
-    /** Flows closed into the current epoch so far. */
-    uint64_t epochRecords() const { return datasets_.timeSeq.size(); }
-
-    /** Packets fed into the current epoch so far. */
-    uint64_t epochPackets() const { return epochPackets_; }
-
-    /** Timestamp (µs) of the last packet fed this epoch, 0 if none. */
-    uint64_t lastTimestampUs() const { return lastNs_ / 1000; }
-
-    /** Timestamp (µs) of the first packet fed this epoch. */
-    uint64_t firstTimestampUs() const { return firstUs_; }
-
-    /** Clusters in the (possibly carried) template store. */
-    uint64_t storeTemplates() const { return store_.size(); }
-
-    /** Clusters created during the current epoch. */
-    uint64_t epochTemplatesCreated() const { return templatesNew_; }
-
     const FccConfig &config() const { return cfg_; }
     const SessionOptions &options() const { return options_; }
 

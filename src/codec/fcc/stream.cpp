@@ -40,15 +40,6 @@ compressTraceFile(const std::string &inPath,
 }
 
 StreamStats
-decompressToSink(const std::string &fccPath, trace::TraceSink &sink,
-                 const FccConfig &cfg)
-{
-    DecompressSession session(cfg);
-    session.open(fccPath);
-    return session.drainTo(sink);
-}
-
-StreamStats
 decompressTraceFile(const std::string &fccPath,
                     const std::string &outPath, const FccConfig &cfg,
                     const trace::TraceFormatSpec &format)

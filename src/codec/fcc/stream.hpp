@@ -99,17 +99,6 @@ compressTraceFile(const std::string &inPath,
                   const trace::TraceFormatSpec &format = {});
 
 /**
- * Decompress an FCC file into @p sink using the §4 incremental
- * flush (peak buffered packets stays near the number of concurrently
- * active flows). The sink is closed before returning.
- *
- * @throws fcc::util::Error on I/O failure or malformed input.
- */
-StreamStats
-decompressToSink(const std::string &fccPath, trace::TraceSink &sink,
-                 const FccConfig &cfg = {});
-
-/**
  * Decompress an FCC file into a trace file. An auto spec picks the
  * output format from the extension (.pcap / .pcapng, else TSH).
  *

@@ -2,19 +2,19 @@
  * @file
  * Random-access execution over seekable FCC archives: open an
  * mmap'd file, plan chunks against the index block's summaries,
- * decode only the surviving chunks on the thread pool, and filter
- * to exactly the packets a full decompression would have produced
- * for the same expression.
+ * decode only the surviving chunks on the thread pool, and expand
+ * each through the codec's chunk expander with a per-flow filter:
+ * exactly the packets a full decompression would have produced for
+ * the same expression.
  */
 
 #include "query/query.hpp"
 
-#include <algorithm>
+#include <functional>
 #include <new>
 
 #include "codec/fcc/datasets.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fcc::query {
@@ -23,82 +23,75 @@ namespace fccc = fcc::codec::fcc;
 
 namespace {
 
-/** Matching packets and flow counts of one expanded record range. */
-struct ChunkResult
-{
-    std::vector<trace::PacketRecord> packets;
-    uint64_t flows = 0;
-    uint64_t expanded = 0;
-};
-
 /**
  * Expand @p records (one chunk, or the whole legacy stream) from
- * @p rngSeed, keeping only what @p expr admits, as one run in
- * canonical order. Each flow is judged before any packet exists —
- * on its server, port, size and exact timestamp span — and a flow
- * judged Never only draws its header: the RNG stream advances
- * exactly as a full decompression's would, so the surviving flows
- * reconstruct the same bytes. @p records come from a container
- * parser, which has range-checked their template and address
- * indices.
+ * @p rngSeed into @p out, keeping only what @p expr admits, as one
+ * run in canonical order: the codec's chunk expander with a verdict
+ * per flow. Each flow is judged before any packet exists — on its
+ * server, port, size and exact timestamp span — and a flow judged
+ * Never only draws its header, so the surviving flows reconstruct
+ * the same bytes as a full decompression. @p records come from a
+ * container parser, which has range-checked their template and
+ * address indices.
  */
-void
+fccc::ChunkCounts
 expandFiltered(const fccc::FccTraceCompressor &codec,
                const fccc::Datasets &shared,
                const fccc::TemplateFactTable &facts,
                std::span<const fccc::TimeSeqRecord> records,
-               uint64_t rngSeed, const Expr &expr, ChunkResult &out)
+               uint64_t rngSeed, const Expr &expr,
+               std::vector<trace::PacketRecord> &out)
 {
-    util::Rng rng(rngSeed);
-    flow::ClassTable classes(shared.weights);
-    std::vector<trace::PacketRecord> flowBuf;
-    for (const fccc::TimeSeqRecord &rec : records) {
-        const fccc::TemplateFacts &tmpl =
-            facts.of(rec.isLong, rec.templateIndex);
-        Expr::FlowView flow{shared.addresses[rec.addressIndex],
-                            codec.config().serverPort, tmpl.packets};
+    auto viewOf = [&](const fccc::TimeSeqRecord &rec) {
+        return Expr::FlowView{shared.addresses[rec.addressIndex],
+                              codec.config().serverPort,
+                              facts.of(rec.isLong, rec.templateIndex)
+                                  .packets};
+    };
+    std::vector<fccc::RecordFilter> verdicts(records.size());
+    for (size_t r = 0; r < records.size(); ++r) {
+        const fccc::TimeSeqRecord &rec = records[r];
+        Expr::FlowView flow = viewOf(rec);
         if (std::optional<fccc::FlowSpan> span = fccc::flowSpan(
-                tmpl, rec, codec.config().defaultGapUs)) {
+                facts.of(rec.isLong, rec.templateIndex), rec,
+                codec.config().defaultGapUs)) {
             flow.spanKnown = true;
             flow.firstUs = span->firstUs;
             flow.lastUs = span->lastUs;
         }
-        Expr::FlowMatch verdict = expr.matchesFlow(flow);
-        if (verdict == Expr::FlowMatch::Never) {
-            fccc::FccTraceCompressor::drawFlowHeader(rng);
-            continue;
-        }
-        ++out.expanded;
-        flowBuf.clear();
-        codec.expandFlow(shared, classes, rec, rng, flowBuf);
-        size_t emitted = 0;
-        for (const trace::PacketRecord &pkt : flowBuf) {
-            if (verdict == Expr::FlowMatch::PerPacket &&
-                !expr.matches(flow, pkt.timestampUs()))
-                continue;
-            out.packets.push_back(pkt);
-            ++emitted;
-        }
-        if (emitted > 0)
-            ++out.flows;
+        Expr::FlowMatch m = expr.matchesFlow(flow);
+        verdicts[r] = m == Expr::FlowMatch::Never ? fccc::RecordFilter::Skip
+            : m == Expr::FlowMatch::Always ? fccc::RecordFilter::All
+                                           : fccc::RecordFilter::PerPacket;
     }
-    // Each job leaves a sorted run; emitResults only merges.
-    trace::sortCanonical(out.packets);
+    fccc::ChunkFilter filter{verdicts, [&](size_t r, uint64_t us) {
+        return expr.matches(viewOf(records[r]), us);
+    }};
+    return codec.expandChunk(shared, flow::ClassTable(shared.weights),
+                             facts, records, rngSeed, out, &filter);
 }
 
 /**
- * Move the per-chunk results — each sorted by its job — to @p runs
- * and count their flows into @p stats.
+ * expand(i, run) for i in 0 .. @p count - 1 on up to @p threads
+ * workers, each into a new run appended to @p runs, with the flows
+ * it expanded and matched counted into @p stats.
  */
 void
-appendRuns(std::vector<ChunkResult> &results,
+expandJobs(uint32_t threads, size_t count,
            std::vector<std::vector<trace::PacketRecord>> &runs,
-           QueryStats &stats)
+           QueryStats &stats,
+           const std::function<fccc::ChunkCounts(
+               size_t, std::vector<trace::PacketRecord> &)> &expand)
 {
-    for (ChunkResult &r : results) {
-        stats.flowsMatched += r.flows;
-        stats.flowsExpanded += r.expanded;
-        runs.push_back(std::move(r.packets));
+    size_t first = runs.size();
+    runs.resize(first + count);
+    std::vector<fccc::ChunkCounts> counts(count);
+    util::runJobs(threads, count, [&](size_t i) {
+        counts[i] = expand(i, runs[first + i]);
+    });
+    for (const fccc::ChunkCounts &n : counts) {
+        stats.flowsMatched += n.flowsMatched;
+        stats.flowsExpanded += n.flowsExpanded;
     }
 }
 
@@ -298,21 +291,18 @@ FccArchive::runIndexed(const Expr &expr, Runs &runs) const
     }
 
     fccc::FccTraceCompressor codec(cfg_);
-    std::vector<ChunkResult> results(planned.size());
     std::vector<std::pair<uint64_t, uint64_t>> spans(planned.size());
-    auto decodeOne = [&](size_t i) {
+    expandJobs(cfg_.threads, planned.size(), runs, stats,
+               [&](size_t i, std::vector<trace::PacketRecord> &run) {
         fccc::Fcc3Chunk chunk =
             fccc::readFcc3Chunk(chunks[i], region->fcc3, planned[i]);
         spans[i] = {chunk.firstUs, chunk.lastUs};
-        expandFiltered(codec, shared, region->facts, chunk.timeSeq,
-                       fccc::chunkRngSeed(cfg_.decompressSeed,
-                                          planned[i]),
-                       expr, results[i]);
-    };
-    util::runJobs(cfg_.threads, planned.size(), decodeOne);
+        return expandFiltered(codec, shared, region->facts, chunk.timeSeq,
+                              fccc::chunkRngSeed(cfg_.decompressSeed,
+                                                 planned[i]),
+                              expr, run);
+    });
     requirePlannedOrder(planned, spans);
-
-    appendRuns(results, runs, stats);
     return stats;
 }
 
@@ -335,12 +325,11 @@ FccArchive::runFullDecode(const Expr &expr, Runs &runs) const
     fccc::ChunkStreams chunks(d, cfg_.decompressSeed);
     stats.chunksTotal = chunks.size();
     stats.chunksDecoded = chunks.size();
-    std::vector<ChunkResult> results(chunks.size());
-    util::runJobs(cfg_.threads, chunks.size(), [&](size_t c) {
-        expandFiltered(codec, d, facts, chunks.records(c),
-                       chunks.seed(c), expr, results[c]);
+    expandJobs(cfg_.threads, chunks.size(), runs, stats,
+               [&](size_t c, std::vector<trace::PacketRecord> &run) {
+        return expandFiltered(codec, d, facts, chunks.records(c),
+                              chunks.seed(c), expr, run);
     });
-    appendRuns(results, runs, stats);
     return stats;
 }
 

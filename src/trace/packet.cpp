@@ -1,14 +1,13 @@
 /**
  * @file
- * PacketRecord helpers: the canonical packet order (sort and k-way
- * run merge), dotted-quad IPv4 formatting/parsing and
+ * PacketRecord helpers: the canonical packet order (bucket sort and
+ * k-way run merge), dotted-quad IPv4 formatting/parsing and
  * human-readable one-line packet rendering.
  */
 
 #include "trace/packet.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 
 #include "util/error.hpp"
@@ -109,24 +108,6 @@ radixSortBucket(PacketRecord *first, PacketRecord *last, uint64_t base,
 }
 
 } // namespace
-
-void
-sortCanonical(std::vector<PacketRecord> &packets)
-{
-    if (packets.size() < canonicalRadixMinPackets) {
-        std::sort(packets.begin(), packets.end(), canonicalLess);
-        return;
-    }
-    auto [lo, hi] = std::minmax_element(
-        packets.begin(), packets.end(),
-        [](const PacketRecord &a, const PacketRecord &b) {
-            return a.timestampNs < b.timestampNs;
-        });
-    uint64_t base = lo->timestampNs;
-    sortCanonicalBucket(
-        packets, base,
-        static_cast<unsigned>(std::bit_width(hi->timestampNs - base)));
-}
 
 void
 sortCanonicalBucket(std::span<PacketRecord> packets, uint64_t base,

@@ -110,36 +110,28 @@ packetCanonicalLess(const PacketRecord &a, const PacketRecord &b)
 }
 
 /**
- * sortCanonical's smallest input for the radix sort. Smaller ones,
- * such as a filtered query chunk, are few yet span most of the
- * timestamp key, so radix passes would not pay for themselves.
+ * Fewest packets of a chunk that the reconstruction cuts into record
+ * ranges across the pool (FccTraceCompressor::expandInto). A smaller
+ * chunk expands on one thread: fanning it out would not pay for the
+ * pool's hand-offs.
  */
 inline constexpr size_t canonicalRadixMinPackets = 4096;
 
 /**
- * Sort @p packets into packetCanonicalLess order, in place. The only
- * extra memory is a few count arrays on the stack.
+ * Sort @p packets, whose keys timestampNs - @p base all agree above
+ * bit @p bits, into packetCanonicalLess order, in place. The only
+ * extra memory is a few count arrays on the stack. The chunk
+ * expander places packets by the top bits of their key first and
+ * finishes each such time bucket with this call.
  *
- * An input of canonicalRadixMinPackets or more (an expanded chunk)
- * takes an in-place MSD ("American flag") radix sort on 8-bit
- * digits of timestampNs minus the minimum: the key is monotone in
+ * The bucket takes an in-place MSD ("American flag") radix sort on
+ * 8-bit digits of its key, top digit first: the key is monotone in
  * the timestamp, so its buckets come out in timestamp order. Buckets
  * of at most 32 packets finish with an insertion sort, those under
  * 256 with std::sort, and so does a bucket whose key bits are used
- * up (one timestamp, ordered by the tie-breakers). A smaller input
- * takes std::sort. The result is the comparator's order either way:
- * packetCanonicalLess is a total order and packets that compare
- * equal are bit-identical.
- */
-void sortCanonical(std::vector<PacketRecord> &packets);
-
-/**
- * One bucket of sortCanonical's radix recursion, finished in place:
- * sort @p packets, whose keys timestampNs - @p base all agree above
- * bit @p bits, into packetCanonicalLess order. sortCanonical is this
- * call over the whole input (base its minimum timestamp, bits the
- * key's width); a caller that has already placed packets by their
- * top key bits finishes each bucket with it.
+ * up (one timestamp, ordered by the tie-breakers). The result is the
+ * comparator's order: packetCanonicalLess is a total order and
+ * packets that compare equal are bit-identical.
  */
 void sortCanonicalBucket(std::span<PacketRecord> packets, uint64_t base,
                          unsigned bits);

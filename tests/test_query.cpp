@@ -671,7 +671,7 @@ filterReference(const fccc::Datasets &d, const fccc::FccConfig &cfg,
             if (expr.matches(view, pkt.timestampUs()))
                 out.push_back(pkt);
     }
-    trace::sortCanonical(out);
+    std::sort(out.begin(), out.end(), trace::packetCanonicalLess);
     return out;
 }
 
@@ -780,6 +780,41 @@ struct ScenarioArchive
     }
 };
 
+/**
+ * An indexed one-chunk archive of sixty elephants-scenario flows
+ * (about 10k packets, at least trace::canonicalRadixMinPackets),
+ * shifted so the middle record starts at UINT64_MAX / 1000 µs: the
+ * reconstructed timestamps of later packets pass UINT64_MAX ns and
+ * wrap, so the chunk's time span is unknown.
+ */
+struct WrappedArchive
+{
+    std::string fccPath = tempPath("verdict_wrapped.fcc");
+    fccc::FccConfig cfg;
+
+    WrappedArchive()
+    {
+        trace::ScenarioConfig scfg =
+            trace::scenarioDefaults(trace::ScenarioKind::Elephants, 2005);
+        scfg.flows = 60;
+        scfg.durationSec = 4.0;
+        cfg.container = fccc::ContainerFormat::Fcc3;
+        cfg.chunkRecords = 1u << 20;
+        cfg.threads = 1;
+        cfg.index = true;
+        fccc::FccCompressStats stats;
+        fccc::Datasets d = fccc::FccTraceCompressor(cfg).buildDatasets(
+            trace::ScenarioGenerator(scfg).generate(), stats);
+        uint64_t shift = UINT64_MAX / 1000 -
+                         d.timeSeq[d.records() / 2].firstTimestampUs;
+        for (fccc::TimeSeqRecord &rec : d.timeSeq)
+            rec.firstTimestampUs += shift;
+        writeBytes(fccPath, fccc::serializeDatasets(d, cfg, stats.sizes));
+    }
+
+    ~WrappedArchive() { std::remove(fccPath.c_str()); }
+};
+
 /** Index of the first shared column frame's field-codec tag byte:
  *  after the 11-byte header comes the frame's value-count varint. */
 size_t
@@ -797,6 +832,7 @@ TEST(QueryVerdict, RandomExprsMatchFullDecompressionPlusFilter)
 {
     ScenarioArchive elephants(trace::ScenarioKind::Elephants);
     ScenarioArchive incast(trace::ScenarioKind::Incast);
+    WrappedArchive wrapped;
     SeedArchive &seed = seedArchive();
     fccc::FccConfig webCfg = seed.cfg;
     webCfg.index = true;
@@ -809,15 +845,26 @@ TEST(QueryVerdict, RandomExprsMatchFullDecompressionPlusFilter)
     const Case cases[] = {{"web", seed.idxPath, webCfg},
                           {"elephants", elephants.fccPath,
                            elephants.cfg},
-                          {"incast", incast.fccPath, incast.cfg}};
+                          {"incast", incast.fccPath, incast.cfg},
+                          {"wrapped-single-chunk", wrapped.fccPath,
+                           wrapped.cfg}};
     const int exprs = smokeTests() ? 6 : 24;
     util::Rng rng(0x0E7C);
     for (const Case &c : cases) {
         SCOPED_TRACE(c.name);
         std::vector<uint8_t> bytes = readBytes(c.path);
         fccc::Datasets d = fccc::deserialize(bytes);
-        ASSERT_GT(d.chunkSizes.size(), 1u);
         auto flows = expandEveryFlow(d, c.cfg);
+        if (c.path == wrapped.fccPath) {
+            ASSERT_EQ(d.chunkSizes.size(), 1u);
+            ASSERT_GT(d.timeSeq.back().firstTimestampUs, UINT64_MAX / 1000);
+            size_t packets = 0;
+            for (const auto &f : flows)
+                packets += f.size();
+            ASSERT_GE(packets, trace::canonicalRadixMinPackets);
+        } else {
+            ASSERT_GT(d.chunkSizes.size(), 1u);
+        }
         // The reference itself: unfiltered, it is the decompression.
         trace::Trace full =
             fccc::FccTraceCompressor(c.cfg).decompress(bytes);
@@ -829,6 +876,17 @@ TEST(QueryVerdict, RandomExprsMatchFullDecompressionPlusFilter)
             query::Expr expr = randomDataExpr(rng, d, flows, 3);
             SCOPED_TRACE(expr.str());
             auto expected = filterReference(d, c.cfg, flows, expr);
+            uint64_t matched = 0;
+            for (size_t i = 0; i < flows.size(); ++i) {
+                query::Expr::FlowView view{
+                    d.addresses[d.timeSeq[i].addressIndex],
+                    c.cfg.serverPort, flows[i].size()};
+                matched += std::any_of(
+                    flows[i].begin(), flows[i].end(),
+                    [&](const trace::PacketRecord &pkt) {
+                        return expr.matches(view, pkt.timestampUs());
+                    });
+            }
             for (uint32_t threads : {1u, 2u, 4u}) {
                 fccc::FccConfig cfg = c.cfg;
                 cfg.threads = threads;
@@ -839,6 +897,7 @@ TEST(QueryVerdict, RandomExprsMatchFullDecompressionPlusFilter)
                     ASSERT_EQ(stats.usedIndex, !force);
                     ASSERT_TRUE(fcc::test::samePackets(got, expected))
                         << threads << " threads, force " << force;
+                    EXPECT_EQ(stats.flowsMatched, matched);
                     EXPECT_GE(stats.flowsExpanded, stats.flowsMatched);
                 }
             }

@@ -981,7 +981,8 @@ struct DrainFixture
      * them so the middle record starts at UINT64_MAX / 1000 µs: the
      * reconstructed timestamps of later packets pass UINT64_MAX ns
      * and wrap, so the next record's start is no monotone flush
-     * limit and no chunk holding them can be split by time.
+     * limit and a chunk holding them buckets on the absolute
+     * timestamp.
      */
     size_t wrappedChunks = 0;
 };
@@ -1219,8 +1220,8 @@ TEST(Stream, DrainIntoTshMatchesExpandAcrossBlockEdges)
     // run (single-chunk), where one chunk of long flows is split
     // across the pool from 2 threads up (elephants-single-chunk) and
     // where reconstructed timestamps wrap past UINT64_MAX ns, across
-    // chunks (wrapped) or inside the one chunk, which then is not
-    // split (wrapped-single-chunk).
+    // chunks (wrapped) or inside the one chunk, which is then split
+    // on absolute-timestamp buckets (wrapped-single-chunk).
     std::vector<DrainFixture> fixtures;
     fixtures.push_back({"block-edge", blockEdgeTrace(), 1});
     fixtures.push_back({"wrapped", webTrace(37, 4.0), 1u << 20, 6});
@@ -1336,6 +1337,76 @@ TEST(Stream, SplitExpansionRejectsCorruptDatasets)
         EXPECT_THROW(codec.expand(badIndex), util::Error);
         EXPECT_THROW(codec.expand(badS), util::Error);
     }
+}
+
+TEST(Stream, ExpandEdgeChunksMatchReference)
+{
+    // The chunk expander's smallest inputs: an empty legacy layout
+    // (one chunk of no records, so no time span to bucket on) and a
+    // chunk of one packet, chunked and legacy.
+    fccc::Datasets empty;
+    ASSERT_TRUE(empty.chunkSizes.empty());
+
+    trace::Trace onePacket;
+    onePacket.add(tcpPacket(5'000'000'000ull, 0x0a000001, 40000,
+                            0xc0a80001, 80, trace::tcp_flags::Syn));
+    fccc::FccConfig buildCfg;
+    buildCfg.threads = 1;
+    fccc::FccCompressStats stats;
+    fccc::Datasets one =
+        fccc::FccTraceCompressor(buildCfg).buildDatasets(onePacket, stats);
+    ASSERT_EQ(one.chunkSizes.size(), 1u);
+    fccc::Datasets oneLegacy = one;
+    oneLegacy.chunkSizes.clear();
+
+    const std::pair<const char *, const fccc::Datasets *> cases[] = {
+        {"empty-legacy", &empty},
+        {"one-packet", &one},
+        {"one-packet-legacy", &oneLegacy}};
+    for (const auto &[name, d] : cases) {
+        SCOPED_TRACE(name);
+        std::vector<trace::PacketRecord> reference = sortedReference(*d);
+        EXPECT_EQ(reference.size(), d == &empty ? 0u : 1u);
+        for (uint32_t threads : {1u, 4u}) {
+            SCOPED_TRACE(threads);
+            fccc::FccConfig cfg;
+            cfg.threads = threads;
+            EXPECT_TRUE(fcc::test::samePackets(
+                fccc::FccTraceCompressor(cfg).expand(*d).packets(),
+                reference));
+        }
+    }
+}
+
+TEST(Stream, ChunkPerJobBatchExpandsEachChunkInline)
+{
+    // Eight chunks of at least trace::canonicalRadixMinPackets
+    // packets each at 4 threads: a batch of at least `threads`
+    // chunks runs one chunk per pool job, and each chunk must expand
+    // inline there. A chunk that started its own parallelFor inside
+    // a job would wait on the pool it runs on, and this test would
+    // hang rather than pass.
+    fccc::FccConfig cfg;
+    cfg.threads = 1;
+    fccc::FccCompressStats stats;
+    fccc::Datasets d = fccc::FccTraceCompressor(cfg).buildDatasets(
+        webTrace(41, 40.0), stats);
+    d.chunkSizes = fccc::chunkLayout(
+        d.records(), static_cast<uint32_t>((d.records() + 7) / 8));
+    ASSERT_EQ(d.chunkSizes.size(), 8u);
+    fccc::TemplateFactTable facts = fccc::templateFacts(d, 0, 0);
+    fccc::ChunkStreams chunks(d, cfg.decompressSeed);
+    for (size_t c = 0; c < chunks.size(); ++c) {
+        uint64_t packets = 0;
+        for (const fccc::TimeSeqRecord &rec : chunks.records(c))
+            packets += facts.of(rec.isLong, rec.templateIndex).packets;
+        EXPECT_GE(packets, trace::canonicalRadixMinPackets) << c;
+    }
+
+    cfg.threads = 4;
+    EXPECT_TRUE(fcc::test::samePackets(
+        fccc::FccTraceCompressor(cfg).expand(d).packets(),
+        sortedReference(d)));
 }
 
 TEST(Stream, DrainMatchesGoldenReferences)

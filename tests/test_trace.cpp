@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <set>
 
@@ -120,7 +121,7 @@ randomRuns(const std::vector<size_t> &lengths, uint64_t seed)
             pkt.seq = static_cast<uint32_t>(rng.uniformInt(0, 2));
             pkt.ipId = static_cast<uint16_t>(rng.uniformInt(0, 1));
         }
-        sortCanonical(run);
+        std::sort(run.begin(), run.end(), packetCanonicalLess);
         runs.push_back(std::move(run));
     }
     return runs;
@@ -246,13 +247,29 @@ stampedPackets(size_t n, uint64_t seed, Stamp stamp)
     return packets;
 }
 
-/** sortCanonical agrees with std::sort under the comparator. */
+/**
+ * sortCanonicalBucket over the whole input (base its minimum
+ * timestamp, bits the key's width) agrees with std::sort under the
+ * comparator.
+ */
 ::testing::AssertionResult
 sortsLikeComparisonSort(std::vector<PacketRecord> packets)
 {
     std::vector<PacketRecord> expected = packets;
     std::sort(expected.begin(), expected.end(), packetCanonicalLess);
-    sortCanonical(packets);
+    uint64_t base = 0;
+    unsigned bits = 0;
+    if (!packets.empty()) {
+        auto [lo, hi] = std::minmax_element(
+            packets.begin(), packets.end(),
+            [](const PacketRecord &a, const PacketRecord &b) {
+                return a.timestampNs < b.timestampNs;
+            });
+        base = lo->timestampNs;
+        bits = static_cast<unsigned>(
+            std::bit_width(hi->timestampNs - base));
+    }
+    sortCanonicalBucket(packets, base, bits);
     return fcc::test::samePackets(packets, expected);
 }
 
