@@ -30,6 +30,11 @@ constexpr size_t symbolRoom = maxMatchRun + copySlack;
 constexpr size_t streamBufferSize = windowSize + (size_t{3} << 15);
 /** No DEFLATE stream expands by more than this (258 bytes/2 bits). */
 constexpr size_t maxExpansion = 1032;
+/**
+ * Input the fast symbol loop needs ahead: every refill there takes
+ * the word path, with a margin past the 8 bytes one load reads.
+ */
+constexpr size_t fastInputBytes = 16;
 
 const HuffmanDecoder &
 fixedLitCode()
@@ -49,6 +54,37 @@ fixedDistCode()
 throwTruncated()
 {
     throw util::Error("inflate: truncated stream");
+}
+
+[[noreturn]] void
+throwInvalidCode()
+{
+    throw util::Error("inflate: invalid Huffman code");
+}
+
+/**
+ * Copy a @p len byte match from @p d bytes back to @p out; returns
+ * the end of the copy. May write up to copySlack - 1 bytes past it.
+ */
+inline uint8_t *
+copyMatch(uint8_t *out, uint32_t d, uint32_t len)
+{
+    const uint8_t *src = out - d;
+    uint8_t *const end = out + len;
+    if (d >= 8) {
+        // Word copies never read bytes this match still writes.
+        do {
+            std::memcpy(out, src, 8);
+            out += 8;
+            src += 8;
+        } while (out < end);
+    } else {
+        // Overlapping: each byte may be one the copy produced.
+        do {
+            *out++ = *src++;
+        } while (out < end);
+    }
+    return end;
 }
 
 } // namespace
@@ -102,7 +138,7 @@ InflateStream::symbol(const HuffmanDecoder &code)
         // Past the end of the input the lookup sees zero padding and
         // may resolve to a code longer than the bits really there.
         if (s.length == 0)
-            throw util::Error("inflate: invalid Huffman code");
+            throwInvalidCode();
         throwTruncated();
     }
     bitBuf_ >>= s.length;
@@ -219,6 +255,75 @@ InflateStream::decodeHuffman(uint8_t *buf, size_t pos, size_t cap)
     const HuffmanDecoder &dist = *dist_;
     uint8_t *out = buf + pos;
     uint8_t *const limit = buf + (cap - symbolRoom);
+
+    // Fast loop, while fastInputBytes of input remain: every refill
+    // loads a whole word and leaves at least 56 bits, enough for two
+    // literals or a length/distance pair (15 + 5 + 15 + 13 bits), so
+    // no decode here can run out of bits and none checks for it. The
+    // bit buffer lives in locals: stores through the byte output
+    // pointer could otherwise alias the members.
+    {
+        uint64_t bitBuf = bitBuf_;
+        unsigned bitCount = bitCount_;
+        size_t inPos = inPos_;
+        auto take = [&](unsigned n) {
+            uint32_t v =
+                static_cast<uint32_t>(bitBuf & ((uint64_t{1} << n) - 1));
+            bitBuf >>= n;
+            bitCount -= n;
+            return v;
+        };
+        bool blockEnd = false;
+        while (out <= limit && inLen_ - inPos >= fastInputBytes) {
+            bitBuf |= util::loadLe64(in_ + inPos) << bitCount;
+            inPos += (63 - bitCount) >> 3;
+            bitCount |= 56;
+
+            HuffmanDecoder::Symbol s = lit.lookup(bitBuf);
+            if (s.length == 0) [[unlikely]]
+                throwInvalidCode();
+            take(s.length);
+            if (s.symbol < 256) {
+                *out++ = static_cast<uint8_t>(s.symbol);
+                // A second literal fits in the same refill; anything
+                // else waits for the next one.
+                s = lit.lookup(bitBuf);
+                if (s.length != 0 && s.symbol < 256) {
+                    take(s.length);
+                    *out++ = static_cast<uint8_t>(s.symbol);
+                }
+                continue;
+            }
+            if (s.symbol == endOfBlock) {
+                blockEnd = true;
+                break;
+            }
+            util::require(s.symbol <= 285, "inflate: bad length symbol");
+            unsigned li = s.symbol - 257;
+            uint32_t len = lengthBase[li] + take(lengthExtra[li]);
+            HuffmanDecoder::Symbol ds = dist.lookup(bitBuf);
+            if (ds.length == 0) [[unlikely]]
+                throwInvalidCode();
+            take(ds.length);
+            util::require(ds.symbol < numDistCodes,
+                          "inflate: bad distance symbol");
+            uint32_t d = distBase[ds.symbol] + take(distExtra[ds.symbol]);
+            util::require(d <= static_cast<size_t>(out - buf),
+                          "inflate: distance beyond output");
+            out = copyMatch(out, d, len);
+        }
+        bitBuf_ = bitBuf;
+        bitCount_ = bitCount;
+        inPos_ = inPos;
+        if (blockEnd) {
+            inBlock_ = false;
+            done_ = finalBlock_;
+            return static_cast<size_t>(out - buf);
+        }
+    }
+
+    // The tail: near the end of the input, refills and decodes check
+    // every bit they take.
     while (out <= limit) {
         // One refill covers a whole length/distance pair: 15 + 5 +
         // 15 + 13 bits, within the 56 a refill guarantees mid-stream.
@@ -241,23 +346,7 @@ InflateStream::decodeHuffman(uint8_t *buf, size_t pos, size_t cap)
         uint32_t d = distBase[dsym] + bits(distExtra[dsym]);
         util::require(d <= static_cast<size_t>(out - buf),
                       "inflate: distance beyond output");
-
-        const uint8_t *src = out - d;
-        uint8_t *const end = out + len;
-        if (d >= 8) {
-            // Word copies never read bytes this match still writes.
-            do {
-                std::memcpy(out, src, 8);
-                out += 8;
-                src += 8;
-            } while (out < end);
-        } else {
-            // Overlapping: each byte may be one the copy produced.
-            do {
-                *out++ = *src++;
-            } while (out < end);
-        }
-        out = end;
+        out = copyMatch(out, d, len);
     }
     return static_cast<size_t>(out - buf);
 }

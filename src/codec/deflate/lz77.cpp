@@ -28,6 +28,15 @@ hash3(const uint8_t *p)
     return (v * 2654435761u) >> (32 - hashBits);
 }
 
+/** The 4 bytes at @p p, for equality tests only. */
+inline uint32_t
+load32(const uint8_t *p)
+{
+    uint32_t v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
 /**
  * Longest common prefix length of a and b, up to limit, compared
  * eight bytes at a time.
@@ -60,6 +69,12 @@ matchLength(const uint8_t *a, const uint8_t *b, size_t limit)
  * candidate still inside the window of a position not yet indexed,
  * so the slot it reads was never overwritten. Inputs shorter than a
  * window get a ring just large enough for them.
+ *
+ * Entries are 32-bit offsets from base_. Before an offset would
+ * reach the empty marker, rebase() moves base_ up to one window
+ * behind the position being indexed and empties every entry older
+ * than that: the walk would stop at such an entry anyway, as it is
+ * outside the window of every position still to come.
  */
 class Chains
 {
@@ -73,9 +88,11 @@ class Chains
     void
     insert(const uint8_t *base, size_t pos)
     {
+        if (pos - base_ >= empty) [[unlikely]]
+            rebase(pos);
         uint32_t h = hash3(base + pos);
         prev_[pos & mask_] = head_[h];
-        head_[h] = static_cast<int64_t>(pos);
+        head_[h] = static_cast<uint32_t>(pos - base_);
     }
 
     /**
@@ -90,19 +107,25 @@ class Chains
         if (limit < minMatch)
             return 0;
 
+        const uint8_t *cur = base + pos;
         size_t bestLen = 0;
         uint16_t bestDist = 0;
         uint32_t chain = cfg.maxChainLength;
-        int64_t candidate = head_[hash3(base + pos)];
-        while (candidate >= 0 && chain-- > 0) {
-            size_t cpos = static_cast<size_t>(candidate);
+        uint32_t candidate = head_[hash3(cur)];
+        while (candidate != empty && chain-- > 0) {
+            size_t cpos = base_ + candidate;
             if (pos - cpos > windowSize)
                 break;
-            // Quick reject: last byte of the best match so far.
-            if (bestLen == 0 ||
-                base[cpos + bestLen] == base[pos + bestLen]) {
-                size_t len = matchLength(base + cpos, base + pos,
-                                         limit);
+            // Exact reject: a match longer than bestLen equals the
+            // current bytes on [0, bestLen], so once bestLen reaches
+            // minMatch, on the 4 bytes ending at bestLen and on its
+            // first 4. bestLen < limit here, so both are in range.
+            const uint8_t *cand = base + cpos;
+            if (bestLen < minMatch ||
+                (load32(cand + bestLen - 3) ==
+                     load32(cur + bestLen - 3) &&
+                 load32(cand) == load32(cur))) {
+                size_t len = matchLength(cand, cur, limit);
                 if (len > bestLen) {
                     bestLen = len;
                     bestDist = static_cast<uint16_t>(pos - cpos);
@@ -119,10 +142,25 @@ class Chains
     }
 
   private:
-    static constexpr int64_t empty = -1;
-    std::vector<int64_t> head_;
-    std::vector<int64_t> prev_;
+    static constexpr uint32_t empty = UINT32_MAX;
+
+    void
+    rebase(size_t pos)
+    {
+        size_t shift = pos - base_ - windowSize;
+        auto move = [shift](uint32_t &e) {
+            e = e != empty && e >= shift
+                ? static_cast<uint32_t>(e - shift) : empty;
+        };
+        std::for_each(head_.begin(), head_.end(), move);
+        std::for_each(prev_.begin(), prev_.end(), move);
+        base_ += shift;
+    }
+
+    std::vector<uint32_t> head_;
+    std::vector<uint32_t> prev_;
     size_t mask_;
+    size_t base_ = 0;  ///< input position of offset 0
 };
 
 } // namespace
@@ -140,6 +178,10 @@ lz77Tokenize(std::span<const uint8_t> data, const Lz77Config &cfg)
     Chains chains(n);
 
     size_t pos = 0;
+    // A lazy lookahead that deferred a match is the search at the
+    // next position: nothing is indexed in between, so it is reused.
+    size_t carriedLen = 0;  // 0: no search carried
+    uint16_t carriedDist = 0;
     while (pos < n) {
         if (n - pos < minMatch) {
             tokens.push_back(Lz77Token::literal(base[pos]));
@@ -147,8 +189,11 @@ lz77Tokenize(std::span<const uint8_t> data, const Lz77Config &cfg)
             continue;
         }
 
-        uint16_t dist = 0;
-        size_t len = chains.bestMatch(base, pos, n - pos, cfg, dist);
+        uint16_t dist = carriedDist;
+        size_t len = carriedLen > 0
+            ? carriedLen
+            : chains.bestMatch(base, pos, n - pos, cfg, dist);
+        carriedLen = 0;
 
         // One-step lazy evaluation: prefer a strictly longer match
         // starting at the next byte.
@@ -164,7 +209,9 @@ lz77Tokenize(std::span<const uint8_t> data, const Lz77Config &cfg)
             if (nextLen > len) {
                 tokens.push_back(Lz77Token::literal(base[pos]));
                 ++pos;
-                continue;  // re-evaluate from pos (already indexed)
+                carriedLen = nextLen;
+                carriedDist = nextDist;
+                continue;
             }
             // Keep the current match; pos was indexed above.
             tokens.push_back(Lz77Token::match(

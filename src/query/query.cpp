@@ -42,19 +42,20 @@ expandFiltered(const fccc::FccTraceCompressor &codec,
                uint64_t rngSeed, const Expr &expr,
                std::vector<trace::PacketRecord> &out)
 {
-    auto viewOf = [&](const fccc::TimeSeqRecord &rec) {
-        return Expr::FlowView{shared.addresses[rec.addressIndex],
-                              codec.config().serverPort,
-                              facts.of(rec.isLong, rec.templateIndex)
-                                  .packets};
-    };
+    // One view per record, judged once here; the per-packet
+    // predicate reads the same view (matches() ignores its span).
+    std::vector<Expr::FlowView> views(records.size());
     std::vector<fccc::RecordFilter> verdicts(records.size());
     for (size_t r = 0; r < records.size(); ++r) {
         const fccc::TimeSeqRecord &rec = records[r];
-        Expr::FlowView flow = viewOf(rec);
+        const fccc::TemplateFacts &fact =
+            facts.of(rec.isLong, rec.templateIndex);
+        Expr::FlowView &flow = views[r];
+        flow.serverIp = shared.addresses[rec.addressIndex];
+        flow.serverPort = codec.config().serverPort;
+        flow.packets = fact.packets;
         if (std::optional<fccc::FlowSpan> span = fccc::flowSpan(
-                facts.of(rec.isLong, rec.templateIndex), rec,
-                codec.config().defaultGapUs)) {
+                fact, rec, codec.config().defaultGapUs)) {
             flow.spanKnown = true;
             flow.firstUs = span->firstUs;
             flow.lastUs = span->lastUs;
@@ -65,7 +66,7 @@ expandFiltered(const fccc::FccTraceCompressor &codec,
                                            : fccc::RecordFilter::PerPacket;
     }
     fccc::ChunkFilter filter{verdicts, [&](size_t r, uint64_t us) {
-        return expr.matches(viewOf(records[r]), us);
+        return expr.matches(views[r], us);
     }};
     return codec.expandChunk(shared, flow::ClassTable(shared.weights),
                              facts, records, rngSeed, out, &filter);

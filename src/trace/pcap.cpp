@@ -115,14 +115,12 @@ appendIpv4TcpHeader(const PacketRecord &pkt, std::vector<uint8_t> &out)
 // ---- PcapSource ----------------------------------------------------
 
 PcapSource::PcapSource(std::unique_ptr<util::ByteSource> bytes)
-    : bytes_(std::move(bytes))
+    : in_(std::move(bytes))
 {
-    uint8_t hdr[24];
-    util::require(util::readFully(*bytes_, hdr, sizeof(hdr),
-                                  "readPcap: missing global header") ==
-                      sizeof(hdr),
+    constexpr size_t globalHeader = 24;
+    util::require(in_.fill(globalHeader, "readPcap: missing global header"),
                   "readPcap: missing global header");
-    consumed_ += sizeof(hdr);
+    const uint8_t *hdr = in_.data();
 
     uint32_t magic = util::loadLe32(hdr);
     switch (magic) {
@@ -139,22 +137,22 @@ PcapSource::PcapSource(std::unique_ptr<util::ByteSource> bytes)
     util::require(link == linkRaw || link == linkEthernet,
                   "readPcap: unsupported link type");
     l2skip_ = link == linkEthernet ? 14 : 0;
+    in_.consume(globalHeader);
+    consumed_ += globalHeader;
 }
 
 size_t
 PcapSource::read(std::span<PacketRecord> batch)
 {
+    constexpr size_t recordHeader = 16;
+    auto fix = [this](uint32_t v) {
+        return swapped_ ? util::byteSwap32(v) : v;
+    };
     size_t filled = 0;
-    uint8_t rec[16];
     while (filled < batch.size()) {
-        size_t n = util::readFully(
-            *bytes_, rec, sizeof(rec),
-            "readPcap: truncated record header");
-        if (n == 0)
+        if (!in_.fill(recordHeader, "readPcap: truncated record header"))
             break;  // clean end of file
-        auto fix = [this](uint32_t v) {
-            return swapped_ ? util::byteSwap32(v) : v;
-        };
+        const uint8_t *rec = in_.data();
         uint32_t sec = fix(util::loadLe32(rec));
         uint32_t frac = fix(util::loadLe32(rec + 4));
         uint32_t capLen = fix(util::loadLe32(rec + 8));
@@ -165,18 +163,15 @@ PcapSource::read(std::span<PacketRecord> batch)
         util::require(frac < (nanos_ ? 1000000000u : 1000000u),
                       "readPcap: timestamp fraction out of range");
         // libpcap's MAXIMUM_SNAPLEN; anything above is corruption,
-        // not capture data — refuse before allocating.
+        // not capture data — refuse before the window grows.
         util::require(capLen <= 262144,
                       "readPcap: capture length too large");
 
-        body_.resize(capLen);
-        if (capLen > 0)
-            util::require(util::readFully(
-                              *bytes_, body_.data(), capLen,
-                              "readPcap: truncated record body") ==
-                              capLen,
-                          "readPcap: truncated record body");
-        consumed_ += sizeof(rec) + capLen;
+        size_t recLen = recordHeader + capLen;
+        in_.fill(recLen, "readPcap: truncated record body");
+        const uint8_t *body = in_.data() + recordHeader;
+        in_.consume(recLen);
+        consumed_ += recLen;
 
         PacketRecord &pkt = batch[filled];
         pkt = PacketRecord();
@@ -185,8 +180,7 @@ PcapSource::read(std::span<PacketRecord> batch)
             (nanos_ ? frac : static_cast<uint64_t>(frac) * 1000ull);
         util::require(capLen >= l2skip_,
                       "readPcap: capture below link header size");
-        parseIpv4Packet(body_.data() + l2skip_, capLen - l2skip_,
-                        pkt);
+        parseIpv4Packet(body + l2skip_, capLen - l2skip_, pkt);
         ++filled;
     }
     return filled;

@@ -24,6 +24,7 @@
 
 #include "trace/source.hpp"
 #include "trace/trace.hpp"
+#include "util/io.hpp"
 
 namespace fcc::trace {
 
@@ -69,9 +70,10 @@ void appendIpv4TcpHeader(const PacketRecord &pkt,
                          std::vector<uint8_t> &out);
 
 /**
- * Incremental pcap reader: one record parsed per slot, memory
- * bounded by the batch size (the backing ByteSource is typically an
- * mmap with a read-buffer fallback — see util::openByteSource).
+ * Incremental pcap reader: records are parsed in place from one
+ * refillable util::ReadWindow, so memory stays bounded by the window
+ * (the backing ByteSource is typically an mmap with a read-buffer
+ * fallback — see util::openByteSource).
  */
 class PcapSource final : public TraceSource
 {
@@ -83,8 +85,7 @@ class PcapSource final : public TraceSource
     uint64_t bytesConsumed() const override { return consumed_; }
 
   private:
-    std::unique_ptr<util::ByteSource> bytes_;
-    std::vector<uint8_t> body_;
+    util::ReadWindow in_;
     uint64_t consumed_ = 0;
     bool swapped_ = false;
     bool nanos_ = false;

@@ -96,72 +96,65 @@ PcapngSource::fix16(uint16_t v) const
 }
 
 PcapngSource::PcapngSource(std::unique_ptr<util::ByteSource> bytes)
-    : bytes_(std::move(bytes))
+    : in_(std::move(bytes))
 {
-    uint32_t type = 0;
-    util::require(readBlock(body_, type) && type == blockShb,
+    Block block;
+    util::require(nextBlock(block) && block.type == blockShb,
                   "pcapng: missing section header block");
-    beginSection({body_.data(), body_.size()});
+    beginSection(block.body);
     started_ = true;
 }
 
 /**
- * Read the next block into @p body (payload only — the redundant
- * trailing length is verified and stripped; for an SHB the byte-order
- * magic is consumed too, so the payload starts at the version field).
+ * Frame and consume the next block: @p block.body is its payload in
+ * place in the read window, valid until the next fill (the redundant
+ * trailing length is verified and left out; for an SHB the
+ * byte-order magic is skipped too, so the payload starts at the
+ * version field).
  *
  * @returns false on a clean end of file.
  */
 bool
-PcapngSource::readBlock(std::vector<uint8_t> &body, uint32_t &type)
+PcapngSource::nextBlock(Block &block)
 {
-    uint8_t hdr[8];
-    size_t n = util::readFully(*bytes_, hdr, sizeof(hdr),
-                               "pcapng: truncated block header");
-    if (n == 0)
+    if (!in_.fill(8, "pcapng: truncated block header"))
         return false;
 
-    uint32_t rawType = util::loadLe32(hdr);
-    size_t already;  // bytes of the block consumed so far
+    uint32_t rawType = util::loadLe32(in_.data());
+    size_t already;  // bytes of the block before its payload
     if (rawType == blockShb) {
         // The byte-order magic governs this whole section, including
         // the length field of this very block.
-        uint8_t bom[4];
-        util::require(util::readFully(*bytes_, bom, sizeof(bom),
-                                      "pcapng: truncated section "
-                                      "header") == sizeof(bom),
-                      "pcapng: truncated section header");
-        uint32_t magic = util::loadLe32(bom);
+        in_.fill(12, "pcapng: truncated section header");
+        uint32_t magic = util::loadLe32(in_.data() + 8);
         if (magic == byteOrderMagic)
             swapped_ = false;
         else if (magic == byteOrderMagicSwap)
             swapped_ = true;
         else
             throw util::Error("pcapng: bad byte-order magic");
-        type = blockShb;
+        block.type = blockShb;
         already = 12;
     } else {
         util::require(started_,
                       "pcapng: missing section header block");
-        type = fix(rawType);
+        block.type = fix(rawType);
         already = 8;
     }
 
-    uint32_t totalLen = fix(util::loadLe32(hdr + 4));
+    uint32_t totalLen = fix(util::loadLe32(in_.data() + 4));
     util::require(totalLen >= already + 4 && totalLen % 4 == 0,
                   "pcapng: bad block length");
     util::require(totalLen <= maxBlockLen,
                   "pcapng: block too large");
 
-    size_t rest = totalLen - already;  // payload + trailing length
-    body.resize(rest);
-    util::require(util::readFully(*bytes_, body.data(), rest,
-                                  "pcapng: truncated block") == rest,
-                  "pcapng: truncated block");
-    uint32_t trail = fix(util::loadLe32(body.data() + rest - 4));
+    in_.fill(totalLen, "pcapng: truncated block");
+    const uint8_t *p = in_.data();
+    uint32_t trail = fix(util::loadLe32(p + totalLen - 4));
     util::require(trail == totalLen,
                   "pcapng: block length mismatch");
-    body.resize(rest - 4);
+    block.body = {p + already, totalLen - already - 4};
+    in_.consume(totalLen);
     consumed_ += totalLen;
     return true;
 }
@@ -237,20 +230,19 @@ size_t
 PcapngSource::read(std::span<PacketRecord> batch)
 {
     size_t filled = 0;
-    uint32_t type = 0;
+    Block block;
     while (filled < batch.size()) {
-        if (!readBlock(body_, type))
+        if (!nextBlock(block))
             break;
-        std::span<const uint8_t> body(body_.data(), body_.size());
-        switch (type) {
+        switch (block.type) {
           case blockShb:
-            beginSection(body);
+            beginSection(block.body);
             break;
           case blockIdb:
-            addInterface(body);
+            addInterface(block.body);
             break;
           case blockEpb:
-            parsePacket(body, batch[filled]);
+            parsePacket(block.body, batch[filled]);
             ++filled;
             break;
           case blockSpb:

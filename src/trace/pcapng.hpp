@@ -27,6 +27,7 @@
 
 #include "trace/source.hpp"
 #include "trace/trace.hpp"
+#include "util/io.hpp"
 
 namespace fcc::trace {
 
@@ -42,7 +43,10 @@ void writePcapngFile(const Trace &trace, const std::string &path);
 /** Read a pcapng file. @throws fcc::util::Error */
 Trace readPcapngFile(const std::string &path);
 
-/** Incremental pcapng reader over a ByteSource. */
+/**
+ * Incremental pcapng reader over a ByteSource: each block is framed
+ * and parsed in place in one refillable util::ReadWindow.
+ */
 class PcapngSource final : public TraceSource
 {
   public:
@@ -60,7 +64,14 @@ class PcapngSource final : public TraceSource
         uint8_t tsresol = 6;  ///< raw if_tsresol byte (default 1 µs)
     };
 
-    bool readBlock(std::vector<uint8_t> &body, uint32_t &type);
+    /** One framed block, in place in the read window. */
+    struct Block
+    {
+        uint32_t type = 0;
+        std::span<const uint8_t> body;  ///< payload
+    };
+
+    bool nextBlock(Block &block);
     void beginSection(std::span<const uint8_t> body);
     void addInterface(std::span<const uint8_t> body);
     void parsePacket(std::span<const uint8_t> body,
@@ -68,8 +79,7 @@ class PcapngSource final : public TraceSource
     uint32_t fix(uint32_t v) const;
     uint16_t fix16(uint16_t v) const;
 
-    std::unique_ptr<util::ByteSource> bytes_;
-    std::vector<uint8_t> body_;
+    util::ReadWindow in_;
     std::vector<Interface> interfaces_;
     uint64_t consumed_ = 0;
     bool swapped_ = false;

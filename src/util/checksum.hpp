@@ -14,8 +14,8 @@ namespace fcc::util {
 
 /**
  * Incremental CRC-32 with the gzip polynomial (0xEDB88320,
- * reflected). Equivalent to zlib's crc32(), folding eight bytes per
- * step (slice-by-8); the checksum never depends on how the input is
+ * reflected). Equivalent to zlib's crc32(), folding sixteen bytes per
+ * step (slice-by-16); the checksum never depends on how the input is
  * chunked across update() calls.
  */
 class Crc32

@@ -2,7 +2,8 @@
  * @file
  * ByteSource implementations: buffered stdio reads, mmap with
  * sequential-access advice and consumed-prefix release, memory and
- * generator adapters, and the mmap-or-stdio factory.
+ * generator adapters, the refillable read window, and the
+ * mmap-or-stdio factory.
  */
 
 #include "util/io.hpp"
@@ -24,21 +25,6 @@
 #endif
 
 namespace fcc::util {
-
-size_t
-readFully(ByteSource &src, uint8_t *out, size_t len, const char *what)
-{
-    size_t total = 0;
-    while (total < len) {
-        size_t n = src.read(out + total, len - total);
-        if (n == 0) {
-            require(total == 0, what);
-            return 0;
-        }
-        total += n;
-    }
-    return total;
-}
 
 // ---- BufferByteSource ----------------------------------------------
 
@@ -188,6 +174,36 @@ PrefixedByteSource::read(uint8_t *out, size_t maxLen)
         return n;
     }
     return rest_ ? rest_->read(out, maxLen) : 0;
+}
+
+// ---- ReadWindow ----------------------------------------------------
+
+bool
+ReadWindow::refill(size_t n, const char *what)
+{
+    size_t have = end_ - pos_;
+    if (n + refillBytes > cap_) {
+        // Grow without zero-filling: only bytes read are touched.
+        size_t cap = std::max(n, size_t{4096}) + refillBytes;
+        std::unique_ptr<uint8_t[]> grown(new uint8_t[cap]);
+        if (have > 0)
+            std::memcpy(grown.get(), buf_.get() + pos_, have);
+        buf_ = std::move(grown);
+        cap_ = cap;
+    } else if (pos_ > 0 && have > 0) {
+        std::memmove(buf_.get(), buf_.get() + pos_, have);
+    }
+    pos_ = 0;
+    end_ = have;
+    while (end_ < n) {
+        size_t got = src_->read(buf_.get() + end_, cap_ - end_);
+        if (got == 0) {
+            require(end_ == 0, what);
+            return false;
+        }
+        end_ += got;
+    }
+    return true;
 }
 
 // ---- FileByteSink --------------------------------------------------

@@ -32,7 +32,7 @@ namespace fcc::util {
  * read() fills up to @p maxLen bytes and returns how many were
  * produced; 0 means end of stream (and every later call returns 0).
  * Short reads before the end are allowed — callers that need exact
- * counts should loop (see readFully()).
+ * counts should loop (see ReadWindow).
  */
 class ByteSource
 {
@@ -50,17 +50,6 @@ class ByteSource
      */
     virtual std::span<const uint8_t> contiguous() const { return {}; }
 };
-
-/**
- * Fill exactly @p len bytes from @p src unless the stream ends first.
- *
- * @returns the number of bytes read: @p len normally, 0 on a clean
- *          end-of-stream at a read boundary.
- * @throws fcc::util::Error tagged with @p what when the stream ends
- *         mid-way (a truncated record).
- */
-size_t readFully(ByteSource &src, uint8_t *out, size_t len,
-                 const char *what);
 
 /** Non-owning (or owning, via the vector overload) memory source. */
 class BufferByteSource : public ByteSource
@@ -183,6 +172,52 @@ class PrefixedByteSource : public ByteSource
     std::vector<uint8_t> prefix_;
     size_t pos_ = 0;
     std::unique_ptr<ByteSource> rest_;
+};
+
+/**
+ * A refillable read window over a ByteSource, for record parsers that
+ * read in place. fill(n) makes the next @p n bytes contiguous at
+ * data(); consume(n) steps past a parsed record. A refill moves the
+ * unconsumed tail to the front and pulls at least refillBytes more,
+ * so a pointer into the window is valid until the next fill().
+ * Callers validate a record's length before asking for it: the
+ * window grows to whatever one fill() asks for.
+ */
+class ReadWindow
+{
+  public:
+    /** Least free space offered to each refill's reads. */
+    static constexpr size_t refillBytes = size_t{1} << 16;
+
+    explicit ReadWindow(std::unique_ptr<ByteSource> src)
+        : src_(std::move(src))
+    {}
+
+    /**
+     * Make at least @p n bytes available at data().
+     * @returns false on a clean end of stream: no byte left.
+     * @throws fcc::util::Error tagged with @p what when the stream
+     *         ends with between 1 and n - 1 bytes left.
+     */
+    bool
+    fill(size_t n, const char *what)
+    {
+        return end_ - pos_ >= n || refill(n, what);
+    }
+
+    const uint8_t *data() const { return buf_.get() + pos_; }
+
+    /** Step past @p n bytes of a previous fill(). */
+    void consume(size_t n) { pos_ += n; }
+
+  private:
+    bool refill(size_t n, const char *what);
+
+    std::unique_ptr<ByteSource> src_;
+    std::unique_ptr<uint8_t[]> buf_;
+    size_t cap_ = 0;
+    size_t pos_ = 0;  ///< first unconsumed byte
+    size_t end_ = 0;  ///< end of the bytes read so far
 };
 
 /**

@@ -799,31 +799,45 @@ TEST(InflateConformance, DistanceBeyondOutputRejected)
     w.putHuff(6, 5);
     w.put(2, 2);
     w.putHuff(lits[fd::endOfBlock], litLens[fd::endOfBlock]);
-    EXPECT_THROW(fd::inflate(w.take()), fcc::util::Error);
+    std::vector<uint8_t> bad = w.take();
+    EXPECT_THROW(fd::inflate(bad), fcc::util::Error);
+
+    // With 32 bytes of input after it, the match is decoded by the
+    // fast symbol loop, which must reject it too.
+    bad.resize(bad.size() + 32);
+    EXPECT_THROW(fd::inflate(bad), fcc::util::Error);
 }
 
 TEST(InflateConformance, FixedCodeReservedSymbolsRejected)
 {
+    // Each symbol followed by 2 bytes of padding (decoded by the
+    // checked loop) and by 32 (decoded by the fast symbol loop).
     auto litLens = fd::fixedLitLengths();
     auto lits = fd::canonicalCodes(litLens);
-    for (int sym : {286, 287}) {
-        fcc::util::BitWriter w;
-        w.put(1, 1);
-        w.put(1, 2);
-        w.putHuff(lits['a'], litLens['a']);
-        w.putHuff(lits[sym], litLens[sym]);
-        w.put(0, 16);
-        EXPECT_THROW(fd::inflate(w.take()), fcc::util::Error) << sym;
-    }
-    for (int dsym : {30, 31}) {
-        fcc::util::BitWriter w;
-        w.put(1, 1);
-        w.put(1, 2);
-        w.putHuff(lits['a'], litLens['a']);
-        w.putHuff(lits[257], litLens[257]);
-        w.putHuff(static_cast<uint32_t>(dsym), 5);
-        w.put(0, 16);
-        EXPECT_THROW(fd::inflate(w.take()), fcc::util::Error) << dsym;
+    for (int padBytes : {2, 32}) {
+        for (int sym : {286, 287}) {
+            fcc::util::BitWriter w;
+            w.put(1, 1);
+            w.put(1, 2);
+            w.putHuff(lits['a'], litLens['a']);
+            w.putHuff(lits[sym], litLens[sym]);
+            for (int i = 0; i < padBytes; ++i)
+                w.put(0, 8);
+            EXPECT_THROW(fd::inflate(w.take()), fcc::util::Error)
+                << sym << " pad " << padBytes;
+        }
+        for (int dsym : {30, 31}) {
+            fcc::util::BitWriter w;
+            w.put(1, 1);
+            w.put(1, 2);
+            w.putHuff(lits['a'], litLens['a']);
+            w.putHuff(lits[257], litLens[257]);
+            w.putHuff(static_cast<uint32_t>(dsym), 5);
+            for (int i = 0; i < padBytes; ++i)
+                w.put(0, 8);
+            EXPECT_THROW(fd::inflate(w.take()), fcc::util::Error)
+                << dsym << " pad " << padBytes;
+        }
     }
 }
 
@@ -858,6 +872,31 @@ TEST(InflateConformance, IncompleteCodesFollowZlib)
         EXPECT_EQ(zlibInflate(stream, Wrap::Raw).has_value(), c.valid);
         EXPECT_EQ(ourInflate(stream, Wrap::Raw).has_value(), c.valid)
             << "distance code of " << c.distLens.size() << " lengths";
+    }
+
+    // The unused pattern of an accepted one-bit code is an invalid
+    // code: a distance '1' after 'a' and length 3, and a literal '1'
+    // when end-of-block is the only literal/length code. With 32
+    // bytes after it the fast symbol loop decodes it.
+    std::vector<uint8_t> eobOnly(257, 0);
+    eobOnly[fd::endOfBlock] = 1;
+    for (int padBytes : {0, 32}) {
+        fcc::util::BitWriter dist, lit;
+        putDynamicHeader(dist, litLens, {1});
+        dist.putHuff(litCodes['a'], 1);
+        dist.putHuff(litCodes[257], 2);
+        dist.put(1, 1);
+        putDynamicHeader(lit, eobOnly, {0});
+        lit.put(1, 1);
+        for (int i = 0; i < padBytes; ++i) {
+            dist.put(0, 8);
+            lit.put(0, 8);
+        }
+        for (const auto &stream : {dist.take(), lit.take()}) {
+            EXPECT_FALSE(zlibInflate(stream, Wrap::Raw).has_value());
+            EXPECT_FALSE(ourInflate(stream, Wrap::Raw).has_value())
+                << "pad " << padBytes;
+        }
     }
 }
 

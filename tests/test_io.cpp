@@ -346,12 +346,14 @@ pcapngIdb(uint16_t linkType, uint8_t tsresol)
     return out;
 }
 
+/** EPB of @p pkt, its capture padded with @p extra zero bytes. */
 std::vector<uint8_t>
 pcapngEpb(uint32_t ifaceId, uint64_t ticks,
-          const trace::PacketRecord &pkt)
+          const trace::PacketRecord &pkt, size_t extra = 0)
 {
     std::vector<uint8_t> body;
     trace::appendIpv4TcpHeader(pkt, body);
+    body.resize(body.size() + extra);
     std::vector<uint8_t> out;
     putU32le(out, 6);
     uint32_t total = static_cast<uint32_t>(32 + body.size());
@@ -461,6 +463,387 @@ TEST(TraceIo, PcapngTruncatedHeaderRejected)
     std::vector<uint8_t> file = pcapngShb();
     file.resize(10);  // mid-byte-order-magic
     EXPECT_THROW(trace::readPcapng(file), util::Error);
+}
+
+// ---- window reader: pcap and pcapng records parsed in place -------------
+
+namespace {
+
+/** Every field equal, the nanosecond timestamp included. */
+bool
+samePackets(std::span<const trace::PacketRecord> a,
+            std::span<const trace::PacketRecord> b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i)
+        if (trace::packetCanonicalLess(a[i], b[i]) ||
+            trace::packetCanonicalLess(b[i], a[i]))
+            return false;
+    return true;
+}
+
+/**
+ * A memory source that hands out 1..4099 bytes per read (sizes drawn
+ * from @p seed), so records land across every refill position, and
+ * records the largest read it was asked for.
+ */
+class RaggedByteSource : public util::ByteSource
+{
+  public:
+    RaggedByteSource(std::vector<uint8_t> data, uint32_t seed,
+                     size_t *largestAsk = nullptr)
+        : data_(std::move(data)), rng_(seed), largestAsk_(largestAsk)
+    {}
+
+    size_t
+    read(uint8_t *out, size_t maxLen) override
+    {
+        if (largestAsk_ != nullptr)
+            *largestAsk_ = std::max(*largestAsk_, maxLen);
+        size_t n = std::min({maxLen, data_.size() - pos_,
+                             static_cast<size_t>(1 + rng_() % 4099)});
+        std::memcpy(out, data_.data() + pos_, n);
+        pos_ += n;
+        return n;
+    }
+
+  private:
+    std::vector<uint8_t> data_;
+    size_t pos_ = 0;
+    std::mt19937 rng_;
+    size_t *largestAsk_;
+};
+
+/** Open a pcap or pcapng source over @p bytes, gunzipping first. */
+std::unique_ptr<trace::TraceSource>
+openCapture(trace::TraceFormat format, bool gzip,
+            std::unique_ptr<util::ByteSource> bytes)
+{
+    if (gzip)
+        bytes = std::make_unique<codec::deflate::GzipInflateSource>(
+            std::move(bytes));
+    if (format == trace::TraceFormat::Pcap)
+        return std::make_unique<trace::PcapSource>(std::move(bytes));
+    return std::make_unique<trace::PcapngSource>(std::move(bytes));
+}
+
+/**
+ * Read @p bytes one packet per call until the end or a util::Error
+ * (@p threw says which, opening included); returns the packets read.
+ */
+std::vector<trace::PacketRecord>
+readEach(trace::TraceFormat format, bool gzip, std::vector<uint8_t> bytes,
+         bool &threw)
+{
+    std::vector<trace::PacketRecord> got;
+    threw = false;
+    try {
+        auto src = openCapture(
+            format, gzip,
+            std::make_unique<util::BufferByteSource>(std::move(bytes)));
+        trace::PacketRecord pkt;
+        while (src->read({&pkt, 1}) == 1)
+            got.push_back(pkt);
+    } catch (const util::Error &) {
+        threw = true;
+    }
+    return got;
+}
+
+/** A capture file and where its blocks (or records) end. */
+struct Capture
+{
+    const char *name;
+    trace::TraceFormat format;
+    std::vector<uint8_t> bytes;
+    std::vector<size_t> blockEnds;   ///< every block, header included
+    std::vector<size_t> packetEnds;  ///< packet blocks only
+    std::vector<trace::PacketRecord> packets;
+
+    void
+    append(const std::vector<uint8_t> &block, bool isPacket)
+    {
+        bytes.insert(bytes.end(), block.begin(), block.end());
+        blockEnds.push_back(bytes.size());
+        if (isPacket)
+            packetEnds.push_back(bytes.size());
+    }
+};
+
+/** One pcap record at nanosecond resolution, capture padded by @p extra. */
+std::vector<uint8_t>
+pcapRecord(const trace::PacketRecord &pkt, size_t extra = 0)
+{
+    std::vector<uint8_t> body;
+    trace::appendIpv4TcpHeader(pkt, body);
+    body.resize(body.size() + extra);
+    std::vector<uint8_t> out;
+    putU32le(out, static_cast<uint32_t>(pkt.timestampNs / 1000000000));
+    putU32le(out, static_cast<uint32_t>(pkt.timestampNs % 1000000000));
+    putU32le(out, static_cast<uint32_t>(body.size()));
+    putU32le(out, pkt.ipTotalLength());
+    out.insert(out.end(), body.begin(), body.end());
+    return out;
+}
+
+Capture
+pcapCapture(std::span<const trace::PacketRecord> packets)
+{
+    Capture c{"pcap", trace::TraceFormat::Pcap, {}, {}, {}, {}};
+    c.append(trace::writePcap(trace::Trace(), /*nanos=*/true), false);
+    for (const auto &pkt : packets) {
+        c.append(pcapRecord(pkt), true);
+        c.packets.push_back(pkt);
+    }
+    return c;
+}
+
+/**
+ * Append a pcapng section of @p packets in the given byte order:
+ * SHB, one nanosecond RAW interface, one EPB per packet.
+ */
+void
+appendPcapngSection(Capture &c, std::span<const trace::PacketRecord> packets,
+                    bool bigEndian)
+{
+    auto swap = [bigEndian](std::vector<uint8_t> block,
+                            std::initializer_list<std::pair<size_t, int>>
+                                fields) {
+        // (offset, width) of every multi-byte field to reverse.
+        if (bigEndian)
+            for (auto [at, width] : fields)
+                std::reverse(block.begin() + static_cast<long>(at),
+                             block.begin() + static_cast<long>(at) +
+                                 width);
+        return block;
+    };
+    c.append(swap(pcapngShb(), {{4, 4}, {8, 4}, {12, 2}, {14, 2},
+                                {16, 8}, {24, 4}}),
+             false);
+    c.append(swap(pcapngIdb(101, 9), {{0, 4}, {4, 4}, {8, 2},
+                                      {10, 2}, {12, 4}, {16, 2},
+                                      {18, 2}, {24, 2}, {26, 2},
+                                      {28, 4}}),
+             false);
+    for (const auto &pkt : packets) {
+        c.append(swap(pcapngEpb(0, pkt.timestampNs, pkt),
+                      {{0, 4}, {4, 4}, {8, 4}, {12, 4}, {16, 4},
+                       {20, 4}, {24, 4}, {68, 4}}),
+                 true);
+        c.packets.push_back(pkt);
+    }
+}
+
+} // namespace
+
+TEST(TraceIo, WindowReaderTruncationAtEveryOffset)
+{
+    // Cut pcap, pcapng and a byte-swapped two-section pcapng, plain
+    // and gzip'd, after every byte. A plain file cut at a block end
+    // is a shorter valid capture; any other cut, and every cut of a
+    // gzip'd file, ends in util::Error. Either way the packets read
+    // before the end are the reference prefix.
+    trace::Trace t = webTrace(51, 2.0);
+    ASSERT_GE(t.size(), 30u);
+    std::span<const trace::PacketRecord> all(t.packets());
+
+    std::vector<Capture> captures;
+    captures.push_back(pcapCapture(all.first(30)));
+    Capture ng{"pcapng", trace::TraceFormat::Pcapng, {}, {}, {}, {}};
+    appendPcapngSection(ng, all.first(30), false);
+    captures.push_back(ng);
+    Capture swapped{"swapped pcapng", trace::TraceFormat::Pcapng,
+                    {}, {}, {}, {}};
+    appendPcapngSection(swapped, all.first(12), true);
+    appendPcapngSection(swapped, all.subspan(12, 12), false);
+    captures.push_back(swapped);
+
+    for (const Capture &c : captures) {
+        bool threw = false;
+        ASSERT_TRUE(samePackets(readEach(c.format, false, c.bytes, threw),
+                                c.packets))
+            << c.name;
+        ASSERT_FALSE(threw) << c.name;
+
+        for (size_t cut = 0; cut < c.bytes.size(); ++cut) {
+            std::vector<uint8_t> head(c.bytes.begin(),
+                                      c.bytes.begin() +
+                                          static_cast<long>(cut));
+            auto got = readEach(c.format, false, head, threw);
+            bool atBlockEnd = std::binary_search(
+                c.blockEnds.begin(), c.blockEnds.end(), cut);
+            size_t whole = static_cast<size_t>(
+                std::upper_bound(c.packetEnds.begin(),
+                                 c.packetEnds.end(), cut) -
+                c.packetEnds.begin());
+            ASSERT_EQ(threw, !atBlockEnd) << c.name << " cut " << cut;
+            ASSERT_TRUE(samePackets(
+                got, std::span(c.packets).first(whole)))
+                << c.name << " cut " << cut;
+        }
+
+        std::vector<uint8_t> gz = codec::deflate::gzipCompress(c.bytes);
+        ASSERT_TRUE(samePackets(readEach(c.format, true, gz, threw),
+                                c.packets))
+            << c.name << ".gz";
+        for (size_t cut = 0; cut < gz.size(); ++cut) {
+            std::vector<uint8_t> head(gz.begin(),
+                                      gz.begin() + static_cast<long>(cut));
+            auto got = readEach(c.format, true, head, threw);
+            ASSERT_TRUE(threw) << c.name << ".gz cut " << cut;
+            ASSERT_LE(got.size(), c.packets.size());
+            ASSERT_TRUE(samePackets(
+                got, std::span(c.packets).first(got.size())))
+                << c.name << ".gz cut " << cut;
+        }
+    }
+}
+
+TEST(TraceIo, WindowReaderBlocksStraddlingRefills)
+{
+    // Captures several windows long, each with one packet record
+    // larger than a refill (and, in pcapng, a larger skipped block),
+    // read whole, in ragged 1..4099-byte pieces and gzip'd: every
+    // record lands across a refill somewhere, and each way reads
+    // the same packets.
+    trace::Trace t = webTrace(52, 8.0);
+    ASSERT_GE(t.size(), 4000u);
+    std::span<const trace::PacketRecord> all(t.packets());
+    const size_t half = all.size() / 2;
+    const size_t bigExtra = util::ReadWindow::refillBytes + 4460;
+
+    Capture pcap = pcapCapture(all.first(half));
+    pcap.append(pcapRecord(all[half], bigExtra), true);
+    pcap.packets.push_back(all[half]);
+    for (const auto &pkt : all.subspan(half + 1)) {
+        pcap.append(pcapRecord(pkt), true);
+        pcap.packets.push_back(pkt);
+    }
+
+    Capture ng{"pcapng", trace::TraceFormat::Pcapng, {}, {}, {}, {}};
+    appendPcapngSection(ng, all.first(half), false);
+    std::vector<uint8_t> custom;  // custom block (type 0xBAD), skipped
+    putU32le(custom, 0xBAD);
+    putU32le(custom, 100000);
+    custom.resize(100000 - 4);
+    putU32le(custom, 100000);
+    ng.append(custom, false);
+    ng.append(pcapngEpb(0, all[half].timestampNs, all[half], bigExtra),
+              true);
+    ng.packets.push_back(all[half]);
+    appendPcapngSection(ng, all.subspan(half + 1), false);
+
+    for (const Capture &c : {pcap, ng}) {
+        ASSERT_GT(c.bytes.size(), 4 * util::ReadWindow::refillBytes);
+        auto whole = openCapture(
+            c.format, false,
+            std::make_unique<util::BufferByteSource>(c.bytes));
+        EXPECT_TRUE(samePackets(trace::readAllPackets(*whole).packets(),
+                                c.packets))
+            << c.name;
+        EXPECT_EQ(whole->bytesConsumed(), c.bytes.size()) << c.name;
+
+        for (uint32_t seed : {1u, 2u, 3u}) {
+            auto ragged = openCapture(
+                c.format, false,
+                std::make_unique<RaggedByteSource>(c.bytes, seed));
+            EXPECT_TRUE(samePackets(
+                trace::readAllPackets(*ragged).packets(), c.packets))
+                << c.name << " ragged seed " << seed;
+        }
+
+        auto gz = openCapture(
+            c.format, true,
+            std::make_unique<util::BufferByteSource>(
+                codec::deflate::gzipCompress(c.bytes)));
+        EXPECT_TRUE(samePackets(trace::readAllPackets(*gz).packets(),
+                                c.packets))
+            << c.name << ".gz";
+    }
+}
+
+TEST(TraceIo, PcapngByteSwappedSectionsReadInPlace)
+{
+    // Big-endian, little-endian, big-endian sections in one file:
+    // each section's byte-order magic governs its own blocks.
+    trace::Trace t = webTrace(53, 3.0);
+    ASSERT_GE(t.size(), 600u);
+    std::span<const trace::PacketRecord> all(t.packets());
+    Capture c{"mixed", trace::TraceFormat::Pcapng, {}, {}, {}, {}};
+    appendPcapngSection(c, all.first(200), true);
+    appendPcapngSection(c, all.subspan(200, 200), false);
+    appendPcapngSection(c, all.subspan(400), true);
+
+    for (bool gzip : {false, true}) {
+        std::vector<uint8_t> bytes =
+            gzip ? codec::deflate::gzipCompress(c.bytes) : c.bytes;
+        auto src = openCapture(
+            c.format, gzip,
+            std::make_unique<RaggedByteSource>(bytes, 7));
+        EXPECT_TRUE(samePackets(trace::readAllPackets(*src).packets(),
+                                c.packets))
+            << (gzip ? "gzip'd" : "plain");
+    }
+}
+
+TEST(TraceIo, OversizedRecordRejectedBeforeTheWindowGrows)
+{
+    // A length field past the cap fails on the length, not on the
+    // missing bytes, and the window never asks its source for the
+    // claimed size.
+    trace::PacketRecord pkt;
+    pkt.srcIp = 1;
+    pkt.dstIp = 2;
+
+    auto expectRejected = [](trace::TraceFormat format,
+                             std::vector<uint8_t> file,
+                             const char *message) {
+        size_t largestAsk = 0;
+        try {
+            auto src = openCapture(
+                format, false,
+                std::make_unique<RaggedByteSource>(std::move(file), 5,
+                                                   &largestAsk));
+            trace::readAllPackets(*src);
+            ADD_FAILURE() << "accepted: " << message;
+        } catch (const util::Error &e) {
+            EXPECT_STREQ(e.what(), message);
+        }
+        EXPECT_LT(largestAsk, size_t{1} << 20) << message;
+    };
+
+    for (uint32_t claim : {(1u << 24) + 4, 0x7ffffffcu, 0xfffffffcu}) {
+        Capture ng{"pcapng", trace::TraceFormat::Pcapng, {}, {}, {}, {}};
+        appendPcapngSection(ng, {&pkt, 1}, false);
+        std::vector<uint8_t> file = ng.bytes;
+        putU32le(file, 6);
+        putU32le(file, claim);
+        file.resize(file.size() + 4096);
+        expectRejected(trace::TraceFormat::Pcapng, file,
+                       "pcapng: block too large");
+
+        // The same claim in a section header block.
+        std::vector<uint8_t> shb = pcapngShb();
+        shb[4] = static_cast<uint8_t>(claim);
+        shb[5] = static_cast<uint8_t>(claim >> 8);
+        shb[6] = static_cast<uint8_t>(claim >> 16);
+        shb[7] = static_cast<uint8_t>(claim >> 24);
+        expectRejected(trace::TraceFormat::Pcapng, shb,
+                       "pcapng: block too large");
+    }
+
+    for (uint32_t capLen : {262145u, 0x7fffffffu, 0xffffffffu}) {
+        Capture pc = pcapCapture({&pkt, 1});
+        std::vector<uint8_t> file = pc.bytes;
+        putU32le(file, 1);
+        putU32le(file, 0);
+        putU32le(file, capLen);
+        putU32le(file, 40);
+        file.resize(file.size() + 4096);
+        expectRejected(trace::TraceFormat::Pcap, file,
+                       "readPcap: capture length too large");
+    }
 }
 
 // ---- gzip byte source -----------------------------------------------------

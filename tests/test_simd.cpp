@@ -504,13 +504,15 @@ TEST(SimdCrc32, MatchesZlibAcrossLengthsOffsetsAndChunking)
     for (auto &b : buf)
         b = static_cast<uint8_t>(rng.uniformInt(0, 255));
 
-    std::vector<size_t> lens{0, 1, 7, 8, 9, 63, 8191, buf.size() - 7};
+    std::vector<size_t> lens{0,  1,  7,  8,  9,    15,
+                             16, 17, 31, 32, 33,   63,
+                             8191, buf.size() - 15};
     for (int i = 0; i < 40; ++i)
         lens.push_back(
-            static_cast<size_t>(rng.uniformInt(0, buf.size() - 8)));
+            static_cast<size_t>(rng.uniformInt(0, buf.size() - 16)));
     for (size_t len : lens) {
-        // Unaligned starts stress the slice-by-8 word loads.
-        for (size_t off = 0; off < 8; ++off) {
+        // Unaligned starts stress the slice-by-16 word loads.
+        for (size_t off = 0; off < 16; ++off) {
             std::span<const uint8_t> s(buf.data() + off, len);
             const uint32_t want = zlibCrc(s);
             EXPECT_EQ(util::Crc32::of(s), want)
