@@ -193,6 +193,9 @@ Daemon::run(DaemonControl &control,
                                                   actualSec));
         }
     }
+    // The read that ends the input can consume trailing blocks (a
+    // pcapng statistics block, say) and return no packet.
+    session.addInputBytes(source->bytesConsumed() - lastInputBytes);
 
     sealEpoch();
     report.stats = session.stats();

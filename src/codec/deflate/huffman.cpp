@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "util/bitstream.hpp"
 #include "util/error.hpp"
 
 namespace fcc::codec::deflate {
@@ -219,16 +220,6 @@ HuffmanDecoder::HuffmanDecoder(std::span<const uint8_t> lengths)
              i += 1u << (len - tableBits_))
             table_[subOffset + i] = entry;
     }
-}
-
-int
-HuffmanDecoder::decode(util::BitReader &bits) const
-{
-    Symbol s = lookup(bits.peek(maxCodeBits));
-    if (s.length == 0)
-        throw util::Error("HuffmanDecoder: invalid code in stream");
-    bits.consume(static_cast<int>(s.length));
-    return static_cast<int>(s.symbol);
 }
 
 } // namespace fcc::codec::deflate

@@ -12,8 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "util/bitstream.hpp"
-
 namespace fcc::codec::deflate {
 
 /**
@@ -66,12 +64,6 @@ class HuffmanDecoder
      * @throws fcc::util::Error on an invalid code description.
      */
     explicit HuffmanDecoder(std::span<const uint8_t> lengths);
-
-    /**
-     * Decode one symbol from @p bits.
-     * @throws fcc::util::Error on truncation or invalid code.
-     */
-    int decode(util::BitReader &bits) const;
 
     /**
      * Look up the code at the front of @p bits (stream order, LSB

@@ -5,7 +5,7 @@
  * wrappers of stream.cpp, the archiver daemon of src/archive), and
  * the §4 bounded-memory flush of the read side. The flow-closing
  * rules are the paper's §3, shared with flow::FlowTable through
- * flow::Connection.
+ * flow::Connection and flow::OpenFlowIndex.
  */
 
 #include "codec/fcc/session.hpp"
@@ -57,106 +57,7 @@ namespace {
 /** templateRemap_ entry of a store template not referenced yet. */
 constexpr uint32_t unmappedTemplate = ~0u;
 
-/** Index slots a fresh OpenFlows starts with. */
-constexpr size_t initialOpenSlots = 1024;
-
 } // namespace
-
-CompressSession::OpenFlows::OpenFlows()
-{
-    clear();
-}
-
-size_t
-CompressSession::OpenFlows::find(const flow::FlowKey &key) const
-{
-    size_t mask = slots_.size() - 1;
-    size_t i = home(key);
-    while (slots_[i].flow != emptySlot && !(slots_[i].key == key))
-        i = (i + 1) & mask;
-    return i;
-}
-
-CompressSession::OpenFlow *
-CompressSession::OpenFlows::at(size_t slot)
-{
-    if (slots_[slot].flow == emptySlot)
-        return nullptr;
-    return &pool_[slots_[slot].flow];
-}
-
-size_t
-CompressSession::OpenFlows::start(size_t slot, const flow::FlowKey &key,
-                                  const trace::PacketRecord &first)
-{
-    if ((size_ + 1) * 2 > slots_.size()) {
-        grow();
-        slot = find(key);
-    }
-    uint32_t flow;
-    if (freeFlows_.empty()) {
-        flow = static_cast<uint32_t>(pool_.size());
-        pool_.emplace_back(first);
-    } else {
-        flow = freeFlows_.back();
-        freeFlows_.pop_back();
-        pool_[flow].restart(first);
-    }
-    slots_[slot] = Slot{key, flow};
-    ++size_;
-    return slot;
-}
-
-void
-CompressSession::OpenFlows::erase(size_t slot)
-{
-    freeFlows_.push_back(slots_[slot].flow);
-    --size_;
-    // Backward shift: pull each later entry of the probe run into
-    // the hole unless the hole lies before its home slot, so every
-    // run stays gap-free and no tombstone is needed.
-    size_t mask = slots_.size() - 1;
-    size_t hole = slot;
-    for (size_t i = (hole + 1) & mask; slots_[i].flow != emptySlot;
-         i = (i + 1) & mask) {
-        size_t fromHome = (i - home(slots_[i].key)) & mask;
-        if (fromHome >= ((i - hole) & mask)) {
-            slots_[hole] = slots_[i];
-            hole = i;
-        }
-    }
-    slots_[hole].flow = emptySlot;
-}
-
-void
-CompressSession::OpenFlows::grow()
-{
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size() * 2, Slot{});
-    for (const Slot &entry : old)
-        if (entry.flow != emptySlot)
-            slots_[find(entry.key)] = entry;
-}
-
-std::vector<std::pair<flow::FlowKey, CompressSession::OpenFlow *>>
-CompressSession::OpenFlows::entries()
-{
-    std::vector<std::pair<flow::FlowKey, OpenFlow *>> out;
-    out.reserve(size_);
-    for (const Slot &entry : slots_)
-        if (entry.flow != emptySlot)
-            out.emplace_back(entry.key, &pool_[entry.flow]);
-    return out;
-}
-
-void
-CompressSession::OpenFlows::clear()
-{
-    slots_ = std::vector<Slot>(initialOpenSlots);
-    pool_ = {};
-    freeFlows_ = {};
-    size_ = 0;
-}
 
 CompressSession::CompressSession(const FccConfig &cfg,
                                  const SessionOptions &options)
@@ -187,19 +88,11 @@ CompressSession::feed(const trace::PacketRecord &pkt)
     ++stats_.packets;
 
     flow::FlowKey key = flow::FlowKey::fromPacket(pkt);
-    size_t slot = open_.find(key);
-    OpenFlow *open = open_.at(slot);
-    if (open == nullptr) {
-        slot = open_.start(slot, key, pkt);
-        open = open_.at(slot);
-    } else if (open->conn.idleExpired(pkt.timestampNs,
-                                      cfg_.flowTable.idleTimeoutNs)) {
-        // Port reuse after the idle timeout: the old flow closes and
-        // the new one starts in its place.
-        closeFlow(key, *open);
-        open->restart(pkt);
-    }
-    OpenFlow &flowState = *open;
+    size_t slot = open_.admit(key, pkt, cfg_.flowTable.idleTimeoutNs,
+                              [&](OpenFlow &expired) {
+                                  closeFlow(key, expired);
+                              });
+    OpenFlow &flowState = open_.at(slot);
     flow::Connection::Step step = flowState.conn.observe(pkt);
 
     flow::PacketClass cls;

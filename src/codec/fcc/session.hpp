@@ -48,7 +48,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "codec/fcc/fcc_codec.hpp"
@@ -188,62 +187,6 @@ class CompressSession
         flow::FlowKey key;
     };
 
-    /**
-     * The open flows by 5-tuple: a linear-probing index whose slots
-     * hold a key and a pool position, with backward-shift deletion,
-     * doubled whenever it would pass half full. Closed flows hand
-     * their OpenFlow back to the pool, buffers included, for the
-     * next flow to start in.
-     */
-    class OpenFlows
-    {
-      public:
-        OpenFlows();
-
-        /** Index slot of @p key, or of the empty slot it would take. */
-        size_t find(const flow::FlowKey &key) const;
-
-        /** The flow in index slot @p slot, nullptr when it is empty. */
-        OpenFlow *at(size_t slot);
-
-        /**
-         * Open a flow for @p key at @p first in the empty slot @p slot
-         * that find() returned. Returns its slot (another one when
-         * the index grew).
-         */
-        size_t start(size_t slot, const flow::FlowKey &key,
-                     const trace::PacketRecord &first);
-
-        /** Close the flow in @p slot: its OpenFlow returns to the pool. */
-        void erase(size_t slot);
-
-        /** Every open flow with its key, in index order. */
-        std::vector<std::pair<flow::FlowKey, OpenFlow *>> entries();
-
-        /** Drop every flow and release the grown memory. */
-        void clear();
-
-      private:
-        static constexpr uint32_t emptySlot = ~0u;
-
-        struct Slot
-        {
-            flow::FlowKey key;
-            uint32_t flow = emptySlot;  ///< position in pool_
-        };
-
-        size_t home(const flow::FlowKey &key) const
-        {
-            return static_cast<size_t>(key.hash()) & (slots_.size() - 1);
-        }
-        void grow();
-
-        std::vector<Slot> slots_;  ///< power-of-two size
-        std::vector<OpenFlow> pool_;
-        std::vector<uint32_t> freeFlows_;  ///< idle pool_ positions
-        size_t size_ = 0;
-    };
-
     void closeFlow(const flow::FlowKey &key, OpenFlow &flowState);
     void closeEpoch();
     void resetEpoch();
@@ -257,7 +200,7 @@ class CompressSession
     Datasets datasets_;
     /** Sort key of each datasets_.timeSeq record, parallel to it. */
     std::vector<RecordOrder> recordOrder_;
-    OpenFlows open_;
+    flow::OpenFlowIndex<OpenFlow> open_;
     std::unordered_map<uint32_t, uint32_t> addrIndex_;
     /** store index -> this epoch's compacted template index, or
      *  unmappedTemplate. */

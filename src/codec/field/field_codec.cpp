@@ -144,15 +144,6 @@ fieldCodecName(FieldCodec codec)
     return "?";
 }
 
-FieldCodec
-parseFieldCodecName(const std::string &name)
-{
-    for (uint8_t t = 0; t < fieldCodecCount; ++t)
-        if (name == fieldCodecName(static_cast<FieldCodec>(t)))
-            return static_cast<FieldCodec>(t);
-    throw util::Error("unknown field codec: " + name);
-}
-
 uint64_t
 encodedSize(std::span<const uint64_t> values, FieldCodec codec)
 {

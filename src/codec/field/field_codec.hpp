@@ -29,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 
@@ -49,9 +48,6 @@ constexpr uint8_t fieldCodecCount = 4;
 
 /** Human-readable codec name ("plain", "zigzag", "dict", "rle"). */
 const char *fieldCodecName(FieldCodec codec);
-
-/** Parse a name accepted by fieldCodecName(). @throws util::Error */
-FieldCodec parseFieldCodecName(const std::string &name);
 
 /** Map a signed delta onto the unsigned varint domain. */
 inline uint64_t

@@ -14,7 +14,6 @@
 #define FCC_FLOW_FLOW_KEY_HPP
 
 #include <cstdint>
-#include <functional>
 
 #include "trace/packet.hpp"
 #include "util/hash.hpp"
@@ -80,15 +79,5 @@ struct FlowKey
 };
 
 } // namespace fcc::flow
-
-template <>
-struct std::hash<fcc::flow::FlowKey>
-{
-    size_t
-    operator()(const fcc::flow::FlowKey &key) const noexcept
-    {
-        return static_cast<size_t>(key.hash());
-    }
-};
 
 #endif // FCC_FLOW_FLOW_KEY_HPP

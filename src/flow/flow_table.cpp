@@ -7,7 +7,6 @@
 #include "flow/flow_table.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/error.hpp"
 
@@ -33,10 +32,10 @@ FlowTable::assemble(const trace::Trace &trace) const
 
     struct OpenFlow
     {
-        OpenFlow(const trace::PacketRecord &first, const FlowKey &key)
+        explicit OpenFlow(const trace::PacketRecord &first)
             : conn(first)
         {
-            flow.key = key;
+            flow.key = FlowKey::fromPacket(first);
             flow.firstTimestampNs = first.timestampNs;
             flow.clientIp = conn.clientIp;
             flow.clientPort = conn.clientPort;
@@ -44,40 +43,42 @@ FlowTable::assemble(const trace::Trace &trace) const
             flow.serverPort = conn.serverPort;
         }
 
+        void
+        restart(const trace::PacketRecord &first)
+        {
+            *this = OpenFlow(first);
+        }
+
         Connection conn;
         AssembledFlow flow;
     };
-    std::unordered_map<FlowKey, OpenFlow> open;
+    OpenFlowIndex<OpenFlow> open;
     std::vector<AssembledFlow> done;
 
     for (uint32_t i = 0; i < trace.size(); ++i) {
         const trace::PacketRecord &pkt = trace[i];
-        FlowKey key = FlowKey::fromPacket(pkt);
-
-        auto it = open.find(key);
-        if (it != open.end() &&
-            it->second.conn.idleExpired(pkt.timestampNs,
-                                        cfg_.idleTimeoutNs)) {
-            done.push_back(std::move(it->second.flow));
-            open.erase(it);
-            it = open.end();
-        }
-        if (it == open.end())
-            it = open.try_emplace(key, pkt, key).first;
-
-        OpenFlow &state = it->second;
+        size_t slot = open.admit(
+            FlowKey::fromPacket(pkt), pkt, cfg_.idleTimeoutNs,
+            [&](OpenFlow &expired) {
+                done.push_back(std::move(expired.flow));
+            });
+        OpenFlow &state = open.at(slot);
         Connection::Step step = state.conn.observe(pkt);
         state.flow.packetIndex.push_back(i);
         state.flow.fromClient.push_back(step.fromClient);
         if (step.closed) {
             done.push_back(std::move(state.flow));
-            open.erase(it);
+            open.erase(slot);
         }
     }
 
-    for (auto &entry : open)
-        done.push_back(std::move(entry.second.flow));
-    std::sort(done.begin(), done.end(), canonicalFlowLess);
+    // Flows still open follow the closed ones, so a flow that ties
+    // another's canonical key (a 5-tuple reused within one
+    // nanosecond) keeps its close order, as in the compressor's
+    // time-seq dataset.
+    for (auto &entry : open.entries())
+        done.push_back(std::move(entry.second->flow));
+    std::stable_sort(done.begin(), done.end(), canonicalFlowLess);
     return done;
 }
 

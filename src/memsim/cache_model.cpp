@@ -63,11 +63,4 @@ CacheModel::access(uint64_t addr, bool write)
     return false;
 }
 
-void
-CacheModel::flush()
-{
-    for (Line &line : lines_)
-        line.valid = false;
-}
-
 } // namespace fcc::memsim

@@ -40,9 +40,6 @@ class CacheModel
      */
     bool access(uint64_t addr, bool write = false);
 
-    /** Invalidate every line. */
-    void flush();
-
     const CacheConfig &config() const { return cfg_; }
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }

@@ -13,29 +13,6 @@
 
 namespace fcc::memsim {
 
-std::vector<CdfPoint>
-accessCdf(const std::vector<PacketSample> &samples)
-{
-    std::vector<uint32_t> counts;
-    counts.reserve(samples.size());
-    for (const auto &sample : samples)
-        counts.push_back(sample.accesses);
-    std::sort(counts.begin(), counts.end());
-
-    std::vector<CdfPoint> curve;
-    size_t n = counts.size();
-    for (size_t i = 0; i < n;) {
-        size_t j = i;
-        while (j < n && counts[j] == counts[i])
-            ++j;
-        curve.push_back(
-            {static_cast<double>(counts[i]),
-             static_cast<double>(j) / static_cast<double>(n)});
-        i = j;
-    }
-    return curve;
-}
-
 double
 trafficShareInAccessRange(const std::vector<PacketSample> &samples,
                           uint32_t lo, uint32_t hi)

@@ -16,20 +16,6 @@
 
 namespace fcc::memsim {
 
-/** One point of a cumulative-traffic curve. */
-struct CdfPoint
-{
-    double x = 0;        ///< memory accesses (or miss rate)
-    double traffic = 0;  ///< cumulative fraction of packets [0, 1]
-};
-
-/**
- * Figure 2 curve: cumulative fraction of traffic whose per-packet
- * access count is <= x, evaluated at every observed access count.
- */
-std::vector<CdfPoint>
-accessCdf(const std::vector<PacketSample> &samples);
-
 /** Fraction of traffic with accesses in [lo, hi]. */
 double
 trafficShareInAccessRange(const std::vector<PacketSample> &samples,

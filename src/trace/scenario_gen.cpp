@@ -200,15 +200,6 @@ scenarioName(ScenarioKind kind)
     return "unknown";
 }
 
-ScenarioKind
-parseScenarioName(const std::string &name)
-{
-    for (ScenarioKind kind : allScenarios())
-        if (name == scenarioName(kind))
-            return kind;
-    throw util::Error("unknown scenario: " + name);
-}
-
 ScenarioConfig
 scenarioDefaults(ScenarioKind kind, uint64_t seed)
 {
@@ -305,13 +296,6 @@ ScenarioGenerator::generate()
     out.sortByTime();
     info_.packets = out.size();
     return out;
-}
-
-void
-ScenarioGenerator::writeTo(TraceSink &sink)
-{
-    Trace trace = generate();
-    writeAllPackets(sink, trace);
 }
 
 void

@@ -32,9 +32,9 @@
  *                  every length (template-store worst case).
  *
  * Every scenario is deterministic given its seed and emits a
- * time-ordered Trace — or streams through the existing TraceSink
- * interface, so fcctool, fccquery and the benches consume scenario
- * traffic unmodified. See docs/SCENARIOS.md.
+ * time-ordered Trace, which any TraceSink writes, so fcctool,
+ * fccquery and the benches consume scenario traffic unmodified. See
+ * docs/SCENARIOS.md.
  */
 
 #ifndef FCC_TRACE_SCENARIO_GEN_HPP
@@ -44,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/source.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 
@@ -67,9 +66,6 @@ std::vector<ScenarioKind> allScenarios();
 
 /** Stable lowercase name ("synflood", "portscan", ...). */
 const char *scenarioName(ScenarioKind kind);
-
-/** Parse a name accepted by scenarioName(). @throws fcc::util::Error */
-ScenarioKind parseScenarioName(const std::string &name);
 
 /**
  * Shared scenario knobs. Every generator reads `kind`, `seed`,
@@ -140,10 +136,9 @@ struct ScenarioInfo
 /**
  * Generator for the adversarial scenario matrix.
  *
- * Usage: construct with a config, call generate() (or writeTo() to
- * stream into any TraceSink). info() then describes the most recent
- * generation. Deterministic: equal configs produce byte-identical
- * traces.
+ * Usage: construct with a config, call generate(). info() then
+ * describes the most recent generation. Deterministic: equal configs
+ * produce byte-identical traces.
  */
 class ScenarioGenerator
 {
@@ -154,13 +149,7 @@ class ScenarioGenerator
     /** Synthesize the whole trace (time-sorted). */
     Trace generate();
 
-    /**
-     * generate() and stream the result into @p sink in bounded
-     * batches; the sink is closed before returning.
-     */
-    void writeTo(TraceSink &sink);
-
-    /** Ground truth for the most recent generate()/writeTo(). */
+    /** Ground truth for the most recent generate(). */
     const ScenarioInfo &info() const { return info_; }
 
     const ScenarioConfig &config() const { return cfg_; }

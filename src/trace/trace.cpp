@@ -51,15 +51,6 @@ Trace::totalWireBytes() const
     return total;
 }
 
-uint64_t
-Trace::totalPayloadBytes() const
-{
-    uint64_t total = 0;
-    for (const auto &pkt : packets_)
-        total += pkt.payloadBytes;
-    return total;
-}
-
 Trace
 Trace::sliceSeconds(double start, double length) const
 {

@@ -51,9 +51,6 @@ class Trace
     /** Sum of IP total lengths (wire bytes at header+payload level). */
     uint64_t totalWireBytes() const;
 
-    /** Sum of TCP payload bytes. */
-    uint64_t totalPayloadBytes() const;
-
     /**
      * Copy of the packets whose timestamp lies in
      * [start, start + length) seconds relative to the first packet.

@@ -1,8 +1,7 @@
 /**
  * @file
- * LSB-first bit packing (BitWriter/BitReader). putHuff() reverses
- * code bits so the MSB-first Huffman codes of RFC 1951 land in
- * stream order; the reader throws on reads past the final byte.
+ * LSB-first bit packing (BitWriter). putHuff() reverses code bits so
+ * the MSB-first Huffman codes of RFC 1951 land in stream order.
  */
 
 #include "util/bitstream.hpp"
@@ -61,68 +60,6 @@ BitWriter::take()
 {
     alignToByte();
     return std::move(buf_);
-}
-
-void
-BitReader::fill()
-{
-    while (nbits_ <= 56 && pos_ < len_) {
-        bitbuf_ |= static_cast<uint64_t>(data_[pos_++]) << nbits_;
-        nbits_ += 8;
-    }
-}
-
-uint32_t
-BitReader::get(int nbits)
-{
-    FCC_ASSERT(nbits >= 0 && nbits <= 24, "bit count out of range");
-    fill();
-    if (nbits_ < nbits)
-        throw Error("BitReader: truncated bit stream");
-    uint32_t v = static_cast<uint32_t>(bitbuf_) & ((1u << nbits) - 1);
-    bitbuf_ >>= nbits;
-    nbits_ -= nbits;
-    return v;
-}
-
-uint32_t
-BitReader::peek(int nbits)
-{
-    FCC_ASSERT(nbits >= 0 && nbits <= 24, "bit count out of range");
-    fill();
-    // Past end of stream the buffer reads as zero bits; Huffman
-    // decoders detect truncation when consume() overruns.
-    return static_cast<uint32_t>(bitbuf_) & ((1u << nbits) - 1);
-}
-
-void
-BitReader::consume(int nbits)
-{
-    if (nbits_ < nbits)
-        throw Error("BitReader: truncated bit stream");
-    bitbuf_ >>= nbits;
-    nbits_ -= nbits;
-}
-
-void
-BitReader::alignToByte()
-{
-    int drop = nbits_ % 8;
-    bitbuf_ >>= drop;
-    nbits_ -= drop;
-}
-
-uint8_t
-BitReader::byte()
-{
-    FCC_ASSERT(nbits_ % 8 == 0, "byte() requires byte alignment");
-    fill();
-    if (nbits_ < 8)
-        throw Error("BitReader: truncated bit stream");
-    uint8_t v = static_cast<uint8_t>(bitbuf_);
-    bitbuf_ >>= 8;
-    nbits_ -= 8;
-    return v;
 }
 
 } // namespace fcc::util

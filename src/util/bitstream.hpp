@@ -1,6 +1,8 @@
 /**
  * @file
- * LSB-first bit streams as used by the DEFLATE wire format (RFC 1951).
+ * LSB-first bit writing as used by the DEFLATE wire format (RFC 1951).
+ * The inflater reads with its own bit buffer
+ * (codec/deflate/inflate_stream).
  *
  * Bits are packed into bytes starting at the least significant bit;
  * Huffman codes are written most-significant-bit-first via putHuff(),
@@ -13,7 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace fcc::util {
@@ -58,45 +59,6 @@ class BitWriter
     std::vector<uint8_t> buf_;
     uint64_t bitbuf_ = 0;
     int nbits_ = 0;  ///< pending bits in bitbuf_, always < 64
-};
-
-/** LSB-first bit reader over an immutable byte buffer. */
-class BitReader
-{
-  public:
-    explicit BitReader(std::span<const uint8_t> data)
-        : data_(data.data()), len_(data.size())
-    {}
-
-    /** Read @p nbits bits (0..24), LSB first. @throws Error */
-    uint32_t get(int nbits);
-
-    /** Peek up to @p nbits bits without consuming (zero padded). */
-    uint32_t peek(int nbits);
-
-    /** Consume @p nbits bits previously peeked. */
-    void consume(int nbits);
-
-    /** Discard bits up to the next byte boundary. */
-    void alignToByte();
-
-    /** Read a raw byte; the stream must be byte-aligned. @throws Error */
-    uint8_t byte();
-
-    /** Bytes wholly or partially unread. */
-    size_t remainingBytes() const { return len_ - pos_ + (nbits_ + 7) / 8; }
-
-    /** True when every bit has been consumed. */
-    bool exhausted() const { return pos_ == len_ && nbits_ == 0; }
-
-  private:
-    void fill();
-
-    const uint8_t *data_;
-    size_t len_;
-    size_t pos_ = 0;
-    uint64_t bitbuf_ = 0;
-    int nbits_ = 0;
 };
 
 } // namespace fcc::util

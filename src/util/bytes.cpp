@@ -302,16 +302,6 @@ ByteReader::bytes(uint8_t *out, size_t len)
     pos_ += len;
 }
 
-std::vector<uint8_t>
-ByteReader::blob()
-{
-    uint64_t len = varint();
-    need(len);
-    std::vector<uint8_t> out(data_ + pos_, data_ + pos_ + len);
-    pos_ += len;
-    return out;
-}
-
 std::span<const uint8_t>
 ByteReader::blobView()
 {

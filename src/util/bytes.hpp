@@ -227,11 +227,10 @@ class ByteReader
     uint64_t varint();
     /** Read @p len raw bytes into @p out. @throws Error */
     void bytes(uint8_t *out, size_t len);
-    /** Read a varint-length-prefixed byte string. @throws Error */
-    std::vector<uint8_t> blob();
     /**
-     * Like blob(), but a zero-copy view into the underlying buffer
-     * (valid for the buffer's lifetime). @throws Error
+     * Read a varint-length-prefixed byte string as a zero-copy view
+     * into the underlying buffer (valid for the buffer's lifetime).
+     * @throws Error
      */
     std::span<const uint8_t> blobView();
 

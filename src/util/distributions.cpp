@@ -127,11 +127,4 @@ Discrete::sample(Rng &rng) const
     return values_[static_cast<size_t>(it - cdf_.begin())];
 }
 
-double
-Discrete::probability(size_t i) const
-{
-    require(i < cdf_.size(), "Discrete: category out of range");
-    return i == 0 ? cdf_[0] : cdf_[i] - cdf_[i - 1];
-}
-
 } // namespace fcc::util

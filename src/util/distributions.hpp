@@ -121,9 +121,6 @@ class Discrete
     /** Draw one category value. */
     int64_t sample(Rng &rng) const;
 
-    /** Probability assigned to category index @p i. */
-    double probability(size_t i) const;
-
     size_t categories() const { return values_.size(); }
     int64_t valueAt(size_t i) const { return values_[i]; }
 

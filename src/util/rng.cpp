@@ -84,10 +84,4 @@ Rng::chance(double p)
     return uniform() < p;
 }
 
-Rng
-Rng::split()
-{
-    return Rng(next());
-}
-
 } // namespace fcc::util

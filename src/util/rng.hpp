@@ -47,9 +47,6 @@ class Rng
     /** Bernoulli draw with probability @p p of returning true. */
     bool chance(double p);
 
-    /** Fork an independent generator (e.g. one per flow). */
-    Rng split();
-
   private:
     uint64_t s_[4];
 };

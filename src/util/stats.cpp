@@ -1,7 +1,7 @@
 /**
  * @file
- * Welford running Summary, fixed-width Histogram and empirical CDF
- * (sorted-sample quantiles / evaluation by binary search).
+ * Empirical CDF (sorted-sample quantiles / evaluation by binary
+ * search).
  */
 
 #include "util/stats.hpp"
@@ -12,70 +12,6 @@
 #include "util/error.hpp"
 
 namespace fcc::util {
-
-void
-Summary::add(double x)
-{
-    ++n_;
-    sum_ += x;
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    if (n_ == 1) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-}
-
-double
-Summary::variance() const
-{
-    return n_ >= 2 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double
-Summary::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-Histogram::Histogram(std::vector<double> edges)
-    : edges_(std::move(edges))
-{
-    require(edges_.size() >= 2, "Histogram: need at least two edges");
-    require(std::is_sorted(edges_.begin(), edges_.end()) &&
-                std::adjacent_find(edges_.begin(), edges_.end()) ==
-                    edges_.end(),
-            "Histogram: edges must be strictly increasing");
-    counts_.assign(edges_.size() - 1, 0);
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < edges_.front()) {
-        ++underflow_;
-        return;
-    }
-    if (x >= edges_.back()) {
-        ++overflow_;
-        return;
-    }
-    auto it = std::upper_bound(edges_.begin(), edges_.end(), x);
-    ++counts_[static_cast<size_t>(it - edges_.begin()) - 1];
-}
-
-double
-Histogram::fraction(size_t i) const
-{
-    require(i < counts_.size(), "Histogram: bucket out of range");
-    return total_ ? static_cast<double>(counts_[i]) /
-                        static_cast<double>(total_)
-                  : 0.0;
-}
 
 void
 Ecdf::ensureSorted() const

@@ -1,8 +1,8 @@
 /**
  * @file
- * Descriptive statistics: running summaries, fixed-bucket histograms
- * and empirical CDFs. These back the figure-regeneration benches
- * (cumulative-traffic curves of Figs. 2 and 3).
+ * Descriptive statistics: empirical CDFs. These back the
+ * figure-regeneration benches (cumulative-traffic curves of Figs. 2
+ * and 3) and the analysis layer's trace comparisons.
  */
 
 #ifndef FCC_UTIL_STATS_HPP
@@ -14,64 +14,6 @@
 #include <vector>
 
 namespace fcc::util {
-
-/** Streaming mean / variance / min / max (Welford's algorithm). */
-class Summary
-{
-  public:
-    /** Fold one observation into the summary. */
-    void add(double x);
-
-    size_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    /** Unbiased sample variance (0 for n < 2). */
-    double variance() const;
-    double stddev() const;
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    double sum() const { return sum_; }
-
-  private:
-    size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double sum_ = 0.0;
-};
-
-/**
- * Histogram with explicit bucket edges.
- *
- * Buckets are [edge[i], edge[i+1]); values below the first edge or at
- * or above the last are counted in underflow/overflow.
- */
-class Histogram
-{
-  public:
-    /** @param edges strictly increasing bucket boundaries (>= 2). */
-    explicit Histogram(std::vector<double> edges);
-
-    /** Count one observation. */
-    void add(double x);
-
-    size_t buckets() const { return counts_.size(); }
-    uint64_t countAt(size_t i) const { return counts_[i]; }
-    uint64_t underflow() const { return underflow_; }
-    uint64_t overflow() const { return overflow_; }
-    uint64_t total() const { return total_; }
-    double edge(size_t i) const { return edges_[i]; }
-
-    /** Fraction of all observations in bucket @p i. */
-    double fraction(size_t i) const;
-
-  private:
-    std::vector<double> edges_;
-    std::vector<uint64_t> counts_;
-    uint64_t underflow_ = 0;
-    uint64_t overflow_ = 0;
-    uint64_t total_ = 0;
-};
 
 /**
  * Empirical CDF over a collected sample; supports quantile queries

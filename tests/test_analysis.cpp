@@ -13,6 +13,8 @@
 
 #include "analysis/semantic.hpp"
 #include "codec/fcc/fcc_codec.hpp"
+#include "memsim/profile_report.hpp"
+#include "netbench/apps.hpp"
 #include "trace/transforms.hpp"
 #include "trace/web_gen.hpp"
 #include "util/error.hpp"
@@ -236,4 +238,30 @@ TEST(CompareSemantics, RandomTraceDivergesMost)
     EXPECT_GT(cmpRandom.flagBigramTv, 0.3);
     // Direction-aware reconstruction keeps the working set scale.
     EXPECT_NEAR(cmpDecomp.workingSetRatio, 1.0, 0.15);
+}
+
+TEST(RandomSanitization, DestroysTheRouteLookupProfile)
+{
+    // The naive sanitization the paper's §1 complains about
+    // (trace::randomizeAddresses, the §6.1 comparison trace) changes
+    // how deep a radix-tree route lookup walks.
+    trace::WebGenConfig cfg;
+    cfg.seed = 75;
+    cfg.durationSec = 3.0;
+    cfg.flowsPerSec = 80.0;
+    trace::WebTrafficGenerator gen(cfg);
+    Trace original = gen.generate();
+    Trace random = trace::randomizeAddresses(original, 5);
+    std::vector<uint32_t> dsts;
+    for (const auto &pkt : original)
+        dsts.push_back(pkt.dstIp);
+    auto table = netbench::generateRoutingTable(5000, 3, dsts);
+
+    memsim::MemoryRecorder recOrig, recRandom;
+    netbench::RouteApp appA(table, &recOrig);
+    netbench::RouteApp appB(table, &recRandom);
+    auto s1 = netbench::profileTrace(appA, original, recOrig);
+    auto s2 = netbench::profileTrace(appB, random, recRandom);
+    EXPECT_LT(memsim::meanAccesses(s2),
+              memsim::meanAccesses(s1) * 0.7);
 }

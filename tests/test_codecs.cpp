@@ -622,3 +622,47 @@ TEST(AllCodecs, LosslessCodecsRoundTripViaTsh)
             << codec->name();
     }
 }
+
+// ---- deflate on top of the datasets ------------------------------------
+//
+// The whole-blob zlib hybrid of the row containers is no longer
+// written; FCC3 with the deflate backend is its successor, and
+// Golden.ArchivesDecodeByteExact pins the hybrid reader.
+
+TEST(FccHybrid, CompressesFurtherAndRoundTrips)
+{
+    Trace original = webTrace(76, 8.0);
+
+    fccc::FccTraceCompressor plain;
+    fccc::FccConfig deflateCfg;
+    deflateCfg.container = fccc::ContainerFormat::Fcc3;
+    deflateCfg.backend = codec::backend::EntropyBackend::Deflate;
+    fccc::FccTraceCompressor deflated(deflateCfg);
+
+    auto plainBytes = plain.compress(original);
+    auto deflatedBytes = deflated.compress(original);
+    EXPECT_LT(deflatedBytes.size(), plainBytes.size());
+
+    // Either codec instance decodes either container.
+    Trace a = plain.decompress(deflatedBytes);
+    Trace b = deflated.decompress(plainBytes);
+    EXPECT_EQ(a.size(), original.size());
+    EXPECT_EQ(b.size(), original.size());
+    // Same datasets and chunk layout underneath: identical
+    // reconstructions.
+    EXPECT_EQ(trace::writeTsh(a), trace::writeTsh(b));
+}
+
+TEST(FccHybrid, RatioBelowThreePercent)
+{
+    Trace original = webTrace(77, 12.0);
+    fccc::FccConfig cfg;
+    cfg.container = fccc::ContainerFormat::Fcc3;
+    cfg.backend = codec::backend::EntropyBackend::Deflate;
+    fccc::FccTraceCompressor fcc3(cfg);
+    double ratio =
+        static_cast<double>(fcc3.compress(original).size()) /
+        static_cast<double>(original.size() *
+                            trace::tshRecordBytes);
+    EXPECT_LT(ratio, 0.03);
+}

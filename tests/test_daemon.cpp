@@ -31,6 +31,7 @@
 #include "codec/fcc/stream.hpp"
 #include "query/catalog.hpp"
 #include "query/expr.hpp"
+#include "trace/pcapng.hpp"
 #include "trace/source.hpp"
 #include "trace/tsh.hpp"
 #include "trace/web_gen.hpp"
@@ -324,6 +325,44 @@ TEST(Daemon, InProcessRunSealsAndCatalogs)
     }
     EXPECT_EQ(decoded, original.size());
     EXPECT_EQ(reader.stats().epochs, listed.size());
+}
+
+// The read that ends the input can consume trailing blocks and
+// return no packet; their bytes still count, as in the one-shot
+// compressor. 1280 packets fill five whole 256-packet read batches,
+// so the end-of-input read is the one that meets the last block.
+TEST(Daemon, CountsTrailingInputBytes)
+{
+    trace::Trace web = webTrace(31, 6.0);
+    ASSERT_GE(web.size(), 1280u);
+    trace::Trace original;
+    for (size_t i = 0; i < 1280; ++i)
+        original.add(web[i]);
+    std::vector<uint8_t> bytes = trace::writePcapng(original);
+    // An Interface Statistics Block without options: type 5, length
+    // 24, interface 0, a zero timestamp, the length again.
+    for (uint32_t word : {5u, 24u, 0u, 0u, 0u, 24u})
+        for (int shift = 0; shift < 32; shift += 8)
+            bytes.push_back(static_cast<uint8_t>(word >> shift));
+    std::string in = tempPath("daemon_isb.pcapng");
+    {
+        std::ofstream out(in, std::ios::binary);
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+
+    archive::DaemonConfig config;
+    config.input = in;
+    config.outputDir = tempDir("daemon_isb");
+    fccc::StreamStats oneShot = fccc::compressTraceFile(
+        in, tempPath("daemon_isb.fcc"), config.codec);
+
+    archive::Daemon daemon(config);
+    archive::DaemonControl control;
+    archive::DaemonReport report = daemon.run(control);
+    EXPECT_EQ(report.stats.packets, original.size());
+    EXPECT_EQ(report.stats.inputBytes, bytes.size());
+    EXPECT_EQ(report.stats.inputBytes, oneShot.inputBytes);
 }
 
 // The headline crash test: SIGKILL a live fccd child mid-archive.

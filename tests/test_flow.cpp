@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include "codec/fcc/session.hpp"
 #include "flow/characterize.hpp"
 #include "flow/clustering.hpp"
 #include "flow/flow_key.hpp"
 #include "flow/flow_stats.hpp"
 #include "flow/flow_table.hpp"
 #include "flow/template_store.hpp"
+#include "trace/scenario_gen.hpp"
 #include "trace/web_gen.hpp"
 #include "util/error.hpp"
 
@@ -71,6 +73,37 @@ tinyConnection(uint32_t clientIp = 0x0a000001,
     t.add(mkPacket(serverIp, 80, clientIp, clientPort,
                    tf::Fin | tf::Ack, 0, ts));
     return t;
+}
+
+/**
+ * Analysis (FlowTable) and compression (CompressSession) split @p t
+ * into the same flows: as many flows as time-seq records, and flow i
+ * starts when record i does and has record i's server address (both
+ * lists are in canonical flow order).
+ */
+void
+expectSameFlowsAsCompressor(const Trace &t, uint64_t idleTimeoutNs)
+{
+    FlowTableConfig tableCfg;
+    tableCfg.idleTimeoutNs = idleTimeoutNs;
+    std::vector<AssembledFlow> flows = FlowTable(tableCfg).assemble(t);
+
+    codec::fcc::FccConfig cfg;
+    cfg.flowTable = tableCfg;
+    codec::fcc::CompressSession session(cfg);
+    session.feed({t.packets().data(), t.size()});
+    codec::fcc::Datasets ds = session.sealDatasets();
+
+    ASSERT_EQ(flows.size(), session.stats().flows);
+    ASSERT_EQ(ds.timeSeq.size(), flows.size());
+    for (size_t i = 0; i < flows.size(); ++i) {
+        const codec::fcc::TimeSeqRecord &rec = ds.timeSeq[i];
+        EXPECT_EQ(flows[i].firstTimestampNs / 1000, rec.firstTimestampUs)
+            << "flow " << i;
+        ASSERT_LT(rec.addressIndex, ds.addresses.size());
+        EXPECT_EQ(flows[i].serverIp, ds.addresses[rec.addressIndex])
+            << "flow " << i;
+    }
 }
 
 } // namespace
@@ -251,6 +284,51 @@ TEST(FlowTable, EveryPacketAssignedExactlyOnce)
     }
     for (bool s : seen)
         EXPECT_TRUE(s);
+}
+
+TEST(FlowTable, SplitsLikeTheCompressor)
+{
+    constexpr uint64_t oneMs = 1000000;
+    trace::WebGenConfig webCfg;
+    webCfg.seed = 78;
+    webCfg.durationSec = 5;
+    webCfg.flowsPerSec = 80;
+    Trace web = trace::WebTrafficGenerator(webCfg).generate();
+    expectSameFlowsAsCompressor(web, FlowTableConfig{}.idleTimeoutNs);
+    expectSameFlowsAsCompressor(web, oneMs);
+
+    for (trace::ScenarioKind kind :
+         {trace::ScenarioKind::LossStorm, trace::ScenarioKind::Reordering,
+          trace::ScenarioKind::SynFlood}) {
+        SCOPED_TRACE(trace::scenarioName(kind));
+        trace::ScenarioConfig cfg = trace::scenarioDefaults(kind, 2005);
+        cfg.durationSec = 2.0;
+        cfg.flows = 200;
+        Trace t = trace::ScenarioGenerator(cfg).generate();
+        expectSameFlowsAsCompressor(t, FlowTableConfig{}.idleTimeoutNs);
+        expectSameFlowsAsCompressor(t, oneMs);
+    }
+
+    // Port reuse after the idle timeout, a capture that starts at the
+    // SYN+ACK, an RST close, a 5-tuple reused in the nanosecond its
+    // RST closed it, and two flows that start together.
+    Trace hand;
+    hand.add(mkPacket(1, 100, 2, 80, tf::Ack, 10, 0));
+    hand.add(mkPacket(2, 80, 3, 200, tf::Syn | tf::Ack, 0, 50));
+    hand.add(mkPacket(1, 100, 2, 80, tf::Ack, 10, 100));
+    hand.add(mkPacket(3, 200, 2, 80, tf::Ack, 0, 150));
+    hand.add(mkPacket(4, 300, 5, 443, tf::Syn, 0, 400));
+    hand.add(mkPacket(6, 301, 5, 443, tf::Syn, 0, 400));
+    hand.add(mkPacket(5, 443, 4, 300, tf::Rst, 0, 900));
+    hand.add(mkPacket(5, 443, 4, 310, tf::Rst, 0, 900));
+    hand.add(mkPacket(4, 310, 5, 443, tf::Ack, 0, 900));
+    hand.add(mkPacket(1, 100, 2, 80, tf::Ack, 10, 5000));  // reuse
+    hand.add(mkPacket(2, 80, 1, 100, tf::Rst, 0, 5100));
+    Trace tiny = tinyConnection(7, 5000, 8, 6000);
+    for (const PacketRecord &pkt : tiny)
+        hand.add(pkt);
+    expectSameFlowsAsCompressor(hand, oneMs);
+    expectSameFlowsAsCompressor(hand, 0);
 }
 
 // ---- characterization -------------------------------------------------

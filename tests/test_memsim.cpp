@@ -80,15 +80,6 @@ TEST(Cache, DirectMappedConflicts)
     EXPECT_EQ(cache.hits(), 0u);
 }
 
-TEST(Cache, FlushInvalidates)
-{
-    CacheModel cache;
-    cache.access(0x40);
-    EXPECT_TRUE(cache.access(0x40));
-    cache.flush();
-    EXPECT_FALSE(cache.access(0x40));
-}
-
 TEST(Cache, FullyAssociativeNoConflicts)
 {
     CacheConfig cfg;
@@ -174,18 +165,6 @@ TEST(Recorder, ResetSamplesKeepsCacheWarm)
 }
 
 // ---- reports ---------------------------------------------------------------
-
-TEST(Report, AccessCdf)
-{
-    std::vector<PacketSample> samples = {
-        {10, 0}, {10, 0}, {20, 0}, {30, 0}};
-    auto cdf = accessCdf(samples);
-    ASSERT_EQ(cdf.size(), 3u);
-    EXPECT_DOUBLE_EQ(cdf[0].x, 10.0);
-    EXPECT_DOUBLE_EQ(cdf[0].traffic, 0.5);
-    EXPECT_DOUBLE_EQ(cdf[2].x, 30.0);
-    EXPECT_DOUBLE_EQ(cdf[2].traffic, 1.0);
-}
 
 TEST(Report, TrafficShareInRange)
 {

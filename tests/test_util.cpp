@@ -101,7 +101,8 @@ TEST(Bytes, BlobRoundTrip)
     w.blob(payload);
     auto buf = w.take();
     ByteReader r(buf);
-    EXPECT_EQ(r.blob(), payload);
+    auto view = r.blobView();
+    EXPECT_EQ(std::vector<uint8_t>(view.begin(), view.end()), payload);
 }
 
 TEST(Bytes, SkipValidatesBounds)
@@ -126,20 +127,27 @@ TEST(Bitstream, LsbFirstPacking)
     EXPECT_EQ(buf[0], 0xab);
 }
 
-TEST(Bitstream, WriterReaderRoundTrip)
+TEST(Bitstream, WriterRoundTripsAgainstTheBitOrder)
 {
+    // RFC 1951 §3.1.1: stream bit k is bit k % 8 of byte k / 8, and a
+    // value's least significant bit goes first. Read each value back
+    // by that definition.
+    auto value = [](int i) {
+        return static_cast<uint32_t>(i * 2654435761u) &
+               ((1u << (i % 24 + 1)) - 1);
+    };
     BitWriter w;
     for (int i = 0; i < 1000; ++i)
-        w.put(static_cast<uint32_t>(i * 2654435761u) &
-                  ((1u << (i % 24 + 1)) - 1),
-              i % 24 + 1);
+        w.put(value(i), i % 24 + 1);
     auto buf = w.take();
-    BitReader r(buf);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_EQ(r.get(i % 24 + 1),
-                  (static_cast<uint32_t>(i * 2654435761u) &
-                   ((1u << (i % 24 + 1)) - 1)))
-            << i;
+    size_t pos = 0;
+    for (int i = 0; i < 1000; ++i) {
+        uint32_t got = 0;
+        for (int b = 0; b < i % 24 + 1; ++b, ++pos)
+            got |= ((buf[pos / 8] >> (pos % 8)) & 1u) << b;
+        EXPECT_EQ(got, value(i)) << i;
+    }
+    EXPECT_EQ(buf.size(), (pos + 7) / 8);
 }
 
 TEST(Bitstream, HuffCodeBitOrderMatchesRfc)
@@ -160,20 +168,8 @@ TEST(Bitstream, AlignToByte)
     w.byte(0x42);
     auto buf = w.take();
     ASSERT_EQ(buf.size(), 2u);
+    EXPECT_EQ(buf[0], 0x01);  // the three bits, zero padded
     EXPECT_EQ(buf[1], 0x42);
-
-    BitReader r(buf);
-    EXPECT_EQ(r.get(3), 1u);
-    r.alignToByte();
-    EXPECT_EQ(r.byte(), 0x42);
-}
-
-TEST(Bitstream, ReaderThrowsPastEnd)
-{
-    std::vector<uint8_t> one = {0xff};
-    BitReader r(one);
-    r.get(8);
-    EXPECT_THROW(r.get(1), Error);
 }
 
 // ---- checksums -----------------------------------------------------------
@@ -361,8 +357,6 @@ TEST(Distributions, DiscreteMatchesWeights)
 {
     Rng rng(11);
     Discrete dist({10, 20, 30}, {1.0, 2.0, 7.0});
-    EXPECT_NEAR(dist.probability(0), 0.1, 1e-12);
-    EXPECT_NEAR(dist.probability(2), 0.7, 1e-12);
     int c30 = 0;
     const int draws = 50000;
     for (int i = 0; i < draws; ++i)
@@ -379,53 +373,6 @@ TEST(Distributions, DiscreteRejectsDegenerate)
 }
 
 // ---- stats ---------------------------------------------------------------
-
-TEST(Stats, SummaryBasics)
-{
-    Summary s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(x);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_NEAR(s.stddev(), 2.138, 0.001);  // sample stddev
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(Stats, SummaryEmptyIsSafe)
-{
-    Summary s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(Stats, HistogramBucketing)
-{
-    Histogram h({0.0, 10.0, 20.0, 30.0});
-    h.add(-1);   // underflow
-    h.add(0);    // bucket 0
-    h.add(9.99); // bucket 0
-    h.add(10);   // bucket 1
-    h.add(25);   // bucket 2
-    h.add(30);   // overflow (right-open buckets)
-    h.add(100);  // overflow
-    EXPECT_EQ(h.countAt(0), 2u);
-    EXPECT_EQ(h.countAt(1), 1u);
-    EXPECT_EQ(h.countAt(2), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.total(), 7u);
-    EXPECT_NEAR(h.fraction(0), 2.0 / 7.0, 1e-12);
-}
-
-TEST(Stats, HistogramRejectsBadEdges)
-{
-    EXPECT_THROW(Histogram({1.0}), Error);
-    EXPECT_THROW(Histogram({1.0, 1.0}), Error);
-    EXPECT_THROW(Histogram({2.0, 1.0}), Error);
-}
 
 TEST(Stats, EcdfEvaluation)
 {
