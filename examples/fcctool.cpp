@@ -16,7 +16,8 @@
  * Options (before the subcommand):
  *   --threshold <pct>    similarity threshold (default 2.0, eq. 4)
  *   --cutoff <n>         short/long split (default 50)
- *   --threads <n>        pipeline workers (0 = all cores, default)
+ *   --threads <n>        pipeline workers (0 = all cores, default;
+ *                        a gzip'd input inflates on one more thread)
  *   --chunk-records <n>  time-seq records per chunk, >= 1 (default
  *                        4096; the unit of parallel decode and
  *                        random access)
@@ -315,7 +316,8 @@ main(int argc, char **argv)
               });
     flags.add("--threads", "N",
               "pipeline workers, 0 = all cores (default;\n"
-              "output bytes never depend on it)",
+              "output bytes never depend on it; a gzip'd\n"
+              "input inflates on one more thread)",
               [&](const char *v) {
                   cfg.threads = static_cast<uint32_t>(
                       cli::parseUnsigned("--threads", v, 0,

@@ -7,7 +7,10 @@
 
 #include "codec/deflate/inflate_stream.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 
 #include "codec/deflate/rfc1951.hpp"
@@ -35,6 +38,30 @@ constexpr size_t maxExpansion = 1032;
  * the word path, with a margin past the 8 bytes one load reads.
  */
 constexpr size_t fastInputBytes = 16;
+
+/** How long a side of the gzip read-ahead ring spins before it blocks. */
+constexpr auto spinBound = std::chrono::milliseconds(1);
+
+/** The CPU the calling thread runs on, or -1 where unknown. */
+inline int
+currentCpu()
+{
+#ifdef __linux__
+    return sched_getcpu();
+#else
+    return -1;
+#endif
+}
+
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
 
 const HuffmanDecoder &
 fixedLitCode()
@@ -473,6 +500,19 @@ GzipInflateSource::GzipInflateSource(
         data_ = {owned_.data(), owned_.size()};
     }
     startMember();
+    ring_.reset(new uint8_t[ringSlots * slotBytes]);
+    // The first slot fills here, on the caller's thread: a stream
+    // that ends within it never starts the helper.
+    if (inflateSlot(0))
+        helper_ = std::thread([this] { inflateAhead(1); });
+}
+
+GzipInflateSource::~GzipInflateSource()
+{
+    if (!helper_.joinable())
+        return;
+    publish(stop_, true);
+    helper_.join();
 }
 
 void
@@ -480,43 +520,165 @@ GzipInflateSource::startMember()
 {
     pos_ += gzipHeaderSize(data_.subspan(pos_));
     stream_ = std::make_unique<InflateStream>(data_.subspan(pos_));
-    crc_ = util::Crc32();
-    memberBytes_ = 0;
+}
+
+/*
+ * A side that finds the ring empty (the caller) or full (the helper)
+ * spins for up to spinBound before it blocks, unless the other side
+ * last ran on this CPU. A thread woken from a block is often placed
+ * on its waker's CPU, where the two then share one core; spinning
+ * through the short waits of a running stream keeps each on its
+ * own. Where the two do share a CPU (a new thread starts on its
+ * creator's, and stays there where the scheduler does not balance),
+ * a spin only holds the CPU the other side needs, so the waiter
+ * blocks at once. Until a side has run its first slot its CPU is
+ * unknown (-1), and the other spins: one bounded spin also shows a
+ * balancing scheduler two runnable threads on one CPU.
+ */
+template <class Ready>
+void
+GzipInflateSource::await(const std::atomic<int> &otherCpu,
+                         const Ready &ready)
+{
+    if (ready())
+        return;
+    int self = currentCpu();
+    if (self < 0 || self != otherCpu.load(std::memory_order_relaxed)) {
+        auto deadline = std::chrono::steady_clock::now() + spinBound;
+        do {
+            for (int i = 0; i < 64; ++i) {
+                cpuRelax();
+                if (ready())
+                    return;
+            }
+        } while (std::chrono::steady_clock::now() < deadline);
+    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    wake_.wait(lock, ready);
+}
+
+template <class T>
+void
+GzipInflateSource::publish(std::atomic<T> &flag, T value)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        flag.store(value, std::memory_order_release);
+    }
+    wake_.notify_all();
+}
+
+void
+GzipInflateSource::inflateAhead(uint64_t first)
+{
+    for (uint64_t k = first;; ++k) {
+        await(readerCpu_, [this, k] {
+            return stop_.load(std::memory_order_acquire) ||
+                   k - freed_.load(std::memory_order_acquire) <
+                       ringSlots;
+        });
+        if (stop_.load(std::memory_order_acquire))
+            return;
+        fillerCpu_.store(currentCpu(), std::memory_order_relaxed);
+        if (!inflateSlot(k))
+            return;
+    }
+}
+
+bool
+GzipInflateSource::inflateSlot(uint64_t k)
+{
+    Slot &slot = slots_[k % ringSlots];
+    slot = Slot{};
+    bool more = false;
+    try {
+        more = fillSlot(slot, ring_.get() + (k % ringSlots) * slotBytes);
+    } catch (...) {
+        slot.error = std::current_exception();
+        more = false;
+    }
+    publish(filled_, k + 1);
+    return more;
+}
+
+bool
+GzipInflateSource::fillSlot(Slot &slot, uint8_t *bytes)
+{
+    while (slot.size < slotBytes) {
+        size_t n = stream_->read(bytes + slot.size, slotBytes - slot.size);
+        if (n > 0) {
+            slot.size += n;
+            continue;
+        }
+
+        // Member finished: hand its trailer to the caller, who checks
+        // it once the member's bytes are read.
+        size_t end = pos_ + stream_->compressedBytesConsumed();
+        util::require(data_.size() - end >= 8,
+                      "gzip: truncated member trailer");
+        const uint8_t *t = data_.data() + end;
+        for (int i = 0; i < 4; ++i) {
+            slot.wantCrc |= static_cast<uint32_t>(t[i]) << (8 * i);
+            slot.wantSize |= static_cast<uint32_t>(t[4 + i]) << (8 * i);
+        }
+        slot.endsMember = true;
+        pos_ = end + 8;
+        slot.last = pos_ == data_.size();
+        if (!slot.last)
+            startMember();  // concatenated members stream transparently
+        return !slot.last;
+    }
+    return true;
 }
 
 size_t
 GzipInflateSource::read(uint8_t *out, size_t maxLen)
 {
+    if (failed_)
+        std::rethrow_exception(failed_);
     if (done_ || maxLen == 0)
         return 0;
-    for (;;) {
-        size_t n = stream_->read(out, maxLen);
-        if (n > 0) {
-            crc_.update({out, n});
-            memberBytes_ += n;
-            return n;
-        }
+    try {
+        // Only this thread stores freed_.
+        uint64_t k = freed_.load(std::memory_order_relaxed);
+        for (;;) {
+            await(fillerCpu_, [this, k] {
+                return filled_.load(std::memory_order_acquire) > k;
+            });
+            const Slot &slot = slots_[k % ringSlots];
+            if (slotPos_ < slot.size) {
+                size_t n = std::min(maxLen, slot.size - slotPos_);
+                std::memcpy(out,
+                            ring_.get() + (k % ringSlots) * slotBytes +
+                                slotPos_,
+                            n);
+                crc_.update({out, n});
+                memberBytes_ += n;
+                slotPos_ += n;
+                return n;
+            }
 
-        // Member finished: verify the CRC-32 / ISIZE trailer.
-        size_t end = pos_ + stream_->compressedBytesConsumed();
-        util::require(data_.size() - end >= 8,
-                      "gzip: truncated member trailer");
-        const uint8_t *t = data_.data() + end;
-        uint32_t wantCrc = 0, wantSize = 0;
-        for (int i = 0; i < 4; ++i) {
-            wantCrc |= static_cast<uint32_t>(t[i]) << (8 * i);
-            wantSize |= static_cast<uint32_t>(t[4 + i]) << (8 * i);
+            if (slot.endsMember) {
+                util::require(crc_.value() == slot.wantCrc,
+                              "gzip: CRC-32 mismatch");
+                util::require(static_cast<uint32_t>(memberBytes_) ==
+                                  slot.wantSize,
+                              "gzip: length mismatch");
+                crc_ = util::Crc32();
+                memberBytes_ = 0;
+            }
+            if (slot.error)
+                std::rethrow_exception(slot.error);
+            done_ = slot.last;
+            slotPos_ = 0;
+            readerCpu_.store(currentCpu(), std::memory_order_relaxed);
+            publish(freed_, ++k);
+            if (done_)
+                return 0;
         }
-        util::require(crc_.value() == wantCrc,
-                      "gzip: CRC-32 mismatch");
-        util::require(static_cast<uint32_t>(memberBytes_) == wantSize,
-                      "gzip: length mismatch");
-        pos_ = end + 8;
-        if (pos_ == data_.size()) {
-            done_ = true;
-            return 0;
-        }
-        startMember();  // concatenated members stream transparently
+    } catch (...) {
+        failed_ = std::current_exception();
+        throw;
     }
 }
 

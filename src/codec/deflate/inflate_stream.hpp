@@ -13,18 +13,25 @@
  *
  * GzipInflateSource layers RFC 1952 member framing on top and plugs
  * into the trace I/O stack as a fcc::util::ByteSource decorator: a
- * gzip-compressed trace is read with memory bounded by the
- * *compressed* size (zero-copy from an mmap'd file) plus the window —
+ * helper thread inflates up to 1 MiB ahead of the reader, which
+ * checks each member's CRC-32 on its own thread. A gzip-compressed
+ * trace is read with memory bounded by the *compressed* size
+ * (zero-copy from an mmap'd file) plus the window and that ring —
  * the decompressed stream is never materialized.
  */
 
 #ifndef FCC_CODEC_DEFLATE_INFLATE_STREAM_HPP
 #define FCC_CODEC_DEFLATE_INFLATE_STREAM_HPP
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "codec/deflate/huffman.hpp"
@@ -109,33 +116,101 @@ class InflateStream
 };
 
 /**
- * Streaming gzip (RFC 1952) reader as a ByteSource decorator.
+ * Streaming gzip (RFC 1952) reader as a ByteSource decorator that
+ * reads ahead.
  *
- * Accepts one or more concatenated members, verifies each member's
- * CRC-32 and ISIZE trailer as the stream is drained, and rejects
- * trailing garbage. When the inner source exposes its content
- * contiguously (mmap, memory buffer) no copy of the compressed data
- * is made.
+ * A helper thread parses the member headers and inflates into a ring
+ * of ringSlots slots of slotBytes each. The constructor fills the
+ * first slot itself and starts the helper only when the stream goes
+ * on past it, so a stream of up to one slot starts no thread. read()
+ * copies out of the ring on the caller's thread and verifies each
+ * member's CRC-32 and ISIZE trailer there, so the checksum overlaps
+ * the next slot's inflate. A slot never spans two
+ * members: the slot that ends one carries the trailer's expected
+ * CRC and size. Accepts one or more concatenated members and rejects
+ * trailing garbage. An error (a malformed stream or trailer) reaches
+ * read() after every byte decoded before it, and every later read()
+ * rethrows it.
+ *
+ * Memory is the compressed size (none when the inner source exposes
+ * its content contiguously, as mmap and memory buffers do) plus the
+ * inflate window plus the 1 MiB ring. The helper thread is the
+ * source's own: FccConfig::threads does not count it. Destruction
+ * stops and joins it.
  */
 class GzipInflateSource : public util::ByteSource
 {
   public:
     /** @throws fcc::util::Error when the first member header is bad. */
     explicit GzipInflateSource(std::unique_ptr<util::ByteSource> inner);
+    ~GzipInflateSource() override;
+
+    GzipInflateSource(const GzipInflateSource &) = delete;
+    GzipInflateSource &operator=(const GzipInflateSource &) = delete;
 
     size_t read(uint8_t *out, size_t maxLen) override;
 
   private:
+    static constexpr size_t ringSlots = 4;
+    static constexpr size_t slotBytes = size_t{1} << 18;
+
+    /** One ring slot's decoded bytes and what follows them. */
+    struct Slot
+    {
+        size_t size = 0;           ///< decoded bytes in the slot
+        bool endsMember = false;   ///< the member's trailer follows
+        bool last = false;         ///< no member follows
+        uint32_t wantCrc = 0;      ///< trailer CRC-32, if endsMember
+        uint32_t wantSize = 0;     ///< trailer ISIZE, if endsMember
+        std::exception_ptr error;  ///< raised after the slot's bytes
+    };
+
+    // The filling side: the helper thread, and the constructor for
+    // slot 0. inflateSlot() and fillSlot() return false once nothing
+    // follows the slot.
+    void inflateAhead(uint64_t first);
+    bool inflateSlot(uint64_t k);
+    bool fillSlot(Slot &slot, uint8_t *bytes);
     void startMember();
+
+    // Either side: wait for @p ready (the other side last published
+    // from @p otherCpu), and store what the other side may wait on
+    // under the mutex, then wake it.
+    template <class Ready>
+    void await(const std::atomic<int> &otherCpu, const Ready &ready);
+    template <class T> void publish(std::atomic<T> &flag, T value);
 
     std::unique_ptr<util::ByteSource> inner_;  ///< keeps mmap alive
     std::vector<uint8_t> owned_;               ///< slurped fallback
     std::span<const uint8_t> data_;            ///< whole gzip file
-    size_t pos_ = 0;                           ///< current member offset
+
+    // The filling side's: the current member and its inflate state.
+    size_t pos_ = 0;
     std::unique_ptr<InflateStream> stream_;
+
+    // The ring. Slot k lives at k % ringSlots; the helper fills slots
+    // [freed_, freed_ + ringSlots) and publishes them through filled_,
+    // the caller reads [freed_, filled_) and hands them back.
+    std::unique_ptr<uint8_t[]> ring_;
+    Slot slots_[ringSlots];
+    std::atomic<uint64_t> filled_{0};
+    std::atomic<uint64_t> freed_{0};
+    std::atomic<bool> stop_{false};
+    std::atomic<int> fillerCpu_{-1};  ///< where the helper last filled
+    std::atomic<int> readerCpu_{-1};  ///< where the caller last freed
+    std::mutex mutex_;
+    std::condition_variable wake_;
+
+    // The caller's: the read position in slot freed_ and the member
+    // checks.
+    size_t slotPos_ = 0;
     util::Crc32 crc_;
     uint64_t memberBytes_ = 0;
     bool done_ = false;
+    std::exception_ptr failed_;
+
+    std::thread helper_;  ///< last: starts once the rest is built;
+                          ///< none for a one-slot stream
 };
 
 /**

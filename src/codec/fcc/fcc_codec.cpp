@@ -239,21 +239,26 @@ runOn(util::ThreadPool *pool, size_t count,
 /**
  * What one reconstruction decodes once and every chunk shares: the
  * chunk layout, the S-value class table, the template facts and the
- * pool, which starts on first use and is joined when the
- * reconstruction ends.
+ * pool — the caller's, or one that starts on first use and is joined
+ * when the reconstruction ends.
  */
 struct Expansion
 {
-    Expansion(const FccTraceCompressor &codec, const Datasets &d)
+    Expansion(const FccTraceCompressor &codec, const Datasets &d,
+              util::ThreadPool *shared)
         : codec(codec), d(d), chunks(d, codec.config().decompressSeed),
           classes(d.weights), facts(templateFacts(d, 0, 0)),
-          threads(util::resolveThreads(codec.config().threads))
+          threads(shared ? shared->size()
+                         : util::resolveThreads(codec.config().threads)),
+          shared(shared)
     {}
 
-    /** The pool, started on first use. */
+    /** The caller's pool, or one started on first use. */
     util::ThreadPool &
     workers()
     {
+        if (shared)
+            return *shared;
         if (!pool)
             pool.emplace(threads);
         return *pool;
@@ -285,6 +290,7 @@ struct Expansion
     flow::ClassTable classes;
     TemplateFactTable facts;
     unsigned threads;
+    util::ThreadPool *shared;
     std::optional<util::ThreadPool> pool;
 };
 
@@ -417,7 +423,7 @@ serializeDatasets(const Datasets &datasets, const FccConfig &cfg,
 
 Datasets
 deserializeAuto(std::span<const uint8_t> data, uint32_t threads,
-                ContainerStat *stat)
+                ContainerStat *stat, util::ThreadPool *pool)
 {
     // The legacy hybrid container wraps a row stream in zlib: CMF
     // 0x78; the plain formats start with 'F' of "FCC".
@@ -426,14 +432,15 @@ deserializeAuto(std::span<const uint8_t> data, uint32_t threads,
         inflated = deflate::zlibDecompress(data);
         data = inflated;
     }
-    // Only the columnar container has parallel decode jobs; the
-    // pool is scoped here so it is gone before any expansion pool
-    // spins up.
-    std::unique_ptr<util::ThreadPool> pool;
+    // Only the columnar container has parallel decode jobs; without
+    // the caller's pool they get one of their own, scoped here.
+    std::unique_ptr<util::ThreadPool> owned;
     unsigned workers = util::resolveThreads(threads);
-    if (workers > 1 && data.size() >= 4 && data[3] == '3')
-        pool = std::make_unique<util::ThreadPool>(workers);
-    return deserialize(data, pool.get(), stat);
+    if (!pool && workers > 1 && data.size() >= 4 && data[3] == '3') {
+        owned = std::make_unique<util::ThreadPool>(workers);
+        pool = owned.get();
+    }
+    return deserialize(data, pool, stat);
 }
 
 FccTraceCompressor::FccTraceCompressor(const FccConfig &cfg)
@@ -499,10 +506,11 @@ FccTraceCompressor::expand(const Datasets &d) const
 
 void
 FccTraceCompressor::expandInto(const Datasets &d,
-                               const trace::PacketSpanSink &emit) const
+                               const trace::PacketSpanSink &emit,
+                               util::ThreadPool *pool) const
 {
     requirePacketFidelity(d);
-    Expansion x(*this, d);
+    Expansion x(*this, d, pool);
     const ChunkStreams &chunks = x.chunks;
     size_t batchChunks = size_t{x.threads} * 2;
     bool flushEarly = chunks.size() > batchChunks && x.spansKnown();

@@ -311,7 +311,8 @@ class FccTraceCompressor : public TraceCompressor
      * DecompressSession::drainTo: every packet of @p datasets goes to
      * @p emit in trace::packetCanonicalLess order, in blocks of at
      * most trace::canonicalMergeBlock. Batches of 2 × threads chunks
-     * expand on one pool that lives for the call, each chunk into a
+     * expand on one pool (@p pool, whose size then stands for the
+     * thread count, or one that lives for the call), each chunk into a
      * sorted run; one streaming merge (trace::mergeCanonicalRuns)
      * joins them with the carry of earlier batches, emits what is
      * older than the next batch's first record and carries the rest.
@@ -334,7 +335,8 @@ class FccTraceCompressor : public TraceCompressor
      *         per-packet data) or a malformed layout.
      */
     void expandInto(const Datasets &datasets,
-                    const trace::PacketSpanSink &emit) const;
+                    const trace::PacketSpanSink &emit,
+                    util::ThreadPool *pool = nullptr) const;
 
     /**
      * The one chunk expander, behind expandInto() and the query:
@@ -415,13 +417,14 @@ serializeDatasets(const Datasets &datasets, const FccConfig &cfg,
  * Decode any FCC artifact: unwraps the legacy whole-blob zlib
  * hybrid wrapper, auto-detects the container by magic, and runs
  * FCC3 column decode jobs on up to @p threads workers (0 = all
- * cores; the row formats parse sequentially either way). The
- * in-memory decompressor, the streaming decompressor and fcctool
- * all decode through this one entry point.
+ * cores; the row formats parse sequentially either way), or on
+ * @p pool when given. The in-memory decompressor, the streaming
+ * decompressor and fcctool all decode through this one entry point.
  */
 Datasets deserializeAuto(std::span<const uint8_t> data,
                          uint32_t threads,
-                         ContainerStat *stat = nullptr);
+                         ContainerStat *stat = nullptr,
+                         util::ThreadPool *pool = nullptr);
 
 } // namespace fcc::codec::fcc
 

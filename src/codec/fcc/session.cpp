@@ -359,8 +359,17 @@ DecompressSession::open(const std::string &fccPath)
     archiveBytes_ = bytes.size();
     // One shared decode entry point: zlib-hybrid unwrap, container
     // auto-detection, pooled FCC3 column decode.
-    datasets_ = deserializeAuto(bytes, cfg_.threads);
+    datasets_ = deserializeAuto(bytes, cfg_.threads, nullptr, workers());
     open_ = true;
+}
+
+util::ThreadPool *
+DecompressSession::workers()
+{
+    unsigned threads = util::resolveThreads(cfg_.threads);
+    if (!pool_ && threads > 1)
+        pool_ = std::make_unique<util::ThreadPool>(threads);
+    return pool_.get();
 }
 
 const Datasets &
@@ -380,10 +389,12 @@ DecompressSession::drainTo(trace::TraceSink &sink)
     // Paper §4: reconstructed packets wait in a time-ordered buffer
     // and leave once no later record can precede them (expandInto).
     FccTraceCompressor(cfg_).expandInto(
-        datasets_, [&](std::span<const trace::PacketRecord> packets) {
+        datasets_,
+        [&](std::span<const trace::PacketRecord> packets) {
             sink.write(packets);
             archiveStats.packets += packets.size();
-        });
+        },
+        workers());
     sink.close();
     archiveStats.outputBytes = sink.bytesWritten();
 

@@ -45,6 +45,7 @@
 #define FCC_CODEC_FCC_SESSION_HPP
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -54,6 +55,7 @@
 #include "codec/fcc/stream.hpp"
 #include "flow/template_store.hpp"
 #include "trace/source.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fcc::codec::fcc {
 
@@ -225,7 +227,9 @@ class CompressSession
  * archive reconstructs with the §4 bounded-memory flush
  * (FccTraceCompressor::expandInto): a batch of chunks expands and
  * sorts concurrently (cfg.threads) and the sorted runs merge
- * between flushes, bit-identically at any thread count.
+ * between flushes, bit-identically at any thread count. The column
+ * decode and the expansion of every archive share one pool, which
+ * the session starts on first use.
  */
 class DecompressSession
 {
@@ -274,7 +278,11 @@ class DecompressSession
     const FccConfig &config() const { return cfg_; }
 
   private:
+    /** The session's pool, started on first use; none at 1 thread. */
+    util::ThreadPool *workers();
+
     FccConfig cfg_;
+    std::unique_ptr<util::ThreadPool> pool_;
     Datasets datasets_;
     uint64_t archiveBytes_ = 0;
     bool open_ = false;

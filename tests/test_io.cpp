@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "codec/deflate/deflate.hpp"
@@ -868,26 +871,6 @@ TEST(TraceIo, GzipSourceStreamsChunkwise)
     EXPECT_EQ(restored, payload);
 }
 
-TEST(TraceIo, GzipSourceHandlesConcatenatedMembers)
-{
-    std::vector<uint8_t> a(50000, 'a'), b(60000, 'b');
-    auto gz = codec::deflate::gzipCompress(a);
-    auto gz2 = codec::deflate::gzipCompress(b);
-    gz.insert(gz.end(), gz2.begin(), gz2.end());
-
-    codec::deflate::GzipInflateSource src(
-        std::make_unique<util::BufferByteSource>(gz));
-    std::vector<uint8_t> restored;
-    uint8_t buf[4096];
-    size_t n;
-    while ((n = src.read(buf, sizeof(buf))) > 0)
-        restored.insert(restored.end(), buf, buf + n);
-
-    std::vector<uint8_t> expect(a);
-    expect.insert(expect.end(), b.begin(), b.end());
-    EXPECT_EQ(restored, expect);
-}
-
 TEST(TraceIo, GzipSourceDetectsCorruption)
 {
     std::vector<uint8_t> payload(20000, 'x');
@@ -904,6 +887,238 @@ TEST(TraceIo, GzipSourceDetectsCorruption)
         },
         util::Error);
 }
+
+namespace {
+
+/** @p n bytes of mildly compressible noise. */
+std::vector<uint8_t>
+noisyBytes(size_t n, uint32_t seed)
+{
+    std::mt19937 rng(seed);
+    std::vector<uint8_t> bytes(n);
+    for (uint8_t &b : bytes)
+        b = static_cast<uint8_t>(rng() % 17);
+    return bytes;
+}
+
+/** Concatenated gzip members and their one-shot inflates. */
+struct GzipMembers
+{
+    std::vector<uint8_t> gz;
+    std::vector<uint8_t> plain;
+    std::vector<size_t> memberEnds;  ///< of each member in gz
+    std::vector<size_t> plainEnds;   ///< of each member in plain
+};
+
+GzipMembers
+gzipMembers(const std::vector<std::vector<uint8_t>> &parts)
+{
+    GzipMembers m;
+    for (const auto &part : parts) {
+        auto gz = codec::deflate::gzipCompress(part);
+        auto plain = codec::deflate::gzipDecompress(gz);
+        m.gz.insert(m.gz.end(), gz.begin(), gz.end());
+        m.plain.insert(m.plain.end(), plain.begin(), plain.end());
+        m.memberEnds.push_back(m.gz.size());
+        m.plainEnds.push_back(m.plain.size());
+    }
+    return m;
+}
+
+std::unique_ptr<codec::deflate::GzipInflateSource>
+gunzip(std::vector<uint8_t> gz)
+{
+    return std::make_unique<codec::deflate::GzipInflateSource>(
+        std::make_unique<util::BufferByteSource>(std::move(gz)));
+}
+
+/**
+ * Drain @p src in ragged 1-4099-byte reads until the end or a
+ * util::Error, whose message lands in @p error (empty at a clean end).
+ */
+std::vector<uint8_t>
+drainRagged(util::ByteSource &src, std::string &error)
+{
+    std::mt19937 rng(11);
+    std::vector<uint8_t> got, buf(4099);
+    error.clear();
+    try {
+        size_t n;
+        while ((n = src.read(buf.data(), 1 + rng() % 4099)) > 0)
+            got.insert(got.end(), buf.begin(),
+                       buf.begin() + static_cast<long>(n));
+    } catch (const util::Error &e) {
+        error = e.what();
+    }
+    return got;
+}
+
+/** The message of the util::Error one more read() of @p src throws. */
+std::string
+nextReadError(util::ByteSource &src)
+{
+    uint8_t buf[64];
+    try {
+        src.read(buf, sizeof(buf));
+    } catch (const util::Error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(TraceIo, GzipSourceHandlesConcatenatedMembers)
+{
+    // About 1.5 MB over four members, one of them empty, read in
+    // ragged pieces: the read-ahead ring (4 x 256 KiB) wraps, and
+    // member ends fall inside slots.
+    auto m = gzipMembers({noisyBytes(600000, 1), {}, noisyBytes(5, 2),
+                          noisyBytes(900000, 3)});
+    auto src = gunzip(m.gz);
+    std::string error;
+    auto got = drainRagged(*src, error);
+    EXPECT_EQ(error, "");
+    EXPECT_EQ(got, m.plain);
+    uint8_t buf[16];
+    EXPECT_EQ(src->read(buf, sizeof(buf)), 0u);
+    EXPECT_EQ(src->read(buf, sizeof(buf)), 0u);
+}
+
+TEST(TraceIo, GzipSourceChecksTheSecondMembersTrailer)
+{
+    // A flipped CRC-32 or ISIZE byte in member 2 of 3: both members'
+    // bytes arrive first, then the error, on this and every later
+    // read().
+    auto m = gzipMembers({noisyBytes(400000, 4), noisyBytes(300000, 5),
+                          noisyBytes(1000, 6)});
+    struct Flip
+    {
+        size_t fromEnd;
+        const char *error;
+    };
+    for (Flip flip : {Flip{8, "gzip: CRC-32 mismatch"},
+                      Flip{4, "gzip: length mismatch"}}) {
+        std::vector<uint8_t> gz = m.gz;
+        gz[m.memberEnds[1] - flip.fromEnd] ^= 0x01;
+        auto src = gunzip(gz);
+        std::string error;
+        auto got = drainRagged(*src, error);
+        EXPECT_EQ(error, flip.error);
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), m.plain.begin(),
+                               m.plain.begin() +
+                                   static_cast<long>(m.plainEnds[1])) &&
+                    got.size() == m.plainEnds[1])
+            << flip.error << ": " << got.size() << " bytes";
+        EXPECT_EQ(nextReadError(*src), flip.error);
+        EXPECT_EQ(nextReadError(*src), flip.error);
+    }
+}
+
+TEST(TraceIo, GzipSourceRejectsTrailingGarbageAndCuts)
+{
+    auto m = gzipMembers({noisyBytes(400000, 7), noisyBytes(400000, 8)});
+    struct Case
+    {
+        const char *name;
+        std::vector<uint8_t> gz;
+        size_t goodBytes;  ///< bytes that must arrive before the error
+        const char *error;
+    };
+    std::vector<Case> cases;
+    std::vector<uint8_t> garbage = m.gz;
+    for (char c : std::string("not a gzip member"))
+        garbage.push_back(static_cast<uint8_t>(c));
+    cases.push_back({"garbage", garbage, m.plain.size(),
+                     "gzip: bad magic"});
+    std::vector<uint8_t> stub = m.gz;
+    stub.insert(stub.end(), {0x1f, 0x8b, 8});
+    cases.push_back({"short garbage", stub, m.plain.size(),
+                     "gzip: truncated header"});
+    // Member 2 cut half-way into its deflate data.
+    std::vector<uint8_t> cut(
+        m.gz.begin(),
+        m.gz.begin() + static_cast<long>(
+                           (m.memberEnds[0] + m.memberEnds[1]) / 2));
+    cases.push_back({"cut", cut, m.plainEnds[0],
+                     "inflate: truncated stream"});
+
+    for (const Case &c : cases) {
+        auto src = gunzip(c.gz);
+        std::string error;
+        auto got = drainRagged(*src, error);
+        EXPECT_EQ(error, c.error) << c.name;
+        EXPECT_GE(got.size(), c.goodBytes) << c.name;
+        EXPECT_LE(got.size(), m.plain.size()) << c.name;
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), m.plain.begin()))
+            << c.name;
+        EXPECT_EQ(nextReadError(*src), c.error) << c.name;
+    }
+}
+
+#ifdef __linux__
+namespace {
+
+size_t
+taskCount()
+{
+    size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+/** Wait up to 2 s for the task count to fall to @p want; the last count. */
+size_t
+settleTaskCount(size_t want)
+{
+    size_t n = taskCount();
+    for (int i = 0; i < 200 && n != want; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        n = taskCount();
+    }
+    return n;
+}
+
+} // namespace
+
+TEST(TraceIo, GzipSourceStopsItsHelperWhenDestroyed)
+{
+    // A sanitizer runtime may start a thread of its own at the
+    // process's first thread creation: count after one.
+    std::thread([] {}).join();
+    const size_t baseline = settleTaskCount(taskCount());
+
+    {
+        // A stream of one slot (256 KiB) inflates in the constructor.
+        auto src = gunzip(codec::deflate::gzipCompress(noisyBytes(1000, 9)));
+        EXPECT_EQ(taskCount(), baseline);
+        std::string error;
+        EXPECT_EQ(drainRagged(*src, error).size(), 1000u);
+        EXPECT_EQ(error, "");
+    }
+
+    auto gz = codec::deflate::gzipCompress(noisyBytes(1500000, 9));
+
+    {
+        // Destroyed after its first batch, with the helper running.
+        auto src = gunzip(gz);
+        EXPECT_EQ(taskCount(), baseline + 1);
+        uint8_t buf[4096];
+        EXPECT_GT(src->read(buf, sizeof(buf)), 0u);
+    }
+    EXPECT_EQ(settleTaskCount(baseline), baseline);
+
+    {
+        // Destroyed unread, once the helper has filled the 1 MiB ring
+        // and waits for a free slot.
+        auto src = gunzip(gz);
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    EXPECT_EQ(settleTaskCount(baseline), baseline);
+}
+#endif
 
 // ---- format auto-detection ------------------------------------------------
 

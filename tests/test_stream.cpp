@@ -1124,6 +1124,27 @@ TEST(Stream, DrainMatchesExpandAtAnyThreadCount)
     }
 }
 
+TEST(Stream, OneSessionPoolCarriesEveryArchive)
+{
+    // One 4-thread session drains every fixture in turn: its one pool
+    // runs each archive's column decode, then its expansion (a chunk
+    // per job, or a single chunk split across the pool).
+    fccc::FccConfig cfg;
+    cfg.threads = 4;
+    fccc::DecompressSession session(cfg);
+    for (const DrainFixture &fx : drainFixtures()) {
+        SCOPED_TRACE(fx.name);
+        std::vector<uint8_t> bytes;
+        std::string path = writeFixtureArchive(fx, bytes);
+        session.open(path);
+        RecordingSink sink;
+        session.drainTo(sink);
+        EXPECT_TRUE(fcc::test::samePackets(
+            sink.all(), sortedReference(fccc::deserializeAuto(bytes, 1))));
+        std::remove(path.c_str());
+    }
+}
+
 TEST(Stream, DrainFlushesEachBatchIncrementally)
 {
     // Paper §4: output leaves batch by batch. Batch b covers chunks

@@ -144,7 +144,8 @@ main(int argc, char **argv)
               });
     flags.add("--threads", "N",
               "pipeline workers, 0 = all cores (default;\n"
-              "output bytes never depend on it)",
+              "output bytes never depend on it; a gzip'd\n"
+              "input inflates on one more thread)",
               [&](const char *v) {
                   config.codec.threads =
                       static_cast<uint32_t>(cli::parseUnsigned(
