@@ -55,7 +55,7 @@ secondsOf(const std::function<void()> &fn, int reps)
 /** One timed daemon run over @p input into a fresh directory. */
 archive::DaemonReport
 runOnce(const std::string &input, const std::string &outDir,
-        const archive::RotationPolicy &rotation)
+        const codec::fcc::IngestPolicy &policy)
 {
     fs::remove_all(outDir);
     fs::create_directories(outDir);
@@ -65,8 +65,8 @@ runOnce(const std::string &input, const std::string &outDir,
     cfg.outputDir = outDir;
     cfg.codec.container = codec::fcc::ContainerFormat::Fcc3;
     cfg.codec.index = true;
-    cfg.rotation = rotation;
-    archive::DaemonControl control;
+    cfg.ingest = policy;
+    codec::fcc::IngestControl control;
     return archive::Daemon(cfg).run(control);
 }
 
@@ -120,7 +120,7 @@ main(int argc, char **argv)
     metrics.add("daemon_ingest_mbps", baseMbps);
 
     // --- rotating: frequent chunk cuts + archive rollover ---------
-    archive::RotationPolicy rotation;
+    codec::fcc::IngestPolicy rotation;
     rotation.chunkRecords = 512;
     rotation.archiveRecords = std::max<uint64_t>(
         trace.size() / 8, 1);

@@ -1,28 +1,20 @@
 /**
  * @file
- * The continuous-capture archiver core: the loop behind the fccd
- * tool (tools/fccd.cpp), separated from the process scaffolding so
- * tests can drive it in-process and the tool stays a thin shell.
+ * The continuous-capture archiver core: fccd (tools/fccd.cpp) minus
+ * its process scaffolding, so tests can drive it in-process.
  *
  * A Daemon pulls packet records from one input — a capture file
  * replayed at a configurable rate, a FIFO, or a socket a producer
- * connects to — and runs them through one long-lived
- * codec::fcc::CompressSession. Two policies shape the output:
- *
- *  - *chunk rotation* (records fed or wall milliseconds since the
- *    last cut) calls CompressSession::rotateChunk(), bounding how
- *    much trace time a reader must decode to reach any instant;
- *  - *archive rollover* (records or wall milliseconds per epoch)
- *    seals the epoch through archive::ArchiveWriter — the
- *    crash-safe fsync-before-footer commit — and re-arms the
- *    session, carrying the template store so the next archive
- *    skips the recluster warm-up.
- *
- * Control is two flags the owner (signal handlers, tests) flips:
- * `stop` finishes the current batch, seals what is buffered and
- * returns; `rotateNow` seals and re-arms at the next batch edge
- * (SIGHUP semantics). Epochs holding zero packets are never
- * written — an idle daemon produces no empty archives.
+ * connects to — through codec::fcc::ingest(), the loop fcctool also
+ * runs (stream.hpp), into one long-lived CompressSession. Its
+ * IngestPolicy cuts chunks (rotateChunk) and rolls archives; each
+ * sealed epoch is committed through archive::ArchiveWriter, the
+ * crash-safe fsync-before-footer commit, and the session re-arms,
+ * carrying the template store so the next archive skips the
+ * recluster warm-up. The owner (signal handlers, tests) flips the
+ * loop's IngestControl: `stop` seals and returns, `rotateNow` seals
+ * at the next batch edge (SIGHUP). An idle daemon writes no empty
+ * archives.
  *
  * On start the daemon reconciles the output directory with its
  * catalog (recoverCatalog), so a SIGKILL'd predecessor's `.partial`
@@ -33,7 +25,6 @@
 #ifndef FCC_ARCHIVE_DAEMON_HPP
 #define FCC_ARCHIVE_DAEMON_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -45,16 +36,6 @@
 
 namespace fcc::archive {
 
-/** When to cut chunks and roll archives. Zero disables a bound;
- *  record bounds are exact, wall bounds are checked per batch. */
-struct RotationPolicy
-{
-    uint64_t chunkRecords = 0;   ///< rotateChunk() every N packets fed
-    uint64_t chunkWallMs = 0;    ///< ... or every N wall milliseconds
-    uint64_t archiveRecords = 0; ///< seal+reArm every N packets fed
-    uint64_t archiveWallMs = 0;  ///< ... or every N wall milliseconds
-};
-
 struct DaemonConfig
 {
     /** Input: a trace file / FIFO path, or (when listen is set) a
@@ -62,10 +43,9 @@ struct DaemonConfig
      *  producer connection on. */
     std::string input;
 
-    /** Input container format. Keep the default auto-detect for
-     *  files; FIFOs and sockets need an explicit format (the
-     *  sniffing read would consume live bytes). Socket input is
-     *  always flat TSH records. */
+    /** Input container format. Auto-detection (the default) reads
+     *  the first 16 bytes, from a FIFO too; socket input is always
+     *  flat TSH records. */
     trace::TraceFormatSpec inputFormat;
 
     /** Treat `input` as a socket endpoint and listen on it. */
@@ -76,22 +56,9 @@ struct DaemonConfig
 
     codec::fcc::FccConfig codec;
     codec::fcc::SessionOptions session;
-    RotationPolicy rotation;
 
-    /**
-     * Replay pacing in packets per second; 0 ingests as fast as the
-     * input delivers. Pacing is what makes the wall-clock rotation
-     * bounds meaningful when replaying a capture file.
-     */
-    double replayRate = 0;
-};
-
-/** Flags the daemon polls at batch edges; safe to flip from signal
- *  handlers (std::atomic<bool> lock-free everywhere we run). */
-struct DaemonControl
-{
-    std::atomic<bool> stop{false};      ///< seal buffered state, return
-    std::atomic<bool> rotateNow{false}; ///< seal + re-arm (SIGHUP)
+    /** Chunk rotation, archive rollover and replay pacing. */
+    codec::fcc::IngestPolicy ingest;
 };
 
 /** What one run() ingested and sealed. */
@@ -118,7 +85,7 @@ class Daemon
      * @throws fcc::util::Error on input or output I/O failure.
      */
     DaemonReport
-    run(DaemonControl &control,
+    run(codec::fcc::IngestControl &control,
         const std::function<void(const CatalogEntry &)> &onSeal =
             {});
 

@@ -72,7 +72,7 @@ CompressSession::CompressSession(const FccConfig &cfg,
 CompressSession::~CompressSession() = default;
 
 void
-CompressSession::feed(const trace::PacketRecord &pkt)
+CompressSession::feedPacket(const trace::PacketRecord &pkt)
 {
     util::require(!sealed_,
                   "fcc session: feed() on a sealed session "
@@ -119,7 +119,7 @@ void
 CompressSession::feed(std::span<const trace::PacketRecord> batch)
 {
     for (const trace::PacketRecord &pkt : batch)
-        feed(pkt);
+        feedPacket(pkt);
 }
 
 void
@@ -297,17 +297,6 @@ CompressSession::seal(SealInfo *info)
         info->templatesNew = templatesNew_;
     }
     return bytes;
-}
-
-SealInfo
-CompressSession::sealToFile(const std::string &path)
-{
-    SealInfo info;
-    std::vector<uint8_t> bytes = seal(&info);
-    util::FileByteSink out(path);
-    out.write(bytes);
-    out.close();
-    return info;
 }
 
 void

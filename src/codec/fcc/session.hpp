@@ -2,43 +2,38 @@
  * @file
  * Session-based compression API: the FCC compressor itself. Every
  * compression entry point runs on a CompressSession — the one-shot
- * FccTraceCompressor::compress(Trace), the file wrappers of
- * stream.hpp and the continuous-capture archiver (src/archive,
- * fccd) — so the same packets give the same archive bytes whichever
- * of them produced it, at any thread count.
+ * FccTraceCompressor::compress(Trace), and the ingest loop of
+ * stream.hpp behind fcctool and the continuous-capture archiver
+ * (src/archive, fccd) — so the same packets give the same archive
+ * bytes whichever of them produced it, at any thread count.
  *
  * The session is the paper's online compressor (§3): packets are
  * feed() in as they arrive and grouped by 5-tuple; when a
  * connection's teardown completes (flow::Connection: RST, the ACK
  * after both FINs, or an idle timeout) the flow is characterized,
  * clustered against the template store and appended to the epoch's
- * datasets. Chunk boundaries are cut on demand (rotateChunk(),
- * time-based, on top of the record-count slicing of
- * FccConfig::chunkRecords) — closing an epoch is the one place a
- * chunk layout is chosen, whatever the container — and seal()
- * closes the current *epoch*
- * into one self-contained archive — after which reArm() starts the
- * next epoch without rebuilding the session.
+ * datasets. rotateChunk() cuts chunk boundaries on demand, on top of
+ * the record-count slicing of FccConfig::chunkRecords; seal() closes
+ * the current *epoch* into one self-contained archive, choosing its
+ * chunk layout for either container, and reArm() starts the next
+ * epoch without rebuilding the session.
  *
  * Output depends only on the packets: flows still open at the end of
  * an epoch close in canonical (first timestamp, 5-tuple) order, and
  * the time-seq dataset is sorted by that same key
  * (flow::canonicalFlowOrderKey).
  *
- * Template carry: the short-flow cluster store (flow::TemplateStore)
- * survives seal()/reArm() when SessionOptions::carryTemplates is
- * set, so a re-armed epoch matches recurring behaviour against the
- * clusters earlier epochs already learned instead of re-growing them
- * from nothing (the recluster warm-up a cold run pays). Sealed
- * archives stay self-contained either way: each epoch serializes
- * only the templates it referenced, renumbered in first-use order —
- * which is why a carry-off session's epochs are bit-identical to
- * independent one-shot runs over the split input.
+ * Template carry (SessionOptions::carryTemplates): the short-flow
+ * cluster store survives seal()/reArm(), so a re-armed epoch skips
+ * the recluster warm-up a cold run pays. Archives stay
+ * self-contained either way: each epoch serializes only the
+ * templates it referenced, in first-use order, so a carry-off
+ * session's epochs are bit-identical to one-shot runs over the
+ * split input.
  *
- * DecompressSession is the matching read side: one session holds the
- * config and cumulative stats while open()/drainTo() iterate over
- * any number of archives (an fccd output directory, say), each
- * reconstructed with the §4 bounded-memory flush of stream.cpp.
+ * DecompressSession is the matching read side: one session walks
+ * any number of archives (an fccd output directory, say) through
+ * the §4 bounded-memory flush of FccTraceCompressor::expandInto.
  */
 
 #ifndef FCC_CODEC_FCC_SESSION_HPP
@@ -92,9 +87,10 @@ struct SealInfo
  * starts the next epoch. Input must be time-ordered within an epoch;
  * reArm() resets the clock, so epochs may restart from zero.
  *
- * FccTraceCompressor::compress() and the one-shot wrappers of
- * stream.hpp are thin shells over a single-epoch session; anything
- * they can produce, a session seals byte-identically.
+ * FccTraceCompressor::compress() and compressSource() are thin
+ * shells over a single-epoch session; anything they can produce, a
+ * session seals byte-identically. ingest() (stream.hpp) is the one
+ * loop that drives a session from a TraceSource.
  */
 class CompressSession
 {
@@ -112,11 +108,8 @@ class CompressSession
     CompressSession(const CompressSession &) = delete;
     CompressSession &operator=(const CompressSession &) = delete;
 
-    /** Feed one packet. @throws fcc::util::Error when sealed or on
-     *  time-disordered input. */
-    void feed(const trace::PacketRecord &pkt);
-
-    /** Feed a batch (equivalent to feeding each in order). */
+    /** Feed packets in order. @throws fcc::util::Error when sealed
+     *  or on time-disordered input. */
     void feed(std::span<const trace::PacketRecord> batch);
 
     /**
@@ -152,10 +145,6 @@ class CompressSession
      */
     Datasets sealDatasets();
 
-    /** seal() straight into a file (plain write — the crash-safe
-     *  fsync/rename discipline lives in archive::ArchiveWriter). */
-    SealInfo sealToFile(const std::string &path);
-
     /**
      * Start the next epoch: per-epoch state (open flows, datasets,
      * address table, input clock, chunk cuts) resets; the template
@@ -189,6 +178,7 @@ class CompressSession
         flow::FlowKey key;
     };
 
+    void feedPacket(const trace::PacketRecord &pkt);
     void closeFlow(const flow::FlowKey &key, OpenFlow &flowState);
     void closeEpoch();
     void resetEpoch();

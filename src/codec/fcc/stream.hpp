@@ -1,17 +1,14 @@
 /**
  * @file
- * One-shot streaming interface of the FCC codec over the trace I/O
- * subsystem: compression consumes any TraceSource (TSH, pcap,
- * pcapng, gzip'd variants — see trace/source.hpp), decompression
- * produces any TraceSink. Every entry point here is a thin wrapper
- * over a single-epoch session (session.hpp) — the open-ended API
- * that can also seal an archive and re-arm for the next one, which
- * is what the continuous-capture archiver (src/archive, fccd)
- * builds on.
+ * Streaming interface of the FCC codec over the trace I/O subsystem:
+ * compression consumes any TraceSource (TSH, pcap, pcapng, gzip'd
+ * variants — see trace/source.hpp), decompression produces any
+ * TraceSink.
  *
- * Compression reads packet records incrementally (one connection's
- * worth of state at a time — memory is bounded by open flows plus
- * the template/time-seq datasets, not by the packet count).
+ * Compression has one loop, ingest(): source → CompressSession
+ * (session.hpp) → one sealed archive per epoch. compressSource
+ * (fcctool) runs it to write one file; the archiver (src/archive,
+ * fccd) runs it under a rotation policy and commits each archive.
  *
  * Decompression of a legacy unchunked file (FCC1, or FCC3 written
  * with chunkRecords == 0 before every archive was chunked)
@@ -33,7 +30,11 @@
 #ifndef FCC_CODEC_FCC_STREAM_HPP
 #define FCC_CODEC_FCC_STREAM_HPP
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 
 #include "codec/fcc/fcc_codec.hpp"
@@ -41,12 +42,8 @@
 
 namespace fcc::codec::fcc {
 
-/**
- * Outcome of a streaming run — one-shot or session-based. The
- * lifecycle counters come from the session layer (session.hpp): a
- * one-shot run is a single-epoch session, so it reports one epoch,
- * one sealed archive and the archive's chunk count.
- */
+/** Outcome of a compression or decompression run. The lifecycle
+ *  counters come from the session layer (session.hpp). */
 struct StreamStats
 {
     uint64_t packets = 0;
@@ -70,10 +67,58 @@ struct StreamStats
     }
 };
 
+class CompressSession;
+struct SealInfo;
+
+/** When ingest() cuts chunks and seals archives. Zero disables a
+ *  bound; record bounds are exact, wall bounds are checked per
+ *  batch. The all-zero policy seals once, at the end of the input. */
+struct IngestPolicy
+{
+    uint64_t chunkRecords = 0;   ///< rotateChunk() every N packets fed
+    uint64_t chunkWallMs = 0;    ///< ... or every N wall milliseconds
+    uint64_t archiveRecords = 0; ///< seal every N packets fed
+    uint64_t archiveWallMs = 0;  ///< ... or every N wall milliseconds
+    double replayRate = 0; ///< packets/s to pace a replay; 0 = no pacing
+};
+
+/** Flags ingest() polls at batch edges; safe to flip from signal
+ *  handlers (std::atomic<bool> is lock-free everywhere we run). */
+struct IngestControl
+{
+    std::atomic<bool> stop{false};      ///< seal buffered state, return
+    std::atomic<bool> rotateNow{false}; ///< seal now (SIGHUP)
+};
+
+/** Records per read in ingest(). A live source's read blocks until
+ *  the batch fills or the producer closes, so this also bounds how
+ *  late a control flag or a wall bound is seen. */
+constexpr size_t ingestBatchRecords = 256;
+
+/**
+ * The ingest loop: read @p src, feed @p session and seal epochs
+ * under @p policy until the input ends or @p control.stop, then seal
+ * what is buffered; @p onSeal gets each archive in seal order. A
+ * batch is fed in spans cut at the next record bound, where a chunk
+ * cut precedes a seal on the same packet. An epoch holding no packet
+ * is never sealed, and the session re-arms only when a packet
+ * follows a seal, so it is left sealed unless no packet arrived.
+ *
+ * @throws fcc::util::Error on input failure, time-disordered input,
+ *         or whatever @p onSeal throws.
+ */
+void
+ingest(trace::TraceSource &src, CompressSession &session,
+       const IngestPolicy &policy, IngestControl &control,
+       const std::function<void(std::span<const uint8_t> archive,
+                                const SealInfo &info)> &onSeal);
+
 /**
  * Compress any TraceSource into an FCC file without materializing
  * the packet stream: memory is bounded by open flows plus the
  * datasets, whatever the input size. Input must be time-ordered.
+ * This is ingest() with the all-zero policy; an empty input still
+ * writes one (empty) archive.
  * With cfg.index set (FCC3 only) the output is a *seekable*
  * archive: chunk-framed time-seq columns plus the chunk/flow index
  * block the random-access query subsystem (src/query, fccquery)

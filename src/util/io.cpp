@@ -247,14 +247,15 @@ FileByteSink::close()
 std::unique_ptr<ByteSource>
 openByteSource(const std::string &path)
 {
-    if (MmapByteSource::supported()) {
-        try {
-            return std::make_unique<MmapByteSource>(path);
-        } catch (const Error &) {
-            // Fall through: special files (pipes, /proc) reject mmap
-            // but read fine through stdio.
-        }
-    }
+#if FCC_HAVE_MMAP
+    // Map only a regular file with bytes in it, decided before any
+    // open(): a FIFO, pipe or /proc file reports size 0, and opening
+    // a FIFO's read end just to probe it SIGPIPEs its writer.
+    struct stat st;
+    if (::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode) &&
+        st.st_size > 0)
+        return std::make_unique<MmapByteSource>(path);
+#endif
     return std::make_unique<FileByteSource>(path);
 }
 

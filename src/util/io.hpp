@@ -9,8 +9,8 @@
  * residency trimming so multi-GB inputs stay at a bounded RSS), a
  * buffered stdio fallback, an in-memory span, and a generator adapter
  * used to synthesize arbitrarily large test inputs. openByteSource()
- * picks mmap when the platform supports it and silently falls back to
- * stdio otherwise.
+ * maps a regular file when the platform supports mmap and reads
+ * everything else (FIFOs, pipes, /proc) through stdio.
  */
 
 #ifndef FCC_UTIL_IO_HPP
@@ -276,8 +276,9 @@ class VectorByteSink : public ByteSink
 };
 
 /**
- * Open @p path for streaming reads: memory-mapped when the platform
- * allows, buffered stdio otherwise.
+ * Open @p path for streaming reads: memory-mapped when it names a
+ * non-empty regular file and the platform allows, buffered stdio
+ * otherwise (a FIFO, a pipe such as /dev/stdin, a /proc file).
  *
  * @throws fcc::util::Error when the file cannot be opened.
  */

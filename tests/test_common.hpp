@@ -14,11 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "trace/packet.hpp"
@@ -75,6 +79,40 @@ tempDir(const std::string &name)
     std::filesystem::remove_all(path);
     std::filesystem::create_directories(path);
     return path;
+}
+
+/**
+ * Make a FIFO at @p path and a thread that writes @p bytes into it
+ * and closes it. The writer waits up to 10 s for a reader to open
+ * the FIFO, so a reader that never comes cannot hang the test, and
+ * the returned thread joins when destroyed, on failure paths too.
+ */
+inline std::jthread
+feedFifo(const std::string &path, std::vector<uint8_t> bytes)
+{
+    std::filesystem::remove(path);
+    EXPECT_EQ(::mkfifo(path.c_str(), 0600), 0) << path;
+    return std::jthread([path, bytes = std::move(bytes)] {
+        int fd = -1;
+        // A non-blocking open fails (ENXIO) until a reader opens.
+        for (int ms = 0; fd < 0 && ms < 10000; ++ms) {
+            fd = ::open(path.c_str(), O_WRONLY | O_NONBLOCK);
+            if (fd < 0)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+        }
+        if (fd < 0)
+            return;
+        ::fcntl(fd, F_SETFL, 0);  // blocking writes from here on
+        for (size_t done = 0; done < bytes.size();) {
+            ssize_t n = ::write(fd, bytes.data() + done,
+                                bytes.size() - done);
+            if (n <= 0)
+                break;
+            done += static_cast<size_t>(n);
+        }
+        ::close(fd);
+    });
 }
 
 /**

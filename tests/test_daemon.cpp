@@ -2,7 +2,9 @@
  * @file
  * The continuous-capture archiver under test: session seal/re-arm
  * equivalence with one-shot runs, chunk rotation, the catalog's
- * crash-recovery contract, the in-process daemon loop — and the
+ * crash-recovery contract, the ingest loop fcctool and fccd share
+ * (record and wall bounds, control flags, empty input), the
+ * in-process daemon over a file and a FIFO — and the
  * headline scenario, SIGKILL'ing a live fccd child mid-archive and
  * proving every *sealed* archive survived intact and queryable.
  * The child binary's path arrives via FCCD_BIN (set by CMake);
@@ -16,6 +18,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,6 +71,15 @@ readFileBytes(const std::string &path)
     EXPECT_TRUE(in.good()) << path;
     return {std::istreambuf_iterator<char>(in),
             std::istreambuf_iterator<char>()};
+}
+
+void
+writeFileBytes(const std::string &path,
+               const std::vector<uint8_t> &bytes)
+{
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
 }
 
 const trace::TraceFormatSpec kTsh =
@@ -153,17 +166,12 @@ TEST(Daemon, CarriedTemplatesStaySelfContained)
     fccc::CompressSession warm(cfg);  // carryTemplates default on
     warm.feed({first.packets().data(), first.size()});
     std::string epoch1 = tempPath("warm_1.fcc");
-    warm.sealToFile(epoch1);
+    writeFileBytes(epoch1, warm.seal());
     warm.reArm();
     warm.feed({second.packets().data(), second.size()});
     fccc::SealInfo info2;
-    std::vector<uint8_t> epoch2 = warm.seal(&info2);
     std::string epoch2Path = tempPath("warm_2.fcc");
-    {
-        std::ofstream out(epoch2Path, std::ios::binary);
-        out.write(reinterpret_cast<const char *>(epoch2.data()),
-                  static_cast<std::streamsize>(epoch2.size()));
-    }
+    writeFileBytes(epoch2Path, warm.seal(&info2));
 
     // Cold baseline over the same second half.
     fccc::SessionOptions coldOpts;
@@ -206,11 +214,7 @@ TEST(Daemon, RotateChunkCutsIndexedLayout)
     EXPECT_EQ(session.stats().chunksSealed, info.chunks);
 
     std::string path = tempPath("rotated.fcc");
-    {
-        std::ofstream out(path, std::ios::binary);
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
+    writeFileBytes(path, bytes);
     trace::Trace restored = decodeArchive(path, cfg);
     EXPECT_EQ(restored.size(), original.size());
 }
@@ -294,15 +298,16 @@ TEST(Daemon, InProcessRunSealsAndCatalogs)
     config.codec.container = fccc::ContainerFormat::Fcc3;
     config.codec.index = true;
     config.codec.chunkRecords = 128;
-    config.rotation.archiveRecords = original.size() / 3;
+    config.ingest.archiveRecords = original.size() / 3;
 
     archive::Daemon daemon(config);
-    archive::DaemonControl control;
+    fccc::IngestControl control;
     archive::DaemonReport report = daemon.run(control);
 
     EXPECT_GE(report.sealed.size(), 3u);
     EXPECT_EQ(report.stats.packets, original.size());
     EXPECT_EQ(report.stats.archivesSealed, report.sealed.size());
+    EXPECT_EQ(report.stats.epochs, report.sealed.size());
 
     std::vector<archive::CatalogEntry> listed =
         archive::loadCatalog(dir);
@@ -345,11 +350,7 @@ TEST(Daemon, CountsTrailingInputBytes)
         for (int shift = 0; shift < 32; shift += 8)
             bytes.push_back(static_cast<uint8_t>(word >> shift));
     std::string in = tempPath("daemon_isb.pcapng");
-    {
-        std::ofstream out(in, std::ios::binary);
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
+    writeFileBytes(in, bytes);
 
     archive::DaemonConfig config;
     config.input = in;
@@ -358,11 +359,317 @@ TEST(Daemon, CountsTrailingInputBytes)
         in, tempPath("daemon_isb.fcc"), config.codec);
 
     archive::Daemon daemon(config);
-    archive::DaemonControl control;
+    fccc::IngestControl control;
     archive::DaemonReport report = daemon.run(control);
     EXPECT_EQ(report.stats.packets, original.size());
     EXPECT_EQ(report.stats.inputBytes, bytes.size());
     EXPECT_EQ(report.stats.inputBytes, oneShot.inputBytes);
+}
+
+// ---- the ingest loop (codec::fcc::ingest) ------------------------
+
+namespace {
+
+/** A TraceSource that runs a hook after each read (read count). */
+class HookedSource final : public trace::TraceSource
+{
+  public:
+    HookedSource(trace::TraceSource &inner,
+                 std::function<void(size_t)> afterRead)
+        : inner_(inner), afterRead_(std::move(afterRead))
+    {}
+
+    size_t
+    read(std::span<trace::PacketRecord> batch) override
+    {
+        size_t n = inner_.read(batch);
+        afterRead_(++reads_);
+        return n;
+    }
+
+    uint64_t bytesConsumed() const override
+    {
+        return inner_.bytesConsumed();
+    }
+
+  private:
+    trace::TraceSource &inner_;
+    std::function<void(size_t)> afterRead_;
+    size_t reads_ = 0;
+};
+
+/** The first @p n packets of a web trace (asserts it has them). */
+trace::Trace
+webPrefix(size_t n)
+{
+    trace::Trace web = webTrace(37, 10.0);
+    EXPECT_GE(web.size(), n);
+    trace::Trace out;
+    for (size_t i = 0; i < n && i < web.size(); ++i)
+        out.add(web[i]);
+    return out;
+}
+
+fccc::FccConfig
+loopConfig()
+{
+    fccc::FccConfig cfg;
+    cfg.container = fccc::ContainerFormat::Fcc3;
+    cfg.index = true;
+    cfg.chunkRecords = 64;
+    return cfg;
+}
+
+/** Run ingest() over @p trace on a cold session; every archive. */
+std::vector<std::vector<uint8_t>>
+ingestCold(trace::TraceSource &src, const fccc::IngestPolicy &policy,
+           fccc::IngestControl &control, fccc::StreamStats *stats)
+{
+    fccc::SessionOptions cold;
+    cold.carryTemplates = false;
+    fccc::CompressSession session(loopConfig(), cold);
+    std::vector<std::vector<uint8_t>> archives;
+    fccc::ingest(src, session, policy, control,
+                 [&](std::span<const uint8_t> bytes,
+                     const fccc::SealInfo &info) {
+                     EXPECT_EQ(info.bytes, bytes.size());
+                     archives.emplace_back(bytes.begin(), bytes.end());
+                 });
+    EXPECT_TRUE(session.sealed());
+    *stats = session.stats();
+    return archives;
+}
+
+/** compressSource over packets [begin, end) of @p trace. */
+std::vector<uint8_t>
+oneShotSlice(const trace::Trace &trace, size_t begin, size_t end)
+{
+    trace::Trace slice;
+    for (size_t i = begin; i < end; ++i)
+        slice.add(trace[i]);
+    trace::MemoryTraceSource src(slice);
+    std::string path = tempPath("slice.fcc");
+    fccc::compressSource(src, path, loopConfig());
+    return readFileBytes(path);
+}
+
+/** The archives a cold run cut at @p sizes must be one-shot runs
+ *  over the same consecutive slices. */
+void
+expectSlices(const trace::Trace &trace,
+             const std::vector<std::vector<uint8_t>> &archives,
+             const std::vector<size_t> &sizes, const char *what)
+{
+    ASSERT_EQ(archives.size(), sizes.size()) << what;
+    size_t begin = 0;
+    for (size_t a = 0; a < sizes.size(); ++a) {
+        EXPECT_EQ(archives[a],
+                  oneShotSlice(trace, begin, begin + sizes[a]))
+            << what << ", archive " << a;
+        begin += sizes[a];
+    }
+    EXPECT_EQ(begin, trace.size()) << what;
+}
+
+} // namespace
+
+// Archive record bounds inside one read batch, exactly on one, and
+// across several: each sealed epoch is the one-shot archive of its
+// slice, and no epoch is re-armed after the last seal.
+TEST(Ingest, ArchiveBoundsMatchOneShotSlices)
+{
+    ASSERT_EQ(fccc::ingestBatchRecords, 256u);
+    trace::Trace trace = webPrefix(2560);  // ten whole batches
+    for (uint64_t bound : {100u, 256u, 300u, 1000u}) {
+        fccc::IngestPolicy policy;
+        policy.archiveRecords = bound;
+        trace::MemoryTraceSource src(trace);
+        fccc::IngestControl control;
+        fccc::StreamStats stats;
+        auto archives = ingestCold(src, policy, control, &stats);
+
+        std::vector<size_t> sizes(trace.size() / bound, bound);
+        if (trace.size() % bound != 0)
+            sizes.push_back(trace.size() % bound);
+        std::string what = "bound " + std::to_string(bound);
+        expectSlices(trace, archives, sizes, what.c_str());
+        EXPECT_EQ(stats.archivesSealed, sizes.size()) << what;
+        EXPECT_EQ(stats.epochs, sizes.size()) << what;
+        EXPECT_EQ(stats.packets, trace.size()) << what;
+        EXPECT_EQ(stats.inputBytes,
+                  trace.size() * trace::tshRecordBytes)
+            << what;
+    }
+}
+
+// Chunk record bounds cut where a session calling rotateChunk() at
+// the same packet counts cuts, also where a chunk bound and an
+// archive bound fall on the same packet (the chunk is cut first).
+TEST(Ingest, RotateRecordsMatchRotateChunkCalls)
+{
+    trace::Trace trace = webPrefix(2560);
+    const std::pair<uint64_t, uint64_t> cases[] = {
+        {100, 0}, {300, 0}, {300, 900}, {128, 500}};
+    for (auto [chunkRecords, archiveRecords] : cases) {
+        fccc::IngestPolicy policy;
+        policy.chunkRecords = chunkRecords;
+        policy.archiveRecords = archiveRecords;
+        trace::MemoryTraceSource src(trace);
+        fccc::IngestControl control;
+        fccc::StreamStats stats;
+        auto archives = ingestCold(src, policy, control, &stats);
+
+        fccc::SessionOptions cold;
+        cold.carryTemplates = false;
+        fccc::CompressSession session(loopConfig(), cold);
+        std::vector<std::vector<uint8_t>> expected;
+        uint64_t sinceChunk = 0, epochFed = 0;
+        for (const trace::PacketRecord &pkt : trace.packets()) {
+            session.feed({&pkt, 1});
+            if (++sinceChunk == chunkRecords) {
+                session.rotateChunk();
+                sinceChunk = 0;
+            }
+            if (++epochFed == archiveRecords) {
+                expected.push_back(session.seal());
+                session.reArm();
+                sinceChunk = epochFed = 0;
+            }
+        }
+        if (epochFed != 0)
+            expected.push_back(session.seal());
+
+        EXPECT_EQ(archives, expected)
+            << "chunk " << chunkRecords << ", archive "
+            << archiveRecords;
+        EXPECT_EQ(stats.chunksSealed, session.stats().chunksSealed);
+    }
+}
+
+// rotateNow seals at the next batch edge; stop seals what is
+// buffered and leaves the rest of the input unread.
+TEST(Ingest, ControlFlagsActAtBatchEdges)
+{
+    trace::Trace trace = webPrefix(2560);
+    const size_t batch = fccc::ingestBatchRecords;
+    {
+        fccc::IngestControl control;
+        trace::MemoryTraceSource inner(trace);
+        HookedSource src(inner, [&](size_t reads) {
+            if (reads == 3)
+                control.rotateNow.store(true);
+        });
+        fccc::StreamStats stats;
+        auto archives = ingestCold(src, {}, control, &stats);
+        expectSlices(trace, archives,
+                     {3 * batch, trace.size() - 3 * batch},
+                     "rotateNow");
+        EXPECT_FALSE(control.rotateNow.load());
+    }
+    {
+        fccc::IngestControl control;
+        trace::MemoryTraceSource inner(trace);
+        HookedSource src(inner, [&](size_t reads) {
+            if (reads == 2)
+                control.stop.store(true);
+        });
+        fccc::StreamStats stats;
+        auto archives = ingestCold(src, {}, control, &stats);
+        ASSERT_EQ(archives.size(), 1u);
+        EXPECT_EQ(archives[0], oneShotSlice(trace, 0, 2 * batch));
+        EXPECT_EQ(stats.packets, 2 * batch);
+        EXPECT_EQ(stats.inputBytes, 2 * batch * trace::tshRecordBytes);
+    }
+}
+
+// A wall-clock chunk bound cuts on its own, without a record bound
+// beside it: a source that takes 2 ms a batch crosses a 1 ms bound
+// at every batch edge.
+TEST(Ingest, WallChunkBoundCutsAlone)
+{
+    trace::Trace trace = webPrefix(2560);
+    trace::MemoryTraceSource inner(trace);
+    HookedSource src(inner, [](size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    });
+    fccc::IngestPolicy policy;
+    policy.chunkWallMs = 1;
+    fccc::FccConfig cfg = loopConfig();
+    cfg.chunkRecords = 1u << 20;  // no record slicing: cuts only
+    fccc::CompressSession session(cfg);
+    fccc::IngestControl control;
+    uint64_t chunks = 0;
+    fccc::ingest(src, session, policy, control,
+                 [&](std::span<const uint8_t>,
+                     const fccc::SealInfo &info) {
+                     chunks = info.chunks;
+                 });
+    EXPECT_GE(chunks, 2u);
+}
+
+// An empty input: fcctool writes one empty archive, fccd none, and
+// the loop leaves the session armed.
+TEST(Ingest, EmptyInputArchives)
+{
+    std::string tshIn = tempPath("empty_in.tsh");
+    writeFileBytes(tshIn, {});
+
+    std::string fcc = tempPath("empty.fcc");
+    fccc::StreamStats oneShot =
+        fccc::compressTraceFile(tshIn, fcc, {}, kTsh);
+    EXPECT_EQ(oneShot.archivesSealed, 1u);
+    EXPECT_EQ(oneShot.packets, 0u);
+    EXPECT_EQ(decodeArchive(fcc, {}).size(), 0u);
+
+    archive::DaemonConfig config;
+    config.input = tshIn;
+    config.inputFormat = kTsh;
+    config.outputDir = tempDir("empty_daemon");
+    fccc::IngestControl control;
+    archive::DaemonReport report =
+        archive::Daemon(config).run(control);
+    EXPECT_TRUE(report.sealed.empty());
+    EXPECT_EQ(report.stats.archivesSealed, 0u);
+    EXPECT_EQ(report.stats.epochs, 1u);
+    EXPECT_TRUE(archive::loadCatalog(config.outputDir).empty());
+}
+
+// The Daemon reads a FIFO like the file it is fed from: the same
+// archive, the same catalog line, and one epoch for one archive.
+TEST(Daemon, IngestsFromFifo)
+{
+    trace::Trace original = webTrace(53, 4.0);
+    std::vector<uint8_t> tsh = trace::writeTsh(original);
+    std::string file = tempPath("daemon_fifo_src.tsh");
+    writeFileBytes(file, tsh);
+
+    std::vector<std::vector<archive::CatalogEntry>> listed;
+    std::vector<std::vector<uint8_t>> bytes;
+    for (bool fifo : {false, true}) {
+        archive::DaemonConfig config;
+        config.input = fifo ? tempPath("daemon.fifo") : file;
+        config.inputFormat = kTsh;
+        config.outputDir = tempDir(fifo ? "daemon_fifo" : "daemon_file");
+        config.codec.container = fccc::ContainerFormat::Fcc3;
+        config.codec.index = true;
+        std::jthread writer;
+        if (fifo)
+            writer = fcc::test::feedFifo(config.input, tsh);
+        fccc::IngestControl control;
+        archive::DaemonReport report =
+            archive::Daemon(config).run(control);
+
+        EXPECT_EQ(report.stats.packets, original.size());
+        EXPECT_EQ(report.stats.inputBytes, tsh.size());
+        EXPECT_EQ(report.stats.archivesSealed, 1u);
+        EXPECT_EQ(report.stats.epochs, 1u);
+        listed.push_back(archive::loadCatalog(config.outputDir));
+        ASSERT_EQ(listed.back().size(), 1u);
+        bytes.push_back(readFileBytes(config.outputDir + "/" +
+                                      listed.back()[0].name));
+    }
+    EXPECT_EQ(listed[0], listed[1]);
+    EXPECT_EQ(bytes[0], bytes[1]);
 }
 
 // The headline crash test: SIGKILL a live fccd child mid-archive.

@@ -1292,6 +1292,41 @@ TEST(TraceIo, EmptyFileSourcesBehave)
     std::remove(path.c_str());
 }
 
+TEST(TraceIo, FifoInputReadsInFull)
+{
+    // A FIFO reports size 0, so a source that maps it reads nothing;
+    // it must stream through stdio, explicit format or auto-detected.
+    // So must a /proc file.
+    trace::Trace original = webTrace(51, 2.0);
+    struct Case
+    {
+        const char *name;
+        std::vector<uint8_t> bytes;
+        trace::TraceFormatSpec spec;
+    };
+    const Case cases[] = {
+        {"tsh", trace::writeTsh(original), kTsh},
+        {"auto pcapng", trace::writePcapng(original), {}},
+    };
+    for (const Case &c : cases) {
+        std::string fifo = tempPath("in.fifo");
+        std::jthread writer = fcc::test::feedFifo(fifo, c.bytes);
+        auto src = trace::openTraceSource(fifo, c.spec);
+        trace::Trace back = trace::readAllPackets(*src);
+        writer.join();
+        EXPECT_TRUE(sameHeaders(original, back)) << c.name;
+        EXPECT_EQ(src->bytesConsumed(), c.bytes.size()) << c.name;
+        std::remove(fifo.c_str());
+    }
+
+    // A /proc file is a regular file of size 0 that has bytes.
+    if (std::filesystem::exists("/proc/self/status")) {
+        auto proc = util::openByteSource("/proc/self/status");
+        uint8_t buf[64];
+        EXPECT_GT(proc->read(buf, sizeof(buf)), 0u);
+    }
+}
+
 TEST(TraceIo, DecompressToPcapngRoundTrips)
 {
     trace::Trace original = webTrace(50, 4.0);

@@ -10,10 +10,11 @@
  * indexed FCC3 archives in <outdir>, one per epoch, with a
  * crash-safe CATALOG file that fccserve/fccquery can consume at any
  * moment (docs/DAEMON.md). The process scaffolding lives here; the
- * ingest loop is archive::Daemon, which tests drive in-process.
+ * rest is archive::Daemon, which tests drive in-process, around the
+ * ingest loop fcctool also runs (codec::fcc::ingest).
  *
  * Signals: SIGTERM/SIGINT seal what is buffered and exit; SIGHUP
- * seals and re-arms immediately (rotate-now). SIGKILL loses only
+ * seals at the next batch edge (rotate-now). SIGKILL loses only
  * the unsealed epoch — everything sealed is durable by the
  * fsync-before-footer discipline of archive::ArchiveWriter.
  */
@@ -34,7 +35,7 @@ using namespace fcc;
 
 namespace {
 
-archive::DaemonControl gControl;
+codec::fcc::IngestControl gControl;
 
 extern "C" void
 onStop(int)
@@ -58,7 +59,7 @@ main(int argc, char **argv)
     // chunk/flow index, ready for fccserve the moment it seals.
     config.codec.container = codec::fcc::ContainerFormat::Fcc3;
     config.codec.index = true;
-    config.rotation.archiveRecords = 1u << 20;
+    config.ingest.archiveRecords = 1u << 20;
 
     cli::FlagSet flags(
         "[options] <input> <outdir>",
@@ -74,8 +75,8 @@ main(int argc, char **argv)
               "TSH records)",
               [&] { config.listen = true; });
     flags.add("--in-format", "FMT",
-              "auto|tsh|pcap|pcapng[.gz] (default auto;\n"
-              "FIFOs need an explicit format)",
+              "auto|tsh|pcap|pcapng[.gz] (default auto,\n"
+              "which also works on a FIFO)",
               [&](const char *v) {
                   config.inputFormat =
                       trace::parseTraceFormatSpec(v);
@@ -88,36 +89,36 @@ main(int argc, char **argv)
               "seal + re-arm after N packets per epoch\n"
               "(default 1048576; 0 = only by time/signal)",
               [&](const char *v) {
-                  config.rotation.archiveRecords =
+                  config.ingest.archiveRecords =
                       cli::parseUnsigned("--archive-records", v);
               });
     flags.add("--archive-ms", "N",
               "seal + re-arm after N wall milliseconds\n"
               "(default 0 = off)",
               [&](const char *v) {
-                  config.rotation.archiveWallMs =
+                  config.ingest.archiveWallMs =
                       cli::parseUnsigned("--archive-ms", v);
               });
     flags.add("--rotate-records", "N",
               "cut a chunk after N packets (default 0:\n"
               "only the codec's --chunk-records slicing)",
               [&](const char *v) {
-                  config.rotation.chunkRecords =
+                  config.ingest.chunkRecords =
                       cli::parseUnsigned("--rotate-records", v);
               });
     flags.add("--rotate-ms", "N",
               "cut a chunk after N wall milliseconds\n"
               "(default 0 = off)",
               [&](const char *v) {
-                  config.rotation.chunkWallMs =
+                  config.ingest.chunkWallMs =
                       cli::parseUnsigned("--rotate-ms", v);
               });
     flags.add("--rate", "PPS",
               "replay pacing in packets per second\n"
               "(default 0 = as fast as the input delivers)",
               [&](const char *v) {
-                  config.replayRate = std::atof(v);
-                  if (config.replayRate < 0)
+                  config.ingest.replayRate = std::atof(v);
+                  if (config.ingest.replayRate < 0)
                       throw util::Error(
                           "--rate: must be non-negative");
               });
