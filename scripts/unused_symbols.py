@@ -16,8 +16,9 @@ a committed allowlist of known false positives:
 
 The probe fails when a symbol outside the allowlist is flagged: a
 function that only tests (or nothing) call belongs in the tests or
-nowhere. It prints allowlist entries that are no longer flagged, so
-the list can shrink with the library.
+nowhere. It also fails when an allowlist entry is no longer flagged
+(the function went, or something now calls it), so the list shrinks
+with the library instead of keeping excuses for code that is gone.
 
 Usage (after building the main tree with tests off and running
 `python3 perfbench/run.py --selftest`, which builds fccbench):
@@ -138,15 +139,17 @@ def main():
           "flagged" % (total, len(flagged), len(flagged) - len(new),
                        len(new), len(stale)))
     for sym in stale:
-        print("  no longer flagged (drop from the allowlist): " + sym)
+        print("  STALE: " + sym)
     for sym in new:
         print("  NEW: " + sym)
+    if stale:
+        print("unused_symbols: %d allowlist entry(ies) no longer "
+              "flagged: drop them from the allowlist" % len(stale))
     if new:
         print("unused_symbols: %d symbol(s) no tool, example, bench or "
               "perfbench object reaches: delete them, or allowlist a "
               "same-TU call or virtual override" % len(new))
-        return 1
-    return 0
+    return 1 if new or stale else 0
 
 
 if __name__ == "__main__":

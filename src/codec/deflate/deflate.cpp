@@ -13,6 +13,7 @@
 
 #include "codec/deflate/huffman.hpp"
 #include "codec/deflate/inflate_stream.hpp"
+#include "codec/deflate/lz77.hpp"
 #include "codec/deflate/rfc1951.hpp"
 #include "trace/tsh.hpp"
 #include "util/bitstream.hpp"
@@ -298,7 +299,7 @@ emitBlock(util::BitWriter &out, std::span<const Lz77Token> tokens,
 } // namespace
 
 std::vector<uint8_t>
-deflateCompress(std::span<const uint8_t> data, const Lz77Config &cfg)
+deflateCompress(std::span<const uint8_t> data)
 {
     util::BitWriter out;
     if (data.empty()) {
@@ -313,7 +314,7 @@ deflateCompress(std::span<const uint8_t> data, const Lz77Config &cfg)
         return out.take();
     }
 
-    auto tokens = lz77Tokenize(data, cfg);
+    auto tokens = lz77Tokenize(data);
 
     // Split the token stream into blocks so each gets Huffman codes
     // fitted to its local statistics.
@@ -363,12 +364,12 @@ inflateExact(std::span<const uint8_t> payload, size_t sizeHint,
 } // namespace
 
 std::vector<uint8_t>
-zlibCompress(std::span<const uint8_t> data, const Lz77Config &cfg)
+zlibCompress(std::span<const uint8_t> data)
 {
     std::vector<uint8_t> out;
     out.push_back(0x78);  // CM=8, CINFO=7 (32K window)
     out.push_back(0x9c);  // FCHECK making the pair % 31 == 0
-    auto body = deflateCompress(data, cfg);
+    auto body = deflateCompress(data);
     out.insert(out.end(), body.begin(), body.end());
     uint32_t adler = util::Adler32::of(data);
     out.push_back(static_cast<uint8_t>(adler >> 24));
@@ -399,7 +400,7 @@ zlibDecompress(std::span<const uint8_t> data, size_t sizeHint)
 }
 
 std::vector<uint8_t>
-gzipCompress(std::span<const uint8_t> data, const Lz77Config &cfg)
+gzipCompress(std::span<const uint8_t> data)
 {
     std::vector<uint8_t> out = {
         0x1f, 0x8b,  // magic
@@ -409,7 +410,7 @@ gzipCompress(std::span<const uint8_t> data, const Lz77Config &cfg)
         0,           // XFL
         255,         // OS = unknown
     };
-    auto body = deflateCompress(data, cfg);
+    auto body = deflateCompress(data);
     out.insert(out.end(), body.begin(), body.end());
     uint32_t crc = util::Crc32::of(data);
     for (int i = 0; i < 4; ++i)

@@ -17,13 +17,12 @@
 #include <vector>
 
 #include "codec/compressor.hpp"
-#include "codec/deflate/lz77.hpp"
 
 namespace fcc::codec::deflate {
 
 /** Compress @p data into a raw DEFLATE stream. */
 std::vector<uint8_t>
-deflateCompress(std::span<const uint8_t> data, const Lz77Config &cfg = {});
+deflateCompress(std::span<const uint8_t> data);
 
 /**
  * Decompress a raw DEFLATE stream. @p sizeHint, when the caller
@@ -35,7 +34,7 @@ std::vector<uint8_t> inflate(std::span<const uint8_t> data,
 
 /** Wrap deflate in the 2-byte-header + Adler-32 zlib format. */
 std::vector<uint8_t>
-zlibCompress(std::span<const uint8_t> data, const Lz77Config &cfg = {});
+zlibCompress(std::span<const uint8_t> data);
 
 /**
  * Unwrap a zlib stream, verifying the Adler-32 checksum. @p sizeHint
@@ -46,7 +45,7 @@ std::vector<uint8_t> zlibDecompress(std::span<const uint8_t> data,
 
 /** Wrap deflate in the gzip member format (CRC-32 + length trailer). */
 std::vector<uint8_t>
-gzipCompress(std::span<const uint8_t> data, const Lz77Config &cfg = {});
+gzipCompress(std::span<const uint8_t> data);
 
 /**
  * Unwrap a gzip member, verifying CRC-32 and length. Optional header

@@ -101,7 +101,7 @@ class Chains
      */
     size_t
     bestMatch(const uint8_t *base, size_t pos, size_t avail,
-              const Lz77Config &cfg, uint16_t &distOut) const
+              uint16_t &distOut) const
     {
         size_t limit = std::min(avail, maxMatch);
         if (limit < minMatch)
@@ -110,7 +110,7 @@ class Chains
         const uint8_t *cur = base + pos;
         size_t bestLen = 0;
         uint16_t bestDist = 0;
-        uint32_t chain = cfg.maxChainLength;
+        uint32_t chain = lz77MaxChainLength;
         uint32_t candidate = head_[hash3(cur)];
         while (candidate != empty && chain-- > 0) {
             size_t cpos = base_ + candidate;
@@ -129,7 +129,7 @@ class Chains
                 if (len > bestLen) {
                     bestLen = len;
                     bestDist = static_cast<uint16_t>(pos - cpos);
-                    if (len >= cfg.goodEnoughLength || len == limit)
+                    if (len >= lz77GoodEnoughLength || len == limit)
                         break;
                 }
             }
@@ -166,7 +166,7 @@ class Chains
 } // namespace
 
 std::vector<Lz77Token>
-lz77Tokenize(std::span<const uint8_t> data, const Lz77Config &cfg)
+lz77Tokenize(std::span<const uint8_t> data)
 {
     std::vector<Lz77Token> tokens;
     size_t n = data.size();
@@ -192,19 +192,19 @@ lz77Tokenize(std::span<const uint8_t> data, const Lz77Config &cfg)
         uint16_t dist = carriedDist;
         size_t len = carriedLen > 0
             ? carriedLen
-            : chains.bestMatch(base, pos, n - pos, cfg, dist);
+            : chains.bestMatch(base, pos, n - pos, dist);
         carriedLen = 0;
 
         // One-step lazy evaluation: prefer a strictly longer match
         // starting at the next byte.
-        if (cfg.lazy && len >= minMatch && len < cfg.goodEnoughLength &&
+        if (len >= minMatch && len < lz77GoodEnoughLength &&
             n - pos > len) {
             chains.insert(base, pos);
             uint16_t nextDist = 0;
             size_t nextLen =
                 n - (pos + 1) >= minMatch
                     ? chains.bestMatch(base, pos + 1, n - pos - 1,
-                                       cfg, nextDist)
+                                       nextDist)
                     : 0;
             if (nextLen > len) {
                 tokens.push_back(Lz77Token::literal(base[pos]));

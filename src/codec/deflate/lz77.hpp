@@ -43,24 +43,18 @@ struct Lz77Token
     }
 };
 
-/** Effort/ratio trade-off of the matcher. */
-struct Lz77Config
-{
-    /** Max hash-chain entries probed per position. */
-    uint32_t maxChainLength = 128;
-    /** Stop probing once a match at least this long is found. */
-    uint16_t goodEnoughLength = 64;
-    /** Enable one-step lazy matching. */
-    bool lazy = true;
-};
+/** Max hash-chain entries the matcher probes per position. */
+inline constexpr uint32_t lz77MaxChainLength = 128;
+/** The matcher stops probing, and skips the one-step lazy lookahead,
+ *  once a match at least this long is found. */
+inline constexpr uint16_t lz77GoodEnoughLength = 64;
 
 /**
  * Tokenize @p data. Concatenating the tokens (literals plus window
  * copies) reproduces @p data exactly; every distance respects the
  * 32 KiB window.
  */
-std::vector<Lz77Token>
-lz77Tokenize(std::span<const uint8_t> data, const Lz77Config &cfg = {});
+std::vector<Lz77Token> lz77Tokenize(std::span<const uint8_t> data);
 
 } // namespace fcc::codec::deflate
 

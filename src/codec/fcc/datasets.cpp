@@ -956,8 +956,7 @@ std::vector<uint8_t>
 serializeColumnar(const Datasets &datasets,
                   backend::EntropyBackend backend,
                   SizeBreakdown &breakdown, util::ThreadPool *pool,
-                  std::vector<ColumnStat> *columns,
-                  const IndexOptions *index)
+                  std::vector<ColumnStat> *columns, bool indexed)
 {
     ColumnValues values = splitColumns(datasets);
     breakdown = SizeBreakdown{};
@@ -994,7 +993,7 @@ serializeColumnar(const Datasets &datasets,
         breakdown.headerBytes = w.size();
     };
 
-    if (index == nullptr) {
+    if (!indexed) {
         // ---- plain layout: twelve global column frames ----
         std::array<EncodedColumn, columnCount> encoded;
         runEncodeJobs(columnCount, [&](size_t c) {
@@ -1081,7 +1080,7 @@ serializeColumnar(const Datasets &datasets,
     accountFrame(ColChunkLen, sharedEnc[ColAddr + 1],
                  writeFrame(w, sharedEnc[ColAddr + 1]), true);
 
-    ArchiveIndex archiveIndex = buildArchiveIndex(datasets, *index);
+    ArchiveIndex archiveIndex = buildArchiveIndex(datasets);
     FCC_ASSERT(archiveIndex.chunks.size() == chunks,
                "index chunk count drifted from the layout");
     for (size_t c = 0; c < chunks; ++c) {
@@ -1285,8 +1284,7 @@ TemplateFactTable::of(bool isLong, uint64_t index) const
 }
 
 TemplateFactTable
-templateFacts(const Datasets &d, uint16_t smallPayload,
-              uint16_t largePayload)
+templateFacts(const Datasets &d)
 {
     // What each S value adds, decoded once: its wire bytes (0 where
     // the value does not decode) and its dependence bit.
@@ -1296,8 +1294,7 @@ templateFacts(const Datasets &d, uint16_t smallPayload,
     for (size_t s = 0; s < wire.size(); ++s) {
         if (std::optional<flow::PacketClass> cls =
                 chi.tryDecode(static_cast<uint16_t>(s))) {
-            wire[s] = 40u + representativePayload(cls->size, smallPayload,
-                                                  largePayload);
+            wire[s] = 40u + representativePayload(cls->size);
             dependent[s] = cls->dependent;
         }
     }
@@ -1339,8 +1336,7 @@ templateFacts(const Datasets &d, uint16_t smallPayload,
 }
 
 std::optional<FlowSpan>
-flowSpan(const TemplateFacts &facts, const TimeSeqRecord &rec,
-         uint32_t gapUs)
+flowSpan(const TemplateFacts &facts, const TimeSeqRecord &rec)
 {
     if (facts.packets == 0)
         return std::nullopt;
@@ -1353,7 +1349,8 @@ flowSpan(const TemplateFacts &facts, const TimeSeqRecord &rec,
         if (__builtin_mul_overflow(facts.dependent,
                                    uint64_t{rec.rttUs}, &rttPart) ||
             __builtin_mul_overflow(facts.packets - 1 - facts.dependent,
-                                   uint64_t{gapUs}, &gapPart) ||
+                                   uint64_t{reconstructionGapUs},
+                                   &gapPart) ||
             __builtin_add_overflow(rttPart, gapPart, &stepsUs))
             return std::nullopt;
     }

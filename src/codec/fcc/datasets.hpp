@@ -48,8 +48,6 @@ class ThreadPool;
 
 namespace fcc::codec::fcc {
 
-struct IndexOptions;
-
 /** One long-flow template: S values plus exact inter-packet times. */
 struct LongTemplate
 {
@@ -231,7 +229,7 @@ std::vector<uint8_t> serializeChunked(const Datasets &datasets,
  * per-column accounting. The chunk layout is datasets.chunkSizes,
  * which must cover every record.
  *
- * With a non-null @p index the archive is written *seekable*: the
+ * With @p indexed the archive is written *seekable*: the
  * five time-seq columns are framed per chunk (each chunk an
  * independently decodable byte range) and a chunk/flow index block
  * (codec/fcc/index.hpp) is appended after the frames.
@@ -242,7 +240,7 @@ serializeColumnar(const Datasets &datasets,
                   SizeBreakdown &breakdown,
                   util::ThreadPool *pool = nullptr,
                   std::vector<ColumnStat> *columns = nullptr,
-                  const IndexOptions *index = nullptr);
+                  bool indexed = false);
 
 /**
  * Parse the FCC1, FCC2 or FCC3 wire format (auto-detected by magic);
@@ -355,15 +353,23 @@ void requireChunkOrder(uint64_t earlierLastUs, uint64_t laterFirstUs);
 
 // ---- §4 reconstruction facts ------------------------------------------
 
+/** Payload bytes of a reconstructed size-class-1 (Small) packet. */
+inline constexpr uint16_t smallPayloadBytes = 400;
+/** Payload bytes of a reconstructed size-class-2 (Large) packet. */
+inline constexpr uint16_t largePayloadBytes = 1460;
+/** Spacing of a short flow's non-dependent packets, in µs. */
+inline constexpr uint32_t reconstructionGapUs = 300;
+/** Server port of every reconstructed flow (§4: Web traffic). */
+inline constexpr uint16_t reconstructionServerPort = 80;
+
 /** Representative payload of a size class (§4). */
 inline uint16_t
-representativePayload(flow::SizeClass size, uint16_t smallPayload,
-                      uint16_t largePayload)
+representativePayload(flow::SizeClass size)
 {
     if (size == flow::SizeClass::Small)
-        return smallPayload;
+        return smallPayloadBytes;
     if (size == flow::SizeClass::Large)
-        return largePayload;
+        return largePayloadBytes;
     return 0;
 }
 
@@ -392,14 +398,11 @@ struct TemplateFactTable
 };
 
 /**
- * The facts of every template of @p datasets when size classes 1
- * and 2 reconstruct as @p smallPayload / @p largePayload bytes.
+ * The facts of every template of @p datasets.
  * @throws fcc::util::Error on a long template whose IPT and S
  *         lengths differ.
  */
-TemplateFactTable templateFacts(const Datasets &datasets,
-                                uint16_t smallPayload,
-                                uint16_t largePayload);
+TemplateFactTable templateFacts(const Datasets &datasets);
 
 /** Inclusive span of a flow's reconstructed timestamps. */
 struct FlowSpan
@@ -411,15 +414,14 @@ struct FlowSpan
 /**
  * The §4 timing rule: the exact timestamp span of the packets the
  * reconstruction produces for @p record, whose template has
- * @p facts, when non-dependent packets are spaced by @p gapUs —
- * short flows end at first + dependent·rtt + others·gap, long flows
- * at first + Σipt. Empty when that cannot be promised: an empty
- * flow, a span that overflows 64 bits, or a last timestamp whose
- * nanosecond value wraps. An unknown span never prunes.
+ * @p facts — short flows end at first + dependent·rtt +
+ * others·reconstructionGapUs, long flows at first + Σipt. Empty
+ * when that cannot be promised: an empty flow, a span that
+ * overflows 64 bits, or a last timestamp whose nanosecond value
+ * wraps. An unknown span never prunes.
  */
 std::optional<FlowSpan> flowSpan(const TemplateFacts &facts,
-                                 const TimeSeqRecord &record,
-                                 uint32_t gapUs);
+                                 const TimeSeqRecord &record);
 
 } // namespace fcc::codec::fcc
 

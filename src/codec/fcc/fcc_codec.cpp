@@ -77,14 +77,14 @@ expandedPackets(const Datasets &d,
  * The §4 timing rule, packet by packet: visit(i, cls, tUs) for every
  * packet i of @p rec's flow, in flow order. Long flows replay exact
  * inter-packet times; short flows space dependent packets by the
- * flow RTT and the others by @p gapUs. expandFlow and the chunk
- * expander's count step both take each packet's time from here;
- * flowSpan() is the same rule in closed form.
+ * flow RTT and the others by reconstructionGapUs. expandFlow and the
+ * chunk expander's count step both take each packet's time from
+ * here; flowSpan() is the same rule in closed form.
  */
 template <class Visit>
 void
 walkFlow(const Datasets &d, const flow::ClassTable &classes,
-         const TimeSeqRecord &rec, uint32_t gapUs, Visit &&visit)
+         const TimeSeqRecord &rec, Visit &&visit)
 {
     util::require(rec.templateIndex <
                       (rec.isLong ? d.longTemplates.size()
@@ -106,7 +106,8 @@ walkFlow(const Datasets &d, const flow::ClassTable &classes,
         const flow::PacketClass &cls = classes[sValues[i]];
         if (i > 0)
             t += iptUs ? iptUs[i]
-                       : (cls.dependent ? rec.rttUs : uint64_t{gapUs});
+                       : (cls.dependent ? rec.rttUs
+                                        : uint64_t{reconstructionGapUs});
         visit(i, cls, t);
     }
 }
@@ -133,7 +134,7 @@ emitFlow(const FccConfig &cfg, const Datasets &d,
     uint16_t cIpId = h.clientIpId;
     uint16_t sIpId = h.serverIpId;
     bool fromClient = true;
-    walkFlow(d, classes, rec, cfg.defaultGapUs,
+    walkFlow(d, classes, rec,
              [&](size_t i, const flow::PacketClass &cls, uint64_t t) {
         // Direction chain: the dependence bit says whether the
         // direction flipped; the first packet's direction comes from
@@ -143,8 +144,7 @@ emitFlow(const FccConfig &cfg, const Datasets &d,
         else if (cls.dependent)
             fromClient = !fromClient;
 
-        uint16_t payload = representativePayload(
-            cls.size, cfg.smallPayload, cfg.largePayload);
+        uint16_t payload = representativePayload(cls.size);
 
         uint8_t flags = 0;
         using namespace trace::tcp_flags;
@@ -177,7 +177,7 @@ emitFlow(const FccConfig &cfg, const Datasets &d,
             pkt.srcIp = h.clientIp;
             pkt.dstIp = serverIp;
             pkt.srcPort = h.clientPort;
-            pkt.dstPort = cfg.serverPort;
+            pkt.dstPort = reconstructionServerPort;
             pkt.seq = cSeq;
             pkt.ack = (flags & Ack) ? sSeq : 0;
             pkt.ipId = cIpId++;
@@ -187,7 +187,7 @@ emitFlow(const FccConfig &cfg, const Datasets &d,
         } else {
             pkt.srcIp = serverIp;
             pkt.dstIp = h.clientIp;
-            pkt.srcPort = cfg.serverPort;
+            pkt.srcPort = reconstructionServerPort;
             pkt.dstPort = h.clientPort;
             pkt.seq = sSeq;
             pkt.ack = (flags & Ack) ? cSeq : 0;
@@ -246,8 +246,8 @@ struct Expansion
 {
     Expansion(const FccTraceCompressor &codec, const Datasets &d,
               util::ThreadPool *shared)
-        : codec(codec), d(d), chunks(d, codec.config().decompressSeed),
-          classes(d.weights), facts(templateFacts(d, 0, 0)),
+        : codec(codec), d(d), chunks(d), classes(d.weights),
+          facts(templateFacts(d)),
           threads(shared ? shared->size()
                          : util::resolveThreads(codec.config().threads)),
           shared(shared)
@@ -278,8 +278,7 @@ struct Expansion
     spansKnown() const
     {
         for (const TimeSeqRecord &rec : d.timeSeq)
-            if (!flowSpan(facts.of(rec.isLong, rec.templateIndex), rec,
-                          codec.config().defaultGapUs))
+            if (!flowSpan(facts.of(rec.isLong, rec.templateIndex), rec))
                 return false;
         return true;
     }
@@ -297,14 +296,13 @@ struct Expansion
 } // namespace
 
 uint64_t
-chunkRngSeed(uint64_t decompressSeed, size_t chunk)
+chunkRngSeed(size_t chunk)
 {
     return util::hashCombine(decompressSeed, chunk);
 }
 
-ChunkStreams::ChunkStreams(const Datasets &d, uint64_t decompressSeed)
-    : timeSeq(d.timeSeq), offsets(1, 0), decompressSeed(decompressSeed),
-      legacy(d.chunkSizes.empty())
+ChunkStreams::ChunkStreams(const Datasets &d)
+    : timeSeq(d.timeSeq), offsets(1, 0), legacy(d.chunkSizes.empty())
 {
     if (legacy)
         offsets.push_back(d.timeSeq.size());
@@ -401,24 +399,15 @@ serializeDatasets(const Datasets &datasets, const FccConfig &cfg,
     std::unique_ptr<util::ThreadPool> pool;
     if (threads > 1)
         pool = std::make_unique<util::ThreadPool>(threads);
-    IndexOptions indexOptions;
-    indexOptions.gapUs = cfg.defaultGapUs;
-    const IndexOptions *index = cfg.index ? &indexOptions : nullptr;
     // Degrade to the configured tier just before serialization, so
     // the columns and the index see the same (already-lossy)
     // datasets; the tier keeps the layout.
-    if (cfg.fidelity != Fidelity::Exact) {
-        FidelityParams params;
-        params.quantumUs = cfg.quantumUs;
-        params.smallPayload = cfg.smallPayload;
-        params.largePayload = cfg.largePayload;
-        params.defaultGapUs = cfg.defaultGapUs;
-        return serializeColumnar(applyFidelity(*d, cfg.fidelity, params),
-                                 cfg.backend, breakdown, pool.get(),
-                                 columns, index);
-    }
+    if (cfg.fidelity != Fidelity::Exact)
+        return serializeColumnar(
+            applyFidelity(*d, cfg.fidelity, cfg.quantumUs), cfg.backend,
+            breakdown, pool.get(), columns, cfg.index);
     return serializeColumnar(*d, cfg.backend, breakdown, pool.get(),
-                             columns, index);
+                             columns, cfg.index);
 }
 
 Datasets
@@ -585,7 +574,6 @@ FccTraceCompressor::expandChunk(const Datasets &d,
 {
     util::require(!filter || filter->verdicts.size() == records.size(),
                   "fcc: chunk filter and records disagree");
-    const uint32_t gapUs = cfg_.defaultGapUs;
     // One job per range or bucket group: `parts` of each, at most.
     const size_t parts = pool ? size_t{pool->size()} * 2 : 1;
     auto verdict = [filter](size_t r) {
@@ -607,7 +595,7 @@ FccTraceCompressor::expandChunk(const Datasets &d,
         const TemplateFacts &f = facts.of(rec.isLong, rec.templateIndex);
         ++flows.flowsExpanded;
         packets[r] = f.packets;
-        std::optional<FlowSpan> span = flowSpan(f, rec, gapUs);
+        std::optional<FlowSpan> span = flowSpan(f, rec);
         spansKnown = spansKnown && span;
         if (span) {
             firstUs = std::min(firstUs, span->firstUs);
@@ -655,7 +643,7 @@ FccTraceCompressor::expandChunk(const Datasets &d,
             if (v == RecordFilter::Skip)
                 continue;
             bool any = false;
-            walkFlow(d, classes, records[r], gapUs,
+            walkFlow(d, classes, records[r],
                      [&](size_t, const flow::PacketClass &, uint64_t t) {
                 uint64_t ns = t * 1000;
                 if (kept(v, r, ns / 1000)) {

@@ -62,7 +62,6 @@ struct FccConfig
     flow::Weights weights;        ///< {16, 4, 1}
     flow::SimilarityRule rule;    ///< d_sim = n * 50 * 2 %
     uint32_t shortLimit = 50;     ///< short/long split (packets)
-    flow::FlowTableConfig flowTable;
 
     /**
      * Worker threads of FCC3 column encode/decode and of chunked
@@ -138,13 +137,6 @@ struct FccConfig
      */
     uint64_t quantumUs = 1000;
 
-    // Decompression reconstruction parameters.
-    uint32_t defaultGapUs = 300;   ///< spacing of non-dependent pkts
-    uint16_t smallPayload = 400;   ///< representative size, class 1
-    uint16_t largePayload = 1460;  ///< representative size, class 2
-    uint16_t serverPort = 80;      ///< paper: Web traffic
-    uint64_t decompressSeed = 0x5eedf10e;  ///< address randomization
-
     /**
      * The single validation entry point: every constraint between
      * the knobs above (container/backend tags in range, at least one
@@ -193,30 +185,34 @@ struct FlowHeader
     uint16_t window = 0;
 };
 
+/** The §4 random source's seed (client addresses and ports, TCP
+ *  state): every chunk's RNG stream derives from it. */
+inline constexpr uint64_t decompressSeed = 0x5eedf10e;
+
 /**
- * RNG stream seed of chunk @p chunk under @p decompressSeed — part
- * of the reconstruction contract: the reconstruction loop and the
+ * RNG stream seed of chunk @p chunk under decompressSeed — part of
+ * the reconstruction contract: the reconstruction loop and the
  * random-access reader (src/query) must draw a chunk's packets from
  * the same stream to reconstruct the same bytes, whichever subset of
  * chunks they expand.
  */
-uint64_t chunkRngSeed(uint64_t decompressSeed, size_t chunk);
+uint64_t chunkRngSeed(size_t chunk);
 
 /**
  * The reconstruction units of a Datasets, the one owner of the rule
  * that splits and seeds them (FORMAT.md §6): chunk c covers the
  * time-seq records [offsets[c], offsets[c + 1]) and draws from the
- * RNG stream seed(c) = chunkRngSeed(decompressSeed, c). A legacy
- * unchunked layout (FCC1, unchunked FCC3: no chunkSizes) is one
- * chunk over every record seeded with decompressSeed itself — the
- * single sequential stream those archives were written against.
+ * RNG stream seed(c) = chunkRngSeed(c). A legacy unchunked layout
+ * (FCC1, unchunked FCC3: no chunkSizes) is one chunk over every
+ * record seeded with decompressSeed itself — the single sequential
+ * stream those archives were written against.
  * Views the datasets, which must outlive it.
  */
 struct ChunkStreams
 {
     /** @throws fcc::util::Error when the chunk sizes disagree with
      *  the time-seq dataset. */
-    ChunkStreams(const Datasets &datasets, uint64_t decompressSeed);
+    explicit ChunkStreams(const Datasets &datasets);
 
     size_t size() const { return offsets.size() - 1; }
 
@@ -229,12 +225,11 @@ struct ChunkStreams
     uint64_t
     seed(size_t c) const
     {
-        return legacy ? decompressSeed : chunkRngSeed(decompressSeed, c);
+        return legacy ? decompressSeed : chunkRngSeed(c);
     }
 
     std::span<const TimeSeqRecord> timeSeq;
     std::vector<size_t> offsets;  ///< size() + 1 record offsets
-    uint64_t decompressSeed;
     bool legacy;
 };
 

@@ -145,10 +145,9 @@ dropFlagDetail(const Datasets &in)
  * saturated duration UINT64_MAX, which never prunes.
  */
 Datasets
-collapseToFlows(const Datasets &in, const FidelityParams &params)
+collapseToFlows(const Datasets &in)
 {
-    TemplateFactTable facts =
-        templateFacts(in, params.smallPayload, params.largePayload);
+    TemplateFactTable facts = templateFacts(in);
 
     Datasets out;
     out.weights = in.weights;
@@ -160,8 +159,7 @@ collapseToFlows(const Datasets &in, const FidelityParams &params)
         const TemplateFacts &f = facts.of(rec.isLong, rec.templateIndex);
         util::require(rec.addressIndex < in.addresses.size(),
                       "fcc: address index out of range");
-        std::optional<FlowSpan> span =
-            flowSpan(f, rec, params.defaultGapUs);
+        std::optional<FlowSpan> span = flowSpan(f, rec);
         FlowRecord fl;
         fl.firstTimestampUs = rec.firstTimestampUs;
         fl.packets = static_cast<uint32_t>(f.packets);
@@ -177,7 +175,7 @@ collapseToFlows(const Datasets &in, const FidelityParams &params)
 
 Datasets
 applyFidelity(const Datasets &datasets, Fidelity fidelity,
-              const FidelityParams &params)
+              uint64_t quantumUs)
 {
     util::require(datasets.fidelity == Fidelity::Exact,
                   "fcc fidelity: datasets are already degraded");
@@ -185,11 +183,11 @@ applyFidelity(const Datasets &datasets, Fidelity fidelity,
       case Fidelity::Exact:
         return datasets;
       case Fidelity::Quantized:
-        return quantize(datasets, params.quantumUs);
+        return quantize(datasets, quantumUs);
       case Fidelity::Header:
         return dropFlagDetail(datasets);
       case Fidelity::Flow:
-        return collapseToFlows(datasets, params);
+        return collapseToFlows(datasets);
     }
     throw util::Error("fcc fidelity: bad tier");
 }

@@ -61,26 +61,10 @@ const char *fidelityName(Fidelity fidelity);
 Fidelity parseFidelityName(const std::string &name);
 
 /**
- * Reconstruction-side knobs the lossy transforms need (a subset of
- * FccConfig, kept free of it so the data-model layer stays below the
- * codec front door).
- */
-struct FidelityParams
-{
-    /** Quantized tier: timestamp grid in microseconds (>= 1). */
-    uint64_t quantumUs = 1000;
-    /** Representative payload bytes of size class 1 (Small). */
-    uint16_t smallPayload = 400;
-    /** Representative payload bytes of size class 2 (Large). */
-    uint16_t largePayload = 1460;
-    /** Spacing of non-dependent packets in the §4 reconstruction. */
-    uint32_t defaultGapUs = 300;
-};
-
-/**
  * Degrade @p datasets to @p fidelity. Exact returns an unchanged
  * copy; the lossy tiers return datasets whose `fidelity` field (and,
- * for Quantized, `quantumUs`) is set, ready for serializeColumnar().
+ * for Quantized, `quantumUs`: the timestamp grid @p quantumUs, >= 1,
+ * in microseconds) is set, ready for serializeColumnar().
  * The Flow tier moves everything into Datasets::flowRecords and
  * leaves the template/time-seq datasets empty — its payload-byte and
  * duration fields are computed with the same size-class and timing
@@ -91,7 +75,7 @@ struct FidelityParams
  *         or already degraded below Exact.
  */
 Datasets applyFidelity(const Datasets &datasets, Fidelity fidelity,
-                       const FidelityParams &params);
+                       uint64_t quantumUs);
 
 } // namespace fcc::codec::fcc
 

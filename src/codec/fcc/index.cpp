@@ -96,14 +96,14 @@ ChunkSummary::mayContain(const ServerFingerprint &fp) const
 }
 
 ArchiveIndex
-buildArchiveIndex(const Datasets &d, const IndexOptions &options)
+buildArchiveIndex(const Datasets &d)
 {
     // Per-template packet counts and timing facts, so every record's
     // reconstructed end timestamp is O(1) under the §4 timing rule
     // (flowSpan). Payload sizes do not enter the span. Flow-tier
     // records carry their packet counts and durations themselves.
     bool flowTier = d.fidelity == Fidelity::Flow;
-    TemplateFactTable facts = templateFacts(d, 0, 0);
+    TemplateFactTable facts = templateFacts(d);
     struct RecordFacts
     {
         uint64_t firstUs = 0;
@@ -123,14 +123,14 @@ buildArchiveIndex(const Datasets &d, const IndexOptions &options)
         }
         const TimeSeqRecord &r = d.timeSeq[i];
         const TemplateFacts &f = facts.of(r.isLong, r.templateIndex);
-        std::optional<FlowSpan> span = flowSpan(f, r, options.gapUs);
+        std::optional<FlowSpan> span = flowSpan(f, r);
         return RecordFacts{r.firstTimestampUs,
                            span ? span->lastUs : UINT64_MAX, f.packets,
                            r.addressIndex};
     };
 
     ArchiveIndex index;
-    index.gapUs = options.gapUs;
+    index.gapUs = reconstructionGapUs;
     index.chunks.reserve(d.chunkSizes.size());
     size_t records = d.records();
     size_t rec = 0;

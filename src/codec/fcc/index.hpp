@@ -76,18 +76,6 @@ ServerFingerprint serverFingerprint(uint32_t serverIp);
 std::vector<uint8_t> bloomBuild(std::span<const uint32_t> servers,
                                 uint32_t bits);
 
-/** Tuning knobs the serializer needs to build summaries. */
-struct IndexOptions
-{
-    /**
-     * Spacing of non-dependent packets the reconstruction will use
-     * (FccConfig::defaultGapUs): the per-chunk end-timestamp bound
-     * is computed with it, so time-window planning is exact for a
-     * reader decoding with the same gap.
-     */
-    uint32_t gapUs = 300;
-};
-
 /**
  * Per-chunk entry of the index: where the chunk's column frames live
  * and what a predicate can rule out without decoding them.
@@ -102,7 +90,7 @@ struct ChunkSummary
     uint64_t minFirstUs = 0;   ///< first record's timestamp
     /**
      * Upper bound on the last reconstructed packet's timestamp,
-     * computed with IndexOptions::gapUs (long flows replay exact
+     * computed with ArchiveIndex::gapUs (long flows replay exact
      * inter-packet times, so theirs is exact).
      */
     uint64_t maxEndUs = 0;
@@ -129,7 +117,10 @@ struct ChunkSummary
 /** The whole index block of one archive. */
 struct ArchiveIndex
 {
-    uint32_t gapUs = 300;      ///< timing assumption of maxEndUs
+    /** Timing assumption of maxEndUs: the writer's
+     *  reconstructionGapUs. A reader trusts the time bounds only when
+     *  this is at least the gap it reconstructs with. */
+    uint32_t gapUs = 0;
     std::vector<ChunkSummary> chunks;
 
     uint64_t
@@ -145,12 +136,11 @@ struct ArchiveIndex
 /**
  * Build the per-chunk summaries (everything except the byte ranges,
  * which only the serializer knows) for @p datasets, one per chunk
- * of datasets.chunkSizes.
+ * of datasets.chunkSizes, with end bounds under reconstructionGapUs.
  * @throws fcc::util::Error when the chunk layout or a template is
  *         inconsistent with the datasets.
  */
-ArchiveIndex buildArchiveIndex(const Datasets &datasets,
-                               const IndexOptions &options);
+ArchiveIndex buildArchiveIndex(const Datasets &datasets);
 
 /**
  * Serialize @p index as the on-wire block: payload, CRC-32 and the

@@ -88,10 +88,9 @@ CompressSession::feedPacket(const trace::PacketRecord &pkt)
     ++stats_.packets;
 
     flow::FlowKey key = flow::FlowKey::fromPacket(pkt);
-    size_t slot = open_.admit(key, pkt, cfg_.flowTable.idleTimeoutNs,
-                              [&](OpenFlow &expired) {
-                                  closeFlow(key, expired);
-                              });
+    size_t slot = open_.admit(key, pkt, [&](OpenFlow &expired) {
+        closeFlow(key, expired);
+    });
     OpenFlow &flowState = open_.at(slot);
     flow::Connection::Step step = flowState.conn.observe(pkt);
 

@@ -12,37 +12,36 @@
 namespace fcc::codec {
 
 double
-vjRatio(uint32_t n, const ModelParams &params)
+vjRatio(uint32_t n)
 {
     util::require(n >= 1, "vjRatio: flow length must be >= 1");
     // First packet ships the full header; every later packet costs
     // the minimal encoded header.
-    return (params.headerBytes +
-            params.vjMinEncoded * static_cast<double>(n - 1)) /
-           (params.headerBytes * static_cast<double>(n));
+    return (modelHeaderBytes +
+            modelVjMinEncoded * static_cast<double>(n - 1)) /
+           (modelHeaderBytes * static_cast<double>(n));
 }
 
 double
-fccRatio(uint32_t n, const ModelParams &params)
+fccRatio(uint32_t n)
 {
     util::require(n >= 1, "fccRatio: flow length must be >= 1");
     // One fixed-size time-seq record per flow; template datasets are
     // asymptotically constant and excluded from the per-flow model.
-    return params.fccFlowBytes /
-           (params.headerBytes * static_cast<double>(n));
+    return modelFccFlowBytes /
+           (modelHeaderBytes * static_cast<double>(n));
 }
 
 double
-peuhkuriRatio(const ModelParams &params)
+peuhkuriRatio()
 {
-    return params.peuhkuriPacketBytes / params.headerBytes;
+    return modelPeuhkuriPacketBytes / modelHeaderBytes;
 }
 
 double
 aggregateRatio(
     const std::vector<std::pair<uint32_t, double>> &lengthDist,
-    double (*perLength)(uint32_t, const ModelParams &),
-    const ModelParams &params)
+    double (*perLength)(uint32_t))
 {
     util::require(!lengthDist.empty(),
                   "aggregateRatio: empty length distribution");
@@ -51,7 +50,7 @@ aggregateRatio(
     for (const auto &[n, p] : lengthDist) {
         util::require(p >= 0.0, "aggregateRatio: negative probability");
         double weight = p * static_cast<double>(n);
-        compressed += weight * perLength(n, params);
+        compressed += weight * perLength(n);
         original += weight;
     }
     util::require(original > 0.0,

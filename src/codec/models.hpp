@@ -21,27 +21,23 @@
 
 namespace fcc::codec {
 
-/** Parameters of the analytical models. */
-struct ModelParams
-{
-    /** Stored bytes per packet in the original trace (paper: 50). */
-    double headerBytes = 50.0;
-    /** Van Jacobson minimal encoded header (§5: 6 bytes). */
-    double vjMinEncoded = 6.0;
-    /** Proposed method bytes per flow in time-seq (§5: 8 bytes). */
-    double fccFlowBytes = 8.0;
-    /** Peuhkuri per-packet record bytes (§5 bound: 16 % of 50). */
-    double peuhkuriPacketBytes = 8.0;
-};
+/** Stored bytes per packet in the original trace (paper: 50). */
+inline constexpr double modelHeaderBytes = 50.0;
+/** Van Jacobson minimal encoded header (§5: 6 bytes). */
+inline constexpr double modelVjMinEncoded = 6.0;
+/** Proposed method bytes per flow in time-seq (§5: 8 bytes). */
+inline constexpr double modelFccFlowBytes = 8.0;
+/** Peuhkuri per-packet record bytes (§5 bound: 16 % of 50). */
+inline constexpr double modelPeuhkuriPacketBytes = 8.0;
 
 /** Eq. 5 — Van Jacobson ratio for an n-packet flow. */
-double vjRatio(uint32_t n, const ModelParams &params = {});
+double vjRatio(uint32_t n);
 
 /** Eq. 7 — proposed-method ratio for an n-packet flow. */
-double fccRatio(uint32_t n, const ModelParams &params = {});
+double fccRatio(uint32_t n);
 
 /** Peuhkuri per-packet bound (independent of n). */
-double peuhkuriRatio(const ModelParams &params = {});
+double peuhkuriRatio();
 
 /**
  * Eqs. 6 / 8 — aggregate a per-flow-length ratio model over a
@@ -54,8 +50,7 @@ double peuhkuriRatio(const ModelParams &params = {});
  */
 double
 aggregateRatio(const std::vector<std::pair<uint32_t, double>> &lengthDist,
-               double (*perLength)(uint32_t, const ModelParams &),
-               const ModelParams &params = {});
+               double (*perLength)(uint32_t));
 
 } // namespace fcc::codec
 

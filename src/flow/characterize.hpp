@@ -163,11 +163,12 @@ class ClassTable
 uint64_t sfDistance(const SfVector &a, const SfVector &b,
                     uint64_t limit = ~0ull);
 
+/** Max distance between two S values of different flows (§3). */
+inline constexpr uint32_t maxPacketDistance = 50;
+
 /** Configuration of the paper's similarity rule (eq. 4). */
 struct SimilarityRule
 {
-    /** Max distance between two S values of different flows (§3). */
-    uint32_t maxPacketDistance = 50;
     /** "Similar" means closer than this percentage of the max. */
     double percent = 2.0;
 

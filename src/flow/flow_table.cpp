@@ -19,11 +19,6 @@ canonicalFlowLess(const AssembledFlow &a, const AssembledFlow &b)
            canonicalFlowOrderKey(b.firstTimestampNs, b.key);
 }
 
-FlowTable::FlowTable(const FlowTableConfig &cfg)
-    : cfg_(cfg)
-{
-}
-
 std::vector<AssembledFlow>
 FlowTable::assemble(const trace::Trace &trace) const
 {
@@ -57,11 +52,10 @@ FlowTable::assemble(const trace::Trace &trace) const
 
     for (uint32_t i = 0; i < trace.size(); ++i) {
         const trace::PacketRecord &pkt = trace[i];
-        size_t slot = open.admit(
-            FlowKey::fromPacket(pkt), pkt, cfg_.idleTimeoutNs,
-            [&](OpenFlow &expired) {
-                done.push_back(std::move(expired.flow));
-            });
+        FlowKey key = FlowKey::fromPacket(pkt);
+        size_t slot = open.admit(key, pkt, [&](OpenFlow &expired) {
+            done.push_back(std::move(expired.flow));
+        });
         OpenFlow &state = open.at(slot);
         Connection::Step step = state.conn.observe(pkt);
         state.flow.packetIndex.push_back(i);

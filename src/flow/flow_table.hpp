@@ -27,6 +27,10 @@
 
 namespace fcc::flow {
 
+/** Idle gap after which a 5-tuple's next packet starts a new
+ *  connection (60 s). */
+inline constexpr uint64_t flowIdleTimeoutNs = 60ull * 1000000000ull;
+
 /**
  * The §3 rules of one open connection. The initiator is the sender
  * of the first packet, unless that packet is a SYN+ACK (capture
@@ -59,13 +63,12 @@ struct Connection
     /**
      * True when a packet of the same 5-tuple at @p nowNs starts a new
      * connection instead (ephemeral port reuse): the gap since the
-     * latest packet exceeds @p idleTimeoutNs, in whole nanoseconds.
-     * A timeout of 0 never expires.
+     * latest packet exceeds flowIdleTimeoutNs, in whole nanoseconds.
      */
     bool
-    idleExpired(uint64_t nowNs, uint64_t idleTimeoutNs) const
+    idleExpired(uint64_t nowNs) const
     {
-        return idleTimeoutNs > 0 && nowNs - lastNs > idleTimeoutNs;
+        return nowNs - lastNs > flowIdleTimeoutNs;
     }
 
     /** What observe() learned from one packet. */
@@ -118,7 +121,7 @@ class OpenFlowIndex
 
     /**
      * The slot of @p pkt's open flow, keyed @p key. A packet with no
-     * open flow starts one; a flow idle longer than @p idleTimeoutNs
+     * open flow starts one; a flow idle longer than flowIdleTimeoutNs
      * (Connection::idleExpired) is first handed to @p closeExpired
      * and then restarted at @p pkt in the same slot (port reuse).
      * The caller then observes @p pkt on the returned flow.
@@ -126,13 +129,13 @@ class OpenFlowIndex
     template <class CloseExpired>
     size_t
     admit(const FlowKey &key, const trace::PacketRecord &pkt,
-          uint64_t idleTimeoutNs, CloseExpired &&closeExpired)
+          CloseExpired &&closeExpired)
     {
         size_t slot = find(key);
         if (slots_[slot].flow == emptySlot)
             return start(slot, key, pkt);
         State &state = pool_[slots_[slot].flow];
-        if (state.conn.idleExpired(pkt.timestampNs, idleTimeoutNs)) {
+        if (state.conn.idleExpired(pkt.timestampNs)) {
             closeExpired(state);
             state.restart(pkt);
         }
@@ -267,13 +270,6 @@ struct AssembledFlow
     size_t size() const { return packetIndex.size(); }
 };
 
-/** Flow assembly parameters. */
-struct FlowTableConfig
-{
-    /** Idle gap that closes a connection (0 disables). */
-    uint64_t idleTimeoutNs = 60ull * 1000000000ull;
-};
-
 /**
  * Sort key of the deterministic flow order: first-packet timestamp,
  * ties broken by the canonical 5-tuple. FlowTable's output and the
@@ -299,17 +295,12 @@ bool canonicalFlowLess(const AssembledFlow &a, const AssembledFlow &b);
 class FlowTable
 {
   public:
-    explicit FlowTable(const FlowTableConfig &cfg = {});
-
     /**
      * Group every packet of @p trace into connections.
      *
      * @throws fcc::util::Error if @p trace is not time-ordered.
      */
     std::vector<AssembledFlow> assemble(const trace::Trace &trace) const;
-
-  private:
-    FlowTableConfig cfg_;
 };
 
 } // namespace fcc::flow

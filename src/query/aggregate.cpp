@@ -85,7 +85,7 @@ factsOf(const fccc::FlowRecord &fl)
  * timestamp.
  */
 void
-accumulate(Accumulator &acc, const Expr &expr, uint16_t serverPort,
+accumulate(Accumulator &acc, const Expr &expr,
            const fccc::Datasets &shared,
            const fccc::TemplateFactTable &facts,
            std::span<const fccc::TimeSeqRecord> timeSeq,
@@ -94,8 +94,8 @@ accumulate(Accumulator &acc, const Expr &expr, uint16_t serverPort,
     auto consider = [&](uint32_t addrIndex,
                         const fccc::TemplateFacts &t,
                         uint64_t startUs) {
-        Expr::FlowView flow{shared.addresses[addrIndex], serverPort,
-                            t.packets};
+        Expr::FlowView flow{shared.addresses[addrIndex],
+                            fccc::reconstructionServerPort, t.packets};
         if (expr.matches(flow, startUs))
             acc.add(addrIndex, t);
     };
@@ -153,16 +153,14 @@ FccArchive::aggregate(const AggregateRequest &req) const
             d.chunkSizes.empty() ? 1 : d.chunkSizes.size();
         out.stats.chunksPlanned = out.stats.chunksTotal;
         Accumulator acc(d.addresses.size());
-        accumulate(acc, req.expr, cfg_.serverPort, d,
-                   fccc::templateFacts(d, cfg_.smallPayload,
-                                       cfg_.largePayload),
-                   d.timeSeq, d.flowRecords);
+        accumulate(acc, req.expr, d, fccc::templateFacts(d), d.timeSeq,
+                   d.flowRecords);
         finishResult(acc, d.addresses, out);
         return out;
     }
 
     // Indexed path. Flow-start pruning is gap-safe (see aggregate.hpp
-    // header), so no defaultGapUs fallback here.
+    // header), so no indexCanPlan() fallback here.
     out.stats.usedIndex = true;
     std::shared_ptr<const SharedRegion> regionPtr = sharedRegion();
     const SharedRegion &region = *regionPtr;
@@ -197,8 +195,8 @@ FccArchive::aggregate(const AggregateRequest &req) const
             chunks[i], region.fcc3, planned[i], decode);
         touched[i] = chunk.bytesDecoded;
         spans[i] = {chunk.firstUs, chunk.lastUs};
-        accumulate(perChunk[i], req.expr, cfg_.serverPort, shared,
-                   region.facts, chunk.timeSeq, chunk.flowRecords);
+        accumulate(perChunk[i], req.expr, shared, region.facts,
+                   chunk.timeSeq, chunk.flowRecords);
     };
 
     try {

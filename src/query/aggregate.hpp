@@ -6,8 +6,8 @@
  * Every flow's packet count and wire-byte total is a function of its
  * *template* alone: the S values decode to per-packet size classes
  * (flow/characterize.hpp), each class maps to a representative
- * payload (FccConfig::smallPayload / largePayload), and a stored
- * header is 40 B + payload. So per-server flow counts, byte
+ * payload (codec::fcc::smallPayloadBytes / largePayloadBytes), and
+ * a stored header is 40 B + payload. So per-server flow counts, byte
  * histograms and top-K talkers need only three of a chunk's five
  * column frames (flow kind, template id, server address — plus the
  * start-time column when the expression filters on time or the
@@ -19,10 +19,10 @@
  * Time semantics: aggregates weigh whole flows, so a `time within`
  * leaf selects flows *starting* inside the window (packet-granular
  * time selection requires reconstruction — use FccArchive::run).
- * Flow-start pruning is safe for any reconstruction gap: a chunk's
- * maxEndUs upper-bounds every flow's end and therefore every flow's
- * start, whatever gap the index was written with — aggregates never
- * need the gap-mismatch full-decode fallback the filter path takes.
+ * Flow-start pruning is safe whatever gap the index was written
+ * with: a chunk's minFirstUs and maxEndUs bound every flow's start
+ * — aggregates never need the gap-mismatch full-decode fallback of
+ * the filter path (FccArchive::indexCanPlan).
  *
  * Archives without a usable index fall back to deserializing the
  * container (still no packet expansion). AggregateStats reports the

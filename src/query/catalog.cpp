@@ -69,22 +69,14 @@ ArchiveCatalog::fromCatalogFile(const std::string &directory,
 namespace {
 
 /**
- * Archive-level pruning decision: an indexed archive with an empty
- * chunk plan cannot contribute a packet — unless the query uses
- * time and the archive's reconstruction gap exceeds what its index
- * was built with, in which case the timestamp bounds are invalid
- * for filtering (FccArchive::run takes its full-decode path then,
- * and the catalog must let it).
+ * Archive-level pruning decision: an archive whose index can plan
+ * @p expr (FccArchive::indexCanPlan) and plans no chunk cannot
+ * contribute a packet.
  */
 bool
 prunable(const FccArchive &archive, const Expr &expr)
 {
-    if (!archive.hasIndex())
-        return false;
-    if (expr.usesTime() && archive.config().defaultGapUs >
-                               archive.index().gapUs)
-        return false;
-    return archive.plan(expr).empty();
+    return archive.indexCanPlan(expr) && archive.plan(expr).empty();
 }
 
 } // namespace

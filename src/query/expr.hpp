@@ -19,7 +19,8 @@
  *  - `port = N` /
  *    `port in [LO, HI]`      flow leaf: the flow's server port (the
  *                            reconstruction writes
- *                            FccConfig::serverPort, default 80);
+ *                            codec::fcc::reconstructionServerPort,
+ *                            80);
  *  - `time within [T0, T1]`  packet leaf: reconstructed timestamp
  *                            inside the inclusive window (seconds,
  *                            up to microsecond precision);

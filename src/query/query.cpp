@@ -52,10 +52,10 @@ expandFiltered(const fccc::FccTraceCompressor &codec,
             facts.of(rec.isLong, rec.templateIndex);
         Expr::FlowView &flow = views[r];
         flow.serverIp = shared.addresses[rec.addressIndex];
-        flow.serverPort = codec.config().serverPort;
+        flow.serverPort = fccc::reconstructionServerPort;
         flow.packets = fact.packets;
-        if (std::optional<fccc::FlowSpan> span = fccc::flowSpan(
-                fact, rec, codec.config().defaultGapUs)) {
+        if (std::optional<fccc::FlowSpan> span =
+                fccc::flowSpan(fact, rec)) {
             flow.spanKnown = true;
             flow.firstUs = span->firstUs;
             flow.lastUs = span->lastUs;
@@ -152,17 +152,18 @@ FccArchive::run(const Expr &expr, trace::TraceSink &sink,
     return stats;
 }
 
+bool
+FccArchive::indexCanPlan(const Expr &expr) const
+{
+    return hasIndex() &&
+           (!expr.usesTime() || index_->gapUs >= fccc::reconstructionGapUs);
+}
+
 QueryStats
 FccArchive::collectRuns(const Expr &expr, bool forceFullDecode,
                         Runs &runs) const
 {
-    // The index's maxEndUs bounds assume the gap it was written
-    // with; a *larger* reconstruction gap pushes packets past them,
-    // so time-window pruning would silently drop matches — take the
-    // (always correct) full-decode path instead.
-    bool gapUnsafe = expr.usesTime() && hasIndex() &&
-                     cfg_.defaultGapUs > index_->gapUs;
-    if (hasIndex() && !forceFullDecode && !gapUnsafe) {
+    if (!forceFullDecode && indexCanPlan(expr)) {
         try {
             return runIndexed(expr, runs);
         } catch (const std::bad_alloc &) {
@@ -199,9 +200,7 @@ FccArchive::decodeSharedRegion() const
     SharedRegion region;
     region.fcc3 = fccc::readFcc3SharedRegion(
         bytes_, *fccc::readFcc3Header(bytes_));
-    region.facts = fccc::templateFacts(region.fcc3.shared,
-                                       cfg_.smallPayload,
-                                       cfg_.largePayload);
+    region.facts = fccc::templateFacts(region.fcc3.shared);
     util::require(index_->chunks.size() ==
                       region.fcc3.shared.chunkSizes.size(),
                   "fcc index: chunk count disagrees with container");
@@ -299,9 +298,7 @@ FccArchive::runIndexed(const Expr &expr, Runs &runs) const
             fccc::readFcc3Chunk(chunks[i], region->fcc3, planned[i]);
         spans[i] = {chunk.firstUs, chunk.lastUs};
         return expandFiltered(codec, shared, region->facts, chunk.timeSeq,
-                              fccc::chunkRngSeed(cfg_.decompressSeed,
-                                                 planned[i]),
-                              expr, run);
+                              fccc::chunkRngSeed(planned[i]), expr, run);
     });
     requirePlannedOrder(planned, spans);
     return stats;
@@ -320,10 +317,9 @@ FccArchive::runFullDecode(const Expr &expr, Runs &runs) const
                   "query: flow-fidelity archives carry no "
                   "per-packet data; use aggregate queries");
     fccc::FccTraceCompressor codec(cfg_);
-    fccc::TemplateFactTable facts = fccc::templateFacts(
-        d, cfg_.smallPayload, cfg_.largePayload);
+    fccc::TemplateFactTable facts = fccc::templateFacts(d);
 
-    fccc::ChunkStreams chunks(d, cfg_.decompressSeed);
+    fccc::ChunkStreams chunks(d);
     stats.chunksTotal = chunks.size();
     stats.chunksDecoded = chunks.size();
     expandJobs(cfg_.threads, chunks.size(), runs, stats,

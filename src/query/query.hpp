@@ -145,6 +145,16 @@ class FccArchive
         return *index_;
     }
 
+    /**
+     * True when the index can plan @p expr: the archive has one and,
+     * if @p expr tests time, the index's chunk end bounds hold — its
+     * stored gap is at least codec::fcc::reconstructionGapUs. A
+     * smaller stored gap puts reconstructed packets past those
+     * bounds, so run() takes the full-decode path and a catalog must
+     * not prune the archive.
+     */
+    bool indexCanPlan(const Expr &expr) const;
+
     /** Archive size in bytes. */
     uint64_t fileBytes() const { return bytes_.size(); }
 

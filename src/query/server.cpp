@@ -24,6 +24,9 @@ namespace fcc::query {
 
 namespace {
 
+/** Hard cap the server accepts for one request frame (1 MiB). */
+constexpr uint64_t maxRequestBytes = uint64_t{1} << 20;
+
 /** Hard cap a client accepts for one response frame (1 GiB). */
 constexpr uint64_t maxResponseBytes = uint64_t{1} << 30;
 
@@ -203,7 +206,7 @@ QueryServer::QueryServer(const ArchiveCatalog &catalog,
                          const ServerConfig &cfg)
     : catalog_(catalog), cfg_(cfg), endpoint_(endpoint)
 {
-    listener_ = util::listenSocket(endpoint_, cfg_.backlog);
+    listener_ = util::listenSocket(endpoint_);
     if (endpoint_.kind == util::SocketEndpoint::Kind::Tcp &&
         endpoint_.port == 0)
         endpoint_.port = listener_.localPort();
@@ -278,7 +281,7 @@ QueryServer::handleConnection(int fd)
     try {
         std::vector<uint8_t> body;
         while (!stopping_.load() &&
-               readFrame(fd, cfg_.maxRequestBytes, body)) {
+               readFrame(fd, maxRequestBytes, body)) {
             std::vector<uint8_t> response;
             try {
                 response = handleRequest(body);

@@ -70,9 +70,6 @@ struct ServerConfig
 {
     /** Pool workers = concurrent requests (0 = hardware threads). */
     uint32_t threads = 0;
-    /** Cap on one request frame (responses are unbounded). */
-    uint32_t maxRequestBytes = 1u << 20;
-    int backlog = 16;
 };
 
 /**

@@ -429,8 +429,10 @@ SocketFd::localPort() const
 }
 
 SocketFd
-listenSocket(const SocketEndpoint &endpoint, int backlog)
+listenSocket(const SocketEndpoint &endpoint)
 {
+    // Pending connections the kernel queues before accept().
+    constexpr int backlog = 16;
     if (endpoint.kind == SocketEndpoint::Kind::Unix) {
         SocketFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
         if (!fd.valid())
@@ -532,7 +534,7 @@ SocketFd::localPort() const
 }
 
 SocketFd
-listenSocket(const SocketEndpoint &, int)
+listenSocket(const SocketEndpoint &)
 {
     noSockets();
 }

@@ -380,8 +380,7 @@ class SocketFd
  * socket file first; callers should unlink the path again after the
  * listener closes. @throws fcc::util::Error
  */
-SocketFd listenSocket(const SocketEndpoint &endpoint,
-                      int backlog = 16);
+SocketFd listenSocket(const SocketEndpoint &endpoint);
 
 /** Blocking connect to @p endpoint. @throws fcc::util::Error */
 SocketFd connectSocket(const SocketEndpoint &endpoint);

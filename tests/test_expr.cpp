@@ -537,8 +537,7 @@ TEST(FlowHeader, FlowSpanBoundsEveryExpandedPacket)
         static_cast<uint32_t>(d.shortTemplates.size() - 1);
     odd.rttUs = 1000;
     d.timeSeq.push_back(odd);
-    codec::fcc::TemplateFactTable facts = codec::fcc::templateFacts(
-        d, cfg.smallPayload, cfg.largePayload);
+    codec::fcc::TemplateFactTable facts = codec::fcc::templateFacts(d);
 
     util::Rng rng(99);
     flow::ClassTable classes(d.weights);
@@ -554,7 +553,7 @@ TEST(FlowHeader, FlowSpanBoundsEveryExpandedPacket)
         for (const trace::PacketRecord &p : packets)
             wire += 40 + p.payloadBytes;
         EXPECT_EQ(f.wireBytes, wire);
-        auto span = codec::fcc::flowSpan(f, rec, cfg.defaultGapUs);
+        auto span = codec::fcc::flowSpan(f, rec);
         ASSERT_TRUE(span.has_value());
         // The span is exact: its ends are the first and last packet.
         EXPECT_EQ(span->firstUs, packets.front().timestampUs());
@@ -570,12 +569,9 @@ TEST(FlowHeader, FlowSpanBoundsEveryExpandedPacket)
 
 TEST(FlowHeader, FlowSpanUnknownOnOverflowWrapOrEmptyFlow)
 {
-    codec::fcc::FccConfig cfg;
     codec::fcc::TimeSeqRecord rec;
     codec::fcc::TemplateFacts f;
-    auto spanOf = [&] {
-        return codec::fcc::flowSpan(f, rec, cfg.defaultGapUs);
-    };
+    auto spanOf = [&] { return codec::fcc::flowSpan(f, rec); };
 
     // Empty flow: no packets, no span.
     EXPECT_FALSE(spanOf().has_value());
@@ -610,5 +606,6 @@ TEST(FlowHeader, FlowSpanUnknownOnOverflowWrapOrEmptyFlow)
     rec.rttUs = 1000;
     span = spanOf();
     ASSERT_TRUE(span.has_value());
-    EXPECT_EQ(span->lastUs, 2 * 1000 + 1 * uint64_t{cfg.defaultGapUs});
+    EXPECT_EQ(span->lastUs,
+              2 * 1000 + 1 * uint64_t{codec::fcc::reconstructionGapUs});
 }

@@ -82,15 +82,11 @@ tinyConnection(uint32_t clientIp = 0x0a000001,
  * lists are in canonical flow order).
  */
 void
-expectSameFlowsAsCompressor(const Trace &t, uint64_t idleTimeoutNs)
+expectSameFlowsAsCompressor(const Trace &t)
 {
-    FlowTableConfig tableCfg;
-    tableCfg.idleTimeoutNs = idleTimeoutNs;
-    std::vector<AssembledFlow> flows = FlowTable(tableCfg).assemble(t);
+    std::vector<AssembledFlow> flows = FlowTable().assemble(t);
 
-    codec::fcc::FccConfig cfg;
-    cfg.flowTable = tableCfg;
-    codec::fcc::CompressSession session(cfg);
+    codec::fcc::CompressSession session(codec::fcc::FccConfig{});
     session.feed({t.packets().data(), t.size()});
     codec::fcc::Datasets ds = session.sealDatasets();
 
@@ -104,6 +100,23 @@ expectSameFlowsAsCompressor(const Trace &t, uint64_t idleTimeoutNs)
         EXPECT_EQ(flows[i].serverIp, ds.addresses[rec.addressIndex])
             << "flow " << i;
     }
+}
+
+/**
+ * @p t with every timestamp scaled by flowIdleTimeoutNs / 1 ms: a gap
+ * above 1 ms becomes one above the idle timeout, so the stretched
+ * trace splits into the flows a 1 ms timeout would cut @p t into.
+ */
+Trace
+stretched(const Trace &t)
+{
+    constexpr uint64_t factor = flowIdleTimeoutNs / 1000000;
+    Trace out;
+    for (PacketRecord pkt : t) {
+        pkt.timestampNs *= factor;
+        out.add(pkt);
+    }
+    return out;
 }
 
 } // namespace
@@ -229,13 +242,12 @@ TEST(FlowTable, GracefulCloseEndsAfterFinalAck)
 
 TEST(FlowTable, IdleTimeoutSplitsFlows)
 {
-    FlowTableConfig cfg;
-    cfg.idleTimeoutNs = 1000000;  // 1 ms
+    constexpr uint64_t timeoutUs = flowIdleTimeoutNs / 1000;
     Trace t;
     t.add(mkPacket(1, 100, 2, 80, tf::Ack, 10, 0));
     t.add(mkPacket(1, 100, 2, 80, tf::Ack, 10, 100));
-    t.add(mkPacket(1, 100, 2, 80, tf::Ack, 10, 5000));  // 4.9ms gap
-    FlowTable table(cfg);
+    t.add(mkPacket(1, 100, 2, 80, tf::Ack, 10, 100 + timeoutUs + 4900));
+    FlowTable table;
     auto flows = table.assemble(t);
     ASSERT_EQ(flows.size(), 2u);
     EXPECT_EQ(flows[0].size(), 2u);
@@ -288,14 +300,17 @@ TEST(FlowTable, EveryPacketAssignedExactlyOnce)
 
 TEST(FlowTable, SplitsLikeTheCompressor)
 {
-    constexpr uint64_t oneMs = 1000000;
+    // Each trace as generated, then stretched so that its gaps above
+    // 1 ms pass the idle timeout (port reuse churns the table).
     trace::WebGenConfig webCfg;
     webCfg.seed = 78;
     webCfg.durationSec = 5;
     webCfg.flowsPerSec = 80;
     Trace web = trace::WebTrafficGenerator(webCfg).generate();
-    expectSameFlowsAsCompressor(web, FlowTableConfig{}.idleTimeoutNs);
-    expectSameFlowsAsCompressor(web, oneMs);
+    expectSameFlowsAsCompressor(web);
+    expectSameFlowsAsCompressor(stretched(web));
+    EXPECT_GT(FlowTable().assemble(stretched(web)).size(),
+              FlowTable().assemble(web).size());
 
     for (trace::ScenarioKind kind :
          {trace::ScenarioKind::LossStorm, trace::ScenarioKind::Reordering,
@@ -305,8 +320,8 @@ TEST(FlowTable, SplitsLikeTheCompressor)
         cfg.durationSec = 2.0;
         cfg.flows = 200;
         Trace t = trace::ScenarioGenerator(cfg).generate();
-        expectSameFlowsAsCompressor(t, FlowTableConfig{}.idleTimeoutNs);
-        expectSameFlowsAsCompressor(t, oneMs);
+        expectSameFlowsAsCompressor(t);
+        expectSameFlowsAsCompressor(stretched(t));
     }
 
     // Port reuse after the idle timeout, a capture that starts at the
@@ -327,8 +342,10 @@ TEST(FlowTable, SplitsLikeTheCompressor)
     Trace tiny = tinyConnection(7, 5000, 8, 6000);
     for (const PacketRecord &pkt : tiny)
         hand.add(pkt);
-    expectSameFlowsAsCompressor(hand, oneMs);
-    expectSameFlowsAsCompressor(hand, 0);
+    expectSameFlowsAsCompressor(stretched(hand));
+    expectSameFlowsAsCompressor(hand);  // no gap reaches the timeout
+    EXPECT_GT(FlowTable().assemble(stretched(hand)).size(),
+              FlowTable().assemble(hand).size());
 }
 
 // ---- characterization -------------------------------------------------

@@ -35,6 +35,7 @@
 #include "codec/deflate/deflate.hpp"
 #include "codec/fcc/datasets.hpp"
 #include "codec/fcc/fcc_codec.hpp"
+#include "codec/fcc/index.hpp"
 #include "query/aggregate.hpp"
 #include "query/query.hpp"
 #include "trace/tsh.hpp"
@@ -278,6 +279,32 @@ TEST(Golden, IndexedAndFullDecodePathsAgree)
         EXPECT_EQ(a.histogram, b.histogram);
         std::remove(plainPath.c_str());
     }
+}
+
+TEST(Golden, IndexedArchivesRecordTheReconstructionGap)
+{
+    // An index's chunk end bounds hold only for the gap it records,
+    // and a reader trusts them for time pruning only when that gap
+    // is at least reconstructionGapUs. Every committed indexed
+    // archive, and a freshly written one, records the constant.
+    for (const Golden &g : kGoldens) {
+        if (!g.hasIndex)
+            continue;
+        SCOPED_TRACE(g.name);
+        std::optional<fccc::ArchiveIndex> index =
+            fccc::readArchiveIndex(loadBytes(g.name));
+        ASSERT_TRUE(index.has_value());
+        EXPECT_EQ(index->gapUs, fccc::reconstructionGapUs);
+    }
+
+    fccc::FccConfig cfg;
+    cfg.container = fccc::ContainerFormat::Fcc3;
+    cfg.index = true;
+    std::optional<fccc::ArchiveIndex> fresh =
+        fccc::readArchiveIndex(fccc::FccTraceCompressor(cfg).compress(
+            trace::readTshFile(goldenPath("source.tsh"))));
+    ASSERT_TRUE(fresh.has_value());
+    EXPECT_EQ(fresh->gapUs, fccc::reconstructionGapUs);
 }
 
 TEST(Golden, SourceTraceStillReadable)

@@ -30,6 +30,7 @@
 #include "codec/fcc/index.hpp"
 #include "codec/fcc/stream.hpp"
 #include "query/aggregate.hpp"
+#include "query/catalog.hpp"
 #include "query/query.hpp"
 #include "trace/scenario_gen.hpp"
 #include "trace/trace.hpp"
@@ -414,32 +415,66 @@ TEST(QueryIndex, QueryResultIndependentOfThreadCount)
     }
 }
 
-TEST(QueryIndex, LargerGapBypassesTimeWindowPruning)
+TEST(QueryIndex, SmallerIndexGapBypassesTimeWindowPruning)
 {
-    // The index's maxEndUs bounds assume the compress-time gap; a
-    // query reconstructing with a LARGER gap must not trust them —
-    // it falls back to the full-decode path and still returns
-    // exactly what that configuration's full reconstruction holds.
+    // An index whose stored gap is below reconstructionGapUs promises
+    // end bounds the reconstruction can pass, so a time predicate
+    // must not plan by it: the query takes the full-decode path and
+    // the catalog keeps the archive. Rewrite the seed's index block
+    // with gapUs = 100 (the CRC is recomputed) to get one.
     SeedArchive &seed = seedArchive();
-    fccc::Datasets d = fccc::deserialize(readBytes(seed.idxPath));
-    fccc::FccConfig wideGap = seed.cfg;
-    wideGap.defaultGapUs = 5000;
+    std::vector<uint8_t> bytes = readBytes(seed.idxPath);
+    std::optional<fccc::ArchiveIndex> index = fccc::readArchiveIndex(bytes);
+    ASSERT_TRUE(index.has_value());
+    ASSERT_EQ(index->gapUs, fccc::reconstructionGapUs);
+    index->gapUs = 100;
+    bytes.resize(bytes.size() - fccc::indexRegionBytes(bytes));
+    std::vector<uint8_t> block = fccc::serializeArchiveIndex(*index);
+    bytes.insert(bytes.end(), block.begin(), block.end());
+    std::string path = tempPath("narrow_gap_idx.fcc");
+    writeBytes(path, bytes);
+    query::FccArchive narrow(path, seed.cfg);
+    ASSERT_TRUE(narrow.hasIndex());
+    ASSERT_EQ(narrow.index().gapUs, 100u);
 
+    fccc::Datasets d = fccc::deserialize(bytes);
     uint64_t t0 = d.timeSeq[d.timeSeq.size() / 2].firstTimestampUs;
-    query::Expr pred = query::Expr::timeWithin(t0, t0 + 1'000'000);
+    query::Expr window = query::Expr::timeWithin(t0, t0 + 1'000'000);
+    EXPECT_FALSE(narrow.indexCanPlan(window));
     query::QueryStats stats;
-    auto got = runQuery(seed.idxPath, pred, wideGap, &stats);
+    auto got = runQuery(path, window, seed.cfg, &stats);
     EXPECT_FALSE(stats.usedIndex);
-    auto want = runQuery(seed.idxPath, pred, wideGap, nullptr,
+    auto want = runQuery(path, window, seed.cfg, nullptr,
                          /*forceFullDecode=*/true);
-    expectSamePackets(got, want, "wide-gap time window");
+    ASSERT_FALSE(want.empty());
+    expectSamePackets(got, want, "narrow-gap time window");
 
-    // A non-time predicate keeps the indexed path even with the
-    // wider gap (Bloom and flow-size pruning are gap-independent).
-    query::Expr flowPred = query::Expr::serverIs(d.addresses.front());
-    query::QueryStats flowStats;
-    runQuery(seed.idxPath, flowPred, wideGap, &flowStats);
-    EXPECT_TRUE(flowStats.usedIndex);
+    // A window past every chunk: the index plans no chunk, so the
+    // catalog prunes the seed archive but must keep the rewritten one.
+    uint64_t lastUs = 0;
+    for (const fccc::ChunkSummary &c : index->chunks)
+        lastUs = std::max(lastUs, c.maxEndUs);
+    query::Expr late = query::Expr::timeWithin(lastUs + 1, lastUs + 2);
+    ASSERT_TRUE(narrow.plan(late).empty());
+    for (const auto &[file, pruned] :
+         {std::pair{seed.idxPath, 1u}, std::pair{path, 0u}}) {
+        query::ArchiveCatalog catalog =
+            query::ArchiveCatalog::fromPaths({file}, seed.cfg);
+        trace::Trace out;
+        trace::CollectTraceSink sink(out);
+        query::CatalogQueryStats catStats = catalog.run(late, sink);
+        EXPECT_EQ(catStats.archivesPruned, pruned) << file;
+        EXPECT_TRUE(out.packets().empty()) << file;
+    }
+
+    // A non-time predicate keeps the indexed path (Bloom and
+    // flow-size pruning do not depend on the gap).
+    query::Expr server = query::Expr::serverIs(d.addresses.front());
+    EXPECT_TRUE(narrow.indexCanPlan(server));
+    query::QueryStats serverStats;
+    runQuery(path, server, seed.cfg, &serverStats);
+    EXPECT_TRUE(serverStats.usedIndex);
+    std::remove(path.c_str());
 }
 
 TEST(QueryIndex, UnindexedContainersFallBackToFullDecode)
@@ -573,10 +608,9 @@ TEST(QueryIndex, EmptyDatasetsRoundTripWithIndex)
 {
     fccc::Datasets empty;
     fccc::SizeBreakdown sizes;
-    fccc::IndexOptions options;
     auto bytes = fccc::serializeColumnar(
         empty, codec::backend::EntropyBackend::Deflate, sizes,
-        nullptr, nullptr, &options);
+        nullptr, nullptr, /*indexed=*/true);
     EXPECT_GT(sizes.indexBytes, 0u);
 
     fccc::ContainerStat stat;
@@ -645,7 +679,7 @@ expandEveryFlow(const fccc::Datasets &d, const fccc::FccConfig &cfg)
     flow::ClassTable classes(d.weights);
     size_t rec = 0;
     for (size_t c = 0; c < d.chunkSizes.size(); ++c) {
-        util::Rng rng(fccc::chunkRngSeed(cfg.decompressSeed, c));
+        util::Rng rng(fccc::chunkRngSeed(c));
         for (size_t i = 0; i < d.chunkSizes[c]; ++i, ++rec) {
             flows.emplace_back();
             codec.expandFlow(d, classes, d.timeSeq[rec], rng,
@@ -658,7 +692,7 @@ expandEveryFlow(const fccc::Datasets &d, const fccc::FccConfig &cfg)
 /** The ground truth: expand everything, then keep the packets
  *  @p expr admits, in canonical order. */
 std::vector<trace::PacketRecord>
-filterReference(const fccc::Datasets &d, const fccc::FccConfig &cfg,
+filterReference(const fccc::Datasets &d,
                 const std::vector<std::vector<trace::PacketRecord>> &flows,
                 const query::Expr &expr)
 {
@@ -666,7 +700,8 @@ filterReference(const fccc::Datasets &d, const fccc::FccConfig &cfg,
     for (size_t i = 0; i < flows.size(); ++i) {
         const fccc::TimeSeqRecord &rec = d.timeSeq[i];
         query::Expr::FlowView view{d.addresses[rec.addressIndex],
-                                   cfg.serverPort, flows[i].size()};
+                                   fccc::reconstructionServerPort,
+                                   flows[i].size()};
         for (const trace::PacketRecord &pkt : flows[i])
             if (expr.matches(view, pkt.timestampUs()))
                 out.push_back(pkt);
@@ -869,18 +904,18 @@ TEST(QueryVerdict, RandomExprsMatchFullDecompressionPlusFilter)
         trace::Trace full =
             fccc::FccTraceCompressor(c.cfg).decompress(bytes);
         ASSERT_TRUE(fcc::test::samePackets(
-            filterReference(d, c.cfg, flows, query::Expr::matchAll()),
+            filterReference(d, flows, query::Expr::matchAll()),
             full.packets()));
 
         for (int e = 0; e < exprs; ++e) {
             query::Expr expr = randomDataExpr(rng, d, flows, 3);
             SCOPED_TRACE(expr.str());
-            auto expected = filterReference(d, c.cfg, flows, expr);
+            auto expected = filterReference(d, flows, expr);
             uint64_t matched = 0;
             for (size_t i = 0; i < flows.size(); ++i) {
                 query::Expr::FlowView view{
                     d.addresses[d.timeSeq[i].addressIndex],
-                    c.cfg.serverPort, flows[i].size()};
+                    fccc::reconstructionServerPort, flows[i].size()};
                 matched += std::any_of(
                     flows[i].begin(), flows[i].end(),
                     [&](const trace::PacketRecord &pkt) {
@@ -941,7 +976,7 @@ TEST(QueryVerdict, WindowEdgesOnFlowFirstAndLastPacket)
             for (auto [t0, t1] : windows) {
                 query::Expr expr = query::Expr::timeWithin(t0, t1);
                 SCOPED_TRACE(expr.str());
-                auto expected = filterReference(d, cfg, flows, expr);
+                auto expected = filterReference(d, flows, expr);
                 ASSERT_FALSE(expected.empty());
                 ASSERT_TRUE(fcc::test::samePackets(
                     runExpr(archive, expr, false), expected));
@@ -1006,12 +1041,10 @@ TEST(QueryVerdict, NearWrapTimestampsFallBackToPerPacket)
     fccc::Datasets back = fccc::deserialize(bytes);
     ASSERT_EQ(back.timeSeq, d.timeSeq);
 
-    fccc::TemplateFactTable facts = fccc::templateFacts(
-        back, cfg.smallPayload, cfg.largePayload);
+    fccc::TemplateFactTable facts = fccc::templateFacts(back);
     size_t unknown = 0;
     for (const fccc::TimeSeqRecord &r : back.timeSeq)
-        unknown += !fccc::flowSpan(facts.of(r.isLong, r.templateIndex),
-                                   r, cfg.defaultGapUs)
+        unknown += !fccc::flowSpan(facts.of(r.isLong, r.templateIndex), r)
                         .has_value();
     EXPECT_EQ(unknown, 3u);
 
@@ -1029,14 +1062,14 @@ TEST(QueryVerdict, NearWrapTimestampsFallBackToPerPacket)
     };
     for (const query::Expr &expr : exprs) {
         SCOPED_TRACE(expr.str());
-        auto expected = filterReference(back, cfg, flows, expr);
+        auto expected = filterReference(back, flows, expr);
         ASSERT_TRUE(fcc::test::samePackets(
             runExpr(archive, expr, false), expected));
         ASSERT_TRUE(fcc::test::samePackets(
             runExpr(archive, expr, true), expected));
     }
     EXPECT_FALSE(
-        filterReference(back, cfg, flows, exprs[1]).empty());
+        filterReference(back, flows, exprs[1]).empty());
     std::remove(path.c_str());
 }
 
@@ -1221,9 +1254,8 @@ TEST(OneReader, OffGridQuantizedArchiveRejectedByEveryPath)
     d.timeSeq[moved].firstTimestampUs += 1;  // still sorted
 
     fccc::SizeBreakdown sizes;
-    fccc::IndexOptions options;
     std::vector<uint8_t> bytes = fccc::serializeColumnar(
-        d, cfg.backend, sizes, nullptr, nullptr, &options);
+        d, cfg.backend, sizes, nullptr, nullptr, /*indexed=*/true);
     std::string path = tempPath("off_grid.fcc");
     writeBytes(path, bytes);
 
@@ -1305,12 +1337,10 @@ TEST(OneReader, IptSumOverflowNeverPrunes)
     d.timeSeq = {rec};
     d.chunkSizes = {1};
 
-    fccc::TemplateFactTable facts = fccc::templateFacts(d, 0, 0);
-    EXPECT_FALSE(
-        fccc::flowSpan(facts.of(true, 0), rec, 300).has_value());
+    fccc::TemplateFactTable facts = fccc::templateFacts(d);
+    EXPECT_FALSE(fccc::flowSpan(facts.of(true, 0), rec).has_value());
 
-    fccc::ArchiveIndex index =
-        fccc::buildArchiveIndex(d, fccc::IndexOptions{});
+    fccc::ArchiveIndex index = fccc::buildArchiveIndex(d);
     ASSERT_EQ(index.chunks.size(), 1u);
     EXPECT_EQ(index.chunks[0].maxEndUs, UINT64_MAX);
     EXPECT_TRUE(query::Expr::timeWithin(5000, 6000)
@@ -1318,10 +1348,9 @@ TEST(OneReader, IptSumOverflowNeverPrunes)
                     .may);
 
     fccc::Datasets flows =
-        fccc::applyFidelity(d, fccc::Fidelity::Flow, {});
+        fccc::applyFidelity(d, fccc::Fidelity::Flow, /*quantumUs=*/1000);
     ASSERT_EQ(flows.flowRecords.size(), 1u);
     EXPECT_EQ(flows.flowRecords[0].durationUs, UINT64_MAX);
-    fccc::ArchiveIndex flowIndex =
-        fccc::buildArchiveIndex(flows, fccc::IndexOptions{});
+    fccc::ArchiveIndex flowIndex = fccc::buildArchiveIndex(flows);
     EXPECT_EQ(flowIndex.chunks[0].maxEndUs, UINT64_MAX);
 }

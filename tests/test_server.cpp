@@ -330,7 +330,7 @@ TEST(Server, OversizedFrameClosesConnection)
 {
     ServerFixture &f = fixture();
     RawPeer peer(f.endpoint());
-    // Announce a frame larger than ServerConfig::maxRequestBytes;
+    // Announce a frame larger than the server's 1 MiB request cap;
     // the server cannot trust anything that follows, so it hangs
     // up instead of answering.
     uint8_t len[4] = {0xff, 0xff, 0xff, 0xff};
