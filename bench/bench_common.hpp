@@ -45,6 +45,35 @@ applySmoke(trace::WebGenConfig cfg)
     return cfg;
 }
 
+/**
+ * The cgroup-v1 cpuset `jobs` group's sched_load_balance flag as
+ * text ("0" or "1"), or "unknown" when the file is absent. While it
+ * is 0 the kernel balances nothing across the set's CPUs: a new
+ * thread stays on its creator's CPU, so every thread of a process
+ * can share one CPU and a parallel timing measures one CPU. A bench
+ * that times threads reads it at start and at end and prints both.
+ */
+inline std::string
+cpusetLoadBalance()
+{
+    std::FILE *f = std::fopen(
+        "/sys/fs/cgroup/cpuset/jobs/cpuset.sched_load_balance", "r");
+    if (f == nullptr)
+        return "unknown";
+    int value = -1;
+    bool read = std::fscanf(f, "%d", &value) == 1;
+    std::fclose(f);
+    return read ? std::to_string(value) : "unknown";
+}
+
+/** The line printing cpusetLoadBalance() read at start and at end. */
+inline void
+printLoadBalance(const std::string &atStart)
+{
+    std::printf("# cpuset sched_load_balance: start %s, end %s\n",
+                atStart.c_str(), cpusetLoadBalance().c_str());
+}
+
 /** Repetition count for timing loops: 1 in smoke mode, else @p n. */
 inline int
 smokeReps(int n)

@@ -14,6 +14,9 @@
  * fsync / re-arm machinery itself. The warm-re-arm check is
  * structural (cluster counts, not wall time) and hard-fails the
  * binary — CI trips on a broken carry path even in smoke mode.
+ * The daemon's session runs its feed shards and seal jobs on every
+ * core; the last line prints the cpuset balancing flag
+ * (bench::cpusetLoadBalance) read at start and at end.
  * JSON output feeds the CI perf gate; see scripts/perf_check.py.
  */
 
@@ -84,6 +87,7 @@ main(int argc, char **argv)
             jsonPath = argv[++i];
     }
 
+    const std::string balanceAtStart = bench::cpusetLoadBalance();
     trace::WebGenConfig gen;
     gen.seed = 2005;
     gen.durationSec = smoke ? 3.0 : 30.0;
@@ -186,6 +190,8 @@ main(int argc, char **argv)
 
     fs::remove_all(outDir);
     fs::remove(input);
+    std::printf("\n");
+    bench::printLoadBalance(balanceAtStart);
 
     if (!jsonPath.empty()) {
         if (!metrics.writeTo(jsonPath)) {

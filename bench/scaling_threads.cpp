@@ -5,10 +5,9 @@
  * 1/2/4/8 threads on the synthetic web trace, plus a byte-identity
  * check between every thread count (the codec's determinism
  * contract) on the compressed and the reconstructed bytes; the bench
- * exits non-zero when a row differs. Compression is one online
- * session pass on the calling thread (and the library-default FCC2
- * container serializes serially), so its rows show what extra
- * threads cost, not a speedup; decompression expands chunks in
+ * exits non-zero when a row differs. Compression is one session
+ * whose feed runs one shard per thread (the library-default FCC2
+ * container serializes serially); decompression expands chunks in
  * parallel. A last table decompresses an elephants-scenario archive
  * of one chunk of long flows, which expands across the pool from 2
  * threads up (FccTraceCompressor::expandInto).
@@ -66,6 +65,7 @@ main(int argc, char **argv)
             jsonPath = argv[++i];
     }
     bench::JsonMetrics metrics;
+    const std::string balanceAtStart = bench::cpusetLoadBalance();
 
     trace::WebGenConfig cfg;
     cfg.seed = 2005;
@@ -194,6 +194,7 @@ main(int argc, char **argv)
     std::printf("\n# identical=yes on every row is the determinism "
                 "contract: thread count\n# changes wall time only, "
                 "never the compressed or reconstructed bytes.\n");
+    bench::printLoadBalance(balanceAtStart);
 
     if (!jsonPath.empty()) {
         if (!metrics.writeTo(jsonPath)) {

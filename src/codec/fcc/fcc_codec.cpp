@@ -348,6 +348,9 @@ FccConfig::validate() const
     util::require(static_cast<uint8_t>(backend) <
                       backend::entropyBackendCount,
                   "fcc: bad entropy backend tag");
+    // A session starts a shard and a worker per thread.
+    util::require(threads <= 1024,
+                  "fcc: thread count out of range (max 1024)");
     util::require(chunkRecords >= 1,
                   "fcc: chunkRecords must be >= 1 (every written "
                   "archive is chunked)");
@@ -376,7 +379,8 @@ FccConfig::validate() const
 std::vector<uint8_t>
 serializeDatasets(const Datasets &datasets, const FccConfig &cfg,
                   SizeBreakdown &breakdown,
-                  std::vector<ColumnStat> *columns)
+                  std::vector<ColumnStat> *columns,
+                  util::ThreadPool *pool)
 {
     if (columns != nullptr)
         columns->clear();
@@ -395,19 +399,21 @@ serializeDatasets(const Datasets &datasets, const FccConfig &cfg,
     if (cfg.container == ContainerFormat::Fcc2)
         return serializeChunked(*d, breakdown);
 
+    std::unique_ptr<util::ThreadPool> owned;
     unsigned threads = util::resolveThreads(cfg.threads);
-    std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 1)
-        pool = std::make_unique<util::ThreadPool>(threads);
+    if (!pool && threads > 1) {
+        owned = std::make_unique<util::ThreadPool>(threads);
+        pool = owned.get();
+    }
     // Degrade to the configured tier just before serialization, so
     // the columns and the index see the same (already-lossy)
     // datasets; the tier keeps the layout.
     if (cfg.fidelity != Fidelity::Exact)
         return serializeColumnar(
             applyFidelity(*d, cfg.fidelity, cfg.quantumUs), cfg.backend,
-            breakdown, pool.get(), columns, cfg.index);
-    return serializeColumnar(*d, cfg.backend, breakdown, pool.get(),
-                             columns, cfg.index);
+            breakdown, pool, columns, cfg.index);
+    return serializeColumnar(*d, cfg.backend, breakdown, pool, columns,
+                             cfg.index);
 }
 
 Datasets

@@ -401,12 +401,14 @@ class FccTraceCompressor : public TraceCompressor
  * sliced them. Every compression entry point writes through here.
  * @p breakdown reports the serialized sizes; @p columns, when
  * non-null, receives the FCC3 per-column accounting (cleared for
- * FCC2).
+ * FCC2). FCC3's column jobs run on @p pool when given, else on a
+ * pool of cfg.threads that lives for this call.
  */
 std::vector<uint8_t>
 serializeDatasets(const Datasets &datasets, const FccConfig &cfg,
                   SizeBreakdown &breakdown,
-                  std::vector<ColumnStat> *columns = nullptr);
+                  std::vector<ColumnStat> *columns = nullptr,
+                  util::ThreadPool *pool = nullptr);
 
 /**
  * Decode any FCC artifact: unwraps the legacy whole-blob zlib

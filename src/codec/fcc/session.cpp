@@ -11,11 +11,14 @@
 #include "codec/fcc/session.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
+#include <optional>
 #include <tuple>
 
 #include "trace/tsh.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/io.hpp"
 
 namespace fcc::codec::fcc {
@@ -52,10 +55,76 @@ struct CompressSession::OpenFlow
     std::vector<uint64_t> packetUs;
 };
 
+/**
+ * A flow a shard closed, waiting for the serial merge: everything
+ * the merge needs, so the shard's OpenFlow can serve the next flow.
+ */
+struct CompressSession::Close
+{
+    /** Index in the dispatch of the packet that closed the flow.
+     *  An idle expiry and the close of the flow restarted at the
+     *  same packet share it; both are one shard's, in that order. */
+    uint32_t packet = 0;
+    flow::FlowKey key;
+    uint64_t firstNs = 0;
+    uint32_t serverIp = 0;
+    uint32_t rttUs = 0;
+    /** Short flow: its S values, at Shard::values[valuesAt...]. */
+    uint32_t valuesAt = 0;
+    uint32_t length = 0;
+    /** Long flow: its position in Shard::longs, else noLong. */
+    uint32_t longAt = 0;
+    /** Short flow: the closest template of the store as it stood
+     *  when the dispatch began (TemplateStore::find). */
+    std::optional<flow::TemplateMatch> match;
+};
+
+/** One shard's open flows and what it closed this dispatch, on
+ *  cache lines of its own: each shard's worker writes it per packet. */
+struct alignas(64) CompressSession::Shard
+{
+    flow::OpenFlowIndex<OpenFlow> open;
+    std::vector<Close> closes;  ///< in merge order
+    std::vector<uint16_t> values;
+    std::vector<LongTemplate> longs;
+};
+
 namespace {
 
 /** templateRemap_ entry of a store template not referenced yet. */
 constexpr uint32_t unmappedTemplate = ~0u;
+
+/** Close::longAt of a short flow. */
+constexpr uint32_t noLong = ~0u;
+
+/**
+ * Packets of the largest dispatch: a longer feed() call is
+ * dispatched in place in slices of this many, which bounds the
+ * per-dispatch buffers (the shard of each packet, the closes that
+ * wait for the merge) and keeps packet indices in 32 bits.
+ */
+constexpr size_t maxDispatchPackets = size_t{1} << 20;
+
+/** Packets a shard picks its own from at a time. */
+constexpr size_t shardBlockPackets = 4096;
+
+/**
+ * The shard of @p pkt among @p shards: a hash of its 5-tuple that
+ * both directions of a connection share.
+ */
+uint16_t
+shardOf(const trace::PacketRecord &pkt, size_t shards)
+{
+    // Fibonacci hashing: the product's high half depends on every
+    // bit of the tuple, and one multiply keeps the caller's pass
+    // over the dispatch short.
+    uint64_t h = ((static_cast<uint64_t>(pkt.srcIp ^ pkt.dstIp) << 32) |
+                  (static_cast<uint64_t>(pkt.srcPort ^ pkt.dstPort)
+                   << 8) |
+                  pkt.protocol) *
+                 0x9e3779b97f4a7c15ull;
+    return static_cast<uint16_t>(((h >> 32) * shards) >> 32);
+}
 
 } // namespace
 
@@ -66,32 +135,168 @@ CompressSession::CompressSession(const FccConfig &cfg,
 {
     cfg_.validate();
     datasets_.weights = cfg_.weights;
+    shards_.resize(util::resolveThreads(cfg_.threads));
     stats_.epochs = 1;
 }
 
 CompressSession::~CompressSession() = default;
 
-void
-CompressSession::feedPacket(const trace::PacketRecord &pkt)
+util::ThreadPool *
+CompressSession::workers()
 {
+    if (!pool_ && shards_.size() > 1)
+        pool_ = std::make_unique<util::ThreadPool>(
+            static_cast<unsigned>(shards_.size()));
+    return pool_.get();
+}
+
+void
+CompressSession::feed(std::span<const trace::PacketRecord> batch)
+{
+    if (batch.empty())
+        return;
     util::require(!sealed_,
                   "fcc session: feed() on a sealed session "
                   "(reArm() first)");
-    util::require(pkt.timestampNs >= lastNs_,
-                  "fcc stream: input not time-ordered");
-    lastNs_ = pkt.timestampNs;
-    if (!sawPacket_) {
-        firstUs_ = pkt.timestampUs();
-        sawPacket_ = true;
+    // The order check stays on the caller: the packets before a
+    // disordered one are fed, then feed() throws.
+    size_t ordered = 0;
+    uint64_t lastNs = lastNs_;
+    for (; ordered < batch.size(); ++ordered) {
+        if (batch[ordered].timestampNs < lastNs)
+            break;
+        lastNs = batch[ordered].timestampNs;
     }
-    ++epochPackets_;
-    ++stats_.packets;
+    lastNs_ = lastNs;
+    sawPacket_ = sawPacket_ || ordered > 0;
+    epochPackets_ += ordered;
+    stats_.packets += ordered;
 
+    std::span<const trace::PacketRecord> rest = batch.first(ordered);
+    while (!rest.empty()) {
+        if (shards_.size() == 1 ||
+            (staged_.empty() && rest.size() >= feedDispatchPackets)) {
+            std::span<const trace::PacketRecord> slice =
+                rest.first(std::min(rest.size(), maxDispatchPackets));
+            settle();
+            start(slice);
+            settle();
+            rest = rest.subspan(slice.size());
+            continue;
+        }
+        size_t take = std::min(rest.size(),
+                               feedDispatchPackets - staged_.size());
+        staged_.insert(staged_.end(), rest.begin(),
+                       rest.begin() + static_cast<ptrdiff_t>(take));
+        rest = rest.subspan(take);
+        if (staged_.size() == feedDispatchPackets)
+            launchStaged();
+    }
+    util::require(ordered == batch.size(),
+                  "fcc stream: input not time-ordered");
+}
+
+void
+CompressSession::launchStaged()
+{
+    settle();
+    if (staged_.empty())
+        return;
+    std::swap(staged_, inFlight_);
+    staged_.clear();
+    start(inFlight_);
+}
+
+void
+CompressSession::start(std::span<const trace::PacketRecord> batch)
+{
+    // The shards search the store as it stands now; the merge then
+    // compares each flow with the templates inserted since.
+    searched_ = static_cast<uint32_t>(store_.size());
+    running_ = true;
+    util::ThreadPool *pool = workers();
+    if (pool == nullptr) {
+        feedShard(0, batch);
+        return;
+    }
+    shardOfPacket_.resize(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i)
+        shardOfPacket_[i] = shardOf(batch[i], shards_.size());
+    for (size_t s = 0; s < shards_.size(); ++s)
+        pool->submit([this, s, batch] { feedShard(s, batch); });
+}
+
+void
+CompressSession::settle()
+{
+    if (!running_)
+        return;
+    running_ = false;
+    if (pool_)
+        pool_->wait();
+
+    // Merge the shards' closes by packet index. A packet belongs to
+    // one shard, so only its own expiry and close can share an index,
+    // and a shard's closes are already in order.
+    size_t count = shards_.size();
+    std::vector<size_t> next(count, 0);
+    for (;;) {
+        size_t pick = count;
+        for (size_t s = 0; s < count; ++s)
+            if (next[s] < shards_[s].closes.size() &&
+                (pick == count ||
+                 shards_[s].closes[next[s]].packet <
+                     shards_[pick].closes[next[pick]].packet))
+                pick = s;
+        if (pick == count)
+            break;
+        applyClose(shards_[pick], shards_[pick].closes[next[pick]++],
+                   searched_);
+    }
+    for (Shard &shard : shards_) {
+        shard.closes.clear();
+        shard.values.clear();
+        shard.longs.clear();
+    }
+}
+
+void
+CompressSession::feedShard(size_t index,
+                           std::span<const trace::PacketRecord> batch)
+{
+    Shard &shard = shards_[index];
+    const bool whole = shards_.size() == 1;
+    std::array<uint32_t, shardBlockPackets> mine;
+    for (size_t base = 0; base < batch.size(); base += mine.size()) {
+        size_t end = std::min(batch.size(), base + mine.size());
+        size_t count = end - base;
+        if (!whole) {
+            // Pick the shard's packets without a branch per packet:
+            // the shard pattern is random, and mispredicting it
+            // costs more than the stores.
+            count = 0;
+            for (size_t i = base; i < end; ++i) {
+                mine[count] = static_cast<uint32_t>(i);
+                count += shardOfPacket_[i] == index;
+            }
+        }
+        for (size_t k = 0; k < count; ++k)
+            feedPacket(shard,
+                       static_cast<uint32_t>(whole ? base + k : mine[k]),
+                       batch);
+    }
+}
+
+void
+CompressSession::feedPacket(Shard &shard, uint32_t i,
+                            std::span<const trace::PacketRecord> batch)
+{
+    const trace::PacketRecord &pkt = batch[i];
     flow::FlowKey key = flow::FlowKey::fromPacket(pkt);
-    size_t slot = open_.admit(key, pkt, [&](OpenFlow &expired) {
-        closeFlow(key, expired);
+    size_t slot = shard.open.admit(key, pkt, [&](OpenFlow &expired) {
+        emitClose(shard, i, key, expired);
     });
-    OpenFlow &flowState = open_.at(slot);
+    OpenFlow &flowState = shard.open.at(slot);
     flow::Connection::Step step = flowState.conn.observe(pkt);
 
     flow::PacketClass cls;
@@ -109,16 +314,9 @@ CompressSession::feedPacket(const trace::PacketRecord &pkt)
     flowState.prevFromClient = step.fromClient;
 
     if (step.closed) {
-        closeFlow(key, flowState);
-        open_.erase(slot);
+        emitClose(shard, i, key, flowState);
+        shard.open.erase(slot);
     }
-}
-
-void
-CompressSession::feed(std::span<const trace::PacketRecord> batch)
-{
-    for (const trace::PacketRecord &pkt : batch)
-        feedPacket(pkt);
 }
 
 void
@@ -134,28 +332,63 @@ CompressSession::rotateChunk()
 }
 
 void
-CompressSession::closeFlow(const flow::FlowKey &key,
-                           OpenFlow &flowState)
+CompressSession::emitClose(Shard &shard, uint32_t packet,
+                           const flow::FlowKey &key,
+                           OpenFlow &flowState) const
+{
+    Close close;
+    close.packet = packet;
+    close.key = key;
+    close.firstNs = flowState.firstNs;
+    close.serverIp = flowState.conn.serverIp;
+    close.rttUs = flowState.rttUs;
+    if (flowState.sValues.size() <= cfg_.shortLimit) {
+        // The values are copied out, so the buffer stays with the
+        // flow's slot for the next flow it serves.
+        close.valuesAt = static_cast<uint32_t>(shard.values.size());
+        close.length = static_cast<uint32_t>(flowState.sValues.size());
+        close.longAt = noLong;
+        shard.values.insert(shard.values.end(),
+                            flowState.sValues.begin(),
+                            flowState.sValues.end());
+        close.match = store_.find(flowState.sValues);
+    } else {
+        LongTemplate tmpl;
+        tmpl.sValues = std::move(flowState.sValues);
+        tmpl.iptUs.resize(flowState.packetUs.size());
+        tmpl.iptUs[0] = 0;
+        for (size_t i = 1; i < flowState.packetUs.size(); ++i)
+            tmpl.iptUs[i] =
+                flowState.packetUs[i] - flowState.packetUs[i - 1];
+        // A long flow's timestamps are not kept for the next flow.
+        flowState.packetUs = {};
+        close.longAt = static_cast<uint32_t>(shard.longs.size());
+        shard.longs.push_back(std::move(tmpl));
+    }
+    shard.closes.push_back(close);
+}
+
+void
+CompressSession::applyClose(Shard &shard, const Close &close,
+                            uint32_t searched)
 {
     ++stats_.flows;
     TimeSeqRecord rec;
-    rec.firstTimestampUs = flowState.packetUs.front();
-    recordOrder_.push_back({flowState.firstNs, key});
+    rec.firstTimestampUs = close.firstNs / 1000;
+    recordOrder_.push_back({close.firstNs, close.key});
 
     auto [it, isNew] = addrIndex_.try_emplace(
-        flowState.conn.serverIp,
+        close.serverIp,
         static_cast<uint32_t>(datasets_.addresses.size()));
     if (isNew)
-        datasets_.addresses.push_back(flowState.conn.serverIp);
+        datasets_.addresses.push_back(close.serverIp);
     rec.addressIndex = it->second;
 
-    if (flowState.sValues.size() <= cfg_.shortLimit) {
-        // The store copies what it keeps, so the values buffer goes
-        // back to the flow for the next flow its slot serves.
-        flow::SfVector sf;
-        sf.values.swap(flowState.sValues);
-        flow::TemplateMatch match = store_.findOrInsert(sf);
-        flowState.sValues.swap(sf.values);
+    if (close.longAt == noLong) {
+        flow::TemplateMatch match = store_.findOrInsert(
+            std::span<const uint16_t>(shard.values).subspan(
+                close.valuesAt, close.length),
+            close.match, searched);
         if (match.isNew)
             ++templatesNew_;
         // Compact to per-epoch template indices (first-use order) so
@@ -171,21 +404,13 @@ CompressSession::closeFlow(const flow::FlowKey &key,
         }
         rec.isLong = false;
         rec.templateIndex = epochIndex;
-        rec.rttUs = flowState.rttUs;
+        rec.rttUs = close.rttUs;
     } else {
-        LongTemplate tmpl;
-        tmpl.sValues = std::move(flowState.sValues);
-        tmpl.iptUs.resize(flowState.packetUs.size());
-        tmpl.iptUs[0] = 0;
-        for (size_t i = 1; i < flowState.packetUs.size(); ++i)
-            tmpl.iptUs[i] =
-                flowState.packetUs[i] - flowState.packetUs[i - 1];
-        // A long flow's timestamps are not kept for the next flow.
-        flowState.packetUs = {};
         rec.isLong = true;
         rec.templateIndex =
             static_cast<uint32_t>(datasets_.longTemplates.size());
-        datasets_.longTemplates.push_back(std::move(tmpl));
+        datasets_.longTemplates.push_back(
+            std::move(shard.longs[close.longAt]));
     }
     datasets_.timeSeq.push_back(rec);
 }
@@ -195,22 +420,44 @@ CompressSession::closeEpoch()
 {
     util::require(!sealed_,
                   "fcc session: seal() on a sealed session");
+    launchStaged();
+    settle();
     sealed_ = true;
 
-    // Flows still open close in canonical order, not the index's
+    // Flows still open close in canonical order, not the shards'
     // unspecified one: close order picks the address-dictionary
     // order, the template first-use order and the clustering order.
-    auto still = open_.entries();
+    // The shards prepare their open flows concurrently; the keys are
+    // distinct, so the order is total.
+    auto searched = static_cast<uint32_t>(store_.size());
+    auto prepare = [&](size_t s) {
+        Shard &shard = shards_[s];
+        for (auto &[key, flowState] : shard.open.entries())
+            emitClose(shard, 0, key, *flowState);
+        shard.open.clear();
+    };
+    if (util::ThreadPool *pool = workers())
+        pool->parallelFor(shards_.size(), prepare);
+    else
+        prepare(0);
+    std::vector<std::pair<Shard *, const Close *>> still;
+    for (Shard &shard : shards_)
+        for (const Close &close : shard.closes)
+            still.emplace_back(&shard, &close);
     std::sort(still.begin(), still.end(),
               [](const auto &a, const auto &b) {
                   return flow::canonicalFlowOrderKey(a.second->firstNs,
-                                                     a.first) <
+                                                     a.second->key) <
                          flow::canonicalFlowOrderKey(b.second->firstNs,
-                                                     b.first);
+                                                     b.second->key);
               });
-    for (auto &[key, flowState] : still)
-        closeFlow(key, *flowState);
-    open_.clear();
+    for (auto &[shard, close] : still)
+        applyClose(*shard, *close, searched);
+    for (Shard &shard : shards_) {
+        shard.closes.clear();
+        shard.values.clear();
+        shard.longs.clear();
+    }
 
     // Flows close out of order; the time-seq dataset is in canonical
     // flow order. Equal keys (a 5-tuple reused within one
@@ -273,9 +520,9 @@ CompressSession::seal(SealInfo *info)
 
     SizeBreakdown sizes;
     // Container dispatch (FCC2/FCC3); FCC3 runs its per-column
-    // encode jobs on cfg.threads.
+    // encode jobs on the session's pool.
     std::vector<uint8_t> bytes =
-        serializeDatasets(datasets_, cfg_, sizes);
+        serializeDatasets(datasets_, cfg_, sizes, nullptr, workers());
 
     uint64_t records = datasets_.timeSeq.size();
     uint64_t chunks = datasets_.chunkSizes.size();
@@ -304,13 +551,14 @@ CompressSession::resetEpoch()
     datasets_ = Datasets{};
     datasets_.weights = cfg_.weights;
     recordOrder_.clear();
-    open_.clear();
+    for (Shard &shard : shards_)
+        shard.open.clear();
+    staged_.clear();
     addrIndex_.clear();
     templateRemap_.clear();
     templateOrder_.clear();
     chunkCutsUs_.clear();
     lastNs_ = 0;
-    firstUs_ = 0;
     sawPacket_ = false;
     epochPackets_ = 0;
     templatesNew_ = 0;

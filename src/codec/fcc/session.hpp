@@ -39,6 +39,7 @@
 #ifndef FCC_CODEC_FCC_SESSION_HPP
 #define FCC_CODEC_FCC_SESSION_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -53,6 +54,19 @@
 #include "util/thread_pool.hpp"
 
 namespace fcc::codec::fcc {
+
+/**
+ * Packets per staged feed dispatch. A feed() call at least this
+ * large is dispatched in place, without a copy, and the call returns
+ * once the shards are done with it. Smaller calls (the ingest loop's
+ * ingestBatchRecords reads, perfbench's 4096-record ones) are copied
+ * into a staging buffer; a full buffer is dispatched to the shards,
+ * which work on it while the caller goes on feeding the next one,
+ * so one pool round trip serves many small calls and the wake-up of
+ * the workers overlaps the caller's reading. Staging never changes
+ * an archive: seal() dispatches what is staged first.
+ */
+constexpr size_t feedDispatchPackets = 16384;
 
 /** Session behaviour knobs (the codec knobs live in FccConfig). */
 struct SessionOptions
@@ -91,6 +105,19 @@ struct SealInfo
  * shells over a single-epoch session; anything they can produce, a
  * session seals byte-identically. ingest() (stream.hpp) is the one
  * loop that drives a session from a TraceSource.
+ *
+ * The feed is sharded: the open flows live in one shard per worker
+ * (FccConfig::threads, resolved), a packet goes to the shard of its
+ * 5-tuple hash, and the shards assemble, characterize and pre-cluster
+ * their packets concurrently on the session's pool. The flows they
+ * close merge on the caller's thread in the order a serial session
+ * closes them — by the index of the closing packet, an idle expiry
+ * before the restart at the same packet — and only that merge
+ * touches the address dictionary, the template store and the
+ * datasets, so the archive bytes do not depend on the thread count.
+ * A dispatch's merge runs when the next dispatch starts, or at
+ * seal() (feedDispatchPackets). The same pool runs seal()'s column
+ * encode jobs. At one thread there is one shard, run inline.
  */
 class CompressSession
 {
@@ -108,8 +135,14 @@ class CompressSession
     CompressSession(const CompressSession &) = delete;
     CompressSession &operator=(const CompressSession &) = delete;
 
-    /** Feed packets in order. @throws fcc::util::Error when sealed
-     *  or on time-disordered input. */
+    /**
+     * Feed packets in order. The order check runs before any packet
+     * is dispatched: on a disordered packet the packets before it are
+     * fed, and then this throws.
+     *
+     * @throws fcc::util::Error when sealed or on time-disordered
+     *         input.
+     */
     void feed(std::span<const trace::PacketRecord> batch);
 
     /**
@@ -170,6 +203,8 @@ class CompressSession
 
   private:
     struct OpenFlow;
+    struct Close;
+    struct Shard;
 
     /** Where a closed flow sorts in the time-seq dataset. */
     struct RecordOrder
@@ -178,8 +213,25 @@ class CompressSession
         flow::FlowKey key;
     };
 
-    void feedPacket(const trace::PacketRecord &pkt);
-    void closeFlow(const flow::FlowKey &key, OpenFlow &flowState);
+    /** The session's pool, started on first use; none at 1 thread. */
+    util::ThreadPool *workers();
+    /** Start the shards on time-ordered @p batch, which must stay
+     *  valid until settle(); on the pool they run while the caller
+     *  goes on. */
+    void start(std::span<const trace::PacketRecord> batch);
+    /** Wait for the dispatch under way, if any, and merge the flows
+     *  it closed. */
+    void settle();
+    /** settle(), then start the staged packets as the next dispatch. */
+    void launchStaged();
+    void feedShard(size_t index,
+                   std::span<const trace::PacketRecord> batch);
+    void feedPacket(Shard &shard, uint32_t i,
+                    std::span<const trace::PacketRecord> batch);
+    void emitClose(Shard &shard, uint32_t packet,
+                   const flow::FlowKey &key, OpenFlow &flowState) const;
+    void applyClose(Shard &shard, const Close &close,
+                    uint32_t searched);
     void closeEpoch();
     void resetEpoch();
 
@@ -192,7 +244,19 @@ class CompressSession
     Datasets datasets_;
     /** Sort key of each datasets_.timeSeq record, parallel to it. */
     std::vector<RecordOrder> recordOrder_;
-    flow::OpenFlowIndex<OpenFlow> open_;
+    /** Open flows by 5-tuple hash: one shard per worker thread. */
+    std::vector<Shard> shards_;
+    /** The shard of each packet of the dispatch under way. */
+    std::vector<uint16_t> shardOfPacket_;
+    /** Fed packets not dispatched yet: smaller feed() calls gather
+     *  here into one dispatch of feedDispatchPackets. */
+    std::vector<trace::PacketRecord> staged_;
+    /** The staged packets of the dispatch under way. */
+    std::vector<trace::PacketRecord> inFlight_;
+    /** A dispatch was started and not settled yet. */
+    bool running_ = false;
+    /** Store size when that dispatch started. */
+    uint32_t searched_ = 0;
     std::unordered_map<uint32_t, uint32_t> addrIndex_;
     /** store index -> this epoch's compacted template index, or
      *  unmappedTemplate. */
@@ -202,13 +266,15 @@ class CompressSession
     /** rotateChunk() cut positions: last fed timestamp (µs). */
     std::vector<uint64_t> chunkCutsUs_;
     uint64_t lastNs_ = 0;
-    uint64_t firstUs_ = 0;
     bool sawPacket_ = false;
     uint64_t epochPackets_ = 0;
     uint64_t templatesNew_ = 0;
     bool sealed_ = false;
 
     StreamStats stats_;
+    /** Declared last, so destroyed first: its destructor waits for a
+     *  dispatch still running on the shards. */
+    std::unique_ptr<util::ThreadPool> pool_;
 };
 
 /**

@@ -95,8 +95,10 @@ class FirstOccurrenceDict
     std::vector<uint64_t> entries_;
 };
 
+/** Dict's exact size, or some partial sum of at least @p limit as
+ *  soon as the size is known to reach it. */
 uint64_t
-dictSize(std::span<const uint64_t> values)
+dictSize(std::span<const uint64_t> values, uint64_t limit = ~0ull)
 {
     FirstOccurrenceDict dict;
     uint64_t bytes = 0;
@@ -106,16 +108,20 @@ dictSize(std::span<const uint64_t> values)
         if (index == known)
             bytes += varintLen(v);
         bytes += varintLen(index);
+        if (bytes >= limit)
+            return bytes;
     }
     return bytes + varintLen(dict.entries().size());
 }
 
+/** Rle's exact size, or some partial sum of at least @p limit as
+ *  soon as the size is known to reach it. */
 uint64_t
-rleSize(std::span<const uint64_t> values)
+rleSize(std::span<const uint64_t> values, uint64_t limit = ~0ull)
 {
     uint64_t bytes = 0;
     size_t i = 0;
-    while (i < values.size()) {
+    while (i < values.size() && bytes < limit) {
         size_t run = 1;
         while (i + run < values.size() &&
                values[i + run] == values[i])
@@ -181,17 +187,24 @@ isOnGrid(std::span<const uint64_t> values, uint64_t quantum)
 FieldCodec
 chooseCodec(std::span<const uint64_t> values)
 {
+    // Codecs are offered in tag order and win only when strictly
+    // smaller, so a tie goes to the lowest tag. Dict and Rle stop
+    // sizing once they reach the best size so far: they lose then.
     FieldCodec best = FieldCodec::Plain;
     uint64_t bestSize = plainSize(values);
-    const FieldCodec rest[] = {FieldCodec::ZigzagDelta,
-                               FieldCodec::Dict, FieldCodec::Rle};
-    for (FieldCodec codec : rest) {
-        uint64_t size = encodedSize(values, codec);
+    auto offer = [&](FieldCodec codec, uint64_t size) {
         if (size < bestSize) {
             best = codec;
             bestSize = size;
         }
-    }
+    };
+    offer(FieldCodec::ZigzagDelta, zigzagDeltaSize(values));
+    // Dict spends at least a byte on each value's index, a byte on
+    // each distinct value and one on the count: n + 2 bytes when
+    // n >= 1, one when n == 0. It cannot beat a best of n + 2.
+    if (bestSize > values.size() + 2)
+        offer(FieldCodec::Dict, dictSize(values, bestSize));
+    offer(FieldCodec::Rle, rleSize(values, bestSize));
     return best;
 }
 

@@ -142,14 +142,15 @@ Characterizer::maxValue() const
 }
 
 uint64_t
-sfDistance(const SfVector &a, const SfVector &b, uint64_t limit)
+sfDistance(std::span<const uint16_t> a, std::span<const uint16_t> b,
+           uint64_t limit)
 {
     util::require(a.size() == b.size(),
                   "sfDistance: vectors differ in length");
     uint64_t total = 0;
-    for (size_t i = 0; i < a.values.size(); ++i) {
-        int32_t diff = static_cast<int32_t>(a.values[i]) -
-                       static_cast<int32_t>(b.values[i]);
+    for (size_t i = 0; i < a.size(); ++i) {
+        int32_t diff = static_cast<int32_t>(a[i]) -
+                       static_cast<int32_t>(b[i]);
         total += static_cast<uint64_t>(diff < 0 ? -diff : diff);
         if (total >= limit)
             return total;

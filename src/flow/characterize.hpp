@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "flow/flow_table.hpp"
@@ -160,8 +161,16 @@ class ClassTable
  *
  * @throws fcc::util::Error on length mismatch.
  */
-uint64_t sfDistance(const SfVector &a, const SfVector &b,
+uint64_t sfDistance(std::span<const uint16_t> a,
+                    std::span<const uint16_t> b,
                     uint64_t limit = ~0ull);
+
+/** sfDistance() of two SF vectors' values. */
+inline uint64_t
+sfDistance(const SfVector &a, const SfVector &b, uint64_t limit = ~0ull)
+{
+    return sfDistance(a.values, b.values, limit);
+}
 
 /** Max distance between two S values of different flows (§3). */
 inline constexpr uint32_t maxPacketDistance = 50;

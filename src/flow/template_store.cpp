@@ -8,6 +8,8 @@
 
 #include "flow/template_store.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace fcc::flow {
@@ -17,36 +19,52 @@ TemplateStore::TemplateStore(const SimilarityRule &rule)
 {
 }
 
-std::optional<TemplateMatch>
-TemplateStore::find(const SfVector &sf) const
+void
+TemplateStore::closer(std::span<const uint16_t> values, uint32_t from,
+                      std::optional<TemplateMatch> &best) const
 {
-    if (sf.size() >= byLength_.size())
-        return std::nullopt;
-    uint64_t dSim = rule_.threshold(sf.size());
-
+    if (values.size() >= byLength_.size() ||
+        (best && best->distance == 0))
+        return;
     // Pick the closest qualifying template, not merely the first:
     // assigning each flow to its nearest cluster centre keeps the
-    // clusters tight and the reconstruction error minimal.
-    std::optional<TemplateMatch> best;
-    for (uint32_t idx : byLength_[sf.size()]) {
-        uint64_t d = sfDistance(templates_[idx], sf, dSim);
-        if (d < dSim && (!best || d < best->distance)) {
-            best = TemplateMatch{idx, false, d};
+    // clusters tight and the reconstruction error minimal. Nothing
+    // at or past the best distance so far can win, so the distance
+    // stops counting there.
+    uint64_t limit =
+        best ? best->distance : rule_.threshold(values.size());
+    const std::vector<uint32_t> &bucket = byLength_[values.size()];
+    for (auto it = std::lower_bound(bucket.begin(), bucket.end(), from);
+         it != bucket.end(); ++it) {
+        uint64_t d = sfDistance(templates_[*it].values, values, limit);
+        if (d < limit) {
+            best = TemplateMatch{*it, false, d};
+            limit = d;
             if (d == 0)
                 break;
         }
     }
+}
+
+std::optional<TemplateMatch>
+TemplateStore::find(std::span<const uint16_t> values) const
+{
+    std::optional<TemplateMatch> best;
+    closer(values, 0, best);
     return best;
 }
 
 TemplateMatch
-TemplateStore::findOrInsert(const SfVector &sf)
+TemplateStore::findOrInsert(std::span<const uint16_t> values,
+                            std::optional<TemplateMatch> older,
+                            uint32_t searched)
 {
-    if (auto hit = find(sf)) {
-        ++populations_[hit->index];
-        return *hit;
+    closer(values, searched, older);
+    if (older) {
+        ++populations_[older->index];
+        return *older;
     }
-    uint32_t index = insert(sf);
+    uint32_t index = insert(SfVector{{values.begin(), values.end()}});
     ++populations_[index];
     return TemplateMatch{index, true, 0};
 }

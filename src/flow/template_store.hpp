@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "flow/characterize.hpp"
@@ -42,13 +43,39 @@ class TemplateStore
      * Find the closest same-length template within d_sim, inserting
      * @p sf as a new template when none qualifies.
      */
-    TemplateMatch findOrInsert(const SfVector &sf);
+    TemplateMatch
+    findOrInsert(const SfVector &sf)
+    {
+        return findOrInsert(sf.values);
+    }
+
+    /**
+     * findOrInsert() of a flow's S values whose closest template
+     * among the first @p searched is already known: @p older is what
+     * find(values) returned while the store held only those, and
+     * only the templates inserted since are compared. Indices grow
+     * with insertion, so a later template wins only when strictly
+     * closer, and the answer is the full search's.
+     */
+    TemplateMatch
+    findOrInsert(std::span<const uint16_t> values,
+                 std::optional<TemplateMatch> older = std::nullopt,
+                 uint32_t searched = 0);
 
     /**
      * Find the closest same-length template within d_sim without
-     * inserting. Returns nullopt on miss.
+     * inserting; the lowest index wins a tie. Returns nullopt on
+     * miss.
      */
-    std::optional<TemplateMatch> find(const SfVector &sf) const;
+    std::optional<TemplateMatch>
+    find(std::span<const uint16_t> values) const;
+
+    /** find() of an SF vector over the whole store. */
+    std::optional<TemplateMatch>
+    find(const SfVector &sf) const
+    {
+        return find(sf.values);
+    }
 
     /** Append a template unconditionally (decompressor load path). */
     uint32_t insert(const SfVector &sf);
@@ -71,6 +98,11 @@ class TemplateStore
     const SimilarityRule &rule() const { return rule_; }
 
   private:
+    /** Replace @p best by any template of index @p from and up that
+     *  is strictly closer (and within d_sim). */
+    void closer(std::span<const uint16_t> values, uint32_t from,
+                std::optional<TemplateMatch> &best) const;
+
     SimilarityRule rule_;
     std::vector<SfVector> templates_;
     std::vector<uint64_t> populations_;

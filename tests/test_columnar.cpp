@@ -136,6 +136,56 @@ TEST(FieldCodec, ChooserMatchesColumnShape)
     EXPECT_EQ(field::chooseCodec(rtts), field::FieldCodec::Dict);
 }
 
+TEST(FieldCodec, ChooserIsTheArgminOfEncodedSize)
+{
+    // chooseCodec() skips and cuts short some sizings; its pick must
+    // still be the smallest encodedSize(), the lowest tag on a tie.
+    // Short columns over a small alphabet, with runs or without,
+    // reach every winner and many ties; n = 0 and n = 1 come up
+    // often.
+    util::Rng rng(0x5eed);
+    const uint64_t alphabet[] = {0, 1, 127, 128, 300, 70000, ~0ull};
+    size_t wins[field::fieldCodecCount] = {};
+    size_t ties = 0;
+    for (int iter = 0; iter < 4000; ++iter) {
+        std::vector<uint64_t> values;
+        size_t n = rng.uniformInt(0, iter % 4 == 0 ? 2 : 60);
+        size_t distinct = rng.uniformInt(1, 7);
+        while (values.size() < n) {
+            uint64_t v = alphabet[rng.uniformInt(0, distinct - 1)];
+            if (rng.uniformInt(0, 5) == 0)
+                v += values.size();  // a sorted stretch
+            size_t run = iter % 3 == 1 ? 1 : rng.uniformInt(1, 12);
+            for (size_t r = 0; r < run && values.size() < n; ++r)
+                values.push_back(v);
+        }
+        field::FieldCodec want = field::FieldCodec::Plain;
+        uint64_t wantSize = field::encodedSize(values, want);
+        size_t tied = 0;
+        for (field::FieldCodec codec : allCodecs) {
+            uint64_t size = field::encodedSize(values, codec);
+            if (size < wantSize) {
+                want = codec;
+                wantSize = size;
+                tied = 0;
+            } else if (size == wantSize && codec != want) {
+                ++tied;
+            }
+        }
+        ASSERT_EQ(field::chooseCodec(values), want)
+            << "iteration " << iter << ", n " << values.size();
+        ++wins[static_cast<size_t>(want)];
+        ties += tied > 0;
+    }
+    for (field::FieldCodec codec : allCodecs)
+        EXPECT_GT(wins[static_cast<size_t>(codec)], 0u)
+            << fieldCodecName(codec);
+    EXPECT_GT(ties, 0u);
+
+    // An empty column sizes 0 under Plain, ZigzagDelta and Rle.
+    EXPECT_EQ(field::chooseCodec({}), field::FieldCodec::Plain);
+}
+
 TEST(FieldCodec, RejectsMalformedColumns)
 {
     std::vector<uint64_t> values = {1, 2, 3};

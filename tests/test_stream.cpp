@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <span>
@@ -1464,5 +1465,276 @@ TEST(Stream, DrainMatchesGoldenReferences)
             EXPECT_TRUE(fcc::test::samePackets(out.packets(), reference));
             EXPECT_EQ(trace::writeTsh(out), expected);
         }
+    }
+}
+
+// ---- sharded feed: the same bytes at any thread count --------------------
+
+namespace {
+
+/**
+ * Every way a flow ends, for the sharded feed: web flows (FIN and
+ * RST closes), RST-closed handshakes, long transfers of 80 packets
+ * (every third left open at seal), 5-tuples that come back after
+ * the 60 s idle timeout — with an RST that closes both the expired
+ * flow and the flow it starts, or with an ACK that starts a flow
+ * left open — and one 5-tuple that opens three flows in one
+ * nanosecond, closing the first two.
+ */
+trace::Trace
+shardedFeedTrace()
+{
+    using namespace trace::tcp_flags;
+    trace::WebGenConfig web;
+    web.seed = 41;
+    web.durationSec = smokeTests() ? 8.0 : 12.0;
+    web.flowsPerSec = 300.0;
+    std::vector<trace::PacketRecord> packets =
+        trace::WebTrafficGenerator(web).generate().packets();
+    const uint32_t server = 0xc0a80009;
+    for (uint16_t f = 0; f < 12; ++f) {
+        uint32_t client = 0x0d000001 + f;
+        auto port = static_cast<uint16_t>(50000 + f);
+        uint64_t start = 1000 + uint64_t{f} * 70000;
+        addPacket(packets, start, client, port, server, 80, Syn);
+        for (uint64_t i = 1; i < 79; ++i) {
+            if (i % 3)
+                addPacket(packets, start + 900 * i, server, 80, client,
+                          port, Ack, static_cast<uint16_t>(100 * f));
+            else
+                addPacket(packets, start + 900 * i, client, port,
+                          server, 80, Ack);
+        }
+        if (f % 3 != 0)
+            addPacket(packets, start + 900 * 79, client, port, server,
+                      80, Rst);
+    }
+    for (uint16_t f = 0; f < 200; ++f) {
+        uint32_t client = 0x0e000001 + f % 17;
+        auto port = static_cast<uint16_t>(20000 + f);
+        uint64_t start = 500 + uint64_t{f} * 9000;
+        addPacket(packets, start, client, port, server, 443, Syn);
+        addPacket(packets, start + 40, server, 443, client, port,
+                  Syn | Ack);
+        addPacket(packets, start + 90 + f % 7, client, port, server,
+                  443, Rst);
+    }
+    const uint64_t idleUs = flow::flowIdleTimeoutNs / 1000;
+    for (uint16_t f = 0; f < 24; ++f) {
+        uint32_t client = 0x0f000001 + f;
+        auto port = static_cast<uint16_t>(30000 + f);
+        uint64_t start = 2000 + uint64_t{f} * 40000;
+        addPacket(packets, start, client, port, server, 80, Syn);
+        addPacket(packets, start + 300, server, 80, client, port,
+                  Syn | Ack, static_cast<uint16_t>(f * 40));
+        addPacket(packets, start + 300 + idleUs + 1 + f, client, port,
+                  server, 80, f % 2 ? Rst : Ack);
+    }
+    trace::PacketRecord reused = tcpPacket(3000000500, 0x0a0a0a0a, 4242,
+                                           server, 8080, Syn);
+    for (uint8_t flags : {Syn, Rst, Syn, Ack, Rst, Syn}) {
+        reused.tcpFlags = flags;
+        reused.payloadBytes = flags == Ack ? 600 : 0;
+        packets.push_back(reused);
+    }
+    std::stable_sort(packets.begin(), packets.end(),
+                     [](const trace::PacketRecord &a,
+                        const trace::PacketRecord &b) {
+                         return a.timestampNs < b.timestampNs;
+                     });
+    return trace::Trace(std::move(packets));
+}
+
+/** The archive configuration of the sharded-feed tests: FCC3 with
+ *  small chunks and the index. */
+fccc::FccConfig
+shardedFeedConfig(uint32_t threads)
+{
+    fccc::FccConfig cfg;
+    cfg.container = fccc::ContainerFormat::Fcc3;
+    cfg.chunkRecords = 64;
+    cfg.index = true;
+    cfg.threads = threads;
+    return cfg;
+}
+
+/** Feed @p packets to @p session in calls cycling through @p sizes. */
+void
+feedInCalls(fccc::CompressSession &session,
+            std::span<const trace::PacketRecord> packets,
+            std::initializer_list<size_t> sizes)
+{
+    size_t next = 0;
+    for (size_t i = 0; i < packets.size();) {
+        size_t take = std::min(*(sizes.begin() + next % sizes.size()),
+                               packets.size() - i);
+        session.feed(packets.subspan(i, take));
+        i += take;
+        ++next;
+    }
+}
+
+/** The sorted set of this process's thread ids (Linux). */
+std::vector<std::string>
+threadIds()
+{
+    std::vector<std::string> ids;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ids.push_back(entry.path().filename().string());
+    std::sort(ids.begin(), ids.end());
+    return ids;
+}
+
+} // namespace
+
+TEST(Stream, ShardedFeedWritesTheSameBytes)
+{
+    // One archive whatever the shard count and the feed call sizes:
+    // flows closed by FIN, RST and idle expiry, long flows, a
+    // 5-tuple reused within one nanosecond and flows still open at
+    // seal all merge in the serial session's close order.
+    trace::Trace tr = shardedFeedTrace();
+    fccc::Datasets shape;
+    std::vector<uint8_t> reference;
+    {
+        fccc::CompressSession serial(shardedFeedConfig(1));
+        for (const trace::PacketRecord &pkt : tr.packets())
+            serial.feed({&pkt, 1});
+        reference = serial.seal();
+        shape = fccc::deserializeAuto(reference, 1);
+    }
+    // The trace has its shape: long flows, and the flows the
+    // FlowTable assembles, expired and reused 5-tuples included.
+    EXPECT_GE(shape.longTemplates.size(), 12u);
+    EXPECT_EQ(shape.timeSeq.size(),
+              flow::FlowTable().assemble(tr).size());
+
+    for (uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(threads);
+        fccc::FccConfig cfg = shardedFeedConfig(threads);
+        // Calls below feedDispatchPackets are staged; calls of it
+        // and more (the whole trace at once, too) run in place.
+        for (size_t batch :
+             {size_t{1}, size_t{256}, size_t{4096}, size_t{10000},
+              fccc::feedDispatchPackets, tr.size()}) {
+            SCOPED_TRACE(batch);
+            EXPECT_EQ(sessionBytes(tr, cfg, batch), reference);
+        }
+        // Staged calls that a larger one tops up.
+        fccc::CompressSession mixed(cfg);
+        feedInCalls(mixed, tr.packets(),
+                    {1, 256, 4096, 10000, 7, fccc::feedDispatchPackets});
+        EXPECT_EQ(mixed.seal(), reference);
+    }
+}
+
+TEST(Stream, ShardedFeedCarriesTemplatesAcrossReArm)
+{
+    // Three epochs through reArm() with the template store carried:
+    // each archive is the one-thread session's, chunk cuts included.
+    trace::Trace tr = shardedFeedTrace();
+    std::span<const trace::PacketRecord> all(tr.packets());
+    const size_t cuts[] = {0, all.size() / 3, all.size() * 3 / 4,
+                           all.size()};
+    auto epochs = [&](uint32_t threads) {
+        fccc::CompressSession session(shardedFeedConfig(threads));
+        std::vector<std::vector<uint8_t>> archives;
+        for (size_t e = 0; e + 1 < std::size(cuts); ++e) {
+            if (e > 0)
+                session.reArm();
+            std::span<const trace::PacketRecord> epoch =
+                all.subspan(cuts[e], cuts[e + 1] - cuts[e]);
+            size_t half = epoch.size() / 2;
+            feedInCalls(session, epoch.first(half), {256});
+            session.rotateChunk();
+            feedInCalls(session, epoch.subspan(half), {4096, 300});
+            archives.push_back(session.seal());
+        }
+        return archives;
+    };
+    std::vector<std::vector<uint8_t>> reference = epochs(1);
+    // The last epoch clusters short flows against the carried store.
+    fccc::Datasets last = fccc::deserializeAuto(reference.back(), 1);
+    EXPECT_FALSE(last.shortTemplates.empty());
+    for (uint32_t threads : {2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(threads);
+        EXPECT_EQ(epochs(threads), reference);
+    }
+}
+
+TEST(Stream, ShardedFeedThrowsAfterTheOrderedPrefix)
+{
+    // A disordered packet in the middle of a batch: feed() throws
+    // after exactly the packets before it, staged or dispatched, and
+    // the session seals them as a serial session fed only those.
+    trace::Trace tr = shardedFeedTrace();
+    std::vector<trace::PacketRecord> packets(tr.packets().begin(),
+                                             tr.packets().end());
+    const size_t bad = packets.size() / 2;
+    ASSERT_GT(bad, fccc::feedDispatchPackets);
+    ASSERT_GT(packets[bad - 1].timestampNs, 0u);
+    packets.insert(packets.begin() + static_cast<ptrdiff_t>(bad),
+                   packets[bad - 1]);
+    packets[bad].timestampNs = packets[bad - 1].timestampNs - 1;
+    std::span<const trace::PacketRecord> all(packets);
+
+    fccc::CompressSession serial(shardedFeedConfig(1));
+    serial.feed(all.first(bad));
+    std::vector<uint8_t> reference = serial.seal();
+
+    // The bad packet sits in one call whose ordered part runs in
+    // place; then in a staged call of 10,000 after staged calls of
+    // 100, 5,000 packets in and three packets in.
+    const size_t leads[] = {0, bad - 5000, bad - 3};
+    for (uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(threads);
+        for (size_t lead : leads) {
+            SCOPED_TRACE(lead);
+            fccc::CompressSession session(shardedFeedConfig(threads));
+            feedInCalls(session, all.first(lead), {100});
+            size_t call = lead == 0 ? bad + 1000 : 10000;
+            EXPECT_THROW(session.feed(all.subspan(lead, call)),
+                         util::Error);
+            EXPECT_EQ(session.stats().packets, bad);
+            EXPECT_EQ(session.seal(), reference);
+        }
+    }
+
+    // A session dropped while a staged dispatch runs waits for it.
+    fccc::CompressSession dropped(shardedFeedConfig(4));
+    feedInCalls(dropped,
+                std::span<const trace::PacketRecord>(tr.packets())
+                    .first(2 * fccc::feedDispatchPackets),
+                {256});
+}
+
+TEST(Stream, OneSessionPoolCarriesEveryEpoch)
+{
+    // A 4-thread session starts one pool, for its feed shards and its
+    // seals' column-encode jobs, and keeps it: after every seal of
+    // four epochs through reArm() the process has the same four
+    // threads more than before the session.
+    trace::Trace tr = shardedFeedTrace();
+    std::span<const trace::PacketRecord> all(tr.packets());
+    std::vector<std::string> before = threadIds();
+    fccc::CompressSession session(shardedFeedConfig(4));
+    std::vector<std::string> pool;
+    for (size_t e = 0; e < 4; ++e) {
+        SCOPED_TRACE(e);
+        if (e > 0)
+            session.reArm();
+        feedInCalls(session, all.subspan(e * all.size() / 4,
+                                         all.size() / 4),
+                    {4096});
+        session.seal();
+        std::vector<std::string> now = threadIds();
+        std::vector<std::string> added;
+        std::set_difference(now.begin(), now.end(), before.begin(),
+                            before.end(), std::back_inserter(added));
+        EXPECT_EQ(added.size(), 4u);
+        if (e == 0)
+            pool = added;
+        EXPECT_EQ(added, pool);
     }
 }

@@ -145,8 +145,9 @@ main(int argc, char **argv)
               });
     flags.add("--threads", "N",
               "pipeline workers, 0 = all cores (default;\n"
-              "output bytes never depend on it; a gzip'd\n"
-              "input inflates on one more thread)",
+              "the feed's shards and the seal's column\n"
+              "jobs; output bytes never depend on it; a\n"
+              "gzip'd input inflates on one more thread)",
               [&](const char *v) {
                   config.codec.threads =
                       static_cast<uint32_t>(cli::parseUnsigned(
