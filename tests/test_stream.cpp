@@ -598,6 +598,17 @@ TEST(Stream, ConfigRejectsUnchunkedLayout)
     EXPECT_THROW(fccc::chunkLayout(10, 0), util::Error);
 }
 
+TEST(Stream, SessionRejectsMoreThan1024Threads)
+{
+    // A session starts a shard and a worker per thread, so it checks
+    // the count before it starts any (fccd and fcctool compress run
+    // on a session).
+    fccc::FccConfig cfg;
+    cfg.threads = 1025;
+    EXPECT_THROW(cfg.validate(), util::Error);
+    EXPECT_THROW(fccc::CompressSession{cfg}, util::Error);
+}
+
 TEST(Stream, RotatedLayoutIsContainerIndependent)
 {
     // The session fixes the chunk layout once, time cuts included,
