@@ -348,7 +348,9 @@ FccConfig::validate() const
     util::require(static_cast<uint8_t>(backend) <
                       backend::entropyBackendCount,
                   "fcc: bad entropy backend tag");
-    // A session starts a shard and a worker per thread.
+    // 0 means auto; anything explicit must be sane (catches signed
+    // garbage like --threads -1 wrapped through uint32_t): a session
+    // starts a shard and a worker per thread.
     util::require(threads <= 1024,
                   "fcc: thread count out of range (max 1024)");
     util::require(chunkRecords >= 1,
@@ -448,10 +450,7 @@ FccTraceCompressor::FccTraceCompressor(const FccConfig &cfg)
                   "fcc: weights produce S values above one byte");
     util::require(cfg_.shortLimit >= 1,
                   "fcc: short/long split must be >= 1 packet");
-    // 0 means auto; anything explicit must be sane (catches signed
-    // garbage like --threads -1 wrapped through uint32_t).
-    util::require(cfg_.threads <= 1024,
-                  "fcc: thread count out of range (max 1024)");
+    cfg_.validate();
 }
 
 Datasets

@@ -61,6 +61,13 @@ struct CompressSession::OpenFlow
  */
 struct CompressSession::Close
 {
+    Close(uint32_t closing, const flow::FlowKey &flowKey,
+          const OpenFlow &flowState)
+        : packet(closing), key(flowKey), firstNs(flowState.firstNs),
+          serverIp(flowState.conn.serverIp), rttUs(flowState.rttUs)
+    {
+    }
+
     /** Index in the dispatch of the packet that closed the flow.
      *  An idle expiry and the close of the flow restarted at the
      *  same packet share it; both are one shard's, in that order. */
@@ -97,14 +104,6 @@ constexpr uint32_t unmappedTemplate = ~0u;
 /** Close::longAt of a short flow. */
 constexpr uint32_t noLong = ~0u;
 
-/**
- * Packets of the largest dispatch: a longer feed() call is
- * dispatched in place in slices of this many, which bounds the
- * per-dispatch buffers (the shard of each packet, the closes that
- * wait for the merge) and keeps packet indices in 32 bits.
- */
-constexpr size_t maxDispatchPackets = size_t{1} << 20;
-
 /** Packets a shard picks its own from at a time. */
 constexpr size_t shardBlockPackets = 4096;
 
@@ -124,6 +123,22 @@ shardOf(const trace::PacketRecord &pkt, size_t shards)
                   pkt.protocol) *
                  0x9e3779b97f4a7c15ull;
     return static_cast<uint16_t>(((h >> 32) * shards) >> 32);
+}
+
+/** A long flow's template: its S values and inter-packet times. */
+LongTemplate
+longTemplateOf(std::vector<uint16_t> &sValues,
+               std::vector<uint64_t> &packetUs)
+{
+    LongTemplate tmpl;
+    tmpl.sValues = std::move(sValues);
+    tmpl.iptUs.resize(packetUs.size());
+    tmpl.iptUs[0] = 0;
+    for (size_t i = 1; i < packetUs.size(); ++i)
+        tmpl.iptUs[i] = packetUs[i] - packetUs[i - 1];
+    // A long flow's timestamps are not kept for the next flow.
+    packetUs = {};
+    return tmpl;
 }
 
 } // namespace
@@ -159,31 +174,28 @@ CompressSession::feed(std::span<const trace::PacketRecord> batch)
                   "fcc session: feed() on a sealed session "
                   "(reArm() first)");
     // The order check stays on the caller: the packets before a
-    // disordered one are fed, then feed() throws.
+    // disordered one are fed, then feed() throws. One shard runs
+    // inline, each packet as it passes the check; more shards get
+    // the checked packets staged.
+    const bool inlineShard = shards_.size() == 1;
     size_t ordered = 0;
     uint64_t lastNs = lastNs_;
     for (; ordered < batch.size(); ++ordered) {
-        if (batch[ordered].timestampNs < lastNs)
+        const trace::PacketRecord &pkt = batch[ordered];
+        if (pkt.timestampNs < lastNs)
             break;
-        lastNs = batch[ordered].timestampNs;
+        lastNs = pkt.timestampNs;
+        if (inlineShard)
+            feedPacket(shards_[0], 0, pkt);
     }
     lastNs_ = lastNs;
     sawPacket_ = sawPacket_ || ordered > 0;
     epochPackets_ += ordered;
     stats_.packets += ordered;
 
-    std::span<const trace::PacketRecord> rest = batch.first(ordered);
+    std::span<const trace::PacketRecord> rest =
+        inlineShard ? batch.first(0) : batch.first(ordered);
     while (!rest.empty()) {
-        if (shards_.size() == 1 ||
-            (staged_.empty() && rest.size() >= feedDispatchPackets)) {
-            std::span<const trace::PacketRecord> slice =
-                rest.first(std::min(rest.size(), maxDispatchPackets));
-            settle();
-            start(slice);
-            settle();
-            rest = rest.subspan(slice.size());
-            continue;
-        }
         size_t take = std::min(rest.size(),
                                feedDispatchPackets - staged_.size());
         staged_.insert(staged_.end(), rest.begin(),
@@ -204,26 +216,16 @@ CompressSession::launchStaged()
         return;
     std::swap(staged_, inFlight_);
     staged_.clear();
-    start(inFlight_);
-}
-
-void
-CompressSession::start(std::span<const trace::PacketRecord> batch)
-{
     // The shards search the store as it stands now; the merge then
     // compares each flow with the templates inserted since.
     searched_ = static_cast<uint32_t>(store_.size());
     running_ = true;
+    shardOfPacket_.resize(inFlight_.size());
+    for (size_t i = 0; i < inFlight_.size(); ++i)
+        shardOfPacket_[i] = shardOf(inFlight_[i], shards_.size());
     util::ThreadPool *pool = workers();
-    if (pool == nullptr) {
-        feedShard(0, batch);
-        return;
-    }
-    shardOfPacket_.resize(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i)
-        shardOfPacket_[i] = shardOf(batch[i], shards_.size());
     for (size_t s = 0; s < shards_.size(); ++s)
-        pool->submit([this, s, batch] { feedShard(s, batch); });
+        pool->submit([this, s] { feedShard(s); });
 }
 
 void
@@ -261,40 +263,40 @@ CompressSession::settle()
 }
 
 void
-CompressSession::feedShard(size_t index,
-                           std::span<const trace::PacketRecord> batch)
+CompressSession::feedShard(size_t index)
 {
     Shard &shard = shards_[index];
-    const bool whole = shards_.size() == 1;
     std::array<uint32_t, shardBlockPackets> mine;
-    for (size_t base = 0; base < batch.size(); base += mine.size()) {
-        size_t end = std::min(batch.size(), base + mine.size());
-        size_t count = end - base;
-        if (!whole) {
-            // Pick the shard's packets without a branch per packet:
-            // the shard pattern is random, and mispredicting it
-            // costs more than the stores.
-            count = 0;
-            for (size_t i = base; i < end; ++i) {
-                mine[count] = static_cast<uint32_t>(i);
-                count += shardOfPacket_[i] == index;
-            }
+    for (size_t base = 0; base < inFlight_.size(); base += mine.size()) {
+        size_t end = std::min(inFlight_.size(), base + mine.size());
+        // Pick the shard's packets without a branch per packet: the
+        // shard pattern is random, and mispredicting it costs more
+        // than the stores.
+        size_t count = 0;
+        for (size_t i = base; i < end; ++i) {
+            mine[count] = static_cast<uint32_t>(i);
+            count += shardOfPacket_[i] == index;
         }
         for (size_t k = 0; k < count; ++k)
-            feedPacket(shard,
-                       static_cast<uint32_t>(whole ? base + k : mine[k]),
-                       batch);
+            feedPacket(shard, mine[k], inFlight_[mine[k]]);
     }
 }
 
 void
 CompressSession::feedPacket(Shard &shard, uint32_t i,
-                            std::span<const trace::PacketRecord> batch)
+                            const trace::PacketRecord &pkt)
 {
-    const trace::PacketRecord &pkt = batch[i];
+    // One shard merges each flow as it closes; more record it for
+    // the dispatch's merge.
+    auto close = [&](const flow::FlowKey &key, OpenFlow &done) {
+        if (shards_.size() == 1)
+            closeFlow(key, done);
+        else
+            emitClose(shard, i, key, done);
+    };
     flow::FlowKey key = flow::FlowKey::fromPacket(pkt);
     size_t slot = shard.open.admit(key, pkt, [&](OpenFlow &expired) {
-        emitClose(shard, i, key, expired);
+        close(key, expired);
     });
     OpenFlow &flowState = shard.open.at(slot);
     flow::Connection::Step step = flowState.conn.observe(pkt);
@@ -314,7 +316,7 @@ CompressSession::feedPacket(Shard &shard, uint32_t i,
     flowState.prevFromClient = step.fromClient;
 
     if (step.closed) {
-        emitClose(shard, i, key, flowState);
+        close(key, flowState);
         shard.open.erase(slot);
     }
 }
@@ -332,16 +334,27 @@ CompressSession::rotateChunk()
 }
 
 void
+CompressSession::closeFlow(const flow::FlowKey &key,
+                           OpenFlow &flowState)
+{
+    Close close(0, key, flowState);
+    if (flowState.sValues.size() <= cfg_.shortLimit) {
+        // The store copies what it keeps, so the values buffer stays
+        // with the flow's slot for the next flow it serves.
+        recordFlow(close, flowState.sValues, nullptr, 0);
+        return;
+    }
+    LongTemplate tmpl =
+        longTemplateOf(flowState.sValues, flowState.packetUs);
+    recordFlow(close, {}, &tmpl, 0);
+}
+
+void
 CompressSession::emitClose(Shard &shard, uint32_t packet,
                            const flow::FlowKey &key,
                            OpenFlow &flowState) const
 {
-    Close close;
-    close.packet = packet;
-    close.key = key;
-    close.firstNs = flowState.firstNs;
-    close.serverIp = flowState.conn.serverIp;
-    close.rttUs = flowState.rttUs;
+    Close close(packet, key, flowState);
     if (flowState.sValues.size() <= cfg_.shortLimit) {
         // The values are copied out, so the buffer stays with the
         // flow's slot for the next flow it serves.
@@ -353,17 +366,9 @@ CompressSession::emitClose(Shard &shard, uint32_t packet,
                             flowState.sValues.end());
         close.match = store_.find(flowState.sValues);
     } else {
-        LongTemplate tmpl;
-        tmpl.sValues = std::move(flowState.sValues);
-        tmpl.iptUs.resize(flowState.packetUs.size());
-        tmpl.iptUs[0] = 0;
-        for (size_t i = 1; i < flowState.packetUs.size(); ++i)
-            tmpl.iptUs[i] =
-                flowState.packetUs[i] - flowState.packetUs[i - 1];
-        // A long flow's timestamps are not kept for the next flow.
-        flowState.packetUs = {};
         close.longAt = static_cast<uint32_t>(shard.longs.size());
-        shard.longs.push_back(std::move(tmpl));
+        shard.longs.push_back(
+            longTemplateOf(flowState.sValues, flowState.packetUs));
     }
     shard.closes.push_back(close);
 }
@@ -371,6 +376,20 @@ CompressSession::emitClose(Shard &shard, uint32_t packet,
 void
 CompressSession::applyClose(Shard &shard, const Close &close,
                             uint32_t searched)
+{
+    if (close.longAt == noLong)
+        recordFlow(close,
+                   std::span<const uint16_t>(shard.values)
+                       .subspan(close.valuesAt, close.length),
+                   nullptr, searched);
+    else
+        recordFlow(close, {}, &shard.longs[close.longAt], searched);
+}
+
+void
+CompressSession::recordFlow(const Close &close,
+                            std::span<const uint16_t> values,
+                            LongTemplate *longFlow, uint32_t searched)
 {
     ++stats_.flows;
     TimeSeqRecord rec;
@@ -384,11 +403,9 @@ CompressSession::applyClose(Shard &shard, const Close &close,
         datasets_.addresses.push_back(close.serverIp);
     rec.addressIndex = it->second;
 
-    if (close.longAt == noLong) {
-        flow::TemplateMatch match = store_.findOrInsert(
-            std::span<const uint16_t>(shard.values).subspan(
-                close.valuesAt, close.length),
-            close.match, searched);
+    if (longFlow == nullptr) {
+        flow::TemplateMatch match =
+            store_.findOrInsert(values, close.match, searched);
         if (match.isNew)
             ++templatesNew_;
         // Compact to per-epoch template indices (first-use order) so
@@ -409,8 +426,7 @@ CompressSession::applyClose(Shard &shard, const Close &close,
         rec.isLong = true;
         rec.templateIndex =
             static_cast<uint32_t>(datasets_.longTemplates.size());
-        datasets_.longTemplates.push_back(
-            std::move(shard.longs[close.longAt]));
+        datasets_.longTemplates.push_back(std::move(*longFlow));
     }
     datasets_.timeSeq.push_back(rec);
 }

@@ -56,15 +56,13 @@
 namespace fcc::codec::fcc {
 
 /**
- * Packets per staged feed dispatch. A feed() call at least this
- * large is dispatched in place, without a copy, and the call returns
- * once the shards are done with it. Smaller calls (the ingest loop's
- * ingestBatchRecords reads, perfbench's 4096-record ones) are copied
- * into a staging buffer; a full buffer is dispatched to the shards,
- * which work on it while the caller goes on feeding the next one,
- * so one pool round trip serves many small calls and the wake-up of
- * the workers overlaps the caller's reading. Staging never changes
- * an archive: seal() dispatches what is staged first.
+ * Packets per feed dispatch of a sharded session. feed() copies its
+ * packets into a staging buffer; a full buffer is dispatched to the
+ * shards, which work on it while the caller goes on feeding the next
+ * one, so one pool round trip serves many small calls (the ingest
+ * loop's ingestBatchRecords reads, perfbench's 4096-record ones) and
+ * the wake-up of the workers overlaps the caller's reading. Staging
+ * never changes an archive: seal() dispatches what is staged first.
  */
 constexpr size_t feedDispatchPackets = 16384;
 
@@ -117,7 +115,8 @@ struct SealInfo
  * datasets, so the archive bytes do not depend on the thread count.
  * A dispatch's merge runs when the next dispatch starts, or at
  * seal() (feedDispatchPackets). The same pool runs seal()'s column
- * encode jobs. At one thread there is one shard, run inline.
+ * encode jobs. At one thread there is one shard, run inline on each
+ * feed() call, and each flow merges as it closes.
  */
 class CompressSession
 {
@@ -215,23 +214,30 @@ class CompressSession
 
     /** The session's pool, started on first use; none at 1 thread. */
     util::ThreadPool *workers();
-    /** Start the shards on time-ordered @p batch, which must stay
-     *  valid until settle(); on the pool they run while the caller
-     *  goes on. */
-    void start(std::span<const trace::PacketRecord> batch);
     /** Wait for the dispatch under way, if any, and merge the flows
      *  it closed. */
     void settle();
-    /** settle(), then start the staged packets as the next dispatch. */
+    /** settle(), then start the shards on the staged packets; on the
+     *  pool they run while the caller goes on. */
     void launchStaged();
-    void feedShard(size_t index,
-                   std::span<const trace::PacketRecord> batch);
+    /** One shard's part of the dispatch under way. */
+    void feedShard(size_t index);
+    /** Packet @p i of a dispatch (0 at one shard) on @p shard. */
     void feedPacket(Shard &shard, uint32_t i,
-                    std::span<const trace::PacketRecord> batch);
+                    const trace::PacketRecord &pkt);
+    /** Close a flow of the one shard at once, as a serial session. */
+    void closeFlow(const flow::FlowKey &key, OpenFlow &flowState);
+    /** Record a flow a shard closed for the merge (thread-safe
+     *  across shards). */
     void emitClose(Shard &shard, uint32_t packet,
                    const flow::FlowKey &key, OpenFlow &flowState) const;
+    /** Merge @p close of @p shard (recordFlow). */
     void applyClose(Shard &shard, const Close &close,
                     uint32_t searched);
+    /** The serial part of a close: a short flow's S values are
+     *  @p values, a long flow's template @p longFlow (moved from). */
+    void recordFlow(const Close &close, std::span<const uint16_t> values,
+                    LongTemplate *longFlow, uint32_t searched);
     void closeEpoch();
     void resetEpoch();
 
@@ -248,10 +254,9 @@ class CompressSession
     std::vector<Shard> shards_;
     /** The shard of each packet of the dispatch under way. */
     std::vector<uint16_t> shardOfPacket_;
-    /** Fed packets not dispatched yet: smaller feed() calls gather
-     *  here into one dispatch of feedDispatchPackets. */
+    /** Fed packets not dispatched yet, up to feedDispatchPackets. */
     std::vector<trace::PacketRecord> staged_;
-    /** The staged packets of the dispatch under way. */
+    /** The packets of the dispatch under way. */
     std::vector<trace::PacketRecord> inFlight_;
     /** A dispatch was started and not settled yet. */
     bool running_ = false;

@@ -9,6 +9,7 @@
 #include "flow/template_store.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -70,7 +71,7 @@ TemplateStore::findOrInsert(std::span<const uint16_t> values,
 }
 
 uint32_t
-TemplateStore::insert(const SfVector &sf)
+TemplateStore::insert(SfVector sf)
 {
     util::require(!sf.values.empty(),
                   "TemplateStore: empty SF vector");
@@ -78,7 +79,7 @@ TemplateStore::insert(const SfVector &sf)
     if (sf.size() >= byLength_.size())
         byLength_.resize(sf.size() + 1);
     byLength_[sf.size()].push_back(index);
-    templates_.push_back(sf);
+    templates_.push_back(std::move(sf));
     populations_.push_back(0);
     return index;
 }

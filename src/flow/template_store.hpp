@@ -78,7 +78,7 @@ class TemplateStore
     }
 
     /** Append a template unconditionally (decompressor load path). */
-    uint32_t insert(const SfVector &sf);
+    uint32_t insert(SfVector sf);
 
     /** Number of stored templates (= number of clusters). */
     size_t size() const { return templates_.size(); }

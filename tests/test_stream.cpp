@@ -1624,8 +1624,9 @@ TEST(Stream, ShardedFeedWritesTheSameBytes)
     for (uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
         SCOPED_TRACE(threads);
         fccc::FccConfig cfg = shardedFeedConfig(threads);
-        // Calls below feedDispatchPackets are staged; calls of it
-        // and more (the whole trace at once, too) run in place.
+        // Every call is staged: smaller calls gather into one
+        // dispatch, larger ones (the whole trace at once, too) fill
+        // several.
         for (size_t batch :
              {size_t{1}, size_t{256}, size_t{4096}, size_t{10000},
               fccc::feedDispatchPackets, tr.size()}) {
@@ -1694,8 +1695,8 @@ TEST(Stream, ShardedFeedThrowsAfterTheOrderedPrefix)
     serial.feed(all.first(bad));
     std::vector<uint8_t> reference = serial.seal();
 
-    // The bad packet sits in one call whose ordered part runs in
-    // place; then in a staged call of 10,000 after staged calls of
+    // The bad packet sits in one call whose ordered part fills
+    // several dispatches; then in a call of 10,000 after calls of
     // 100, 5,000 packets in and three packets in.
     const size_t leads[] = {0, bad - 5000, bad - 3};
     for (uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
