@@ -5,20 +5,30 @@
  * streaming gunzip through GzipInflateSource over a gzip'd web TSH
  * and the gzip'd elephants pcapng of the end-to-end benchmark
  * (scenario generator seed 2005, 1,500 transfers, 21.3 MB), each
- * compared against system zlib when available.
+ * compared against system zlib when available; and the zlib encode
+ * of a web long_ipt column (the seal's largest deflate job) at 1
+ * thread and split into LZ77 segments on a 4-thread pool, as the
+ * columnar encoder runs it. The cpuset sched_load_balance flag is
+ * printed at start and end: a 4-thread time taken while it read 0
+ * measures one CPU.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 
+#include "bench_common.hpp"
 #include "codec/deflate/deflate.hpp"
 #include "codec/deflate/inflate_stream.hpp"
+#include "codec/fcc/session.hpp"
+#include "codec/field/field_codec.hpp"
 #include "trace/pcapng.hpp"
 #include "trace/scenario_gen.hpp"
 #include "trace/tsh.hpp"
 #include "trace/web_gen.hpp"
 #include "util/io.hpp"
+#include "util/thread_pool.hpp"
 
 #if __has_include(<zlib.h>)
 #include <zlib.h>
@@ -72,6 +82,65 @@ elephantsPcapngGz()
                        pcapng.size()};
     }();
     return in;
+}
+
+/**
+ * The field-coded long_ipt column of the perfbench web capture
+ * (generator seed 2005, 60 s at 1,000 flows/s: 531 KB), as the seal
+ * deflates it. Smoke mode shrinks the trace.
+ */
+const std::vector<uint8_t> &
+longIptColumn()
+{
+    static std::vector<uint8_t> column = [] {
+        trace::WebGenConfig cfg;
+        cfg.seed = 2005;
+        cfg.durationSec = 60.0;
+        cfg.flowsPerSec = 1000.0;
+        trace::Trace tr =
+            trace::WebTrafficGenerator(bench::applySmoke(cfg)).generate();
+        codec::fcc::FccConfig fcc;
+        fcc.threads = 1;
+        codec::fcc::CompressSession session(fcc);
+        session.feed(tr.packets());
+        std::vector<uint64_t> ipt;
+        for (const auto &tmpl : session.sealDatasets().longTemplates)
+            ipt.insert(ipt.end(), tmpl.iptUs.begin(), tmpl.iptUs.end());
+        return codec::field::encodeColumn(
+            ipt, codec::field::chooseCodec(ipt));
+    }();
+    return column;
+}
+
+/**
+ * zlib-encode the long_ipt column: serially at one thread, else as
+ * min(threads, size / two windows) LZ77 segments parsed on a pool.
+ */
+void
+BM_OurZlibLongIpt(benchmark::State &state)
+{
+    const auto &column = longIptColumn();
+    auto threads = static_cast<unsigned>(state.range(0));
+    util::ThreadPool pool(threads);
+    size_t segments = std::min<size_t>(
+        threads, column.size() / (2 * codec::deflate::windowSize));
+    for (auto _ : state) {
+        std::vector<uint8_t> out;
+        if (threads == 1) {
+            out = codec::deflate::zlibCompress(column);
+        } else {
+            codec::deflate::Lz77SegmentedParse parse(
+                column,
+                codec::deflate::lz77EvenStarts(column.size(), segments));
+            pool.parallelFor(parse.segments(), [&](size_t k) {
+                parse.parseSegment(k);
+            });
+            out = codec::deflate::zlibCompress(parse);
+        }
+        benchmark::DoNotOptimize(out);
+    }
+    state.SetBytesProcessed(
+        static_cast<int64_t>(state.iterations() * column.size()));
 }
 
 /** Drain a GzipInflateSource in 64 KiB reads, as the trace readers do. */
@@ -204,6 +273,12 @@ BM_ZlibGunzipStreamElephantsPcapng(benchmark::State &state)
 } // namespace
 
 BENCHMARK(BM_OurDeflate)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OurZlibLongIpt)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK(BM_OurInflate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OurGunzipStreamWebTsh)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OurGunzipStreamElephantsPcapng)->Unit(benchmark::kMillisecond);
@@ -215,4 +290,15 @@ BENCHMARK(BM_ZlibGunzipStreamElephantsPcapng)
     ->Unit(benchmark::kMillisecond);
 #endif
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    std::string balanceAtStart = bench::cpusetLoadBalance();
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    bench::printLoadBalance(balanceAtStart);
+    return 0;
+}

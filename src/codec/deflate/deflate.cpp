@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <array>
+#include <ranges>
 
 #include "codec/deflate/huffman.hpp"
 #include "codec/deflate/inflate_stream.hpp"
@@ -164,11 +165,10 @@ payloadCost(std::span<const uint64_t> litFreq,
  * for a distance.
  */
 void
-emitTokens(util::BitWriter &out,
-           std::span<const Lz77Token> tokens,
+emitTokens(util::BitWriter &out, const Lz77Pieces &tokens,
            const BlockCodes &codes)
 {
-    for (const auto &tok : tokens) {
+    for (const auto &tok : tokens | std::views::join) {
         if (tok.isLiteral()) {
             out.put(codes.litCodes[tok.length],
                     codes.litLens[tok.length]);
@@ -191,14 +191,14 @@ emitTokens(util::BitWriter &out,
 
 /** One encoder block: tokens plus the raw bytes they cover. */
 void
-emitBlock(util::BitWriter &out, std::span<const Lz77Token> tokens,
+emitBlock(util::BitWriter &out, const Lz77Pieces &tokens,
           std::span<const uint8_t> raw, bool final)
 {
     // Token frequencies (end-of-block included once).
     std::vector<uint64_t> litFreq(numLitCodes, 0);
     std::vector<uint64_t> distFreq(numDistCodes, 0);
     litFreq[endOfBlock] = 1;
-    for (const auto &tok : tokens) {
+    for (const auto &tok : tokens | std::views::join) {
         if (tok.isLiteral()) {
             ++litFreq[tok.length];
         } else {
@@ -296,10 +296,14 @@ emitBlock(util::BitWriter &out, std::span<const Lz77Token> tokens,
     emitTokens(out, tokens, dyn);
 }
 
-} // namespace
-
+/**
+ * The raw DEFLATE stream of @p data from its token stream, given as
+ * pieces in stream order. The tokens split into blocks of
+ * tokensPerBlock, so each gets Huffman codes fitted to its local
+ * statistics; a block may span pieces.
+ */
 std::vector<uint8_t>
-deflateCompress(std::span<const uint8_t> data)
+deflateTokens(std::span<const uint8_t> data, const Lz77Pieces &tokens)
 {
     util::BitWriter out;
     if (data.empty()) {
@@ -314,28 +318,60 @@ deflateCompress(std::span<const uint8_t> data)
         return out.take();
     }
 
-    auto tokens = lz77Tokenize(data);
-
-    // Split the token stream into blocks so each gets Huffman codes
-    // fitted to its local statistics.
     constexpr size_t tokensPerBlock = 32768;
     size_t rawStart = 0;
-    for (size_t begin = 0; begin < tokens.size();
-         begin += tokensPerBlock) {
-        size_t end = std::min(tokens.size(), begin + tokensPerBlock);
-        size_t rawLen = 0;
-        for (size_t i = begin; i < end; ++i)
-            rawLen += tokens[i].isLiteral() ? 1 : tokens[i].length;
-        bool final = end == tokens.size();
-        emitBlock(out,
-                  std::span<const Lz77Token>(tokens.data() + begin,
-                                             end - begin),
-                  data.subspan(rawStart, rawLen), final);
+    size_t part = 0, at = 0;  // next token: tokens[part][at]
+    Lz77Pieces block;
+    while (part < tokens.size()) {
+        block.clear();
+        size_t count = 0, rawLen = 0;
+        while (count < tokensPerBlock && part < tokens.size()) {
+            std::span<const Lz77Token> piece = tokens[part].subspan(
+                at, std::min(tokens[part].size() - at,
+                             tokensPerBlock - count));
+            for (const Lz77Token &tok : piece)
+                rawLen += tok.isLiteral() ? 1 : tok.length;
+            block.push_back(piece);
+            count += piece.size();
+            at += piece.size();
+            if (at == tokens[part].size()) {
+                ++part;
+                at = 0;
+            }
+        }
+        bool final = part == tokens.size();
+        emitBlock(out, block, data.subspan(rawStart, rawLen), final);
         rawStart += rawLen;
     }
     FCC_ASSERT(rawStart == data.size(),
                "token stream does not cover the input");
     return out.take();
+}
+
+/** The zlib container around @p body, the raw stream of @p data. */
+std::vector<uint8_t>
+zlibWrap(std::span<const uint8_t> data, std::span<const uint8_t> body)
+{
+    std::vector<uint8_t> out;
+    out.reserve(body.size() + 6);
+    out.push_back(0x78);  // CM=8, CINFO=7 (32K window)
+    out.push_back(0x9c);  // FCHECK making the pair % 31 == 0
+    out.insert(out.end(), body.begin(), body.end());
+    uint32_t adler = util::Adler32::of(data);
+    out.push_back(static_cast<uint8_t>(adler >> 24));
+    out.push_back(static_cast<uint8_t>(adler >> 16));
+    out.push_back(static_cast<uint8_t>(adler >> 8));
+    out.push_back(static_cast<uint8_t>(adler));
+    return out;
+}
+
+} // namespace
+
+std::vector<uint8_t>
+deflateCompress(std::span<const uint8_t> data)
+{
+    std::vector<Lz77Token> tokens = lz77Tokenize(data);
+    return deflateTokens(data, {tokens});
 }
 
 std::vector<uint8_t>
@@ -366,17 +402,14 @@ inflateExact(std::span<const uint8_t> payload, size_t sizeHint,
 std::vector<uint8_t>
 zlibCompress(std::span<const uint8_t> data)
 {
-    std::vector<uint8_t> out;
-    out.push_back(0x78);  // CM=8, CINFO=7 (32K window)
-    out.push_back(0x9c);  // FCHECK making the pair % 31 == 0
-    auto body = deflateCompress(data);
-    out.insert(out.end(), body.begin(), body.end());
-    uint32_t adler = util::Adler32::of(data);
-    out.push_back(static_cast<uint8_t>(adler >> 24));
-    out.push_back(static_cast<uint8_t>(adler >> 16));
-    out.push_back(static_cast<uint8_t>(adler >> 8));
-    out.push_back(static_cast<uint8_t>(adler));
-    return out;
+    return zlibWrap(data, deflateCompress(data));
+}
+
+std::vector<uint8_t>
+zlibCompress(Lz77SegmentedParse &parse)
+{
+    return zlibWrap(parse.data(),
+                    deflateTokens(parse.data(), parse.stitch()));
 }
 
 std::vector<uint8_t>

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "codec/compressor.hpp"
+#include "codec/deflate/lz77.hpp"
 
 namespace fcc::codec::deflate {
 
@@ -35,6 +36,14 @@ std::vector<uint8_t> inflate(std::span<const uint8_t> data,
 /** Wrap deflate in the 2-byte-header + Adler-32 zlib format. */
 std::vector<uint8_t>
 zlibCompress(std::span<const uint8_t> data);
+
+/**
+ * zlibCompress(parse.data()) from a segmented parse whose segments
+ * have all been parsed: it stitches them and emits the blocks
+ * straight from the segments' token lists. The same bytes.
+ */
+std::vector<uint8_t>
+zlibCompress(Lz77SegmentedParse &parse);
 
 /**
  * Unwrap a zlib stream, verifying the Adler-32 checksum. @p sizeHint

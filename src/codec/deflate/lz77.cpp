@@ -11,6 +11,8 @@
 #include <bit>
 #include <cstring>
 
+#include "util/error.hpp"
+
 namespace fcc::codec::deflate {
 
 namespace {
@@ -163,26 +165,50 @@ class Chains
     size_t base_ = 0;  ///< input position of offset 0
 };
 
-} // namespace
-
-std::vector<Lz77Token>
-lz77Tokenize(std::span<const uint8_t> data)
+/**
+ * The one parse loop. It starts at a position with the window before
+ * it indexed, so at every position it reaches the chains hold what
+ * the serial parse's hold there, and each run() resumes where the
+ * last one stopped.
+ */
+class Parser
 {
-    std::vector<Lz77Token> tokens;
-    size_t n = data.size();
-    if (n == 0)
-        return tokens;
-    tokens.reserve(n / 4);
+  public:
+    Parser(std::span<const uint8_t> data, size_t from)
+        : base_(data.data()), n_(data.size()), chains_(n_), pos_(from)
+    {
+        for (size_t p = from - std::min(from, windowSize);
+             p < from && p + minMatch <= n_; ++p)
+            chains_.insert(base_, p);
+    }
 
-    const uint8_t *base = data.data();
-    Chains chains(n);
+    /** Position of the next token. */
+    size_t pos() const { return pos_; }
 
-    size_t pos = 0;
+    /** Append the tokens that start below @p until. */
+    void run(size_t until, std::vector<Lz77Token> &tokens);
+
+  private:
+    const uint8_t *base_;
+    size_t n_;
+    Chains chains_;
+    size_t pos_;
     // A lazy lookahead that deferred a match is the search at the
     // next position: nothing is indexed in between, so it is reused.
-    size_t carriedLen = 0;  // 0: no search carried
-    uint16_t carriedDist = 0;
-    while (pos < n) {
+    size_t carriedLen_ = 0;  // 0: no search carried
+    uint16_t carriedDist_ = 0;
+};
+
+void
+Parser::run(size_t until, std::vector<Lz77Token> &tokens)
+{
+    const uint8_t *base = base_;
+    size_t n = n_;
+    size_t pos = pos_;
+    size_t carriedLen = carriedLen_;
+    uint16_t carriedDist = carriedDist_;
+    until = std::min(until, n);
+    while (pos < until) {
         if (n - pos < minMatch) {
             tokens.push_back(Lz77Token::literal(base[pos]));
             ++pos;
@@ -192,19 +218,19 @@ lz77Tokenize(std::span<const uint8_t> data)
         uint16_t dist = carriedDist;
         size_t len = carriedLen > 0
             ? carriedLen
-            : chains.bestMatch(base, pos, n - pos, dist);
+            : chains_.bestMatch(base, pos, n - pos, dist);
         carriedLen = 0;
 
         // One-step lazy evaluation: prefer a strictly longer match
         // starting at the next byte.
         if (len >= minMatch && len < lz77GoodEnoughLength &&
             n - pos > len) {
-            chains.insert(base, pos);
+            chains_.insert(base, pos);
             uint16_t nextDist = 0;
             size_t nextLen =
                 n - (pos + 1) >= minMatch
-                    ? chains.bestMatch(base, pos + 1, n - pos - 1,
-                                       nextDist)
+                    ? chains_.bestMatch(base, pos + 1, n - pos - 1,
+                                        nextDist)
                     : 0;
             if (nextLen > len) {
                 tokens.push_back(Lz77Token::literal(base[pos]));
@@ -217,7 +243,7 @@ lz77Tokenize(std::span<const uint8_t> data)
             tokens.push_back(Lz77Token::match(
                 static_cast<uint16_t>(len), dist));
             for (size_t k = 1; k < len && pos + k + minMatch <= n; ++k)
-                chains.insert(base, pos + k);
+                chains_.insert(base, pos + k);
             pos += len;
             continue;
         }
@@ -226,16 +252,122 @@ lz77Tokenize(std::span<const uint8_t> data)
             tokens.push_back(Lz77Token::match(
                 static_cast<uint16_t>(len), dist));
             for (size_t k = 0; k < len && pos + k + minMatch <= n; ++k)
-                chains.insert(base, pos + k);
+                chains_.insert(base, pos + k);
             pos += len;
         } else {
             tokens.push_back(Lz77Token::literal(base[pos]));
             if (pos + minMatch <= n)
-                chains.insert(base, pos);
+                chains_.insert(base, pos);
             ++pos;
         }
     }
+    pos_ = pos;
+    carriedLen_ = carriedLen;
+    carriedDist_ = carriedDist;
+}
+
+/** Input bytes @p tok covers. */
+inline size_t
+tokenBytes(const Lz77Token &tok)
+{
+    return tok.isLiteral() ? 1 : tok.length;
+}
+
+} // namespace
+
+std::vector<Lz77Token>
+lz77Tokenize(std::span<const uint8_t> data)
+{
+    std::vector<Lz77Token> tokens;
+    if (data.empty())
+        return tokens;
+    tokens.reserve(data.size() / 4);
+    Parser(data, 0).run(data.size(), tokens);
     return tokens;
+}
+
+std::vector<size_t>
+lz77EvenStarts(size_t size, size_t segments)
+{
+    size_t count = std::clamp<size_t>(segments, 1, std::max<size_t>(size, 1));
+    // floor(k * size / count), without the product overflowing.
+    size_t quot = size / count, rem = size % count;
+    std::vector<size_t> starts(count);
+    for (size_t k = 0; k < count; ++k)
+        starts[k] = k * quot + k * rem / count;
+    return starts;
+}
+
+Lz77SegmentedParse::Lz77SegmentedParse(std::span<const uint8_t> data,
+                                       std::vector<size_t> starts,
+                                       size_t overrun)
+    : data_(data), overrun_(overrun)
+{
+    FCC_ASSERT(!starts.empty() && starts[0] == 0,
+               "lz77: the first segment starts at 0");
+    segments_.resize(starts.size());
+    for (size_t k = 0; k < starts.size(); ++k) {
+        FCC_ASSERT(k == 0 || (starts[k] > starts[k - 1] &&
+                              starts[k] < data.size()),
+                   "lz77: segment starts must increase inside the input");
+        segments_[k].start = starts[k];
+    }
+}
+
+void
+Lz77SegmentedParse::parseSegment(size_t k)
+{
+    Segment &seg = segments_[k];
+    size_t n = data_.size();
+    if (n == 0)
+        return;
+    size_t end = k + 1 < segments_.size() ? segments_[k + 1].start : n;
+    seg.tokens.reserve((end - seg.start) / 4);
+    Parser parser(data_, seg.start);
+    parser.run(end, seg.tokens);
+    seg.overrunToken = seg.tokens.size();
+    seg.overrunPos = parser.pos();
+    parser.run(end + std::min(overrun_, n - end), seg.tokens);
+}
+
+Lz77Pieces
+Lz77SegmentedParse::stitch()
+{
+    Lz77Pieces pieces;
+    const Segment *prev = &segments_[0];
+    size_t from = 0;      // prev's first token still to take
+    size_t syncPos = 0;   // where it starts; prev is serial from there
+    for (size_t k = 1; k < segments_.size(); ++k) {
+        const Segment &cur = segments_[k];
+        // The first start at or past syncPos that both parses make:
+        // a merge walk of prev's overrun starts and cur's starts.
+        size_t ia = prev->overrunToken, a = prev->overrunPos;
+        size_t ib = 0, b = cur.start;
+        bool synced = false;
+        while (ia < prev->tokens.size() && ib < cur.tokens.size()) {
+            if (a < syncPos || a < b) {
+                a += tokenBytes(prev->tokens[ia++]);
+            } else if (b < a) {
+                b += tokenBytes(cur.tokens[ib++]);
+            } else {
+                synced = true;
+                break;
+            }
+        }
+        if (!synced) {
+            fallback_ = lz77Tokenize(data_);
+            return {fallback_};
+        }
+        if (ia > from)
+            pieces.emplace_back(prev->tokens.data() + from, ia - from);
+        prev = &cur;
+        from = ib;
+        syncPos = a;
+    }
+    if (prev->tokens.size() > from)
+        pieces.emplace_back(prev->tokens.data() + from,
+                            prev->tokens.size() - from);
+    return pieces;
 }
 
 } // namespace fcc::codec::deflate

@@ -24,9 +24,13 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <functional>
+#include <memory>
 #include <new>
+#include <optional>
 
+#include "codec/deflate/deflate.hpp"
 #include "codec/fcc/index.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
@@ -373,6 +377,13 @@ splitColumns(const Datasets &d)
     return cols;
 }
 
+/**
+ * Field-coded size from which a deflate column's LZ77 parse splits
+ * into segments on the pool: two windows, so each segment's
+ * one-window warm-up stays small next to the segment.
+ */
+constexpr size_t splitParseMinBytes = 2 * deflate::windowSize;
+
 /** One encoded-and-squeezed column, ready for framing. */
 struct EncodedColumn
 {
@@ -384,30 +395,105 @@ struct EncodedColumn
     std::vector<uint8_t> payload;
 };
 
-/** Field-codec + entropy-backend pipeline of one column. */
-EncodedColumn
-encodeOneColumn(std::span<const uint64_t> values,
-                backend::EntropyBackend requested)
+/** Keep the @p squeezed form of @p encoded only when it pays. */
+void
+settleBackend(EncodedColumn &out, std::vector<uint8_t> encoded,
+              std::vector<uint8_t> squeezed,
+              backend::EntropyBackend requested)
 {
-    EncodedColumn out;
+    if (squeezed.size() < encoded.size()) {
+        out.backend = requested;
+        out.payload = std::move(squeezed);
+        return;
+    }
+    // The backend did not pay for this column; store it raw so the
+    // container never loses to its own serialization.
+    out.payload = std::move(encoded);
+}
+
+/**
+ * The deflate stage of one large column as tasks on the pool: one
+ * per LZ77 segment, and the last segment to finish stitches the
+ * parse and emits the column into its slot.
+ */
+struct SplitDeflate
+{
+    std::vector<uint8_t> encoded;
+    std::optional<deflate::Lz77SegmentedParse> parse;
+    std::atomic<size_t> pending{0};
+};
+
+/**
+ * Field-codec + entropy-backend pipeline of one column, into @p out.
+ * Run as a job on @p pool (of 2+ workers), a deflate column of at
+ * least splitParseMinBytes field-coded bytes queues its parse as
+ * min(workers, size / splitParseMinBytes) segment tasks and returns;
+ * the caller's wait on the pool covers them. A task only ever
+ * submits to the pool: one that waited on it would wait forever.
+ */
+void
+encodeOneColumn(std::span<const uint64_t> values,
+                backend::EntropyBackend requested,
+                util::ThreadPool *pool, EncodedColumn &out)
+{
     out.values = values.size();
     out.codec = field::chooseCodec(values);
     std::vector<uint8_t> encoded =
         field::encodeColumn(values, out.codec);
     out.encodedBytes = encoded.size();
-    if (requested != backend::EntropyBackend::Store) {
-        std::vector<uint8_t> squeezed =
-            backend::entropyCompress(encoded, requested);
-        if (squeezed.size() < encoded.size()) {
-            out.backend = requested;
-            out.payload = std::move(squeezed);
-            return out;
-        }
-        // The backend did not pay for this column; store it raw so
-        // the container never loses to its own serialization.
+    if (requested == backend::EntropyBackend::Store) {
+        out.payload = std::move(encoded);
+        return;
     }
-    out.payload = std::move(encoded);
-    return out;
+    if (requested == backend::EntropyBackend::Deflate &&
+        pool != nullptr && pool->size() > 1 &&
+        encoded.size() >= splitParseMinBytes) {
+        auto split = std::make_shared<SplitDeflate>();
+        split->encoded = std::move(encoded);
+        split->parse.emplace(
+            split->encoded,
+            deflate::lz77EvenStarts(
+                split->encoded.size(),
+                std::min<size_t>(pool->size(), split->encoded.size() /
+                                                   splitParseMinBytes)));
+        split->pending = split->parse->segments();
+        for (size_t k = 0; k < split->parse->segments(); ++k)
+            pool->submit([split, k, &out] {
+                split->parse->parseSegment(k);
+                if (split->pending.fetch_sub(
+                        1, std::memory_order_acq_rel) != 1)
+                    return;
+                std::vector<uint8_t> squeezed =
+                    deflate::zlibCompress(*split->parse);
+                settleBackend(out, std::move(split->encoded),
+                              std::move(squeezed),
+                              backend::EntropyBackend::Deflate);
+            });
+        return;
+    }
+    std::vector<uint8_t> squeezed =
+        backend::entropyCompress(encoded, requested);
+    settleBackend(out, std::move(encoded), std::move(squeezed),
+                  requested);
+}
+
+/**
+ * Run @p count encode jobs, on @p pool when given, and wait for the
+ * tasks they queued. Results land in fixed slots, so the output is
+ * byte-identical at any thread count.
+ */
+void
+runEncodeJobs(util::ThreadPool *pool, size_t count,
+              const std::function<void(size_t)> &job)
+{
+    if (pool == nullptr) {
+        for (size_t c = 0; c < count; ++c)
+            job(c);
+        return;
+    }
+    pool->parallelFor(count, job);
+    // parallelFor runs one job inline without waiting.
+    pool->wait();
 }
 
 /** Dataset bucket of a column, for the §5-style size accounting. */
@@ -963,17 +1049,6 @@ serializeColumnar(const Datasets &datasets,
     if (columns != nullptr)
         columns->clear();
 
-    auto runEncodeJobs = [&](size_t count,
-                             const std::function<void(size_t)> &job) {
-        // Results land in fixed slots, so the output is
-        // byte-identical at any thread count.
-        if (pool != nullptr && count > 1)
-            pool->parallelFor(count, job);
-        else
-            for (size_t c = 0; c < count; ++c)
-                job(c);
-    };
-
     auto writeHeader = [&](util::ByteWriter &w, uint8_t colByte) {
         w.u32(magicV3);
         w.u16(datasets.weights.w1);
@@ -996,8 +1071,8 @@ serializeColumnar(const Datasets &datasets,
     if (!indexed) {
         // ---- plain layout: twelve global column frames ----
         std::array<EncodedColumn, columnCount> encoded;
-        runEncodeJobs(columnCount, [&](size_t c) {
-            encoded[c] = encodeOneColumn(values[c], backend);
+        runEncodeJobs(pool, columnCount, [&](size_t c) {
+            encodeOneColumn(values[c], backend, pool, encoded[c]);
         });
 
         util::ByteWriter w;
@@ -1046,16 +1121,22 @@ serializeColumnar(const Datasets &datasets,
         return std::span<const uint64_t>(col).subspan(
             recOff[c], recOff[c + 1] - recOff[c]);
     };
-    runEncodeJobs(ColAddr + 2 + chunks * 5, [&](size_t i) {
+    // The index build only reads the datasets: one more job of the
+    // first pass, after the shared columns.
+    ArchiveIndex archiveIndex;
+    constexpr size_t indexJob = ColAddr + 2;
+    runEncodeJobs(pool, indexJob + 1 + chunks * 5, [&](size_t i) {
         if (i <= ColAddr)
-            sharedEnc[i] = encodeOneColumn(values[i], backend);
+            encodeOneColumn(values[i], backend, pool, sharedEnc[i]);
         else if (i == ColAddr + 1)
-            sharedEnc[i] =
-                encodeOneColumn(values[ColChunkLen], backend);
+            encodeOneColumn(values[ColChunkLen], backend, pool,
+                            sharedEnc[i]);
+        else if (i == indexJob)
+            archiveIndex = buildArchiveIndex(datasets);
         else {
-            size_t c = (i - (ColAddr + 2)) / 5;
-            size_t k = (i - (ColAddr + 2)) % 5;
-            chunkEnc[c][k] = encodeOneColumn(tsSlice(c, k), backend);
+            size_t c = (i - (indexJob + 1)) / 5;
+            size_t k = (i - (indexJob + 1)) % 5;
+            encodeOneColumn(tsSlice(c, k), backend, pool, chunkEnc[c][k]);
         }
     });
 
@@ -1080,7 +1161,6 @@ serializeColumnar(const Datasets &datasets,
     accountFrame(ColChunkLen, sharedEnc[ColAddr + 1],
                  writeFrame(w, sharedEnc[ColAddr + 1]), true);
 
-    ArchiveIndex archiveIndex = buildArchiveIndex(datasets);
     FCC_ASSERT(archiveIndex.chunks.size() == chunks,
                "index chunk count drifted from the layout");
     for (size_t c = 0; c < chunks; ++c) {

@@ -12,9 +12,9 @@
 
 #include <algorithm>
 #include <array>
-#include <numeric>
 #include <optional>
 #include <tuple>
+#include <utility>
 
 #include "trace/tsh.hpp"
 #include "util/error.hpp"
@@ -476,28 +476,27 @@ CompressSession::closeEpoch()
     }
 
     // Flows close out of order; the time-seq dataset is in canonical
-    // flow order. Equal keys (a 5-tuple reused within one
-    // nanosecond) keep their close order.
+    // flow order. Each key is built once and sorted next to its
+    // record's index, which keeps equal keys (a 5-tuple reused within
+    // one nanosecond) in close order. The keys then hold everything
+    // recordOrder_ did, so it is freed before the sorted copy is made.
     size_t records = datasets_.timeSeq.size();
-    std::vector<uint32_t> order(records);
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(),
-              [this](uint32_t a, uint32_t b) {
-                  const RecordOrder &x = recordOrder_[a];
-                  const RecordOrder &y = recordOrder_[b];
-                  return std::tuple(flow::canonicalFlowOrderKey(
-                                        x.firstNs, x.key),
-                                    a) <
-                         std::tuple(flow::canonicalFlowOrderKey(
-                                        y.firstNs, y.key),
-                                    b);
-              });
+    using OrderKey = decltype(flow::canonicalFlowOrderKey(
+        0, std::declval<const flow::FlowKey &>()));
+    std::vector<std::pair<OrderKey, uint32_t>> order;
+    order.reserve(records);
+    for (size_t i = 0; i < records; ++i)
+        order.emplace_back(
+            flow::canonicalFlowOrderKey(recordOrder_[i].firstNs,
+                                        recordOrder_[i].key),
+            static_cast<uint32_t>(i));
+    std::vector<RecordOrder>().swap(recordOrder_);
+    std::sort(order.begin(), order.end());
     std::vector<TimeSeqRecord> sorted;
     sorted.reserve(records);
-    for (uint32_t i : order)
-        sorted.push_back(datasets_.timeSeq[i]);
+    for (const auto &entry : order)
+        sorted.push_back(datasets_.timeSeq[entry.second]);
     datasets_.timeSeq = std::move(sorted);
-    recordOrder_.clear();
 
     datasets_.shortTemplates.clear();
     datasets_.shortTemplates.reserve(templateOrder_.size());

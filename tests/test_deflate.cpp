@@ -29,6 +29,9 @@
 #include "util/error.hpp"
 #include "util/io.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
+
+#include "test_common.hpp"
 
 #if __has_include(<zlib.h>)
 #include <zlib.h>
@@ -171,6 +174,204 @@ TEST(Lz77, RunOfOneByteUsesOverlappingMatch)
     auto tokens = fd::lz77Tokenize(data);
     // 1 literal plus a few long overlapping matches.
     EXPECT_LT(tokens.size(), 10u);
+}
+
+namespace {
+
+/** Tokens as comparable (length, distance) pairs. */
+std::vector<std::pair<uint16_t, uint16_t>>
+tokenPairs(std::span<const fd::Lz77Token> tokens)
+{
+    std::vector<std::pair<uint16_t, uint16_t>> out;
+    out.reserve(tokens.size());
+    for (const fd::Lz77Token &tok : tokens)
+        out.emplace_back(tok.length, tok.distance);
+    return out;
+}
+
+/** The stitched token stream of a segmented parse of @p data. */
+std::vector<std::pair<uint16_t, uint16_t>>
+segmentedTokens(const std::vector<uint8_t> &data,
+                std::vector<size_t> starts,
+                size_t overrun = fd::lz77SegmentOverrun)
+{
+    fd::Lz77SegmentedParse parse(data, std::move(starts), overrun);
+    // Last segment first: the stitch must not depend on parse order.
+    for (size_t k = parse.segments(); k-- > 0;)
+        parse.parseSegment(k);
+    std::vector<std::pair<uint16_t, uint16_t>> out;
+    for (std::span<const fd::Lz77Token> piece : parse.stitch()) {
+        auto pairs = tokenPairs(piece);
+        out.insert(out.end(), pairs.begin(), pairs.end());
+    }
+    return out;
+}
+
+/** Inputs for the segmented-parse tests, by name. */
+std::vector<std::pair<std::string, std::vector<uint8_t>>>
+segmentInputs()
+{
+    std::vector<std::pair<std::string, std::vector<uint8_t>>> in;
+    in.emplace_back("empty", std::vector<uint8_t>{});
+    in.emplace_back("1 byte", bytesOf("a"));
+    in.emplace_back("2 bytes", bytesOf("ab"));
+    in.emplace_back("3 bytes", bytesOf("aaa"));
+    std::vector<uint8_t> runs(3000, 'x');
+    runs.push_back('y');
+    runs.insert(runs.end(), 70000, 'z');
+    in.emplace_back("runs past 258", runs);
+    in.emplace_back("random", randomBytes(100000, 7));
+    in.emplace_back("small alphabet", randomBytes(100000, 8, 4));
+    in.emplace_back("text", repetitiveBytes(80000));
+    for (size_t period : {fd::windowSize - 1, fd::windowSize,
+                          fd::windowSize + 1}) {
+        std::vector<uint8_t> block = randomBytes(period, 9);
+        std::vector<uint8_t> periodic;
+        for (int copy = 0; copy < 3; ++copy)
+            periodic.insert(periodic.end(), block.begin(), block.end());
+        in.emplace_back("period " + std::to_string(period), periodic);
+    }
+    return in;
+}
+
+} // namespace
+
+TEST(Lz77, EvenStartsSpreadOverTheInput)
+{
+    EXPECT_EQ(fd::lz77EvenStarts(0, 4), std::vector<size_t>{0});
+    EXPECT_EQ(fd::lz77EvenStarts(3, 16), (std::vector<size_t>{0, 1, 2}));
+    EXPECT_EQ(fd::lz77EvenStarts(10, 0), std::vector<size_t>{0});
+    EXPECT_EQ(fd::lz77EvenStarts(10, 4),
+              (std::vector<size_t>{0, 2, 5, 7}));
+    size_t huge = SIZE_MAX - 1;
+    std::vector<size_t> starts = fd::lz77EvenStarts(huge, 7);
+    ASSERT_EQ(starts.size(), 7u);
+    for (size_t k = 1; k < starts.size(); ++k)
+        EXPECT_GT(starts[k], starts[k - 1]);
+    EXPECT_LT(starts.back(), huge);
+}
+
+TEST(Lz77, SegmentedParseMatchesSerial)
+{
+    // Smoke mode (the TSan job) keeps every fourth segment count.
+    size_t step = fcc::test::smokeTests() ? 4 : 1;
+    for (const auto &[name, data] : segmentInputs()) {
+        auto serial = tokenPairs(fd::lz77Tokenize(data));
+        for (size_t segments = 1; segments <= 16; segments += step) {
+            SCOPED_TRACE(name + ", " + std::to_string(segments) +
+                         " segments");
+            EXPECT_EQ(segmentedTokens(
+                          data, fd::lz77EvenStarts(data.size(), segments)),
+                      serial);
+            // A short overrun syncs some seams and falls back on
+            // others; the tokens stay the serial ones either way.
+            EXPECT_EQ(segmentedTokens(
+                          data, fd::lz77EvenStarts(data.size(), segments),
+                          64),
+                      serial);
+        }
+    }
+}
+
+TEST(Lz77, SegmentSeamsInsideMatchesAndAtTheEnd)
+{
+    for (const auto &[name, data] : segmentInputs()) {
+        size_t n = data.size();
+        if (n < 8)
+            continue;
+        SCOPED_TRACE(name);
+        std::vector<fd::Lz77Token> tokens = fd::lz77Tokenize(data);
+        auto serial = tokenPairs(tokens);
+        // Seams at the start of every 97th match (the segment's
+        // first token must see the whole window before it) and one
+        // byte into every 97th other (the segments must resync),
+        // plus seams at n - 2 and n - 1.
+        std::vector<size_t> starts{0};
+        size_t pos = 0, matches = 0;
+        for (const fd::Lz77Token &tok : tokens) {
+            if (!tok.isLiteral()) {
+                size_t at = matches % 97 == 0    ? pos
+                            : matches % 97 == 48 ? pos + 1
+                                                 : 0;
+                if (at > starts.back() && at < n - 2)
+                    starts.push_back(at);
+                ++matches;
+            }
+            pos += tok.isLiteral() ? 1 : tok.length;
+        }
+        starts.push_back(n - 2);
+        starts.push_back(n - 1);
+        EXPECT_EQ(segmentedTokens(data, starts), serial);
+        EXPECT_EQ(segmentedTokens(data, {0, n - 1}), serial);
+        EXPECT_EQ(segmentedTokens(data, {0, n - 2}), serial);
+        // A seam at a match reaching back a whole window: the
+        // segment must index the window's first position too.
+        pos = 0;
+        for (const fd::Lz77Token &tok : tokens) {
+            if (tok.distance == fd::windowSize) {
+                EXPECT_EQ(segmentedTokens(data, {0, pos}), serial);
+                break;
+            }
+            pos += tok.isLiteral() ? 1 : tok.length;
+        }
+    }
+}
+
+TEST(Lz77, SegmentJoinsTheSerialStreamAfterItsPredecessor)
+{
+    // Segment 1 starts inside a run's first match, so its 258-byte
+    // matches sit one byte off the serial ones until the run ends.
+    // Segment 2 starts on segment 1's own off-serial path: the two
+    // share starts at once, but the stitch may switch to segment 2
+    // only where segment 1 has joined the serial stream.
+    std::vector<uint8_t> data = randomBytes(1000, 11);
+    data.insert(data.end(), 5000, 'z');
+    std::vector<uint8_t> tail = randomBytes(3000, 12);
+    data.insert(data.end(), tail.begin(), tail.end());
+    auto serial = tokenPairs(fd::lz77Tokenize(data));
+    EXPECT_EQ(segmentedTokens(data, {0, 1002, 1002 + fd::maxMatch}, 8192),
+              serial);
+}
+
+TEST(Lz77, SegmentFallbackKeepsSerialTokens)
+{
+    // No overrun: no seam can find a shared start, so every
+    // segmented parse with a seam takes the serial fallback.
+    for (const auto &[name, data] : segmentInputs()) {
+        auto serial = tokenPairs(fd::lz77Tokenize(data));
+        for (size_t segments : {2u, 16u}) {
+            SCOPED_TRACE(name + ", " + std::to_string(segments) +
+                         " segments");
+            EXPECT_EQ(segmentedTokens(
+                          data, fd::lz77EvenStarts(data.size(), segments),
+                          0),
+                      serial);
+        }
+    }
+}
+
+TEST(Lz77, SegmentedZlibMatchesSerialBytes)
+{
+    // The segments parse concurrently, as the columnar encoder runs
+    // them.
+    fcc::util::ThreadPool pool(4);
+    for (const auto &[name, data] : segmentInputs()) {
+        std::vector<uint8_t> serial = fd::zlibCompress(data);
+        for (size_t segments : {1u, 3u, 4u, 16u}) {
+            for (size_t overrun : {fd::lz77SegmentOverrun, size_t{0}}) {
+                SCOPED_TRACE(name + ", " + std::to_string(segments) +
+                             " segments, overrun " +
+                             std::to_string(overrun));
+                fd::Lz77SegmentedParse parse(
+                    data, fd::lz77EvenStarts(data.size(), segments),
+                    overrun);
+                pool.parallelFor(parse.segments(), [&](size_t k) {
+                    parse.parseSegment(k);
+                });
+                EXPECT_EQ(fd::zlibCompress(parse), serial);
+            }
+        }
+    }
 }
 
 // ---- Huffman ---------------------------------------------------------

@@ -742,6 +742,51 @@ TEST(Stream, Fcc3ByteIdenticalAcrossThreadCounts)
     std::remove(tshIn.c_str());
 }
 
+TEST(Stream, SplitDeflateParseIdenticalAcrossThreadCounts)
+{
+    // long_ipt here is several times the field-coded size from which
+    // a deflate column's LZ77 parse splits into segments on the pool
+    // (two windows), so from 2 threads up the column is stitched from
+    // segments. Both layouts must match the one-thread bytes.
+    trace::WebGenConfig gen;
+    gen.seed = 2005;
+    gen.durationSec = 30.0;
+    gen.flowsPerSec = 1000.0;
+    trace::Trace tr = trace::WebTrafficGenerator(gen).generate();
+    fccc::FccConfig cfg;
+    cfg.container = fccc::ContainerFormat::Fcc3;
+    cfg.threads = 1;
+    fccc::CompressSession session(cfg);
+    session.feed(tr.packets());
+    fccc::Datasets datasets = session.sealDatasets();
+
+    for (bool indexed : {false, true}) {
+        SCOPED_TRACE(indexed ? "indexed" : "plain");
+        cfg.index = indexed;
+        std::vector<uint8_t> reference;
+        for (uint32_t threads : {1u, 2u, 3u, 4u, 8u}) {
+            SCOPED_TRACE(threads);
+            cfg.threads = threads;
+            fccc::SizeBreakdown sizes;
+            std::vector<fccc::ColumnStat> columns;
+            std::vector<uint8_t> bytes =
+                fccc::serializeDatasets(datasets, cfg, sizes, &columns);
+            auto ipt = std::find_if(
+                columns.begin(), columns.end(),
+                [](const fccc::ColumnStat &c) {
+                    return c.name == "long_ipt";
+                });
+            ASSERT_NE(ipt, columns.end());
+            EXPECT_GE(ipt->encodedBytes, 4 * 2 * codec::deflate::windowSize);
+            EXPECT_EQ(ipt->backend, codec::backend::EntropyBackend::Deflate);
+            if (threads == 1)
+                reference = std::move(bytes);
+            else
+                EXPECT_EQ(bytes, reference);
+        }
+    }
+}
+
 TEST(Stream, HybridDeflateRoundTripsViaStreaming)
 {
     // The whole-blob zlib hybrid is no longer written, but streaming
