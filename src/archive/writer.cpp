@@ -118,7 +118,10 @@ ArchiveWriter::commit(std::span<const uint8_t> bytes,
                          partial);
         detail::fsyncFd(fd, partial);
     } catch (...) {
+        // A failed write (a full disk, a file-size limit) leaves no
+        // partial archive behind.
         ::close(fd);
+        ::unlink(partial.c_str());
         throw;
     }
     ::close(fd);

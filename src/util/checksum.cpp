@@ -85,6 +85,46 @@ crcSlice16(uint32_t c, const uint8_t *p, size_t n)
     return crcBytes(c, p, n);
 }
 
+/*
+ * CRC-32 arithmetic in GF(2)[x] modulo the gzip polynomial P, in the
+ * reflected representation the tables use: bit 31 holds the
+ * coefficient of x^0 and bit 0 that of x^31. A zero byte fed to the
+ * register multiplies it by x^8 mod P, so by linearity the register
+ * after A then B is reg(A) * x^(8|B|) plus what B alone leaves in a
+ * zero register. The initial and final complements cancel between
+ * of(A ++ B) and of(B), which gives combine() below.
+ */
+constexpr uint32_t crcPolynomial = 0xedb88320u;
+constexpr uint32_t crcOne = 0x80000000u;  ///< the polynomial 1
+
+/** a * b mod P. */
+uint32_t
+crcMultiply(uint32_t a, uint32_t b)
+{
+    uint32_t product = 0;
+    // For each coefficient of a from x^0 up, add b * x^i.
+    for (uint32_t term = crcOne; term != 0; term >>= 1) {
+        if (a & term)
+            product ^= b;
+        b = (b & 1) ? (b >> 1) ^ crcPolynomial : b >> 1;  // b *= x
+    }
+    return product;
+}
+
+/** x^(8 n) mod P, squaring x^8 along the bits of n. */
+uint32_t
+crcShiftBytes(uint64_t n)
+{
+    uint32_t result = crcOne;
+    uint32_t power = crcOne >> 8;  // x^8
+    for (; n != 0; n >>= 1) {
+        if (n & 1)
+            result = crcMultiply(result, power);
+        power = crcMultiply(power, power);
+    }
+    return result;
+}
+
 // Largest n such that 255n(n+1)/2 + (n+1)(65520) fits in 32 bits.
 constexpr size_t adlerNmax = 5552;
 constexpr uint32_t adlerBase = 65521;
@@ -103,6 +143,12 @@ Crc32::of(std::span<const uint8_t> data)
     Crc32 crc;
     crc.update(data);
     return crc.value();
+}
+
+uint32_t
+Crc32::combine(uint32_t a, uint32_t b, uint64_t lenB)
+{
+    return crcMultiply(a, crcShiftBytes(lenB)) ^ b;
 }
 
 void

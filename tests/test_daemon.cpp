@@ -24,7 +24,9 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -762,4 +764,98 @@ TEST(Daemon, FccdChildSurvivesSigkill)
     query::CatalogQueryStats qs =
         catalog.run(query::parseExpr("flow.packets >= 1"), sink);
     EXPECT_EQ(qs.packetsMatched, packets);
+}
+
+namespace {
+
+/**
+ * Run FCCD_BIN on @p args with its stderr in @p errPath and, when
+ * @p fileLimit is set, a soft RLIMIT_FSIZE of that many bytes on the
+ * child alone. Returns the wait status.
+ */
+int
+runFccd(const char *bin, const std::vector<std::string> &args,
+        const std::string &errPath, rlim_t fileLimit)
+{
+    std::vector<char *> argv = {const_cast<char *>(bin)};
+    for (const std::string &a : args)
+        argv.push_back(const_cast<char *>(a.c_str()));
+    argv.push_back(nullptr);
+    pid_t child = ::fork();
+    if (child == 0) {
+        int fd = ::open(errPath.c_str(),
+                        O_WRONLY | O_CREAT | O_TRUNC, 0644);
+        if (fd >= 0)
+            ::dup2(fd, STDERR_FILENO);
+        if (fileLimit != RLIM_INFINITY) {
+            rlimit lim;
+            ::getrlimit(RLIMIT_FSIZE, &lim);
+            lim.rlim_cur = fileLimit;
+            ::setrlimit(RLIMIT_FSIZE, &lim);
+        }
+        ::execv(bin, argv.data());
+        std::_Exit(127);  // exec failed
+    }
+    int status = -1;
+    if (child > 0)
+        ::waitpid(child, &status, 0);
+    return status;
+}
+
+} // namespace
+
+// Past a file-size limit (the stand-in for a full disk) a commit
+// fails cleanly: fccd exits 1 with the error instead of dying of
+// SIGXFSZ, no partial archive stays behind, and the CATALOG lists
+// exactly the archives committed before the failure.
+TEST(Daemon, FccdFileSizeLimitFailsCleanly)
+{
+    const char *bin = std::getenv("FCCD_BIN");
+    if (bin == nullptr || bin[0] == '\0')
+        GTEST_SKIP() << "FCCD_BIN not set";
+
+    std::string tshIn = tempPath("fccd_fsize_in.tsh");
+    trace::writeTshFile(webTrace(67, 20.0), tshIn);
+    auto args = [&](const std::string &dir) {
+        return std::vector<std::string>{"--in-format", "tsh",
+                                        "--archive-records", "2000",
+                                        tshIn, dir};
+    };
+
+    // Unlimited: the archives and their sizes.
+    std::string full = tempDir("fccd_fsize_full");
+    int status = runFccd(bin, args(full), tempPath("fccd_fsize_full.err"),
+                         RLIM_INFINITY);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+    std::vector<archive::CatalogEntry> all = archive::loadCatalog(full);
+    ASSERT_GE(all.size(), 3u);
+
+    // A limit the first archive fits under and a later one does not.
+    const uint64_t limit = all[0].bytes;
+    size_t fits = 1;
+    while (fits < all.size() && all[fits].bytes <= limit)
+        ++fits;
+    ASSERT_LT(fits, all.size()) << "no archive larger than the first";
+
+    std::string dir = tempDir("fccd_fsize");
+    std::string errPath = tempPath("fccd_fsize.err");
+    status = runFccd(bin, args(dir), errPath, limit);
+    ASSERT_TRUE(WIFEXITED(status)) << "fccd died of a signal: " << status;
+    EXPECT_EQ(WEXITSTATUS(status), 1);
+    std::ifstream errFile(errPath);
+    std::string err((std::istreambuf_iterator<char>(errFile)),
+                    std::istreambuf_iterator<char>());
+    EXPECT_NE(err.find("File too large"), std::string::npos) << err;
+
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        EXPECT_NE(entry.path().extension(), ".partial")
+            << entry.path();
+    std::vector<archive::CatalogEntry> kept = archive::loadCatalog(dir);
+    ASSERT_EQ(kept.size(), fits);
+    for (size_t i = 0; i < fits; ++i) {
+        EXPECT_EQ(kept[i], all[i]) << i;
+        EXPECT_EQ(readFileBytes(dir + "/" + kept[i].name),
+                  readFileBytes(full + "/" + all[i].name))
+            << kept[i].name;
+    }
 }

@@ -22,8 +22,11 @@
 #include "codec/deflate/inflate_stream.hpp"
 #include "codec/deflate/lz77.hpp"
 #include "codec/deflate/rfc1951.hpp"
+#include "trace/pcapng.hpp"
+#include "trace/scenario_gen.hpp"
 #include "trace/tsh.hpp"
 #include "trace/web_gen.hpp"
+#include "util/bytes.hpp"
 #include "util/bitstream.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
@@ -1002,12 +1005,17 @@ TEST(InflateConformance, OverlappingMatchesAndFarthestDistance)
     ASSERT_EQ(*theirs, expect);
     EXPECT_EQ(fd::inflate(stream), expect);
 
+    // The same stream through decode() in steps of about 333 bytes:
+    // matches resume across the calls' caps.
     fd::InflateStream chunked(stream);
-    std::vector<uint8_t> got;
-    uint8_t buf[333];
-    size_t n;
-    while ((n = chunked.read(buf, sizeof(buf))) > 0)
-        got.insert(got.end(), buf, buf + n);
+    std::vector<uint8_t> got(expect.size() + fd::InflateStream::symbolRoom);
+    size_t pos = 0;
+    while (!chunked.finished())
+        pos = chunked.decode(
+            got.data(), pos,
+            std::min(got.size(), pos + 333 + fd::InflateStream::symbolRoom));
+    EXPECT_FALSE(chunked.error());
+    got.resize(pos);
     EXPECT_EQ(got, expect);
 }
 
@@ -1400,4 +1408,280 @@ TEST(Deflate, EncoderKnownAnswerBytes)
         EXPECT_EQ(zlibInflate(gzip, Wrap::Gzip), a.data);
     }
 }
+// ---- parallel gzip reads: differential against the one-shot decoder ------
+
+TEST(Crc32Combine, MatchesZlib)
+{
+    auto data = randomBytes((size_t{1} << 20) + 3 + 5000, 41);
+    std::mt19937 rng(42);
+    for (int i = 0; i < 100; ++i) {
+        size_t aLen = rng() % 5000;
+        size_t bLen = i < 5 ? std::vector<size_t>{0, 1, 7, 8,
+                                                  (size_t{1} << 20) + 3}[i]
+                            : rng() % 70000;
+        uint32_t a = fcc::util::Crc32::of({data.data(), aLen});
+        uint32_t b = fcc::util::Crc32::of({data.data() + aLen, bLen});
+        EXPECT_EQ(fcc::util::Crc32::combine(a, b, bLen),
+                  static_cast<uint32_t>(::crc32_combine(
+                      a, b, static_cast<z_off_t>(bLen))))
+            << aLen << " + " << bLen;
+    }
+}
+
+namespace {
+
+/**
+ * The serial reference for GzipInflateSource: each member's deflate
+ * stream decoded in order by one InflateStream, then its trailer
+ * checked. Returns every byte decoded before the first error, whose
+ * message lands in @p error (empty when the input is good).
+ */
+std::vector<uint8_t>
+serialGunzip(std::span<const uint8_t> gz, std::string &error)
+{
+    std::vector<uint8_t> out;
+    error.clear();
+    try {
+        size_t pos = fd::gzipHeaderSize(gz);
+        for (;;) {
+            fd::InflateStream in(gz.subspan(pos));
+            size_t begin = out.size(), end = out.size();
+            while (!in.finished()) {
+                out.resize(std::max<size_t>(2 * out.size(), end + 65536));
+                end = in.decode(out.data(), end, out.size());
+            }
+            out.resize(end);
+            if (in.error())
+                std::rethrow_exception(in.error());
+            pos += in.compressedBytesConsumed();
+            fcc::util::require(gz.size() - pos >= 8,
+                               "gzip: truncated member trailer");
+            std::span<const uint8_t> body(out.data() + begin, end - begin);
+            fcc::util::require(fcc::util::Crc32::of(body) ==
+                                   fcc::util::loadLe32(gz.data() + pos),
+                               "gzip: CRC-32 mismatch");
+            fcc::util::require(static_cast<uint32_t>(body.size()) ==
+                                   fcc::util::loadLe32(gz.data() + pos + 4),
+                               "gzip: length mismatch");
+            pos += 8;
+            if (pos == gz.size())
+                break;
+            pos += fd::gzipHeaderSize(gz.subspan(pos));
+        }
+    } catch (const fcc::util::Error &e) {
+        error = e.what();
+    }
+    return out;
+}
+
+/** Drain the source in @p readSize reads; the error lands in @p error. */
+std::vector<uint8_t>
+drainGzipUntilError(const std::vector<uint8_t> &gz, size_t readSize,
+                    std::string &error)
+{
+    std::vector<uint8_t> out, buf(readSize);
+    error.clear();
+    try {
+        fd::GzipInflateSource src(
+            std::make_unique<fcc::util::BufferByteSource>(
+                std::span<const uint8_t>(gz)));
+        size_t n;
+        while ((n = src.read(buf.data(), readSize)) > 0)
+            out.insert(out.end(), buf.begin(), buf.begin() + n);
+    } catch (const fcc::util::Error &e) {
+        error = e.what();
+    }
+    return out;
+}
+
+/** An elephants-style capture of @p flows long flows as pcapng. */
+std::vector<uint8_t>
+elephantsPcapng(uint32_t flows)
+{
+    fcc::trace::ScenarioConfig cfg = fcc::trace::scenarioDefaults(
+        fcc::trace::ScenarioKind::Elephants, 2005);
+    cfg.flows = flows;
+    cfg.durationSec = 10.0;
+    return fcc::trace::writePcapng(
+        fcc::trace::ScenarioGenerator(cfg).generate());
+}
+
+/** A web trace as TSH. */
+std::vector<uint8_t>
+webTsh(double seconds)
+{
+    fcc::trace::WebGenConfig cfg;
+    cfg.seed = 2005;
+    cfg.durationSec = seconds;
+    cfg.flowsPerSec = 200.0;
+    return fcc::trace::writeTsh(
+        fcc::trace::WebTrafficGenerator(cfg).generate());
+}
+
+/**
+ * Random bytes where every byte but one in sixteen repeats the byte
+ * 32768 back: matches at the farthest distance, across every part
+ * boundary.
+ */
+std::vector<uint8_t>
+farMatches(size_t n)
+{
+    auto out = randomBytes(n, 77);
+    for (size_t i = fd::windowSize; i < n; ++i)
+        if (i % 16 != 0)
+            out[i] = out[i - fd::windowSize];
+    return out;
+}
+
+constexpr size_t partBytes = fd::GzipInflateSource::partBytes;
+
+} // namespace
+
+TEST(ParallelGunzip, MultiPartMembersMatchOneShot)
+{
+    const bool smoke = fcc::test::smokeTests();
+    // Past partsPerWorker parts per worker, so part slots are reused.
+    const auto pcapng = elephantsPcapng(smoke ? 300 : 600);
+    const auto tsh = webTsh(smoke ? 8.0 : 20.0);
+    const auto far = farMatches(smoke ? (size_t{3} << 20) : (size_t{6} << 20));
+    struct Member
+    {
+        std::string name;
+        std::vector<uint8_t> gz;
+    };
+    std::vector<Member> members = {
+        {"ours pcapng", fd::gzipCompress(pcapng)},
+        {"ours tsh", fd::gzipCompress(tsh)},
+        {"zlib 1", zlibDeflate(pcapng, 1, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip)},
+        {"zlib 6", zlibDeflate(pcapng, 6, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip)},
+        {"zlib 9", zlibDeflate(tsh, 9, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip)},
+        {"zlib fixed", zlibDeflate(tsh, 6, Z_FIXED, 15, Wrap::Gzip)},
+        {"zlib huffman only",
+         zlibDeflate(tsh, 6, Z_HUFFMAN_ONLY, 15, Wrap::Gzip)},
+        {"zlib rle", zlibDeflate(pcapng, 6, Z_RLE, 15, Wrap::Gzip)},
+        {"stored", zlibDeflate(tsh, 0, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip)},
+        {"far matches", zlibDeflate(far, 6, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip)},
+    };
+    for (const Member &m : members) {
+        SCOPED_TRACE(m.name);
+        ASSERT_GT(m.gz.size(), 3 * partBytes);
+        const auto oneShot = fd::gzipDecompress(m.gz);
+        for (size_t readSize : {size_t{1}, size_t{4096}, size_t{1} << 20}) {
+            if (readSize == 1 && smoke && m.gz.size() > 4 * partBytes)
+                continue;
+            EXPECT_TRUE(drainGzip(m.gz, readSize) == oneShot)
+                << "read size " << readSize;
+        }
+    }
+
+    // Concatenated members of mixed sizes: multi-part members, and
+    // members that start and end inside one part.
+    std::vector<uint8_t> gz, expect;
+    auto append = [&](const std::vector<uint8_t> &member) {
+        gz.insert(gz.end(), member.begin(), member.end());
+        auto body = fd::gzipDecompress(member);
+        expect.insert(expect.end(), body.begin(), body.end());
+    };
+    append(members[0].gz);
+    append(fd::gzipCompress(randomBytes(5000, 3, 9)));
+    append(fd::gzipCompress({}));
+    append(members[4].gz);
+    append(zlibDeflate(randomBytes(70001, 4, 12), 6, Z_DEFAULT_STRATEGY, 15,
+                       Wrap::Gzip));
+    append(members[9].gz);
+    for (size_t readSize : {size_t{4096}, size_t{1} << 20})
+        EXPECT_TRUE(drainGzip(gz, readSize) == expect)
+            << "read size " << readSize;
+}
+
+TEST(ParallelGunzip, FalseHeadersInStoredDataKeepTheBytes)
+{
+    // Stored blocks whose payload is one dynamic-block DEFLATE stream
+    // after another: at every part offset the finder meets plausible
+    // headers that are not block starts of this member.
+    auto text = repetitiveBytes(200000);
+    auto noise = randomBytes(50000, 5, 20);
+    text.insert(text.end(), noise.begin(), noise.end());
+    auto payload = zlibDeflate(text, 9, Z_DEFAULT_STRATEGY, 15, Wrap::Raw);
+    std::vector<uint8_t> data;
+    while (data.size() < 6 * partBytes)
+        data.insert(data.end(), payload.begin(), payload.end());
+    auto gz = zlibDeflate(data, 0, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip);
+    auto oneShot = fd::gzipDecompress(gz);
+    ASSERT_EQ(oneShot, data);
+    for (size_t readSize : {size_t{4096}, size_t{1} << 20})
+        EXPECT_TRUE(drainGzip(gz, readSize) == oneShot)
+            << "read size " << readSize;
+
+    // The same inside our own member, between its dynamic blocks.
+    auto mixed = repetitiveBytes(300000);
+    mixed.insert(mixed.end(), data.begin(), data.end());
+    auto ours = fd::gzipCompress(mixed);
+    EXPECT_TRUE(drainGzip(ours, size_t{1} << 16) == mixed);
+}
+
+TEST(ParallelGunzip, MutationsMatchTheSerialDecoder)
+{
+    // Bit flips, truncations and splices of a multi-part member. The
+    // source must read exactly what the serial decoder reads: the same
+    // bytes and no error, or the bytes before the serial decoder's
+    // error and then that error. gzipDecompress must agree on the
+    // verdict.
+    const bool smoke = fcc::test::smokeTests();
+    const auto base = fd::gzipCompress(elephantsPcapng(140));
+    ASSERT_GT(base.size(), 3 * partBytes);
+    std::string error;
+    const auto plain = serialGunzip(base, error);
+    ASSERT_EQ(error, "");
+    ASSERT_EQ(plain, fd::gzipDecompress(base));
+
+    std::mt19937 rng(20050);
+    const int trials = smoke ? 200 : 2000;
+    int failures = 0;
+    for (int trial = 0; trial < trials; ++trial) {
+        std::vector<uint8_t> gz = base;
+        switch (trial % 3) {
+          case 0:  // one to three bit flips
+            for (unsigned f = 0, n = 1 + rng() % 3; f < n; ++f) {
+                size_t bit = rng() % (8 * gz.size());
+                gz[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+            }
+            break;
+          case 1:  // a cut
+            gz.resize(rng() % gz.size());
+            break;
+          default: {  // a run of the member copied over another place
+            size_t len = 1 + rng() % 4096;
+            size_t from = rng() % (gz.size() - len);
+            size_t to = rng() % (gz.size() - len);
+            std::copy(base.begin() + static_cast<long>(from),
+                      base.begin() + static_cast<long>(from + len),
+                      gz.begin() + static_cast<long>(to));
+            break;
+          }
+        }
+        std::string want, got;
+        auto serial = serialGunzip(gz, want);
+        auto parallel = drainGzipUntilError(gz, 65536, got);
+        ASSERT_EQ(got, want) << "trial " << trial;
+        ASSERT_TRUE(parallel == serial)
+            << "trial " << trial << ": " << parallel.size() << " vs "
+            << serial.size() << " bytes";
+        failures += !want.empty();
+        if (trial % 3 == 1) {
+            // A cut member fails; gzipDecompress would size its
+            // output from the bytes now at the end, not a trailer.
+            ASSERT_NE(want, "") << "trial " << trial;
+            continue;
+        }
+        auto oneShot = ourInflate(gz, Wrap::Gzip);
+        ASSERT_EQ(oneShot.has_value(), want.empty()) << "trial " << trial;
+        if (oneShot) {
+            ASSERT_TRUE(*oneShot == serial) << "trial " << trial;
+        }
+    }
+    // Most mutations must fail a check.
+    EXPECT_GT(failures, trials / 2);
+}
+
 #endif  // FCC_HAVE_ZLIB

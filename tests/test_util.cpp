@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "util/bitstream.hpp"
 #include "util/bytes.hpp"
@@ -206,6 +209,42 @@ TEST(Checksum, IncrementalEqualsOneShot)
     adler.update({data.data() + 7001, data.size() - 7001});
     EXPECT_EQ(crc.value(), Crc32::of(data));
     EXPECT_EQ(adler.value(), Adler32::of(data));
+}
+
+TEST(Checksum, Crc32CombineJoinsPieces)
+{
+    // combine(of(a), of(b), |b|) == of(a ++ b): random splits, the
+    // listed lengths of b, and an empty a.
+    Rng rng(2005);
+    std::vector<uint8_t> data((size_t{1} << 20) + 3 + 4096);
+    for (auto &b : data)
+        b = static_cast<uint8_t>(rng.next());
+    auto check = [&](size_t aLen, size_t bLen) {
+        std::span<const uint8_t> a(data.data(), aLen);
+        std::span<const uint8_t> b(data.data() + aLen, bLen);
+        EXPECT_EQ(Crc32::combine(Crc32::of(a), Crc32::of(b), bLen),
+                  Crc32::of({data.data(), aLen + bLen}))
+            << aLen << " + " << bLen;
+    };
+    for (size_t bLen : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                        (size_t{1} << 20) + 3}) {
+        check(0, bLen);
+        check(4096, bLen);
+        check(1, bLen);
+    }
+    for (int i = 0; i < 200; ++i) {
+        size_t total = rng.next() % 70000;
+        size_t aLen = total == 0 ? 0 : rng.next() % total;
+        check(aLen, total - aLen);
+    }
+    // Pieces joined in order, as a reader of parts does.
+    uint32_t joined = 0;
+    for (size_t at = 0; at < 100000; at += 7919) {
+        size_t len = std::min<size_t>(7919, 100000 - at);
+        joined = Crc32::combine(joined,
+                                Crc32::of({data.data() + at, len}), len);
+    }
+    EXPECT_EQ(joined, Crc32::of({data.data(), 100000}));
 }
 
 // ---- rng -----------------------------------------------------------------

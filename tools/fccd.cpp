@@ -17,6 +17,8 @@
  * seals at the next batch edge (rotate-now). SIGKILL loses only
  * the unsealed epoch — everything sealed is durable by the
  * fsync-before-footer discipline of archive::ArchiveWriter.
+ * SIGXFSZ is ignored: past a file-size limit the commit fails,
+ * removes its partial archive, and fccd exits 1 with the error.
  */
 
 #include <csignal>
@@ -186,6 +188,9 @@ main(int argc, char **argv)
         std::signal(SIGINT, onStop);
         std::signal(SIGTERM, onStop);
         std::signal(SIGHUP, onRotate);
+        // A file-size limit then fails the write ("File too large")
+        // instead of killing the daemon mid-archive.
+        std::signal(SIGXFSZ, SIG_IGN);
 
         std::printf("fccd: %s -> %s\n", config.input.c_str(),
                     config.outputDir.c_str());
