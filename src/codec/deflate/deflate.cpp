@@ -382,6 +382,9 @@ inflate(std::span<const uint8_t> data, size_t sizeHint)
 
 namespace {
 
+/** gzipDecompress's first output allocation, per payload byte. */
+constexpr size_t gzipFirstExpansion = 16;
+
 /**
  * Inflate a container payload that must end exactly where the
  * DEFLATE stream does (the checksum trailer follows it).
@@ -467,8 +470,17 @@ gzipDecompress(std::span<const uint8_t> data)
         crc |= static_cast<uint32_t>(t[i]) << (8 * i);
         isize |= static_cast<uint32_t>(t[4 + i]) << (8 * i);
     }
-    auto body = inflateExact(data.subspan(pos, data.size() - pos - 8),
-                             isize, "gzip: data between stream and trailer");
+    // ISIZE is whatever 4 bytes end the input until the stream checks
+    // out: a cut or corrupt member must not size (and zero-fill) an
+    // output of up to 1032 times its length. The first allocation
+    // stops at gzipFirstExpansion times the payload; a member that
+    // expands further grows its output as it decodes.
+    std::span<const uint8_t> payload =
+        data.subspan(pos, data.size() - pos - 8);
+    size_t hint = std::min<size_t>(
+        isize, gzipFirstExpansion * payload.size() + 65536);
+    auto body = inflateExact(payload, hint,
+                             "gzip: data between stream and trailer");
     util::require(util::Crc32::of(body) == crc,
                   "gzip: CRC-32 mismatch");
     util::require(static_cast<uint32_t>(body.size()) == isize,

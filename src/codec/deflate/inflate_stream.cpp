@@ -2,9 +2,7 @@
  * @file
  * Table-driven resumable DEFLATE decoder (64-bit bit buffer, lookup-
  * table Huffman decode, linear output buffer with word-wise match
- * copies, one symbol loop for byte and 16-bit output) and the
- * parallel streaming gzip member reader layered on top of it: block
- * finder, speculative parts, the caller's in-order chain.
+ * copies) and the streaming gzip member reader layered on top of it.
  */
 
 #include "codec/deflate/inflate_stream.hpp"
@@ -12,28 +10,27 @@
 #include <sched.h>
 
 #include <algorithm>
-#include <array>
-#include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstring>
-#include <deque>
-#include <limits>
-#include <mutex>
 
 #include "codec/deflate/rfc1951.hpp"
 #include "util/bytes.hpp"
-#include "util/checksum.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fcc::codec::deflate {
 
 namespace {
 
-constexpr size_t windowSize = InflateStream::windowSize;
-constexpr size_t symbolRoom = InflateStream::symbolRoom;
-/** Match copies move 8-byte words and may overshoot by up to 7. */
-constexpr size_t copyWord = 8;
+/** LZ77 window: the farthest a match reaches back. */
+constexpr size_t windowSize = size_t{1} << 15;
+/** Largest LZ77 match — the most one decoded symbol can emit. */
+constexpr size_t maxMatchRun = 258;
+/** A match copy may write up to 31 bytes past its end. */
+constexpr size_t copySlack = 32;
+/** Free room the symbol loop needs before decoding one symbol. */
+constexpr size_t symbolRoom = maxMatchRun + copySlack;
+/** read()'s buffer: the window plus the output area it slides over. */
+constexpr size_t streamBufferSize = windowSize + (size_t{3} << 15);
 /** No DEFLATE stream expands by more than this (258 bytes/2 bits). */
 constexpr size_t maxExpansion = 1032;
 /**
@@ -41,6 +38,9 @@ constexpr size_t maxExpansion = 1032;
  * the word path, with a margin past the 8 bytes one load reads.
  */
 constexpr size_t fastInputBytes = 16;
+
+/** How long a side of the gzip read-ahead ring spins before it blocks. */
+constexpr auto spinBound = std::chrono::milliseconds(1);
 
 /** The CPU the calling thread runs on, or -1 where unknown. */
 inline int
@@ -50,6 +50,16 @@ currentCpu()
     return sched_getcpu();
 #else
     return -1;
+#endif
+}
+
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
 #endif
 }
 
@@ -80,25 +90,38 @@ throwInvalidCode()
 }
 
 /**
- * Copy a @p len symbol match from @p d symbols back to @p out;
- * returns the end of the copy. May write up to one word past it.
+ * Copy a @p len byte match from @p d bytes back to @p out; returns
+ * the end of the copy. May write up to copySlack - 1 bytes past it.
  */
-template <class Sym>
-inline Sym *
-copyMatch(Sym *out, uint32_t d, uint32_t len)
+inline uint8_t *
+copyMatch(uint8_t *out, uint32_t d, uint32_t len)
 {
-    constexpr uint32_t wordSyms = copyWord / sizeof(Sym);
-    const Sym *src = out - d;
-    Sym *const end = out + len;
-    if (d >= wordSyms) {
-        // Word copies never read symbols this match still writes.
+    const uint8_t *src = out - d;
+    uint8_t *const end = out + len;
+    if (d >= 16) {
+        // 16-byte copies never read bytes this match still writes.
+        // Most matches are 32 bytes or less: their first 32 bytes go
+        // without a loop, whose exit branch would often mispredict.
+        std::memcpy(out, src, 16);
+        std::memcpy(out + 16, src + 16, 16);
+        if (len > 32) {
+            out += 32;
+            src += 32;
+            do {
+                std::memcpy(out, src, 16);
+                out += 16;
+                src += 16;
+            } while (out < end);
+        }
+    } else if (d >= 8) {
+        // Word copies never read bytes this match still writes.
         do {
-            std::memcpy(out, src, copyWord);
-            out += wordSyms;
-            src += wordSyms;
+            std::memcpy(out, src, 8);
+            out += 8;
+            src += 8;
         } while (out < end);
     } else {
-        // Overlapping: each symbol may be one the copy produced.
+        // Overlapping: each byte may be one the copy produced.
         do {
             *out++ = *src++;
         } while (out < end);
@@ -110,17 +133,9 @@ copyMatch(Sym *out, uint32_t d, uint32_t len)
 
 // ---- InflateStream -------------------------------------------------
 
-InflateStream::InflateStream(std::span<const uint8_t> compressed,
-                             size_t startBit, size_t stopBit)
-    : in_(compressed.data()), inLen_(compressed.size()),
-      inPos_(startBit / 8), stopBit_(stopBit)
-{
-    FCC_ASSERT(startBit <= 8 * inLen_, "inflate: start past the input");
-    if (unsigned skip = startBit % 8) {
-        bitBuf_ = in_[inPos_++] >> skip;
-        bitCount_ = 8 - skip;
-    }
-}
+InflateStream::InflateStream(std::span<const uint8_t> compressed)
+    : in_(compressed.data()), inLen_(compressed.size())
+{}
 
 inline void
 InflateStream::refill()
@@ -171,13 +186,6 @@ InflateStream::symbol(const HuffmanDecoder &code)
     bitBuf_ >>= s.length;
     bitCount_ -= s.length;
     return s.symbol;
-}
-
-inline void
-InflateStream::endBlock()
-{
-    inBlock_ = false;
-    done_ = finalBlock_ || bitPosition() >= stopBit_;
 }
 
 void
@@ -250,9 +258,8 @@ InflateStream::readDynamicTables()
     dist_ = &*dynDist_;
 }
 
-template <class Sym>
-void
-InflateStream::copyStored(Sym *buf, size_t &pos, size_t cap)
+size_t
+InflateStream::copyStored(uint8_t *buf, size_t pos, size_t cap)
 {
     // Whole bytes already in the bit buffer come first.
     while (storedLeft_ > 0 && bitCount_ >= 8 && pos < cap) {
@@ -267,39 +274,40 @@ InflateStream::copyStored(Sym *buf, size_t &pos, size_t cap)
         bitBuf_ = 0;
         size_t take = std::min({static_cast<size_t>(storedLeft_),
                                 cap - pos, inLen_ - inPos_});
-        if constexpr (sizeof(Sym) == 1)
-            std::memcpy(buf + pos, in_ + inPos_, take);
-        else
-            std::copy(in_ + inPos_, in_ + inPos_ + take, buf + pos);
+        std::memcpy(buf + pos, in_ + inPos_, take);
         pos += take;
         inPos_ += take;
         storedLeft_ -= static_cast<uint32_t>(take);
-        if (storedLeft_ > 0 && inPos_ == inLen_)
+        if (storedLeft_ > 0 && inPos_ == inLen_) {
+            stopped_ = pos;
             throwTruncated();
+        }
     }
-    if (storedLeft_ == 0)
-        endBlock();
+    if (storedLeft_ == 0) {
+        inBlock_ = false;
+        done_ = finalBlock_;
+    }
+    return pos;
 }
 
-template <class Sym>
-void
-InflateStream::decodeHuffman(Sym *buf, size_t &pos, size_t cap)
+size_t
+InflateStream::decodeHuffman(uint8_t *buf, size_t pos, size_t cap)
 {
     if (cap - pos < symbolRoom)
-        return;
+        return pos;
     const HuffmanDecoder &lit = *lit_;
     const HuffmanDecoder &dist = *dist_;
-    Sym *out = buf + pos;
-    Sym *const limit = buf + (cap - symbolRoom);
-
+    uint8_t *out = buf + pos;
+    uint8_t *const limit = buf + (cap - symbolRoom);
     try {
-        // Fast loop, while fastInputBytes of input remain: every
-        // refill loads a whole word and leaves at least 56 bits,
-        // enough for two literals or a length/distance pair (15 + 5 +
-        // 15 + 13 bits), so no decode here can run out of bits and
-        // none checks for it. The bit buffer lives in locals: stores
-        // through the output pointer could otherwise alias the
-        // members.
+
+    // Fast loop, while fastInputBytes of input remain: every refill
+    // loads a whole word and leaves at least 56 bits, enough for two
+    // literals or a length/distance pair (15 + 5 + 15 + 13 bits), so
+    // no decode here can run out of bits and none checks for it. The
+    // bit buffer lives in locals: stores through the byte output
+    // pointer could otherwise alias the members.
+    {
         uint64_t bitBuf = bitBuf_;
         unsigned bitCount = bitCount_;
         size_t inPos = inPos_;
@@ -321,13 +329,13 @@ InflateStream::decodeHuffman(Sym *buf, size_t &pos, size_t cap)
                 throwInvalidCode();
             take(s.length);
             if (s.symbol < 256) {
-                *out++ = static_cast<Sym>(s.symbol);
+                *out++ = static_cast<uint8_t>(s.symbol);
                 // A second literal fits in the same refill; anything
                 // else waits for the next one.
                 s = lit.lookup(bitBuf);
                 if (s.length != 0 && s.symbol < 256) {
                     take(s.length);
-                    *out++ = static_cast<Sym>(s.symbol);
+                    *out++ = static_cast<uint8_t>(s.symbol);
                 }
                 continue;
             }
@@ -353,72 +361,103 @@ InflateStream::decodeHuffman(Sym *buf, size_t &pos, size_t cap)
         bitCount_ = bitCount;
         inPos_ = inPos;
         if (blockEnd) {
-            endBlock();
-            pos = static_cast<size_t>(out - buf);
-            return;
+            inBlock_ = false;
+            done_ = finalBlock_;
+            return static_cast<size_t>(out - buf);
         }
+    }
 
-        // The tail: near the end of the input, refills and decodes
-        // check every bit they take.
-        while (out <= limit) {
-            // One refill covers a whole length/distance pair: 15 + 5
-            // + 15 + 13 bits, within the 56 a refill guarantees
-            // mid-stream.
-            refill();
-            unsigned sym = symbol(lit);
-            if (sym < 256) {
-                *out++ = static_cast<Sym>(sym);
-                continue;
-            }
-            if (sym == endOfBlock) {
-                endBlock();
-                break;
-            }
-            util::require(sym <= 285, "inflate: bad length symbol");
-            unsigned li = sym - 257;
-            uint32_t len = lengthBase[li] + bits(lengthExtra[li]);
-            unsigned dsym = symbol(dist);
-            util::require(dsym < numDistCodes,
-                          "inflate: bad distance symbol");
-            uint32_t d = distBase[dsym] + bits(distExtra[dsym]);
-            util::require(d <= static_cast<size_t>(out - buf),
-                          "inflate: distance beyond output");
-            out = copyMatch(out, d, len);
+    // The tail: near the end of the input, refills and decodes check
+    // every bit they take.
+    while (out <= limit) {
+        // One refill covers a whole length/distance pair: 15 + 5 +
+        // 15 + 13 bits, within the 56 a refill guarantees mid-stream.
+        refill();
+        unsigned sym = symbol(lit);
+        if (sym < 256) {
+            *out++ = static_cast<uint8_t>(sym);
+            continue;
         }
+        if (sym == endOfBlock) {
+            inBlock_ = false;
+            done_ = finalBlock_;
+            break;
+        }
+        util::require(sym <= 285, "inflate: bad length symbol");
+        unsigned li = sym - 257;
+        uint32_t len = lengthBase[li] + bits(lengthExtra[li]);
+        unsigned dsym = symbol(dist);
+        util::require(dsym < numDistCodes, "inflate: bad distance symbol");
+        uint32_t d = distBase[dsym] + bits(distExtra[dsym]);
+        util::require(d <= static_cast<size_t>(out - buf),
+                      "inflate: distance beyond output");
+        out = copyMatch(out, d, len);
+    }
+
     } catch (...) {
-        // Every symbol before the bad one stays decoded.
-        pos = static_cast<size_t>(out - buf);
+        stopped_ = static_cast<size_t>(out - buf);  // every whole symbol
         throw;
     }
-    pos = static_cast<size_t>(out - buf);
+    return static_cast<size_t>(out - buf);
 }
 
-template <class Sym>
 size_t
-InflateStream::decode(Sym *buf, size_t pos, size_t cap)
+InflateStream::decode(uint8_t *buf, size_t pos, size_t cap)
 {
+    if (error_)
+        return pos;
     try {
         while (!done_) {
+            stopped_ = pos;
             if (!inBlock_) {
                 readBlockHeader();
                 continue;
             }
-            if (storedBlock_)
-                copyStored(buf, pos, cap);
-            else
-                decodeHuffman(buf, pos, cap);
+            pos = storedBlock_ ? copyStored(buf, pos, cap)
+                               : decodeHuffman(buf, pos, cap);
             if (inBlock_)
                 break;  // buffer full
         }
     } catch (...) {
         error_ = std::current_exception();
-        done_ = true;
+        return stopped_;
     }
     return pos;
 }
 
-template size_t InflateStream::decode(uint8_t *, size_t, size_t);
-template size_t InflateStream::decode(uint16_t *, size_t, size_t);
+size_t
+InflateStream::read(uint8_t *out, size_t maxLen)
+{
+    size_t total = 0;
+    while (total < maxLen) {
+        if (drained_ == bufEnd_) {
+            if (error_) {
+                // Bytes before the error go out first.
+                if (total > 0)
+                    break;
+                std::rethrow_exception(error_);
+            }
+            if (done_)
+                break;
+            if (buf_.empty()) {
+                buf_.resize(streamBufferSize);
+            } else if (bufEnd_ > windowSize) {
+                // Slide: keep the last 32 KiB as history.
+                std::memmove(buf_.data(),
+                             buf_.data() + bufEnd_ - windowSize,
+                             windowSize);
+                bufEnd_ = drained_ = windowSize;
+            }
+            bufEnd_ = decode(buf_.data(), bufEnd_, buf_.size());
+            continue;
+        }
+        size_t n = std::min(maxLen - total, bufEnd_ - drained_);
+        std::memcpy(out + total, buf_.data() + drained_, n);
+        total += n;
+        drained_ += n;
+    }
+    return total;
+}
 
 std::vector<uint8_t>
 InflateStream::readAll(size_t sizeHint)
@@ -441,213 +480,6 @@ InflateStream::readAll(size_t sizeHint)
     out.resize(pos);
     return out;
 }
-
-// ---- block finder --------------------------------------------------
-
-namespace {
-
-constexpr size_t noBit = std::numeric_limits<size_t>::max();
-
-/**
- * 64 bits of @p data from bit @p bit on, zero padded past the end:
- * at least 57 of them are input bits wherever the input has them.
- */
-inline uint64_t
-peekBits(std::span<const uint8_t> data, size_t bit)
-{
-    size_t byte = bit / 8;
-    uint64_t w = 0;
-    if (byte >= data.size())
-        return 0;
-    if (data.size() - byte >= 8) {
-        w = util::loadLe64(data.data() + byte);
-    } else {
-        for (size_t i = 0; byte + i < data.size(); ++i)
-            w |= uint64_t{data[byte + i]} << (8 * i);
-    }
-    return w >> (bit % 8);
-}
-
-/** Whether @p lens (none above @p maxBits) make a complete code. */
-bool
-completeCode(const uint8_t *lens, size_t n, unsigned maxBits)
-{
-    uint32_t kraft = 0;
-    for (size_t i = 0; i < n; ++i)
-        if (lens[i] != 0)
-            kraft += uint32_t{1} << (maxBits - lens[i]);
-    return kraft == uint32_t{1} << maxBits;
-}
-
-/** Kraft sums, in 1/128ths, of four 3-bit code lengths (0: unused). */
-const std::array<uint16_t, 4096> precodeKraft = [] {
-    std::array<uint16_t, 4096> sums{};
-    for (unsigned v = 0; v < 4096; ++v)
-        for (unsigned i = 0; i < 4; ++i)
-            if (unsigned len = (v >> (3 * i)) & 7)
-                sums[v] = static_cast<uint16_t>(sums[v] + (128 >> len));
-    return sums;
-}();
-
-/** Whether the first @p count 3-bit lengths of @p bits make a
- *  complete code-length code. */
-inline bool
-completePrecode(uint64_t bits, unsigned count)
-{
-    bits &= (uint64_t{1} << (3 * count)) - 1;
-    // No early exit: a data-dependent branch here costs more than the
-    // lookups it would save.
-    unsigned sum = precodeKraft[bits & 0xfff] +
-                   precodeKraft[(bits >> 12) & 0xfff] +
-                   precodeKraft[(bits >> 24) & 0xfff] +
-                   precodeKraft[(bits >> 36) & 0xfff] +
-                   precodeKraft[(bits >> 48) & 0xfff];
-    return sum == 128;
-}
-
-/**
- * The rest of the header test at bit @p b, whose first 13 bits make
- * a non-final dynamic header with HLIT <= 29 and HDIST <= 29 and
- * whose code-length code is complete: code lengths that decode
- * without overflow, a code for end-of-block, a complete
- * literal/length code, and a distance code HuffmanDecoder accepts.
- */
-bool
-plausibleDynamicHeader(std::span<const uint8_t> data, size_t b)
-{
-    const size_t end = data.size() * 8;
-    uint64_t head = peekBits(data, b);
-    const unsigned hlit = static_cast<unsigned>((head >> 3) & 31) + 257;
-    const unsigned hdist = static_cast<unsigned>((head >> 8) & 31) + 1;
-    const unsigned hclen = static_cast<unsigned>((head >> 13) & 15) + 4;
-    size_t bit = b + 17;
-    if (bit + 3 * hclen > end)
-        return false;
-    uint64_t clBits = peekBits(data, bit);  // 19 lengths: 57 bits
-    uint8_t clcLens[19] = {};
-    for (unsigned i = 0; i < hclen; ++i)
-        clcLens[clcOrder[i]] = static_cast<uint8_t>((clBits >> (3 * i)) & 7);
-    bit += 3 * hclen;
-
-    // The code-length code as a 7-bit table of symbol | length << 5,
-    // indexed by the next stream bits (codes arrive MSB first).
-    uint8_t table[128];
-    unsigned count[8] = {};
-    for (uint8_t len : clcLens)
-        ++count[len];
-    count[0] = 0;
-    unsigned next[8] = {};
-    for (unsigned len = 1, code = 0; len < 8; ++len) {
-        code = (code + count[len - 1]) << 1;
-        next[len] = code;
-    }
-    for (unsigned sym = 0; sym < 19; ++sym) {
-        unsigned len = clcLens[sym];
-        if (len == 0)
-            continue;
-        unsigned code = next[len]++, reversed = 0;
-        for (unsigned i = 0; i < len; ++i)
-            reversed |= ((code >> i) & 1) << (len - 1 - i);
-        for (unsigned fill = reversed; fill < 128; fill += 1u << len)
-            table[fill] = static_cast<uint8_t>(sym | len << 5);
-    }
-
-    uint8_t lens[286 + 30];
-    const unsigned total = hlit + hdist;
-    unsigned n = 0;
-    while (n < total) {
-        if (bit >= end)
-            return false;
-        uint64_t v = peekBits(data, bit);
-        unsigned sym = table[v & 127] & 31;
-        unsigned len = table[v & 127] >> 5;
-        bit += len;
-        v >>= len;
-        if (sym < 16) {
-            lens[n++] = static_cast<uint8_t>(sym);
-            continue;
-        }
-        uint8_t value = 0;
-        unsigned rep;
-        if (sym == 16) {
-            if (n == 0)
-                return false;
-            value = lens[n - 1];
-            rep = 3 + static_cast<unsigned>(v & 3);
-            bit += 2;
-        } else if (sym == 17) {
-            rep = 3 + static_cast<unsigned>(v & 7);
-            bit += 3;
-        } else {
-            rep = 11 + static_cast<unsigned>(v & 127);
-            bit += 7;
-        }
-        if (rep > total - n)
-            return false;
-        std::memset(lens + n, value, rep);
-        n += rep;
-    }
-    if (bit > end || lens[endOfBlock] == 0 ||
-        !completeCode(lens, hlit, 15))
-        return false;
-    const uint8_t *distLens = lens + hlit;
-    unsigned used = 0;
-    for (unsigned i = 0; i < hdist; ++i)
-        used += distLens[i] != 0;
-    if (completeCode(distLens, hdist, 15) || used == 0)
-        return true;
-    // A lone distance code of one bit (RFC 1951 §3.2.7).
-    return used == 1 &&
-           std::count(distLens, distLens + hdist, uint8_t{1}) == 1;
-}
-
-/**
- * First bit in [@p from, @p to) of @p data where a non-final dynamic
- * block header plausibly starts; noBit when none does. A false
- * positive costs a decode attempt, never output bytes. Once @p told
- * holds a bit at or past @p from (another thread learned where the
- * block starts), the scan stops and returns it.
- */
-size_t
-findDynamicBlock(std::span<const uint8_t> data, size_t from, size_t to,
-                 const std::atomic<size_t> &told)
-{
-    to = std::min(to, data.size() * 8);
-    for (size_t base = from & ~size_t{7}; base < to; base += 32) {
-        if ((base & 1023) == 0) {
-            size_t bit = told.load(std::memory_order_relaxed);
-            if (bit != noBit && bit >= from)
-                return bit;
-        }
-        // 32 offsets per load. Bit j of m: bits j.. read BFINAL = 0,
-        // BTYPE = 2, and neither HLIT nor HDIST is 30 or 31.
-        uint64_t w = peekBits(data, base);
-        uint64_t m = ~w & ~(w >> 1) & (w >> 2) &
-                     ~(w >> 4 & w >> 5 & w >> 6 & w >> 7) &
-                     ~(w >> 9 & w >> 10 & w >> 11 & w >> 12) &
-                     0xffffffffu;
-        if (base < from)
-            m &= ~uint64_t{0} << (from - base);
-        if (to - base < 32)
-            m &= (uint64_t{1} << (to - base)) - 1;
-        if (m == 0)
-            continue;
-        // Bits 17.. of every offset: its code-length code lengths.
-        unsigned __int128 lens =
-            (peekBits(data, base + 17) & ((uint64_t{1} << 56) - 1)) |
-            static_cast<unsigned __int128>(peekBits(data, base + 73)) << 56;
-        for (; m != 0; m &= m - 1) {
-            unsigned j = static_cast<unsigned>(__builtin_ctzll(m));
-            unsigned hclen = static_cast<unsigned>((w >> (j + 13)) & 15) + 4;
-            if (completePrecode(static_cast<uint64_t>(lens >> j), hclen) &&
-                plausibleDynamicHeader(data, base + j))
-                return base + j;
-        }
-    }
-    return noBit;
-}
-
-} // namespace
 
 // ---- gzip framing --------------------------------------------------
 
@@ -686,723 +518,12 @@ gzipHeaderSize(std::span<const uint8_t> data)
     return pos;
 }
 
-// ---- GzipInflateSource ---------------------------------------------
-
-namespace {
-
-constexpr size_t partBits = GzipInflateSource::partBytes * 8;
-/**
- * A speculative part's buffers, in symbols: the window and up to 2
- * MiB of output. A part that would decode more gives up; the caller
- * then decodes its range as a stream, in serialBufferSize pieces.
- */
-constexpr size_t partRoom = InflateStream::windowSize + (size_t{1} << 21);
-/** Symbols a speculative part decodes between marker checks. */
-constexpr size_t markerCheckSymbols = size_t{1} << 15;
-/** The caller's in-order buffer: the window, then one batch. */
-constexpr size_t serialBufferSize = windowSize + (size_t{3} << 15);
-
-/** Symbols resolve() narrows and checksums at a time. */
-constexpr size_t resolvePiece = size_t{1} << 14;
-
-/**
- * out[i] = sym[i], or window[sym[i] - 256] for a marker: one lookup
- * in a table of the 256 byte values followed by the window. @p out
- * may overlap @p sym from below.
- */
-void
-narrowSymbols(const uint16_t *sym, size_t n, const uint8_t *table,
-              uint8_t *out)
-{
-    // Through a local copy, so that no store can alias a later load
-    // and the lookups pipeline.
-    constexpr size_t step = 64;
-    size_t i = 0;
-    for (; i + step <= n; i += step) {
-        uint16_t v[step];
-        uint8_t o[step];
-        std::memcpy(v, sym + i, sizeof(v));
-        for (size_t j = 0; j < step; ++j)
-            o[j] = table[v[j]];
-        std::memcpy(out + i, o, sizeof(o));
-    }
-    for (; i < n; ++i)
-        out[i] = table[sym[i]];
-}
-
-/**
- * Where a member ends: its trailer, and what follows it. Raised by
- * the caller after the member's last byte.
- */
-struct MemberEnd
-{
-    bool present = false;
-    /** A cut trailer: raised without a CRC-32 check. */
-    std::exception_ptr trailerError;
-    uint32_t crc = 0;   ///< trailer CRC-32
-    uint32_t size = 0;  ///< trailer ISIZE
-    bool last = false;  ///< no member follows
-    /** A bad next member header: raised after the checks pass. */
-    std::exception_ptr nextError;
-};
-
-/**
- * One part: a speculative decode of compressed bits [index, index +
- * 1) * partBits, and, once the chain accepts it, its resolved bytes.
- */
-struct Part
-{
-    enum class State
-    {
-        Free,      ///< slot unused
-        Queued,    ///< decode job waiting for a worker
-        Decoding,  ///< a worker decodes it
-        Decoded    ///< result below (startBit == noBit: none)
-    };
-    enum class Resolve
-    {
-        None,     ///< not accepted
-        Pending,  ///< accepted; resolve job waiting
-        Running,  ///< a worker or the caller resolves it
-        Ready     ///< bytes and CRC-32 final
-    };
-
-    size_t index = 0;
-    State state = State::Free;
-    Resolve resolve = Resolve::None;
-    /** Where its first block starts, once the chain or the part
-     *  before learns it while this one still searches. */
-    std::atomic<size_t> told{noBit};
-
-    size_t startBit = noBit;  ///< first block of the decode
-    size_t endBit = 0;        ///< bit after its last block
-    bool endsMember = false;  ///< its last block is final
-
-    // [0, windowSize) markers 256 + i, then output symbols up to
-    // symEnd; resolved, the output bytes sit at the front instead.
-    std::unique_ptr<uint16_t[]> syms;
-    size_t symEnd = 0;
-    // When the part switched to bytes: [0, windowSize) the window
-    // the switch narrowed, then output bytes up to byteEnd. The
-    // symbols before and the bytes after the switch together fit in
-    // partRoom.
-    std::unique_ptr<uint8_t[]> bytes;
-    size_t byteEnd = 0;  ///< 0: the part never switched
-
-    std::unique_ptr<uint8_t[]> window;  ///< the chain's, at its start
-    uint32_t crc = 0;
-    MemberEnd memberEnd;
-
-    size_t outSize() const
-    {
-        return symEnd - windowSize + (byteEnd ? byteEnd - windowSize : 0);
-    }
-};
-
-} // namespace
-
-/*
- * The chain (chainBit, memberOut, window, serial, chainEnded) and the
- * parts live under the mutex. The caller owns the stream it decodes
- * in order and everything it reads from; workers run one job each:
- * the next resolve, else the next speculative decode.
- */
-struct GzipInflateSource::Impl
-{
-    Impl(std::span<const uint8_t> gz, size_t payload)
-        : data(gz), partCount((gz.size() + partBytes - 1) / partBytes),
-          window(std::make_unique_for_overwrite<uint8_t[]>(windowSize)),
-          serialBuf(
-              std::make_unique_for_overwrite<uint8_t[]>(serialBufferSize)),
-          chainBit(8 * payload)
-    {
-        if (partCount <= 1)
-            return;  // one part: the caller alone, no thread
-        readerCpu.store(currentCpu(), std::memory_order_relaxed);
-        pool = std::make_unique<util::ThreadPool>(
-            util::ThreadPool::hardwareThreads());
-        parts.resize(partsPerWorker * pool->size());
-        for (auto &part : parts)
-            part = std::make_unique<Part>();
-        std::lock_guard<std::mutex> lock(mutex);
-        launchParts();
-    }
-
-    ~Impl() { stop(); }
-
-    /** Stop the workers and free the parts. */
-    void stop()
-    {
-        if (!pool)
-            return;
-        {
-            // Under the mutex: a worker that saw stopping unset has
-            // finished submitting before the pool goes.
-            std::lock_guard<std::mutex> lock(mutex);
-            stopping.store(true, std::memory_order_relaxed);
-        }
-        pool.reset();
-        parts.clear();
-    }
-
-    Part &part(size_t k) { return *parts[k % parts.size()]; }
-
-    // ---- under the mutex -------------------------------------------
-
-    /**
-     * Queue speculative parts up to parts.size() ahead of the part
-     * the caller reads, reusing slots the chain and the caller have
-     * passed.
-     */
-    void launchParts()
-    {
-        if (stopping.load(std::memory_order_relaxed) || !pool)
-            return;
-        for (auto &slot : parts) {
-            Part &p = *slot;
-            if (p.index < readIndex && p.resolve == Part::Resolve::None &&
-                p.state != Part::State::Decoding)
-                p.state = Part::State::Free;
-        }
-        nextLaunch = std::max(nextLaunch, chainBit / partBits + 1);
-        while (nextLaunch < partCount &&
-               nextLaunch < readIndex + parts.size()) {
-            Part &p = part(nextLaunch);
-            if (p.state != Part::State::Free)
-                break;  // a worker still decodes the slot's old part
-            p.index = nextLaunch++;
-            p.told.store(noBit, std::memory_order_relaxed);
-            p.state = Part::State::Queued;
-            p.resolve = Part::Resolve::None;
-            p.memberEnd = {};
-            decodeJobs.push_back(p.index);
-            pool->submit([this] { runJob(); });
-        }
-    }
-
-    /**
-     * Take every decoded part that starts exactly at chainBit. Stop
-     * at a part still decoding; at any other part the chain turns
-     * serial: the caller decodes from chainBit itself. A queued part
-     * is left to its worker unless @p caller (the caller never waits
-     * for work nobody started).
-     */
-    void advanceChain(bool caller)
-    {
-        while (!serial && !chainEnded &&
-               !stopping.load(std::memory_order_relaxed)) {
-            if (parts.empty()) {
-                serial = true;
-                break;
-            }
-            size_t k = chainBit / partBits;
-            Part &p = part(k);
-            bool launched = p.index == k && p.state != Part::State::Free;
-            if (launched && p.state == Part::State::Decoding)
-                return;
-            if (launched && p.state == Part::State::Queued) {
-                if (!caller)
-                    return;
-                p.state = Part::State::Free;  // its job finds it gone
-            }
-            if (launched && p.state == Part::State::Decoded &&
-                p.startBit == chainBit && memberOut >= windowSize) {
-                accept(p);
-                continue;
-            }
-            serial = true;
-        }
-    }
-
-    /** Append @p p to the chain and queue its resolution. */
-    void accept(Part &p)
-    {
-        if (!p.window)
-            p.window = std::make_unique_for_overwrite<uint8_t[]>(windowSize);
-        std::memcpy(p.window.get(), window.get(), windowSize);
-        // The window after the part: its byte tail, or its last 32 KiB
-        // of symbols resolved against the window before it.
-        if (p.byteEnd != 0) {
-            std::memcpy(window.get(),
-                        p.bytes.get() + p.byteEnd - windowSize,
-                        windowSize);
-        } else {
-            const uint16_t *tail = p.syms.get() + p.symEnd - windowSize;
-            for (size_t j = 0; j < windowSize; ++j)
-                window[j] = tail[j] < 256
-                                ? static_cast<uint8_t>(tail[j])
-                                : p.window[tail[j] - 256];
-        }
-        windowLen = windowSize;
-        memberOut += p.outSize();
-        chainBit = p.endBit;
-        tell(chainBit);
-        p.resolve = Part::Resolve::Pending;
-        resolveJobs.push_back(p.index);
-        accepted.push_back(p.index);
-        pool->submit([this] { runJob(); });
-        if (p.endsMember)
-            p.memberEnd = endMember(p.endBit);
-    }
-
-    /**
-     * The trailer after the final block ending at @p endBit, and the
-     * chain moved to the next member's first block.
-     */
-    MemberEnd endMember(size_t endBit)
-    {
-        MemberEnd me;
-        me.present = true;
-        chainEnded = true;
-        size_t end = (endBit + 7) / 8;
-        if (data.size() - end < 8) {
-            me.trailerError = std::make_exception_ptr(
-                util::Error("gzip: truncated member trailer"));
-            return me;
-        }
-        me.crc = util::loadLe32(data.data() + end);
-        me.size = util::loadLe32(data.data() + end + 4);
-        size_t next = end + 8;
-        me.last = next == data.size();
-        if (me.last)
-            return me;
-        try {
-            next += gzipHeaderSize(data.subspan(next));
-        } catch (...) {
-            me.nextError = std::current_exception();
-            return me;
-        }
-        chainEnded = false;
-        chainBit = 8 * next;
-        memberOut = 0;
-        windowLen = 0;
-        return me;
-    }
-
-    // ---- workers ----------------------------------------------------
-
-    void runJob()
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        if (!resolveJobs.empty()) {
-            Part &p = part(resolveJobs.front());
-            bool mine = p.index == resolveJobs.front() &&
-                        p.resolve == Part::Resolve::Pending;
-            resolveJobs.pop_front();
-            if (!mine)
-                return;  // the caller took it
-            p.resolve = Part::Resolve::Running;
-            lock.unlock();
-            resolve(p);
-            lock.lock();
-            p.resolve = Part::Resolve::Ready;
-            wake.notify_all();
-            return;
-        }
-        if (decodeJobs.empty())
-            return;
-        size_t k = takeDecodeJob();
-        Part &p = part(k);
-        if (p.index != k || p.state != Part::State::Queued ||
-            stopping.load(std::memory_order_relaxed))
-            return;
-        p.state = Part::State::Decoding;
-        // On the caller's CPU a speculative decode only delays the
-        // caller, who decodes the range serially instead.
-        int cpu = currentCpu();
-        bool skip = cpu >= 0 &&
-                    cpu == readerCpu.load(std::memory_order_relaxed);
-        size_t hint = startHint(k);
-        lock.unlock();
-        p.startBit = noBit;
-        if (!skip)
-            decodeSpeculative(p, hint);
-        lock.lock();
-        p.state = Part::State::Decoded;
-        if (p.startBit != noBit && !p.endsMember)
-            tell(p.endBit);
-        advanceChain(false);
-        launchParts();
-        wake.notify_all();
-        if (p.resolve == Part::Resolve::Pending) {
-            // Accepted at once: resolve it while its symbols are in
-            // this CPU's cache.
-            p.resolve = Part::Resolve::Running;
-            lock.unlock();
-            resolve(p);
-            lock.lock();
-            p.resolve = Part::Resolve::Ready;
-            wake.notify_all();
-        }
-    }
-
-    /**
-     * The queued part to decode next: the first whose start the chain
-     * or a decoded predecessor tells, else the first whose
-     * predecessor no worker decodes (so that one may tell the next),
-     * else the first.
-     */
-    size_t takeDecodeJob()
-    {
-        auto pick = decodeJobs.end();
-        auto apart = decodeJobs.end();
-        for (auto it = decodeJobs.begin(); it != decodeJobs.end(); ++it) {
-            size_t k = *it;
-            if (part(k).index != k || part(k).state != Part::State::Queued)
-                continue;
-            if (startHint(k) != noBit) {
-                pick = it;
-                break;
-            }
-            if (apart == decodeJobs.end() &&
-                !(part(k - 1).index == k - 1 &&
-                  part(k - 1).state == Part::State::Decoding))
-                apart = it;
-        }
-        if (pick == decodeJobs.end())
-            pick = apart != decodeJobs.end() ? apart : decodeJobs.begin();
-        size_t k = *pick;
-        decodeJobs.erase(pick);
-        return k;
-    }
-
-    /** Outcome of one decode attempt of a speculative part. */
-    enum class Attempt
-    {
-        Done,
-        Failed,  ///< error: try the next candidate header
-        TooBig   ///< past maxPartOutput: give the range up
-    };
-
-    /** Hand @p bit, a block start, to the part searching its range. */
-    void tell(size_t bit)
-    {
-        Part &next = part(bit / partBits);
-        if (next.index == bit / partBits &&
-            next.state == Part::State::Decoding)
-            next.told.store(bit, std::memory_order_relaxed);
-    }
-
-    /**
-     * Where part @p k's first block starts, if the chain or the part
-     * before it tells: the chain's position, or the end of the
-     * previous part's decode. noBit when neither is in the range.
-     */
-    size_t startHint(size_t k)
-    {
-        if (chainBit / partBits == k)
-            return chainBit;
-        const Part &prev = part(k - 1);
-        if (prev.index == k - 1 && prev.state == Part::State::Decoded &&
-            prev.startBit != noBit && !prev.endsMember &&
-            prev.endBit / partBits == k)
-            return prev.endBit;
-        return noBit;
-    }
-
-    /**
-     * Decode part @p p from @p hint, else from the first candidate
-     * header in its range that decodes to a block end at or past the
-     * next part's offset.
-     */
-    void decodeSpeculative(Part &p, size_t hint)
-    {
-        if (hint != noBit && decodeFrom(p, hint) == Attempt::Done) {
-            p.startBit = hint;
-            return;
-        }
-        size_t from = p.index * partBits;
-        const size_t to = from + partBits;
-        while (!stopping.load(std::memory_order_relaxed)) {
-            size_t start = findDynamicBlock(data, from, to, p.told);
-            if (start == noBit)
-                return;
-            Attempt a = decodeFrom(p, start);
-            if (a == Attempt::Done) {
-                p.startBit = start;
-                return;
-            }
-            if (a == Attempt::TooBig)
-                return;
-            from = start + 1;
-        }
-    }
-
-    Attempt decodeFrom(Part &p, size_t start)
-    {
-        size_t byte = start / 8;
-        InflateStream in(data.subspan(byte), start % 8,
-                         (p.index + 1) * partBits - 8 * byte);
-        // Room for the largest output a part may have, allocated once
-        // per slot: only the pages written become resident, and no
-        // growth copies or faults a second time.
-        if (!p.syms) {
-            p.syms = std::make_unique_for_overwrite<uint16_t[]>(partRoom);
-            p.bytes = std::make_unique_for_overwrite<uint8_t[]>(partRoom);
-        }
-        uint16_t *syms = p.syms.get();
-        // The markers, anew each time: resolve() narrows a part's
-        // bytes over them.
-        for (size_t i = 0; i < windowSize; ++i)
-            syms[i] = static_cast<uint16_t>(256 + i);
-        // 16-bit symbols while markers may still be copied: until the
-        // last 32 KiB of output hold none.
-        size_t pos = windowSize, clean = windowSize;
-        for (;;) {
-            size_t from = pos;
-            pos = in.decode(syms, pos,
-                            std::min(partRoom, pos + markerCheckSymbols));
-            if (in.error())
-                return Attempt::Failed;
-            for (size_t i = pos; i > from; --i) {
-                if (syms[i - 1] > 255) {
-                    clean = i;
-                    break;
-                }
-            }
-            if (pos - clean >= windowSize || in.finished())
-                break;
-            if (partRoom - pos < symbolRoom + markerCheckSymbols)
-                return Attempt::TooBig;
-        }
-        p.symEnd = pos;
-        p.byteEnd = 0;
-        if (!in.finished()) {
-            // Bytes from here on, behind the last 32 KiB narrowed.
-            std::copy(syms + pos - windowSize, syms + pos, p.bytes.get());
-            size_t bpos = in.decode(p.bytes.get(), windowSize,
-                                    partRoom - (pos - windowSize));
-            if (in.error())
-                return Attempt::Failed;
-            if (!in.finished())
-                return Attempt::TooBig;
-            p.byteEnd = bpos;
-        }
-        p.endBit = 8 * byte + in.bitPosition();
-        p.endsMember = in.finalBlockEnded();
-        return Attempt::Done;
-    }
-
-    /**
-     * Replace @p p's markers with its window's bytes, narrowing the
-     * symbols in place to the front of their buffer, and checksum
-     * the part.
-     */
-    static void resolve(Part &p)
-    {
-        const uint16_t *sym = p.syms.get() + windowSize;
-        auto *head = reinterpret_cast<uint8_t *>(p.syms.get());
-        const size_t n = p.symEnd - windowSize;
-        uint8_t table[256 + windowSize];
-        for (unsigned v = 0; v < 256; ++v)
-            table[v] = static_cast<uint8_t>(v);
-        std::memcpy(table + 256, p.window.get(), windowSize);
-        util::Crc32 crc;
-        // Byte i lies below symbol i's two bytes: the narrowing never
-        // overwrites a symbol it has yet to read. Each piece is
-        // checksummed while it is in cache.
-        for (size_t i = 0; i < n; i += resolvePiece) {
-            size_t len = std::min(resolvePiece, n - i);
-            narrowSymbols(sym + i, len, table, head + i);
-            crc.update({head + i, len});
-        }
-        if (p.byteEnd != 0)
-            crc.update({p.bytes.get() + windowSize,
-                        p.byteEnd - windowSize});
-        p.crc = crc.value();
-    }
-
-    // ---- the caller ---------------------------------------------------
-
-    /** Point the read spans at the next piece of output. */
-    void nextSegment()
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        readerCpu.store(currentCpu(), std::memory_order_relaxed);
-        for (;;) {
-            if (!accepted.empty()) {
-                Part &p = part(accepted.front());
-                if (p.resolve == Part::Resolve::Pending) {
-                    p.resolve = Part::Resolve::Running;
-                    lock.unlock();
-                    resolve(p);
-                    lock.lock();
-                    p.resolve = Part::Resolve::Ready;
-                }
-                if (p.resolve != Part::Resolve::Ready) {
-                    wake.wait(lock);
-                    continue;
-                }
-                accepted.pop_front();
-                readIndex = p.index;
-                launchParts();
-                current = &p;
-                span[0] = {reinterpret_cast<const uint8_t *>(p.syms.get()),
-                           p.symEnd - windowSize};
-                span[1] = {};
-                if (p.byteEnd != 0)
-                    span[1] = {p.bytes.get() + windowSize,
-                               p.byteEnd - windowSize};
-                return;
-            }
-            FCC_ASSERT(!chainEnded, "gzip: read past the last member");
-            if (serial) {
-                readIndex = chainBit / partBits;
-                launchParts();
-                lock.unlock();
-                serialBatch();
-                return;
-            }
-            advanceChain(true);
-            if (accepted.empty() && !serial)
-                wake.wait(lock);
-        }
-    }
-
-    /**
-     * Decode the next batch in order from chainBit, with the known
-     * window, on the caller. At the first block end at or past the
-     * next part's offset the chain goes back to the parts.
-     */
-    void serialBatch()
-    {
-        if (!stream) {
-            std::lock_guard<std::mutex> lock(mutex);
-            size_t byte = chainBit / 8;
-            stream.emplace(data.subspan(byte), chainBit % 8,
-                           (chainBit / partBits + 1) * partBits - 8 * byte);
-            streamByte = byte;
-            std::memcpy(serialBuf.get(),
-                        window.get() + windowSize - windowLen, windowLen);
-            serialEnd = windowLen;
-            stretchOut = 0;
-        }
-        if (serialBufferSize - serialEnd < symbolRoom + windowSize) {
-            // Slide: keep the last 32 KiB as history.
-            std::memmove(serialBuf.get(),
-                         serialBuf.get() + serialEnd - windowSize,
-                         windowSize);
-            serialEnd = windowSize;
-        }
-        size_t from = serialEnd;
-        serialEnd = stream->decode(serialBuf.get(), serialEnd,
-                                   serialBufferSize);
-        current = nullptr;
-        span[0] = {serialBuf.get() + from, serialEnd - from};
-        span[1] = {};
-        batchCrc = util::Crc32::of(span[0]);
-        batchLen = span[0].size();
-        batchEnd = {};
-        batchError = stream->error();
-        stretchOut += serialEnd - from;
-        if (batchError || !stream->finished())
-            return;
-
-        std::lock_guard<std::mutex> lock(mutex);
-        size_t keep = std::min(windowSize, serialEnd);
-        std::memcpy(window.get() + windowSize - keep,
-                    serialBuf.get() + serialEnd - keep, keep);
-        windowLen = std::min(windowSize, windowLen + stretchOut);
-        memberOut += stretchOut;
-        chainBit = 8 * streamByte + stream->bitPosition();
-        if (stream->finalBlockEnded())
-            batchEnd = endMember(chainBit);
-        stream.reset();
-        serial = false;
-        advanceChain(true);
-        launchParts();
-    }
-
-    /**
-     * Account for the piece just read out: join its CRC-32 to the
-     * member's, and check the member's trailer after its last byte.
-     * @throws fcc::util::Error on a check that fails.
-     */
-    void finishSegment()
-    {
-        const MemberEnd *me = &batchEnd;
-        if (current != nullptr) {
-            memberCrc = util::Crc32::combine(memberCrc, current->crc,
-                                             current->outSize());
-            memberBytes += current->outSize();
-            partEnd = current->memberEnd;
-            me = &partEnd;
-            std::lock_guard<std::mutex> lock(mutex);
-            current->resolve = Part::Resolve::None;
-            current->state = Part::State::Free;
-            current = nullptr;
-            launchParts();
-        } else {
-            memberCrc = util::Crc32::combine(memberCrc, batchCrc,
-                                             batchLen);
-            memberBytes += batchLen;
-            batchLen = 0;
-            if (batchError)
-                std::rethrow_exception(batchError);
-        }
-        if (!me->present)
-            return;
-        if (me->trailerError)
-            std::rethrow_exception(me->trailerError);
-        util::require(memberCrc == me->crc, "gzip: CRC-32 mismatch");
-        util::require(static_cast<uint32_t>(memberBytes) == me->size,
-                      "gzip: length mismatch");
-        memberCrc = 0;
-        memberBytes = 0;
-        if (me->nextError)
-            std::rethrow_exception(me->nextError);
-        done = me->last;
-    }
-
-    const std::span<const uint8_t> data;
-    const size_t partCount;  ///< parts the input's size spans
-
-    std::mutex mutex;
-    std::condition_variable wake;
-    std::atomic<bool> stopping{false};
-    std::atomic<int> readerCpu{-1};  ///< where the caller last read
-    std::vector<std::unique_ptr<Part>> parts;  ///< slot k % size
-    std::deque<size_t> decodeJobs, resolveJobs;
-    std::deque<size_t> accepted;  ///< parts the chain took, unread
-    size_t readIndex = 0;   ///< the part range the caller reads
-    size_t nextLaunch = 1;  ///< next part to queue
-
-    // The chain: the true position of the next output, the member's
-    // output before it and its last (up to) 32 KiB, right-aligned.
-    std::unique_ptr<uint8_t[]> window;
-    size_t windowLen = 0;
-    std::unique_ptr<uint8_t[]> serialBuf;
-    size_t chainBit;
-    uint64_t memberOut = 0;
-    bool serial = true;       ///< the caller decodes from chainBit
-    bool chainEnded = false;  ///< no member follows the last accepted
-
-    // The caller's: the stream it decodes in order, what it reads
-    // from, and the member checks.
-    std::optional<InflateStream> stream;
-    size_t streamByte = 0;
-    size_t serialEnd = 0;
-    uint64_t stretchOut = 0;
-    Part *current = nullptr;   ///< the part read from, if any
-    std::span<const uint8_t> span[2];  ///< left to read
-    uint32_t batchCrc = 0;  ///< of the caller's last batch
-    size_t batchLen = 0;
-    MemberEnd batchEnd, partEnd;
-    std::exception_ptr batchError;
-    uint32_t memberCrc = 0;
-    uint64_t memberBytes = 0;
-    bool done = false;
-    std::exception_ptr failed;  ///< rethrown by every later read()
-
-    std::unique_ptr<util::ThreadPool> pool;  ///< last: stops first
-};
-
 GzipInflateSource::GzipInflateSource(
     std::unique_ptr<util::ByteSource> inner)
     : inner_(std::move(inner))
 {
-    std::span<const uint8_t> data = inner_->contiguous();
-    if (data.empty()) {
+    data_ = inner_->contiguous();
+    if (data_.empty()) {
         // Source cannot expose its content in place (stdio, gzip-in-
         // gzip); buffer the compressed bytes — still bounded by the
         // compressed size, never the decompressed one.
@@ -1410,42 +531,191 @@ GzipInflateSource::GzipInflateSource(
         size_t n;
         while ((n = inner_->read(buf, sizeof(buf))) > 0)
             owned_.insert(owned_.end(), buf, buf + n);
-        data = {owned_.data(), owned_.size()};
+        data_ = {owned_.data(), owned_.size()};
     }
-    size_t payload = gzipHeaderSize(data);
-    impl_ = std::make_unique<Impl>(data, payload);
+    startMember();
+    ring_.reset(new uint8_t[ringSlots * (slotHistory + slotBytes)]);
+    // The first slot fills here, on the caller's thread: a stream
+    // that ends within it never starts the helper.
+    if (inflateSlot(0))
+        helper_ = std::thread([this] { inflateAhead(1); });
 }
 
-GzipInflateSource::~GzipInflateSource() = default;
+GzipInflateSource::~GzipInflateSource()
+{
+    if (!helper_.joinable())
+        return;
+    publish(stop_, true);
+    helper_.join();
+}
+
+void
+GzipInflateSource::startMember()
+{
+    pos_ += gzipHeaderSize(data_.subspan(pos_));
+    stream_ = std::make_unique<InflateStream>(data_.subspan(pos_));
+    history_ = 0;
+}
+
+/*
+ * A side that finds the ring empty (the caller) or full (the helper)
+ * spins for up to spinBound before it blocks, unless the other side
+ * last ran on this CPU. A thread woken from a block is often placed
+ * on its waker's CPU, where the two then share one core; spinning
+ * through the short waits of a running stream keeps each on its
+ * own. Where the two do share a CPU (a new thread starts on its
+ * creator's, and stays there where the scheduler does not balance),
+ * a spin only holds the CPU the other side needs, so the waiter
+ * blocks at once. Until a side has run its first slot its CPU is
+ * unknown (-1), and the other spins: one bounded spin also shows a
+ * balancing scheduler two runnable threads on one CPU.
+ */
+template <class Ready>
+void
+GzipInflateSource::await(const std::atomic<int> &otherCpu,
+                         const Ready &ready)
+{
+    if (ready())
+        return;
+    int self = currentCpu();
+    if (self < 0 || self != otherCpu.load(std::memory_order_relaxed)) {
+        auto deadline = std::chrono::steady_clock::now() + spinBound;
+        do {
+            for (int i = 0; i < 64; ++i) {
+                cpuRelax();
+                if (ready())
+                    return;
+            }
+        } while (std::chrono::steady_clock::now() < deadline);
+    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    wake_.wait(lock, ready);
+}
+
+template <class T>
+void
+GzipInflateSource::publish(std::atomic<T> &flag, T value)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        flag.store(value, std::memory_order_release);
+    }
+    wake_.notify_all();
+}
+
+void
+GzipInflateSource::inflateAhead(uint64_t first)
+{
+    for (uint64_t k = first;; ++k) {
+        await(readerCpu_, [this, k] {
+            return stop_.load(std::memory_order_acquire) ||
+                   k - freed_.load(std::memory_order_acquire) <
+                       ringSlots;
+        });
+        if (stop_.load(std::memory_order_acquire))
+            return;
+        fillerCpu_.store(currentCpu(), std::memory_order_relaxed);
+        if (!inflateSlot(k))
+            return;
+    }
+}
+
+bool
+GzipInflateSource::inflateSlot(uint64_t k)
+{
+    Slot &slot = slots_[k % ringSlots];
+    slot = Slot{};
+    bool more = false;
+    try {
+        more = fillSlot(slot, slotData(k));
+    } catch (...) {
+        slot.error = std::current_exception();
+        more = false;
+    }
+    publish(filled_, k + 1);
+    return more;
+}
+
+bool
+GzipInflateSource::fillSlot(Slot &slot, uint8_t *bytes)
+{
+    // The stream decodes straight into the slot, behind a copy of the
+    // member's last history_ bytes (the window back-references reach
+    // into), taken from the end of the previous slot.
+    if (history_ > 0)
+        std::memcpy(bytes - history_, historyEnd_ - history_, history_);
+    uint8_t *buf = bytes - history_;
+    size_t end = stream_->decode(buf, history_, history_ + slotBytes);
+    slot.size = end - history_;
+    historyEnd_ = buf + end;
+    history_ = std::min(end, slotHistory);
+    if (stream_->error())
+        std::rethrow_exception(stream_->error());  // after slot.size
+    if (!stream_->finished())
+        return true;
+
+    // Member finished: hand its trailer to the caller, who checks it
+    // once the member's bytes are read.
+    size_t trailer = pos_ + stream_->compressedBytesConsumed();
+    util::require(data_.size() - trailer >= 8,
+                  "gzip: truncated member trailer");
+    const uint8_t *t = data_.data() + trailer;
+    for (int i = 0; i < 4; ++i) {
+        slot.wantCrc |= static_cast<uint32_t>(t[i]) << (8 * i);
+        slot.wantSize |= static_cast<uint32_t>(t[4 + i]) << (8 * i);
+    }
+    slot.endsMember = true;
+    pos_ = trailer + 8;
+    slot.last = pos_ == data_.size();
+    if (!slot.last)
+        startMember();  // concatenated members stream transparently
+    return !slot.last;
+}
 
 size_t
 GzipInflateSource::read(uint8_t *out, size_t maxLen)
 {
-    Impl &s = *impl_;
-    if (s.failed)
-        std::rethrow_exception(s.failed);
-    if (s.done || maxLen == 0)
+    if (failed_)
+        std::rethrow_exception(failed_);
+    if (done_ || maxLen == 0)
         return 0;
     try {
+        // Only this thread stores freed_.
+        uint64_t k = freed_.load(std::memory_order_relaxed);
         for (;;) {
-            for (auto &piece : s.span) {
-                if (piece.empty())
-                    continue;
-                size_t n = std::min(maxLen, piece.size());
-                std::memcpy(out, piece.data(), n);
-                piece = piece.subspan(n);
+            await(fillerCpu_, [this, k] {
+                return filled_.load(std::memory_order_acquire) > k;
+            });
+            const Slot &slot = slots_[k % ringSlots];
+            if (slotPos_ < slot.size) {
+                size_t n = std::min(maxLen, slot.size - slotPos_);
+                std::memcpy(out, slotData(k) + slotPos_, n);
+                crc_.update({out, n});
+                memberBytes_ += n;
+                slotPos_ += n;
                 return n;
             }
-            s.finishSegment();
-            if (s.done) {
-                s.stop();
-                return 0;
+
+            if (slot.endsMember) {
+                util::require(crc_.value() == slot.wantCrc,
+                              "gzip: CRC-32 mismatch");
+                util::require(static_cast<uint32_t>(memberBytes_) ==
+                                  slot.wantSize,
+                              "gzip: length mismatch");
+                crc_ = util::Crc32();
+                memberBytes_ = 0;
             }
-            s.nextSegment();
+            if (slot.error)
+                std::rethrow_exception(slot.error);
+            done_ = slot.last;
+            slotPos_ = 0;
+            readerCpu_.store(currentCpu(), std::memory_order_relaxed);
+            publish(freed_, ++k);
+            if (done_)
+                return 0;
         }
     } catch (...) {
-        s.failed = std::current_exception();
-        s.stop();
+        failed_ = std::current_exception();
         throw;
     }
 }

@@ -1,83 +1,65 @@
 /**
  * @file
- * Resumable DEFLATE decoding and the parallel streaming gzip source.
+ * Resumable DEFLATE decoding and the streaming gzip byte source.
  *
  * InflateStream is the library's single DEFLATE decoder. It reads the
- * compressed input through a 64-bit bit buffer from any start bit,
- * decodes Huffman codes with table lookups (HuffmanDecoder) and
- * writes into a caller's linear buffer whose front holds the 32 KiB
- * back-reference window. Its symbol loop is written once and
- * instantiated for two output types: bytes, and 16-bit symbols in
- * which 256 + i stands for byte i of a window not known yet (a
- * speculative part, below). readAll() decodes straight into one
- * vector and backs the one-shot inflate() in deflate.hpp, so the zlib
+ * compressed input through a 64-bit bit buffer, decodes Huffman codes
+ * with table lookups (HuffmanDecoder) and writes into a linear output
+ * buffer whose front holds the 32 KiB back-reference window. read()
+ * streams output in caller-sized pieces through an internal buffer
+ * that slides when full; readAll() decodes straight into one vector
+ * and backs the one-shot inflate() in deflate.hpp, so the zlib
  * cross-validation tests exercise this decoder too.
  *
  * GzipInflateSource layers RFC 1952 member framing on top and plugs
- * into the trace I/O stack as a fcc::util::ByteSource decorator. A
- * member is cut at even compressed offsets into parts; workers
- * decode each part from the first plausible dynamic block header at
- * or past its offset, with the window unknown, and the caller chains
- * the parts that start exactly where the previous one ended. The
- * caller sees the serial decoder's bytes, and the memory is bounded
- * by the *compressed* size (zero-copy from an mmap'd file) plus the
- * parts in flight — the decompressed stream is never materialized.
+ * into the trace I/O stack as a fcc::util::ByteSource decorator: a
+ * helper thread inflates up to 1 MiB ahead of the reader, which
+ * checks each member's CRC-32 on its own thread. A gzip-compressed
+ * trace is read with memory bounded by the *compressed* size
+ * (zero-copy from an mmap'd file) plus the window and that ring —
+ * the decompressed stream is never materialized.
  */
 
 #ifndef FCC_CODEC_DEFLATE_INFLATE_STREAM_HPP
 #define FCC_CODEC_DEFLATE_INFLATE_STREAM_HPP
 
-#include <cstddef>
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "codec/deflate/huffman.hpp"
+#include "util/checksum.hpp"
 #include "util/io.hpp"
 
 namespace fcc::codec::deflate {
 
 /**
  * Incremental DEFLATE (RFC 1951) decoder over a complete compressed
- * buffer. The compressed memory must outlive the stream.
+ * buffer. The compressed memory must outlive the stream. Output comes
+ * either piecewise from read() or all at once from readAll(); one
+ * stream uses one of the two.
  */
 class InflateStream
 {
   public:
-    /** LZ77 window: the farthest a match reaches back. */
-    static constexpr size_t windowSize = size_t{1} << 15;
-    /**
-     * Free room, in output symbols, decode() needs below its cap to
-     * decode one more symbol: the longest match plus the 8-byte word
-     * a match copy may overshoot by.
-     */
-    static constexpr size_t symbolRoom = 258 + 8;
+    explicit InflateStream(std::span<const uint8_t> compressed);
 
     /**
-     * Decode @p compressed from bit @p startBit (a block header) on.
-     * decode() stops at the end of the final block, or at the end of
-     * the first block that ends at or past bit @p stopBit. Both bit
-     * offsets count from the start of @p compressed.
+     * Decode up to @p maxLen further bytes into @p out.
+     * @returns the number of bytes produced; 0 means the final block
+     *          has been fully decoded.
+     * @throws fcc::util::Error on any malformed construct, once every
+     *         byte decoded before it has been returned; every later
+     *         call throws it again.
      */
-    explicit InflateStream(
-        std::span<const uint8_t> compressed, size_t startBit = 0,
-        size_t stopBit = std::numeric_limits<size_t>::max());
-
-    /**
-     * Decode into @p buf from @p pos until the stream stops or fewer
-     * than symbolRoom symbols are free below @p cap. buf[0, pos) is
-     * the history back-references may reach into: a preset window,
-     * or earlier output. With Sym = uint16_t, a history symbol 256 +
-     * i stands for byte i of an unknown window, and copies carry it
-     * forward. A malformed construct stops the decode after the last
-     * whole symbol before it and sets error(); nothing throws.
-     * @returns the new end of the output.
-     */
-    template <class Sym> size_t decode(Sym *buf, size_t pos, size_t cap);
+    size_t read(uint8_t *out, size_t maxLen);
 
     /**
      * Decode the whole stream into one vector. @p sizeHint, when the
@@ -86,18 +68,23 @@ class InflateStream
      */
     std::vector<uint8_t> readAll(size_t sizeHint = 0);
 
-    /** True once decode() has stopped: at a stop, the end or an error. */
-    bool finished() const { return done_; }
-    /** True once the final block has ended. */
-    bool finalBlockEnded() const
-    {
-        return done_ && finalBlock_ && !inBlock_ && !error_;
-    }
-    /** The error that stopped decode(), if any. */
-    const std::exception_ptr &error() const { return error_; }
+    /**
+     * Decode into @p buf from @p pos until the final block ends or
+     * fewer than symbolRoom (266) bytes are free below @p cap.
+     * buf[0, pos) is the history back-references may reach into: up
+     * to 32 KiB, all of the stream's output when it has less. On a
+     * malformed construct it stops, sets error() and returns the end
+     * of the symbols before it. A stream feeds one of read(),
+     * readAll() and decode().
+     * @returns the end of the decoded bytes in @p buf.
+     */
+    size_t decode(uint8_t *buf, size_t pos, size_t cap);
 
-    /** Bits of compressed input consumed. */
-    size_t bitPosition() const { return inPos_ * 8 - bitCount_; }
+    /** The error decode() stopped at, or null. */
+    std::exception_ptr error() const { return error_; }
+
+    /** True once the final block has been consumed and drained. */
+    bool finished() const { return done_ && drained_ == bufEnd_; }
 
     /**
      * Bytes of compressed input consumed, rounded up to a whole byte
@@ -106,13 +93,12 @@ class InflateStream
      */
     size_t compressedBytesConsumed() const
     {
-        return (bitPosition() + 7) / 8;
+        return (inPos_ * 8 - bitCount_ + 7) / 8;
     }
 
   private:
-    template <class Sym> void decodeHuffman(Sym *buf, size_t &pos, size_t cap);
-    template <class Sym> void copyStored(Sym *buf, size_t &pos, size_t cap);
-    void endBlock();
+    size_t decodeHuffman(uint8_t *buf, size_t pos, size_t cap);
+    size_t copyStored(uint8_t *buf, size_t pos, size_t cap);
     void readBlockHeader();
     void readDynamicTables();
     void refill();
@@ -127,7 +113,6 @@ class InflateStream
     size_t inPos_ = 0;
     uint64_t bitBuf_ = 0;
     unsigned bitCount_ = 0;
-    size_t stopBit_;
 
     // Block state.
     bool done_ = false;
@@ -138,60 +123,46 @@ class InflateStream
     const HuffmanDecoder *lit_ = nullptr;
     const HuffmanDecoder *dist_ = nullptr;
     std::optional<HuffmanDecoder> dynLit_, dynDist_;
+
+    // read()'s output buffer: up to 32 KiB of history, then decoded
+    // bytes not yet handed out (drained_ .. bufEnd_).
+    std::vector<uint8_t> buf_;
+    size_t bufEnd_ = 0;
+    size_t drained_ = 0;
+    // The first error and, while a step runs, where its output stood
+    // before the symbol that failed.
     std::exception_ptr error_;
+    size_t stopped_ = 0;
 };
 
 /**
  * Streaming gzip (RFC 1952) reader as a ByteSource decorator that
- * inflates one member on every core.
+ * reads ahead.
  *
- * Each member's deflate stream is cut at multiples of partBytes
- * (compressed) into parts. A worker searches each part's offset
- * forward, bit by bit, for a plausible dynamic block header (BFINAL
- * = 0, BTYPE = 2, HLIT <= 286, HDIST <= 30, a complete code-length
- * code, valid literal and distance codes, a code for end-of-block)
- * and decodes from there, with the 32 KiB window unknown, to the
- * first block end at or past the next part's offset. A part writes
- * 16-bit symbols, where 256 + i means byte i of the unknown window,
- * until its last 32 KiB hold no such marker, and bytes from there on.
- *
- * Exactness: the caller chains the parts in order. A part is
- * accepted only if it starts at exactly the bit where the chain
- * stands and the member has at least 32 KiB of history there; its
- * markers are then resolved against the chain's window, and its
- * CRC-32 computed, on a worker. Any other part — a false header, a
- * block type the finder does not look for, a speculative error or a
- * part no worker started — is decoded by the caller itself from the
- * true position with the known window, with the same decoder, so a
- * miss costs time and never bytes. The caller joins the parts' CRCs
- * with util::Crc32::combine and checks each member's CRC-32 and
- * ISIZE trailer after the member's bytes; it copies each byte out
- * once.
- *
- * Accepts one or more concatenated members and rejects trailing
- * garbage. An error (a malformed stream or trailer) reaches read()
- * after every byte the serial decoder produces before it, and every
- * later read() rethrows it.
+ * A helper thread parses the member headers and inflates into a ring
+ * of ringSlots slots of slotBytes each, decoding straight into a slot
+ * behind a copy of the member's last 32 KiB. The constructor fills
+ * the first slot itself and starts the helper only when the stream
+ * goes on past it, so a stream of up to one slot starts no thread.
+ * read() copies out of the ring on the caller's thread and verifies
+ * each member's CRC-32 and ISIZE trailer there, so the checksum
+ * overlaps the next slot's inflate. A slot never spans two members:
+ * the slot that ends one carries the trailer's expected CRC and
+ * size. Accepts one or more concatenated members and rejects
+ * trailing garbage. An error (a malformed stream or trailer) reaches
+ * read() after every byte decoded before it, and every later read()
+ * rethrows it.
  *
  * Memory is the compressed size (none when the inner source exposes
- * its content contiguously, as mmap and memory buffers do) plus at
- * most partsPerWorker parts per worker in flight. An input of at
- * most one part decodes on the caller and starts no thread;
- * otherwise the source owns a pool of
- * util::ThreadPool::hardwareThreads() workers, which
- * FccConfig::threads does not count. A worker skips a speculative
- * part while it runs on the CPU the caller last read on, so a
- * process pinned to one CPU reads at about serial speed. The pool
- * stops at the end of the stream and on destruction.
+ * its content contiguously, as mmap and memory buffers do) plus the
+ * ring: 1 MiB of slots, each behind 32 KiB of window. The helper
+ * thread is the source's own: FccConfig::threads does not count it.
+ * Destruction
+ * stops and joins it.
  */
 class GzipInflateSource : public util::ByteSource
 {
   public:
-    /** Compressed bytes per part. */
-    static constexpr size_t partBytes = size_t{1} << 17;
-    /** Parts in flight per worker. */
-    static constexpr size_t partsPerWorker = 2;
-
     /** @throws fcc::util::Error when the first member header is bad. */
     explicit GzipInflateSource(std::unique_ptr<util::ByteSource> inner);
     ~GzipInflateSource() override;
@@ -202,11 +173,78 @@ class GzipInflateSource : public util::ByteSource
     size_t read(uint8_t *out, size_t maxLen) override;
 
   private:
-    struct Impl;
+    static constexpr size_t ringSlots = 4;
+    static constexpr size_t slotBytes = size_t{1} << 18;
+    /** Room ahead of each slot for the window it decodes against. */
+    static constexpr size_t slotHistory = size_t{1} << 15;
+
+    /** One ring slot's decoded bytes and what follows them. */
+    struct Slot
+    {
+        size_t size = 0;           ///< decoded bytes in the slot
+        bool endsMember = false;   ///< the member's trailer follows
+        bool last = false;         ///< no member follows
+        uint32_t wantCrc = 0;      ///< trailer CRC-32, if endsMember
+        uint32_t wantSize = 0;     ///< trailer ISIZE, if endsMember
+        std::exception_ptr error;  ///< raised after the slot's bytes
+    };
+
+    // The filling side: the helper thread, and the constructor for
+    // slot 0. inflateSlot() and fillSlot() return false once nothing
+    // follows the slot.
+    void inflateAhead(uint64_t first);
+    bool inflateSlot(uint64_t k);
+    bool fillSlot(Slot &slot, uint8_t *bytes);
+    void startMember();
+    /** Slot k's decoded bytes, slotHistory into its room. */
+    uint8_t *slotData(uint64_t k) const
+    {
+        return ring_.get() + (k % ringSlots) * (slotHistory + slotBytes) +
+               slotHistory;
+    }
+
+    // Either side: wait for @p ready (the other side last published
+    // from @p otherCpu), and store what the other side may wait on
+    // under the mutex, then wake it.
+    template <class Ready>
+    void await(const std::atomic<int> &otherCpu, const Ready &ready);
+    template <class T> void publish(std::atomic<T> &flag, T value);
 
     std::unique_ptr<util::ByteSource> inner_;  ///< keeps mmap alive
     std::vector<uint8_t> owned_;               ///< slurped fallback
-    std::unique_ptr<Impl> impl_;
+    std::span<const uint8_t> data_;            ///< whole gzip file
+
+    // The filling side's: the current member, its inflate state, and
+    // the member's last history_ bytes, which end at historyEnd_ in
+    // the slot filled last.
+    size_t pos_ = 0;
+    std::unique_ptr<InflateStream> stream_;
+    size_t history_ = 0;
+    const uint8_t *historyEnd_ = nullptr;
+
+    // The ring. Slot k lives at k % ringSlots; the helper fills slots
+    // [freed_, freed_ + ringSlots) and publishes them through filled_,
+    // the caller reads [freed_, filled_) and hands them back.
+    std::unique_ptr<uint8_t[]> ring_;
+    Slot slots_[ringSlots];
+    std::atomic<uint64_t> filled_{0};
+    std::atomic<uint64_t> freed_{0};
+    std::atomic<bool> stop_{false};
+    std::atomic<int> fillerCpu_{-1};  ///< where the helper last filled
+    std::atomic<int> readerCpu_{-1};  ///< where the caller last freed
+    std::mutex mutex_;
+    std::condition_variable wake_;
+
+    // The caller's: the read position in slot freed_ and the member
+    // checks.
+    size_t slotPos_ = 0;
+    util::Crc32 crc_;
+    uint64_t memberBytes_ = 0;
+    bool done_ = false;
+    std::exception_ptr failed_;
+
+    std::thread helper_;  ///< last: starts once the rest is built;
+                          ///< none for a one-slot stream
 };
 
 /**

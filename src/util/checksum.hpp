@@ -14,10 +14,10 @@ namespace fcc::util {
 
 /**
  * Incremental CRC-32 with the gzip polynomial (0xEDB88320,
- * reflected). Equivalent to zlib's crc32(), folding sixteen bytes per
- * step (slice-by-16); the checksum never depends on how the input is
- * chunked across update() calls, and combine() joins checksums of
- * consecutive pieces computed apart.
+ * reflected). Equivalent to zlib's crc32(): 64 bytes per step with
+ * carry-less multiplies where the CPU has them (x86 PCLMULQDQ), else
+ * sixteen bytes per step (slice-by-16); the checksum never depends on
+ * how the input is chunked across update() calls.
  */
 class Crc32
 {
@@ -30,13 +30,6 @@ class Crc32
 
     /** One-shot convenience. */
     static uint32_t of(std::span<const uint8_t> data);
-
-    /**
-     * The checksum of A followed by B, from @p a = of(A), @p b =
-     * of(B) and @p lenB = |B|: a * x^(8 lenB) mod P, plus b, in
-     * GF(2)[x]. O(log lenB); pieces checksummed apart join in order.
-     */
-    static uint32_t combine(uint32_t a, uint32_t b, uint64_t lenB);
 
   private:
     uint32_t state_ = 0xffffffffu;

@@ -1005,17 +1005,12 @@ TEST(InflateConformance, OverlappingMatchesAndFarthestDistance)
     ASSERT_EQ(*theirs, expect);
     EXPECT_EQ(fd::inflate(stream), expect);
 
-    // The same stream through decode() in steps of about 333 bytes:
-    // matches resume across the calls' caps.
     fd::InflateStream chunked(stream);
-    std::vector<uint8_t> got(expect.size() + fd::InflateStream::symbolRoom);
-    size_t pos = 0;
-    while (!chunked.finished())
-        pos = chunked.decode(
-            got.data(), pos,
-            std::min(got.size(), pos + 333 + fd::InflateStream::symbolRoom));
-    EXPECT_FALSE(chunked.error());
-    got.resize(pos);
+    std::vector<uint8_t> got;
+    uint8_t buf[333];
+    size_t n;
+    while ((n = chunked.read(buf, sizeof(buf))) > 0)
+        got.insert(got.end(), buf, buf + n);
     EXPECT_EQ(got, expect);
 }
 
@@ -1408,25 +1403,7 @@ TEST(Deflate, EncoderKnownAnswerBytes)
         EXPECT_EQ(zlibInflate(gzip, Wrap::Gzip), a.data);
     }
 }
-// ---- parallel gzip reads: differential against the one-shot decoder ------
-
-TEST(Crc32Combine, MatchesZlib)
-{
-    auto data = randomBytes((size_t{1} << 20) + 3 + 5000, 41);
-    std::mt19937 rng(42);
-    for (int i = 0; i < 100; ++i) {
-        size_t aLen = rng() % 5000;
-        size_t bLen = i < 5 ? std::vector<size_t>{0, 1, 7, 8,
-                                                  (size_t{1} << 20) + 3}[i]
-                            : rng() % 70000;
-        uint32_t a = fcc::util::Crc32::of({data.data(), aLen});
-        uint32_t b = fcc::util::Crc32::of({data.data() + aLen, bLen});
-        EXPECT_EQ(fcc::util::Crc32::combine(a, b, bLen),
-                  static_cast<uint32_t>(::crc32_combine(
-                      a, b, static_cast<z_off_t>(bLen))))
-            << aLen << " + " << bLen;
-    }
-}
+// ---- gzip source: differential against the serial decoder ---------------
 
 namespace {
 
@@ -1445,14 +1422,12 @@ serialGunzip(std::span<const uint8_t> gz, std::string &error)
         size_t pos = fd::gzipHeaderSize(gz);
         for (;;) {
             fd::InflateStream in(gz.subspan(pos));
-            size_t begin = out.size(), end = out.size();
-            while (!in.finished()) {
-                out.resize(std::max<size_t>(2 * out.size(), end + 65536));
-                end = in.decode(out.data(), end, out.size());
-            }
-            out.resize(end);
-            if (in.error())
-                std::rethrow_exception(in.error());
+            const size_t begin = out.size();
+            std::vector<uint8_t> buf(65536);
+            size_t n;
+            while ((n = in.read(buf.data(), buf.size())) > 0)
+                out.insert(out.end(), buf.begin(), buf.begin() + n);
+            const size_t end = out.size();
             pos += in.compressedBytesConsumed();
             fcc::util::require(gz.size() - pos >= 8,
                                "gzip: truncated member trailer");
@@ -1520,8 +1495,8 @@ webTsh(double seconds)
 
 /**
  * Random bytes where every byte but one in sixteen repeats the byte
- * 32768 back: matches at the farthest distance, across every part
- * boundary.
+ * 32768 back: matches at the farthest distance, across every slot
+ * boundary of the read-ahead ring.
  */
 std::vector<uint8_t>
 farMatches(size_t n)
@@ -1533,14 +1508,16 @@ farMatches(size_t n)
     return out;
 }
 
-constexpr size_t partBytes = fd::GzipInflateSource::partBytes;
+/** GzipInflateSource's read-ahead ring: 4 slots of 256 KiB decoded. */
+constexpr size_t slotBytes = size_t{1} << 18;
+constexpr size_t ringBytes = 4 * slotBytes;
 
 } // namespace
 
-TEST(ParallelGunzip, MultiPartMembersMatchOneShot)
+TEST(GzipSource, MultiSlotMembersMatchOneShot)
 {
     const bool smoke = fcc::test::smokeTests();
-    // Past partsPerWorker parts per worker, so part slots are reused.
+    // Several times the ring, so every slot is reused.
     const auto pcapng = elephantsPcapng(smoke ? 300 : 600);
     const auto tsh = webTsh(smoke ? 8.0 : 20.0);
     const auto far = farMatches(smoke ? (size_t{3} << 20) : (size_t{6} << 20));
@@ -1564,18 +1541,18 @@ TEST(ParallelGunzip, MultiPartMembersMatchOneShot)
     };
     for (const Member &m : members) {
         SCOPED_TRACE(m.name);
-        ASSERT_GT(m.gz.size(), 3 * partBytes);
         const auto oneShot = fd::gzipDecompress(m.gz);
+        ASSERT_GT(oneShot.size(), 3 * slotBytes);
         for (size_t readSize : {size_t{1}, size_t{4096}, size_t{1} << 20}) {
-            if (readSize == 1 && smoke && m.gz.size() > 4 * partBytes)
+            if (readSize == 1 && smoke && oneShot.size() > 4 * ringBytes)
                 continue;
             EXPECT_TRUE(drainGzip(m.gz, readSize) == oneShot)
                 << "read size " << readSize;
         }
     }
 
-    // Concatenated members of mixed sizes: multi-part members, and
-    // members that start and end inside one part.
+    // Concatenated members of mixed sizes: members of many slots, and
+    // members that start and end inside one slot.
     std::vector<uint8_t> gz, expect;
     auto append = [&](const std::vector<uint8_t> &member) {
         gz.insert(gz.end(), member.begin(), member.end());
@@ -1594,17 +1571,17 @@ TEST(ParallelGunzip, MultiPartMembersMatchOneShot)
             << "read size " << readSize;
 }
 
-TEST(ParallelGunzip, FalseHeadersInStoredDataKeepTheBytes)
+TEST(GzipSource, DeflateStreamsInStoredDataKeepTheBytes)
 {
     // Stored blocks whose payload is one dynamic-block DEFLATE stream
-    // after another: at every part offset the finder meets plausible
-    // headers that are not block starts of this member.
+    // after another: plausible block headers that are not block
+    // starts of this member.
     auto text = repetitiveBytes(200000);
     auto noise = randomBytes(50000, 5, 20);
     text.insert(text.end(), noise.begin(), noise.end());
     auto payload = zlibDeflate(text, 9, Z_DEFAULT_STRATEGY, 15, Wrap::Raw);
     std::vector<uint8_t> data;
-    while (data.size() < 6 * partBytes)
+    while (data.size() < 3 * ringBytes)
         data.insert(data.end(), payload.begin(), payload.end());
     auto gz = zlibDeflate(data, 0, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip);
     auto oneShot = fd::gzipDecompress(gz);
@@ -1620,19 +1597,19 @@ TEST(ParallelGunzip, FalseHeadersInStoredDataKeepTheBytes)
     EXPECT_TRUE(drainGzip(ours, size_t{1} << 16) == mixed);
 }
 
-TEST(ParallelGunzip, MutationsMatchTheSerialDecoder)
+TEST(GzipSource, MutationsMatchTheSerialDecoder)
 {
-    // Bit flips, truncations and splices of a multi-part member. The
+    // Bit flips, truncations and splices of a multi-slot member. The
     // source must read exactly what the serial decoder reads: the same
     // bytes and no error, or the bytes before the serial decoder's
     // error and then that error. gzipDecompress must agree on the
     // verdict.
     const bool smoke = fcc::test::smokeTests();
     const auto base = fd::gzipCompress(elephantsPcapng(140));
-    ASSERT_GT(base.size(), 3 * partBytes);
     std::string error;
     const auto plain = serialGunzip(base, error);
     ASSERT_EQ(error, "");
+    ASSERT_GT(plain.size(), ringBytes);  // past every slot of the ring
     ASSERT_EQ(plain, fd::gzipDecompress(base));
 
     std::mt19937 rng(20050);
@@ -1662,17 +1639,14 @@ TEST(ParallelGunzip, MutationsMatchTheSerialDecoder)
         }
         std::string want, got;
         auto serial = serialGunzip(gz, want);
-        auto parallel = drainGzipUntilError(gz, 65536, got);
+        auto streamed = drainGzipUntilError(gz, 65536, got);
         ASSERT_EQ(got, want) << "trial " << trial;
-        ASSERT_TRUE(parallel == serial)
-            << "trial " << trial << ": " << parallel.size() << " vs "
+        ASSERT_TRUE(streamed == serial)
+            << "trial " << trial << ": " << streamed.size() << " vs "
             << serial.size() << " bytes";
         failures += !want.empty();
         if (trial % 3 == 1) {
-            // A cut member fails; gzipDecompress would size its
-            // output from the bytes now at the end, not a trailer.
-            ASSERT_NE(want, "") << "trial " << trial;
-            continue;
+            ASSERT_NE(want, "") << "trial " << trial;  // a cut fails
         }
         auto oneShot = ourInflate(gz, Wrap::Gzip);
         ASSERT_EQ(oneShot.has_value(), want.empty()) << "trial " << trial;

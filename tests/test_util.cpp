@@ -6,10 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <span>
 #include <vector>
 
 #include "util/bitstream.hpp"
@@ -211,40 +209,37 @@ TEST(Checksum, IncrementalEqualsOneShot)
     EXPECT_EQ(adler.value(), Adler32::of(data));
 }
 
-TEST(Checksum, Crc32CombineJoinsPieces)
+TEST(Checksum, Crc32MatchesBitwiseReference)
 {
-    // combine(of(a), of(b), |b|) == of(a ++ b): random splits, the
-    // listed lengths of b, and an empty a.
+    // Every length up to a few folding steps, at every alignment, and
+    // a few long inputs: whichever path update() takes (carry-less
+    // folding where the CPU has it, slicing tables otherwise, the
+    // byte loop for tails) gives the bit-at-a-time CRC.
+    auto reference = [](const uint8_t *p, size_t n) {
+        uint32_t c = 0xffffffffu;
+        for (size_t i = 0; i < n; ++i) {
+            c ^= p[i];
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        }
+        return ~c;
+    };
     Rng rng(2005);
-    std::vector<uint8_t> data((size_t{1} << 20) + 3 + 4096);
+    std::vector<uint8_t> data((size_t{1} << 20) + 77);
     for (auto &b : data)
         b = static_cast<uint8_t>(rng.next());
-    auto check = [&](size_t aLen, size_t bLen) {
-        std::span<const uint8_t> a(data.data(), aLen);
-        std::span<const uint8_t> b(data.data() + aLen, bLen);
-        EXPECT_EQ(Crc32::combine(Crc32::of(a), Crc32::of(b), bLen),
-                  Crc32::of({data.data(), aLen + bLen}))
-            << aLen << " + " << bLen;
-    };
-    for (size_t bLen : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
-                        (size_t{1} << 20) + 3}) {
-        check(0, bLen);
-        check(4096, bLen);
-        check(1, bLen);
-    }
-    for (int i = 0; i < 200; ++i) {
-        size_t total = rng.next() % 70000;
-        size_t aLen = total == 0 ? 0 : rng.next() % total;
-        check(aLen, total - aLen);
-    }
-    // Pieces joined in order, as a reader of parts does.
-    uint32_t joined = 0;
-    for (size_t at = 0; at < 100000; at += 7919) {
-        size_t len = std::min<size_t>(7919, 100000 - at);
-        joined = Crc32::combine(joined,
-                                Crc32::of({data.data() + at, len}), len);
-    }
-    EXPECT_EQ(joined, Crc32::of({data.data(), 100000}));
+    for (size_t offset = 0; offset < 16; ++offset)
+        for (size_t n = 0; n <= 300; ++n)
+            ASSERT_EQ(Crc32::of({data.data() + offset, n}),
+                      reference(data.data() + offset, n))
+                << offset << " + " << n;
+    for (size_t n : {size_t{4096}, size_t{65535}, data.size() - 5})
+        EXPECT_EQ(Crc32::of({data.data() + 5, n}),
+                  reference(data.data() + 5, n))
+            << n;
+    std::vector<uint8_t> zeros(1000, 0), ones(1000, 0xff);
+    EXPECT_EQ(Crc32::of(zeros), reference(zeros.data(), zeros.size()));
+    EXPECT_EQ(Crc32::of(ones), reference(ones.data(), ones.size()));
 }
 
 // ---- rng -----------------------------------------------------------------
