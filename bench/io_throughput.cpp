@@ -13,10 +13,11 @@
  * gate; see scripts/perf_check.py.
  *
  * Outside smoke mode a last cell reads the 21.3 MB perfbench
- * elephants capture gzip'd (about 40 parts of the parallel inflate;
- * the smoke gz cells fit in one part and decode on the caller). It
- * has no CI floor. Its timing depends on the CPUs the workers get,
- * so the cpuset sched_load_balance flag is printed at start and end.
+ * elephants capture gzip'd (81 slots of the read-ahead ring; the
+ * smoke gz cells fit in one slot and decode on the caller). It has
+ * no CI floor. Its timing depends on whether the helper thread gets
+ * a CPU of its own, so the cpuset sched_load_balance flag is printed
+ * at start and end.
  */
 
 #include <chrono>

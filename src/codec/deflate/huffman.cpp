@@ -222,4 +222,18 @@ HuffmanDecoder::HuffmanDecoder(std::span<const uint8_t> lengths)
     }
 }
 
+void
+HuffmanDecoder::setExtraBits(unsigned first, std::span<const uint8_t> extra)
+{
+    for (uint32_t &e : table_) {
+        unsigned sym = e >> 16;
+        if ((e & lengthMask) == 0 || (e & subtableFlag) != 0 ||
+            sym < first || sym - first >= extra.size())
+            continue;
+        FCC_ASSERT(extra[sym - first] <= extraMask,
+                   "Huffman extra bit count overflow");
+        e |= static_cast<uint32_t>(extra[sym - first]) << 8;
+    }
+}
+
 } // namespace fcc::codec::deflate

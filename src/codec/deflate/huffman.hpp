@@ -53,6 +53,7 @@ class HuffmanDecoder
     {
         unsigned symbol;
         unsigned length;
+        unsigned extra;  ///< extra bits after the code (setExtraBits)
     };
 
     /**
@@ -79,8 +80,16 @@ class HuffmanDecoder
             e = table_[(e >> 16) +
                        ((bits >> tableBits_) & subMask)];
         }
-        return {e >> 16, e & lengthMask};
+        return {e >> 16, e & lengthMask, (e >> 8) & extraMask};
     }
+
+    /**
+     * Record that symbol @p first + i is followed by @p extra[i]
+     * extra bits (at most 15), as DEFLATE's length and distance
+     * symbols are, so that lookup() returns the count with the code
+     * instead of the decoder looking it up after it.
+     */
+    void setExtraBits(unsigned first, std::span<const uint8_t> extra);
 
     /** Number of symbols with non-zero length. */
     size_t usedSymbols() const { return used_; }
@@ -88,10 +97,11 @@ class HuffmanDecoder
   private:
     // Entry layout: bits 0..4 code length (0 = invalid pattern);
     // bit 5 subtable pointer, whose bits 8..11 are the subtable's
-    // index width and bits 16..31 its offset; otherwise bits 16..31
-    // are the symbol.
+    // index width and bits 16..31 its offset; otherwise bits 8..11
+    // are the symbol's extra bits and bits 16..31 the symbol.
     static constexpr uint32_t lengthMask = 0x1f;
     static constexpr uint32_t subtableFlag = 0x20;
+    static constexpr uint32_t extraMask = 0xf;
 
     std::vector<uint32_t> table_;  // primary table, then subtables
     int tableBits_ = 0;

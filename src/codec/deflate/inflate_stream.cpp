@@ -66,14 +66,22 @@ cpuRelax()
 const HuffmanDecoder &
 fixedLitCode()
 {
-    static const HuffmanDecoder code(fixedLitLengths());
+    static const HuffmanDecoder code = [] {
+        HuffmanDecoder c(fixedLitLengths());
+        c.setExtraBits(257, lengthExtra);
+        return c;
+    }();
     return code;
 }
 
 const HuffmanDecoder &
 fixedDistCode()
 {
-    static const HuffmanDecoder code(fixedDistLengths());
+    static const HuffmanDecoder code = [] {
+        HuffmanDecoder c(fixedDistLengths());
+        c.setExtraBits(0, distExtra);
+        return c;
+    }();
     return code;
 }
 
@@ -254,6 +262,9 @@ InflateStream::readDynamicTables()
     }
     dynLit_.emplace(std::span<const uint8_t>(lens, hlit));
     dynDist_.emplace(std::span<const uint8_t>(lens + hlit, hdist));
+    // Length and distance codes carry their extra bit counts.
+    dynLit_->setExtraBits(257, lengthExtra);
+    dynDist_->setExtraBits(0, distExtra);
     lit_ = &*dynLit_;
     dist_ = &*dynDist_;
 }
@@ -300,100 +311,100 @@ InflateStream::decodeHuffman(uint8_t *buf, size_t pos, size_t cap)
     uint8_t *out = buf + pos;
     uint8_t *const limit = buf + (cap - symbolRoom);
     try {
+        // Fast loop, while fastInputBytes of input remain: every refill
+        // loads a whole word and leaves at least 56 bits, enough for two
+        // literals or a length/distance pair (15 + 5 + 15 + 13 bits), so
+        // no decode here can run out of bits and none checks for it. The
+        // bit buffer lives in locals: stores through the byte output
+        // pointer could otherwise alias the members.
+        {
+            uint64_t bitBuf = bitBuf_;
+            unsigned bitCount = bitCount_;
+            size_t inPos = inPos_;
+            auto take = [&](unsigned n) {
+                uint32_t v =
+                    static_cast<uint32_t>(bitBuf & ((uint64_t{1} << n) - 1));
+                bitBuf >>= n;
+                bitCount -= n;
+                return v;
+            };
+            bool blockEnd = false;
+            while (out <= limit && inLen_ - inPos >= fastInputBytes) {
+                bitBuf |= util::loadLe64(in_ + inPos) << bitCount;
+                inPos += (63 - bitCount) >> 3;
+                bitCount |= 56;
 
-    // Fast loop, while fastInputBytes of input remain: every refill
-    // loads a whole word and leaves at least 56 bits, enough for two
-    // literals or a length/distance pair (15 + 5 + 15 + 13 bits), so
-    // no decode here can run out of bits and none checks for it. The
-    // bit buffer lives in locals: stores through the byte output
-    // pointer could otherwise alias the members.
-    {
-        uint64_t bitBuf = bitBuf_;
-        unsigned bitCount = bitCount_;
-        size_t inPos = inPos_;
-        auto take = [&](unsigned n) {
-            uint32_t v =
-                static_cast<uint32_t>(bitBuf & ((uint64_t{1} << n) - 1));
-            bitBuf >>= n;
-            bitCount -= n;
-            return v;
-        };
-        bool blockEnd = false;
-        while (out <= limit && inLen_ - inPos >= fastInputBytes) {
-            bitBuf |= util::loadLe64(in_ + inPos) << bitCount;
-            inPos += (63 - bitCount) >> 3;
-            bitCount |= 56;
-
-            HuffmanDecoder::Symbol s = lit.lookup(bitBuf);
-            if (s.length == 0) [[unlikely]]
-                throwInvalidCode();
-            take(s.length);
-            if (s.symbol < 256) {
-                *out++ = static_cast<uint8_t>(s.symbol);
-                // A second literal fits in the same refill; anything
-                // else waits for the next one.
-                s = lit.lookup(bitBuf);
-                if (s.length != 0 && s.symbol < 256) {
-                    take(s.length);
+                HuffmanDecoder::Symbol s = lit.lookup(bitBuf);
+                if (s.length == 0) [[unlikely]]
+                    throwInvalidCode();
+                take(s.length);
+                if (s.symbol < 256) {
                     *out++ = static_cast<uint8_t>(s.symbol);
+                    // A second literal fits in the same refill; anything
+                    // else waits for the next one.
+                    s = lit.lookup(bitBuf);
+                    if (s.length != 0 && s.symbol < 256) {
+                        take(s.length);
+                        *out++ = static_cast<uint8_t>(s.symbol);
+                    }
+                    continue;
                 }
+                if (s.symbol == endOfBlock) {
+                    blockEnd = true;
+                    break;
+                }
+                util::require(s.symbol <= 285, "inflate: bad length symbol");
+                // The extra bit counts come with the codes: no table
+                // lookup stands between one code and the next.
+                uint32_t len = lengthBase[s.symbol - 257] + take(s.extra);
+                HuffmanDecoder::Symbol ds = dist.lookup(bitBuf);
+                if (ds.length == 0) [[unlikely]]
+                    throwInvalidCode();
+                take(ds.length);
+                util::require(ds.symbol < numDistCodes,
+                              "inflate: bad distance symbol");
+                uint32_t d = distBase[ds.symbol] + take(ds.extra);
+                util::require(d <= static_cast<size_t>(out - buf),
+                              "inflate: distance beyond output");
+                out = copyMatch(out, d, len);
+            }
+            bitBuf_ = bitBuf;
+            bitCount_ = bitCount;
+            inPos_ = inPos;
+            if (blockEnd) {
+                inBlock_ = false;
+                done_ = finalBlock_;
+                return static_cast<size_t>(out - buf);
+            }
+        }
+
+        // The tail: near the end of the input, refills and decodes check
+        // every bit they take.
+        while (out <= limit) {
+            // One refill covers a whole length/distance pair: 15 + 5 +
+            // 15 + 13 bits, within the 56 a refill guarantees mid-stream.
+            refill();
+            unsigned sym = symbol(lit);
+            if (sym < 256) {
+                *out++ = static_cast<uint8_t>(sym);
                 continue;
             }
-            if (s.symbol == endOfBlock) {
-                blockEnd = true;
+            if (sym == endOfBlock) {
+                inBlock_ = false;
+                done_ = finalBlock_;
                 break;
             }
-            util::require(s.symbol <= 285, "inflate: bad length symbol");
-            unsigned li = s.symbol - 257;
-            uint32_t len = lengthBase[li] + take(lengthExtra[li]);
-            HuffmanDecoder::Symbol ds = dist.lookup(bitBuf);
-            if (ds.length == 0) [[unlikely]]
-                throwInvalidCode();
-            take(ds.length);
-            util::require(ds.symbol < numDistCodes,
+            util::require(sym <= 285, "inflate: bad length symbol");
+            unsigned li = sym - 257;
+            uint32_t len = lengthBase[li] + bits(lengthExtra[li]);
+            unsigned dsym = symbol(dist);
+            util::require(dsym < numDistCodes,
                           "inflate: bad distance symbol");
-            uint32_t d = distBase[ds.symbol] + take(distExtra[ds.symbol]);
+            uint32_t d = distBase[dsym] + bits(distExtra[dsym]);
             util::require(d <= static_cast<size_t>(out - buf),
                           "inflate: distance beyond output");
             out = copyMatch(out, d, len);
         }
-        bitBuf_ = bitBuf;
-        bitCount_ = bitCount;
-        inPos_ = inPos;
-        if (blockEnd) {
-            inBlock_ = false;
-            done_ = finalBlock_;
-            return static_cast<size_t>(out - buf);
-        }
-    }
-
-    // The tail: near the end of the input, refills and decodes check
-    // every bit they take.
-    while (out <= limit) {
-        // One refill covers a whole length/distance pair: 15 + 5 +
-        // 15 + 13 bits, within the 56 a refill guarantees mid-stream.
-        refill();
-        unsigned sym = symbol(lit);
-        if (sym < 256) {
-            *out++ = static_cast<uint8_t>(sym);
-            continue;
-        }
-        if (sym == endOfBlock) {
-            inBlock_ = false;
-            done_ = finalBlock_;
-            break;
-        }
-        util::require(sym <= 285, "inflate: bad length symbol");
-        unsigned li = sym - 257;
-        uint32_t len = lengthBase[li] + bits(lengthExtra[li]);
-        unsigned dsym = symbol(dist);
-        util::require(dsym < numDistCodes, "inflate: bad distance symbol");
-        uint32_t d = distBase[dsym] + bits(distExtra[dsym]);
-        util::require(d <= static_cast<size_t>(out - buf),
-                      "inflate: distance beyond output");
-        out = copyMatch(out, d, len);
-    }
-
     } catch (...) {
         stopped_ = static_cast<size_t>(out - buf);  // every whole symbol
         throw;

@@ -1537,7 +1537,8 @@ TEST(GzipSource, MultiSlotMembersMatchOneShot)
          zlibDeflate(tsh, 6, Z_HUFFMAN_ONLY, 15, Wrap::Gzip)},
         {"zlib rle", zlibDeflate(pcapng, 6, Z_RLE, 15, Wrap::Gzip)},
         {"stored", zlibDeflate(tsh, 0, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip)},
-        {"far matches", zlibDeflate(far, 6, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip)},
+        {"far matches",
+         zlibDeflate(far, 6, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip)},
     };
     for (const Member &m : members) {
         SCOPED_TRACE(m.name);
