@@ -1520,7 +1520,8 @@ TEST(GzipSource, MultiSlotMembersMatchOneShot)
     // Several times the ring, so every slot is reused.
     const auto pcapng = elephantsPcapng(smoke ? 300 : 600);
     const auto tsh = webTsh(smoke ? 8.0 : 20.0);
-    const auto far = farMatches(smoke ? (size_t{3} << 20) : (size_t{6} << 20));
+    const auto far =
+        farMatches(smoke ? (size_t{3} << 20) : (size_t{6} << 20));
     struct Member
     {
         std::string name;
@@ -1529,8 +1530,10 @@ TEST(GzipSource, MultiSlotMembersMatchOneShot)
     std::vector<Member> members = {
         {"ours pcapng", fd::gzipCompress(pcapng)},
         {"ours tsh", fd::gzipCompress(tsh)},
-        {"zlib 1", zlibDeflate(pcapng, 1, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip)},
-        {"zlib 6", zlibDeflate(pcapng, 6, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip)},
+        {"zlib 1",
+         zlibDeflate(pcapng, 1, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip)},
+        {"zlib 6",
+         zlibDeflate(pcapng, 6, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip)},
         {"zlib 9", zlibDeflate(tsh, 9, Z_DEFAULT_STRATEGY, 15, Wrap::Gzip)},
         {"zlib fixed", zlibDeflate(tsh, 6, Z_FIXED, 15, Wrap::Gzip)},
         {"zlib huffman only",
