@@ -21,16 +21,11 @@ namespace fcc::codec::deflate {
 
 namespace {
 
-/** LZ77 window: the farthest a match reaches back. */
-constexpr size_t windowSize = size_t{1} << 15;
 /** Largest LZ77 match — the most one decoded symbol can emit. */
 constexpr size_t maxMatchRun = 258;
 /** A match copy may write up to 31 bytes past its end. */
 constexpr size_t copySlack = 32;
-/** Free room the symbol loop needs before decoding one symbol. */
-constexpr size_t symbolRoom = maxMatchRun + copySlack;
-/** read()'s buffer: the window plus the output area it slides over. */
-constexpr size_t streamBufferSize = windowSize + (size_t{3} << 15);
+static_assert(InflateStream::symbolRoom == maxMatchRun + copySlack);
 /** No DEFLATE stream expands by more than this (258 bytes/2 bits). */
 constexpr size_t maxExpansion = 1032;
 /**
@@ -434,40 +429,6 @@ InflateStream::decode(uint8_t *buf, size_t pos, size_t cap)
         return stopped_;
     }
     return pos;
-}
-
-size_t
-InflateStream::read(uint8_t *out, size_t maxLen)
-{
-    size_t total = 0;
-    while (total < maxLen) {
-        if (drained_ == bufEnd_) {
-            if (error_) {
-                // Bytes before the error go out first.
-                if (total > 0)
-                    break;
-                std::rethrow_exception(error_);
-            }
-            if (done_)
-                break;
-            if (buf_.empty()) {
-                buf_.resize(streamBufferSize);
-            } else if (bufEnd_ > windowSize) {
-                // Slide: keep the last 32 KiB as history.
-                std::memmove(buf_.data(),
-                             buf_.data() + bufEnd_ - windowSize,
-                             windowSize);
-                bufEnd_ = drained_ = windowSize;
-            }
-            bufEnd_ = decode(buf_.data(), bufEnd_, buf_.size());
-            continue;
-        }
-        size_t n = std::min(maxLen - total, bufEnd_ - drained_);
-        std::memcpy(out + total, buf_.data() + drained_, n);
-        total += n;
-        drained_ += n;
-    }
-    return total;
 }
 
 std::vector<uint8_t>

@@ -5,11 +5,11 @@
  * InflateStream is the library's single DEFLATE decoder. It reads the
  * compressed input through a 64-bit bit buffer, decodes Huffman codes
  * with table lookups (HuffmanDecoder) and writes into a linear output
- * buffer whose front holds the 32 KiB back-reference window. read()
- * streams output in caller-sized pieces through an internal buffer
- * that slides when full; readAll() decodes straight into one vector
- * and backs the one-shot inflate() in deflate.hpp, so the zlib
- * cross-validation tests exercise this decoder too.
+ * buffer whose front holds the 32 KiB back-reference window. decode()
+ * fills a caller's buffer piece by piece (the gzip source's ring
+ * slots); readAll() decodes straight into one vector and backs the
+ * one-shot inflate() in deflate.hpp, so the zlib cross-validation
+ * tests exercise this decoder too.
  *
  * GzipInflateSource layers RFC 1952 member framing on top and plugs
  * into the trace I/O stack as a fcc::util::ByteSource decorator: a
@@ -43,23 +43,20 @@ namespace fcc::codec::deflate {
 /**
  * Incremental DEFLATE (RFC 1951) decoder over a complete compressed
  * buffer. The compressed memory must outlive the stream. Output comes
- * either piecewise from read() or all at once from readAll(); one
+ * either piecewise from decode() or all at once from readAll(); one
  * stream uses one of the two.
  */
 class InflateStream
 {
   public:
-    explicit InflateStream(std::span<const uint8_t> compressed);
-
     /**
-     * Decode up to @p maxLen further bytes into @p out.
-     * @returns the number of bytes produced; 0 means the final block
-     *          has been fully decoded.
-     * @throws fcc::util::Error on any malformed construct, once every
-     *         byte decoded before it has been returned; every later
-     *         call throws it again.
+     * Free room decode() needs below its cap to decode one more
+     * symbol: the longest match (258 bytes) plus the 32 bytes a match
+     * copy may write past its end.
      */
-    size_t read(uint8_t *out, size_t maxLen);
+    static constexpr size_t symbolRoom = 290;
+
+    explicit InflateStream(std::span<const uint8_t> compressed);
 
     /**
      * Decode the whole stream into one vector. @p sizeHint, when the
@@ -70,12 +67,12 @@ class InflateStream
 
     /**
      * Decode into @p buf from @p pos until the final block ends or
-     * fewer than symbolRoom (266) bytes are free below @p cap.
+     * fewer than symbolRoom bytes are free below @p cap.
      * buf[0, pos) is the history back-references may reach into: up
      * to 32 KiB, all of the stream's output when it has less. On a
      * malformed construct it stops, sets error() and returns the end
-     * of the symbols before it. A stream feeds one of read(),
-     * readAll() and decode().
+     * of the symbols before it. A stream feeds one of readAll() and
+     * decode().
      * @returns the end of the decoded bytes in @p buf.
      */
     size_t decode(uint8_t *buf, size_t pos, size_t cap);
@@ -83,8 +80,8 @@ class InflateStream
     /** The error decode() stopped at, or null. */
     std::exception_ptr error() const { return error_; }
 
-    /** True once the final block has been consumed and drained. */
-    bool finished() const { return done_ && drained_ == bufEnd_; }
+    /** True once the final block has been decoded. */
+    bool finished() const { return done_; }
 
     /**
      * Bytes of compressed input consumed, rounded up to a whole byte
@@ -124,11 +121,6 @@ class InflateStream
     const HuffmanDecoder *dist_ = nullptr;
     std::optional<HuffmanDecoder> dynLit_, dynDist_;
 
-    // read()'s output buffer: up to 32 KiB of history, then decoded
-    // bytes not yet handed out (drained_ .. bufEnd_).
-    std::vector<uint8_t> buf_;
-    size_t bufEnd_ = 0;
-    size_t drained_ = 0;
     // The first error and, while a step runs, where its output stood
     // before the symbol that failed.
     std::exception_ptr error_;

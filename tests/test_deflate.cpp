@@ -1005,12 +1005,17 @@ TEST(InflateConformance, OverlappingMatchesAndFarthestDistance)
     ASSERT_EQ(*theirs, expect);
     EXPECT_EQ(fd::inflate(stream), expect);
 
+    // The same stream through decode() in steps of about 333 bytes:
+    // matches resume across the calls' caps.
     fd::InflateStream chunked(stream);
-    std::vector<uint8_t> got;
-    uint8_t buf[333];
-    size_t n;
-    while ((n = chunked.read(buf, sizeof(buf))) > 0)
-        got.insert(got.end(), buf, buf + n);
+    std::vector<uint8_t> got(expect.size() + fd::InflateStream::symbolRoom);
+    size_t pos = 0;
+    while (!chunked.finished() && !chunked.error())
+        pos = chunked.decode(
+            got.data(), pos,
+            std::min(got.size(), pos + 333 + fd::InflateStream::symbolRoom));
+    EXPECT_FALSE(chunked.error());
+    got.resize(pos);
     EXPECT_EQ(got, expect);
 }
 
@@ -1409,9 +1414,10 @@ namespace {
 
 /**
  * The serial reference for GzipInflateSource: each member's deflate
- * stream decoded in order by one InflateStream, then its trailer
- * checked. Returns every byte decoded before the first error, whose
- * message lands in @p error (empty when the input is good).
+ * stream decoded in order by one InflateStream into one growing
+ * buffer, then its trailer checked. Returns every byte decoded before
+ * the first error, whose message lands in @p error (empty when the
+ * input is good).
  */
 std::vector<uint8_t>
 serialGunzip(std::span<const uint8_t> gz, std::string &error)
@@ -1423,11 +1429,15 @@ serialGunzip(std::span<const uint8_t> gz, std::string &error)
         for (;;) {
             fd::InflateStream in(gz.subspan(pos));
             const size_t begin = out.size();
-            std::vector<uint8_t> buf(65536);
-            size_t n;
-            while ((n = in.read(buf.data(), buf.size())) > 0)
-                out.insert(out.end(), buf.begin(), buf.begin() + n);
-            const size_t end = out.size();
+            size_t end = begin;
+            while (!in.finished() && !in.error()) {
+                out.resize(std::max<size_t>(2 * out.size(), end + 65536));
+                end = begin + in.decode(out.data() + begin, end - begin,
+                                        out.size() - begin);
+            }
+            out.resize(end);
+            if (in.error())
+                std::rethrow_exception(in.error());
             pos += in.compressedBytesConsumed();
             fcc::util::require(gz.size() - pos >= 8,
                                "gzip: truncated member trailer");
