@@ -133,7 +133,9 @@ canonicalCodes(std::span<const uint8_t> lengths)
     return codes;
 }
 
-HuffmanDecoder::HuffmanDecoder(std::span<const uint8_t> lengths)
+HuffmanDecoder::HuffmanDecoder(std::span<const uint8_t> lengths,
+                               unsigned extraFirst,
+                               std::span<const uint8_t> extra)
 {
     uint16_t counts[maxCodeBits + 1] = {};
     for (uint8_t len : lengths) {
@@ -194,8 +196,14 @@ HuffmanDecoder::HuffmanDecoder(std::span<const uint8_t> lengths)
     for (size_t k = 0; k < used_; ++k) {
         int len = lengthOf(k);
         uint32_t rev = util::reverseBits(codes[k], len);
-        uint32_t entry = static_cast<uint32_t>(sorted[k]) << 16 |
+        unsigned sym = sorted[k];
+        uint32_t entry = static_cast<uint32_t>(sym) << 16 |
                          static_cast<uint32_t>(len);
+        if (sym >= extraFirst && sym - extraFirst < extra.size()) {
+            FCC_ASSERT(extra[sym - extraFirst] <= extraMask,
+                       "Huffman extra bit count overflow");
+            entry |= static_cast<uint32_t>(extra[sym - extraFirst]) << 8;
+        }
         if (len <= tableBits_) {
             for (uint32_t i = rev; i < table_.size(); i += 1u << len)
                 table_[i] = entry;
@@ -219,20 +227,6 @@ HuffmanDecoder::HuffmanDecoder(std::span<const uint8_t> lengths)
         for (uint32_t i = rev >> tableBits_; i < subSize;
              i += 1u << (len - tableBits_))
             table_[subOffset + i] = entry;
-    }
-}
-
-void
-HuffmanDecoder::setExtraBits(unsigned first, std::span<const uint8_t> extra)
-{
-    for (uint32_t &e : table_) {
-        unsigned sym = e >> 16;
-        if ((e & lengthMask) == 0 || (e & subtableFlag) != 0 ||
-            sym < first || sym - first >= extra.size())
-            continue;
-        FCC_ASSERT(extra[sym - first] <= extraMask,
-                   "Huffman extra bit count overflow");
-        e |= static_cast<uint32_t>(extra[sym - first]) << 8;
     }
 }
 

@@ -53,7 +53,7 @@ class HuffmanDecoder
     {
         unsigned symbol;
         unsigned length;
-        unsigned extra;  ///< extra bits after the code (setExtraBits)
+        unsigned extra;  ///< extra bits that follow the code
     };
 
     /**
@@ -61,10 +61,16 @@ class HuffmanDecoder
      * nor under-subscribed; the only incomplete codes accepted are
      * the empty code and a single one-bit code, as in zlib and puff
      * (RFC 1951 §3.2.7 sends a lone distance code with one bit).
+     * Symbol @p extraFirst + i is followed by @p extra[i] extra bits
+     * (at most 15), as DEFLATE's length and distance symbols are;
+     * lookup() returns the count with the code, so a decoder needs
+     * no second table before it reads them.
      *
      * @throws fcc::util::Error on an invalid code description.
      */
-    explicit HuffmanDecoder(std::span<const uint8_t> lengths);
+    explicit HuffmanDecoder(std::span<const uint8_t> lengths,
+                            unsigned extraFirst = 0,
+                            std::span<const uint8_t> extra = {});
 
     /**
      * Look up the code at the front of @p bits (stream order, LSB
@@ -82,14 +88,6 @@ class HuffmanDecoder
         }
         return {e >> 16, e & lengthMask, (e >> 8) & extraMask};
     }
-
-    /**
-     * Record that symbol @p first + i is followed by @p extra[i]
-     * extra bits (at most 15), as DEFLATE's length and distance
-     * symbols are, so that lookup() returns the count with the code
-     * instead of the decoder looking it up after it.
-     */
-    void setExtraBits(unsigned first, std::span<const uint8_t> extra);
 
     /** Number of symbols with non-zero length. */
     size_t usedSymbols() const { return used_; }

@@ -61,22 +61,14 @@ cpuRelax()
 const HuffmanDecoder &
 fixedLitCode()
 {
-    static const HuffmanDecoder code = [] {
-        HuffmanDecoder c(fixedLitLengths());
-        c.setExtraBits(257, lengthExtra);
-        return c;
-    }();
+    static const HuffmanDecoder code(fixedLitLengths(), 257, lengthExtra);
     return code;
 }
 
 const HuffmanDecoder &
 fixedDistCode()
 {
-    static const HuffmanDecoder code = [] {
-        HuffmanDecoder c(fixedDistLengths());
-        c.setExtraBits(0, distExtra);
-        return c;
-    }();
+    static const HuffmanDecoder code(fixedDistLengths(), 0, distExtra);
     return code;
 }
 
@@ -255,11 +247,9 @@ InflateStream::readDynamicTables()
         std::memset(lens + n, value, rep);
         n += rep;
     }
-    dynLit_.emplace(std::span<const uint8_t>(lens, hlit));
-    dynDist_.emplace(std::span<const uint8_t>(lens + hlit, hdist));
-    // Length and distance codes carry their extra bit counts.
-    dynLit_->setExtraBits(257, lengthExtra);
-    dynDist_->setExtraBits(0, distExtra);
+    dynLit_.emplace(std::span<const uint8_t>(lens, hlit), 257, lengthExtra);
+    dynDist_.emplace(std::span<const uint8_t>(lens + hlit, hdist), 0,
+                     distExtra);
     lit_ = &*dynLit_;
     dist_ = &*dynDist_;
 }
