@@ -149,8 +149,7 @@ class InflateStream
  * its content contiguously, as mmap and memory buffers do) plus the
  * ring: 1 MiB of slots, each behind 32 KiB of window. The helper
  * thread is the source's own: FccConfig::threads does not count it.
- * Destruction
- * stops and joins it.
+ * Destruction stops and joins it.
  */
 class GzipInflateSource : public util::ByteSource
 {
